@@ -45,7 +45,6 @@ class FeResult:
     yield_load: float
     ultimate_load: float
     energy: float
-    converged: bool
     increments: int
     yield_detected: bool
     peak_at_end: bool
@@ -78,7 +77,7 @@ def extract_result(curve: ForceDisplacementCurve,
         detected = False
     yld = min(yld, ult)
     return FeResult(yield_load=yld, ultimate_load=ult, energy=energy,
-                    converged=True, increments=curve.force.size - 1,
+                    increments=curve.force.size - 1,
                     yield_detected=detected, peak_at_end=peak_at_end)
 
 

@@ -4,6 +4,12 @@
 2x2x2 Gauss quadrature, von Mises plasticity by radial return, incremental
 prescribed displacement with Newton iteration per increment.  Assembly is
 deterministic and independent of element order.
+
+Element stiffness is the B^T D B product summed over the Gauss points
+(Simo & Hughes, Computational Inelasticity, ch. 3-4), computed for all
+elements at once as two batched matrix products.  The free-dof tangent is
+symmetric, so every sparse solve uses the MMD_AT_PLUS_A column ordering
+(minimum degree on A^T + A), which fills in less than the default COLAMD.
 """
 
 from __future__ import annotations
@@ -161,6 +167,29 @@ def _element_dof_map(dims):
     return dofs, (ex, ey, ez)
 
 
+def element_stiffness(tang, b_mats, wdet):
+    """Element stiffness matrices (ne, 24, 24) from Gauss-point tangents.
+
+    tang holds the (ne * 8, 6, 6) tangents in element-major order; the
+    result is sum_g wdet * B_g^T D_g B_g for each element.
+    """
+    ne = tang.shape[0] // 8
+    db = (tang.reshape(ne, 8, 6, 6) @ b_mats).reshape(ne, 48, 24)
+    return (wdet * b_mats.reshape(48, 24).T) @ db
+
+
+def assemble_stiffness(ke, dof_map, n_dofs):
+    """Global CSR stiffness from element matrices and the element dof map."""
+    rows = np.repeat(dof_map, 24, axis=1).ravel()
+    cols = np.tile(dof_map, (1, 24)).ravel()
+    return sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
+
+
+def _solve_linear(a, b):
+    """Sparse direct solve under the ordering named in the module docstring."""
+    return spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
+
+
 def _largest_cluster(yielded_flat, dims) -> int:
     nx, ny, nz = dims
     mask = yielded_flat.reshape(nz, ny, nx).transpose(2, 1, 0)
@@ -194,8 +223,6 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
 
     b_mats, wdet = _hex_b_matrices(h)
     dof_map, _ = _element_dof_map(dims)
-    rows = np.repeat(dof_map, 24, axis=1).ravel()
-    cols = np.tile(dof_map, (1, 24)).ravel()
 
     prescribed = np.concatenate([bc.fixed_dofs, bc.driven_dofs])
     if np.unique(prescribed).size != prescribed.size:
@@ -230,10 +257,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         return f
 
     def tangent_matrix(tang):
-        d = tang.reshape(ne, 8, 6, 6)
-        ke = wdet * np.einsum("gik,egij,gjl->ekl", b_mats, d, b_mats, optimize=True)
-        k = sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-        return k
+        return assemble_stiffness(element_stiffness(tang, b_mats, wdet), dof_map, n_dofs)
 
     peak = 0.0
     peak_idx = 0
@@ -253,8 +277,8 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         delta_p = np.zeros(n_dofs)
         delta_p[bc.driven_dofs] = bc.unit_values * target - u[bc.driven_dofs]
         if free.size:
-            rhs = -(k[free] @ delta_p)
-            du0 = spsolve(k[free][:, free], rhs)
+            k_free = k[free]
+            du0 = _solve_linear(k_free[:, free], -(k_free @ delta_p))
             if np.all(np.isfinite(du0)):
                 u[free] += du0
         u[bc.fixed_dofs] = 0.0
@@ -279,12 +303,12 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", MatrixRankWarning)
-                    du = spsolve(kff, -res)
+                    du = _solve_linear(kff, -res)
             except RuntimeError:
                 du = None
             if du is None or not np.all(np.isfinite(du)):
                 reg = 1e-10 * max(float(kff.diagonal().max()), 1.0)
-                du = spsolve(kff + reg * sparse.eye(kff.shape[0], format="csr"), -res)
+                du = _solve_linear(kff + reg * sparse.eye(kff.shape[0], format="csr"), -res)
                 if not np.all(np.isfinite(du)):
                     raise NumericalError("linear solve failed")
             u[free] += du

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from femrisk.femodel import (MaterialModel, SolveControl,
                              ash_density, compute_fe_parameters, fall_bc,
@@ -8,6 +9,8 @@ from femrisk.femodel._kernel import KERNEL_IMPL, radial_return_batch
 from femrisk.femodel._kernel._pure import radial_return_batch as pure_batch
 from femrisk.femodel.curves import energy_to_failure
 from femrisk.femodel.grid import VoxelGrid
+from femrisk.femodel.solver import (_element_dof_map, _hex_b_matrices,
+                                    assemble_stiffness, element_stiffness)
 
 RHO = 0.25
 ASH = ash_density(RHO)
@@ -156,3 +159,90 @@ class TestKernelParity:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True)
         assert out.stdout.strip() == "pure"
+
+
+def _random_symmetric_tangents(rng, n):
+    a = rng.normal(size=(n, 6, 6))
+    return a + a.transpose(0, 2, 1)
+
+
+def _kernel_tangents(rng, n, branch):
+    """Gauss-point tangents from radial return, all in one yield branch.
+
+    Deviatoric strains overstress the plateau by 5-50 %: starting from
+    alpha = 0 the return stays on the plateau, starting past eps_plateau
+    it follows the softening line.
+    """
+    m = MaterialModel()
+    emod = rng.uniform(2000.0, 10000.0, n)
+    sy = rng.uniform(20.0, 40.0, n)
+    g = emod / (2.0 * (1.0 + m.nu))
+    strain = rng.normal(size=(n, 6))
+    strain[:, :3] -= strain[:, :3].mean(axis=1, keepdims=True)
+    q = np.sqrt(1.5 * ((2.0 * g[:, None] * strain[:, :3]) ** 2).sum(axis=1)
+                + 3.0 * ((g[:, None] * strain[:, 3:]) ** 2).sum(axis=1))
+    strain *= (rng.uniform(1.05, 1.5, n) * sy / q)[:, None]
+    alpha = np.full(n, 0.0 if branch == "plateau" else 2.0 * m.eps_plateau)
+    _, tang, _, alpha_new = radial_return_batch(
+        strain, np.zeros((n, 6)), alpha, emod, m.nu, sy,
+        m.f_plateau, m.eps_plateau, m.f_soft, m.floor_frac)
+    if branch == "plateau":
+        assert np.all((alpha_new > 0.0) & (alpha_new <= m.eps_plateau))
+    else:
+        assert np.all(alpha_new > alpha)
+    return tang
+
+
+def _loop_stiffness(tang, b_mats, wdet):
+    ne = tang.shape[0] // 8
+    ke = np.zeros((ne, 24, 24))
+    for e in range(ne):
+        for g in range(8):
+            ke[e] += wdet * b_mats[g].T @ tang[8 * e + g] @ b_mats[g]
+    return ke
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestStiffnessProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ne=st.integers(1, 5),
+           h=st.floats(0.5, 5.0),
+           source=st.sampled_from(["symmetric", "plateau", "softening"]))
+    def test_element_stiffness_matches_gauss_loop(self, seed, ne, h, source):
+        rng = np.random.default_rng(seed)
+        if source == "symmetric":
+            tang = _random_symmetric_tangents(rng, 8 * ne)
+        else:
+            tang = _kernel_tangents(rng, 8 * ne, source)
+        b_mats, wdet = _hex_b_matrices(h)
+        ke = element_stiffness(tang, b_mats, wdet)
+        assert ke.shape == (ne, 24, 24)
+        assert _max_rel(ke, _loop_stiffness(tang, b_mats, wdet)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           plastic=st.booleans())
+    def test_global_stiffness_symmetric_and_order_free(self, seed, dims, plastic):
+        rng = np.random.default_rng(seed)
+        nx, ny, nz = dims
+        ne = nx * ny * nz
+        n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
+        if plastic:
+            tang = _kernel_tangents(rng, 8 * ne, "softening")
+        else:
+            tang = _random_symmetric_tangents(rng, 8 * ne)
+        b_mats, wdet = _hex_b_matrices(3.0)
+        dof_map, _ = _element_dof_map(dims)
+        k = assemble_stiffness(element_stiffness(tang, b_mats, wdet),
+                               dof_map, n_dofs).toarray()
+        assert _max_rel(k.T, k) <= 1e-12
+
+        perm = rng.permutation(ne)
+        tang_perm = tang.reshape(ne, 8, 6, 6)[perm].reshape(8 * ne, 6, 6)
+        k_perm = assemble_stiffness(element_stiffness(tang_perm, b_mats, wdet),
+                                    dof_map[perm], n_dofs).toarray()
+        assert _max_rel(k_perm, k) <= 1e-12
