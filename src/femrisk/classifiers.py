@@ -190,13 +190,9 @@ def predict_scores(model: TrainedModel, x) -> np.ndarray:
     ty = model.params["train_y"]
     k = model.spec.neighbors
     d2 = ((z[:, None, :] - tz[None, :, :]) ** 2).sum(axis=2)
-    scores = np.empty(z.shape[0])
-    for i in range(z.shape[0]):
-        row = d2[i]
-        kth = np.partition(row, k - 1)[k - 1]
-        inc = row <= kth + 1e-12 * max(kth, 1.0)
-        scores[i] = ty[inc].mean()
-    return scores
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    inc = d2 <= kth + 1e-12 * np.maximum(kth, 1.0)
+    return (inc * ty).sum(axis=1) / inc.sum(axis=1)
 
 
 def pls_latent(model: TrainedModel, x) -> np.ndarray:

@@ -54,7 +54,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0,
                    help="base seed (64-bit unsigned)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and ignored: evaluate "
+                        "runs its resamples serially")
     p.add_argument("--stratum", choices=STRATA, default="all")
     p.add_argument("--paper-mode", action="store_true",
                    help="fit PCA once on the whole sample before evaluation "
@@ -238,7 +240,7 @@ def cmd_evaluate(args) -> int:
         "mode": "paper" if args.paper_mode else "fold_internal",
         "stratum": args.stratum,
     }
-    if not args.skip_frax and all(r.frax_prob is not None for r in cohort):
+    if not args.skip_frax and not cohort.missing_frax():
         fs0, sp0 = feature_sets[0], specs[0]
         scores_all, _, _ = fit_and_score(train_c, cohort, fs0, sp0,
                                          args.stratum, pca_full)

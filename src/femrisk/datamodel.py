@@ -8,12 +8,18 @@ The cohort CSV format is fixed: comma separated, UTF-8, header exactly
 (one line, shown wrapped) with sex in {M, F} and frax_prob left blank when
 absent.  Column order in every feature matrix is deterministic and matches
 the lists documented on :func:`build_feature_matrix`.
+
+A :class:`Cohort` keeps its validated records for I/O and, built once from
+them, one float table with a column per name in :data:`TABLE_COLUMNS`.
+Subsets, strata, labels and feature matrices are gathers on that table.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +52,14 @@ COHORT_HEADER = (
 ).split(",")
 
 COVARIATES = ("age", "sex", "height", "weight", "healstat", "bmdmed")
+
+# Columns of Cohort.table: sex is 1.0 for M and 0.0 for F, frax_prob is NaN
+# when absent, every other value is the record's field as a float.
+TABLE_COLUMNS = FE12 + ("abmd_ct",) + COVARIATES + ("frax_prob", "fx")
+COLUMN_INDEX = {name: j for j, name in enumerate(TABLE_COLUMNS)}
+_SEX = COLUMN_INDEX["sex"]
+_FRAX = COLUMN_INDEX["frax_prob"]
+_FX = COLUMN_INDEX["fx"]
 
 
 @dataclass(frozen=True)
@@ -119,12 +133,40 @@ class SubjectRecord:
             raise DataError(f"frax_prob must be in [0,1], got {self.frax_prob}")
 
 
+_fe12_values = attrgetter(*FE12)
+
+
+def _table_row(r: SubjectRecord) -> tuple:
+    frax = math.nan if r.frax_prob is None else r.frax_prob
+    sex = 1.0 if r.sex == "M" else 0.0
+    return (*_fe12_values(r.fe), r.abmd_ct, r.age, sex, r.height, r.weight,
+            r.healstat, r.bmdmed, frax, r.fx)
+
+
+def _record_table(records: Sequence[SubjectRecord]) -> np.ndarray:
+    table = np.array([_table_row(r) for r in records], dtype=float)
+    return table.reshape(len(records), len(TABLE_COLUMNS))
+
+
 @dataclass(frozen=True)
 class Cohort:
-    """Validated subject records in file order."""
+    """Validated subject records in file order, with their float table.
+
+    `table` has one row per record and the columns of TABLE_COLUMNS.  It is
+    built from the records when omitted; subset and stratum pass the rows
+    they gather instead of rebuilding them.
+    """
 
     records: tuple[SubjectRecord, ...]
     dropped_count: int = 0
+    table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = _record_table(self.records) if self.table is None else self.table
+        if table.shape != (len(self.records), len(TABLE_COLUMNS)):
+            raise DataError("cohort table does not match its records")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     def __len__(self):
         return len(self.records)
@@ -137,21 +179,37 @@ class Cohort:
 
     @property
     def n_fracture(self) -> int:
-        return sum(r.fx for r in self.records)
+        return int(self.table[:, _FX].sum())
+
+    def _rows(self, idx: np.ndarray) -> "Cohort":
+        records = self.records
+        return Cohort(tuple([records[i] for i in idx.tolist()]), table=self.table[idx])
 
     def subset(self, indices: Iterable[int]) -> "Cohort":
-        return Cohort(tuple(self.records[i] for i in indices))
+        if not isinstance(indices, np.ndarray):
+            indices = np.fromiter(indices, dtype=np.intp)
+        return self._rows(indices)
 
     def stratum(self, stratum: str) -> "Cohort":
         if stratum == "all":
             return self
         if stratum not in ("male", "female"):
             raise DataError(f"unknown stratum {stratum!r}")
-        sx = "M" if stratum == "male" else "F"
-        return Cohort(tuple(r for r in self.records if r.sex == sx))
+        keep = self.table[:, _SEX] == (1.0 if stratum == "male" else 0.0)
+        if keep.all():
+            return self
+        return self._rows(np.flatnonzero(keep))
+
+    def columns(self, names: Sequence[str]) -> np.ndarray:
+        """C-ordered (n, len(names)) copy of the named table columns."""
+        return np.take(self.table, [COLUMN_INDEX[c] for c in names], axis=1)
 
     def labels(self) -> np.ndarray:
-        return np.array([r.fx for r in self.records], dtype=int)
+        return self.table[:, _FX].astype(int)
+
+    def missing_frax(self) -> list[str]:
+        """Ids of the subjects without a frax_prob, in cohort order."""
+        return [self.records[i].id for i in np.flatnonzero(np.isnan(self.table[:, _FRAX]))]
 
 
 def _parse_row(row: dict[str, str], line_no: int) -> SubjectRecord:
@@ -383,22 +441,6 @@ def feature_columns(feature_set: FeatureSet, stratum: str) -> list[str]:
     return ["frax_prob"]
 
 
-def _subject_value(r: SubjectRecord, col: str, pc1: Optional[float]) -> float:
-    if col == "pc1":
-        if pc1 is None:
-            raise DataError("pc1 scores required for a PC1 feature set")
-        return pc1
-    if col == "sex":
-        return 1.0 if r.sex == "M" else 0.0
-    if col == "frax_prob":
-        if r.frax_prob is None:
-            raise DataError(f"subject {r.id}: frax_prob missing but required")
-        return r.frax_prob
-    if col in FE12:
-        return getattr(r.fe, col)
-    return float(getattr(r, col))
-
-
 def build_feature_matrix(
     cohort: Cohort,
     feature_set: FeatureSet,
@@ -416,10 +458,14 @@ def build_feature_matrix(
     if pc1_scores is not None and len(pc1_scores) != len(sub):
         raise DataError("pc1_scores length does not match stratified cohort")
     cols = feature_columns(feature_set, stratum)
-    rows = []
-    for i, r in enumerate(sub):
-        pc1 = None if pc1_scores is None else float(pc1_scores[i])
-        rows.append([_subject_value(r, c, pc1) for c in cols])
-    x = np.array(rows, dtype=float)
-    y = sub.labels()
-    return x, y, cols
+    if cols[0] == "pc1":
+        if pc1_scores is None:
+            raise DataError("pc1 scores required for a PC1 feature set")
+        x = np.column_stack([np.asarray(pc1_scores, dtype=float), sub.columns(cols[1:])])
+    else:
+        x = sub.columns(cols)
+    if "frax_prob" in cols:
+        missing = sub.missing_frax()
+        if missing:
+            raise DataError(f"subject {missing[0]}: frax_prob missing but required")
+    return x, sub.labels(), cols

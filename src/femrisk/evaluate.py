@@ -3,15 +3,14 @@ cross-validation, shared stratified resampling with paired one-sided
 t-tests, and the DeLong comparison against an external FRAX score.
 
 Every split is driven by a seed derived from (base_seed, repeat, draw)
-through a 64-bit mixing function, so parallel execution is order
-independent and the whole report is a pure function of (cohort, config,
-seed).
+through a 64-bit mixing function, so the whole report is a pure function
+of (cohort, config, seed).  Resamples run serially: every fit is small,
+GIL-bound work, so threads cannot overlap them.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -91,7 +90,7 @@ def stratified_split(cohort: Cohort, fraction: float = 0.8, seed: int = 0):
 
 
 def fe9_matrix(cohort: Cohort) -> np.ndarray:
-    return np.array([r.fe.as_array(FE9) for r in cohort], dtype=float)
+    return cohort.columns(FE9)
 
 
 def fit_and_score(train_cohort: Cohort, test_cohort: Cohort,
@@ -168,6 +167,8 @@ def run_resample_comparison(cohort: Cohort, feature_sets: Sequence[FeatureSet],
 
     comparisons is a list of (cell_a, cell_b) names testing AUC_a > AUC_b;
     by default every ordered pair with mean(a) >= mean(b) is reported.
+    threads is accepted for compatibility and ignored: resamples run
+    serially.
     """
     sub = cohort.stratum(stratum)
     y = sub.labels()
@@ -194,27 +195,12 @@ def run_resample_comparison(cohort: Cohort, feature_sets: Sequence[FeatureSet],
         splits.append(chosen)
 
     aucs = {name: np.empty(config.resamples) for name in names}
-
-    def run_one(i):
-        tr_i, te_i = splits[i]
+    for i, (tr_i, te_i) in enumerate(splits):
         tr_c = sub.subset(tr_i)
         te_c = sub.subset(te_i)
-        out = np.empty(len(pairs))
-        for j, (fs, sp) in enumerate(pairs):
+        for name, (fs, sp) in zip(names, pairs):
             scores, y_te, _ = fit_and_score(tr_c, te_c, fs, sp, stratum, pca_full)
-            out[j] = auc_mann_whitney(scores, y_te)
-        return i, out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, out in pool.map(run_one, range(config.resamples)):
-                for j, name in enumerate(names):
-                    aucs[name][i] = out[j]
-    else:
-        for i in range(config.resamples):
-            _, out = run_one(i)
-            for j, name in enumerate(names):
-                aucs[name][i] = out[j]
+            aucs[name][i] = auc_mann_whitney(scores, y_te)
 
     if comparisons is None:
         comparisons = []
@@ -238,10 +224,10 @@ def compare_with_frax(cohort: Cohort, model_scores, direction: str = "a_greater"
 
     Returns (DeLongResult, model ROC, FRAX ROC).
     """
-    missing = [r.id for r in cohort if r.frax_prob is None]
+    missing = cohort.missing_frax()
     if missing:
         raise DataError(f"frax_prob missing for {len(missing)} subjects (first: {missing[0]})")
-    frax = np.array([r.frax_prob for r in cohort], dtype=float)
+    frax = cohort.columns(["frax_prob"])[:, 0]
     y = cohort.labels()
     scores = np.asarray(model_scores, dtype=float)
     if scores.shape[0] != y.shape[0]:

@@ -62,20 +62,18 @@ def roc_curve(scores, labels) -> RocCurve:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """Midranks (1-based); tied values get the mean of their rank range."""
+    """Midranks (1-based); tied values get the mean of their rank range.
+
+    A run of equal sorted values spanning positions [start, end) gets the
+    rank 0.5 * (start + end - 1) + 1 (Sun & Xu 2014).
+    """
     order = np.argsort(x, kind="stable")
     z = x[order]
     n = x.size
-    ranks = np.empty(n, dtype=float)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and z[j] == z[i]:
-            j += 1
-        ranks[i:j] = 0.5 * (i + j - 1) + 1.0
-        i = j
+    starts = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
+    ends = np.append(starts[1:], n)
     out = np.empty(n, dtype=float)
-    out[order] = ranks
+    out[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return out
 
 

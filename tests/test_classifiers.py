@@ -4,6 +4,7 @@ import pytest
 from femrisk.classifiers import (KINDS, ClassifierSpec, model_from_json,
                                  model_to_json, pls_latent, predict_scores,
                                  train)
+from femrisk.datamodel import standardize_apply
 from femrisk.errors import DataError
 from femrisk.stats import auc_mann_whitney
 
@@ -95,6 +96,30 @@ class TestKnn:
         model = train(ClassifierSpec("knn", neighbors=1), x, y)
         s = predict_scores(model, np.array([[0.0, 0.0]]))
         assert s[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 8, 9, 13])
+    def test_ties_at_kth_distance_match_row_loop(self, k):
+        # A symmetric integer grid standardizes to mean 0 and one SD for
+        # both columns, so mirrored points lie at exactly equal distances
+        # from grid-point queries: several points tie at the k-th distance.
+        g = np.arange(-2.0, 3.0)
+        x = np.array([(a, b) for a in g for b in g])
+        y = (np.arange(len(x)) * 7 % 3 == 0).astype(int)
+        queries = np.array([(a, b) for a in g for b in g] + [(0.5, 0.0), (3.0, 3.0)])
+        model = train(ClassifierSpec("knn", neighbors=k), x, y)
+
+        z = standardize_apply(model.standardization, queries)
+        tz = model.params["train_z"]
+        d2 = ((z[:, None, :] - tz[None, :, :]) ** 2).sum(axis=2)
+        expected = np.empty(len(queries))
+        widest = 0
+        for i, row in enumerate(d2):
+            kth = np.sort(row)[k - 1]
+            inc = row <= kth + 1e-12 * max(kth, 1.0)
+            expected[i] = y[inc].mean()
+            widest = max(widest, int(inc.sum()))
+        assert widest > k
+        np.testing.assert_array_equal(predict_scores(model, queries), expected)
 
 
 class TestPls:

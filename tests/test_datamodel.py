@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from femrisk.datamodel import (FE9, FE12, FeParameterSet,
+from femrisk.datamodel import (FE9, FE12, Cohort, FeParameterSet,
                                FeatureSet, SubjectRecord, build_feature_matrix,
                                derive_dxa_abmd, feature_columns, load_cohort,
                                save_cohort, standardize_apply, standardize_fit,
                                standardize_invert)
 from femrisk.errors import DataError
+from femrisk.evaluate import fe9_matrix
 
 from conftest import make_fe, make_record
 
@@ -155,3 +156,83 @@ class TestFeatureSets:
     def test_fe9_is_nine_params(self):
         assert len(FE9) == 9
         assert set(FE9) < set(FE12)
+
+
+STRATA = ("all", "male", "female")
+EVERY_FEATURE_SET = [FeatureSet.parse(n) for n in
+                     ("ABMD_COV", "PC1_ABMD_COV", "FE9_ABMD_COV", "FRAX_ONLY")]
+EVERY_FEATURE_SET += [FeatureSet("SINGLE_FE_ABMD_COV", p) for p in FE9]
+
+
+def reference_feature_matrix(cohort, feature_set, stratum, pc1_scores):
+    """Per-record assembly: one Python value per (subject, column)."""
+    sex = {"male": "M", "female": "F"}.get(stratum)
+    records = [r for r in cohort.records if sex is None or r.sex == sex]
+    cols = feature_columns(feature_set, stratum)
+
+    def value(i, r, col):
+        if col == "pc1":
+            return float(pc1_scores[i])
+        if col == "sex":
+            return 1.0 if r.sex == "M" else 0.0
+        if col in FE12:
+            return getattr(r.fe, col)
+        return float(getattr(r, col))
+
+    x = np.array([[value(i, r, c) for c in cols] for i, r in enumerate(records)])
+    return x, np.array([r.fx for r in records]), cols
+
+
+def cohort_views(cohort, stratum):
+    """The cohort, a shuffled subset of it, and a subset of its stratum."""
+    rng = np.random.default_rng(5)
+    sub = cohort.stratum(stratum)
+    return [cohort,
+            cohort.subset(rng.permutation(len(cohort))[:70]),
+            sub.subset(np.sort(rng.choice(len(sub), size=len(sub) // 2, replace=False)))]
+
+
+class TestColumnarAssembly:
+    @pytest.mark.parametrize("stratum", STRATA)
+    @pytest.mark.parametrize("feature_set", EVERY_FEATURE_SET, ids=lambda f: f.name)
+    def test_matches_per_record_reference(self, small_cohort, feature_set, stratum):
+        rng = np.random.default_rng(8)
+        for view in cohort_views(small_cohort, stratum):
+            n = len(view.stratum(stratum))
+            pc1 = rng.normal(size=n) if feature_set.kind == "PC1_ABMD_COV" else None
+            x, y, cols = build_feature_matrix(view, feature_set, stratum, pc1)
+            x_ref, y_ref, cols_ref = reference_feature_matrix(view, feature_set, stratum, pc1)
+            assert cols == cols_ref
+            np.testing.assert_array_equal(x, x_ref)
+            np.testing.assert_array_equal(y, y_ref)
+            # Downstream reductions depend on memory order; keep it row-major.
+            assert x.flags.c_contiguous
+
+    @pytest.mark.parametrize("stratum", STRATA)
+    def test_fe9_matrix_matches_records(self, small_cohort, stratum):
+        for view in cohort_views(small_cohort, stratum):
+            got = fe9_matrix(view)
+            np.testing.assert_array_equal(got, [r.fe.as_array(FE9) for r in view])
+            assert got.flags.c_contiguous
+
+    def test_table_same_from_records_and_csv(self, small_cohort, tmp_path):
+        p = tmp_path / "c.csv"
+        save_cohort(small_cohort, p)
+        np.testing.assert_array_equal(load_cohort(p).table,
+                                      Cohort(small_cohort.records).table)
+
+    def test_stratum_of_a_stratum_is_itself(self, small_cohort):
+        males = small_cohort.stratum("male")
+        assert males.stratum("male") is males
+        assert len(males.stratum("female")) == 0
+
+    def test_missing_frax_names_the_subject(self):
+        cohort = Cohort((make_record("a", frax=0.2), make_record("b7", frax=None),
+                         make_record("c", frax=None)))
+        with pytest.raises(DataError, match="subject b7: frax_prob missing"):
+            build_feature_matrix(cohort, FeatureSet.parse("FRAX_ONLY"), "male")
+
+    def test_pc1_set_without_scores_rejected(self):
+        cohort = Cohort((make_record("a"), make_record("b", fx=1)))
+        with pytest.raises(DataError, match="pc1 scores required"):
+            build_feature_matrix(cohort, FeatureSet.parse("PC1_ABMD_COV"), "all")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.stats import rankdata
 
 from femrisk.errors import DataError, NumericalError
 from femrisk.stats import auc_mann_whitney, delong_compare, roc_curve
+from femrisk.stats.roc import _midranks, _placements
 
 
 def auc_by_enumeration(scores, labels):
@@ -129,3 +132,74 @@ class TestBootstrapAgreement:
         delta = boot_auc(pa, na) - boot_auc(pb, nb)
         p_boot = np.mean(delta <= 0)
         assert res.p == pytest.approx(p_boot, abs=0.02)
+
+
+# Scores drawn from a pool of a few values, so that ties are common.
+SCORE_POOL = st.sampled_from([-1.5, -0.25, 0.0, 0.125, 0.3, 1.0, 2.75])
+
+
+@st.composite
+def scored_labels(draw, n_scores=1):
+    """(score vectors, labels) with both classes present at least twice."""
+    n = draw(st.integers(4, 40))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    assume(2 <= y.sum() <= n - 2)
+    vecs = [np.array(draw(st.lists(SCORE_POOL, min_size=n, max_size=n)))
+            for _ in range(n_scores)]
+    return vecs, y
+
+
+def brute_placements(scores, y):
+    """Per-case and per-control means of the pairwise indicator
+    psi(case, control) = 1 if case > control, 1/2 if equal, else 0."""
+    pos = scores[y == 1]
+    neg = scores[y == 0]
+    psi = (pos[:, None] > neg[None, :]) + 0.5 * (pos[:, None] == neg[None, :])
+    return psi.mean(axis=1), psi.mean(axis=0)
+
+
+def sample_cov(u, v):
+    return ((u - u.mean()) * (v - v.mean())).sum() / (u.size - 1)
+
+
+class TestOracleProperties:
+    @given(scored_labels())
+    @settings(max_examples=200, deadline=None)
+    def test_auc_equals_pairwise_count(self, data):
+        (s,), y = data
+        pos, neg = s[y == 1], s[y == 0]
+        count = sum(1.0 if p > q else 0.5 if p == q else 0.0
+                    for p in pos for q in neg)
+        assert auc_mann_whitney(s, y) == count / (pos.size * neg.size)
+
+    @given(st.lists(SCORE_POOL, min_size=0, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_midranks_equal_scipy_average_ranks(self, values):
+        x = np.array(values, dtype=float)
+        np.testing.assert_array_equal(_midranks(x), rankdata(x, method="average"))
+
+    @given(scored_labels())
+    @settings(max_examples=200, deadline=None)
+    def test_placements_match_pairwise_means(self, data):
+        (s,), y = data
+        auc, v10, v01 = _placements(s, y)
+        b10, b01 = brute_placements(s, y)
+        np.testing.assert_allclose(v10, b10, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(v01, b01, rtol=0, atol=1e-15)
+        assert auc == pytest.approx(b10.mean(), abs=1e-15)
+
+    @given(scored_labels(n_scores=2))
+    @settings(max_examples=200, deadline=None)
+    def test_delong_variance_matches_brute_force(self, data):
+        (a, b), y = data
+        a10, a01 = brute_placements(a, y)
+        b10, b01 = brute_placements(b, y)
+        m, n = a10.size, a01.size
+        var = ((sample_cov(a10, a10) + sample_cov(b10, b10) - 2 * sample_cov(a10, b10)) / m
+               + (sample_cov(a01, a01) + sample_cov(b01, b01) - 2 * sample_cov(a01, b01)) / n)
+        # A zero variance with unequal AUCs is an error case of its own.
+        assume(var > 1e-12)
+        res = delong_compare(a, b, y)
+        assert res.var_diff == pytest.approx(var, rel=1e-9)
+        assert res.auc_a == pytest.approx(a10.mean(), abs=1e-15)
+        assert res.auc_b == pytest.approx(b10.mean(), abs=1e-15)
