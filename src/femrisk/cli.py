@@ -25,16 +25,15 @@ import numpy as np
 
 from .classifiers import (ClassifierSpec, model_from_json, model_to_json,
                           predict_scores, train)
-from .datamodel import (FeatureSet, build_feature_matrix, load_cohort,
+from .datamodel import (FE12, FeatureSet, build_feature_matrix, load_cohort,
                         save_cohort)
 from .errors import DataError, FemriskError, NumericalError
 from .evaluate import (CvConfig, ResampleConfig, build_report, cell_name,
                        compare_with_frax, fe9_matrix, fit_and_score, mix_seed,
                        run_lgocv, run_resample_comparison, stratified_split,
                        write_roc_csv)
-from .femodel import (SolveControl, MaterialModel, compute_fe_parameters,
-                      extract_result, load_grid, material_from_file,
-                      solve_load_case, LOAD_CASES)
+from .femodel import (MaterialModel, SolveControl, compute_fe_parameters,
+                      load_grid, material_from_file)
 from .stats.pca import (fit_pca, pc_scores, pca_from_json, pca_to_json,
                         risk_index, select_significant_pcs)
 from .synth import default_spec, generate_cohort, load_spec
@@ -140,31 +139,16 @@ def cmd_fe(args) -> int:
         material, control = material_from_file(args.material)
     else:
         material, control = MaterialModel(), SolveControl()
+    fe, curves = compute_fe_parameters(grid, material, control, args.yield_policy)
     if args.curves_dir:
         curves_dir = Path(args.curves_dir)
         curves_dir.mkdir(parents=True, exist_ok=True)
-        values = {}
-        prefix = {"stance": "S", "posterior": "P",
-                  "posterolateral": "PL", "lateral": "L"}
-        for case in LOAD_CASES:
-            curve = solve_load_case(grid, material, case, control)
-            res = extract_result(curve, args.yield_policy)
-            values[prefix[case.name] + "y"] = res.yield_load
-            values[prefix[case.name] + "u"] = res.ultimate_load
-            values[prefix[case.name] + "energy"] = res.energy
-            out = curves_dir / f"{case.name}.csv"
-            with open(out, "w", encoding="utf-8") as fh:
+        for name, curve in curves.items():
+            with open(curves_dir / f"{name}.csv", "w", encoding="utf-8") as fh:
                 fh.write("displacement_mm,force_n\n")
                 for d, f in zip(curve.displacement, curve.force):
                     fh.write(f"{d:.10g},{f:.10g}\n")
-        from .datamodel import FeParameterSet
-        fe = FeParameterSet(**values)
-    else:
-        fe = compute_fe_parameters(grid, material, control, args.yield_policy)
-    doc = {name: getattr(fe, name) for name in
-           ("Sy", "Su", "Senergy", "Py", "Pu", "Penergy",
-            "PLy", "PLu", "PLenergy", "Ly", "Lu", "Lenergy")}
-    _write_json(doc, args.out)
+    _write_json({name: getattr(fe, name) for name in FE12}, args.out)
     print(f"wrote FE parameters to {args.out}")
     return 0
 

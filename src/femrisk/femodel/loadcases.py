@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-from ..datamodel import FeParameterSet
+from ..datamodel import LOAD_CASE_PARAMS, FeParameterSet
 from ..errors import NumericalError
 from .curves import (ForceDisplacementCurve, NoYieldDetected, detect_yield_load,
                      energy_to_failure, ultimate_load)
@@ -82,19 +81,25 @@ def extract_result(curve: ForceDisplacementCurve,
 
 
 def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
-                          control: SolveControl,
-                          yield_policy: str = "error") -> FeParameterSet:
-    """Run all four load cases and assemble the twelve FE parameters."""
+                          control: SolveControl, yield_policy: str = "error"
+                          ) -> tuple[FeParameterSet, dict[str, ForceDisplacementCurve]]:
+    """Run all four load cases and assemble the twelve FE parameters.
+
+    Returns the parameters and the force-displacement curves keyed by load
+    case name.  A case that fails, or that never yields under yield_policy
+    "error", raises NumericalError naming the case.
+    """
     values = {}
-    prefix = {"stance": "S", "posterior": "P", "posterolateral": "PL", "lateral": "L"}
+    curves = {}
     for case in LOAD_CASES:
         try:
             curve = solve_load_case(grid, material, case, control)
             res = extract_result(curve, yield_policy)
         except (NumericalError, NoYieldDetected) as exc:
             raise NumericalError(f"load case {case.name} failed: {exc}") from exc
-        p = prefix[case.name]
-        values[f"{p}y"] = res.yield_load
-        values[f"{p}u"] = res.ultimate_load
-        values[f"{p}energy"] = res.energy
-    return FeParameterSet(**values)
+        y, u, energy = LOAD_CASE_PARAMS[case.name]
+        values[y] = res.yield_load
+        values[u] = res.ultimate_load
+        values[energy] = res.energy
+        curves[case.name] = curve
+    return FeParameterSet(**values), curves

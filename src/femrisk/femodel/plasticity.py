@@ -1,4 +1,5 @@
-"""Pure-numpy radial-return kernel: the fallback for the compiled core.
+"""Von Mises radial return with a consistent tangent, batched over
+quadrature points (Simo & Hughes, Computational Inelasticity, ch. 3-4).
 
 Voigt convention throughout: [xx, yy, zz, xy, yz, zx] with engineering
 shear strains (gamma) and tensor shear stresses.  The yield stress is a
@@ -8,8 +9,6 @@ slope soft_frac * E, floored at floor_frac * plateau.
 """
 
 import numpy as np
-
-IMPL = "pure"
 
 
 def _yield_stress(alpha, plateau, h_soft, eps_plateau, floor):

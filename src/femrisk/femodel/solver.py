@@ -22,10 +22,10 @@ from scipy import ndimage, sparse
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from ..errors import DataError, NumericalError
-from ._kernel import radial_return_batch
 from .curves import ForceDisplacementCurve
 from .grid import VoxelGrid
 from .material import MaterialModel, element_fields
+from .plasticity import radial_return_batch
 
 NEWTON_CAP = 40
 GAUSS = 1.0 / np.sqrt(3.0)

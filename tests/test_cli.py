@@ -5,7 +5,8 @@ import pytest
 
 from femrisk.cli import dispatch
 from femrisk.datamodel import load_cohort
-from femrisk.femodel import save_grid
+from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
+                             save_grid, uniform_grid)
 from femrisk.femodel.grid import VoxelGrid
 
 
@@ -54,9 +55,9 @@ class TestFe:
         gpath = tmp_path / "g.txt"
         save_grid(VoxelGrid(rng.uniform(0.1, 0.5, (2, 2, 5)), 3.0), gpath)
         out = tmp_path / "fe.json"
-        rc = dispatch(["fe", "--grid", str(gpath), "--out", str(out),
-                       "--curves-dir", str(tmp_path / "curves"),
-                       "--yield-policy", "ultimate"])
+        base = ["fe", "--grid", str(gpath), "--yield-policy", "ultimate"]
+        rc = dispatch(base + ["--out", str(out),
+                              "--curves-dir", str(tmp_path / "curves")])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {"Sy", "Su", "Senergy", "Py", "Pu", "Penergy",
@@ -65,6 +66,29 @@ class TestFe:
             lines = (tmp_path / "curves" / f"{case}.csv").read_text().splitlines()
             assert lines[0] == "displacement_mm,force_n"
             assert len(lines) > 2
+
+        plain = tmp_path / "fe_plain.json"
+        assert dispatch(base + ["--out", str(plain)]) == 0
+        assert plain.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("with_curves", [False, True])
+    def test_no_yield_exit_3_and_no_curves(self, tmp_path, capsys, with_curves):
+        # Two 1 um increments never grow a 15-element yielded cluster.
+        gpath = tmp_path / "g.txt"
+        save_grid(uniform_grid((2, 2, 4), 0.25), gpath)
+        control = tmp_path / "control.json"
+        material_to_file(MaterialModel(),
+                         SolveControl(increment=0.001, max_increments=2), control)
+        argv = ["fe", "--grid", str(gpath), "--material", str(control),
+                "--out", str(tmp_path / "fe.json")]
+        if with_curves:
+            argv += ["--curves-dir", str(tmp_path / "curves")]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: load case stance failed:")
+        assert not list(tmp_path.rglob("*.csv"))
+        assert not (tmp_path / "fe.json").exists()
 
 
 class TestFitAndCompare:

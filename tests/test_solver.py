@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 from femrisk.femodel import (MaterialModel, SolveControl,
                              ash_density, compute_fe_parameters, fall_bc,
                              solve, stance_bc, uniform_grid)
-from femrisk.femodel._kernel import KERNEL_IMPL, radial_return_batch
-from femrisk.femodel._kernel._pure import radial_return_batch as pure_batch
 from femrisk.femodel.curves import energy_to_failure
 from femrisk.femodel.grid import VoxelGrid
+from femrisk.femodel.plasticity import radial_return_batch
 from femrisk.femodel.solver import (_element_dof_map, _hex_b_matrices,
                                     assemble_stiffness, element_stiffness)
 
@@ -119,8 +118,8 @@ class TestDeterminismAndCases:
         g = VoxelGrid(rng.uniform(0.1, 0.5, size=(3, 3, 6)), 3.0)
         control = SolveControl(increment=0.05, max_increments=40,
                                stop_fraction=0.7)
-        fe = compute_fe_parameters(g, MaterialModel(), control,
-                                   yield_policy="ultimate")
+        fe, _ = compute_fe_parameters(g, MaterialModel(), control,
+                                      yield_policy="ultimate")
         assert fe.Su != fe.Lu
 
     def test_monotone_in_density(self):
@@ -133,37 +132,33 @@ class TestDeterminismAndCases:
         assert strong.force.max() > weak.force.max()
 
 
-class TestKernelParity:
-    @pytest.mark.skipif(KERNEL_IMPL == "pure",
-                        reason="compiled kernel not available")
-    def test_pure_matches_compiled(self, rng):
-        n = 500
-        strain = rng.normal(scale=0.02, size=(n, 6))
-        eps_p = rng.normal(scale=0.005, size=(n, 6))
-        eps_p[:, :3] -= eps_p[:, :3].mean(axis=1, keepdims=True)  # deviatoric
-        alpha = np.abs(rng.normal(scale=0.01, size=n))
-        emod = rng.uniform(100.0, 10000.0, size=n)
-        sy = rng.uniform(5.0, 80.0, size=n)
-        args = (strain, eps_p, alpha, emod, 0.3, sy, 1.0, 0.01, -0.05, 0.05)
-        out_c = radial_return_batch(*args)
-        out_p = pure_batch(*args)
-        for a, b in zip(out_c, out_p):
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
-
-    def test_env_override_selects_pure(self):
-        import os
-        import subprocess
-        import sys
-        code = ("import femrisk.femodel._kernel as k; print(k.KERNEL_IMPL)")
-        env = dict(os.environ, FEMRISK_PURE_KERNEL="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "pure"
-
-
 def _random_symmetric_tangents(rng, n):
     a = rng.normal(size=(n, 6, 6))
     return a + a.transpose(0, 2, 1)
+
+
+def _kernel_inputs(rng, n, overstress):
+    """Deviatoric strains whose trial von Mises stress is a factor drawn
+    from `overstress` (lo, hi) times the initial yield stress sy."""
+    m = MaterialModel()
+    emod = rng.uniform(2000.0, 10000.0, n)
+    sy = rng.uniform(20.0, 40.0, n)
+    g = emod / (2.0 * (1.0 + m.nu))
+    strain = rng.normal(size=(n, 6))
+    strain[:, :3] -= strain[:, :3].mean(axis=1, keepdims=True)
+    q = np.sqrt(1.5 * ((2.0 * g[:, None] * strain[:, :3]) ** 2).sum(axis=1)
+                + 3.0 * ((g[:, None] * strain[:, 3:]) ** 2).sum(axis=1))
+    strain *= (rng.uniform(*overstress, n) * sy / q)[:, None]
+    return m, strain, emod, sy
+
+
+def _radial_return(m, strain, eps_p, alpha, emod, sy):
+    return radial_return_batch(strain, eps_p, alpha, emod, m.nu, sy,
+                               m.f_plateau, m.eps_plateau, m.f_soft, m.floor_frac)
+
+
+def _branch_alpha(m, n, branch):
+    return np.full(n, 0.0 if branch == "plateau" else 2.0 * m.eps_plateau)
 
 
 def _kernel_tangents(rng, n, branch):
@@ -173,24 +168,114 @@ def _kernel_tangents(rng, n, branch):
     alpha = 0 the return stays on the plateau, starting past eps_plateau
     it follows the softening line.
     """
-    m = MaterialModel()
-    emod = rng.uniform(2000.0, 10000.0, n)
-    sy = rng.uniform(20.0, 40.0, n)
-    g = emod / (2.0 * (1.0 + m.nu))
-    strain = rng.normal(size=(n, 6))
-    strain[:, :3] -= strain[:, :3].mean(axis=1, keepdims=True)
-    q = np.sqrt(1.5 * ((2.0 * g[:, None] * strain[:, :3]) ** 2).sum(axis=1)
-                + 3.0 * ((g[:, None] * strain[:, 3:]) ** 2).sum(axis=1))
-    strain *= (rng.uniform(1.05, 1.5, n) * sy / q)[:, None]
-    alpha = np.full(n, 0.0 if branch == "plateau" else 2.0 * m.eps_plateau)
-    _, tang, _, alpha_new = radial_return_batch(
-        strain, np.zeros((n, 6)), alpha, emod, m.nu, sy,
-        m.f_plateau, m.eps_plateau, m.f_soft, m.floor_frac)
+    m, strain, emod, sy = _kernel_inputs(rng, n, (1.05, 1.5))
+    alpha = _branch_alpha(m, n, branch)
+    _, tang, _, alpha_new = _radial_return(m, strain, np.zeros((n, 6)), alpha,
+                                           emod, sy)
     if branch == "plateau":
         assert np.all((alpha_new > 0.0) & (alpha_new <= m.eps_plateau))
     else:
         assert np.all(alpha_new > alpha)
     return tang
+
+
+def _elastic_matrix(emod, nu):
+    """Isotropic C (n, 6, 6): engineering shear strain, tensor shear stress."""
+    g = emod / (2.0 * (1.0 + nu))
+    lam = emod * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    c = np.zeros((emod.size, 6, 6))
+    c[:, :3, :3] = lam[:, None, None]
+    c[:, [0, 1, 2], [0, 1, 2]] += 2.0 * g[:, None]
+    c[:, [3, 4, 5], [3, 4, 5]] = g[:, None]
+    return c
+
+
+def _yield_stress(m, sy, emod, alpha):
+    """Plateau, then softening at slope f_soft * E, floored."""
+    plateau = m.f_plateau * sy
+    soft = plateau + m.f_soft * emod * (alpha - m.eps_plateau)
+    return np.maximum(np.where(alpha <= m.eps_plateau, plateau, soft),
+                      m.floor_frac * plateau)
+
+
+def _von_mises(stress):
+    s = stress[:, :3] - stress[:, :3].mean(axis=1, keepdims=True)
+    return np.sqrt(1.5 * (s ** 2).sum(axis=1)
+                   + 3.0 * (stress[:, 3:] ** 2).sum(axis=1))
+
+
+def _plastic_history(rng, m, n, alpha0):
+    """A deviatoric plastic strain and alpha0 as the point's history."""
+    eps_p = rng.normal(scale=0.005, size=(n, 6))
+    eps_p[:, :3] -= eps_p[:, :3].mean(axis=1, keepdims=True)
+    return eps_p, np.full(n, alpha0 * m.eps_plateau)
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestKernelOracles:
+    """Radial return (Simo & Hughes 1998, ch. 3-4) against its defining
+    properties: elastic inside the yield surface, on the surface after a
+    plastic step, and a tangent that is the derivative of the stress."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           alpha0=st.sampled_from([0.0, 0.5, 2.0, 100.0]))
+    def test_below_yield_is_exactly_elastic(self, seed, n, alpha0):
+        # Stress and tangent are C:(eps - eps_p) and C to round-off (the
+        # kernel splits off and adds back the mean stress); eps_p and alpha
+        # come back bit-unchanged.
+        rng = np.random.default_rng(seed)
+        m, ee, emod, sy = _kernel_inputs(rng, n, (0.0, 0.99))
+        eps_p, alpha = _plastic_history(rng, m, n, alpha0)
+        ee *= (_yield_stress(m, sy, emod, alpha) / sy)[:, None]  # below current yield
+        ee[:, :3] += rng.normal(scale=1e-3, size=(n, 1))   # volumetric part
+        strain = ee + eps_p
+        stress, tang, eps_p_new, alpha_new = _radial_return(
+            m, strain, eps_p, alpha, emod, sy)
+        c = _elastic_matrix(emod, m.nu)
+        want = np.einsum("nij,nj->ni", c, strain - eps_p)
+        assert _max_rel(stress, want) <= 1e-12
+        assert _max_rel(tang, c) <= 1e-12
+        np.testing.assert_array_equal(eps_p_new, eps_p)
+        np.testing.assert_array_equal(alpha_new, alpha)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           alpha0=st.sampled_from([0.0, 0.5, 2.0, 100.0]))
+    def test_plastic_points_land_on_yield_surface(self, seed, n, alpha0):
+        # alpha0 in units of eps_plateau: on the plateau, crossing into
+        # softening, on the softening line, and on the floor.
+        rng = np.random.default_rng(seed)
+        m, ee, emod, sy = _kernel_inputs(rng, n, (1.05, 3.0))
+        eps_p, alpha = _plastic_history(rng, m, n, alpha0)
+        stress, _, _, alpha_new = _radial_return(m, ee + eps_p, eps_p, alpha,
+                                                 emod, sy)
+        assert np.all(alpha_new > alpha)
+        sy_new = _yield_stress(m, sy, emod, alpha_new)
+        np.testing.assert_allclose(_von_mises(stress), sy_new, rtol=1e-12, atol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20),
+           branch=st.sampled_from(["plateau", "softening"]))
+    def test_tangent_matches_central_differences(self, seed, n, branch):
+        rng = np.random.default_rng(seed)
+        m, strain, emod, sy = _kernel_inputs(rng, n, (1.05, 1.5))
+        eps_p = np.zeros((n, 6))
+        alpha = _branch_alpha(m, n, branch)
+        _, tang, _, _ = _radial_return(m, strain, eps_p, alpha, emod, sy)
+        h = 1e-6 * np.abs(strain).max(axis=1)
+        fd = np.empty_like(tang)
+        for j in range(6):
+            step = np.zeros((n, 6))
+            step[:, j] = h
+            up = _radial_return(m, strain + step, eps_p, alpha, emod, sy)[0]
+            down = _radial_return(m, strain - step, eps_p, alpha, emod, sy)[0]
+            fd[:, :, j] = (up - down) / (2.0 * h[:, None])
+        err = np.abs(tang - fd).max(axis=(1, 2)) / np.abs(tang).max(axis=(1, 2))
+        assert err.max() <= 1e-6
 
 
 def _loop_stiffness(tang, b_mats, wdet):
@@ -200,10 +285,6 @@ def _loop_stiffness(tang, b_mats, wdet):
         for g in range(8):
             ke[e] += wdet * b_mats[g].T @ tang[8 * e + g] @ b_mats[g]
     return ke
-
-
-def _max_rel(a, b):
-    return np.abs(a - b).max() / np.abs(b).max()
 
 
 class TestStiffnessProperties:
