@@ -50,17 +50,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed (64-bit unsigned)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility and ignored: evaluate "
-                        "runs its resamples serially")
-    p.add_argument("--stratum", choices=STRATA, default="all")
-    p.add_argument("--paper-mode", action="store_true",
-                   help="fit PCA once on the whole sample before evaluation "
-                        "(leaky; kept for comparability) instead of refitting "
-                        "inside every training fold")
+_COMMON = {
+    "--seed": dict(type=int, default=0, help="base seed (64-bit unsigned)"),
+    "--threads": dict(type=int, default=1,
+                      help="accepted for compatibility and ignored: "
+                           "resamples run serially"),
+    "--stratum": dict(choices=STRATA, default="all"),
+    "--paper-mode": dict(action="store_true",
+                         help="fit PCA once on the whole sample before evaluation "
+                              "(leaky; kept for comparability) instead of refitting "
+                              "inside every training fold"),
+}
+
+
+def _add_common(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> _Parser:
@@ -72,7 +77,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic cohort CSV")
     p.add_argument("--spec", help="cohort spec JSON (default: built-in)")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "--seed")
 
     p = sub.add_parser("fe", help="run the FE surrogate on a voxel grid")
     p.add_argument("--grid", required=True)
@@ -81,14 +86,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="FE parameter JSON path")
     p.add_argument("--curves-dir", help="write per-load-case force-displacement CSVs here")
     p.add_argument("--yield-policy", choices=("error", "ultimate"), default="error")
-    _add_common(p)
 
     p = sub.add_parser("fit", help="fit the PCA risk index and logistic model")
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", help="model JSON path")
     p.add_argument("--features", default="PC1_ABMD_COV",
                    help="feature set name (default PC1_ABMD_COV)")
-    _add_common(p)
+    _add_common(p, "--stratum")
 
     p = sub.add_parser("evaluate", help="cross-validated model comparison")
     p.add_argument("--cohort", required=True)
@@ -104,18 +108,17 @@ def build_parser() -> _Parser:
     p.add_argument("--holdout-fraction", type=float, default=0.8,
                    help="train share of the initial train/test split")
     p.add_argument("--skip-frax", action="store_true")
-    _add_common(p)
+    _add_common(p, *_COMMON)
 
     p = sub.add_parser("compare-frax", help="DeLong test of a fitted model vs FRAX")
     p.add_argument("--cohort", required=True)
     p.add_argument("--model", required=True, help="model JSON from `fit`")
     p.add_argument("--out", required=True, help="DeLong result JSON path")
     p.add_argument("--roc-dir")
-    _add_common(p)
+    _add_common(p, "--stratum")
 
     p = sub.add_parser("report", help="render an evaluation report as a table")
     p.add_argument("--input", required=True, help="report JSON from `evaluate`")
-    _add_common(p)
     return parser
 
 
@@ -200,21 +203,17 @@ def cmd_evaluate(args) -> int:
     print(f"mode: {mode}")
 
     pca_full = fit_pca(fe9_matrix(cohort)) if args.paper_mode else None
-    train_c, test_c = stratified_split(cohort, args.holdout_fraction,
-                                       mix_seed(args.seed, 0, 0))
+    train_c, _ = stratified_split(cohort, args.holdout_fraction,
+                                  mix_seed(args.seed, 0, 0))
     cv_cfg = CvConfig(train_fraction=args.cv_fraction, repeats=args.repeats,
                       seed=mix_seed(args.seed, 1, 0))
     rs_cfg = ResampleConfig(resamples=args.resamples,
                             train_fraction=args.resample_fraction,
                             seed=mix_seed(args.seed, 2, 0))
 
-    lgocv = {}
-    for fs in feature_sets:
-        for sp in specs:
-            lgocv[cell_name(fs, sp)] = run_lgocv(
-                train_c, fs, sp, cv_cfg, args.stratum, pca_full)
+    lgocv = run_lgocv(train_c, feature_sets, specs, cv_cfg, args.stratum, pca_full)
     resamp = run_resample_comparison(train_c, feature_sets, specs, rs_cfg,
-                                     args.stratum, pca_full, threads=args.threads)
+                                     args.stratum, pca_full)
 
     extra = {
         "lgocv": {name: {"auc_mean": float(np.mean(v)),
@@ -326,9 +325,9 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.seed < 0 or args.seed >= 2 ** 64:
+        if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
             raise UsageError("--seed must be a 64-bit unsigned value")
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise UsageError("--threads must be >= 1")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
@@ -340,7 +339,7 @@ def dispatch(argv) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FemriskError as exc:
+    except (FemriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

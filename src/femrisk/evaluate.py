@@ -2,16 +2,20 @@
 cross-validation, shared stratified resampling with paired one-sided
 t-tests, and the DeLong comparison against an external FRAX score.
 
-Every split is driven by a seed derived from (base_seed, repeat, draw)
-through a 64-bit mixing function, so the whole report is a pure function
-of (cohort, config, seed).  Resamples run serially: every fit is small,
-GIL-bound work, so threads cannot overlap them.
+LGOCV and resampling are one protocol with different train fractions: a
+single loop draws the stratified splits and scores every (feature set,
+classifier) cell on each of them, so all cells share their splits.  The
+features of a split are built once per feature set (with the fold PCA for
+PC1) and reused by every classifier.  Every split is driven by a seed
+derived from (base_seed, split, draw) through a 64-bit mixing function, so
+the whole report is a pure function of (cohort, config, seed).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,11 +97,10 @@ def fe9_matrix(cohort: Cohort) -> np.ndarray:
     return cohort.columns(FE9)
 
 
-def fit_and_score(train_cohort: Cohort, test_cohort: Cohort,
-                  feature_set: FeatureSet, spec: ClassifierSpec,
-                  stratum: str = "all",
-                  pca_full: Optional[PcaModel] = None):
-    """Fit the full pipeline on the training cohort and score the test one.
+def _feature_pair(train_cohort: Cohort, test_cohort: Cohort,
+                  feature_set: FeatureSet, stratum: str,
+                  pca_full: Optional[PcaModel]):
+    """Train and test feature matrices of one split for one feature set.
 
     PCA for PC1 feature sets is fit on the training cohort only unless a
     prefit whole-sample model is supplied (paper mode).
@@ -109,38 +112,76 @@ def fit_and_score(train_cohort: Cohort, test_cohort: Cohort,
         pc1_test = risk_index(pca, fe9_matrix(test_cohort))
     x_tr, y_tr, cols = build_feature_matrix(train_cohort, feature_set, stratum, pc1_train)
     x_te, y_te, _ = build_feature_matrix(test_cohort, feature_set, stratum, pc1_test)
+    return x_tr, y_tr, x_te, y_te, cols
+
+
+def fit_and_score(train_cohort: Cohort, test_cohort: Cohort,
+                  feature_set: FeatureSet, spec: ClassifierSpec,
+                  stratum: str = "all",
+                  pca_full: Optional[PcaModel] = None):
+    """Fit the full pipeline on the training cohort and score the test one."""
+    x_tr, y_tr, x_te, y_te, cols = _feature_pair(train_cohort, test_cohort,
+                                                 feature_set, stratum, pca_full)
     model = train(spec, x_tr, y_tr, cols)
-    scores = predict_scores(model, x_te)
-    return scores, y_te, model
+    return predict_scores(model, x_te), y_te, model
+
+
+def cell_name(feature_set: FeatureSet, spec: ClassifierSpec) -> str:
+    return f"{feature_set.name}|{spec.kind}"
 
 
 def _single_class(y) -> bool:
     return np.min(y) == np.max(y)
 
 
-def run_lgocv(cohort: Cohort, feature_set: FeatureSet, spec: ClassifierSpec,
-              config: CvConfig, stratum: str = "all",
-              pca_full: Optional[PcaModel] = None) -> np.ndarray:
-    """Repeated stratified 75/25 cross-validation; one AUC per repeat."""
+def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
+                     specs: Sequence[ClassifierSpec], n_splits: int,
+                     fraction: float, seed: int, stratum: str,
+                     pca_full: Optional[PcaModel], protocol: str, unit: str):
+    """Score every (feature set, classifier) cell on the same stratified
+    splits; returns ({cell name: AUC vector}, split seeds).
+
+    Split i is drawn from mix_seed(seed, i, 0) and redrawn once from
+    mix_seed(seed, i, 1) when its held-out side holds a single class.
+    """
     sub = cohort.stratum(stratum)
     y = sub.labels()
     if min((y == 0).sum(), (y == 1).sum()) < 4:
-        raise DataError("each class needs at least 4 members for LGOCV")
-    aucs = np.empty(config.repeats)
-    for r in range(config.repeats):
-        tr, te = None, None
+        raise DataError(f"each class needs at least 4 members for {protocol}")
+    names = [cell_name(fs, sp) for fs in feature_sets for sp in specs]
+    if len(set(names)) != len(names):
+        raise DataError("duplicate evaluation cells")
+
+    aucs = {name: np.empty(n_splits) for name in names}
+    seeds = []
+    for i in range(n_splits):
         for draw in (0, 1):
-            seed = mix_seed(config.seed, r, draw)
-            tr_i, te_i = stratified_split_indices(y, config.train_fraction, seed)
-            if not _single_class(y[te_i]):
-                tr, te = tr_i, te_i
+            split_seed = mix_seed(seed, i, draw)
+            tr, te = stratified_split_indices(y, fraction, split_seed)
+            if not _single_class(y[te]):
                 break
-        if tr is None:
-            raise NumericalError(f"repeat {r}: held-out part single-class after redraw")
-        scores, y_te, _ = fit_and_score(sub.subset(tr), sub.subset(te),
-                                        feature_set, spec, stratum, pca_full)
-        aucs[r] = auc_mann_whitney(scores, y_te)
-    return aucs
+        else:
+            raise NumericalError(f"{unit} {i}: held-out part single-class after redraw")
+        seeds.append(split_seed)
+        tr_c, te_c = sub.subset(tr), sub.subset(te)
+        for fs in feature_sets:
+            x_tr, y_tr, x_te, y_te, cols = _feature_pair(tr_c, te_c, fs, stratum, pca_full)
+            for sp in specs:
+                model = train(sp, x_tr, y_tr, cols)
+                aucs[cell_name(fs, sp)][i] = auc_mann_whitney(
+                    predict_scores(model, x_te), y_te)
+    return aucs, seeds
+
+
+def run_lgocv(cohort: Cohort, feature_sets: Sequence[FeatureSet],
+              specs: Sequence[ClassifierSpec], config: CvConfig,
+              stratum: str = "all",
+              pca_full: Optional[PcaModel] = None) -> dict:
+    """Repeated stratified 75/25 cross-validation of every (feature set,
+    classifier) cell on shared splits; one AUC per repeat and cell."""
+    return _split_and_score(cohort, feature_sets, specs, config.repeats,
+                            config.train_fraction, config.seed, stratum,
+                            pca_full, "LGOCV", "repeat")[0]
 
 
 @dataclass(frozen=True)
@@ -152,65 +193,24 @@ class ResampleResult:
     split_seeds: tuple
 
 
-def cell_name(feature_set: FeatureSet, spec: ClassifierSpec) -> str:
-    return f"{feature_set.name}|{spec.kind}"
-
-
 def run_resample_comparison(cohort: Cohort, feature_sets: Sequence[FeatureSet],
                             specs: Sequence[ClassifierSpec],
                             config: ResampleConfig, stratum: str = "all",
                             pca_full: Optional[PcaModel] = None,
-                            comparisons: Optional[Sequence[tuple]] = None,
-                            threads: int = 1) -> ResampleResult:
+                            comparisons: Optional[Sequence[tuple]] = None
+                            ) -> ResampleResult:
     """Shared stratified resampling across every (feature set, classifier)
     cell, then paired one-sided t-tests on the AUC vectors.
 
     comparisons is a list of (cell_a, cell_b) names testing AUC_a > AUC_b;
     by default every ordered pair with mean(a) >= mean(b) is reported.
-    threads is accepted for compatibility and ignored: resamples run
-    serially.
     """
-    sub = cohort.stratum(stratum)
-    y = sub.labels()
-    if min((y == 0).sum(), (y == 1).sum()) < 4:
-        raise DataError("each class needs at least 4 members for resampling")
-    pairs = [(fs, sp) for fs in feature_sets for sp in specs]
-    names = [cell_name(fs, sp) for fs, sp in pairs]
-    if len(set(names)) != len(names):
-        raise DataError("duplicate evaluation cells")
-
-    splits = []
-    seeds = []
-    for i in range(config.resamples):
-        chosen = None
-        for draw in (0, 1):
-            seed = mix_seed(config.seed, i, draw)
-            tr_i, te_i = stratified_split_indices(y, config.train_fraction, seed)
-            if not _single_class(y[te_i]):
-                chosen = (tr_i, te_i)
-                seeds.append(seed)
-                break
-        if chosen is None:
-            raise NumericalError(f"resample {i}: held-out part single-class after redraw")
-        splits.append(chosen)
-
-    aucs = {name: np.empty(config.resamples) for name in names}
-    for i, (tr_i, te_i) in enumerate(splits):
-        tr_c = sub.subset(tr_i)
-        te_c = sub.subset(te_i)
-        for name, (fs, sp) in zip(names, pairs):
-            scores, y_te, _ = fit_and_score(tr_c, te_c, fs, sp, stratum, pca_full)
-            aucs[name][i] = auc_mann_whitney(scores, y_te)
-
+    aucs, seeds = _split_and_score(cohort, feature_sets, specs, config.resamples,
+                                   config.train_fraction, config.seed, stratum,
+                                   pca_full, "resampling", "resample")
     if comparisons is None:
-        comparisons = []
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                na, nb = names[a], names[b]
-                if aucs[na].mean() >= aucs[nb].mean():
-                    comparisons.append((na, nb))
-                else:
-                    comparisons.append((nb, na))
+        comparisons = [(na, nb) if aucs[na].mean() >= aucs[nb].mean() else (nb, na)
+                       for na, nb in combinations(aucs, 2)]
     tests = {}
     for na, nb in comparisons:
         if na not in aucs or nb not in aucs:

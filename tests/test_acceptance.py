@@ -270,14 +270,13 @@ def test_criterion_8_direction_preserving_replication(cohort):
 
     # 25-repeat LGOCV in the male stratum, both classifiers
     cv = CvConfig(repeats=25, seed=mix_seed(42, 1, 0))
-    for sp in specs:
-        aucs = run_lgocv(cohort, fs_pc1, sp, cv, stratum="male")
+    for aucs in run_lgocv(cohort, [fs_pc1], specs, cv, stratum="male").values():
         assert aucs.shape == (25,)
 
     # (a) 1000 shared resamples: PC1+aBMD+cov beats aBMD+cov (male stratum)
     rs = ResampleConfig(resamples=1000, seed=mix_seed(42, 2, 0))
     res = run_resample_comparison(cohort, [fs_pc1, fs_abmd], specs, rs,
-                                  stratum="male", threads=4)
+                                  stratum="male")
     key = "PC1_ABMD_COV|logistic>ABMD_COV|logistic"
     t_log = res.comparisons[key]
     mean_pc1 = res.cells["PC1_ABMD_COV|logistic"].mean()

@@ -39,6 +39,37 @@ class TestErrors:
         assert dispatch(["synth", "--seed", "-3",
                          "--out", str(tmp_path / "c.csv")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["fe", "--grid", "g.txt", "--out", "o.json", "--seed", "1"],
+        ["report", "--input", "r.json", "--stratum", "male"],
+        ["synth", "--out", "c.csv", "--threads", "2"],
+        ["fit", "--cohort", "c.csv", "--paper-mode"],
+        ["compare-frax", "--cohort", "c.csv", "--model", "m.json",
+         "--out", "d.json", "--seed", "1"],
+    ])
+    def test_option_the_command_does_not_use_exit_1(self, argv, capsys):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments")
+
+    @pytest.mark.parametrize("case", ["fe_out", "fe_curves_dir", "evaluate_out"])
+    def test_unusable_output_path_exit_2(self, tmp_path, capsys, cohort_csv, case):
+        gpath = tmp_path / "g.txt"
+        save_grid(uniform_grid((2, 2, 3), 0.3), gpath)
+        (tmp_path / "a_file").write_text("")
+        fe = ["fe", "--grid", str(gpath), "--yield-policy", "ultimate"]
+        bad, argv = {
+            "fe_out": ("missing", fe + ["--out", str(tmp_path / "missing" / "o.json")]),
+            "fe_curves_dir": ("a_file", fe + ["--out", str(tmp_path / "o.json"),
+                                              "--curves-dir", str(tmp_path / "a_file")]),
+            "evaluate_out": ("missing", ["evaluate", "--cohort", str(cohort_csv),
+                                         "--out", str(tmp_path / "missing" / "r.json"),
+                                         "--stratum", "male", "--resamples", "10",
+                                         "--repeats", "2", "--skip-frax"]),
+        }[case]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and bad in err[0]
+
 
 class TestSynth:
     def test_row_count_and_determinism(self, tmp_path, cohort_csv):

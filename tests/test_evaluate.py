@@ -7,10 +7,11 @@ from femrisk.classifiers import ClassifierSpec, model_to_json
 from femrisk.datamodel import FeatureSet
 from femrisk.errors import DataError
 from femrisk.evaluate import (CvConfig, ResampleConfig, build_report,
-                              compare_with_frax, fit_and_score, mix_seed,
-                              run_lgocv, run_resample_comparison,
-                              stratified_split, stratified_split_indices)
-from femrisk.stats import paired_one_sided_ttest
+                              cell_name, compare_with_frax, fe9_matrix,
+                              fit_and_score, mix_seed, run_lgocv,
+                              run_resample_comparison, stratified_split,
+                              stratified_split_indices)
+from femrisk.stats import auc_mann_whitney, fit_pca, paired_one_sided_ttest
 
 FS_PC1 = FeatureSet.parse("PC1_ABMD_COV")
 FS_ABMD = FeatureSet.parse("ABMD_COV")
@@ -69,15 +70,46 @@ class TestNoLeakage:
 
 class TestLgocv:
     def test_shape_and_range(self, small_cohort):
-        aucs = run_lgocv(small_cohort, FS_PC1, LOGIT, CvConfig(repeats=5, seed=2))
+        aucs = run_lgocv(small_cohort, [FS_PC1], [LOGIT],
+                         CvConfig(repeats=5, seed=2))["PC1_ABMD_COV|logistic"]
         assert aucs.shape == (5,)
         assert np.all((aucs >= 0) & (aucs <= 1))
 
     def test_deterministic(self, small_cohort):
         cfg = CvConfig(repeats=4, seed=7)
-        a = run_lgocv(small_cohort, FS_PC1, LOGIT, cfg)
-        b = run_lgocv(small_cohort, FS_PC1, LOGIT, cfg)
+        a = run_lgocv(small_cohort, [FS_PC1], [LOGIT], cfg)["PC1_ABMD_COV|logistic"]
+        b = run_lgocv(small_cohort, [FS_PC1], [LOGIT], cfg)["PC1_ABMD_COV|logistic"]
         np.testing.assert_array_equal(a, b)
+
+
+class TestSharedSplitLoop:
+    @pytest.mark.parametrize("paper_mode", [False, True])
+    def test_every_cell_matches_fit_and_score(self, small_cohort, paper_mode):
+        # Both protocols score each cell on split i, drawn from
+        # mix_seed(seed, i, 0), exactly as fit_and_score would on its own.
+        # LDA and kNN AUCs move when PC1 comes from another PCA fit.
+        feature_sets = [FS_PC1, FS_ABMD]
+        specs = [ClassifierSpec("lda"), ClassifierSpec("knn")]
+        stratum = "all"
+        sub = small_cohort.stratum(stratum)
+        pca_full = fit_pca(fe9_matrix(sub)) if paper_mode else None
+        cv = CvConfig(repeats=4, seed=21)
+        rs = ResampleConfig(resamples=4, seed=22)
+        lgocv = run_lgocv(small_cohort, feature_sets, specs, cv, stratum, pca_full)
+        res = run_resample_comparison(small_cohort, feature_sets, specs, rs,
+                                      stratum, pca_full)
+        assert res.split_seeds == tuple(mix_seed(22, i, 0) for i in range(4))
+        names = [cell_name(fs, sp) for fs in feature_sets for sp in specs]
+        for cells, cfg in ((lgocv, cv), (res.cells, rs)):
+            assert list(cells) == names
+            for i in range(4):
+                tr, te = stratified_split_indices(sub.labels(), cfg.train_fraction,
+                                                  mix_seed(cfg.seed, i, 0))
+                for fs in feature_sets:
+                    for sp in specs:
+                        scores, y_te, _ = fit_and_score(sub.subset(tr), sub.subset(te),
+                                                        fs, sp, stratum, pca_full)
+                        assert cells[cell_name(fs, sp)][i] == auc_mann_whitney(scores, y_te)
 
 
 class TestResampling:
@@ -92,13 +124,6 @@ class TestResampling:
         direct = paired_one_sided_ttest(res.cells["PC1_ABMD_COV|logistic"],
                                         res.cells["ABMD_COV|logistic"])
         assert res.comparisons[key].p == direct.p
-
-    def test_threads_do_not_change_results(self, small_cohort):
-        cfg = ResampleConfig(resamples=20, seed=5)
-        r1 = run_resample_comparison(small_cohort, [FS_PC1], [LOGIT], cfg, threads=1)
-        r4 = run_resample_comparison(small_cohort, [FS_PC1], [LOGIT], cfg, threads=4)
-        np.testing.assert_array_equal(r1.cells["PC1_ABMD_COV|logistic"],
-                                      r4.cells["PC1_ABMD_COV|logistic"])
 
     def test_explicit_comparison_direction(self, small_cohort):
         cfg = ResampleConfig(resamples=10, seed=6)

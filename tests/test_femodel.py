@@ -93,6 +93,14 @@ class TestRotation:
         r = rotate_grid(g, 90.0)
         assert r.rho_cha.sum() == pytest.approx(g.rho_cha.sum())
 
+    @pytest.mark.parametrize("n, kept", [(4, 0.75), (8, 0.8125), (16, 0.84375)])
+    def test_oblique_turn_clips_corners(self, n, kept):
+        # The rotated section keeps the source dims, so at 45 degrees the
+        # corners of a square section fall outside it and their mass is lost
+        # (a model limitation the README states).
+        g = uniform_grid((n, n, 2), 0.3)
+        assert rotate_grid(g, 45.0).rho_cha.sum() / g.rho_cha.sum() == pytest.approx(kept)
+
 
 class TestElementProperties:
     def test_volume_average(self):
