@@ -217,7 +217,7 @@ def cmd_evaluate(args) -> int:
 
     extra = {
         "lgocv": {name: {"auc_mean": float(np.mean(v)),
-                         "auc_sd": float(np.std(v, ddof=1)),
+                         "auc_sd": float(np.std(v, ddof=1)) if v.size > 1 else 0.0,
                          "aucs": v}
                   for name, v in lgocv.items()},
         "mode": "paper" if args.paper_mode else "fold_internal",

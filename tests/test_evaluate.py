@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from femrisk.classifiers import ClassifierSpec, model_to_json
 from femrisk.datamodel import FeatureSet
@@ -45,6 +46,20 @@ class TestStratifiedSplit:
             assert 0 < y[tr].sum() < 2 or y[tr].sum() == 1
             assert set(y[te]) <= {0, 1} and y[te].size >= 1
             assert y[tr].min() == 0 and y[tr].max() == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(n0=st.integers(2, 60), n1=st.integers(2, 60),
+           order=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**64 - 1),
+           fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_every_split_has_both_classes_on_both_sides(self, n0, n1, order,
+                                                        seed, fraction):
+        # Why the split loop never redraws: each class keeps at least one
+        # member on each side, whatever the fraction.
+        y = np.random.default_rng(order).permutation(np.repeat([0, 1], [n0, n1]))
+        tr, te = stratified_split_indices(y, fraction, seed)
+        assert np.array_equal(np.sort(np.concatenate([tr, te])), np.arange(y.size))
+        for side in (tr, te):
+            assert set(y[side]) == {0, 1}
 
     def test_cohort_split_roundtrips(self, small_cohort):
         tr, te = stratified_split(small_cohort, 0.75, seed=4)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from femrisk.femodel import (MaterialModel, SolveControl,
                              ash_density, compute_fe_parameters, fall_bc,
@@ -8,8 +11,10 @@ from femrisk.femodel import (MaterialModel, SolveControl,
 from femrisk.femodel.curves import energy_to_failure
 from femrisk.femodel.grid import VoxelGrid
 from femrisk.femodel.plasticity import radial_return_batch
-from femrisk.femodel.solver import (_element_dof_map, _hex_b_matrices,
-                                    assemble_stiffness, element_stiffness)
+from femrisk.femodel import solver
+from femrisk.femodel.solver import (_band_assembler, _element_dof_map,
+                                    _hex_b_matrices, element_stiffness,
+                                    spsolve)
 
 RHO = 0.25
 ASH = ash_density(RHO)
@@ -287,6 +292,12 @@ def _loop_stiffness(tang, b_mats, wdet):
     return ke
 
 
+def _tangents(rng, n, source):
+    if source == "symmetric":
+        return _random_symmetric_tangents(rng, n)
+    return _kernel_tangents(rng, n, source)
+
+
 class TestStiffnessProperties:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ne=st.integers(1, 5),
@@ -308,22 +319,176 @@ class TestStiffnessProperties:
            dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
            plastic=st.booleans())
     def test_global_stiffness_symmetric_and_order_free(self, seed, dims, plastic):
+        # The band keeps only the upper triangle: assembling the transposed
+        # element matrices (the dropped lower triangle) must give the same
+        # band, and so must the elements in any order.
         rng = np.random.default_rng(seed)
         nx, ny, nz = dims
         ne = nx * ny * nz
         n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
-        if plastic:
-            tang = _kernel_tangents(rng, 8 * ne, "softening")
-        else:
-            tang = _random_symmetric_tangents(rng, 8 * ne)
+        tang = _tangents(rng, 8 * ne, "softening" if plastic else "symmetric")
         b_mats, wdet = _hex_b_matrices(3.0)
         dof_map, _ = _element_dof_map(dims)
-        k = assemble_stiffness(element_stiffness(tang, b_mats, wdet),
-                               dof_map, n_dofs).toarray()
-        assert _max_rel(k.T, k) <= 1e-12
+        free = np.arange(n_dofs)
+        ke = element_stiffness(tang, b_mats, wdet)
+        assemble = _band_assembler(dof_map, free, n_dofs)
+        kb = assemble(ke)
+        assert _max_rel(assemble(ke.transpose(0, 2, 1).copy()), kb) <= 1e-12
 
         perm = rng.permutation(ne)
         tang_perm = tang.reshape(ne, 8, 6, 6)[perm].reshape(8 * ne, 6, 6)
-        k_perm = assemble_stiffness(element_stiffness(tang_perm, b_mats, wdet),
-                                    dof_map[perm], n_dofs).toarray()
-        assert _max_rel(k_perm, k) <= 1e-12
+        assemble_p = _band_assembler(dof_map[perm], free, n_dofs)
+        kb_perm = assemble_p(element_stiffness(tang_perm, b_mats, wdet))
+        assert kb_perm.shape == kb.shape
+        assert _max_rel(kb_perm, kb) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           source=st.sampled_from(["symmetric", "softening"]),
+           bc=st.sampled_from([stance_bc, fall_bc]))
+    def test_band_matches_dense_free_block(self, seed, dims, source, bc):
+        rng = np.random.default_rng(seed)
+        nx, ny, nz = dims
+        ne = nx * ny * nz
+        n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
+        tang = _tangents(rng, 8 * ne, source)
+        b_mats, wdet = _hex_b_matrices(2.0)
+        dof_map, _ = _element_dof_map(dims)
+        cond = bc(dims)
+        free = np.setdiff1d(np.arange(n_dofs),
+                            np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
+
+        k = np.zeros((n_dofs, n_dofs))
+        coupled = np.zeros((n_dofs, n_dofs), dtype=bool)
+        for e, ke_e in enumerate(_loop_stiffness(tang, b_mats, wdet)):
+            k[np.ix_(dof_map[e], dof_map[e])] += ke_e
+            coupled[np.ix_(dof_map[e], dof_map[e])] = True
+        k_ff = k[np.ix_(free, free)]
+        i, j = np.nonzero(coupled[np.ix_(free, free)])
+
+        kb = _band_assembler(dof_map, free, n_dofs)(element_stiffness(tang, b_mats, wdet))
+        assert kb.shape == (free.size, np.abs(i - j).max() + 1)
+        assert _max_rel(_band_to_dense(kb), k_ff) <= 1e-12
+
+
+def _band_to_dense(kb):
+    """Symmetric dense matrix of the column-by-column upper band storage
+    kb[j, bw + i - j] = K[i, j]; entries above the first row must be zero."""
+    n, bw = kb.shape[0], kb.shape[1] - 1
+    k = np.zeros((n, n))
+    for d in range(bw + 1):
+        assert not kb[:d, bw - d].any()
+        k[np.arange(n - d), np.arange(d, n)] = kb[d:, bw - d]
+        k[np.arange(d, n), np.arange(n - d)] = kb[d:, bw - d]
+    return k
+
+
+def _dense_to_band(k, bw):
+    n = k.shape[0]
+    kb = np.zeros((n, bw + 1))
+    for d in range(bw + 1):
+        kb[d:, bw - d] = np.diagonal(k, d)
+    return kb
+
+
+def _dominant_band(rng, n, bw, signs):
+    """Symmetric band matrix, strictly diagonally dominant with the given
+    diagonal signs: nonsingular, positive definite iff every sign is +1."""
+    k = np.triu(np.tril(rng.normal(size=(n, n)), bw), -bw)
+    k = np.triu(k, 1)
+    k = k + k.T
+    k[np.diag_indices(n)] = signs * (np.abs(k).sum(axis=1) + rng.uniform(0.5, 2.0, n))
+    return k
+
+
+class TestSolveLadder:
+    """spsolve takes band Cholesky, band LU or the regularized band LU,
+    each agreeing with a dense solve of the same matrix."""
+
+    @staticmethod
+    def _solve(kb, b, **kwargs):
+        lu_diagonals = []
+
+        def lu(l_and_u, full, rhs, **kw):
+            lu_diagonals.append(full[l_and_u[1]].copy())
+            return solve_banded(l_and_u, full, rhs, **kw)
+
+        with mock.patch.object(solver, "solveh_banded", wraps=solver.solveh_banded) as ch, \
+                mock.patch.object(solver, "solve_banded", side_effect=lu):
+            x = spsolve(kb, b, **kwargs)
+        assert ch.call_count == 1
+        return x, lu_diagonals
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), bw=st.integers(1, 6))
+    def test_positive_definite_takes_cholesky(self, seed, n, bw):
+        rng = np.random.default_rng(seed)
+        bw = min(bw, n - 1)
+        k = _dominant_band(rng, n, bw, np.ones(n))
+        b = rng.normal(size=n)
+        x, lu = self._solve(_dense_to_band(k, bw), b)
+        assert lu == []
+        assert _max_rel(x, np.linalg.solve(k, b)) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), bw=st.integers(1, 6))
+    def test_indefinite_takes_lu(self, seed, n, bw):
+        rng = np.random.default_rng(seed)
+        bw = min(bw, n - 1)
+        signs = rng.choice([-1.0, 1.0], size=n)
+        signs[rng.integers(n)] = -1.0
+        k = _dominant_band(rng, n, bw, signs)
+        b = rng.normal(size=n)
+        x, lu = self._solve(_dense_to_band(k, bw), b)
+        assert len(lu) == 1
+        np.testing.assert_array_equal(lu[0], np.diagonal(k))
+        assert _max_rel(x, np.linalg.solve(k, b)) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), bw=st.integers(1, 6))
+    def test_singular_takes_regularized_lu(self, seed, n, bw):
+        # A dof coupled to nothing: zero row and column, zero load there.
+        rng = np.random.default_rng(seed)
+        bw = min(bw, n - 1)
+        k = _dominant_band(rng, n, bw, np.ones(n))
+        dead = rng.integers(n)
+        k[dead, :] = 0.0
+        k[:, dead] = 0.0
+        b = rng.normal(size=n)
+        b[dead] = 0.0
+        x, lu = self._solve(_dense_to_band(k, bw), b)
+        assert len(lu) == 2
+        shift = 1e-10 * max(np.diagonal(k).max(), 1.0)
+        np.testing.assert_array_equal(lu[1], np.diagonal(k) + shift)
+        assert _max_rel(x, np.linalg.lstsq(k, b, rcond=None)[0]) <= 1e-8
+
+        # Without the regularized rung (the predictor), the answer is NaN.
+        x, lu = self._solve(_dense_to_band(k, bw), b, regularize=False)
+        assert len(lu) == 1
+        assert np.isnan(x).all()
+
+    def test_softening_tangent_takes_lu(self):
+        # Past the peak of a softening column the free-dof tangent is
+        # indefinite: Cholesky fails and band LU solves those systems.
+        calls = []
+
+        def lu(l_and_u, full, b, **kwargs):
+            x = solve_banded(l_and_u, full, b, **kwargs)
+            calls.append((full, b, x))
+            return x
+
+        g = uniform_grid((2, 2, 8), RHO)
+        c = SolveControl(increment=0.05, max_increments=60, stop_fraction=0.6)
+        with mock.patch.object(solver, "solve_banded", side_effect=lu):
+            solve(g, MaterialModel(), stance_bc(g.dims), c)
+        assert calls
+        full, b, x = calls[0]
+        bw, n = (full.shape[0] - 1) // 2, full.shape[1]
+        k = np.zeros((n, n))
+        for r in range(2 * bw + 1):
+            d = bw - r      # column minus row
+            cols = np.arange(max(d, 0), min(n, n + d))
+            k[cols - d, cols] = full[r, cols]
+        assert np.linalg.eigvalsh(k).min() < 0.0
+        assert _max_rel(x, np.linalg.solve(k, b)) <= 1e-10
