@@ -4,11 +4,23 @@ t-tests, and the DeLong comparison against an external FRAX score.
 
 LGOCV and resampling are one protocol with different train fractions: a
 single loop draws the stratified splits and scores every (feature set,
-classifier) cell on each of them, so all cells share their splits.  The
-features of a split are built once per feature set (with the fold PCA for
-PC1) and reused by every classifier.  Every split is driven by a seed
-derived from (base_seed, split, draw) through a 64-bit mixing function, so
-the whole report is a pure function of (cohort, config, seed).
+classifier) cell on them, so all cells share their splits.  Every split is
+driven by a seed derived from (base_seed, split, draw) through a 64-bit
+mixing function, so the whole report is a pure function of (cohort,
+config, seed).
+
+The loop works on blocks of BLOCK splits.  Stratified splits of one cohort
+all have the same train and test sizes and class counts, so a block's
+features are (B, n, p) stacks gathered from the stratum's columns, with
+the fold PCA of PC1 sets fit on every split's training rows at once.  Each
+classifier then trains and scores the whole block in one stacked fit
+(classifiers.train_and_score_stack), which skips the covariance, standard
+errors and p-values that cross-validation discards.  Each split's AUC
+equals what fit_and_score and auc_mann_whitney give for that split alone:
+the stacked kernels are the ones the single-fit API runs, and a logistic
+fit that the stacked IRLS cannot finish is refit on its own.  A block that
+raises is replayed split by split through fit_and_score, so the error is
+the one the first failing (split, feature set, classifier) cell raises.
 """
 
 from __future__ import annotations
@@ -20,12 +32,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, predict_scores, train
-from .datamodel import FE9, Cohort, FeatureSet, build_feature_matrix
-from .errors import DataError
-from .stats.pca import PcaModel, fit_pca, risk_index
-from .stats.roc import RocCurve, auc_mann_whitney, delong_compare, roc_curve
+from .classifiers import ClassifierSpec, predict_scores, train, train_and_score_stack
+from .datamodel import (FE9, Cohort, FeatureSet, build_feature_matrix,
+                        feature_columns, standardize_apply)
+from .errors import DataError, FemriskError
+from .stats.pca import PcaModel, fit_pca, fit_pca_stack, risk_index
+from .stats.roc import (RocCurve, auc_mann_whitney, auc_rows, delong_compare,
+                        roc_curve)
 from .stats.ttests import paired_one_sided_ttest
+
+# Splits fitted as one stack.  Bigger blocks run faster but hold more in
+# memory: evaluate_wide_t2 peaked at 109 MiB with 32, 113 MiB with 64 and
+# 143 MiB with every split in one block (106 MiB fitting split by split).
+BLOCK = 32
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -130,6 +149,33 @@ def cell_name(feature_set: FeatureSet, spec: ClassifierSpec) -> str:
     return f"{feature_set.name}|{spec.kind}"
 
 
+def _feature_stacks(sub: Cohort, feature_set: FeatureSet, stratum: str,
+                    tr: np.ndarray, te: np.ndarray, pca_full: Optional[PcaModel]):
+    """Train and test feature stacks (B, n, p) of a block of splits with
+    train rows tr (B, n) and test rows te (B, m) of the stratum sub: the
+    matrices _feature_pair builds for each split."""
+    cols = feature_columns(feature_set, stratum)
+    if "frax_prob" in cols:
+        missing = sub.missing_frax()
+        if missing:
+            raise DataError(f"subject {missing[0]}: frax_prob missing but required")
+    x = sub.columns([c for c in cols if c != "pc1"])
+    x_tr, x_te = x[tr], x[te]
+    if cols[0] == "pc1":
+        fe9 = fe9_matrix(sub)
+        f_tr, f_te = fe9[tr], fe9[te]
+        if pca_full is None:
+            std, loadings = fit_pca_stack(f_tr)
+        else:
+            std, loadings = pca_full.standardization, pca_full.loadings
+        # risk_index: the first column of the projection on every component.
+        pc1_tr = (standardize_apply(std, f_tr) @ loadings)[:, :, :1]
+        pc1_te = (standardize_apply(std, f_te) @ loadings)[:, :, :1]
+        x_tr = np.concatenate([pc1_tr, x_tr], axis=2)
+        x_te = np.concatenate([pc1_te, x_te], axis=2)
+    return x_tr, x_te
+
+
 def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
                      specs: Sequence[ClassifierSpec], n_splits: int,
                      fraction: float, seed: int, stratum: str,
@@ -150,18 +196,28 @@ def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
         raise DataError("duplicate evaluation cells")
 
     aucs = {name: np.empty(n_splits) for name in names}
-    seeds = []
-    for i in range(n_splits):
-        split_seed = mix_seed(seed, i, 0)
-        tr, te = stratified_split_indices(y, fraction, split_seed)
-        seeds.append(split_seed)
-        tr_c, te_c = sub.subset(tr), sub.subset(te)
-        for fs in feature_sets:
-            x_tr, y_tr, x_te, y_te, cols = _feature_pair(tr_c, te_c, fs, stratum, pca_full)
-            for sp in specs:
-                model = train(sp, x_tr, y_tr, cols)
-                aucs[cell_name(fs, sp)][i] = auc_mann_whitney(
-                    predict_scores(model, x_te), y_te)
+    seeds = [mix_seed(seed, i, 0) for i in range(n_splits)]
+    for start in range(0, n_splits, BLOCK):
+        splits = [stratified_split_indices(y, fraction, s)
+                  for s in seeds[start:start + BLOCK]]
+        tr, te = (np.stack(side) for side in zip(*splits))
+        block = slice(start, start + len(splits))
+        try:
+            for fs in feature_sets:
+                x_tr, x_te = _feature_stacks(sub, fs, stratum, tr, te, pca_full)
+                for sp in specs:
+                    scores = train_and_score_stack(sp, x_tr, y[tr], x_te)
+                    aucs[cell_name(fs, sp)][block] = auc_rows(scores, y[te])
+        except (FemriskError, np.linalg.LinAlgError):
+            # Raise what the first failing (split, feature set, classifier)
+            # cell raises on its own.
+            for tr_i, te_i in splits:
+                tr_c, te_c = sub.subset(tr_i), sub.subset(te_i)
+                for fs in feature_sets:
+                    for sp in specs:
+                        auc_mann_whitney(*fit_and_score(tr_c, te_c, fs, sp,
+                                                        stratum, pca_full)[:2])
+            raise
     return aucs, seeds
 
 

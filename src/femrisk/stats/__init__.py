@@ -1,8 +1,7 @@
-"""Core statistical engine: OLS + screening, PCA/risk index, logistic
+"""Core statistical engine: OLS, PCA/risk index, logistic
 regression, t-tests, ROC/AUC and DeLong's paired test."""
 
-from .linear import (LinearModelFit, design_from_terms, fit_linear_model,
-                     screen_and_select)
+from .linear import LinearModelFit, fit_linear_model
 from .logistic import LogisticFit, fit_logistic
 from .pca import (PcaModel, fit_pca, pc_scores, pca_from_json, pca_to_json,
                   risk_index, select_significant_pcs)
@@ -12,7 +11,7 @@ from .ttests import (TTestResult, paired_one_sided_ttest, ttest_from_summary,
                      two_sample_ttest)
 
 __all__ = [
-    "LinearModelFit", "design_from_terms", "fit_linear_model", "screen_and_select",
+    "LinearModelFit", "fit_linear_model",
     "LogisticFit", "fit_logistic",
     "PcaModel", "fit_pca", "pc_scores", "pca_from_json", "pca_to_json",
     "risk_index", "select_significant_pcs",

@@ -1,7 +1,5 @@
-"""Ordinary least squares with the screening procedure used for the FE
-parameter regressions: simple-regression screening at p < 0.1 plus the
-interaction hierarchy (a retained interaction forces its main effects in).
-"""
+"""Ordinary least squares with t-test inference, for the FE parameter
+regressions."""
 
 from __future__ import annotations
 
@@ -54,73 +52,3 @@ def fit_linear_model(y, x, names) -> LinearModelFit:
     r2 = min(max(r2, 0.0), 1.0)
     return LinearModelFit(names=tuple(names), coef=coef, se=se, p=p,
                           r_squared=r2, df_resid=df)
-
-
-MAIN_EFFECTS = ("fx", "age", "sex", "height", "weight")
-INTERACTIONS = ("fx:age", "fx:sex", "fx:height", "fx:weight")
-
-
-def screen_and_select(columns: dict[str, np.ndarray], dependent: np.ndarray,
-                      alpha: float = 0.1) -> list[str]:
-    """Two-step term selection for one FE-parameter regression.
-
-    columns maps candidate names (fx, age, sex, height, weight) to vectors;
-    continuous variables and the dependent are expected to be standardized
-    already (fx and sex are 0/1 indicators and are left alone).
-
-    Step 1 screens each main effect by simple regression, keeping p < alpha.
-    Step 2 tests each interaction in a model with its two main effects;
-    a retained interaction force-retains both.
-    """
-    missing = [c for c in MAIN_EFFECTS if c not in columns]
-    if missing:
-        raise DataError(f"missing candidate columns: {missing}")
-    y = np.asarray(dependent, dtype=float)
-    n = y.size
-    ones = np.ones(n)
-
-    selected: list[str] = []
-    for name in MAIN_EFFECTS:
-        x = np.column_stack([ones, columns[name]])
-        fit = fit_linear_model(y, x, ("intercept", name))
-        if fit.p[1] < alpha:
-            selected.append(name)
-
-    forced: set[str] = set()
-    for inter in INTERACTIONS:
-        partner = inter.split(":")[1]
-        x = np.column_stack([
-            ones,
-            columns["fx"],
-            columns[partner],
-            columns["fx"] * columns[partner],
-        ])
-        fit = fit_linear_model(y, x, ("intercept", "fx", partner, inter))
-        if fit.p[3] < alpha:
-            selected.append(inter)
-            forced.update(("fx", partner))
-
-    # Force-retained main effects go in ahead of the interactions.
-    out: list[str] = []
-    for name in MAIN_EFFECTS:
-        if name in selected or name in forced:
-            out.append(name)
-    for name in selected:
-        if ":" in name:
-            out.append(name)
-    return out
-
-
-def design_from_terms(columns: dict[str, np.ndarray], terms: list[str]):
-    """Build an intercept-plus-terms design matrix for fit_linear_model."""
-    n = next(iter(columns.values())).size
-    mats = [np.ones(n)]
-    names = ["intercept"]
-    for t in terms:
-        if ":" in t:
-            a, b = t.split(":")
-            mats.append(np.asarray(columns[a]) * np.asarray(columns[b]))
-        else:
-            mats.append(np.asarray(columns[t]))
-        names.append(t)
-    return np.column_stack(mats), tuple(names)

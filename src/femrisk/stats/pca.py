@@ -26,6 +26,30 @@ class PcaModel:
     column_names: tuple[str, ...]
 
 
+def _principal_axes(z, column_names):
+    """Eigenvalues (B, p) and loadings (B, p, p) of the correlation matrix
+    of each standardized matrix in a stack z (B, n, p), largest first.
+
+    Each component's largest-magnitude loading is made positive, then PC1
+    is pinned to a positive Su loading: a higher index means a stronger
+    femur.
+    """
+    corr = (np.swapaxes(z, 1, 2) @ z) / (z.shape[1] - 1)
+    corr = 0.5 * (corr + np.swapaxes(corr, 1, 2))
+    eigvals, eigvecs = np.linalg.eigh(corr)
+    order = np.argsort(eigvals, axis=1)[:, ::-1]
+    eigvals = np.clip(np.take_along_axis(eigvals, order, axis=1), 0.0, None)
+    eigvecs = np.take_along_axis(eigvecs, order[:, None, :], axis=2)
+    pivot = np.argmax(np.abs(eigvecs), axis=1)
+    flip = np.take_along_axis(eigvecs, pivot[:, None, :], axis=1) < 0
+    eigvecs = np.where(flip, -eigvecs, eigvecs)
+    if "Su" in column_names:
+        su = list(column_names).index("Su")
+        flip = eigvecs[:, su, 0] < 0
+        eigvecs[flip, :, 0] = -eigvecs[flip, :, 0]
+    return eigvals, eigvecs
+
+
 def fit_pca(x, column_names=FE9) -> PcaModel:
     """Fit PCA to a matrix of FE parameters (rows = subjects)."""
     x = np.asarray(x, dtype=float)
@@ -36,28 +60,19 @@ def fit_pca(x, column_names=FE9) -> PcaModel:
     if len(column_names) != x.shape[1]:
         raise DataError("column_names length must match columns")
     params = standardize_fit(x)          # raises on constant columns
-    z = standardize_apply(params, x)
-    corr = (z.T @ z) / (z.shape[0] - 1)
-    corr = 0.5 * (corr + corr.T)
-    eigvals, eigvecs = np.linalg.eigh(corr)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
-    # Deterministic sign: each component's largest-magnitude loading positive,
-    # then PC1 pinned to a positive Su loading.
-    for j in range(eigvecs.shape[1]):
-        pivot = np.argmax(np.abs(eigvecs[:, j]))
-        if eigvecs[pivot, j] < 0:
-            eigvecs[:, j] = -eigvecs[:, j]
     names = tuple(column_names)
-    if "Su" in names:
-        su = names.index("Su")
-        if eigvecs[su, 0] < 0:
-            eigvecs[:, 0] = -eigvecs[:, 0]
-    shares = eigvals / eigvals.sum()
-    return PcaModel(standardization=params, loadings=eigvecs,
-                    eigenvalues=eigvals, variance_shares=shares,
+    eigvals, eigvecs = _principal_axes(standardize_apply(params, x)[None], names)
+    shares = eigvals[0] / eigvals[0].sum()
+    return PcaModel(standardization=params, loadings=eigvecs[0],
+                    eigenvalues=eigvals[0], variance_shares=shares,
                     column_names=names)
+
+
+def fit_pca_stack(x, column_names=FE9):
+    """Standardization (B, p) and loadings (B, p, p) of one PCA per matrix
+    of a stack x (B, n, p) of FE parameters, each as fit_pca fits it."""
+    params = standardize_fit(x)
+    return params, _principal_axes(standardize_apply(params, x), tuple(column_names))[1]
 
 
 def pc_scores(model: PcaModel, x) -> np.ndarray:

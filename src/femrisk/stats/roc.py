@@ -62,31 +62,44 @@ def roc_curve(scores, labels) -> RocCurve:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """Midranks (1-based); tied values get the mean of their rank range.
+    """Midranks (1-based) along the last axis; tied values get the mean of
+    their rank range.
 
     A run of equal sorted values spanning positions [start, end) gets the
     rank 0.5 * (start + end - 1) + 1 (Sun & Xu 2014).
     """
-    order = np.argsort(x, kind="stable")
-    z = x[order]
-    n = x.size
-    starts = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
-    ends = np.append(starts[1:], n)
-    out = np.empty(n, dtype=float)
-    out[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    order = np.argsort(x, axis=-1, kind="stable")
+    z = np.take_along_axis(x, order, axis=-1)
+    n = x.shape[-1]
+    pos = np.arange(n)
+    first = np.ones(x.shape, dtype=bool)
+    first[..., 1:] = z[..., 1:] != z[..., :-1]
+    last = np.ones(x.shape, dtype=bool)
+    last[..., :-1] = first[..., 1:]
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
+    end = np.flip(np.minimum.accumulate(np.flip(np.where(last, pos + 1, n), -1), axis=-1), -1)
+    out = np.empty(x.shape)
+    np.put_along_axis(out, order, 0.5 * (start + end - 1) + 1.0, axis=-1)
     return out
 
 
 def auc_mann_whitney(scores, labels) -> float:
     """AUC as the Mann-Whitney statistic with ties counted one half."""
-    y = _check_labels(labels)
+    return auc_rows(scores, _check_labels(labels))
+
+
+def auc_rows(scores, labels):
+    """auc_mann_whitney along the last axis: one AUC per row of a (B, m)
+    score stack, against 0/1 labels of the same shape whose rows each hold
+    both classes."""
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
         raise DataError("scores must be finite")
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    ranks = _midranks(s)
-    rank_sum_pos = ranks[y == 1].sum()
+    pos = np.asarray(labels) == 1
+    n_pos = pos.sum(axis=-1)
+    n_neg = pos.shape[-1] - n_pos
+    # Midranks are multiples of 1/2, so these sums are exact in any order.
+    rank_sum_pos = np.where(pos, _midranks(s), 0.0).sum(axis=-1)
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from femrisk.classifiers import (KINDS, ClassifierSpec, model_from_json,
-                                 model_to_json, pls_latent, predict_scores,
-                                 train)
-from femrisk.datamodel import standardize_apply
+from femrisk.classifiers import (KINDS, ClassifierSpec, _nipals_pls,
+                                 model_from_json, model_to_json, pls_latent,
+                                 predict_scores, train, train_and_score_stack)
+from femrisk.datamodel import standardize_apply, standardize_fit
 from femrisk.errors import DataError
 from femrisk.stats import auc_mann_whitney
 
@@ -167,3 +167,70 @@ class TestGaussian:
         auc_q = auc_mann_whitney(predict_scores(qda, x), y)
         auc_l = auc_mann_whitney(predict_scores(lda, x), y)
         assert auc_q > 0.85 > auc_l
+
+
+def split_stack(rng, b=5, n=(30, 30), m=(10, 10), d=4):
+    """b stratified splits of one sample: train rows x (b, sum(n), d) with
+    labels y, test rows x_te (b, sum(m), d)."""
+    y = np.repeat([0, 1], [n[0] + m[0], n[1] + m[1]])
+    x = rng.normal(size=(y.size, d))
+    x[:, 0] += y
+    tr, te = [], []
+    for _ in range(b):
+        zeros = rng.permutation(n[0] + m[0])
+        ones = n[0] + m[0] + rng.permutation(n[1] + m[1])
+        tr.append(np.sort(np.r_[zeros[:n[0]], ones[:n[1]]]))
+        te.append(np.sort(np.r_[zeros[n[0]:], ones[n[1]:]]))
+    return x[tr], y[tr], x[te]
+
+
+class TestStackedFits:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_equal_lone_fits(self, kind, rng):
+        x, y, x_te = split_stack(rng)
+        scores = train_and_score_stack(ClassifierSpec(kind), x, y, x_te)
+        for i in range(len(x)):
+            lone = predict_scores(train(ClassifierSpec(kind), x[i], y[i]), x_te[i])
+            assert np.array_equal(scores[i], lone)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_constant_training_column_raises_standardize_fit_message(self, kind, rng):
+        x, y, x_te = split_stack(rng)
+        x[3, :, 2] = 7.0
+        with pytest.raises(DataError) as lone:
+            standardize_fit(x[3])
+        with pytest.raises(DataError) as got:
+            train_and_score_stack(ClassifierSpec(kind), x, y, x_te)
+        assert str(got.value) == str(lone.value) == "constant column at index 2 (SD = 0)"
+
+    def test_separable_pls_link_takes_the_lone_ridge_fallback(self, rng):
+        x, y, x_te = split_stack(rng)
+        spec = ClassifierSpec("pls", components=2)
+        plain = train_and_score_stack(spec, x, y, x_te)
+        x[1, :, 0] += 50.0 * y[1]
+        lone = train(spec, x[1], y[1])
+        assert lone.params["link"].penalized
+        scores = train_and_score_stack(spec, x, y, x_te)
+        assert np.array_equal(scores[1], predict_scores(lone, x_te[1]))
+        others = np.arange(len(x)) != 1
+        assert np.array_equal(scores[others], plain[others])
+
+    def test_nipals_row_that_stops_early_keeps_its_components(self, rng):
+        # Row 1's first component explains the coded label exactly, so its
+        # deflation stops after one component; the other rows take three.
+        yc = np.repeat([1.0, -1.0], 4)
+        planted = np.c_[yc, np.tile([1.0, -1.0], 4), np.repeat([1.0, -1.0, 1.0, -1.0], 2)]
+        z = rng.normal(size=(4, 8, 3))
+        z -= z.mean(axis=1, keepdims=True)
+        z[1] = planted
+        ys = np.tile(yc, (4, 1))
+        b = _nipals_pls(z, ys, 3)
+        assert np.array_equal(b[1], [1.0, 0.0, 0.0])
+        for i in range(4):
+            assert np.array_equal(b[i], _nipals_pls(z[i:i + 1], ys[i:i + 1], 3)[0])
+
+    def test_unequal_class_counts_rejected(self, rng):
+        x, y, x_te = split_stack(rng)
+        y[2, np.flatnonzero(y[2] == 0)[0]] = 1
+        with pytest.raises(DataError, match="same class counts"):
+            train_and_score_stack(ClassifierSpec("lda"), x, y, x_te)

@@ -10,6 +10,15 @@ from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
 from femrisk.femodel.grid import VoxelGrid
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def load_strict_json(path):
+    """A JSON file the CLI wrote, which must hold no NaN or Infinity."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 @pytest.fixture(scope="module")
 def cohort_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "cohort.csv"
@@ -90,7 +99,7 @@ class TestFe:
         rc = dispatch(base + ["--out", str(out),
                               "--curves-dir", str(tmp_path / "curves")])
         assert rc == 0
-        doc = json.loads(out.read_text())
+        doc = load_strict_json(out)
         assert set(doc) == {"Sy", "Su", "Senergy", "Py", "Pu", "Penergy",
                             "PLy", "PLu", "PLenergy", "Ly", "Lu", "Lenergy"}
         for case in ("stance", "posterior", "posterolateral", "lateral"):
@@ -129,7 +138,7 @@ class TestFitAndCompare:
         assert rc == 0
         out = capsys.readouterr().out
         assert "pc1_variance_share" in out
-        doc = json.loads(model.read_text())
+        doc = load_strict_json(model)
         assert 0.73 <= doc["pc1_variance_share"] <= 0.93
         assert 1 in doc["retained_pcs"]
 
@@ -138,7 +147,7 @@ class TestFitAndCompare:
                        "--model", str(model), "--out", str(delong),
                        "--roc-dir", str(tmp_path / "roc")])
         assert rc == 0
-        ddoc = json.loads(delong.read_text())
+        ddoc = load_strict_json(delong)
         assert set(ddoc) >= {"auc_model", "auc_frax", "p"}
         header = (tmp_path / "roc" / "model_roc.csv").read_text().splitlines()[0]
         assert header == "fpr,tpr,threshold"
@@ -151,7 +160,7 @@ class TestEvaluateAndReport:
                        "--out", str(report), "--stratum", "male",
                        "--resamples", "40", "--repeats", "5", "--seed", "3"])
         assert rc == 0
-        doc = json.loads(report.read_text())
+        doc = load_strict_json(report)
         assert doc["seed"] == 3
         assert "PC1_ABMD_COV|logistic" in doc["cells"]
         assert "frax" in doc
@@ -172,19 +181,18 @@ class TestEvaluateAndReport:
         assert dispatch(base + ["--out", str(r1), "--threads", "1"]) == 0
         assert dispatch(base + ["--out", str(r8), "--threads", "8"]) == 0
         assert r1.read_bytes() == r8.read_bytes()
+        assert set(load_strict_json(r1)["cells"]) == {"PC1_ABMD_COV|logistic",
+                                                     "ABMD_COV|logistic"}
 
     def test_single_repeat_report_is_strict_json(self, tmp_path, cohort_csv):
         # One LGOCV repeat has no sample SD; the report must still be JSON
         # without NaN or Infinity.
-        def reject(name):
-            raise ValueError(f"non-finite JSON constant {name}")
-
         report = tmp_path / "r1.json"
         assert dispatch(["evaluate", "--cohort", str(cohort_csv),
                          "--out", str(report), "--stratum", "male",
                          "--resamples", "20", "--repeats", "1", "--seed", "2",
                          "--skip-frax"]) == 0
-        doc = json.loads(report.read_text(), parse_constant=reject)
+        doc = load_strict_json(report)
         assert all(c["auc_sd"] == 0.0 for c in doc["lgocv"].values())
 
     def test_paper_mode_flag_reported(self, tmp_path, cohort_csv, capsys):
@@ -195,4 +203,4 @@ class TestEvaluateAndReport:
                        "--paper-mode", "--skip-frax"])
         assert rc == 0
         assert "whole-sample" in capsys.readouterr().out
-        assert json.loads(report.read_text())["mode"] == "paper"
+        assert load_strict_json(report)["mode"] == "paper"

@@ -1,13 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from femrisk.classifiers import ClassifierSpec, model_to_json
-from femrisk.datamodel import FeatureSet
+from femrisk.classifiers import KINDS, ClassifierSpec, model_to_json
+from femrisk.datamodel import Cohort, FeatureSet
 from femrisk.errors import DataError
-from femrisk.evaluate import (CvConfig, ResampleConfig, build_report,
+from femrisk.evaluate import (BLOCK, CvConfig, ResampleConfig, build_report,
                               cell_name, compare_with_frax, fe9_matrix,
                               fit_and_score, mix_seed, run_lgocv,
                               run_resample_comparison, stratified_split,
@@ -101,23 +102,25 @@ class TestSharedSplitLoop:
     @pytest.mark.parametrize("paper_mode", [False, True])
     def test_every_cell_matches_fit_and_score(self, small_cohort, paper_mode):
         # Both protocols score each cell on split i, drawn from
-        # mix_seed(seed, i, 0), exactly as fit_and_score would on its own.
+        # mix_seed(seed, i, 0), exactly as fit_and_score would on its own;
+        # BLOCK + 3 resamples run one full stacked block and a partial one.
         # LDA and kNN AUCs move when PC1 comes from another PCA fit.
-        feature_sets = [FS_PC1, FS_ABMD]
-        specs = [ClassifierSpec("lda"), ClassifierSpec("knn")]
+        feature_sets = [FS_PC1, FS_ABMD, FeatureSet.parse("FE9_ABMD_COV"),
+                        FeatureSet.parse("Lu_ABMD_COV")]
+        specs = [ClassifierSpec(kind) for kind in KINDS]
         stratum = "all"
         sub = small_cohort.stratum(stratum)
         pca_full = fit_pca(fe9_matrix(sub)) if paper_mode else None
         cv = CvConfig(repeats=4, seed=21)
-        rs = ResampleConfig(resamples=4, seed=22)
+        rs = ResampleConfig(resamples=BLOCK + 3, seed=22)
         lgocv = run_lgocv(small_cohort, feature_sets, specs, cv, stratum, pca_full)
         res = run_resample_comparison(small_cohort, feature_sets, specs, rs,
                                       stratum, pca_full)
-        assert res.split_seeds == tuple(mix_seed(22, i, 0) for i in range(4))
+        assert res.split_seeds == tuple(mix_seed(22, i, 0) for i in range(BLOCK + 3))
         names = [cell_name(fs, sp) for fs in feature_sets for sp in specs]
-        for cells, cfg in ((lgocv, cv), (res.cells, rs)):
+        for cells, cfg, n_splits in ((lgocv, cv, cv.repeats), (res.cells, rs, rs.resamples)):
             assert list(cells) == names
-            for i in range(4):
+            for i in range(n_splits):
                 tr, te = stratified_split_indices(sub.labels(), cfg.train_fraction,
                                                   mix_seed(cfg.seed, i, 0))
                 for fs in feature_sets:
@@ -125,6 +128,34 @@ class TestSharedSplitLoop:
                         scores, y_te, _ = fit_and_score(sub.subset(tr), sub.subset(te),
                                                         fs, sp, stratum, pca_full)
                         assert cells[cell_name(fs, sp)][i] == auc_mann_whitney(scores, y_te)
+
+    def test_error_is_the_first_failing_cell_of_the_split_loop(self, small_cohort):
+        # Subject 125 alone takes bone medication and subject 123 alone has
+        # another Lu: a split that holds one of them out has a constant
+        # training column in ABMD_COV (bmdmed, first at split 27) or in
+        # Lu_ABMD_COV (Lu at split 14, bmdmed at 27).  Split by split, the
+        # Lu cell fails first, although the ABMD cell comes first in a block.
+        records = [replace(r, bmdmed=int(i == 125),
+                           fe=replace(r.fe, Lu=2e6 if i == 123 else 1e6))
+                   for i, r in enumerate(small_cohort)]
+        cohort = Cohort(tuple(records))
+        fs_lu = FeatureSet.parse("Lu_ABMD_COV")
+        cfg = ResampleConfig(resamples=BLOCK + 3, seed=5)
+        y = cohort.labels()
+        for i in range(cfg.resamples):
+            tr, te = stratified_split_indices(y, cfg.train_fraction, mix_seed(cfg.seed, i, 0))
+            try:
+                for fs in (FS_ABMD, fs_lu):
+                    fit_and_score(cohort.subset(tr), cohort.subset(te), fs, LOGIT)
+            except DataError as exc:
+                expected = str(exc)
+                break
+        assert expected == "constant column at index 0 (SD = 0)"
+        with pytest.raises(DataError, match=r"^constant column at index 6 \(SD = 0\)$"):
+            run_resample_comparison(cohort, [FS_ABMD], [LOGIT], cfg)
+        with pytest.raises(DataError) as got:
+            run_resample_comparison(cohort, [FS_ABMD, fs_lu], [LOGIT], cfg)
+        assert str(got.value) == expected
 
 
 class TestResampling:

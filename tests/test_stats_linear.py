@@ -3,7 +3,7 @@ import pytest
 import scipy.stats as sps
 
 from femrisk.errors import DataError, NumericalError
-from femrisk.stats import design_from_terms, fit_linear_model, screen_and_select
+from femrisk.stats import fit_linear_model
 
 
 class TestOls:
@@ -32,55 +32,3 @@ class TestOls:
     def test_more_columns_than_rows(self):
         with pytest.raises(DataError):
             fit_linear_model(np.arange(3.0), np.eye(3), ("a", "b", "c"))
-
-
-def make_columns(rng, n=120):
-    return {
-        "fx": rng.integers(0, 2, size=n).astype(float),
-        "age": rng.normal(size=n),
-        "sex": rng.integers(0, 2, size=n).astype(float),
-        "height": rng.normal(size=n),
-        "weight": rng.normal(size=n),
-    }
-
-
-class TestScreening:
-    def test_planted_main_effect_selected(self):
-        rng = np.random.default_rng(1)
-        cols = make_columns(rng)
-        y = 0.9 * cols["age"] + rng.normal(scale=0.5, size=120)
-        terms = screen_and_select(cols, y)
-        assert "age" in terms
-
-    def test_pure_noise_mostly_empty(self):
-        rng = np.random.default_rng(2)
-        cols = make_columns(rng)
-        y = rng.normal(size=120)
-        terms = screen_and_select(cols, y)
-        assert len(terms) <= 2  # alpha=0.1 screening admits occasional noise
-
-    def test_planted_interaction_forces_main_effects(self):
-        rng = np.random.default_rng(3)
-        cols = make_columns(rng)
-        y = 1.5 * cols["fx"] * cols["weight"] + rng.normal(scale=0.4, size=120)
-        terms = screen_and_select(cols, y)
-        assert "fx:weight" in terms
-        assert "fx" in terms and "weight" in terms
-        # main effects listed before interactions
-        assert terms.index("fx") < terms.index("fx:weight")
-
-    def test_missing_column(self):
-        rng = np.random.default_rng(4)
-        cols = make_columns(rng)
-        del cols["height"]
-        with pytest.raises(DataError):
-            screen_and_select(cols, rng.normal(size=120))
-
-
-class TestDesign:
-    def test_interaction_column(self, rng):
-        cols = make_columns(rng, n=15)
-        x, names = design_from_terms(cols, ["fx", "age", "fx:age"])
-        assert names == ("intercept", "fx", "age", "fx:age")
-        np.testing.assert_array_equal(x[:, 3], cols["fx"] * cols["age"])
-        np.testing.assert_array_equal(x[:, 0], np.ones(15))

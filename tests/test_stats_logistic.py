@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from femrisk.errors import DataError
+from femrisk.errors import DataError, NumericalError
 from femrisk.stats import fit_logistic
+from femrisk.stats.logistic import (CONVERGED, SINGULAR, _irls, _irls_stack,
+                                    fit_logistic_stack)
 
 
 def nll(beta, y, xd):
@@ -64,3 +66,49 @@ class TestFitLogistic:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             fit_logistic(np.ones(5, dtype=int), np.zeros((5, 1)))
+
+
+def stack_of_fits(b=6, n=40, k=2, seed=4):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, n, k))
+    y = (rng.random((b, n)) < 1 / (1 + np.exp(-x[:, :, 0]))).astype(float)
+    y[:, :2] = [0.0, 1.0]
+    return y, x
+
+
+class TestStackedFits:
+    @pytest.mark.parametrize("ridge", [0.0, 1e-8])
+    def test_separable_row_takes_the_lone_ridge_fallback(self, ridge):
+        y, x = stack_of_fits()
+        beta_plain = fit_logistic_stack(y, x, ridge)
+        y[2] = (x[2, :, 0] > 0).astype(float)
+        beta = fit_logistic_stack(y, x, ridge)
+        lone = fit_logistic(y[2], x[2], ridge)
+        assert lone.penalized
+        assert np.array_equal(beta[2], lone.beta)
+        others = np.arange(len(y)) != 2
+        assert np.array_equal(beta[others], beta_plain[others])
+        for i in np.flatnonzero(others):
+            assert np.array_equal(beta[i], fit_logistic(y[i], x[i], ridge).beta)
+
+    def test_singular_row_does_not_poison_the_stack(self):
+        y, x = stack_of_fits()
+        xd = np.concatenate([np.ones(y.shape + (1,)), x, np.zeros(y.shape + (1,))], axis=2)
+        xd[:, :, 3] = x[:, :, 0] ** 2
+        xd[3, :, 3] = 0.0
+        beta, state, iterations = _irls_stack(y, xd, 0.0)
+        assert state[3] == SINGULAR
+        with pytest.raises(NumericalError, match="^singular IRLS system$"):
+            _irls(y[3], xd[3], 0.0)
+        for i in np.flatnonzero(np.arange(len(y)) != 3):
+            lone_beta, converged, it, _ = _irls(y[i], xd[i], 0.0)
+            assert converged and state[i] == CONVERGED and iterations[i] == it
+            assert np.array_equal(beta[i], lone_beta)
+
+    def test_singular_row_raises_what_fit_logistic_raises(self):
+        y, x = stack_of_fits(k=3)
+        x[1, :, 2] = 0.0
+        with pytest.raises(NumericalError, match="^singular IRLS system$"):
+            fit_logistic(y[1], x[1])
+        with pytest.raises(NumericalError, match="^singular IRLS system$"):
+            fit_logistic_stack(y, x, 0.0)
