@@ -7,21 +7,24 @@ neighbors.  Every kind standardizes its features internally using training
 data only, and every score is a probability-like value in [0, 1] with
 larger meaning more likely fracture.
 
-train and predict_scores fit and score one model; train_and_score_stack
-fits and scores a stack of splits at once.  Both run the same stacked
-kernels (IRLS, NIPALS, the Gaussian fit), a lone model as a stack of one.
+Each kind has one fit and one score, _fit and _score, which work on a stack
+of splits: every array of a fit's params carries a leading split axis.
+train_and_score_stack runs the pair on a block of splits; train runs _fit
+on a stack of one and drops the axis, and predict_scores restores it for
+_score.  The model file holds only the logistic model `femrisk fit` writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import StandardizationParams, standardize_apply, standardize_fit
-from .errors import DataError, NumericalError
-from .stats.logistic import (LogisticFit, fit_logistic, fit_logistic_stack,
-                              predict_proba_stack)
+from .errors import DataError, NumericalError, malformed
+# fit_logistic is not called here; it stays importable because
+# perfbench/tracing.py WRAPS traces femrisk.classifiers.fit_logistic.
+from .stats.logistic import fit_logistic, fit_logistic_stack, predict_proba_stack  # noqa: F401
 
 KINDS = ("logistic", "lda", "qda", "pls", "knn")
 
@@ -52,7 +55,7 @@ class TrainedModel:
     spec: ClassifierSpec
     feature_names: tuple[str, ...]
     standardization: StandardizationParams
-    params: dict = field(default_factory=dict)
+    params: dict                  # _fit's params without the split axis
 
 
 def _shrunk_cov(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -66,7 +69,7 @@ def _shrunk_cov(z: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _fit_gaussian(z, y, gamma, pooled):
-    """Class means (B, 2, p), priors (2,), inverse covariances (B, 2, p, p)
+    """Class means (B, 2, p), priors (B, 2), inverse covariances (B, 2, p, p)
     and their log-determinants (B, 2) of a stack of fits on z (B, n, p),
     with pooled or per-class shrunk covariances.  Every row of y must hold
     the same class counts."""
@@ -76,7 +79,7 @@ def _fit_gaussian(z, y, gamma, pooled):
     z0 = z[y == 0].reshape(b, n0, p)
     z1 = z[y == 1].reshape(b, n1, p)
     mu = np.stack([z0.mean(axis=1), z1.mean(axis=1)], axis=1)
-    priors = np.array([n0, n1], dtype=float) / n
+    priors = np.tile(np.array([n0, n1], dtype=float) / n, (b, 1))
     if pooled:
         cov = ((n0 - 1) * _shrunk_cov(z0, gamma) + (n1 - 1) * _shrunk_cov(z1, gamma)) / (
             n0 + n1 - 2)
@@ -96,7 +99,7 @@ def _gaussian_posterior(mu, priors, inv, logdet, z):
     for c in range(2):
         d = z - mu[:, c, None, :]
         maha = np.einsum("bij,bjk,bik->bi", d, inv[:, c], d)
-        logp[:, :, c] = np.log(priors[c]) - 0.5 * (maha + logdet[:, c, None])
+        logp[:, :, c] = np.log(priors[:, c, None]) - 0.5 * (maha + logdet[:, c, None])
     shift = logp.max(axis=2, keepdims=True)
     w = np.exp(logp - shift)
     return w[:, :, 1] / w.sum(axis=2)
@@ -178,41 +181,72 @@ def _knn_scores(train_z, train_y, k, z):
     return (inc * train_y).sum(axis=1) / inc.sum(axis=1)
 
 
+def _fit(spec: ClassifierSpec, z, y) -> dict:
+    """One fit per row of a stack of standardized training rows z (B, n, p)
+    with labels y (B, n); every array of the returned params carries that
+    leading split axis.  Every row of y must hold the same class counts."""
+    kind = spec.kind
+    if kind == "logistic":
+        return {"beta": fit_logistic_stack(y, z, spec.ridge)}
+    if kind in ("lda", "qda"):
+        mu, priors, inv, logdet = _fit_gaussian(z, y, spec.shrinkage, pooled=kind == "lda")
+        return {"mu": mu, "priors": priors, "inv": inv, "logdet": logdet}
+    if kind == "pls":
+        b, x_mean, y_mean, latent = _fit_pls(z, y, spec.components)
+        return {"b": b, "x_mean": x_mean, "y_mean": y_mean,
+                "link": fit_logistic_stack(y, latent[:, :, None], 1e-8)}
+    if spec.neighbors > z.shape[1]:
+        raise DataError(f"k ({spec.neighbors}) exceeds training size ({z.shape[1]})")
+    return {"train_z": z, "train_y": y}
+
+
+def _score(spec: ClassifierSpec, params: dict, z) -> np.ndarray:
+    """Scores (B, m) of the standardized rows z (B, m, p), row i by fit i of
+    params from _fit."""
+    kind = spec.kind
+    if kind == "logistic":
+        return predict_proba_stack(params["beta"], z)
+    if kind in ("lda", "qda"):
+        return _gaussian_posterior(params["mu"], params["priors"], params["inv"],
+                                   params["logdet"], z)
+    if kind == "pls":
+        latent = _pls_latent(z, params["x_mean"], params["b"], params["y_mean"])
+        return predict_proba_stack(params["link"], latent[:, :, None])
+    return np.stack([_knn_scores(tz, ty, spec.neighbors, zi)
+                     for tz, ty, zi in zip(params["train_z"], params["train_y"], z)])
+
+
+def _labels(y) -> np.ndarray:
+    """0/1 labels as ints; every row (the last axis) must hold both classes."""
+    y = np.asarray(y, dtype=int)
+    if np.any((y != 0) & (y != 1)):
+        raise DataError("y must be 0/1")
+    n_pos = y.sum(axis=-1)
+    if np.any((n_pos == 0) | (n_pos == y.shape[-1])):
+        raise DataError("both classes must be present")
+    return y
+
+
 def train(spec: ClassifierSpec, x, y, feature_names=None) -> TrainedModel:
-    """Fit one classifier.  x rows are subjects; y is 0/1 fracture status."""
+    """Fit one classifier: _fit on a stack of one, with the split axis
+    dropped from its params.  x rows are subjects; y is 0/1 fracture status."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DataError("x must be 2-D and aligned with y")
-    if y.min() == y.max():
-        raise DataError("both classes must be present")
+    y = _labels(y)
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(x.shape[1]))
     std = standardize_fit(x)
-    z = standardize_apply(std, x)
-
-    if spec.kind == "logistic":
-        fit = fit_logistic(y, z, ridge=spec.ridge)
-        params = {"fit": fit}
-    elif spec.kind in ("lda", "qda"):
-        mu, priors, inv, logdet = _fit_gaussian(z[None], y[None], spec.shrinkage,
-                                                pooled=spec.kind == "lda")
-        params = {"mu": list(mu[0]), "priors": priors, "inv": list(inv[0]),
-                  "logdet": list(logdet[0])}
-    elif spec.kind == "pls":
-        b, x_mean, y_mean, latent = _fit_pls(z[None], y[None], spec.components)
-        link = fit_logistic(y, latent[0], ridge=1e-8)
-        params = {"b": b[0], "x_mean": x_mean[0], "y_mean": y_mean[0], "link": link}
-    else:  # knn
-        if spec.neighbors > x.shape[0]:
-            raise DataError(f"k ({spec.neighbors}) exceeds training size ({x.shape[0]})")
-        params = {"train_z": z, "train_y": y}
+    params = _fit(spec, standardize_apply(std, x)[None], y[None])
     return TrainedModel(spec=spec, feature_names=tuple(feature_names),
-                        standardization=std, params=params)
+                        standardization=std,
+                        params={name: v[0] for name, v in params.items()})
 
 
 def predict_scores(model: TrainedModel, x) -> np.ndarray:
-    """Probability-like fracture scores in [0, 1] for rows of x."""
+    """Probability-like fracture scores in [0, 1] for rows of x: _score with
+    the split axis restored."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
@@ -221,135 +255,66 @@ def predict_scores(model: TrainedModel, x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite values in prediction input")
     z = standardize_apply(model.standardization, x)
-    kind = model.spec.kind
-    p = model.params
-    if kind == "logistic":
-        return p["fit"].predict_proba(z)
-    if kind in ("lda", "qda"):
-        return _gaussian_posterior(np.array(p["mu"])[None], p["priors"],
-                                   np.array(p["inv"])[None],
-                                   np.array(p["logdet"])[None], z[None])[0]
-    if kind == "pls":
-        latent = _pls_latent(z[None], p["x_mean"][None], p["b"][None],
-                             np.array([p["y_mean"]]))[0]
-        return p["link"].predict_proba(latent[:, None])
-    return _knn_scores(p["train_z"], p["train_y"], model.spec.neighbors, z)
+    params = {name: np.asarray(v)[None] for name, v in model.params.items()}
+    return _score(model.spec, params, z[None])[0]
 
 
 def train_and_score_stack(spec: ClassifierSpec, x, y, x_test) -> np.ndarray:
     """Scores (B, m) of one fit per row of a stack of splits: row i trains
     on x[i] (n, p) with labels y[i] and scores x_test[i] (m, p).
 
-    Row i equals predict_scores(train(spec, x[i], y[i]), x_test[i]).  The
-    fits run on train's stacked kernels, except kNN, which scores one row
-    at a time.  The logistic fits form no covariance or p-value, and a fit
-    the stacked IRLS cannot finish is refit on its own (fit_logistic_stack).
-    Every row of y must hold the same class counts, as stratified splits do.
+    Row i equals predict_scores(train(spec, x[i], y[i]), x_test[i]): both
+    run _fit and _score.  Every row of y must hold the same class counts,
+    as stratified splits do.
     """
     x = np.asarray(x, dtype=float)
     x_test = np.asarray(x_test, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = _labels(y)
     n_pos = y.sum(axis=1)
-    if np.any((n_pos == 0) | (n_pos == y.shape[1])):
-        raise DataError("both classes must be present")
     if np.any(n_pos != n_pos[0]):
         raise DataError("every split must hold the same class counts")
     if not np.all(np.isfinite(x_test)):
         raise DataError("non-finite values in prediction input")
     std = standardize_fit(x)
-    z = standardize_apply(std, x)
-    z_test = standardize_apply(std, x_test)
-    kind = spec.kind
-    if kind == "logistic":
-        return predict_proba_stack(fit_logistic_stack(y, z, spec.ridge), z_test)
-    if kind in ("lda", "qda"):
-        return _gaussian_posterior(*_fit_gaussian(z, y, spec.shrinkage, pooled=kind == "lda"),
-                                   z_test)
-    if kind == "pls":
-        b, x_mean, y_mean, latent = _fit_pls(z, y, spec.components)
-        link = fit_logistic_stack(y, latent[:, :, None], 1e-8)
-        return predict_proba_stack(link, _pls_latent(z_test, x_mean, b, y_mean)[:, :, None])
-    if spec.neighbors > x.shape[1]:
-        raise DataError(f"k ({spec.neighbors}) exceeds training size ({x.shape[1]})")
-    return np.stack([_knn_scores(z[i], y[i], spec.neighbors, z_test[i])
-                     for i in range(len(z))])
-
-
-def pls_latent(model: TrainedModel, x) -> np.ndarray:
-    """Raw PLS regression prediction of the coded label (for diagnostics)."""
-    if model.spec.kind != "pls":
-        raise DataError("not a PLS model")
-    z = standardize_apply(model.standardization, np.asarray(x, dtype=float))
-    p = model.params
-    return _pls_latent(z[None], p["x_mean"][None], p["b"][None], np.array([p["y_mean"]]))[0]
+    params = _fit(spec, standardize_apply(std, x), y)
+    return _score(spec, params, standardize_apply(std, x_test))
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip for the CLI
+# The model file entry of `femrisk fit`: a logistic model
 
 
 def model_to_json(model: TrainedModel) -> dict:
-    def arr(a):
-        return np.asarray(a).tolist()
-
-    out = {
-        "kind": model.spec.kind,
+    if model.spec.kind != "logistic":
+        raise DataError(f"only logistic models are saved, not {model.spec.kind}")
+    beta = model.params["beta"]
+    return {
+        "kind": "logistic",
         "spec": {
             "ridge": model.spec.ridge, "shrinkage": model.spec.shrinkage,
             "components": model.spec.components, "neighbors": model.spec.neighbors,
         },
         "feature_names": list(model.feature_names),
-        "standardization": {"mean": arr(model.standardization.mean),
-                            "sd": arr(model.standardization.sd)},
+        "standardization": {"mean": model.standardization.mean.tolist(),
+                            "sd": model.standardization.sd.tolist()},
+        "params": {"intercept": float(beta[0]), "coef": beta[1:].tolist()},
     }
-    p = model.params
-    kind = model.spec.kind
-    if kind == "logistic":
-        out["params"] = {"intercept": p["fit"].intercept, "coef": arr(p["fit"].coef)}
-    elif kind in ("lda", "qda"):
-        out["params"] = {
-            "mu": [arr(m) for m in p["mu"]], "priors": arr(p["priors"]),
-            "inv": [arr(m) for m in p["inv"]], "logdet": list(p["logdet"]),
-        }
-    elif kind == "pls":
-        out["params"] = {
-            "b": arr(p["b"]), "x_mean": arr(p["x_mean"]), "y_mean": p["y_mean"],
-            "link_intercept": p["link"].intercept, "link_coef": arr(p["link"].coef),
-        }
-    else:
-        out["params"] = {"train_z": arr(p["train_z"]), "train_y": arr(p["train_y"])}
-    return out
 
 
 def model_from_json(doc: dict) -> TrainedModel:
-    spec = ClassifierSpec(kind=doc["kind"], **doc["spec"])
-    std = StandardizationParams(np.array(doc["standardization"]["mean"]),
-                                np.array(doc["standardization"]["sd"]))
-    p = doc["params"]
-    kind = doc["kind"]
-    if kind == "logistic":
-        coef = np.array(p["coef"], dtype=float)
-        fit = LogisticFit(names=("intercept",) + tuple(doc["feature_names"]),
-                          intercept=float(p["intercept"]), coef=coef,
-                          se=np.zeros(coef.size + 1), p=np.ones(coef.size + 1),
-                          converged=True, iterations=0, penalized=False, ridge=0.0)
-        params = {"fit": fit}
-    elif kind in ("lda", "qda"):
-        params = {
-            "mu": [np.array(m) for m in p["mu"]],
-            "priors": np.array(p["priors"]),
-            "inv": [np.array(m) for m in p["inv"]],
-            "logdet": list(p["logdet"]),
-        }
-    elif kind == "pls":
-        coef = np.array([p["link_coef"]], dtype=float).ravel()
-        link = LogisticFit(names=("intercept", "latent"),
-                           intercept=float(p["link_intercept"]), coef=coef,
-                           se=np.zeros(2), p=np.ones(2),
-                           converged=True, iterations=0, penalized=False, ridge=0.0)
-        params = {"b": np.array(p["b"]), "x_mean": np.array(p["x_mean"]),
-                  "y_mean": float(p["y_mean"]), "link": link}
-    else:
-        params = {"train_z": np.array(p["train_z"]), "train_y": np.array(p["train_y"], dtype=int)}
-    return TrainedModel(spec=spec, feature_names=tuple(doc["feature_names"]),
-                        standardization=std, params=params)
+    """The model of a model_to_json entry; DataError when doc is not one."""
+    with malformed("model JSON"):
+        if doc["kind"] != "logistic":
+            raise DataError(f"kind must be logistic, got {doc['kind']!r}")
+        spec = ClassifierSpec(kind="logistic", **doc["spec"])
+        names = tuple(doc["feature_names"])
+        std = StandardizationParams(np.array(doc["standardization"]["mean"], dtype=float),
+                                    np.array(doc["standardization"]["sd"], dtype=float))
+        beta = np.array([doc["params"]["intercept"], *doc["params"]["coef"]], dtype=float)
+        if not std.mean.shape == beta[1:].shape == (len(names),):
+            raise DataError(f"{len(names)} feature names, {std.mean.size} standardization "
+                            f"columns and {beta.size - 1} coefficients")
+        if not np.all(np.isfinite(np.r_[beta, std.mean, std.sd])):
+            raise DataError("non-finite coefficients or standardization")
+    return TrainedModel(spec=spec, feature_names=names, standardization=std,
+                        params={"beta": beta})

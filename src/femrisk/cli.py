@@ -27,7 +27,7 @@ from .classifiers import (ClassifierSpec, model_from_json, model_to_json,
                           predict_scores, train)
 from .datamodel import (FE12, FeatureSet, build_feature_matrix, load_cohort,
                         save_cohort)
-from .errors import DataError, FemriskError, NumericalError
+from .errors import DataError, FemriskError, NumericalError, malformed
 from .evaluate import (CvConfig, ResampleConfig, build_report, cell_name,
                        compare_with_frax, fe9_matrix, fit_and_score, mix_seed,
                        run_lgocv, run_resample_comparison, stratified_split,
@@ -187,9 +187,11 @@ def cmd_fit(args) -> int:
 
 
 def _score_with_model(doc, cohort, stratum):
-    pca = pca_from_json(doc["pca"])
-    model = model_from_json(doc["classifier"])
-    feature_set = FeatureSet.parse(doc["feature_set"])
+    with malformed("model file"):
+        pca_doc, model_doc = doc["pca"], doc["classifier"]
+        feature_set = FeatureSet.parse(doc["feature_set"])
+    pca = pca_from_json(pca_doc)
+    model = model_from_json(model_doc)
     pc1 = risk_index(pca, fe9_matrix(cohort))
     x, y, _ = build_feature_matrix(cohort, feature_set, stratum, pc1)
     return predict_scores(model, x), y
@@ -278,6 +280,32 @@ def cmd_compare_frax(args) -> int:
     return 0
 
 
+def _report_lines(doc) -> list[str]:
+    cells = doc.get("cells", {})
+    lgocv = doc.get("lgocv", {})
+    lines = [f"stratum: {doc.get('stratum', '?')}   mode: {doc.get('mode', '?')}"
+             f"   seed: {doc.get('seed', '?')}"]
+    width = max([len(n) for n in cells] + [10])
+    lines.append(f"{'cell':<{width}}  {'resam AUC':>9}  {'SD':>6}  {'cv AUC':>7}  {'cv SD':>6}")
+    for name in sorted(cells):
+        c = cells[name]
+        l = lgocv.get(name, {})
+        cv_m = f"{l['auc_mean']:.3f}" if l else "   -  "
+        cv_s = f"{l['auc_sd']:.3f}" if l else "  -  "
+        lines.append(f"{name:<{width}}  {c['auc_mean']:>9.3f}  {c['auc_sd']:>6.3f}"
+                     f"  {cv_m:>7}  {cv_s:>6}")
+    comps = doc.get("comparisons", {})
+    if comps:
+        lines.append("paired one-sided tests:")
+        for name in sorted(comps):
+            lines.append(f"  {name}: t {comps[name]['t']:.3f}  p {comps[name]['p']:.3g}")
+    frax = doc.get("frax")
+    if frax:
+        lines.append(f"FRAX comparison ({frax['cell']}): model AUC {frax['auc_model']:.3f}"
+                     f" vs FRAX {frax['auc_frax']:.3f}, DeLong p {frax['p']:.3g}")
+    return lines
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
@@ -286,28 +314,9 @@ def cmd_report(args) -> int:
         raise DataError(f"report file not found: {args.input}")
     except json.JSONDecodeError as exc:
         raise DataError(f"bad report JSON: {exc}")
-    cells = doc.get("cells", {})
-    lgocv = doc.get("lgocv", {})
-    print(f"stratum: {doc.get('stratum', '?')}   mode: {doc.get('mode', '?')}"
-          f"   seed: {doc.get('seed', '?')}")
-    width = max([len(n) for n in cells] + [10])
-    print(f"{'cell':<{width}}  {'resam AUC':>9}  {'SD':>6}  {'cv AUC':>7}  {'cv SD':>6}")
-    for name in sorted(cells):
-        c = cells[name]
-        l = lgocv.get(name, {})
-        cv_m = f"{l['auc_mean']:.3f}" if l else "   -  "
-        cv_s = f"{l['auc_sd']:.3f}" if l else "  -  "
-        print(f"{name:<{width}}  {c['auc_mean']:>9.3f}  {c['auc_sd']:>6.3f}"
-              f"  {cv_m:>7}  {cv_s:>6}")
-    comps = doc.get("comparisons", {})
-    if comps:
-        print("paired one-sided tests:")
-        for name in sorted(comps):
-            print(f"  {name}: t {comps[name]['t']:.3f}  p {comps[name]['p']:.3g}")
-    frax = doc.get("frax")
-    if frax:
-        print(f"FRAX comparison ({frax['cell']}): model AUC {frax['auc_model']:.3f}"
-              f" vs FRAX {frax['auc_frax']:.3f}, DeLong p {frax['p']:.3g}")
+    with malformed("report JSON"):
+        lines = _report_lines(doc)
+    print("\n".join(lines))
     return 0
 
 

@@ -158,7 +158,6 @@ class Cohort:
     """
 
     records: tuple[SubjectRecord, ...]
-    dropped_count: int = 0
     table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -176,10 +175,6 @@ class Cohort:
 
     def __getitem__(self, i):
         return self.records[i]
-
-    @property
-    def n_fracture(self) -> int:
-        return int(self.table[:, _FX].sum())
 
     def _rows(self, idx: np.ndarray) -> "Cohort":
         records = self.records
@@ -243,14 +238,8 @@ def _parse_row(row: dict[str, str], line_no: int) -> SubjectRecord:
         raise DataError(msg) from None
 
 
-def load_cohort(path, policy: str = "strict") -> Cohort:
-    """Read and validate a cohort CSV.
-
-    policy "strict" raises on the first invalid row; "drop_invalid" skips
-    invalid rows and records how many were dropped.
-    """
-    if policy not in ("strict", "drop_invalid"):
-        raise ValueError(f"unknown policy {policy!r}")
+def load_cohort(path) -> Cohort:
+    """Read and validate a cohort CSV; the first invalid row raises."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -266,26 +255,16 @@ def load_cohort(path, policy: str = "strict") -> Cohort:
                 f"bad header: expected {','.join(COHORT_HEADER)}, got {','.join(header)}"
             )
         records = []
-        dropped = 0
         for line_no, raw in enumerate(reader, start=2):
             if not raw or all(not c.strip() for c in raw):
                 continue
             if len(raw) != len(COHORT_HEADER):
-                msg = f"line {line_no}: expected {len(COHORT_HEADER)} fields, got {len(raw)}"
-                if policy == "strict":
-                    raise DataError(msg)
-                dropped += 1
-                continue
-            row = dict(zip(COHORT_HEADER, raw))
-            try:
-                records.append(_parse_row(row, line_no))
-            except DataError:
-                if policy == "strict":
-                    raise
-                dropped += 1
+                raise DataError(
+                    f"line {line_no}: expected {len(COHORT_HEADER)} fields, got {len(raw)}")
+            records.append(_parse_row(dict(zip(COHORT_HEADER, raw)), line_no))
     if not records:
         raise DataError("empty cohort")
-    return Cohort(tuple(records), dropped_count=dropped)
+    return Cohort(tuple(records))
 
 
 def save_cohort(cohort: Cohort, path) -> None:
@@ -357,17 +336,6 @@ def standardize_apply(params: StandardizationParams, values: np.ndarray) -> np.n
             f"dimension mismatch: {x.shape[-1]} columns vs {params.mean.shape[-1]} params"
         )
     out = (x - params.mean[..., None, :]) / params.sd[..., None, :]
-    return out[:, 0] if squeeze else out
-
-
-def standardize_invert(params: StandardizationParams, values: np.ndarray) -> np.ndarray:
-    x = np.asarray(values, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    if x.shape[1] != params.mean.shape[0]:
-        raise DataError("dimension mismatch")
-    out = x * params.sd + params.mean
     return out[:, 0] if squeeze else out
 
 

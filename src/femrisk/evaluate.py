@@ -15,12 +15,13 @@ features are (B, n, p) stacks gathered from the stratum's columns, with
 the fold PCA of PC1 sets fit on every split's training rows at once.  Each
 classifier then trains and scores the whole block in one stacked fit
 (classifiers.train_and_score_stack), which skips the covariance, standard
-errors and p-values that cross-validation discards.  Each split's AUC
-equals what fit_and_score and auc_mann_whitney give for that split alone:
-the stacked kernels are the ones the single-fit API runs, and a logistic
-fit that the stacked IRLS cannot finish is refit on its own.  A block that
-raises is replayed split by split through fit_and_score, so the error is
-the one the first failing (split, feature set, classifier) cell raises.
+errors and p-values that cross-validation discards.  fit_and_score is a
+one-split call of the same feature builder (_feature_stacks) and of the
+same fit and score (train and predict_scores run the classifier's stacked
+pair on a stack of one), so each split's AUC equals what fit_and_score and
+auc_mann_whitney give for that split alone.  A block that raises is
+replayed split by split through fit_and_score, so the error is the one the
+first failing (split, feature set, classifier) cell raises.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import ClassifierSpec, predict_scores, train, train_and_score_stack
-from .datamodel import (FE9, Cohort, FeatureSet, build_feature_matrix,
+# build_feature_matrix, fit_pca and risk_index are not called here; they stay
+# importable because perfbench/tracing.py WRAPS traces them in this module.
+from .datamodel import (FE9, Cohort, FeatureSet, build_feature_matrix,  # noqa: F401
                         feature_columns, standardize_apply)
 from .errors import DataError, FemriskError
-from .stats.pca import PcaModel, fit_pca, fit_pca_stack, risk_index
+from .stats.pca import PcaModel, fit_pca, fit_pca_stack, risk_index  # noqa: F401
 from .stats.roc import (RocCurve, auc_mann_whitney, auc_rows, delong_compare,
                         roc_curve)
 from .stats.ttests import paired_one_sided_ttest
@@ -116,33 +119,25 @@ def fe9_matrix(cohort: Cohort) -> np.ndarray:
     return cohort.columns(FE9)
 
 
-def _feature_pair(train_cohort: Cohort, test_cohort: Cohort,
-                  feature_set: FeatureSet, stratum: str,
-                  pca_full: Optional[PcaModel]):
-    """Train and test feature matrices of one split for one feature set.
-
-    PCA for PC1 feature sets is fit on the training cohort only unless a
-    prefit whole-sample model is supplied (paper mode).
-    """
-    pc1_train = pc1_test = None
-    if feature_set.kind == "PC1_ABMD_COV":
-        pca = pca_full if pca_full is not None else fit_pca(fe9_matrix(train_cohort))
-        pc1_train = risk_index(pca, fe9_matrix(train_cohort))
-        pc1_test = risk_index(pca, fe9_matrix(test_cohort))
-    x_tr, y_tr, cols = build_feature_matrix(train_cohort, feature_set, stratum, pc1_train)
-    x_te, y_te, _ = build_feature_matrix(test_cohort, feature_set, stratum, pc1_test)
-    return x_tr, y_tr, x_te, y_te, cols
-
-
 def fit_and_score(train_cohort: Cohort, test_cohort: Cohort,
                   feature_set: FeatureSet, spec: ClassifierSpec,
                   stratum: str = "all",
                   pca_full: Optional[PcaModel] = None):
-    """Fit the full pipeline on the training cohort and score the test one."""
-    x_tr, y_tr, x_te, y_te, cols = _feature_pair(train_cohort, test_cohort,
-                                                 feature_set, stratum, pca_full)
-    model = train(spec, x_tr, y_tr, cols)
-    return predict_scores(model, x_te), y_te, model
+    """Fit the full pipeline on the training cohort and score the test one.
+
+    One split of the split loop: the two strata are joined, train rows
+    first, and _feature_stacks builds that split's features, so PCA for
+    PC1 feature sets is fit on the training rows only unless a prefit
+    whole-sample model is supplied (paper mode).
+    """
+    tr_c, te_c = train_cohort.stratum(stratum), test_cohort.stratum(stratum)
+    both = Cohort(tr_c.records + te_c.records,
+                  table=np.concatenate([tr_c.table, te_c.table]))
+    tr, te = np.arange(len(tr_c)), np.arange(len(tr_c), len(both))
+    x_tr, x_te = _feature_stacks(both, feature_set, stratum, tr[None], te[None], pca_full)
+    y = both.labels()
+    model = train(spec, x_tr[0], y[tr], feature_columns(feature_set, stratum))
+    return predict_scores(model, x_te[0]), y[te], model
 
 
 def cell_name(feature_set: FeatureSet, spec: ClassifierSpec) -> str:
@@ -151,9 +146,9 @@ def cell_name(feature_set: FeatureSet, spec: ClassifierSpec) -> str:
 
 def _feature_stacks(sub: Cohort, feature_set: FeatureSet, stratum: str,
                     tr: np.ndarray, te: np.ndarray, pca_full: Optional[PcaModel]):
-    """Train and test feature stacks (B, n, p) of a block of splits with
-    train rows tr (B, n) and test rows te (B, m) of the stratum sub: the
-    matrices _feature_pair builds for each split."""
+    """Train and test feature stacks (B, n, p) and (B, m, p) of a block of
+    splits with train rows tr (B, n) and test rows te (B, m) of the stratum
+    sub, in the column order of feature_columns."""
     cols = feature_columns(feature_set, stratum)
     if "frax_prob" in cols:
         missing = sub.missing_frax()

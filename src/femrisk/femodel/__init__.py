@@ -6,7 +6,7 @@ from .grid import VoxelGrid, load_grid, rotate_grid, save_grid, uniform_grid
 from .loadcases import (LOAD_CASES, FeResult, LoadCase, compute_fe_parameters,
                         extract_result, solve_load_case)
 from .material import (MaterialModel, ash_density, element_fields,
-                       element_properties, material_from_file, material_to_file)
+                       material_from_file, material_to_file)
 from .solver import (BoundaryCondition, SolveControl, fall_bc, solve, stance_bc)
 
 # Name of the radial-return implementation, recorded with benchmark results.
@@ -20,7 +20,7 @@ __all__ = [
     "VoxelGrid", "load_grid", "rotate_grid", "save_grid", "uniform_grid",
     "LOAD_CASES", "FeResult", "LoadCase", "compute_fe_parameters",
     "extract_result", "solve_load_case",
-    "MaterialModel", "ash_density", "element_fields", "element_properties",
+    "MaterialModel", "ash_density", "element_fields",
     "material_from_file", "material_to_file",
     "BoundaryCondition", "SolveControl", "fall_bc", "solve", "stance_bc",
 ]

@@ -1,5 +1,5 @@
 """Density-dependent material: ash-density conversion and the power-law
-modulus / yield-stress maps, with element-level property averaging.
+modulus / yield-stress maps, evaluated per voxel element.
 """
 
 from __future__ import annotations
@@ -87,27 +87,6 @@ def element_fields(grid: VoxelGrid, material: MaterialModel):
     """
     rho_ash = ash_density(grid.rho_cha)
     return material.modulus(rho_ash), material.yield_stress(rho_ash)
-
-
-def element_properties(grid: VoxelGrid, element_index, material: MaterialModel,
-                       span=(1, 1, 1)):
-    """Volume-fraction-weighted element properties.
-
-    element_index addresses an element made of `span` voxels per axis
-    starting at voxel element_index * span.  Properties are computed per
-    voxel and averaged with equal volume fractions (the lattice is uniform).
-    """
-    ex, ey, ez = element_index
-    sx, sy, sz = span
-    nx, ny, nz = grid.dims
-    x0, y0, z0 = ex * sx, ey * sy, ez * sz
-    if x0 < 0 or y0 < 0 or z0 < 0 or x0 + sx > nx or y0 + sy > ny or z0 + sz > nz:
-        raise DataError(f"element index {element_index} out of range for span {span}")
-    block = grid.rho_cha[x0:x0 + sx, y0:y0 + sy, z0:z0 + sz]
-    rho_ash = ash_density(block)
-    e = float(np.mean(material.modulus(rho_ash)))
-    sy_ = float(np.mean(material.yield_stress(rho_ash)))
-    return max(e, material.E_min), sy_
 
 
 def material_to_file(material: MaterialModel, control, path) -> None:

@@ -6,7 +6,7 @@ from .logistic import LogisticFit, fit_logistic
 from .pca import (PcaModel, fit_pca, pc_scores, pca_from_json, pca_to_json,
                   risk_index, select_significant_pcs)
 from .roc import (DeLongResult, RocCurve, auc_mann_whitney, delong_compare,
-                  roc_auc, roc_curve)
+                  roc_curve)
 from .ttests import (TTestResult, paired_one_sided_ttest, ttest_from_summary,
                      two_sample_ttest)
 
@@ -16,6 +16,6 @@ __all__ = [
     "PcaModel", "fit_pca", "pc_scores", "pca_from_json", "pca_to_json",
     "risk_index", "select_significant_pcs",
     "DeLongResult", "RocCurve", "auc_mann_whitney", "delong_compare",
-    "roc_auc", "roc_curve",
+    "roc_curve",
     "TTestResult", "paired_one_sided_ttest", "ttest_from_summary", "two_sample_ttest",
 ]

@@ -43,11 +43,6 @@ class LogisticFit:
         """Full coefficient vector, intercept first."""
         return np.r_[self.intercept, self.coef]
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        eta = self.intercept + x @ self.coef
-        return _sigmoid(eta)
-
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     out = np.empty_like(eta, dtype=float)
@@ -209,8 +204,8 @@ def fit_logistic(y, x, ridge: float = 0.0, names=None) -> LogisticFit:
 
 
 def predict_proba_stack(beta, x) -> np.ndarray:
-    """LogisticFit.predict_proba of each fit in a stack: beta (B, k + 1)
-    with the intercept first, x (B, m, k)."""
+    """Pr(y = 1) at the rows x (B, m, k) of each fit in a stack: beta
+    (B, k + 1) with the intercept first."""
     return _sigmoid(beta[:, :1] + (x @ beta[:, 1:, None])[:, :, 0])
 
 

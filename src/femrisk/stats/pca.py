@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datamodel import FE9, StandardizationParams, standardize_apply, standardize_fit
-from ..errors import DataError
+from ..errors import DataError, malformed
 from .logistic import fit_logistic
 
 
@@ -106,7 +106,7 @@ def pca_to_json(model: PcaModel) -> dict:
 
 
 def pca_from_json(doc: dict) -> PcaModel:
-    try:
+    with malformed("PCA model JSON"):
         params = StandardizationParams(mean=np.array(doc["mean"], dtype=float),
                                        sd=np.array(doc["sd"], dtype=float))
         return PcaModel(standardization=params,
@@ -114,8 +114,6 @@ def pca_from_json(doc: dict) -> PcaModel:
                         eigenvalues=np.array(doc["eigenvalues"], dtype=float),
                         variance_shares=np.array(doc["variance_shares"], dtype=float),
                         column_names=tuple(doc["column_names"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed PCA model JSON: {exc}") from exc
 
 
 def select_significant_pcs(scores, labels, alpha: float = 0.05):

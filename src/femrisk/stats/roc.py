@@ -104,11 +104,6 @@ def auc_rows(scores, labels):
     return u / (n_pos * n_neg)
 
 
-def roc_auc(scores, labels):
-    """ROC curve plus Mann-Whitney AUC.  Higher score = positive class."""
-    return roc_curve(scores, labels), auc_mann_whitney(scores, labels)
-
-
 def _placements(scores: np.ndarray, y: np.ndarray):
     """DeLong structural components (placement values) for one score vector.
 

@@ -80,6 +80,61 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: ") and bad in err[0]
 
 
+@pytest.fixture(scope="module")
+def model_doc(tmp_path_factory, cohort_csv):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert dispatch(["fit", "--cohort", str(cohort_csv), "--out", str(path)]) == 0
+    return load_strict_json(path)
+
+
+class TestMalformedFiles:
+    # Each edit turns the model file `fit` wrote into a malformed one.
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("classifier"),
+        lambda doc: doc["classifier"]["spec"].update(depth=3),
+        lambda doc: doc["classifier"].pop("params"),
+        lambda doc: doc.update(classifier=[doc["classifier"]]),
+        lambda doc: doc["classifier"].update(kind="lda"),
+        lambda doc: doc["classifier"]["params"]["coef"].pop(),
+        lambda doc: doc["classifier"]["standardization"]["sd"].append(1.0),
+        lambda doc: doc["classifier"]["params"].update(intercept=None),
+        lambda doc: doc.pop("pca"),
+    ], ids=["no_classifier", "unknown_spec_field", "no_params", "classifier_list",
+            "kind_lda", "coef_count", "sd_count", "null_intercept", "no_pca"])
+    def test_model_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, edit):
+        doc = json.loads(json.dumps(model_doc))
+        edit(doc)
+        self._assert_exit_2(tmp_path, capsys, cohort_csv, doc)
+
+    def test_model_json_list_exit_2(self, tmp_path, capsys, cohort_csv, model_doc):
+        self._assert_exit_2(tmp_path, capsys, cohort_csv, [model_doc])
+
+    @staticmethod
+    def _assert_exit_2(tmp_path, capsys, cohort_csv, doc):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert dispatch(["compare-frax", "--cohort", str(cohort_csv), "--model", str(model),
+                         "--out", str(tmp_path / "d.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed model")
+        assert not (tmp_path / "d.json").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"cells": {"ABMD_COV|logistic": {"auc_sd": 0.1}}},
+        {"cells": {"ABMD_COV|logistic": {"auc_mean": "0.7", "auc_sd": 0.1}}},
+        {"cells": {}, "frax": {"cell": "ABMD_COV|logistic"}},
+        [],
+    ], ids=["no_auc_mean", "string_auc_mean", "frax_without_aucs", "list"])
+    def test_report_exit_2(self, tmp_path, capsys, doc):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        assert dispatch(["report", "--input", str(report)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed report JSON")
+        assert captured.out == ""
+
+
 class TestSynth:
     def test_row_count_and_determinism(self, tmp_path, cohort_csv):
         cohort = load_cohort(cohort_csv)

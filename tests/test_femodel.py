@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from femrisk.errors import DataError
-from femrisk.femodel import (MaterialModel, SolveControl, ash_density,
-                             element_properties, load_grid,
+from femrisk.femodel import (MaterialModel, SolveControl, ash_density, load_grid,
                              material_from_file, material_to_file,
                              rotate_grid, save_grid, uniform_grid)
 from femrisk.femodel.curves import (YIELD_CLUSTER_SIZE, ForceDisplacementCurve,
@@ -100,15 +99,6 @@ class TestRotation:
         # (a model limitation the README states).
         g = uniform_grid((n, n, 2), 0.3)
         assert rotate_grid(g, 45.0).rho_cha.sum() / g.rho_cha.sum() == pytest.approx(kept)
-
-
-class TestElementProperties:
-    def test_volume_average(self):
-        g = uniform_grid((2, 1, 1), 0.3)
-        e, sy = element_properties(g, (0, 0, 0), MaterialModel(), span=(1, 1, 1))
-        m = MaterialModel()
-        assert e == pytest.approx(m.modulus(ash_density(0.3)))
-        assert sy == pytest.approx(m.yield_stress(ash_density(0.3)))
 
 
 def curve(forces, clusters=None, disp=None):

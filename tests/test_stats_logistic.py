@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 from femrisk.errors import DataError, NumericalError
 from femrisk.stats import fit_logistic
 from femrisk.stats.logistic import (CONVERGED, SINGULAR, _irls, _irls_stack,
-                                    fit_logistic_stack)
+                                    fit_logistic_stack, predict_proba_stack)
 
 
 def nll(beta, y, xd):
@@ -42,7 +42,7 @@ class TestFitLogistic:
         y = (x[:, 0] + rng.normal(scale=0.5, size=50) > 0).astype(int)
         fit = fit_logistic(y, x)
         grid = np.linspace(-3, 3, 20)[:, None]
-        p = fit.predict_proba(grid)
+        p = predict_proba_stack(fit.beta[None], grid[None])[0]
         assert np.all((p > 0) & (p < 1))
         assert np.all(np.diff(p) > 0)  # positive slope on this fixture
 
