@@ -15,6 +15,15 @@ linear solve goes through the module-level spsolve, which tries band
 Cholesky, then band LU on the mirrored band (softening: indefinite), then,
 for a Newton step, band LU on K + 1e-10 max(diag K, 1) I (singular), at
 O(n bw^2) for n free dofs (Golub & Van Loan, Matrix Computations, 4.3).
+
+An increment tries a predictor and at most NEWTON_CAP Newton iterations; an
+attempt whose residual passes NEWTON_DIVERGE times its reference (or is not
+finite) is given up at once, before that iteration's solve.  A failed
+attempt restores the committed state and the increment is retried in 2, 4,
+8, then 16 substeps.  The bound never changes what an attempt commits; it
+could move a curve only by cutting an attempt that would still converge, and
+no converged attempt on the checked shell/core phantoms rose past 1.66x its
+reference.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .material import MaterialModel, element_fields
 from .plasticity import radial_return_batch
 
 NEWTON_CAP = 40
+NEWTON_DIVERGE = 10.0
 GAUSS = 1.0 / np.sqrt(3.0)
 
 
@@ -305,7 +315,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         """One predictor + Newton solve to the given driven displacement.
 
         Commits the plastic state on success and returns the internal
-        force vector; raises NumericalError if Newton stalls.
+        force vector; raises NumericalError if Newton stalls or diverges.
         """
         nonlocal eps_p, alpha, tang_c
         # Predictor: linearized response to the prescribed displacement bump,
@@ -335,6 +345,8 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
                 alpha = alpha_new
                 tang_c = tang
                 return f_int
+            if not res_norm <= NEWTON_DIVERGE * ref:
+                raise NumericalError("Newton diverged")
             du = spsolve(tangent_band(element_stiffness(tang, b_mats, wdet)), -res)
             if not np.all(np.isfinite(du)):
                 raise NumericalError("linear solve failed")

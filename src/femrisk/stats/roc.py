@@ -39,13 +39,20 @@ def _check_labels(labels) -> np.ndarray:
     return y
 
 
+def _finite_scores(scores) -> np.ndarray:
+    s = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise DataError("scores must be finite")
+    return s
+
+
 def roc_curve(scores, labels) -> RocCurve:
     """ROC via a sweep over the unique score values as thresholds.
 
     A point (fpr, tpr) at threshold t classifies score >= t as positive.
     """
     y = _check_labels(labels)
-    s = np.asarray(scores, dtype=float)
+    s = _finite_scores(scores)
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     y_sorted = y[order]
@@ -92,9 +99,7 @@ def auc_rows(scores, labels):
     """auc_mann_whitney along the last axis: one AUC per row of a (B, m)
     score stack, against 0/1 labels of the same shape whose rows each hold
     both classes."""
-    s = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise DataError("scores must be finite")
+    s = _finite_scores(scores)
     pos = np.asarray(labels) == 1
     n_pos = pos.sum(axis=-1)
     n_neg = pos.shape[-1] - n_pos
@@ -132,8 +137,8 @@ def delong_compare(scores_a, scores_b, labels, direction="a_greater") -> DeLongR
     if direction not in ("a_greater", "b_greater"):
         raise ValueError(f"unknown direction {direction!r}")
     y = _check_labels(labels)
-    a = np.asarray(scores_a, dtype=float)
-    b = np.asarray(scores_b, dtype=float)
+    a = _finite_scores(scores_a)
+    b = _finite_scores(scores_b)
     if a.shape != b.shape or a.shape[0] != y.shape[0]:
         raise DataError("score vectors and labels must have equal length")
     auc_a, v10_a, v01_a = _placements(a, y)

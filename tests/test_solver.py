@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from femrisk.femodel import (MaterialModel, SolveControl,
+from femrisk.errors import NumericalError
+from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl,
                              ash_density, compute_fe_parameters, fall_bc,
-                             solve, stance_bc, uniform_grid)
+                             solve, solve_load_case, stance_bc, uniform_grid)
 from femrisk.femodel.curves import energy_to_failure
 from femrisk.femodel.grid import VoxelGrid
 from femrisk.femodel.plasticity import radial_return_batch
@@ -492,3 +493,74 @@ class TestSolveLadder:
             k[cols - d, cols] = full[r, cols]
         assert np.linalg.eigvalsh(k).min() < 0.0
         assert _max_rel(x, np.linalg.solve(k, b)) <= 1e-10
+
+
+def _shell_core_phantom():
+    """3x3x12 voxels at 3 mm: a 0.9 g/cm^3 shell around a 0.25 core, each
+    voxel jittered by up to 5 % with default_rng(5)."""
+    dims = (3, 3, 12)
+    ix, iy = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    shell = (ix == 0) | (iy == 0) | (ix == 2) | (iy == 2)
+    nominal = np.where(shell, 0.9, 0.25)[:, :, None]
+    texture = np.random.default_rng(5).uniform(-0.05, 0.05, size=dims)
+    return VoxelGrid(nominal * (1.0 + texture), 3.0)
+
+
+@pytest.fixture
+def solve_log(monkeypatch):
+    """Records (regularize, |rhs|) for every spsolve call of the solver:
+    regularize is False for a predictor and True for a Newton step."""
+    log = []
+
+    def counting(kb, b, regularize=True):
+        log.append((regularize, float(np.linalg.norm(b))))
+        return spsolve(kb, b, regularize)
+
+    monkeypatch.setattr(solver, "spsolve", counting)
+    return log
+
+
+class TestNewtonDivergence:
+    """advance gives up once the residual passes NEWTON_DIVERGE times its
+    reference, which saves solves without moving a committed state as long
+    as only attempts that would fail pass it."""
+
+    def test_bound_changes_no_curve_and_saves_solves(self, monkeypatch, solve_log):
+        grid, m, c = _shell_core_phantom(), MaterialModel(), SolveControl()
+
+        def run():
+            del solve_log[:]
+            return [solve_load_case(grid, m, case, c) for case in LOAD_CASES], len(solve_log)
+
+        bounded, n_bounded = run()
+        monkeypatch.setattr(solver, "NEWTON_DIVERGE", np.inf)
+        unbounded, n_unbounded = run()
+        for a, b in zip(bounded, unbounded):
+            for name in ("displacement", "force", "yielded_counts", "cluster_sizes"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        # Same curves, fewer solves: the bound fired and cut only failures.
+        assert n_bounded <= 200 < 300 < n_unbounded
+
+    def test_exhausted_ladder_raises(self, solve_log):
+        # Elastic and 1e-300 relative: only an exactly zero residual would
+        # converge, so every attempt of the ladder runs to NEWTON_CAP.
+        g = uniform_grid((1, 1, 2), RHO)
+        c = SolveControl(increment=0.01, max_increments=3, tolerance=1e-300)
+        with pytest.raises(NumericalError, match="Newton failed to converge at increment 1"):
+            solve(g, elastic_material(), stance_bc(g.dims), c)
+        newton = [norm for regularize, norm in solve_log if regularize]
+        assert newton and min(newton) > 0.0
+        assert len(solve_log) <= 31 * (solver.NEWTON_CAP + 1)
+
+    def test_non_finite_residual_skips_newton_solves(self, monkeypatch, solve_log):
+        def nan_stress(*args):
+            stress, tang, eps_p, alpha = radial_return_batch(*args)
+            return np.full_like(stress, np.nan), tang, eps_p, alpha
+
+        monkeypatch.setattr(solver, "radial_return_batch", nan_stress)
+        g = uniform_grid((1, 1, 2), RHO)
+        with pytest.raises(NumericalError, match="Newton failed to converge at increment 1"):
+            solve(g, elastic_material(), stance_bc(g.dims), SolveControl(increment=0.01))
+        # One predictor per attempt of the five-rung substep ladder.
+        assert [regularize for regularize, _ in solve_log] == [False] * 5

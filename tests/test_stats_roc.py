@@ -56,6 +56,12 @@ class TestRocCurve:
         assert area == pytest.approx(auc_mann_whitney(s, y), abs=1e-12)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(DataError, match="scores must be finite"):
+            roc_curve([0.1, bad, 0.3, 0.4], [0, 0, 1, 1])
+
+
 class TestDeLong:
     def test_identical_scores(self, rng):
         y = rng.integers(0, 2, size=40)
@@ -101,6 +107,15 @@ class TestDeLong:
     def test_mismatched_lengths(self):
         with pytest.raises(DataError):
             delong_compare([1.0, 2.0], [1.0], [0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_scores_rejected(self, bad, side):
+        y = np.array([0, 0, 1, 1])
+        scores = {"a": np.array([1.0, 2.0, 3.0, 4.0]), "b": np.array([2.0, 1.0, 4.0, 3.0])}
+        scores[side][1] = bad
+        with pytest.raises(DataError, match="scores must be finite"):
+            delong_compare(scores["a"], scores["b"], y)
 
     def test_zero_variance_nonzero_delta(self):
         y = np.array([0, 0, 1, 1])
