@@ -25,17 +25,17 @@ import numpy as np
 
 from .classifiers import (ClassifierSpec, model_from_json, model_to_json,
                           predict_scores, train)
-from .datamodel import (FE12, FeatureSet, build_feature_matrix, load_cohort,
-                        save_cohort)
+from .datamodel import FE12, FeatureSet, feature_columns, load_cohort, save_cohort
 from .errors import DataError, FemriskError, NumericalError, malformed
-from .evaluate import (CvConfig, ResampleConfig, build_report, cell_name,
-                       compare_with_frax, fe9_matrix, fit_and_score, mix_seed,
-                       run_lgocv, run_resample_comparison, stratified_split,
+from .evaluate import (CvConfig, ResampleConfig, build_feature_matrix,
+                       build_report, cell_name, compare_with_frax, fe9_matrix,
+                       fit_and_score, mix_seed, run_lgocv,
+                       run_resample_comparison, stratified_split_indices,
                        write_roc_csv)
 from .femodel import (MaterialModel, SolveControl, compute_fe_parameters,
                       load_grid, material_from_file)
 from .stats.pca import (fit_pca, pc_scores, pca_from_json, pca_to_json,
-                        risk_index, select_significant_pcs)
+                        select_significant_pcs)
 from .synth import default_spec, generate_cohort, load_spec
 
 STRATA = ("all", "male", "female")
@@ -156,16 +156,24 @@ def cmd_fe(args) -> int:
     return 0
 
 
+def _every_row(cohort, feature_set, stratum, pca):
+    """Features of every row of the stratum cohort, with PC1 projected on pca."""
+    rows = np.arange(len(cohort))[None]
+    return build_feature_matrix(cohort, feature_set, stratum, rows, rows[:, :0], pca)[0][0]
+
+
 def cmd_fit(args) -> int:
     cohort = load_cohort(args.cohort).stratum(args.stratum)
     feature_set = FeatureSet.parse(args.features)
-    pca = fit_pca(fe9_matrix(cohort))
-    scores = pc_scores(pca, fe9_matrix(cohort))
+    fe9 = fe9_matrix(cohort)
+    pca = fit_pca(fe9)
+    scores = pc_scores(pca, fe9)
     n_check = min(4, scores.shape[1])
-    retained, pvals = select_significant_pcs(scores[:, :n_check], cohort.labels())
-    pc1 = risk_index(pca, fe9_matrix(cohort))
-    x, y, cols = build_feature_matrix(cohort, feature_set, args.stratum, pc1)
-    model = train(ClassifierSpec("logistic"), x, y, cols)
+    y = cohort.labels()
+    retained, pvals = select_significant_pcs(scores[:, :n_check], y)
+    x = _every_row(cohort, feature_set, args.stratum, pca)
+    model = train(ClassifierSpec("logistic"), x, y,
+                  feature_columns(feature_set, args.stratum))
     doc = {
         "stratum": args.stratum,
         "feature_set": feature_set.name,
@@ -192,9 +200,11 @@ def _score_with_model(doc, cohort, stratum):
         feature_set = FeatureSet.parse(doc["feature_set"])
     pca = pca_from_json(pca_doc)
     model = model_from_json(model_doc)
-    pc1 = risk_index(pca, fe9_matrix(cohort))
-    x, y, _ = build_feature_matrix(cohort, feature_set, stratum, pc1)
-    return predict_scores(model, x), y
+    cols = feature_columns(feature_set, stratum)
+    if list(model.feature_names) != cols:
+        raise DataError(f"malformed model file: feature_names {list(model.feature_names)} "
+                        f"are not the {feature_set.name} columns {cols}")
+    return predict_scores(model, _every_row(cohort, feature_set, stratum, pca))
 
 
 def cmd_evaluate(args) -> int:
@@ -205,8 +215,9 @@ def cmd_evaluate(args) -> int:
     print(f"mode: {mode}")
 
     pca_full = fit_pca(fe9_matrix(cohort)) if args.paper_mode else None
-    train_c, _ = stratified_split(cohort, args.holdout_fraction,
-                                  mix_seed(args.seed, 0, 0))
+    tr, _ = stratified_split_indices(cohort.labels(), args.holdout_fraction,
+                                     mix_seed(args.seed, 0, 0))
+    train_c = cohort.subset(tr)
     cv_cfg = CvConfig(train_fraction=args.cv_fraction, repeats=args.repeats,
                       seed=mix_seed(args.seed, 1, 0))
     rs_cfg = ResampleConfig(resamples=args.resamples,
@@ -227,7 +238,7 @@ def cmd_evaluate(args) -> int:
     }
     if not args.skip_frax and not cohort.missing_frax():
         fs0, sp0 = feature_sets[0], specs[0]
-        scores_all, _, _ = fit_and_score(train_c, cohort, fs0, sp0,
+        scores_all, _, _ = fit_and_score(cohort, tr, np.arange(len(cohort)), fs0, sp0,
                                          args.stratum, pca_full)
         dl, roc_m, roc_f = compare_with_frax(cohort, scores_all)
         extra["frax"] = {
@@ -266,7 +277,7 @@ def cmd_compare_frax(args) -> int:
         raise DataError(f"model file not found: {args.model}")
     except json.JSONDecodeError as exc:
         raise DataError(f"bad model JSON: {exc}")
-    scores, _ = _score_with_model(doc, cohort, args.stratum)
+    scores = _score_with_model(doc, cohort, args.stratum)
     dl, roc_m, roc_f = compare_with_frax(cohort, scores)
     _write_json({"auc_model": dl.auc_a, "auc_frax": dl.auc_b,
                  "delta": dl.auc_a - dl.auc_b, "z": dl.z, "p": dl.p,

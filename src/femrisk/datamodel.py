@@ -6,12 +6,13 @@ The cohort CSV format is fixed: comma separated, UTF-8, header exactly
     Sy,Su,Senergy,Py,Pu,Penergy,PLy,PLu,PLenergy,Ly,Lu,Lenergy,frax_prob
 
 (one line, shown wrapped) with sex in {M, F} and frax_prob left blank when
-absent.  Column order in every feature matrix is deterministic and matches
-the lists documented on :func:`build_feature_matrix`.
+absent.  Column order in every feature matrix is deterministic and is the
+list :func:`feature_columns` returns.
 
 A :class:`Cohort` keeps its validated records for I/O and, built once from
 them, one float table with a column per name in :data:`TABLE_COLUMNS`.
-Subsets, strata, labels and feature matrices are gathers on that table.
+Subsets, strata, labels and the feature matrices of
+:func:`femrisk.evaluate.build_feature_matrix` are gathers on that table.
 """
 
 from __future__ import annotations
@@ -402,7 +403,13 @@ def _covariate_columns(stratum: str) -> list[str]:
 
 
 def feature_columns(feature_set: FeatureSet, stratum: str) -> list[str]:
-    """Deterministic column order for a feature set under a stratum."""
+    """Deterministic column order for a feature set under a stratum.
+
+    Optional leading pc1 / FE columns, then abmd_ct, then the covariate
+    block (age, sex, height, weight, healstat, bmdmed) with sex encoded
+    female=0 / male=1 and dropped when stratum != all; FRAX_ONLY is the
+    frax_prob column alone.
+    """
     cov = _covariate_columns(stratum)
     k = feature_set.kind
     if k == "ABMD_COV":
@@ -414,33 +421,3 @@ def feature_columns(feature_set: FeatureSet, stratum: str) -> list[str]:
     if k == "SINGLE_FE_ABMD_COV":
         return [feature_set.fe_param, "abmd_ct"] + cov
     return ["frax_prob"]
-
-
-def build_feature_matrix(
-    cohort: Cohort,
-    feature_set: FeatureSet,
-    stratum: str = "all",
-    pc1_scores: Optional[np.ndarray] = None,
-):
-    """Assemble (X, y, column_names) for a cohort stratum.
-
-    Column order: optional leading pc1 / FE columns, then abmd_ct, then the
-    covariate block (age, sex, height, weight, healstat, bmdmed) with sex
-    encoded female=0 / male=1 and dropped when stratum != all.  pc1_scores
-    must align with the (already stratified) cohort when a PC1 set is used.
-    """
-    sub = cohort.stratum(stratum)
-    if pc1_scores is not None and len(pc1_scores) != len(sub):
-        raise DataError("pc1_scores length does not match stratified cohort")
-    cols = feature_columns(feature_set, stratum)
-    if cols[0] == "pc1":
-        if pc1_scores is None:
-            raise DataError("pc1 scores required for a PC1 feature set")
-        x = np.column_stack([np.asarray(pc1_scores, dtype=float), sub.columns(cols[1:])])
-    else:
-        x = sub.columns(cols)
-    if "frax_prob" in cols:
-        missing = sub.missing_frax()
-        if missing:
-            raise DataError(f"subject {missing[0]}: frax_prob missing but required")
-    return x, sub.labels(), cols

@@ -9,19 +9,19 @@ driven by a seed derived from (base_seed, split, draw) through a 64-bit
 mixing function, so the whole report is a pure function of (cohort,
 config, seed).
 
-The loop works on blocks of BLOCK splits.  Stratified splits of one cohort
-all have the same train and test sizes and class counts, so a block's
-features are (B, n, p) stacks gathered from the stratum's columns, with
-the fold PCA of PC1 sets fit on every split's training rows at once.  Each
-classifier then trains and scores the whole block in one stacked fit
-(classifiers.train_and_score_stack), which skips the covariance, standard
-errors and p-values that cross-validation discards.  fit_and_score is a
-one-split call of the same feature builder (_feature_stacks) and of the
-same fit and score (train and predict_scores run the classifier's stacked
-pair on a stack of one), so each split's AUC equals what fit_and_score and
-auc_mann_whitney give for that split alone.  A block that raises is
-replayed split by split through fit_and_score, so the error is the one the
-first failing (split, feature set, classifier) cell raises.
+Every command builds features with one function, build_feature_matrix: it
+gathers the train and test rows of a block of splits by row index from the
+stratum's columns, with PC1 on a given PCA or on a fold PCA fit on each
+split's training rows.  Stratified splits of one cohort all have the same
+train and test sizes and class counts, so the loop works on blocks of BLOCK
+splits as (B, n, p) stacks, and each classifier trains and scores a block
+in one stacked fit (classifiers.train_and_score_stack), which skips the
+covariance, standard errors and p-values that cross-validation discards.
+fit_and_score is a one-split call of the same builder, fit and score, so
+each split's AUC equals what fit_and_score and auc_mann_whitney give for
+that split alone.  A block that raises is replayed split by split through
+fit_and_score, so the error is the one the first failing (split, feature
+set, classifier) cell raises.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import ClassifierSpec, predict_scores, train, train_and_score_stack
-# build_feature_matrix, fit_pca and risk_index are not called here; they stay
-# importable because perfbench/tracing.py WRAPS traces them in this module.
-from .datamodel import (FE9, Cohort, FeatureSet, build_feature_matrix,  # noqa: F401
-                        feature_columns, standardize_apply)
+from .datamodel import FE9, Cohort, FeatureSet, feature_columns, standardize_apply
 from .errors import DataError, FemriskError
+# fit_pca and risk_index are not called here; they stay importable because
+# perfbench/tracing.py WRAPS traces them in this module.
 from .stats.pca import PcaModel, fit_pca, fit_pca_stack, risk_index  # noqa: F401
 from .stats.roc import (RocCurve, auc_mann_whitney, auc_rows, delong_compare,
                         roc_curve)
@@ -92,7 +91,10 @@ class ResampleConfig:
 
 
 def stratified_split_indices(labels, fraction: float, seed: int):
-    """Class-proportion-preserving index split (sorted within each side)."""
+    """Class-proportion-preserving index split (sorted within each side)
+    with a train share of fraction, in (0, 1)."""
+    if not 0.0 < fraction < 1.0:
+        raise DataError(f"train fraction must be in (0, 1), got {fraction}")
     y = np.asarray(labels, dtype=int)
     rng = np.random.default_rng(seed)
     train_idx = []
@@ -109,33 +111,23 @@ def stratified_split_indices(labels, fraction: float, seed: int):
     return (np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx)))
 
 
-def stratified_split(cohort: Cohort, fraction: float = 0.8, seed: int = 0):
-    """Split a cohort into (train, test) preserving the fracture mix."""
-    tr, te = stratified_split_indices(cohort.labels(), fraction, seed)
-    return cohort.subset(tr), cohort.subset(te)
-
-
 def fe9_matrix(cohort: Cohort) -> np.ndarray:
     return cohort.columns(FE9)
 
 
-def fit_and_score(train_cohort: Cohort, test_cohort: Cohort,
+def fit_and_score(cohort: Cohort, tr: np.ndarray, te: np.ndarray,
                   feature_set: FeatureSet, spec: ClassifierSpec,
-                  stratum: str = "all",
-                  pca_full: Optional[PcaModel] = None):
-    """Fit the full pipeline on the training cohort and score the test one.
+                  stratum: str = "all", pca_full: Optional[PcaModel] = None):
+    """Fit the full pipeline on rows tr of the stratum cohort and score its
+    rows te.
 
-    One split of the split loop: the two strata are joined, train rows
-    first, and _feature_stacks builds that split's features, so PCA for
-    PC1 feature sets is fit on the training rows only unless a prefit
-    whole-sample model is supplied (paper mode).
+    One split of the split loop: build_feature_matrix builds that split's
+    features, so PCA for PC1 feature sets is fit on the training rows only
+    unless a prefit whole-sample model is supplied (paper mode).
     """
-    tr_c, te_c = train_cohort.stratum(stratum), test_cohort.stratum(stratum)
-    both = Cohort(tr_c.records + te_c.records,
-                  table=np.concatenate([tr_c.table, te_c.table]))
-    tr, te = np.arange(len(tr_c)), np.arange(len(tr_c), len(both))
-    x_tr, x_te = _feature_stacks(both, feature_set, stratum, tr[None], te[None], pca_full)
-    y = both.labels()
+    x_tr, x_te = build_feature_matrix(cohort, feature_set, stratum, tr[None], te[None],
+                                      pca_full)
+    y = cohort.labels()
     model = train(spec, x_tr[0], y[tr], feature_columns(feature_set, stratum))
     return predict_scores(model, x_te[0]), y[te], model
 
@@ -144,11 +136,15 @@ def cell_name(feature_set: FeatureSet, spec: ClassifierSpec) -> str:
     return f"{feature_set.name}|{spec.kind}"
 
 
-def _feature_stacks(sub: Cohort, feature_set: FeatureSet, stratum: str,
-                    tr: np.ndarray, te: np.ndarray, pca_full: Optional[PcaModel]):
+def build_feature_matrix(sub: Cohort, feature_set: FeatureSet, stratum: str,
+                         tr: np.ndarray, te: np.ndarray, pca: Optional[PcaModel]):
     """Train and test feature stacks (B, n, p) and (B, m, p) of a block of
     splits with train rows tr (B, n) and test rows te (B, m) of the stratum
-    sub, in the column order of feature_columns."""
+    sub, in the column order of feature_columns.
+
+    PC1 is projected on pca when one is given, else on the PCA of each
+    split's training rows.
+    """
     cols = feature_columns(feature_set, stratum)
     if "frax_prob" in cols:
         missing = sub.missing_frax()
@@ -159,10 +155,10 @@ def _feature_stacks(sub: Cohort, feature_set: FeatureSet, stratum: str,
     if cols[0] == "pc1":
         fe9 = fe9_matrix(sub)
         f_tr, f_te = fe9[tr], fe9[te]
-        if pca_full is None:
+        if pca is None:
             std, loadings = fit_pca_stack(f_tr)
         else:
-            std, loadings = pca_full.standardization, pca_full.loadings
+            std, loadings = pca.standardization, pca.loadings
         # risk_index: the first column of the projection on every component.
         pc1_tr = (standardize_apply(std, f_tr) @ loadings)[:, :, :1]
         pc1_te = (standardize_apply(std, f_te) @ loadings)[:, :, :1]
@@ -199,7 +195,7 @@ def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
         block = slice(start, start + len(splits))
         try:
             for fs in feature_sets:
-                x_tr, x_te = _feature_stacks(sub, fs, stratum, tr, te, pca_full)
+                x_tr, x_te = build_feature_matrix(sub, fs, stratum, tr, te, pca_full)
                 for sp in specs:
                     scores = train_and_score_stack(sp, x_tr, y[tr], x_te)
                     aucs[cell_name(fs, sp)][block] = auc_rows(scores, y[te])
@@ -207,10 +203,9 @@ def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
             # Raise what the first failing (split, feature set, classifier)
             # cell raises on its own.
             for tr_i, te_i in splits:
-                tr_c, te_c = sub.subset(tr_i), sub.subset(te_i)
                 for fs in feature_sets:
                     for sp in specs:
-                        auc_mann_whitney(*fit_and_score(tr_c, te_c, fs, sp,
+                        auc_mann_whitney(*fit_and_score(sub, tr_i, te_i, fs, sp,
                                                         stratum, pca_full)[:2])
             raise
     return aucs, seeds

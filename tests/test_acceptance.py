@@ -10,7 +10,7 @@ from femrisk.classifiers import ClassifierSpec
 from femrisk.datamodel import FeatureSet, derive_dxa_abmd
 from femrisk.evaluate import (CvConfig, ResampleConfig, compare_with_frax,
                               fe9_matrix, fit_and_score, mix_seed, run_lgocv,
-                              run_resample_comparison, stratified_split)
+                              run_resample_comparison, stratified_split_indices)
 from femrisk.femodel import (MaterialModel, SolveControl, ash_density, solve,
                              stance_bc, uniform_grid)
 from femrisk.femodel.curves import (YIELD_CLUSTER_SIZE, ForceDisplacementCurve,
@@ -287,8 +287,9 @@ def test_criterion_8_direction_preserving_replication(cohort):
     assert t_pls.p < 0.05
 
     # (b) model beats simulated FRAX by DeLong on the whole sample
-    train_c, _ = stratified_split(cohort, 0.8, seed=mix_seed(42, 0, 0))
-    scores, _, _ = fit_and_score(train_c, cohort, fs_pc1, ClassifierSpec("logistic"))
+    tr, _ = stratified_split_indices(cohort.labels(), 0.8, seed=mix_seed(42, 0, 0))
+    scores, _, _ = fit_and_score(cohort, tr, np.arange(len(cohort)), fs_pc1,
+                                 ClassifierSpec("logistic"))
     dl, _, _ = compare_with_frax(cohort, scores)
     assert dl.auc_a > dl.auc_b
     assert dl.p < 0.05

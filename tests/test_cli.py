@@ -99,8 +99,12 @@ class TestMalformedFiles:
         lambda doc: doc["classifier"]["standardization"]["sd"].append(1.0),
         lambda doc: doc["classifier"]["params"].update(intercept=None),
         lambda doc: doc.pop("pca"),
+        # Same column count, other columns: pc1's coefficient would score Su.
+        lambda doc: doc.update(feature_set="Su_ABMD_COV"),
+        lambda doc: doc["classifier"]["feature_names"].reverse(),
     ], ids=["no_classifier", "unknown_spec_field", "no_params", "classifier_list",
-            "kind_lda", "coef_count", "sd_count", "null_intercept", "no_pca"])
+            "kind_lda", "coef_count", "sd_count", "null_intercept", "no_pca",
+            "other_feature_set", "feature_names_reordered"])
     def test_model_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, edit):
         doc = json.loads(json.dumps(model_doc))
         edit(doc)
@@ -249,6 +253,17 @@ class TestEvaluateAndReport:
                          "--skip-frax"]) == 0
         doc = load_strict_json(report)
         assert all(c["auc_sd"] == 0.0 for c in doc["lgocv"].values())
+
+    @pytest.mark.parametrize("fraction", ["7", "0", "1", "-0.2", "nan"])
+    def test_holdout_fraction_outside_unit_interval_exit_2(self, tmp_path, cohort_csv,
+                                                           capsys, fraction):
+        report = tmp_path / "r.json"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(report),
+                         "--stratum", "male", "--resamples", "10", "--repeats", "2",
+                         "--holdout-fraction", fraction]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: train fraction must be in (0, 1), got {float(fraction)}"]
+        assert not report.exists()
 
     def test_paper_mode_flag_reported(self, tmp_path, cohort_csv, capsys):
         report = tmp_path / "rp.json"

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from femrisk.datamodel import (FE9, FE12, Cohort, FeParameterSet,
-                               FeatureSet, SubjectRecord, build_feature_matrix,
-                               derive_dxa_abmd, feature_columns, load_cohort,
-                               save_cohort, standardize_apply, standardize_fit)
+                               FeatureSet, SubjectRecord, derive_dxa_abmd,
+                               feature_columns, load_cohort, save_cohort,
+                               standardize_apply, standardize_fit)
 from femrisk.errors import DataError
-from femrisk.evaluate import fe9_matrix
+from femrisk.evaluate import (build_feature_matrix, fe9_matrix, mix_seed,
+                              stratified_split_indices)
+from femrisk.stats import fit_pca, risk_index
 
 from conftest import make_fe, make_record
 
@@ -136,18 +139,14 @@ class TestFeatureSets:
 
     def test_matrix_shapes_and_encoding(self, small_cohort):
         fs = FeatureSet.parse("ABMD_COV")
-        x, y, cols = build_feature_matrix(small_cohort, fs, "all")
+        rows = np.arange(len(small_cohort))[None]
+        x = build_feature_matrix(small_cohort, fs, "all", rows, rows[:, :0], None)[0][0]
+        cols = feature_columns(fs, "all")
         assert x.shape == (len(small_cohort), len(cols))
-        assert set(y) == {0, 1}
         j = cols.index("sex")
         sexes = np.array([1.0 if r.sex == "M" else 0.0
                           for r in small_cohort])
         np.testing.assert_array_equal(x[:, j], sexes)
-
-    def test_pc1_requires_scores(self, small_cohort):
-        fs = FeatureSet.parse("PC1_ABMD_COV")
-        with pytest.raises(DataError):
-            build_feature_matrix(small_cohort, fs, "all", None)
 
     def test_fe9_is_nine_params(self):
         assert len(FE9) == 9
@@ -192,17 +191,47 @@ class TestColumnarAssembly:
     @pytest.mark.parametrize("stratum", STRATA)
     @pytest.mark.parametrize("feature_set", EVERY_FEATURE_SET, ids=lambda f: f.name)
     def test_matches_per_record_reference(self, small_cohort, feature_set, stratum):
+        # Every row trains; the test side is the same rows shuffled.  PC1 is
+        # risk_index on a PCA of every row, given or fit by the builder.
         rng = np.random.default_rng(8)
         for view in cohort_views(small_cohort, stratum):
-            n = len(view.stratum(stratum))
-            pc1 = rng.normal(size=n) if feature_set.kind == "PC1_ABMD_COV" else None
-            x, y, cols = build_feature_matrix(view, feature_set, stratum, pc1)
-            x_ref, y_ref, cols_ref = reference_feature_matrix(view, feature_set, stratum, pc1)
-            assert cols == cols_ref
-            np.testing.assert_array_equal(x, x_ref)
-            np.testing.assert_array_equal(y, y_ref)
-            # Downstream reductions depend on memory order; keep it row-major.
-            assert x.flags.c_contiguous
+            sub = view.stratum(stratum)
+            pca = fit_pca(fe9_matrix(sub))
+            x_ref, y_ref, cols_ref = reference_feature_matrix(
+                view, feature_set, stratum, risk_index(pca, fe9_matrix(sub)))
+            assert feature_columns(feature_set, stratum) == cols_ref
+            np.testing.assert_array_equal(sub.labels(), y_ref)
+            rows = np.arange(len(sub))
+            perm = rng.permutation(len(sub))
+            for given_pca in (pca, None):
+                x_tr, x_te = build_feature_matrix(sub, feature_set, stratum,
+                                                  rows[None], perm[None], given_pca)
+                np.testing.assert_array_equal(x_tr[0], x_ref)
+                np.testing.assert_array_equal(x_te[0], x_ref[perm])
+                # Downstream reductions depend on memory order; keep it row-major.
+                assert x_tr[0].flags.c_contiguous and x_te[0].flags.c_contiguous
+
+    @settings(max_examples=60, deadline=None)
+    @given(stratum=st.sampled_from(STRATA),
+           feature_set=st.sampled_from(EVERY_FEATURE_SET),
+           fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**64 - 1),
+           n_splits=st.integers(1, 6), stored_pca=st.booleans())
+    def test_block_rows_equal_one_split_calls(self, small_cohort, stratum, feature_set,
+                                              fraction, seed, n_splits, stored_pca):
+        # What lets the split loop fit a block at once: row i of the block's
+        # stacks is what the one-split call on split i builds, fold PCA too.
+        sub = small_cohort.stratum(stratum)
+        y = sub.labels()
+        splits = [stratified_split_indices(y, fraction, mix_seed(seed, i, 0))
+                  for i in range(n_splits)]
+        tr, te = (np.stack(side) for side in zip(*splits))
+        pca = fit_pca(fe9_matrix(sub)) if stored_pca else None
+        block = build_feature_matrix(sub, feature_set, stratum, tr, te, pca)
+        for i in range(n_splits):
+            one = build_feature_matrix(sub, feature_set, stratum,
+                                       tr[i:i + 1], te[i:i + 1], pca)
+            for got, want in zip(block, one):
+                np.testing.assert_array_equal(got[i], want[0])
 
     @pytest.mark.parametrize("stratum", STRATA)
     def test_fe9_matrix_matches_records(self, small_cohort, stratum):
@@ -225,10 +254,7 @@ class TestColumnarAssembly:
     def test_missing_frax_names_the_subject(self):
         cohort = Cohort((make_record("a", frax=0.2), make_record("b7", frax=None),
                          make_record("c", frax=None)))
+        rows = np.arange(3)[None]
         with pytest.raises(DataError, match="subject b7: frax_prob missing"):
-            build_feature_matrix(cohort, FeatureSet.parse("FRAX_ONLY"), "male")
-
-    def test_pc1_set_without_scores_rejected(self):
-        cohort = Cohort((make_record("a"), make_record("b", fx=1)))
-        with pytest.raises(DataError, match="pc1 scores required"):
-            build_feature_matrix(cohort, FeatureSet.parse("PC1_ABMD_COV"), "all")
+            build_feature_matrix(cohort, FeatureSet.parse("FRAX_ONLY"), "male",
+                                 rows[:, :2], rows[:, 2:], None)

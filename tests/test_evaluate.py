@@ -11,8 +11,7 @@ from femrisk.errors import DataError
 from femrisk.evaluate import (BLOCK, CvConfig, ResampleConfig, build_report,
                               cell_name, compare_with_frax, fe9_matrix,
                               fit_and_score, mix_seed, run_lgocv,
-                              run_resample_comparison, stratified_split,
-                              stratified_split_indices)
+                              run_resample_comparison, stratified_split_indices)
 from femrisk.stats import auc_mann_whitney, fit_pca, paired_one_sided_ttest
 
 FS_PC1 = FeatureSet.parse("PC1_ABMD_COV")
@@ -63,10 +62,11 @@ class TestStratifiedSplit:
             assert set(y[side]) == {0, 1}
 
     def test_cohort_split_roundtrips(self, small_cohort):
-        tr, te = stratified_split(small_cohort, 0.75, seed=4)
-        assert len(tr) + len(te) == len(small_cohort)
+        tr, te = stratified_split_indices(small_cohort.labels(), 0.75, seed=4)
+        tr_c, te_c = small_cohort.subset(tr), small_cohort.subset(te)
+        assert len(tr_c) + len(te_c) == len(small_cohort)
         ids = {r.id for r in small_cohort}
-        assert {r.id for r in tr} | {r.id for r in te} == ids
+        assert {r.id for r in tr_c} | {r.id for r in te_c} == ids
 
     def test_tiny_class_rejected(self):
         with pytest.raises(DataError):
@@ -75,12 +75,11 @@ class TestStratifiedSplit:
 
 class TestNoLeakage:
     def test_held_out_rows_cannot_change_fit(self, small_cohort):
-        tr, te = stratified_split(small_cohort, 0.8, seed=1)
-        _, _, model_a = fit_and_score(tr, te, FS_PC1, LOGIT)
-        # Replace the test cohort entirely; the trained model must be
-        # identical because nothing may be fit on held-out data.
-        te2 = tr.subset(range(10))
-        _, _, model_b = fit_and_score(tr, te2, FS_PC1, LOGIT)
+        tr, te = stratified_split_indices(small_cohort.labels(), 0.8, seed=1)
+        _, _, model_a = fit_and_score(small_cohort, tr, te, FS_PC1, LOGIT)
+        # Replace the test rows entirely, with training rows too; the trained
+        # model must be identical because nothing may be fit on held-out data.
+        _, _, model_b = fit_and_score(small_cohort, tr, tr[:10], FS_PC1, LOGIT)
         assert model_to_json(model_a) == model_to_json(model_b)
 
 
@@ -125,8 +124,8 @@ class TestSharedSplitLoop:
                                                   mix_seed(cfg.seed, i, 0))
                 for fs in feature_sets:
                     for sp in specs:
-                        scores, y_te, _ = fit_and_score(sub.subset(tr), sub.subset(te),
-                                                        fs, sp, stratum, pca_full)
+                        scores, y_te, _ = fit_and_score(sub, tr, te, fs, sp,
+                                                        stratum, pca_full)
                         assert cells[cell_name(fs, sp)][i] == auc_mann_whitney(scores, y_te)
 
     def test_error_is_the_first_failing_cell_of_the_split_loop(self, small_cohort):
@@ -146,7 +145,7 @@ class TestSharedSplitLoop:
             tr, te = stratified_split_indices(y, cfg.train_fraction, mix_seed(cfg.seed, i, 0))
             try:
                 for fs in (FS_ABMD, fs_lu):
-                    fit_and_score(cohort.subset(tr), cohort.subset(te), fs, LOGIT)
+                    fit_and_score(cohort, tr, te, fs, LOGIT)
             except DataError as exc:
                 expected = str(exc)
                 break
@@ -187,9 +186,9 @@ class TestResampling:
 
 class TestFraxComparison:
     def test_requires_frax(self, small_cohort):
-        tr, te = stratified_split(small_cohort, 0.8, seed=1)
-        scores, _, _ = fit_and_score(tr, te, FS_PC1, LOGIT)
-        result, roc_m, roc_f = compare_with_frax(te, scores)
+        tr, te = stratified_split_indices(small_cohort.labels(), 0.8, seed=1)
+        scores, _, _ = fit_and_score(small_cohort, tr, te, FS_PC1, LOGIT)
+        result, roc_m, roc_f = compare_with_frax(small_cohort.subset(te), scores)
         assert 0 <= result.p <= 1
         assert roc_m.fpr[0] == 0.0 and roc_f.tpr[-1] == 1.0
 
