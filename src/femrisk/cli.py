@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifiers import (ClassifierSpec, model_from_json, model_to_json,
                           predict_scores, train)
-from .datamodel import FE12, FeatureSet, feature_columns, load_cohort, save_cohort
+from .datamodel import FeatureSet, feature_columns, load_cohort, save_cohort
 from .errors import DataError, FemriskError, NumericalError, malformed
 from .evaluate import (CvConfig, ResampleConfig, build_feature_matrix,
                        build_report, cell_name, compare_with_frax, fe9_matrix,
@@ -132,7 +132,7 @@ def cmd_synth(args) -> int:
     spec = load_spec(args.spec) if args.spec else default_spec()
     cohort = generate_cohort(spec, args.seed)
     save_cohort(cohort, args.out)
-    print(f"wrote {len(cohort.records)} subjects to {args.out}")
+    print(f"wrote {len(cohort)} subjects to {args.out}")
     return 0
 
 
@@ -151,7 +151,7 @@ def cmd_fe(args) -> int:
                 fh.write("displacement_mm,force_n\n")
                 for d, f in zip(curve.displacement, curve.force):
                     fh.write(f"{d:.10g},{f:.10g}\n")
-    _write_json({name: getattr(fe, name) for name in FE12}, args.out)
+    _write_json(fe, args.out)
     print(f"wrote FE parameters to {args.out}")
     return 0
 
@@ -196,8 +196,11 @@ def cmd_fit(args) -> int:
 
 def _score_with_model(doc, cohort, stratum):
     with malformed("model file"):
-        pca_doc, model_doc = doc["pca"], doc["classifier"]
+        pca_doc, model_doc, fitted_on = doc["pca"], doc["classifier"], doc["stratum"]
         feature_set = FeatureSet.parse(doc["feature_set"])
+    if fitted_on != stratum:
+        raise DataError(f"model was fitted on stratum {fitted_on!r} and cannot "
+                        f"score stratum {stratum!r}")
     pca = pca_from_json(pca_doc)
     model = model_from_json(model_doc)
     cols = feature_columns(feature_set, stratum)

@@ -9,10 +9,12 @@ The cohort CSV format is fixed: comma separated, UTF-8, header exactly
 absent.  Column order in every feature matrix is deterministic and is the
 list :func:`feature_columns` returns.
 
-A :class:`Cohort` keeps its validated records for I/O and, built once from
-them, one float table with a column per name in :data:`TABLE_COLUMNS`.
-Subsets, strata, labels and the feature matrices of
-:func:`femrisk.evaluate.build_feature_matrix` are gathers on that table.
+A :class:`Cohort` is a float table, one row per subject and one column per
+name in :data:`TABLE_COLUMNS`, with the subject ids beside it.  Every row
+passes :func:`invalid_row` before a cohort exists, whether it was read from
+a CSV, generated or built directly.  Subsets, strata, labels and the
+feature matrices of :func:`femrisk.evaluate.build_feature_matrix` are
+gathers on that table.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,136 +56,104 @@ COHORT_HEADER = (
 COVARIATES = ("age", "sex", "height", "weight", "healstat", "bmdmed")
 
 # Columns of Cohort.table: sex is 1.0 for M and 0.0 for F, frax_prob is NaN
-# when absent, every other value is the record's field as a float.
+# when absent, every other value is the CSV field as a float.
 TABLE_COLUMNS = FE12 + ("abmd_ct",) + COVARIATES + ("frax_prob", "fx")
 COLUMN_INDEX = {name: j for j, name in enumerate(TABLE_COLUMNS)}
 _SEX = COLUMN_INDEX["sex"]
 _FRAX = COLUMN_INDEX["frax_prob"]
 _FX = COLUMN_INDEX["fx"]
 
-
-@dataclass(frozen=True)
-class FeParameterSet:
-    """Twelve FE parameters: yield load (N), ultimate load (N) and
-    energy-to-failure (N*mm) for each of the four loading conditions."""
-
-    Sy: float
-    Su: float
-    Senergy: float
-    Py: float
-    Pu: float
-    Penergy: float
-    PLy: float
-    PLu: float
-    PLenergy: float
-    Ly: float
-    Lu: float
-    Lenergy: float
-
-    def __post_init__(self):
-        for name in FE12:
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise DataError(f"FE parameter {name} must be finite and positive, got {v}")
-        for case, (y, u, _) in LOAD_CASE_PARAMS.items():
-            if getattr(self, y) > getattr(self, u):
-                raise DataError(
-                    f"yield exceeds ultimate for {case} load case "
-                    f"({y}={getattr(self, y)} > {u}={getattr(self, u)})"
-                )
-
-    def as_array(self, names: Sequence[str] = FE12) -> np.ndarray:
-        return np.array([getattr(self, n) for n in names], dtype=float)
+# The CSV fields after id, each with its table column.
+_CSV_FIELDS = tuple(
+    (name, COLUMN_INDEX[{"height_cm": "height", "weight_kg": "weight"}.get(name, name)])
+    for name in COHORT_HEADER[1:])
+_INTEGER_COLUMNS = ("sex", "healstat", "bmdmed", "fx")
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One study participant."""
-
-    id: str
-    sex: str                      # "M" or "F"
-    age: float                    # years
-    height: float                 # cm
-    weight: float                 # kg
-    healstat: int                 # ordinal 1 (excellent) .. 5 (poor)
-    bmdmed: int                   # 0/1 bone medication status
-    abmd_ct: float                # g/cm^2
-    fx: int                       # 1 = incident hip fracture
-    fe: FeParameterSet
-    frax_prob: Optional[float] = None
-
-    def __post_init__(self):
-        if self.sex not in ("M", "F"):
-            raise DataError(f"sex must be M or F, got {self.sex!r}")
-        if not self.age > 0:
-            raise DataError(f"age must be positive, got {self.age}")
-        if not self.height > 0:
-            raise DataError(f"height must be positive, got {self.height}")
-        if not self.weight > 0:
-            raise DataError(f"weight must be positive, got {self.weight}")
-        if self.healstat not in (1, 2, 3, 4, 5):
-            raise DataError(f"healstat must be in 1..5, got {self.healstat}")
-        if self.bmdmed not in (0, 1):
-            raise DataError(f"bmdmed must be 0 or 1, got {self.bmdmed}")
-        if not self.abmd_ct > 0:
-            raise DataError(f"abmd_ct must be positive, got {self.abmd_ct}")
-        if self.fx not in (0, 1):
-            raise DataError(f"fx must be 0 or 1, got {self.fx}")
-        if self.frax_prob is not None and not 0.0 <= self.frax_prob <= 1.0:
-            raise DataError(f"frax_prob must be in [0,1], got {self.frax_prob}")
+def _positive(v):
+    return np.isfinite(v) & (v > 0)
 
 
-_fe12_values = attrgetter(*FE12)
+def _one_of(*allowed):
+    return lambda v: np.isin(v, allowed)
 
 
-def _table_row(r: SubjectRecord) -> tuple:
-    frax = math.nan if r.frax_prob is None else r.frax_prob
-    sex = 1.0 if r.sex == "M" else 0.0
-    return (*_fe12_values(r.fe), r.abmd_ct, r.age, sex, r.height, r.weight,
-            r.healstat, r.bmdmed, frax, r.fx)
+# The rules every cohort row obeys, in the order a row is checked: the
+# columns a rule reads, a vectorized test that holds on valid rows, and the
+# message for a row that fails it, formatted with the row's values.
+_RULES = (
+    *(((n,), _positive, f"FE parameter {n} must be finite and positive, got {{}}")
+      for n in FE12),
+    *(((y, u), np.less_equal, f"yield exceeds ultimate for {case} load case ({y}={{}} > {u}={{}})")
+      for case, (y, u, _) in LOAD_CASE_PARAMS.items()),
+    (("sex",), _one_of(0, 1), "sex must be 1 (M) or 0 (F), got {}"),
+    *(((n,), _positive, f"{n} must be positive, got {{}}") for n in ("age", "height", "weight")),
+    (("healstat",), _one_of(1, 2, 3, 4, 5), "healstat must be in 1..5, got {}"),
+    (("bmdmed",), _one_of(0, 1), "bmdmed must be 0 or 1, got {}"),
+    (("abmd_ct",), _positive, "abmd_ct must be positive, got {}"),
+    (("fx",), _one_of(0, 1), "fx must be 0 or 1, got {}"),
+    (("frax_prob",), lambda v: np.isnan(v) | ((v >= 0) & (v <= 1)),
+     "frax_prob must be in [0,1], got {}"),
+)
 
 
-def _record_table(records: Sequence[SubjectRecord]) -> np.ndarray:
-    table = np.array([_table_row(r) for r in records], dtype=float)
-    return table.reshape(len(records), len(TABLE_COLUMNS))
+def _shown(name: str, value) -> object:
+    value = float(value)
+    return int(value) if name in _INTEGER_COLUMNS and value.is_integer() else value
 
 
-@dataclass(frozen=True)
+def invalid_row(table, columns: Sequence[str] = TABLE_COLUMNS) -> Optional[tuple[int, str]]:
+    """The first row of table (n, len(columns)) that breaks a cohort rule,
+    and the message of the first rule it breaks; None when every row holds.
+
+    columns names the columns of table.  Rules on columns it lacks are not
+    checked, so that FE parameters can be checked on their own.
+    """
+    table = np.asarray(table, dtype=float)
+    index = {name: j for j, name in enumerate(columns)}
+    rules = [rule for rule in _RULES if all(c in index for c in rule[0])]
+    bad = np.array([~test(*(table[:, index[c]] for c in cols)) for cols, test, _ in rules])
+    failing = bad.any(axis=0)
+    if not failing.any():
+        return None
+    row = int(np.argmax(failing))
+    cols, _, message = rules[int(np.argmax(bad[:, row]))]
+    return row, message.format(*(_shown(c, table[row, index[c]]) for c in cols))
+
+
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    """Validated subject records in file order, with their float table.
+    """Subjects in file order: `table` has one row per subject and the
+    columns of TABLE_COLUMNS, `ids` holds the subject ids.
 
-    `table` has one row per record and the columns of TABLE_COLUMNS.  It is
-    built from the records when omitted; subset and stratum pass the rows
-    they gather instead of rebuilding them.
+    Construction checks every row with invalid_row and names the subject of
+    the first bad one.  Both arrays are read-only.
     """
 
-    records: tuple[SubjectRecord, ...]
-    table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    table: np.ndarray = field(repr=False)
+    ids: np.ndarray
 
     def __post_init__(self):
-        table = _record_table(self.records) if self.table is None else self.table
-        if table.shape != (len(self.records), len(TABLE_COLUMNS)):
-            raise DataError("cohort table does not match its records")
+        table = np.asarray(self.table, dtype=float)
+        ids = np.asarray(self.ids, dtype=str)
+        if ids.ndim != 1 or table.shape != (ids.size, len(TABLE_COLUMNS)):
+            raise DataError("cohort table does not match its ids")
+        bad = invalid_row(table)
+        if bad is not None:
+            raise DataError(f"subject {ids[bad[0]]}: {bad[1]}")
         table.flags.writeable = False
+        ids.flags.writeable = False
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "ids", ids)
 
     def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
+        return len(self.ids)
 
     def _rows(self, idx: np.ndarray) -> "Cohort":
-        records = self.records
-        return Cohort(tuple([records[i] for i in idx.tolist()]), table=self.table[idx])
+        return Cohort(self.table[idx], self.ids[idx])
 
-    def subset(self, indices: Iterable[int]) -> "Cohort":
-        if not isinstance(indices, np.ndarray):
-            indices = np.fromiter(indices, dtype=np.intp)
-        return self._rows(indices)
+    def subset(self, indices: Sequence[int]) -> "Cohort":
+        return self._rows(np.asarray(indices, dtype=np.intp))
 
     def stratum(self, stratum: str) -> "Cohort":
         if stratum == "all":
@@ -205,42 +174,33 @@ class Cohort:
 
     def missing_frax(self) -> list[str]:
         """Ids of the subjects without a frax_prob, in cohort order."""
-        return [self.records[i].id for i in np.flatnonzero(np.isnan(self.table[:, _FRAX]))]
+        return self.ids[np.isnan(self.table[:, _FRAX])].tolist()
 
 
-def _parse_row(row: dict[str, str], line_no: int) -> SubjectRecord:
-    def num(col):
-        raw = row[col].strip()
-        try:
-            return float(raw)
-        except ValueError:
-            raise DataError(f"line {line_no}: non-numeric value {raw!r} in column {col}")
-
-    frax_raw = row["frax_prob"].strip()
-    try:
-        fe = FeParameterSet(**{name: num(name) for name in FE12})
-        return SubjectRecord(
-            id=row["id"].strip(),
-            sex=row["sex"].strip(),
-            age=num("age"),
-            height=num("height_cm"),
-            weight=num("weight_kg"),
-            healstat=int(num("healstat")),
-            bmdmed=int(num("bmdmed")),
-            abmd_ct=num("abmd_ct"),
-            fx=int(num("fx")),
-            fe=fe,
-            frax_prob=float(frax_raw) if frax_raw else None,
-        )
-    except DataError as exc:
-        msg = str(exc)
-        if not msg.startswith("line "):
-            msg = f"line {line_no}: {msg}"
-        raise DataError(msg) from None
+def _parse_line(raw: list[str], line_no: int) -> list[float]:
+    """The table row of one CSV line; a cell that is not a value raises."""
+    if len(raw) != len(COHORT_HEADER):
+        raise DataError(f"line {line_no}: expected {len(COHORT_HEADER)} fields, got {len(raw)}")
+    row = [math.nan] * len(TABLE_COLUMNS)
+    for (name, j), cell in zip(_CSV_FIELDS, raw[1:]):
+        cell = cell.strip()
+        if name == "sex":
+            if cell not in ("M", "F"):
+                raise DataError(f"line {line_no}: sex must be M or F, got {cell!r}")
+            row[j] = 1.0 if cell == "M" else 0.0
+        elif name != "frax_prob" or cell:
+            try:
+                row[j] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"line {line_no}: non-numeric value {cell!r} in column {name}") from None
+            if not math.isfinite(row[j]):
+                raise DataError(f"line {line_no}: non-finite value {cell!r} in column {name}")
+    return row
 
 
 def load_cohort(path) -> Cohort:
-    """Read and validate a cohort CSV; the first invalid row raises."""
+    """Read and validate a cohort CSV; the first invalid line raises."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -255,17 +215,28 @@ def load_cohort(path) -> Cohort:
             raise DataError(
                 f"bad header: expected {','.join(COHORT_HEADER)}, got {','.join(header)}"
             )
-        records = []
+        rows, ids, line_nos = [], [], []
+        unreadable = None
         for line_no, raw in enumerate(reader, start=2):
             if not raw or all(not c.strip() for c in raw):
                 continue
-            if len(raw) != len(COHORT_HEADER):
-                raise DataError(
-                    f"line {line_no}: expected {len(COHORT_HEADER)} fields, got {len(raw)}")
-            records.append(_parse_row(dict(zip(COHORT_HEADER, raw)), line_no))
-    if not records:
+            try:
+                rows.append(_parse_line(raw, line_no))
+            except DataError as exc:
+                # Reported only if no line above it breaks a rule.
+                unreadable = exc
+                break
+            ids.append(raw[0].strip())
+            line_nos.append(line_no)
+    table = np.array(rows, dtype=float).reshape(len(rows), len(TABLE_COLUMNS))
+    bad = invalid_row(table)
+    if bad is not None:
+        raise DataError(f"line {line_nos[bad[0]]}: {bad[1]}")
+    if unreadable is not None:
+        raise unreadable
+    if not rows:
         raise DataError("empty cohort")
-    return Cohort(tuple(records))
+    return Cohort(table, ids)
 
 
 def save_cohort(cohort: Cohort, path) -> None:
@@ -273,15 +244,18 @@ def save_cohort(cohort: Cohort, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(COHORT_HEADER)
-        for r in cohort:
-            fields = [
-                r.id, r.sex,
-                repr(float(r.age)), repr(float(r.height)), repr(float(r.weight)),
-                str(r.healstat), str(r.bmdmed), repr(float(r.abmd_ct)), str(r.fx),
-            ]
-            fields += [repr(float(getattr(r.fe, n))) for n in FE12]
-            fields.append("" if r.frax_prob is None else repr(float(r.frax_prob)))
+        for subject_id, row in zip(cohort.ids.tolist(), cohort.table.tolist()):
+            fields = [subject_id]
+            for name, j in _CSV_FIELDS:
+                v = row[j]
+                if name == "sex":
+                    fields.append("M" if v == 1.0 else "F")
+                elif name in _INTEGER_COLUMNS:
+                    fields.append(str(int(v)))
+                else:
+                    fields.append("" if math.isnan(v) else repr(v))
             writer.writerow(fields)
+
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..datamodel import LOAD_CASE_PARAMS, FeParameterSet
-from ..errors import NumericalError
+from ..datamodel import FE12, LOAD_CASE_PARAMS, invalid_row
+from ..errors import DataError, NumericalError
 from .curves import (ForceDisplacementCurve, NoYieldDetected, detect_yield_load,
                      energy_to_failure, ultimate_load)
 from .grid import VoxelGrid, rotate_grid
@@ -82,12 +82,14 @@ def extract_result(curve: ForceDisplacementCurve,
 
 def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
                           control: SolveControl, yield_policy: str = "error"
-                          ) -> tuple[FeParameterSet, dict[str, ForceDisplacementCurve]]:
+                          ) -> tuple[dict[str, float], dict[str, ForceDisplacementCurve]]:
     """Run all four load cases and assemble the twelve FE parameters.
 
-    Returns the parameters and the force-displacement curves keyed by load
-    case name.  A case that fails, or that never yields under yield_policy
-    "error", raises NumericalError naming the case.
+    Returns the parameters, keyed in FE12 order, and the force-displacement
+    curves keyed by load case name.  A case that fails, or that never yields
+    under yield_policy "error", raises NumericalError naming the case;
+    parameters that break a cohort rule (finite and positive, yield at most
+    ultimate) raise DataError.
     """
     values = {}
     curves = {}
@@ -102,4 +104,7 @@ def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
         values[u] = res.ultimate_load
         values[energy] = res.energy
         curves[case.name] = curve
-    return FeParameterSet(**values), curves
+    bad = invalid_row([[values[name] for name in FE12]], FE12)
+    if bad is not None:
+        raise DataError(bad[1])
+    return values, curves

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datamodel import Cohort, FeParameterSet, LOAD_CASE_PARAMS, SubjectRecord
+from .datamodel import COLUMN_INDEX, LOAD_CASE_PARAMS, TABLE_COLUMNS, Cohort
 from .errors import DataError
 
 GROUPS = ("male_control", "male_fx", "female_control", "female_fx")
@@ -54,6 +54,13 @@ class CohortSpec:
         for var, l in self.doc["loadings"].items():
             if not 0.0 < l < 1.0:
                 raise DataError(f"loading for {var} must be in (0, 1)")
+        # healstat is drawn as Generator.choice(5, p=probs) draws it, so the
+        # probabilities must be ones choice accepts.
+        for kind, probs in self.doc["healstat_probs"].items():
+            p = np.asarray(probs, dtype=float)
+            if p.shape != (5,) or not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1.5e-8:
+                raise DataError(f"healstat_probs {kind}: need 5 non-negative "
+                                f"probabilities summing to 1, got {probs}")
         floor_frac = self.doc.get("floor_frac", 0.01)
         for name, grp in g.items():
             for var in FE_VARS:
@@ -83,71 +90,81 @@ def _mix_seed(seed: int, group_idx: int, subj_idx: int) -> np.random.Generator:
                                spawn_key=(group_idx, subj_idx)))
 
 
-def _draw_subject(spec: CohortSpec, group: str, group_idx: int, subj_idx: int,
-                  seed: int) -> SubjectRecord:
+def _draw_group(spec: CohortSpec, group: str, group_idx: int, n: int,
+                seed: int) -> tuple[np.ndarray, list[str]]:
+    """Table rows and ids of the group's first n subjects.
+
+    Subject i draws from its own stream _mix_seed(seed, group_idx, i), in
+    this order: z0 and one normal per CONTINUOUS_VARS entry, a uniform for
+    healstat and one for bmdmed, the aBMD normal, then the FRAX normal when
+    FRAX is enabled.  The arithmetic runs on all n subjects at once.
+    """
     doc = spec.doc
     grp = doc["groups"][group]
-    rng = _mix_seed(seed, group_idx, subj_idx)
     fx = GROUP_FX[group]
     sex = GROUP_SEX[group]
     floor_frac = doc.get("floor_frac", 0.01)
+    fr = doc.get("frax", {})
+    n_tail = 2 if fr.get("enabled", False) else 1
 
-    z0 = rng.standard_normal()
-    vals = {}
-    for var in CONTINUOUS_VARS:
+    rngs = [_mix_seed(seed, group_idx, si) for si in range(n)]
+    z = np.array([rng.standard_normal(1 + len(CONTINUOUS_VARS)) for rng in rngs])
+    u = np.array([rng.random(2) for rng in rngs])
+    tail = np.array([rng.standard_normal(n_tail) for rng in rngs])
+
+    z0 = z[:, 0]
+    col = {}
+    for j, var in enumerate(CONTINUOUS_VARS, start=1):
         tgt = grp["variables"][var]
         loading = doc["loadings"].get(var, 0.0)
-        eps = rng.standard_normal()
-        v = tgt["mean"] + tgt["sd"] * (loading * z0 + sqrt(1.0 - loading**2) * eps)
-        floor = max(floor_frac * tgt["mean"], 1e-6)
-        vals[var] = max(v, floor)
+        v = tgt["mean"] + tgt["sd"] * (loading * z0 + sqrt(1.0 - loading**2) * z[:, j])
+        col[var] = np.maximum(v, max(floor_frac * tgt["mean"], 1e-6))
 
     # Enforce yield <= ultimate per load case by ordering the drawn pair.
-    for _, (yname, uname, _e) in LOAD_CASE_PARAMS.items():
-        lo, hi = sorted((vals[yname], vals[uname]))
-        vals[yname], vals[uname] = lo, hi
+    for yname, uname, _e in LOAD_CASE_PARAMS.values():
+        col[yname], col[uname] = (np.minimum(col[yname], col[uname]),
+                                  np.maximum(col[yname], col[uname]))
 
-    hs_probs = doc["healstat_probs"]["fx" if fx else "control"]
-    healstat = int(rng.choice(5, p=hs_probs)) + 1
-    bmdmed = int(rng.random() < doc["bmdmed_p"]["fx" if fx else "control"])
+    # rng.choice(5, p=probs) on the first uniform, as Generator.choice does it.
+    cdf = np.cumsum(doc["healstat_probs"]["fx" if fx else "control"], dtype=float)
+    cdf /= cdf[-1]
+    col["healstat"] = cdf.searchsorted(u[:, 0], side="right") + 1.0
+    col["bmdmed"] = (u[:, 1] < doc["bmdmed_p"]["fx" if fx else "control"]).astype(float)
 
     # Shifted strength factor: lower for fracture groups; drives aBMD/FRAX.
     zf = z0 + doc["fx_factor_shift"] * fx
     ab = doc["abmd_ct"]["male" if sex == "M" else "female"]
     l_a = doc["abmd_ct"]["loading"]
-    abmd = ab["mean"] + ab["sd"] * (l_a * zf + sqrt(1.0 - l_a**2) * rng.standard_normal())
-    abmd = max(abmd, 0.05)
+    abmd = ab["mean"] + ab["sd"] * (l_a * zf + sqrt(1.0 - l_a**2) * tail[:, 0])
+    col["abmd_ct"] = np.maximum(abmd, 0.05)
 
-    frax_prob: Optional[float] = None
-    fr = doc.get("frax", {})
-    if fr.get("enabled", False):
+    col["frax_prob"] = np.full(n, np.nan)
+    if n_tail == 2:
         age_tgt = grp["variables"]["age"]
-        age_z = (vals["age"] - age_tgt["mean"]) / age_tgt["sd"]
-        risk = -zf + fr["age_coef"] * age_z + fr["noise_sd"] * rng.standard_normal()
+        age_z = (col["age"] - age_tgt["mean"]) / age_tgt["sd"]
+        risk = -zf + fr["age_coef"] * age_z + fr["noise_sd"] * tail[:, 1]
         eta = fr["offset"] + fr["scale"] * risk
-        frax_prob = float(1.0 / (1.0 + np.exp(-eta)))
+        col["frax_prob"] = 1.0 / (1.0 + np.exp(-eta))
 
-    fe = FeParameterSet(**{k: vals[k] for k in FE_VARS})
-    return SubjectRecord(
-        id=f"{group}_{subj_idx:05d}", sex=sex,
-        age=vals["age"], height=vals["height"], weight=vals["weight"],
-        healstat=healstat, bmdmed=bmdmed, abmd_ct=abmd, fx=fx,
-        fe=fe, frax_prob=frax_prob,
-    )
+    col["sex"] = np.full(n, 1.0 if sex == "M" else 0.0)
+    col["fx"] = np.full(n, float(fx))
+    table = np.column_stack([col[name] for name in TABLE_COLUMNS])
+    return table, [f"{group}_{si:05d}" for si in range(n)]
 
 
 def generate_cohort(spec: CohortSpec, seed: int,
                     n_override: Optional[dict] = None) -> Cohort:
     """Generate a cohort.  n_override maps group name -> subject count."""
-    records = []
+    tables, ids = [], []
     for gi, group in enumerate(GROUPS):
         n = spec.groups[group]["n"] if n_override is None else n_override.get(
             group, spec.groups[group]["n"])
         if n < 2:
             raise DataError(f"group {group}: n must be >= 2")
-        for si in range(n):
-            records.append(_draw_subject(spec, group, gi, si, seed))
-    return Cohort(tuple(records))
+        table, group_ids = _draw_group(spec, group, gi, n, seed)
+        tables.append(table)
+        ids += group_ids
+    return Cohort(np.concatenate(tables), ids)
 
 
 @dataclass(frozen=True)
@@ -164,19 +181,15 @@ def calibration_check(cohort: Cohort, spec: CohortSpec,
                       ratio_bounds=(0.7, 1.4)) -> list[CalibrationCell]:
     """Per-(group, variable) z-scores of sample means and SD ratios."""
     out = []
+    sex, fx = cohort.columns(["sex", "fx"]).T
     for group in GROUPS:
-        sx = GROUP_SEX[group]
-        fx = GROUP_FX[group]
-        members = [r for r in cohort if r.sex == sx and r.fx == fx]
-        if not members:
+        members = (sex == (1.0 if GROUP_SEX[group] == "M" else 0.0)) & (fx == GROUP_FX[group])
+        n = int(members.sum())
+        if not n:
             raise DataError(f"empty group {group}")
-        n = len(members)
         for var in CONTINUOUS_VARS:
             tgt = spec.groups[group]["variables"][var]
-            if var in FE_VARS:
-                sample = np.array([getattr(r.fe, var) for r in members])
-            else:
-                sample = np.array([getattr(r, var) for r in members])
+            sample = cohort.table[members, COLUMN_INDEX[var]]
             se = tgt["sd"] / sqrt(n)
             z = (sample.mean() - tgt["mean"]) / se
             ratio = sample.std(ddof=1) / tgt["sd"]

@@ -1,23 +1,28 @@
 import numpy as np
 import pytest
 
-from femrisk.datamodel import Cohort, FeParameterSet, SubjectRecord
+from femrisk.datamodel import TABLE_COLUMNS, Cohort
+
+FE_BASE = {
+    "Sy": 7000.0, "Su": 9000.0, "Senergy": 9500.0,
+    "Py": 2300.0, "Pu": 3300.0, "Penergy": 4300.0,
+    "PLy": 2200.0, "PLu": 3200.0, "PLenergy": 4100.0,
+    "Ly": 2250.0, "Lu": 3250.0, "Lenergy": 4200.0,
+}
 
 
-def make_fe(scale: float = 1.0) -> FeParameterSet:
-    base = {
-        "Sy": 7000.0, "Su": 9000.0, "Senergy": 9500.0,
-        "Py": 2300.0, "Pu": 3300.0, "Penergy": 4300.0,
-        "PLy": 2200.0, "PLu": 3200.0, "PLenergy": 4100.0,
-        "Ly": 2250.0, "Lu": 3250.0, "Lenergy": 4200.0,
-    }
-    return FeParameterSet(**{k: v * scale for k, v in base.items()})
+def make_row(**values) -> np.ndarray:
+    """One valid table row: a 76-year-old male control without frax_prob,
+    with the named TABLE_COLUMNS values replaced."""
+    row = dict(FE_BASE, abmd_ct=0.55, age=76.0, sex=1.0, height=172.0, weight=80.0,
+               healstat=2.0, bmdmed=0.0, frax_prob=np.nan, fx=0.0)
+    row.update(values)
+    return np.array([row[name] for name in TABLE_COLUMNS])
 
 
-def make_record(id="s1", sex="M", fx=0, fe_scale=1.0, frax=None) -> SubjectRecord:
-    return SubjectRecord(id=id, sex=sex, age=76.0, height=172.0, weight=80.0,
-                         healstat=2, bmdmed=0, abmd_ct=0.55, fx=fx,
-                         fe=make_fe(fe_scale), frax_prob=frax)
+def make_cohort(rows: dict) -> Cohort:
+    """A cohort of make_row subjects: rows maps each id to its values."""
+    return Cohort(np.array([make_row(**values) for values in rows.values()]), list(rows))
 
 
 @pytest.fixture(scope="session")

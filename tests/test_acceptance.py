@@ -241,12 +241,10 @@ def test_criterion_7_synthetic_calibration(cohort):
     worst_mean = worst_sd = 0.0
     for cell in calibration_check(big, spec):
         grp = spec.groups[cell.group]["variables"][cell.variable]
-        by_group = [r for r in big
-                    if (r.sex == ("M" if cell.group.startswith("male") else "F"))
-                    and r.fx == (1 if cell.group.endswith("fx") else 0)]
-        col = cell.variable
-        vals = np.array([getattr(r, col) if col in ("age", "height", "weight")
-                         else getattr(r.fe, col) for r in by_group])
+        sex, fx, vals = big.columns(["sex", "fx", cell.variable]).T
+        by_group = ((sex == (1.0 if cell.group.startswith("male") else 0.0))
+                    & (fx == (1 if cell.group.endswith("fx") else 0)))
+        vals = vals[by_group]
         worst_mean = max(worst_mean, abs(vals.mean() - grp["mean"]) / grp["mean"])
         worst_sd = max(worst_sd, abs(vals.std(ddof=1) / grp["sd"] - 1.0))
     assert worst_mean < 0.03

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from femrisk.cli import dispatch
-from femrisk.datamodel import load_cohort
+from femrisk.datamodel import COHORT_HEADER, load_cohort
 from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
                              save_grid, uniform_grid)
 from femrisk.femodel.grid import VoxelGrid
@@ -102,9 +102,10 @@ class TestMalformedFiles:
         # Same column count, other columns: pc1's coefficient would score Su.
         lambda doc: doc.update(feature_set="Su_ABMD_COV"),
         lambda doc: doc["classifier"]["feature_names"].reverse(),
+        lambda doc: doc.pop("stratum"),
     ], ids=["no_classifier", "unknown_spec_field", "no_params", "classifier_list",
             "kind_lda", "coef_count", "sd_count", "null_intercept", "no_pca",
-            "other_feature_set", "feature_names_reordered"])
+            "other_feature_set", "feature_names_reordered", "no_stratum"])
     def test_model_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, edit):
         doc = json.loads(json.dumps(model_doc))
         edit(doc)
@@ -123,6 +124,22 @@ class TestMalformedFiles:
         assert len(err) == 1 and err[0].startswith("error: malformed model")
         assert not (tmp_path / "d.json").exists()
 
+    def test_model_of_another_stratum_exit_2(self, tmp_path, capsys, cohort_csv):
+        # Same columns on both single-sex strata, so only the model's own
+        # stratum tells that a male model would score the women.
+        model, out = tmp_path / "male.json", tmp_path / "d.json"
+        assert dispatch(["fit", "--cohort", str(cohort_csv), "--stratum", "male",
+                         "--out", str(model)]) == 0
+        capsys.readouterr()
+        base = ["compare-frax", "--cohort", str(cohort_csv), "--model", str(model),
+                "--out", str(out)]
+        assert dispatch(base + ["--stratum", "female"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: model was fitted on stratum 'male' and cannot score stratum 'female'"]
+        assert captured.out == "" and not out.exists()
+        assert dispatch(base + ["--stratum", "male"]) == 0
+
     @pytest.mark.parametrize("doc", [
         {"cells": {"ABMD_COV|logistic": {"auc_sd": 0.1}}},
         {"cells": {"ABMD_COV|logistic": {"auc_mean": "0.7", "auc_sd": 0.1}}},
@@ -136,6 +153,35 @@ class TestMalformedFiles:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: malformed report JSON")
+        assert captured.out == ""
+
+
+# Cells that once escaped dispatch as a traceback, were truncated to an
+# integer, or loaded and failed later as a numerical error.
+BAD_CELLS = [
+    ("frax_prob", "abc", "non-numeric value 'abc' in column frax_prob"),
+    ("healstat", "nan", "non-finite value 'nan' in column healstat"),
+    ("healstat", "inf", "non-finite value 'inf' in column healstat"),
+    ("healstat", "2.5", "healstat must be in 1..5, got 2.5"),
+    ("fx", "0.7", "fx must be 0 or 1, got 0.7"),
+    ("bmdmed", "1.9", "bmdmed must be 0 or 1, got 1.9"),
+    ("age", "inf", "non-finite value 'inf' in column age"),
+]
+
+
+class TestMalformedCohort:
+    @pytest.mark.parametrize("column,cell,message", BAD_CELLS,
+                             ids=[f"{c}-{v}" for c, v, _ in BAD_CELLS])
+    def test_bad_cell_exit_2(self, tmp_path, capsys, cohort_csv, column, cell, message):
+        lines = cohort_csv.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[COHORT_HEADER.index(column)] = cell
+        lines[3] = ",".join(fields)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert dispatch(["fit", "--cohort", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: line 4: {message}"]
         assert captured.out == ""
 
 
@@ -169,6 +215,19 @@ class TestFe:
         plain = tmp_path / "fe_plain.json"
         assert dispatch(base + ["--out", str(plain)]) == 0
         assert plain.read_bytes() == out.read_bytes()
+
+    def test_invalid_parameters_exit_2(self, tmp_path, capsys, monkeypatch):
+        # The twelve parameters pass the cohort rules before they are written.
+        from femrisk.femodel import loadcases
+        zero_yield = loadcases.FeResult(0.0, 1.0, 1.0, 1, True, False)
+        monkeypatch.setattr(loadcases, "extract_result", lambda curve, policy: zero_yield)
+        gpath = tmp_path / "g.txt"
+        save_grid(uniform_grid((2, 2, 3), 0.3), gpath)
+        out = tmp_path / "fe.json"
+        assert dispatch(["fe", "--grid", str(gpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: FE parameter Sy must be finite and positive, got 0.0"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("with_curves", [False, True])
     def test_no_yield_exit_3_and_no_curves(self, tmp_path, capsys, with_curves):

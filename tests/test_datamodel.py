@@ -1,50 +1,134 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from femrisk.datamodel import (FE9, FE12, Cohort, FeParameterSet,
-                               FeatureSet, SubjectRecord, derive_dxa_abmd,
-                               feature_columns, load_cohort, save_cohort,
-                               standardize_apply, standardize_fit)
+from femrisk.datamodel import (COHORT_HEADER, FE9, FE12, FeatureSet,
+                               derive_dxa_abmd, feature_columns, invalid_row,
+                               load_cohort, save_cohort, standardize_apply,
+                               standardize_fit)
 from femrisk.errors import DataError
 from femrisk.evaluate import (build_feature_matrix, fe9_matrix, mix_seed,
                               stratified_split_indices)
 from femrisk.stats import fit_pca, risk_index
 
-from conftest import make_fe, make_record
+from conftest import make_cohort, make_row
 
 
-class TestFeParameterSet:
-    def test_yield_above_ultimate_rejected(self):
-        kwargs = {n: 1000.0 for n in FE12}
-        kwargs["Sy"] = 2000.0  # above Su
-        with pytest.raises(DataError, match="yield exceeds ultimate"):
-            FeParameterSet(**kwargs)
+# (column, bad value, message): one case or more per rule of a cohort row.
+RULE_CASES = [
+    ("Lu", 0.0, "FE parameter Lu must be finite and positive, got 0.0"),
+    ("Senergy", np.inf, "FE parameter Senergy must be finite and positive, got inf"),
+    ("Sy", 9500.0, "yield exceeds ultimate for stance load case (Sy=9500.0 > Su=9000.0)"),
+    ("Py", 3400.0, "yield exceeds ultimate for posterior load case (Py=3400.0 > Pu=3300.0)"),
+    ("PLy", 3300.0,
+     "yield exceeds ultimate for posterolateral load case (PLy=3300.0 > PLu=3200.0)"),
+    ("Ly", 3300.0, "yield exceeds ultimate for lateral load case (Ly=3300.0 > Lu=3250.0)"),
+    ("sex", 0.5, "sex must be 1 (M) or 0 (F), got 0.5"),
+    ("age", -1.0, "age must be positive, got -1.0"),
+    ("height", 0.0, "height must be positive, got 0.0"),
+    ("weight", np.nan, "weight must be positive, got nan"),
+    ("healstat", 0, "healstat must be in 1..5, got 0"),
+    ("healstat", 6, "healstat must be in 1..5, got 6"),
+    ("healstat", 2.5, "healstat must be in 1..5, got 2.5"),
+    ("bmdmed", 2, "bmdmed must be 0 or 1, got 2"),
+    ("abmd_ct", 0.0, "abmd_ct must be positive, got 0.0"),
+    ("fx", 2, "fx must be 0 or 1, got 2"),
+    ("fx", 0.7, "fx must be 0 or 1, got 0.7"),
+    ("frax_prob", 1.5, "frax_prob must be in [0,1], got 1.5"),
+    ("frax_prob", -np.inf, "frax_prob must be in [0,1], got -inf"),
+]
 
-    def test_nonpositive_rejected(self):
-        kwargs = {n: 1000.0 for n in FE12}
-        kwargs["Lu"] = 0.0
-        with pytest.raises(DataError, match="finite and positive"):
-            FeParameterSet(**kwargs)
+# The rule cases a CSV cell can hold: a finite number, sex aside.
+CSV_RULE_CASES = [case for case in RULE_CASES
+                  if case[0] != "sex" and np.isfinite(case[1])]
 
-    def test_as_array_order(self):
-        fe = make_fe()
-        np.testing.assert_array_equal(fe.as_array(("Su", "Sy")),
-                                      [fe.Su, fe.Sy])
+# (CSV column, bad cell, message) for cells that are not values; the CLI
+# tests take the malformed cells that once crashed or were truncated.
+CSV_CASES = [
+    ("sex", "X", "sex must be M or F, got 'X'"),
+    ("height_cm", "", "non-numeric value '' in column height_cm"),
+    ("frax_prob", "nan", "non-finite value 'nan' in column frax_prob"),
+    ("age", "-5", "age must be positive, got -5.0"),
+]
 
 
-class TestSubjectRecord:
-    @pytest.mark.parametrize("field,value", [
-        ("sex", "X"), ("age", -1.0), ("healstat", 0), ("healstat", 6),
-        ("bmdmed", 2), ("abmd_ct", 0.0), ("fx", 2), ("frax_prob", 1.5),
-    ])
-    def test_invalid_field_rejected(self, field, value):
-        good = dict(id="a", sex="F", age=70.0, height=160.0, weight=60.0,
-                    healstat=3, bmdmed=1, abmd_ct=0.4, fx=1, fe=make_fe(),
-                    frax_prob=0.1)
-        good[field] = value
-        with pytest.raises(DataError):
-            SubjectRecord(**good)
+def write_cohort_csv(path, cells_by_line):
+    """Four valid subjects s2..s5 on lines 2..5 of a cohort CSV, with the
+    cells of cells_by_line ({line: {CSV column: text}}) replaced."""
+    save_cohort(make_cohort({f"s{i}": {} for i in range(2, 6)}), path)
+    lines = path.read_text().splitlines()
+    for line_no, cells in cells_by_line.items():
+        fields = lines[line_no - 1].split(",")
+        for name, text in cells.items():
+            fields[COHORT_HEADER.index(name)] = text
+        lines[line_no - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestColumnValidator:
+    @pytest.mark.parametrize("column,value,message", RULE_CASES,
+                             ids=[f"{c}-{v}" for c, v, _ in RULE_CASES])
+    def test_invalid_field_rejected(self, column, value, message):
+        # Subjects b and c both break the rule; the first is named.
+        rows = {"a": {}, "b": {column: value}, "c": {column: value}}
+        with pytest.raises(DataError) as exc:
+            make_cohort(rows)
+        assert str(exc.value) == f"subject b: {message}"
+
+    @pytest.mark.parametrize("column,value,message", CSV_RULE_CASES,
+                             ids=[f"{c}-{v}" for c, v, _ in CSV_RULE_CASES])
+    def test_rules_checked_on_load(self, tmp_path, column, value, message):
+        p = tmp_path / "c.csv"
+        name = {"height": "height_cm", "weight": "weight_kg"}.get(column, column)
+        write_cohort_csv(p, {3: {name: str(value)}})
+        with pytest.raises(DataError) as exc:
+            load_cohort(p)
+        assert str(exc.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("column,cell,message", CSV_CASES,
+                             ids=[f"{c}-{v}" for c, v, _ in CSV_CASES])
+    def test_bad_cell_names_its_line(self, tmp_path, column, cell, message):
+        p = tmp_path / "c.csv"
+        write_cohort_csv(p, {4: {column: cell}})
+        with pytest.raises(DataError) as exc:
+            load_cohort(p)
+        assert str(exc.value) == f"line 4: {message}"
+
+    @pytest.mark.parametrize("first,second", [
+        ({"age": "-5"}, {"fx": "3"}),
+        ({"age": "-5"}, {"fx": "abc"}),
+        ({"fx": "abc"}, {"age": "-5"}),
+    ], ids=["rule_rule", "rule_unreadable", "unreadable_rule"])
+    def test_earlier_of_two_bad_lines_named(self, tmp_path, first, second):
+        p = tmp_path / "c.csv"
+        write_cohort_csv(p, {3: first, 5: second})
+        with pytest.raises(DataError, match="^line 3: "):
+            load_cohort(p)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        p = tmp_path / "c.csv"
+        write_cohort_csv(p, {4: {"healstat": "7"}})
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines[:2] + ["", " , ", ""] + lines[2:]) + "\n")
+        assert p.read_text().splitlines()[6].startswith("s4,")
+        with pytest.raises(DataError) as exc:
+            load_cohort(p)
+        assert str(exc.value) == "line 7: healstat must be in 1..5, got 7"
+
+    def test_field_count(self, tmp_path):
+        p = tmp_path / "c.csv"
+        write_cohort_csv(p, {})
+        p.write_text(p.read_text() + "s6,M,70\n")
+        with pytest.raises(DataError, match="^line 6: expected 22 fields, got 3$"):
+            load_cohort(p)
+
+    def test_fe_parameters_alone(self):
+        fe = make_row()[None, :len(FE12)]
+        assert invalid_row(fe, FE12) is None
+        fe[0, FE12.index("Pu")] = -1.0
+        assert invalid_row(fe, FE12) == (0, "FE parameter Pu must be finite and positive, got -1.0")
 
 
 class TestCohortIo:
@@ -77,24 +161,24 @@ class TestCohortIo:
             load_cohort("/nonexistent/cohort.csv")
 
     def test_missing_frax_round_trips_as_none(self, tmp_path):
-        from femrisk.datamodel import Cohort
         p = tmp_path / "d.csv"
-        save_cohort(Cohort(records=(make_record(frax=None),)), p)
+        save_cohort(make_cohort({"s1": {}}), p)
         back = load_cohort(p)
-        assert back.records[0].frax_prob is None
+        assert np.isnan(back.columns(["frax_prob"])[0, 0])
+        assert back.missing_frax() == ["s1"]
 
 
 class TestCohortViews:
     def test_stratum_and_labels(self, small_cohort):
         males = small_cohort.stratum("male")
-        assert all(r.sex == "M" for r in males)
+        assert np.all(males.columns(["sex"]) == 1.0)
         assert set(small_cohort.labels()) == {0, 1}
         assert small_cohort.stratum("all") is small_cohort
 
     def test_subset_preserves_order(self, small_cohort):
         sub = small_cohort.subset([3, 1, 2])
-        ids = [r.id for r in small_cohort.records]
-        assert [r.id for r in sub.records] == [ids[3], ids[1], ids[2]]
+        ids = small_cohort.ids.tolist()
+        assert sub.ids.tolist() == [ids[3], ids[1], ids[2]]
 
 
 class TestStandardization:
@@ -137,15 +221,15 @@ class TestFeatureSets:
         assert "sex" in feature_columns(fs, "all")
         assert "sex" not in feature_columns(fs, "male")
 
-    def test_matrix_shapes_and_encoding(self, small_cohort):
+    def test_matrix_shapes_and_encoding(self, small_cohort, tmp_path):
         fs = FeatureSet.parse("ABMD_COV")
         rows = np.arange(len(small_cohort))[None]
         x = build_feature_matrix(small_cohort, fs, "all", rows, rows[:, :0], None)[0][0]
         cols = feature_columns(fs, "all")
         assert x.shape == (len(small_cohort), len(cols))
         j = cols.index("sex")
-        sexes = np.array([1.0 if r.sex == "M" else 0.0
-                          for r in small_cohort])
+        sexes = np.array([1.0 if r["sex"] == "M" else 0.0
+                          for r in csv_records(small_cohort, tmp_path / "c.csv")])
         np.testing.assert_array_equal(x[:, j], sexes)
 
     def test_fe9_is_nine_params(self):
@@ -159,23 +243,30 @@ EVERY_FEATURE_SET = [FeatureSet.parse(n) for n in
 EVERY_FEATURE_SET += [FeatureSet("SINGLE_FE_ABMD_COV", p) for p in FE9]
 
 
-def reference_feature_matrix(cohort, feature_set, stratum, pc1_scores):
-    """Per-record assembly: one Python value per (subject, column)."""
+def csv_records(cohort, path):
+    """The subjects as the CSV rows save_cohort writes, one dict of strings
+    per subject."""
+    save_cohort(cohort, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def reference_feature_matrix(records, feature_set, stratum, pc1_scores):
+    """Per-record assembly from CSV rows: one Python value per (subject, column)."""
     sex = {"male": "M", "female": "F"}.get(stratum)
-    records = [r for r in cohort.records if sex is None or r.sex == sex]
+    records = [r for r in records if sex is None or r["sex"] == sex]
     cols = feature_columns(feature_set, stratum)
+    field = {"height": "height_cm", "weight": "weight_kg"}
 
     def value(i, r, col):
         if col == "pc1":
             return float(pc1_scores[i])
         if col == "sex":
-            return 1.0 if r.sex == "M" else 0.0
-        if col in FE12:
-            return getattr(r.fe, col)
-        return float(getattr(r, col))
+            return 1.0 if r["sex"] == "M" else 0.0
+        return float(r[field.get(col, col)])
 
     x = np.array([[value(i, r, c) for c in cols] for i, r in enumerate(records)])
-    return x, np.array([r.fx for r in records]), cols
+    return x, np.array([int(r["fx"]) for r in records]), cols
 
 
 def cohort_views(cohort, stratum):
@@ -190,7 +281,8 @@ def cohort_views(cohort, stratum):
 class TestColumnarAssembly:
     @pytest.mark.parametrize("stratum", STRATA)
     @pytest.mark.parametrize("feature_set", EVERY_FEATURE_SET, ids=lambda f: f.name)
-    def test_matches_per_record_reference(self, small_cohort, feature_set, stratum):
+    def test_matches_per_record_reference(self, small_cohort, feature_set, stratum,
+                                          tmp_path):
         # Every row trains; the test side is the same rows shuffled.  PC1 is
         # risk_index on a PCA of every row, given or fit by the builder.
         rng = np.random.default_rng(8)
@@ -198,7 +290,8 @@ class TestColumnarAssembly:
             sub = view.stratum(stratum)
             pca = fit_pca(fe9_matrix(sub))
             x_ref, y_ref, cols_ref = reference_feature_matrix(
-                view, feature_set, stratum, risk_index(pca, fe9_matrix(sub)))
+                csv_records(view, tmp_path / "view.csv"), feature_set, stratum,
+                risk_index(pca, fe9_matrix(sub)))
             assert feature_columns(feature_set, stratum) == cols_ref
             np.testing.assert_array_equal(sub.labels(), y_ref)
             rows = np.arange(len(sub))
@@ -234,17 +327,19 @@ class TestColumnarAssembly:
                 np.testing.assert_array_equal(got[i], want[0])
 
     @pytest.mark.parametrize("stratum", STRATA)
-    def test_fe9_matrix_matches_records(self, small_cohort, stratum):
+    def test_fe9_matrix_matches_records(self, small_cohort, stratum, tmp_path):
         for view in cohort_views(small_cohort, stratum):
             got = fe9_matrix(view)
-            np.testing.assert_array_equal(got, [r.fe.as_array(FE9) for r in view])
+            records = csv_records(view, tmp_path / "view.csv")
+            np.testing.assert_array_equal(got, [[float(r[c]) for c in FE9] for r in records])
             assert got.flags.c_contiguous
 
     def test_table_same_from_records_and_csv(self, small_cohort, tmp_path):
         p = tmp_path / "c.csv"
         save_cohort(small_cohort, p)
-        np.testing.assert_array_equal(load_cohort(p).table,
-                                      Cohort(small_cohort.records).table)
+        back = load_cohort(p)
+        np.testing.assert_array_equal(back.table, small_cohort.table)
+        assert back.ids.tolist() == small_cohort.ids.tolist()
 
     def test_stratum_of_a_stratum_is_itself(self, small_cohort):
         males = small_cohort.stratum("male")
@@ -252,8 +347,7 @@ class TestColumnarAssembly:
         assert len(males.stratum("female")) == 0
 
     def test_missing_frax_names_the_subject(self):
-        cohort = Cohort((make_record("a", frax=0.2), make_record("b7", frax=None),
-                         make_record("c", frax=None)))
+        cohort = make_cohort({"a": {"frax_prob": 0.2}, "b7": {}, "c": {}})
         rows = np.arange(3)[None]
         with pytest.raises(DataError, match="subject b7: frax_prob missing"):
             build_feature_matrix(cohort, FeatureSet.parse("FRAX_ONLY"), "male",

@@ -1,12 +1,11 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from femrisk.classifiers import KINDS, ClassifierSpec, model_to_json
-from femrisk.datamodel import Cohort, FeatureSet
+from femrisk.datamodel import COLUMN_INDEX, Cohort, FeatureSet
 from femrisk.errors import DataError
 from femrisk.evaluate import (BLOCK, CvConfig, ResampleConfig, build_report,
                               cell_name, compare_with_frax, fe9_matrix,
@@ -65,8 +64,8 @@ class TestStratifiedSplit:
         tr, te = stratified_split_indices(small_cohort.labels(), 0.75, seed=4)
         tr_c, te_c = small_cohort.subset(tr), small_cohort.subset(te)
         assert len(tr_c) + len(te_c) == len(small_cohort)
-        ids = {r.id for r in small_cohort}
-        assert {r.id for r in tr_c} | {r.id for r in te_c} == ids
+        ids = set(small_cohort.ids.tolist())
+        assert set(tr_c.ids.tolist()) | set(te_c.ids.tolist()) == ids
 
     def test_tiny_class_rejected(self):
         with pytest.raises(DataError):
@@ -134,10 +133,11 @@ class TestSharedSplitLoop:
         # training column in ABMD_COV (bmdmed, first at split 27) or in
         # Lu_ABMD_COV (Lu at split 14, bmdmed at 27).  Split by split, the
         # Lu cell fails first, although the ABMD cell comes first in a block.
-        records = [replace(r, bmdmed=int(i == 125),
-                           fe=replace(r.fe, Lu=2e6 if i == 123 else 1e6))
-                   for i, r in enumerate(small_cohort)]
-        cohort = Cohort(tuple(records))
+        table = small_cohort.table.copy()
+        rows = np.arange(len(table))
+        table[:, COLUMN_INDEX["bmdmed"]] = rows == 125
+        table[:, COLUMN_INDEX["Lu"]] = np.where(rows == 123, 2e6, 1e6)
+        cohort = Cohort(table, small_cohort.ids)
         fs_lu = FeatureSet.parse("Lu_ABMD_COV")
         cfg = ResampleConfig(resamples=BLOCK + 3, seed=5)
         y = cohort.labels()

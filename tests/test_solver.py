@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
+from femrisk.datamodel import FE12
 from femrisk.errors import NumericalError
 from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl,
                              ash_density, compute_fe_parameters, fall_bc,
@@ -126,7 +127,8 @@ class TestDeterminismAndCases:
                                stop_fraction=0.7)
         fe, _ = compute_fe_parameters(g, MaterialModel(), control,
                                       yield_policy="ultimate")
-        assert fe.Su != fe.Lu
+        assert list(fe) == list(FE12)
+        assert fe["Su"] != fe["Lu"]
 
     def test_monotone_in_density(self):
         control = SolveControl(increment=0.05, max_increments=20)
