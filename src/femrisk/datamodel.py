@@ -200,7 +200,8 @@ def _parse_line(raw: list[str], line_no: int) -> list[float]:
 
 
 def load_cohort(path) -> Cohort:
-    """Read and validate a cohort CSV; the first invalid line raises."""
+    """Read and validate a cohort CSV; the first invalid line raises.  Subject
+    ids must be non-empty and unique."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -215,28 +216,35 @@ def load_cohort(path) -> Cohort:
             raise DataError(
                 f"bad header: expected {','.join(COHORT_HEADER)}, got {','.join(header)}"
             )
-        rows, ids, line_nos = [], [], []
+        rows = []
+        id_lines = {}                             # subject id -> its line, in file order
         unreadable = None
         for line_no, raw in enumerate(reader, start=2):
             if not raw or all(not c.strip() for c in raw):
                 continue
             try:
-                rows.append(_parse_line(raw, line_no))
+                row = _parse_line(raw, line_no)
+                subject_id = raw[0].strip()
+                if not subject_id:
+                    raise DataError(f"line {line_no}: empty subject id")
+                if subject_id in id_lines:
+                    raise DataError(f"line {line_no}: duplicate subject id {subject_id!r}, "
+                                    f"first on line {id_lines[subject_id]}")
             except DataError as exc:
                 # Reported only if no line above it breaks a rule.
                 unreadable = exc
                 break
-            ids.append(raw[0].strip())
-            line_nos.append(line_no)
+            rows.append(row)
+            id_lines[subject_id] = line_no
     table = np.array(rows, dtype=float).reshape(len(rows), len(TABLE_COLUMNS))
     bad = invalid_row(table)
     if bad is not None:
-        raise DataError(f"line {line_nos[bad[0]]}: {bad[1]}")
+        raise DataError(f"line {list(id_lines.values())[bad[0]]}: {bad[1]}")
     if unreadable is not None:
         raise unreadable
     if not rows:
         raise DataError("empty cohort")
-    return Cohort(table, ids)
+    return Cohort(table, list(id_lines))
 
 
 def save_cohort(cohort: Cohort, path) -> None:

@@ -59,18 +59,21 @@ def detect_yield_load(curve: ForceDisplacementCurve,
     return float(curve.force[hits[0]])
 
 
-def ultimate_load(curve: ForceDisplacementCurve):
-    """(peak force, index, peak_at_end flag); ties keep the earliest."""
+def _peak_index(curve: ForceDisplacementCurve) -> int:
+    """Index of the peak force; ties keep the earliest."""
     if curve.force.size < 2:
         raise DataError("curve needs at least 2 samples")
-    idx = int(np.argmax(curve.force))   # argmax is first-on-ties
-    peak_at_end = idx == curve.force.size - 1
-    return float(curve.force[idx]), idx, peak_at_end
+    return int(np.argmax(curve.force))   # argmax is first-on-ties
+
+
+def ultimate_load(curve: ForceDisplacementCurve) -> float:
+    """Peak force."""
+    return float(curve.force[_peak_index(curve)])
 
 
 def energy_to_failure(curve: ForceDisplacementCurve) -> float:
     """Trapezoidal integral of force over displacement up to the peak."""
-    _, idx, _ = ultimate_load(curve)
+    idx = _peak_index(curve)
     d = curve.displacement[: idx + 1]
     f = curve.force[: idx + 1]
     return float(np.trapezoid(f, d))

@@ -16,7 +16,8 @@ from .curves import (ForceDisplacementCurve, NoYieldDetected, detect_yield_load,
                      energy_to_failure, ultimate_load)
 from .grid import VoxelGrid, rotate_grid
 from .material import MaterialModel
-from .solver import BoundaryCondition, SolveControl, fall_bc, solve, stance_bc
+from .solver import (BoundaryCondition, SolveControl, fall_bc, one_blas_thread, solve,
+                     stance_bc)
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,6 @@ class FeResult:
     yield_load: float
     ultimate_load: float
     energy: float
-    increments: int
-    yield_detected: bool
-    peak_at_end: bool
 
 
 def solve_load_case(grid: VoxelGrid, material: MaterialModel, case: LoadCase,
@@ -62,28 +60,25 @@ def extract_result(curve: ForceDisplacementCurve,
     """Pull (yield, ultimate, energy) from a solved curve.
 
     yield_policy "error" raises when no yield was detected;
-    "ultimate" substitutes the ultimate load (flagged in the result).
+    "ultimate" substitutes the ultimate load.
     """
-    ult, idx, peak_at_end = ultimate_load(curve)
+    ult = ultimate_load(curve)
     energy = energy_to_failure(curve)
     try:
         yld = detect_yield_load(curve)
-        detected = True
     except NoYieldDetected:
         if yield_policy == "error":
             raise
         yld = ult
-        detected = False
     yld = min(yld, ult)
-    return FeResult(yield_load=yld, ultimate_load=ult, energy=energy,
-                    increments=curve.force.size - 1,
-                    yield_detected=detected, peak_at_end=peak_at_end)
+    return FeResult(yield_load=yld, ultimate_load=ult, energy=energy)
 
 
 def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
                           control: SolveControl, yield_policy: str = "error"
                           ) -> tuple[dict[str, float], dict[str, ForceDisplacementCurve]]:
-    """Run all four load cases and assemble the twelve FE parameters.
+    """Run all four load cases, with SciPy's OpenBLAS on one thread, and
+    assemble the twelve FE parameters.
 
     Returns the parameters, keyed in FE12 order, and the force-displacement
     curves keyed by load case name.  A case that fails, or that never yields
@@ -93,17 +88,18 @@ def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
     """
     values = {}
     curves = {}
-    for case in LOAD_CASES:
-        try:
-            curve = solve_load_case(grid, material, case, control)
-            res = extract_result(curve, yield_policy)
-        except (NumericalError, NoYieldDetected) as exc:
-            raise NumericalError(f"load case {case.name} failed: {exc}") from exc
-        y, u, energy = LOAD_CASE_PARAMS[case.name]
-        values[y] = res.yield_load
-        values[u] = res.ultimate_load
-        values[energy] = res.energy
-        curves[case.name] = curve
+    with one_blas_thread():
+        for case in LOAD_CASES:
+            try:
+                curve = solve_load_case(grid, material, case, control)
+                res = extract_result(curve, yield_policy)
+            except (NumericalError, NoYieldDetected) as exc:
+                raise NumericalError(f"load case {case.name} failed: {exc}") from exc
+            y, u, energy = LOAD_CASE_PARAMS[case.name]
+            values[y] = res.yield_load
+            values[u] = res.ultimate_load
+            values[energy] = res.energy
+            curves[case.name] = curve
     bad = invalid_row([[values[name] for name in FE12]], FE12)
     if bad is not None:
         raise DataError(bad[1])

@@ -16,6 +16,15 @@ Cholesky, then band LU on the mirrored band (softening: indefinite), then,
 for a Newton step, band LU on K + 1e-10 max(diag K, 1) I (singular), at
 O(n bw^2) for n free dofs (Golub & Van Loan, Matrix Computations, 4.3).
 
+One solve call keeps the last tangent it assembled: its Gauss-point
+tangents, its band and, once band Cholesky succeeded, the factor.  When the
+next tangent has the same bytes (an elastic increment after an elastic one:
+4 of the 8 solves of the two-increment 10x10x24 elastic benchmark input),
+the band and factor are reused and spsolve only back-substitutes, which
+gives the bytes a fresh factorization would.  Any other tangent drops the
+kept band and factor before its own band is assembled.  The LU rungs are
+never kept.
+
 An increment tries a predictor and at most NEWTON_CAP Newton iterations; an
 attempt whose residual passes NEWTON_DIVERGE times its reference (or is not
 finite) is given up at once, before that iteration's solve.  A failed
@@ -28,11 +37,15 @@ reference.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import ndimage
-from scipy.linalg import LinAlgError, solve_banded, solveh_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solve_banded
 
 from ..errors import DataError, NumericalError
 from .curves import ForceDisplacementCurve
@@ -213,16 +226,26 @@ def _band_assembler(dof_map, free, n_dofs):
     return assemble
 
 
-def spsolve(kb, b, regularize=True):
+def spsolve(kb, b, regularize=True, factor=None):
     """x with K x = b for the symmetric K in the band storage kb of
     _band_assembler, by the ladder of the module docstring; the regularized
     rung runs only if regularize.  NaN if every rung failed.  Cholesky
     comes first because band LU alone took 1.8x the wall time and peak
-    memory of the 10x10x24 elastic benchmark run (2-core x86 host)."""
-    try:
-        return solveh_banded(kb.T, b, check_finite=False)
-    except LinAlgError:
-        pass
+    memory of the 10x10x24 elastic benchmark run (2-core x86 host).
+
+    factor, a dict owned by the caller, carries the Cholesky factor of kb
+    from one call to the next under "cb": it is used when present, and a
+    factor computed here is stored there.
+    """
+    if factor is None:
+        factor = {}
+    if "cb" not in factor:
+        try:
+            factor["cb"] = cholesky_banded(kb.T, check_finite=False)
+        except LinAlgError:
+            pass
+    if "cb" in factor:
+        return cho_solve_banded((factor["cb"], False), b, check_finite=False)
     n, bw = kb.shape[0], kb.shape[1] - 1
     full = np.zeros((2 * bw + 1, n))
     full[:bw + 1] = kb.T
@@ -237,6 +260,43 @@ def spsolve(kb, b, regularize=True):
         if np.all(np.isfinite(x)):
             return x
     return np.full(n, np.nan)
+
+
+def _scipy_openblas():
+    """SciPy's bundled OpenBLAS (the library its LAPACK calls run in), or
+    None when this SciPy build ships none."""
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    found = sorted(libs.glob("libscipy_openblas*.so"))
+    return ctypes.CDLL(str(found[0])) if found else None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with SciPy's OpenBLAS on one thread, then restore the
+    previous count.  On a 2-core host the second thread only spun (1.9x the
+    CPU time at the same wall time), and above about 16x16x40 voxels the band
+    factor's bytes depend on the thread count.  Without the library or its
+    thread calls this does nothing."""
+    lib = _scipy_openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads", None)
+    if get is None or set_ is None:
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+def _same_bits(a, b) -> bool:
+    """Whether the float64 arrays a and b hold the same bytes and no NaN:
+    -0.0 is not 0.0, and a NaN is not even itself."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64)) and not np.isnan(a).any()
 
 
 def _largest_cluster(yielded_flat, dims) -> int:
@@ -306,6 +366,21 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         sig = stress.reshape(ne, 8, 6)
         return scatter(wdet * np.einsum("gik,egi->ek", b_mats, sig))
 
+    factor = {}
+
+    def tangent_solve(tang, rhs, regularize, ke=None):
+        """spsolve on the tangent of the Gauss-point tangents tang (whose
+        element matrices are ke, when given), reusing the kept band and
+        factor while tang has the bytes of the last one assembled."""
+        kept = factor.get("tang")
+        if kept is None or not _same_bits(kept, tang):
+            factor.clear()
+            if ke is None:
+                ke = element_stiffness(tang, b_mats, wdet)
+            factor["band"] = tangent_band(ke)
+            factor["tang"] = tang
+        return spsolve(factor["band"], rhs, regularize, factor=factor)
+
     peak = 0.0
     peak_idx = 0
     # Committed-state tangent for the predictor step.
@@ -325,7 +400,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         if free.size:
             ke = element_stiffness(tang_c, b_mats, wdet)
             f_p = scatter(np.einsum("eij,ej->ei", ke, delta_p[dof_map]))
-            du0 = spsolve(tangent_band(ke), -f_p[free], regularize=False)
+            du0 = tangent_solve(tang_c, -f_p[free], False, ke)
             if np.all(np.isfinite(du0)):
                 u[free] += du0
         u[bc.fixed_dofs] = 0.0
@@ -347,7 +422,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
                 return f_int
             if not res_norm <= NEWTON_DIVERGE * ref:
                 raise NumericalError("Newton diverged")
-            du = spsolve(tangent_band(element_stiffness(tang, b_mats, wdet)), -res)
+            du = tangent_solve(tang, -res, True)
             if not np.all(np.isfinite(du)):
                 raise NumericalError("linear solve failed")
             u[free] += du

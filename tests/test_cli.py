@@ -184,6 +184,22 @@ class TestMalformedCohort:
         assert captured.err.splitlines() == [f"error: line 4: {message}"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["empty", "duplicate"])
+    def test_bad_subject_id_evaluate_exit_2(self, tmp_path, capsys, cohort_csv, duplicate):
+        lines = cohort_csv.read_text().splitlines()
+        first = lines[1].split(",")[0]
+        subject_id = first if duplicate else ""
+        lines[3] = subject_id + lines[3][lines[3].index(","):]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
+        assert dispatch(["evaluate", "--cohort", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        message = (f"duplicate subject id {first!r}, first on line 2" if duplicate
+                   else "empty subject id")
+        assert captured.err.splitlines() == [f"error: line 4: {message}"]
+        assert not out.exists()
+
 
 class TestSynth:
     def test_row_count_and_determinism(self, tmp_path, cohort_csv):
@@ -219,7 +235,7 @@ class TestFe:
     def test_invalid_parameters_exit_2(self, tmp_path, capsys, monkeypatch):
         # The twelve parameters pass the cohort rules before they are written.
         from femrisk.femodel import loadcases
-        zero_yield = loadcases.FeResult(0.0, 1.0, 1.0, 1, True, False)
+        zero_yield = loadcases.FeResult(0.0, 1.0, 1.0)
         monkeypatch.setattr(loadcases, "extract_result", lambda curve, policy: zero_yield)
         gpath = tmp_path / "g.txt"
         save_grid(uniform_grid((2, 2, 3), 0.3), gpath)

@@ -124,6 +124,20 @@ class TestColumnValidator:
         with pytest.raises(DataError, match="^line 6: expected 22 fields, got 3$"):
             load_cohort(p)
 
+    @pytest.mark.parametrize("cells,message", [
+        ({4: {"id": ""}}, "line 4: empty subject id"),
+        ({4: {"id": "  "}}, "line 4: empty subject id"),
+        ({5: {"id": "s3"}}, "line 5: duplicate subject id 's3', first on line 3"),
+        ({4: {"id": " s2 "}}, "line 4: duplicate subject id 's2', first on line 2"),
+        ({3: {"age": "-5"}, 5: {"id": "s2"}}, "line 3: age must be positive, got -5.0"),
+    ], ids=["empty", "blank", "duplicate", "duplicate_padded", "earlier_rule"])
+    def test_subject_ids_non_empty_and_unique(self, tmp_path, cells, message):
+        p = tmp_path / "c.csv"
+        write_cohort_csv(p, cells)
+        with pytest.raises(DataError) as exc:
+            load_cohort(p)
+        assert str(exc.value) == message
+
     def test_fe_parameters_alone(self):
         fe = make_row()[None, :len(FE12)]
         assert invalid_row(fe, FE12) is None

@@ -122,11 +122,12 @@ class TestCurves:
         with pytest.raises(NoYieldDetected):
             detect_yield_load(c)
 
-    def test_ultimate_peak_and_flag(self):
-        peak, idx, at_end = ultimate_load(curve([0, 100, 250, 180]))
-        assert (peak, idx, at_end) == (250.0, 2, False)
-        peak, idx, at_end = ultimate_load(curve([0, 100, 250, 260]))
-        assert at_end
+    def test_ultimate_is_peak_earliest_on_ties(self):
+        assert ultimate_load(curve([0, 100, 250, 180])) == 250.0
+        assert ultimate_load(curve([0, 100, 250, 260])) == 260.0
+        # A tied peak ends the energy at its first sample: 0.1*(0 + 100)/2
+        # + 0.1*(100 + 250)/2, not one more 0.1*250.
+        assert energy_to_failure(curve([0, 100, 250, 250, 180])) == pytest.approx(22.5)
 
     def test_energy_is_area_to_peak(self):
         c = curve([0, 100, 200, 150])

@@ -1,3 +1,4 @@
+import ctypes
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl,
 from femrisk.femodel.curves import energy_to_failure
 from femrisk.femodel.grid import VoxelGrid
 from femrisk.femodel.plasticity import radial_return_batch
-from femrisk.femodel import solver
+from femrisk.femodel import loadcases, solver
 from femrisk.femodel.solver import (_band_assembler, _element_dof_map,
                                     _hex_b_matrices, element_stiffness,
                                     spsolve)
@@ -417,7 +418,7 @@ class TestSolveLadder:
             lu_diagonals.append(full[l_and_u[1]].copy())
             return solve_banded(l_and_u, full, rhs, **kw)
 
-        with mock.patch.object(solver, "solveh_banded", wraps=solver.solveh_banded) as ch, \
+        with mock.patch.object(solver, "cholesky_banded", wraps=solver.cholesky_banded) as ch, \
                 mock.patch.object(solver, "solve_banded", side_effect=lu):
             x = spsolve(kb, b, **kwargs)
         assert ch.call_count == 1
@@ -514,9 +515,9 @@ def solve_log(monkeypatch):
     regularize is False for a predictor and True for a Newton step."""
     log = []
 
-    def counting(kb, b, regularize=True):
+    def counting(kb, b, regularize=True, **kwargs):
         log.append((regularize, float(np.linalg.norm(b))))
-        return spsolve(kb, b, regularize)
+        return spsolve(kb, b, regularize, **kwargs)
 
     monkeypatch.setattr(solver, "spsolve", counting)
     return log
@@ -566,3 +567,121 @@ class TestNewtonDivergence:
             solve(g, elastic_material(), stance_bc(g.dims), SolveControl(increment=0.01))
         # One predictor per attempt of the five-rung substep ladder.
         assert [regularize for regularize, _ in solve_log] == [False] * 5
+
+
+def _curve_bytes(curve):
+    return [getattr(curve, name).tobytes()
+            for name in ("displacement", "force", "yielded_counts", "cluster_sizes")]
+
+
+class TestFactorReuse:
+    """One solve call factors a tangent once while its Gauss-point tangents
+    keep their bytes, and every solve still goes through spsolve."""
+
+    @staticmethod
+    def _elastic_solve(radial_return=radial_return_batch):
+        g = uniform_grid((2, 2, 4), RHO)
+        c = SolveControl(increment=0.01, max_increments=2)
+        with mock.patch.object(solver, "cholesky_banded",
+                               wraps=solver.cholesky_banded) as ch, \
+                mock.patch.object(solver, "radial_return_batch", radial_return):
+            curve = solve(g, elastic_material(), stance_bc(g.dims), c)
+        return curve, ch.call_count
+
+    def test_equal_tangent_factored_once(self, monkeypatch, solve_log):
+        # Two elastic increments: one predictor solve each, on the same tangent.
+        reused, n_factored = self._elastic_solve()
+        assert n_factored == 1
+        assert len(solve_log) == 2
+
+        def fresh(kb, b, regularize=True, factor=None):
+            return spsolve(kb, b, regularize)
+
+        monkeypatch.setattr(solver, "spsolve", fresh)
+        refactored, n_refactored = self._elastic_solve()
+        assert n_refactored == 2
+        assert _curve_bytes(reused) == _curve_bytes(refactored)
+
+    @pytest.mark.parametrize("edit", ["ulp", "negative_zero"])
+    def test_tangent_differing_in_one_element_factored_again(self, solve_log, edit):
+        # From the second radial return on, one tangent entry changes its
+        # bytes but not the stress: the second increment's predictor sees a
+        # tangent that differs from the first in that one element.
+        calls = []
+
+        def edited(*args):
+            stress, tang, eps_p, alpha = radial_return_batch(*args)
+            calls.append(None)
+            if len(calls) > 1:
+                if edit == "ulp":
+                    tang[0, 0, 0] = np.nextafter(tang[0, 0, 0], np.inf)
+                else:
+                    assert tang[0, 0, 3] == 0.0
+                    tang[0, 0, 3] = -0.0
+            return stress, tang, eps_p, alpha
+
+        _, n_factored = self._elastic_solve(edited)
+        assert len(solve_log) == 2
+        assert n_factored == 2
+
+    def test_nan_tangent_never_reused(self, solve_log):
+        # A tangent holding a NaN is factored again even when its bytes
+        # repeat; every solve then fails and the increment is given up.
+        def nan_tangent(*args):
+            stress, tang, eps_p, alpha = radial_return_batch(*args)
+            tang[0, 0, 3] = np.nan
+            return stress, tang, eps_p, alpha
+
+        with pytest.raises(NumericalError, match="Newton failed to converge at increment 1"), \
+                mock.patch.object(solver, "cholesky_banded",
+                                  wraps=solver.cholesky_banded) as ch:
+            g = uniform_grid((1, 1, 2), RHO)
+            with mock.patch.object(solver, "radial_return_batch", nan_tangent):
+                solve(g, elastic_material(), stance_bc(g.dims), SolveControl(increment=0.01))
+        assert len(solve_log) > 1
+        assert ch.call_count == len(solve_log)
+
+
+def _openblas_threads():
+    lib = solver._scipy_openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads"):
+        pytest.skip("SciPy ships no OpenBLAS with thread calls")
+    get = lib.scipy_openblas_get_num_threads
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get
+
+
+class TestOneBlasThread:
+    """compute_fe_parameters runs its load cases on one OpenBLAS thread."""
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_one_thread_inside_previous_after(self, monkeypatch, fail):
+        threads = _openblas_threads()
+        previous = threads()
+        seen = []
+
+        def solve_recording(*args):
+            seen.append(threads())
+            if fail:
+                raise NumericalError("Newton stalled")
+            return solve(*args)
+
+        monkeypatch.setattr(loadcases, "solve", solve_recording)
+        g = uniform_grid((2, 2, 3), RHO)
+        control = SolveControl(increment=0.01, max_increments=2)
+        if fail:
+            with pytest.raises(NumericalError, match="load case stance failed"):
+                compute_fe_parameters(g, elastic_material(), control, "ultimate")
+        else:
+            compute_fe_parameters(g, elastic_material(), control, "ultimate")
+        assert seen == [1] * (1 if fail else len(LOAD_CASES))
+        assert threads() == previous
+
+    @pytest.mark.parametrize("lib", [None, object()], ids=["no_library", "no_symbols"])
+    def test_missing_library_or_symbol_is_a_no_op(self, monkeypatch, lib):
+        threads = _openblas_threads()
+        previous = threads()
+        monkeypatch.setattr(solver, "_scipy_openblas", lambda: lib)
+        with solver.one_blas_thread():
+            assert threads() == previous
+        assert threads() == previous
