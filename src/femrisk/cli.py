@@ -26,12 +26,12 @@ import numpy as np
 from .classifiers import (ClassifierSpec, model_from_json, model_to_json,
                           predict_scores, train)
 from .datamodel import FeatureSet, feature_columns, load_cohort, save_cohort
-from .errors import DataError, FemriskError, NumericalError, malformed
-from .evaluate import (CvConfig, ResampleConfig, build_feature_matrix,
-                       build_report, cell_name, compare_with_frax, fe9_matrix,
-                       fit_and_score, mix_seed, run_lgocv,
-                       run_resample_comparison, stratified_split_indices,
-                       write_roc_csv)
+from .errors import DataError, FemriskError, NumericalError, malformed, read_json
+from .evaluate import (CvConfig, ResampleConfig, auc_summary,
+                       build_feature_matrix, build_report, cell_name,
+                       compare_with_frax, fe9_matrix, fit_and_score, mix_seed,
+                       run_lgocv, run_resample_comparison,
+                       stratified_split_indices, write_roc_csvs)
 from .femodel import (MaterialModel, SolveControl, compute_fe_parameters,
                       load_grid, material_from_file)
 from .stats.pca import (fit_pca, pc_scores, pca_from_json, pca_to_json,
@@ -232,10 +232,7 @@ def cmd_evaluate(args) -> int:
                                      args.stratum, pca_full)
 
     extra = {
-        "lgocv": {name: {"auc_mean": float(np.mean(v)),
-                         "auc_sd": float(np.std(v, ddof=1)) if v.size > 1 else 0.0,
-                         "aucs": v}
-                  for name, v in lgocv.items()},
+        "lgocv": {name: auc_summary(v) for name, v in lgocv.items()},
         "mode": "paper" if args.paper_mode else "fold_internal",
         "stratum": args.stratum,
     }
@@ -250,10 +247,7 @@ def cmd_evaluate(args) -> int:
             "delta": dl.auc_a - dl.auc_b, "z": dl.z, "p": dl.p,
         }
         if args.roc_dir:
-            roc_dir = Path(args.roc_dir)
-            roc_dir.mkdir(parents=True, exist_ok=True)
-            write_roc_csv(roc_m, roc_dir / "model_roc.csv")
-            write_roc_csv(roc_f, roc_dir / "frax_roc.csv")
+            write_roc_csvs(roc_m, roc_f, args.roc_dir)
 
     configs = {
         "features": [fs.name for fs in feature_sets],
@@ -273,23 +267,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare_frax(args) -> int:
     cohort = load_cohort(args.cohort).stratum(args.stratum)
-    try:
-        with open(args.model, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"model file not found: {args.model}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"bad model JSON: {exc}")
-    scores = _score_with_model(doc, cohort, args.stratum)
+    scores = _score_with_model(read_json(args.model, "model"), cohort, args.stratum)
     dl, roc_m, roc_f = compare_with_frax(cohort, scores)
     _write_json({"auc_model": dl.auc_a, "auc_frax": dl.auc_b,
                  "delta": dl.auc_a - dl.auc_b, "z": dl.z, "p": dl.p,
                  "direction": dl.direction}, args.out)
     if args.roc_dir:
-        roc_dir = Path(args.roc_dir)
-        roc_dir.mkdir(parents=True, exist_ok=True)
-        write_roc_csv(roc_m, roc_dir / "model_roc.csv")
-        write_roc_csv(roc_f, roc_dir / "frax_roc.csv")
+        write_roc_csvs(roc_m, roc_f, args.roc_dir)
     print(f"auc_model {dl.auc_a:.3f} auc_frax {dl.auc_b:.3f} p {dl.p:.4g}")
     return 0
 
@@ -321,13 +305,7 @@ def _report_lines(doc) -> list[str]:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"report file not found: {args.input}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"bad report JSON: {exc}")
+    doc = read_json(args.input, "report")
     with malformed("report JSON"):
         lines = _report_lines(doc)
     print("\n".join(lines))

@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package."""
 
+import json
 from contextlib import contextmanager
 
 
@@ -25,3 +26,16 @@ def malformed(what: str):
         raise DataError(f"malformed {what}: missing {exc}") from exc
     except (AttributeError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed {what}: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at path; a missing file or one that
+    is not JSON is DataError("<what> file not found: ...") or
+    DataError("bad <what> JSON: ...")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except ValueError as exc:
+        raise DataError(f"bad {what} JSON: {exc}") from None

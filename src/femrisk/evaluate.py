@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -298,17 +299,18 @@ def _jsonify(obj):
     return obj
 
 
+def auc_summary(aucs) -> dict:
+    """Mean, SD (0 for a single value) and the AUCs of one report cell."""
+    v = np.asarray(aucs, dtype=float)
+    return {"auc_mean": v.mean(),
+            "auc_sd": v.std(ddof=1) if v.size > 1 else 0.0,
+            "aucs": v}
+
+
 def build_report(results: dict, configs: dict, seed: int,
                  extra: Optional[dict] = None) -> str:
     """Deterministic JSON report: sorted keys, 6 significant digits."""
-    cells = {}
-    for name, vec in results.get("cells", {}).items():
-        v = np.asarray(vec, dtype=float)
-        cells[name] = {
-            "auc_mean": v.mean(),
-            "auc_sd": v.std(ddof=1) if v.size > 1 else 0.0,
-            "aucs": v,
-        }
+    cells = {name: auc_summary(vec) for name, vec in results.get("cells", {}).items()}
     comparisons = {}
     for name, t in results.get("comparisons", {}).items():
         comparisons[name] = {"t": t.t, "df": t.df, "p": t.p, "tail": t.tail}
@@ -323,8 +325,12 @@ def build_report(results: dict, configs: dict, seed: int,
     return json.dumps(_jsonify(doc), sort_keys=True, indent=2) + "\n"
 
 
-def write_roc_csv(curve: RocCurve, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fpr,tpr,threshold\n")
-        for f, t, th in zip(curve.fpr, curve.tpr, curve.thresholds):
-            fh.write(f"{f:.10g},{t:.10g},{th:.10g}\n")
+def write_roc_csvs(roc_model: RocCurve, roc_frax: RocCurve, roc_dir) -> None:
+    """model_roc.csv and frax_roc.csv in roc_dir, created if missing."""
+    roc_dir = Path(roc_dir)
+    roc_dir.mkdir(parents=True, exist_ok=True)
+    for name, curve in (("model", roc_model), ("frax", roc_frax)):
+        with open(roc_dir / f"{name}_roc.csv", "w", encoding="utf-8") as fh:
+            fh.write("fpr,tpr,threshold\n")
+            for f, t, th in zip(curve.fpr, curve.tpr, curve.thresholds):
+                fh.write(f"{f:.10g},{t:.10g},{th:.10g}\n")

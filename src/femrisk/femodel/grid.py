@@ -9,7 +9,7 @@ in z-major order: x varies fastest, then y, with z the outermost index
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, radians, sin
+from math import cos, inf, radians, sin
 
 import numpy as np
 
@@ -28,8 +28,8 @@ class VoxelGrid:
         object.__setattr__(self, "rho_cha", rho)
         if rho.ndim != 3 or min(rho.shape) < 1:
             raise DataError("grid must be 3-D with positive dims")
-        if self.spacing <= 0:
-            raise DataError("spacing must be positive")
+        if not 0 < self.spacing < inf:
+            raise DataError("spacing must be finite and positive")
         if np.any(rho < 0) or not np.all(np.isfinite(rho)):
             raise DataError("densities must be finite and non-negative")
 
@@ -53,6 +53,8 @@ def load_grid(path) -> VoxelGrid:
             if len(header) != 4:
                 raise DataError("grid header must be 'nx ny nz spacing_mm'")
             nx, ny, nz = (int(v) for v in header[:3])
+            if min(nx, ny, nz) < 1:
+                raise DataError("grid dims must be positive integers")
             spacing = float(header[3])
             tokens = fh.read().split()
             values = np.array([float(t) for t in tokens], dtype=float)

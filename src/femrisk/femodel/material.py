@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, malformed, read_json
 from .grid import VoxelGrid
 
 ASH_INTERCEPT = 0.0633
@@ -98,13 +98,7 @@ def material_to_file(material: MaterialModel, control, path) -> None:
 
 def material_from_file(path):
     from .solver import SolveControl
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"material file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"bad material JSON: {exc}")
-    material = MaterialModel.from_json(doc.get("material", {}))
-    control = SolveControl.from_json(doc.get("control", {}))
-    return material, control
+    doc = read_json(path, "material")
+    with malformed("material file"):
+        return (MaterialModel.from_json(doc.get("material", {})),
+                SolveControl.from_json(doc.get("control", {})))

@@ -68,8 +68,8 @@ class SolveControl:
     def __post_init__(self):
         if self.increment <= 0:
             raise DataError("increment must be positive")
-        if self.max_increments < 0:
-            raise DataError("max_increments must be >= 0")
+        if not isinstance(self.max_increments, (int, np.integer)) or self.max_increments < 0:
+            raise DataError("max_increments must be an integer >= 0")
         if self.tolerance <= 0 or not 0.0 < self.stop_fraction <= 1.0:
             raise DataError("bad solve control")
 

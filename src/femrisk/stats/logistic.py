@@ -1,12 +1,16 @@
 """Binary logistic regression by iteratively reweighted least squares.
 
-Supports an optional ridge penalty on the slopes (never the intercept) and
-falls back to a small ridge automatically when the likelihood is monotone
-(perfect separation), flagging the fit as penalized.
-
+Supports an optional ridge penalty on the slopes (never the intercept).
 The one IRLS loop runs a stack of fits; a lone fit is a stack of one.
 fit_logistic adds the Wald inference, fit_logistic_stack fits many at once
 without it.
+
+Both apply one fallback rule, _needs_ridge: a fit that does not converge,
+diverges or, unpenalized, separates the classes (its probabilities
+saturate to the labels, so the maximum-likelihood estimate does not exist)
+is run once more with the ridge raised to SEPARATION_RIDGE (fit_logistic
+flags it penalized).  A fit that still needs it raises NumericalError, as
+does a singular IRLS system.
 """
 
 from __future__ import annotations
@@ -28,12 +32,10 @@ COEF_DIVERGENCE = 1e3
 
 @dataclass(frozen=True)
 class LogisticFit:
-    names: tuple[str, ...]
     intercept: float
     coef: np.ndarray            # slopes, excluding the intercept
     se: np.ndarray              # intercept first, then slopes
     p: np.ndarray               # Wald p-values, intercept first
-    converged: bool
     iterations: int
     penalized: bool
     ridge: float
@@ -55,7 +57,7 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 # Row states of a stacked IRLS run.  RUNNING after the loop means the row
 # used all MAX_ITER iterations without meeting the stopping rule.
-RUNNING, CONVERGED, DIVERGED, SINGULAR = 0, 1, 2, 3
+RUNNING, CONVERGED, DIVERGED = 0, 1, 2
 
 
 def _newton_system(y, xd, beta, ridge):
@@ -72,35 +74,16 @@ def _newton_system(y, xd, beta, ridge):
     return score, h
 
 
-def _solve_rows(h, score):
-    """Newton steps of a stack of systems, and which of them are singular.
-
-    np.linalg.solve raises for the whole stack when one matrix is singular;
-    the stack is then solved row by row so that the others still step.
-    """
-    try:
-        return np.linalg.solve(h, score[:, :, None])[:, :, 0], np.zeros(len(h), bool)
-    except np.linalg.LinAlgError:
-        step = np.zeros_like(score)
-        singular = np.zeros(len(h), bool)
-        for i in range(len(h)):
-            try:
-                step[i] = np.linalg.solve(h[i], score[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
-        return step, singular
-
-
 def _irls_stack(y, xd, ridge):
     """IRLS on a stack of fits: y (B, n) 0/1, xd (B, n, k) with the
     intercept column first; ridge penalizes every column but the intercept.
 
     Each row stops at the iteration where it meets the stopping rule (score
-    or step below tolerance: CONVERGED), its coefficients pass
-    COEF_DIVERGENCE (DIVERGED) or its Hessian is singular (SINGULAR), and
-    is left out of later iterations.  So every row runs the iterations, on
-    the values, that the same fit run alone would.  Returns (beta (B, k),
-    state (B,), iterations (B,)); a SINGULAR row keeps its last beta.
+    or step below tolerance: CONVERGED) or its coefficients pass
+    COEF_DIVERGENCE (DIVERGED), and is left out of later iterations.  So
+    every row runs the iterations, on the values, that the same fit run
+    alone would.  A singular Newton system raises NumericalError.  Returns
+    (beta (B, k), state (B,), iterations (B,)).
     """
     b = xd.shape[0]
     beta = np.zeros((b, xd.shape[2]))
@@ -112,16 +95,17 @@ def _irls_stack(y, xd, ridge):
     ya, xa = y, xd
     for it in range(1, MAX_ITER + 1):
         score, h = _newton_system(ya, xa, beta[rows], ridge)
-        step, singular = _solve_rows(h, score)
-        ok = ~singular
-        beta[rows[ok]] += step[ok]
-        converged = ok & ((np.abs(score).max(axis=1) < SCORE_TOL)
-                          | (np.abs(step).max(axis=1) < COEF_TOL))
-        diverged = ok & ~converged & (np.abs(beta[rows]).max(axis=1) > COEF_DIVERGENCE)
+        try:
+            step = np.linalg.solve(h, score[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            raise NumericalError("singular IRLS system") from None
+        beta[rows] += step
+        converged = ((np.abs(score).max(axis=1) < SCORE_TOL)
+                     | (np.abs(step).max(axis=1) < COEF_TOL))
+        diverged = ~converged & (np.abs(beta[rows]).max(axis=1) > COEF_DIVERGENCE)
         state[rows[converged]] = CONVERGED
         state[rows[diverged]] = DIVERGED
-        state[rows[singular]] = SINGULAR
-        stop = converged | diverged | singular
+        stop = converged | diverged
         if stop.any():
             iterations[rows[stop]] = it
             rows = rows[~stop]
@@ -132,30 +116,31 @@ def _irls_stack(y, xd, ridge):
 
 
 def _irls(y, xd, ridge):
-    """One IRLS run.  xd includes the intercept column; ridge skips it.
-
-    Returns (beta, converged, iterations, cov); cov, the inverse Hessian at
-    beta, is None when the fit diverged or that Hessian is singular.
-    """
+    """One lone IRLS run, a stack of one: y (n,), xd (n, k) with the
+    intercept column first.  Returns (beta, state, iterations)."""
     beta, state, iterations = _irls_stack(y[None], xd[None], ridge)
-    beta, state, it = beta[0], state[0], int(iterations[0])
-    if state == SINGULAR:
-        raise NumericalError("singular IRLS system")
-    if state == DIVERGED:
-        return beta, False, it, None
-    _, h = _newton_system(y[None], xd[None], beta[None], ridge)
-    try:
-        cov = np.linalg.inv(h[0])
-    except np.linalg.LinAlgError:
-        return beta, False, it, None
-    return beta, bool(state == CONVERGED), it, cov
+    return beta[0], state[0], int(iterations[0])
 
 
-def fit_logistic(y, x, ridge: float = 0.0, names=None) -> LogisticFit:
+def _needs_ridge(y, xd, beta, state, ridge):
+    """Which fits take SEPARATION_RIDGE: those that did not converge or
+    diverged and, when ridge is 0, those whose probabilities all lie within
+    1e-4 of the labels (separation: the likelihood is monotone, so its score
+    vanishes at any large enough coefficient).  Takes one fit or a stack."""
+    flag = state != CONVERGED
+    if ridge == 0.0:
+        p_hat = _sigmoid((xd @ beta[..., None])[..., 0])
+        flag = flag | np.all(np.abs(y - p_hat) < 1e-4, axis=-1)
+    return flag
+
+
+def fit_logistic(y, x, ridge: float = 0.0) -> LogisticFit:
     """Fit logit(Pr(y=1)) = b0 + x @ b by IRLS.
 
-    x excludes the intercept column (it is added internally).  On detected
-    separation the fit is retried with ridge = 1e-4 and flagged penalized.
+    x excludes the intercept column (it is added internally).  A fit that
+    needs it (_needs_ridge) is rerun at the separation ridge and flagged
+    penalized.  Raises NumericalError when that rerun still needs it or
+    when the Hessian at the fitted coefficients is singular.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -169,38 +154,27 @@ def fit_logistic(y, x, ridge: float = 0.0, names=None) -> LogisticFit:
         raise DataError("both classes must be present")
     if ridge < 0:
         raise DataError("ridge must be >= 0")
-    k = x.shape[1]
-    if names is None:
-        names = ("intercept",) + tuple(f"x{i}" for i in range(k))
     xd = np.column_stack([np.ones(y.size), x])
 
-    beta, converged, it, cov = _irls(y, xd, ridge)
-    penalized = ridge > 0
     used_ridge = ridge
-    if converged and cov is not None and ridge == 0.0:
-        # A converged unpenalized fit whose probabilities saturate to the
-        # labels means the likelihood is monotone (separation): the score
-        # vanishes at any sufficiently large coefficient.
-        p_hat = _sigmoid(xd @ beta)
-        if np.all(np.abs(y - p_hat) < 1e-4):
-            converged = False
-    if not converged or cov is None:
-        # Monotone likelihood (separation) or numerical trouble: small ridge.
-        beta, converged, it2, cov = _irls(y, xd, max(ridge, SEPARATION_RIDGE))
-        it += it2 if cov is not None else 0
-        penalized = True
+    beta, state, it = _irls(y, xd, ridge)
+    if _needs_ridge(y, xd, beta, state, ridge):
         used_ridge = max(ridge, SEPARATION_RIDGE)
-        if not converged or cov is None:
+        beta, state, it2 = _irls(y, xd, used_ridge)
+        it += it2
+        if _needs_ridge(y, xd, beta, state, used_ridge):
             raise NumericalError("logistic regression failed to converge")
+    _, h = _newton_system(y[None], xd[None], beta[None], used_ridge)
+    try:
+        cov = np.linalg.inv(h[0])
+    except np.linalg.LinAlgError:
+        raise NumericalError("singular IRLS system") from None
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, 0.0)
     p = 2.0 * sps.norm.sf(np.abs(z))
-    return LogisticFit(
-        names=tuple(names), intercept=float(beta[0]), coef=beta[1:],
-        se=se, p=p, converged=converged, iterations=it,
-        penalized=penalized, ridge=used_ridge,
-    )
+    return LogisticFit(intercept=float(beta[0]), coef=beta[1:], se=se, p=p,
+                       iterations=it, penalized=used_ridge > 0, ridge=used_ridge)
 
 
 def predict_proba_stack(beta, x) -> np.ndarray:
@@ -213,24 +187,21 @@ def fit_logistic_stack(y, x, ridge: float) -> np.ndarray:
     """Coefficients, intercept first, of one fit per row of a stack:
     y (B, n) 0/1 labels, x (B, n, k) without the intercept column.
 
-    Row i equals fit_logistic(y[i], x[i], ridge).beta.  The rows run as one
-    stacked IRLS that forms no covariance, standard error or p-value.  A
-    row that does not converge there (no convergence, divergence, a
-    singular Hessian or, unpenalized, separation) is refit on its own by
-    fit_logistic, which falls back to the separation ridge or raises its
-    error.  The one case not carried over: fit_logistic also falls back
-    when the Hessian at a converged beta is exactly singular, which the
-    stacked fit does not form.
+    Row i equals fit_logistic(y[i], x[i], ridge).beta, which fails only
+    where its Hessian at that beta is singular.  The rows run as one
+    stacked IRLS that forms no covariance, standard error or p-value; the
+    rows that need the separation ridge (_needs_ridge) rerun together at
+    it, and the stack raises NumericalError when one of them still needs it.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     b, n, _ = x.shape
     xd = np.concatenate([np.ones((b, n, 1)), x], axis=2)
     beta, state, _ = _irls_stack(y, xd, ridge)
-    redo = state != CONVERGED
-    if ridge == 0.0:
-        p_hat = _sigmoid((xd @ beta[:, :, None])[:, :, 0])
-        redo |= np.all(np.abs(y - p_hat) < 1e-4, axis=1)
-    for i in np.flatnonzero(redo):
-        beta[i] = fit_logistic(y[i], x[i], ridge).beta
+    redo = np.flatnonzero(_needs_ridge(y, xd, beta, state, ridge))
+    if redo.size:
+        used_ridge = max(ridge, SEPARATION_RIDGE)
+        beta[redo], state, _ = _irls_stack(y[redo], xd[redo], used_ridge)
+        if _needs_ridge(y[redo], xd[redo], beta[redo], state, used_ridge).any():
+            raise NumericalError("logistic regression failed to converge")
     return beta

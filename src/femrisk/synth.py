@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .datamodel import COLUMN_INDEX, LOAD_CASE_PARAMS, TABLE_COLUMNS, Cohort
-from .errors import DataError
+from .errors import DataError, malformed, read_json
 
 GROUPS = ("male_control", "male_fx", "female_control", "female_fx")
 GROUP_SEX = {"male_control": "M", "male_fx": "M",
@@ -80,8 +80,9 @@ def default_spec() -> CohortSpec:
 
 
 def load_spec(path) -> CohortSpec:
-    with open(path, encoding="utf-8") as fh:
-        return CohortSpec(json.load(fh))
+    doc = read_json(path, "spec")
+    with malformed("spec"):
+        return CohortSpec(doc)
 
 
 def _mix_seed(seed: int, group_idx: int, subj_idx: int) -> np.random.Generator:

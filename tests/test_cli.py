@@ -140,6 +140,50 @@ class TestMalformedFiles:
         assert captured.out == "" and not out.exists()
         assert dispatch(base + ["--stratum", "male"]) == 0
 
+    @pytest.mark.parametrize("text,error", [
+        ('{"groups": {"male_control": ', "error: bad spec JSON: "),
+        ("[]", "error: malformed spec: "),
+    ], ids=["truncated", "list"])
+    def test_spec_exit_2(self, tmp_path, capsys, text, error):
+        spec, out = tmp_path / "spec.json", tmp_path / "c.csv"
+        spec.write_text(text)
+        assert dispatch(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(error)
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"material": {"c_E": "x"}},
+        # Rejected before the solve starts, not by range() inside it.
+        {"control": {"max_increments": 2.5}},
+    ], ids=["list", "string_c_E", "fractional_max_increments"])
+    def test_material_exit_2(self, tmp_path, capsys, doc):
+        grid, material, out = tmp_path / "g.txt", tmp_path / "m.json", tmp_path / "fe.json"
+        save_grid(uniform_grid((2, 2, 3), 0.3), grid)
+        material.write_text(json.dumps(doc))
+        assert dispatch(["fe", "--grid", str(grid), "--material", str(material),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed material file: ")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("header,error", [
+        ("2 2 3 nan", "error: spacing must be finite and positive"),
+        ("2 2 3 inf", "error: spacing must be finite and positive"),
+        # -2 * -2 * 3 matches the 12 values, so only the dims check stops it.
+        ("-2 -2 3 3.0", "error: grid dims must be positive integers"),
+    ], ids=["nan_spacing", "inf_spacing", "negative_dims"])
+    def test_grid_header_exit_2(self, tmp_path, capsys, header, error):
+        grid, out = tmp_path / "g.txt", tmp_path / "fe.json"
+        grid.write_text(header + "\n" + "0.3 " * 12 + "\n")
+        assert dispatch(["fe", "--grid", str(grid), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [error]
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("doc", [
         {"cells": {"ABMD_COV|logistic": {"auc_sd": 0.1}}},
         {"cells": {"ABMD_COV|logistic": {"auc_mean": "0.7", "auc_sd": 0.1}}},

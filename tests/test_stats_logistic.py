@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from femrisk.errors import DataError, NumericalError
-from femrisk.stats import fit_logistic
-from femrisk.stats.logistic import (CONVERGED, SINGULAR, _irls, _irls_stack,
+from femrisk.stats import fit_logistic, logistic
+from femrisk.stats.logistic import (CONVERGED, _irls, _irls_stack,
                                     fit_logistic_stack, predict_proba_stack)
 
 
@@ -51,7 +53,6 @@ class TestFitLogistic:
         y = np.array([0, 0, 1, 1])
         fit = fit_logistic(y, x)
         assert fit.penalized
-        assert fit.converged
         assert np.isfinite(fit.beta).all()
 
     def test_wald_p_detects_signal(self, rng):
@@ -91,18 +92,13 @@ class TestStackedFits:
         for i in np.flatnonzero(others):
             assert np.array_equal(beta[i], fit_logistic(y[i], x[i], ridge).beta)
 
-    def test_singular_row_does_not_poison_the_stack(self):
+    def test_lone_run_is_a_stack_of_one(self):
         y, x = stack_of_fits()
-        xd = np.concatenate([np.ones(y.shape + (1,)), x, np.zeros(y.shape + (1,))], axis=2)
-        xd[:, :, 3] = x[:, :, 0] ** 2
-        xd[3, :, 3] = 0.0
+        xd = np.concatenate([np.ones(y.shape + (1,)), x], axis=2)
         beta, state, iterations = _irls_stack(y, xd, 0.0)
-        assert state[3] == SINGULAR
-        with pytest.raises(NumericalError, match="^singular IRLS system$"):
-            _irls(y[3], xd[3], 0.0)
-        for i in np.flatnonzero(np.arange(len(y)) != 3):
-            lone_beta, converged, it, _ = _irls(y[i], xd[i], 0.0)
-            assert converged and state[i] == CONVERGED and iterations[i] == it
+        for i in range(len(y)):
+            lone_beta, lone_state, it = _irls(y[i], xd[i], 0.0)
+            assert lone_state == state[i] == CONVERGED and it == iterations[i]
             assert np.array_equal(beta[i], lone_beta)
 
     def test_singular_row_raises_what_fit_logistic_raises(self):
@@ -112,3 +108,86 @@ class TestStackedFits:
             fit_logistic(y[1], x[1])
         with pytest.raises(NumericalError, match="^singular IRLS system$"):
             fit_logistic_stack(y, x, 0.0)
+        # The stacked run raises at once; no row is solved around.
+        xd = np.concatenate([np.ones(y.shape + (1,)), x], axis=2)
+        with pytest.raises(NumericalError, match="^singular IRLS system$"):
+            _irls_stack(y, xd, 0.0)
+
+    def test_flagged_rows_rerun_together(self, monkeypatch):
+        y, x = stack_of_fits()
+        y[[1, 4]] = (x[[1, 4], :, 0] > 0).astype(float)
+        calls = []
+
+        def stack(y, xd, ridge):
+            calls.append((len(y), ridge))
+            return _irls_stack(y, xd, ridge)
+
+        def lone(*args, **kwargs):
+            raise AssertionError("the stack ran a lone fit")
+
+        monkeypatch.setattr(logistic, "_irls_stack", stack)
+        monkeypatch.setattr(logistic, "_irls", lone)
+        monkeypatch.setattr(logistic, "fit_logistic", lone)
+        fit_logistic_stack(y, x, 0.0)
+        assert calls == [(6, 0.0), (2, logistic.SEPARATION_RIDGE)]
+
+    def test_unconverged_ridge_rerun_raises(self, monkeypatch):
+        y, x = stack_of_fits()
+        monkeypatch.setattr(logistic, "MAX_ITER", 1)
+        with pytest.raises(NumericalError, match="^logistic regression failed to converge$"):
+            fit_logistic_stack(y, x, 0.0)
+        with pytest.raises(NumericalError, match="^logistic regression failed to converge$"):
+            fit_logistic(y[0], x[0])
+
+
+def test_singular_hessian_at_the_fit_raises_without_a_rerun(monkeypatch):
+    y, x = stack_of_fits(b=1)
+    runs = []
+
+    def lone(y, xd, ridge):
+        runs.append(ridge)
+        return _irls(y, xd, ridge)
+
+    def singular(a):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(logistic, "_irls", lone)
+    monkeypatch.setattr(logistic.np.linalg, "inv", singular)
+    with pytest.raises(NumericalError, match="^singular IRLS system$"):
+        fit_logistic(y[0], x[0])
+    assert runs == [0.0]
+
+
+@st.composite
+def stacks(draw):
+    b = draw(st.integers(1, 6))
+    n = draw(st.integers(8, 30))
+    k = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(b, n, k))
+    y = (rng.random((b, n)) < 0.5).astype(float)
+    y[:, :2] = [0.0, 1.0]
+    if k:
+        # Split at the median of the first column: both classes, separable.
+        for i in draw(st.sets(st.integers(0, b - 1))):
+            y[i] = (x[i, :, 0] > np.median(x[i, :, 0])).astype(float)
+    return y, x, draw(st.sampled_from([0.0, 1e-8, 1e-4]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks())
+def test_stack_follows_the_lone_rule(case):
+    y, x, ridge = case
+    try:
+        beta = fit_logistic_stack(y, x, ridge)
+    except NumericalError:
+        lone_errors = 0
+        for i in range(len(y)):
+            try:
+                fit_logistic(y[i], x[i], ridge)
+            except NumericalError:
+                lone_errors += 1
+        assert lone_errors
+        return
+    for i in range(len(y)):
+        assert np.array_equal(beta[i], fit_logistic(y[i], x[i], ridge).beta)
