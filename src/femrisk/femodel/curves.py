@@ -49,13 +49,12 @@ class NoYieldDetected(Exception):
     """The yielded cluster never reached the threshold size."""
 
 
-def detect_yield_load(curve: ForceDisplacementCurve,
-                      cluster_size: int = YIELD_CLUSTER_SIZE) -> float:
+def detect_yield_load(curve: ForceDisplacementCurve) -> float:
     """Force at the first increment whose largest face-connected yielded
-    cluster reaches the threshold (no interpolation)."""
-    hits = np.flatnonzero(curve.cluster_sizes >= cluster_size)
+    cluster reaches YIELD_CLUSTER_SIZE elements (no interpolation)."""
+    hits = np.flatnonzero(curve.cluster_sizes >= YIELD_CLUSTER_SIZE)
     if hits.size == 0:
-        raise NoYieldDetected(f"yielded cluster never reached {cluster_size} elements")
+        raise NoYieldDetected(f"yielded cluster never reached {YIELD_CLUSTER_SIZE} elements")
     return float(curve.force[hits[0]])
 
 

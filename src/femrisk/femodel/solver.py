@@ -110,10 +110,9 @@ def node_id(ix, iy, iz, nx, ny):
     return ix + iy * (nx + 1) + iz * (nx + 1) * (ny + 1)
 
 
-def _face_nodes(dims, axis: str, end: bool):
+def _face_nodes(dims, end: bool):
+    """Node ids of the bottom (z = 0) face, or of the top face when end."""
     nx, ny, nz = dims
-    if axis != "z":
-        raise DataError("only z faces are used")
     iz = nz if end else 0
     ids = []
     for iy in range(ny + 1):
@@ -124,8 +123,8 @@ def _face_nodes(dims, axis: str, end: bool):
 
 def stance_bc(dims) -> BoundaryCondition:
     """Bottom face fully fixed; top face driven along -z, transverse free."""
-    bottom = _face_nodes(dims, "z", False)
-    top = _face_nodes(dims, "z", True)
+    bottom = _face_nodes(dims, False)
+    top = _face_nodes(dims, True)
     fixed = np.concatenate([bottom * 3, bottom * 3 + 1, bottom * 3 + 2])
     driven = top * 3 + 2
     return BoundaryCondition(np.sort(fixed), driven, np.full(driven.size, -1.0))
@@ -135,8 +134,8 @@ def fall_bc(dims) -> BoundaryCondition:
     """Top face driven along -z; bottom face fixed along z only, with two
     corner pins removing the in-plane rigid-body modes."""
     nx, ny, nz = dims
-    bottom = _face_nodes(dims, "z", False)
-    top = _face_nodes(dims, "z", True)
+    bottom = _face_nodes(dims, False)
+    top = _face_nodes(dims, True)
     pin_a = node_id(0, 0, 0, nx, ny)
     pin_b = node_id(nx, 0, 0, nx, ny)
     fixed = np.concatenate([bottom * 3 + 2, [pin_a * 3, pin_a * 3 + 1, pin_b * 3 + 1]])

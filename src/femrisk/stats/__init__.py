@@ -7,8 +7,7 @@ from .pca import (PcaModel, fit_pca, pc_scores, pca_from_json, pca_to_json,
                   risk_index, select_significant_pcs)
 from .roc import (DeLongResult, RocCurve, auc_mann_whitney, delong_compare,
                   roc_curve)
-from .ttests import (TTestResult, paired_one_sided_ttest, ttest_from_summary,
-                     two_sample_ttest)
+from .ttests import TTestResult, paired_one_sided_ttest, ttest_from_summary
 
 __all__ = [
     "LinearModelFit", "fit_linear_model",
@@ -17,5 +16,5 @@ __all__ = [
     "risk_index", "select_significant_pcs",
     "DeLongResult", "RocCurve", "auc_mann_whitney", "delong_compare",
     "roc_curve",
-    "TTestResult", "paired_one_sided_ttest", "ttest_from_summary", "two_sample_ttest",
+    "TTestResult", "paired_one_sided_ttest", "ttest_from_summary",
 ]

@@ -106,19 +106,28 @@ def pca_to_json(model: PcaModel) -> dict:
 
 
 def pca_from_json(doc: dict) -> PcaModel:
+    """The model of a pca_to_json entry; DataError when doc is not one."""
     with malformed("PCA model JSON"):
         params = StandardizationParams(mean=np.array(doc["mean"], dtype=float),
                                        sd=np.array(doc["sd"], dtype=float))
-        return PcaModel(standardization=params,
-                        loadings=np.array(doc["loadings"], dtype=float),
-                        eigenvalues=np.array(doc["eigenvalues"], dtype=float),
-                        variance_shares=np.array(doc["variance_shares"], dtype=float),
-                        column_names=tuple(doc["column_names"]))
+        model = PcaModel(standardization=params,
+                         loadings=np.array(doc["loadings"], dtype=float),
+                         eigenvalues=np.array(doc["eigenvalues"], dtype=float),
+                         variance_shares=np.array(doc["variance_shares"], dtype=float),
+                         column_names=tuple(doc["column_names"]))
+        p = len(model.column_names)
+        vectors = (params.mean, params.sd, model.eigenvalues, model.variance_shares)
+        if model.loadings.shape != (p, p) or any(v.shape != (p,) for v in vectors):
+            raise DataError(f"{p} column names need {p}x{p} loadings and mean, sd, "
+                            f"eigenvalues and variance_shares of length {p}")
+        if not all(np.all(np.isfinite(v)) for v in (model.loadings, *vectors)):
+            raise DataError("non-finite values")
+    return model
 
 
-def select_significant_pcs(scores, labels, alpha: float = 0.05):
+def select_significant_pcs(scores, labels):
     """Indices (0-based) of PCs whose univariate logistic slope has
-    Wald p < alpha."""
+    Wald p < 0.05."""
     s = np.asarray(scores, dtype=float)
     if s.ndim != 2:
         raise DataError("scores must be (n_subjects, n_components)")
@@ -130,6 +139,6 @@ def select_significant_pcs(scores, labels, alpha: float = 0.05):
     for j in range(s.shape[1]):
         fit = fit_logistic(y, s[:, j])
         pvals.append(float(fit.p[1]))
-        if fit.p[1] < alpha:
+        if fit.p[1] < 0.05:
             retained.append(j)
     return retained, np.array(pvals)

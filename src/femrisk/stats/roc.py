@@ -27,7 +27,6 @@ class DeLongResult:
     var_diff: float
     z: float
     p: float
-    direction: str
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -128,14 +127,11 @@ def _placements(scores: np.ndarray, y: np.ndarray):
     return auc, v10, v01
 
 
-def delong_compare(scores_a, scores_b, labels, direction="a_greater") -> DeLongResult:
+def delong_compare(scores_a, scores_b, labels) -> DeLongResult:
     """Paired DeLong test for correlated ROC AUCs on the same subjects.
 
-    direction "a_greater" gives the one-sided p for AUC_a > AUC_b
-    ("b_greater" for the reverse).  Identical scores give z = 0, p = 0.5.
+    p is one-sided, for AUC_a > AUC_b.  Identical scores give z = 0, p = 0.5.
     """
-    if direction not in ("a_greater", "b_greater"):
-        raise ValueError(f"unknown direction {direction!r}")
     y = _check_labels(labels)
     a = _finite_scores(scores_a)
     b = _finite_scores(scores_b)
@@ -157,10 +153,5 @@ def delong_compare(scores_a, scores_b, labels, direction="a_greater") -> DeLongR
             raise NumericalError("degenerate DeLong comparison: zero variance, nonzero AUC difference")
     else:
         z = delta / math.sqrt(var_diff)
-    # z > 0 favours a; the requested direction picks the tail.
-    if direction == "a_greater":
-        p = sps.norm.sf(z)
-    else:
-        p = sps.norm.cdf(z)
     return DeLongResult(auc_a=auc_a, auc_b=auc_b, var_diff=max(var_diff, 0.0),
-                        z=z, p=float(p), direction=direction)
+                        z=z, p=float(sps.norm.sf(z)))

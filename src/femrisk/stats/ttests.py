@@ -1,4 +1,5 @@
-"""Student's t-tests: two-sample pooled, summary-statistic, and paired."""
+"""Student's t-tests with the tails the pipeline uses: a two-sided pooled
+test from group summaries, and a paired one-sided test that a > b."""
 
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ from scipy import stats as sps
 
 from ..errors import DataError
 
-TAILS = ("two_sided", "one_sided_greater", "one_sided_less")
-
 
 @dataclass(frozen=True)
 class TTestResult:
@@ -21,20 +20,8 @@ class TTestResult:
     tail: str
 
 
-def _p_from_t(t: float, df: float, tail: str) -> float:
-    if tail == "two_sided":
-        return 2.0 * sps.t.sf(abs(t), df)
-    if tail == "one_sided_greater":
-        return sps.t.sf(t, df)
-    if tail == "one_sided_less":
-        return sps.t.cdf(t, df)
-    raise ValueError(f"unknown tail {tail!r}")
-
-
-def ttest_from_summary(n1, mean1, sd1, n2, mean2, sd2, tail="two_sided") -> TTestResult:
-    """Pooled-variance Student's t-test from group summaries alone."""
-    if tail not in TAILS:
-        raise ValueError(f"unknown tail {tail!r}")
+def ttest_from_summary(n1, mean1, sd1, n2, mean2, sd2) -> TTestResult:
+    """Two-sided pooled-variance Student's t-test from group summaries alone."""
     if n1 < 2 or n2 < 2:
         raise DataError("each group needs n >= 2")
     if sd1 <= 0 or sd2 <= 0:
@@ -49,42 +36,12 @@ def ttest_from_summary(n1, mean1, sd1, n2, mean2, sd2, tail="two_sided") -> TTes
             raise DataError("zero pooled variance with unequal means")
     else:
         t = (mean1 - mean2) / se
-    return TTestResult(t=t, df=df, p=_p_from_t(t, df, tail), tail=tail)
+    return TTestResult(t=t, df=df, p=2.0 * sps.t.sf(abs(t), df), tail="two_sided")
 
 
-def two_sample_ttest(a, b, tail="two_sided", welch=False) -> TTestResult:
-    """Two-sample t-test.  Pooled (Student's) by default; Welch behind a flag."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise DataError("each sample needs n >= 2")
-    if tail not in TAILS:
-        raise ValueError(f"unknown tail {tail!r}")
-    if not welch:
-        df = a.size + b.size - 2
-        sp2 = ((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1)) / df
-        if sp2 == 0:
-            # Degenerate: no variance at all.  t undefined; report no evidence.
-            if a.mean() == b.mean():
-                p = 1.0 if tail == "two_sided" else 0.5
-                return TTestResult(t=0.0, df=df, p=p, tail=tail)
-            raise DataError("zero pooled variance with unequal means")
-        t = (a.mean() - b.mean()) / math.sqrt(sp2 * (1.0 / a.size + 1.0 / b.size))
-        return TTestResult(t=t, df=df, p=_p_from_t(t, df, tail), tail=tail)
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    se2 = va / a.size + vb / b.size
-    if se2 == 0:
-        raise DataError("zero variance in Welch test")
-    t = (a.mean() - b.mean()) / math.sqrt(se2)
-    df = se2**2 / (va**2 / (a.size**2 * (a.size - 1)) + vb**2 / (b.size**2 * (b.size - 1)))
-    return TTestResult(t=t, df=df, p=_p_from_t(t, df, tail), tail=tail)
-
-
-def paired_one_sided_ttest(auc_a, auc_b, direction="greater") -> TTestResult:
-    """Paired one-sided t-test on auc_a - auc_b over shared resample indices.
-
-    direction "greater" tests whether a exceeds b.
-    """
+def paired_one_sided_ttest(auc_a, auc_b) -> TTestResult:
+    """Paired one-sided t-test that auc_a exceeds auc_b, on auc_a - auc_b
+    over shared resample indices."""
     a = np.asarray(auc_a, dtype=float)
     b = np.asarray(auc_b, dtype=float)
     if a.shape != b.shape:
@@ -94,10 +51,10 @@ def paired_one_sided_ttest(auc_a, auc_b, direction="greater") -> TTestResult:
     d = a - b
     sd = d.std(ddof=1)
     df = d.size - 1
-    tail = "one_sided_greater" if direction == "greater" else "one_sided_less"
+    tail = "one_sided_greater"
     if sd == 0:
         if np.all(d == 0):
             return TTestResult(t=0.0, df=df, p=0.5, tail=tail)
         raise DataError("zero-variance nonzero differences")
     t = d.mean() / (sd / math.sqrt(d.size))
-    return TTestResult(t=t, df=df, p=_p_from_t(t, df, tail), tail=tail)
+    return TTestResult(t=t, df=df, p=sps.t.sf(t, df), tail=tail)

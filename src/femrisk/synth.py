@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from math import sqrt
-from typing import Optional
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -34,8 +33,23 @@ CONTINUOUS_VARS = ("age", "height", "weight",
 FE_VARS = CONTINUOUS_VARS[3:]
 
 
+def _finite(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+        raise DataError(f"{what} must be a finite number, got {value!r}")
+
+
+def _check_moments(target: dict, what: str) -> None:
+    """A {"mean", "sd"} target: finite numbers, SD positive."""
+    _finite(target["mean"], f"{what} mean")
+    _finite(target["sd"], f"{what} SD")
+    if target["sd"] <= 0:
+        raise DataError(f"{what}: SD must be positive")
+
+
 @dataclass(frozen=True)
 class CohortSpec:
+    """A cohort spec document; every value _draw_group reads is checked here."""
+
     doc: dict
 
     def __post_init__(self):
@@ -43,25 +57,45 @@ class CohortSpec:
         if set(g) != set(GROUPS):
             raise DataError(f"spec must define exactly the groups {GROUPS}")
         for name, grp in g.items():
-            if grp["n"] < 2:
-                raise DataError(f"group {name}: n must be >= 2")
+            n = grp["n"]
+            if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+                raise DataError(f"group {name}: n must be an integer >= 2, got {n!r}")
             for var in CONTINUOUS_VARS:
                 if var not in grp["variables"]:
                     raise DataError(f"group {name}: missing variable {var}")
-                v = grp["variables"][var]
-                if v["sd"] <= 0:
-                    raise DataError(f"group {name}/{var}: SD must be positive")
+                _check_moments(grp["variables"][var], f"group {name}/{var}")
         for var, l in self.doc["loadings"].items():
+            if var not in CONTINUOUS_VARS:
+                raise DataError(f"loading for unknown variable {var!r}")
             if not 0.0 < l < 1.0:
                 raise DataError(f"loading for {var} must be in (0, 1)")
+        ab = self.doc["abmd_ct"]
+        for sex in ("male", "female"):
+            _check_moments(ab[sex], f"abmd_ct {sex}")
+        _finite(ab["loading"], "abmd_ct loading")
+        if not -1.0 <= ab["loading"] <= 1.0:
+            raise DataError("abmd_ct loading must be in [-1, 1]")
+        _finite(self.doc["fx_factor_shift"], "fx_factor_shift")
+        for kind in ("control", "fx"):
+            _finite(self.doc["bmdmed_p"][kind], f"bmdmed_p {kind}")
+            if not 0.0 <= self.doc["bmdmed_p"][kind] <= 1.0:
+                raise DataError(f"bmdmed_p {kind} must be in [0, 1]")
+        fr = self.doc.get("frax", {})
+        if not isinstance(fr, dict):
+            raise DataError(f"frax must be an object, got {fr!r}")
+        if fr.get("enabled", False):
+            for key in ("age_coef", "noise_sd", "offset", "scale"):
+                _finite(fr[key], f"frax {key}")
         # healstat is drawn as Generator.choice(5, p=probs) draws it, so the
         # probabilities must be ones choice accepts.
-        for kind, probs in self.doc["healstat_probs"].items():
+        for kind in ("control", "fx"):
+            probs = self.doc["healstat_probs"][kind]
             p = np.asarray(probs, dtype=float)
             if p.shape != (5,) or not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1.5e-8:
                 raise DataError(f"healstat_probs {kind}: need 5 non-negative "
                                 f"probabilities summing to 1, got {probs}")
         floor_frac = self.doc.get("floor_frac", 0.01)
+        _finite(floor_frac, "floor_frac")
         for name, grp in g.items():
             for var in FE_VARS:
                 v = grp["variables"][var]
@@ -153,16 +187,11 @@ def _draw_group(spec: CohortSpec, group: str, group_idx: int, n: int,
     return table, [f"{group}_{si:05d}" for si in range(n)]
 
 
-def generate_cohort(spec: CohortSpec, seed: int,
-                    n_override: Optional[dict] = None) -> Cohort:
-    """Generate a cohort.  n_override maps group name -> subject count."""
+def generate_cohort(spec: CohortSpec, seed: int) -> Cohort:
+    """Generate a cohort of spec.groups[group]["n"] subjects per group."""
     tables, ids = [], []
     for gi, group in enumerate(GROUPS):
-        n = spec.groups[group]["n"] if n_override is None else n_override.get(
-            group, spec.groups[group]["n"])
-        if n < 2:
-            raise DataError(f"group {group}: n must be >= 2")
-        table, group_ids = _draw_group(spec, group, gi, n, seed)
+        table, group_ids = _draw_group(spec, group, gi, spec.groups[group]["n"], seed)
         tables.append(table)
         ids += group_ids
     return Cohort(np.concatenate(tables), ids)
@@ -177,10 +206,9 @@ class CalibrationCell:
     flagged: bool
 
 
-def calibration_check(cohort: Cohort, spec: CohortSpec,
-                      z_limit: float = 4.0,
-                      ratio_bounds=(0.7, 1.4)) -> list[CalibrationCell]:
-    """Per-(group, variable) z-scores of sample means and SD ratios."""
+def calibration_check(cohort: Cohort, spec: CohortSpec) -> list[CalibrationCell]:
+    """Per-(group, variable) z-scores of sample means and SD ratios; a cell
+    is flagged when |z| > 4 or the SD ratio lies outside [0.7, 1.4]."""
     out = []
     sex, fx = cohort.columns(["sex", "fx"]).T
     for group in GROUPS:
@@ -194,7 +222,7 @@ def calibration_check(cohort: Cohort, spec: CohortSpec,
             se = tgt["sd"] / sqrt(n)
             z = (sample.mean() - tgt["mean"]) / se
             ratio = sample.std(ddof=1) / tgt["sd"]
-            flagged = abs(z) > z_limit or not ratio_bounds[0] <= ratio <= ratio_bounds[1]
+            flagged = abs(z) > 4.0 or not 0.7 <= ratio <= 1.4
             out.append(CalibrationCell(group=group, variable=var,
                                        z_mean=float(z), sd_ratio=float(ratio),
                                        flagged=flagged))

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from femrisk.datamodel import TABLE_COLUMNS, Cohort
+from femrisk.synth import CohortSpec, default_spec, generate_cohort
 
 FE_BASE = {
     "Sy": 7000.0, "Su": 9000.0, "Senergy": 9500.0,
@@ -25,18 +28,25 @@ def make_cohort(rows: dict) -> Cohort:
     return Cohort(np.array([make_row(**values) for values in rows.values()]), list(rows))
 
 
+def sized_spec(sizes: dict, spec: CohortSpec = None) -> CohortSpec:
+    """A copy of spec (default: the shipped spec) in which each group named
+    in sizes has that many subjects."""
+    doc = json.loads(json.dumps((spec or default_spec()).doc))
+    for group, n in sizes.items():
+        doc["groups"][group]["n"] = n
+    return CohortSpec(doc)
+
+
 @pytest.fixture(scope="session")
 def small_cohort() -> Cohort:
     """Synthetic cohort at reduced group sizes, for fast pipeline tests."""
-    from femrisk.synth import default_spec, generate_cohort
     n = {"male_control": 40, "male_fx": 20, "female_control": 50, "female_fx": 25}
-    return generate_cohort(default_spec(), seed=11, n_override=n)
+    return generate_cohort(sized_spec(n), seed=11)
 
 
 @pytest.fixture(scope="session")
 def full_cohort() -> Cohort:
     """Synthetic cohort at the default group sizes (345 subjects)."""
-    from femrisk.synth import default_spec, generate_cohort
     return generate_cohort(default_spec(), seed=42)
 
 

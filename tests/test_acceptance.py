@@ -5,6 +5,7 @@ verdicts; `-s` additionally shows the printed detail lines.
 
 import numpy as np
 import pytest
+from conftest import sized_spec
 
 from femrisk.classifiers import ClassifierSpec
 from femrisk.datamodel import FeatureSet, derive_dxa_abmd
@@ -236,8 +237,8 @@ def test_criterion_6_delong_correctness():
 
 
 def test_criterion_7_synthetic_calibration(cohort):
-    spec = default_spec()
-    big = generate_cohort(spec, seed=1, n_override={g: 10_000 for g in GROUPS})
+    spec = sized_spec({g: 10_000 for g in GROUPS})
+    big = generate_cohort(spec, seed=1)
     worst_mean = worst_sd = 0.0
     for cell in calibration_check(big, spec):
         grp = spec.groups[cell.group]["variables"][cell.variable]

@@ -8,6 +8,7 @@ from femrisk.datamodel import COHORT_HEADER, load_cohort
 from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
                              save_grid, uniform_grid)
 from femrisk.femodel.grid import VoxelGrid
+from femrisk.synth import default_spec
 
 
 def _reject_constant(name):
@@ -114,14 +115,32 @@ class TestMalformedFiles:
     def test_model_json_list_exit_2(self, tmp_path, capsys, cohort_csv, model_doc):
         self._assert_exit_2(tmp_path, capsys, cohort_csv, [model_doc])
 
+    # Each edit breaks the model file's PCA block; the first two once
+    # crashed in matmul or scored on the wrong columns.
+    @pytest.mark.parametrize("edit,error", [
+        (lambda pca: pca.update(loadings=[[1, 0], [0, 1]]),
+         "error: malformed PCA model JSON: 9 column names need 9x9 loadings"),
+        (lambda pca: pca.update(column_names=["a"]),
+         "error: malformed PCA model JSON: 1 column names need 1x1 loadings"),
+        (lambda pca: pca["column_names"].reverse(),
+         "error: malformed model file: PCA columns ['Lu', 'Ly', "),
+        (lambda pca: pca["eigenvalues"].__setitem__(0, float("nan")),
+         "error: malformed PCA model JSON: non-finite values"),
+    ], ids=["loadings_2x2", "one_column_name", "column_names_reversed",
+            "nan_eigenvalue"])
+    def test_pca_block_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, edit, error):
+        doc = json.loads(json.dumps(model_doc))
+        edit(doc["pca"])
+        self._assert_exit_2(tmp_path, capsys, cohort_csv, doc, error)
+
     @staticmethod
-    def _assert_exit_2(tmp_path, capsys, cohort_csv, doc):
+    def _assert_exit_2(tmp_path, capsys, cohort_csv, doc, error="error: malformed model"):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         assert dispatch(["compare-frax", "--cohort", str(cohort_csv), "--model", str(model),
                          "--out", str(tmp_path / "d.json")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: malformed model")
+        assert len(err) == 1 and err[0].startswith(error)
         assert not (tmp_path / "d.json").exists()
 
     def test_model_of_another_stratum_exit_2(self, tmp_path, capsys, cohort_csv):
@@ -151,6 +170,29 @@ class TestMalformedFiles:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(error)
+        assert captured.out == "" and not out.exists()
+
+    # Each edit of the shipped spec once crashed inside generate_cohort or,
+    # for the unknown loading, was accepted.
+    @pytest.mark.parametrize("edit,error", [
+        (lambda doc: doc["groups"]["male_fx"].update(n=2.5),
+         "group male_fx: n must be an integer >= 2, got 2.5"),
+        (lambda doc: doc["groups"]["male_fx"]["variables"]["age"].update(mean="80"),
+         "group male_fx/age mean must be a finite number, got '80'"),
+        (lambda doc: doc.update(frax=[]), "frax must be an object, got []"),
+        (lambda doc: doc["loadings"].update(Sz=0.5), "loading for unknown variable 'Sz'"),
+        (lambda doc: doc["abmd_ct"].update(loading=1.5), "abmd_ct loading must be in [-1, 1]"),
+        (lambda doc: doc["bmdmed_p"].update(fx=1.5), "bmdmed_p fx must be in [0, 1]"),
+    ], ids=["fractional_n", "string_mean", "frax_list", "unknown_loading",
+            "abmd_loading_above_1", "bmdmed_p_above_1"])
+    def test_spec_value_exit_2(self, tmp_path, capsys, edit, error):
+        doc = json.loads(json.dumps(default_spec().doc))
+        edit(doc)
+        spec, out = tmp_path / "spec.json", tmp_path / "c.csv"
+        spec.write_text(json.dumps(doc))
+        assert dispatch(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: malformed spec: {error}"]
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("doc", [

@@ -170,19 +170,6 @@ class TestResampling:
                                         res.cells["ABMD_COV|logistic"])
         assert res.comparisons[key].p == direct.p
 
-    def test_explicit_comparison_direction(self, small_cohort):
-        cfg = ResampleConfig(resamples=10, seed=6)
-        res = run_resample_comparison(
-            small_cohort, [FS_PC1, FS_ABMD], [LOGIT], cfg,
-            comparisons=[("ABMD_COV|logistic", "PC1_ABMD_COV|logistic")])
-        assert list(res.comparisons) == ["ABMD_COV|logistic>PC1_ABMD_COV|logistic"]
-
-    def test_unknown_cell_in_comparison(self, small_cohort):
-        cfg = ResampleConfig(resamples=10, seed=6)
-        with pytest.raises(DataError):
-            run_resample_comparison(small_cohort, [FS_PC1], [LOGIT], cfg,
-                                    comparisons=[("nope|x", "PC1_ABMD_COV|logistic")])
-
 
 class TestFraxComparison:
     def test_requires_frax(self, small_cohort):

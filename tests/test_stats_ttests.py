@@ -1,52 +1,26 @@
+import numpy as np
 import pytest
 import scipy.stats as sps
+from hypothesis import assume, given, settings, strategies as st
 
 from femrisk.errors import DataError
-from femrisk.stats import paired_one_sided_ttest, ttest_from_summary, two_sample_ttest
+from femrisk.stats import paired_one_sided_ttest, ttest_from_summary
 
-
-class TestTwoSample:
-    def test_matches_scipy_pooled(self, rng):
-        a = rng.normal(0.0, 1.0, size=25)
-        b = rng.normal(0.4, 1.3, size=18)
-        ours = two_sample_ttest(a, b)
-        ref = sps.ttest_ind(a, b, equal_var=True)
-        assert ours.t == pytest.approx(ref.statistic, abs=1e-12)
-        assert ours.p == pytest.approx(ref.pvalue, abs=1e-12)
-
-    def test_matches_scipy_welch(self, rng):
-        a = rng.normal(0.0, 1.0, size=25)
-        b = rng.normal(0.4, 3.0, size=18)
-        ours = two_sample_ttest(a, b, welch=True)
-        ref = sps.ttest_ind(a, b, equal_var=False)
-        assert ours.t == pytest.approx(ref.statistic, abs=1e-12)
-        assert ours.p == pytest.approx(ref.pvalue, abs=1e-12)
-
-    def test_one_sided_is_half_of_two_sided(self, rng):
-        a = rng.normal(1.0, 1.0, size=30)
-        b = rng.normal(0.0, 1.0, size=30)
-        two = two_sample_ttest(a, b)
-        one = two_sample_ttest(a, b, tail="one_sided_greater")
-        assert one.p == pytest.approx(two.p / 2, abs=1e-12)
-
-    def test_degenerate_equal_constants(self):
-        res = two_sample_ttest([1.0, 1.0, 1.0], [1.0, 1.0])
-        assert res.t == 0.0 and res.p == 1.0
-
-    def test_too_small(self):
-        with pytest.raises(DataError):
-            two_sample_ttest([1.0], [2.0, 3.0])
+means = st.floats(-10.0, 10.0)
+sds = st.floats(0.1, 10.0)
+sizes = st.integers(2, 200)
 
 
 class TestFromSummary:
-    def test_consistent_with_raw_data(self, rng):
-        a = rng.normal(5.0, 2.0, size=40)
-        b = rng.normal(4.0, 2.5, size=22)
-        raw = two_sample_ttest(a, b)
-        summ = ttest_from_summary(a.size, a.mean(), a.std(ddof=1),
-                                  b.size, b.mean(), b.std(ddof=1))
-        assert summ.t == pytest.approx(raw.t, abs=1e-12)
-        assert summ.p == pytest.approx(raw.p, abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(n1=sizes, mean1=means, sd1=sds, n2=sizes, mean2=means, sd2=sds)
+    def test_consistent_with_raw_data(self, n1, mean1, sd1, n2, mean2, sd2):
+        # The pooled two-sided test of scipy on the same summaries.
+        ours = ttest_from_summary(n1, mean1, sd1, n2, mean2, sd2)
+        ref = sps.ttest_ind_from_stats(mean1, sd1, n1, mean2, sd2, n2, equal_var=True)
+        assert ours.tail == "two_sided"
+        assert ours.t == pytest.approx(ref.statistic, abs=1e-12)
+        assert ours.p == pytest.approx(ref.pvalue, abs=1e-12)
 
     def test_group_summary_pvalues(self):
         # Published male/female weight and female lateral-ultimate summaries.
@@ -62,12 +36,20 @@ class TestFromSummary:
             ttest_from_summary(10, 1.0, -1.0, 10, 1.0, 1.0)
 
 
+# AUC-like values on a grid of binary fractions, so that a - b is exact and
+# a constant difference has an SD of exactly zero.
+aucs = st.integers(0, 256).map(lambda k: k / 256)
+
+
 class TestPaired:
-    def test_matches_scipy_one_sided(self, rng):
-        a = rng.normal(0.75, 0.05, size=25)
-        b = a - rng.normal(0.02, 0.03, size=25)
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(aucs, aucs), min_size=2, max_size=60))
+    def test_matches_scipy_one_sided(self, pairs):
+        a, b = np.array(pairs).T
+        assume((a - b).std() > 0)
         ours = paired_one_sided_ttest(a, b)
         ref = sps.ttest_rel(a, b, alternative="greater")
+        assert ours.tail == "one_sided_greater"
         assert ours.t == pytest.approx(ref.statistic, abs=1e-12)
         assert ours.p == pytest.approx(ref.pvalue, abs=1e-12)
 

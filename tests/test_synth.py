@@ -3,6 +3,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from conftest import sized_spec
 from hypothesis import given, settings, strategies as st
 
 from femrisk.datamodel import FE12, LOAD_CASE_PARAMS, save_cohort
@@ -135,8 +136,7 @@ class TestGeneration:
         # Shrinking one group leaves every other group's draws untouched.
         spec = default_spec()
         full = generate_cohort(spec, seed=9)
-        small = generate_cohort(spec, seed=9,
-                                n_override={"male_control": 5})
+        small = generate_cohort(sized_spec({"male_control": 5}), seed=9)
         full_f = column(full.stratum("female"), "Su")
         small_f = column(small.stratum("female"), "Su")
         assert full_f.tolist() == small_f.tolist()
@@ -156,27 +156,26 @@ class TestGeneration:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
-           n_override=st.dictionaries(st.sampled_from(GROUPS), st.integers(2, 12)),
+           sizes=st.dictionaries(st.sampled_from(GROUPS), st.integers(2, 12)),
            frax=st.booleans())
-    def test_rows_match_scalar_reference(self, tmp_path_factory, seed, n_override, frax):
+    def test_rows_match_scalar_reference(self, tmp_path_factory, seed, sizes, frax):
         # Each subject draws from its own stream; the arrays must give every
         # CSV line the scalar draws and arithmetic give it, byte for byte.
         doc = json.loads(json.dumps(default_spec().doc))
         doc["frax"]["enabled"] = frax
-        spec = CohortSpec(doc)
+        spec = sized_spec(sizes, CohortSpec(doc))
         path = tmp_path_factory.mktemp("synth") / "cohort.csv"
-        save_cohort(generate_cohort(spec, seed, n_override), path)
+        save_cohort(generate_cohort(spec, seed), path)
         want = [reference_draw_subject(spec, group, gi, si, seed)
                 for gi, group in enumerate(GROUPS)
-                for si in range(n_override.get(group, spec.groups[group]["n"]))]
+                for si in range(spec.groups[group]["n"])]
         assert path.read_text().splitlines()[1:] == want
 
 
 class TestCalibration:
     def test_large_cohort_no_flags(self):
-        spec = default_spec()
-        n = {g: 2000 for g in GROUPS}
-        cohort = generate_cohort(spec, seed=1, n_override=n)
+        spec = sized_spec({g: 2000 for g in GROUPS})
+        cohort = generate_cohort(spec, seed=1)
         cells = calibration_check(cohort, spec)
         assert not any(c.flagged for c in cells)
 
@@ -186,14 +185,12 @@ class TestCalibration:
         target = doc["groups"]["male_control"]["variables"]["weight"]
         target["mean"] += 10 * target["sd"]
         shifted = CohortSpec(doc)
-        cohort = generate_cohort(spec, seed=1,
-                                 n_override={g: 200 for g in GROUPS})
+        cohort = generate_cohort(sized_spec({g: 200 for g in GROUPS}), seed=1)
         cells = calibration_check(cohort, shifted)
         bad = [c for c in cells
                if c.group == "male_control" and c.variable == "weight"]
         assert bad and bad[0].flagged
 
     def test_empty_group_rejected(self):
-        spec = default_spec()
-        with pytest.raises(DataError):
-            generate_cohort(spec, seed=1, n_override={"male_fx": 0})
+        with pytest.raises(DataError, match="^group male_fx: n must be an integer >= 2"):
+            sized_spec({"male_fx": 0})
