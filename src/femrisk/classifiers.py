@@ -9,9 +9,10 @@ larger meaning more likely fracture.
 
 Each kind has one fit and one score, _fit and _score, which work on a stack
 of splits: every array of a fit's params carries a leading split axis.
-train_and_score_stack runs the pair on a block of splits; train runs _fit
-on a stack of one and drops the axis, and predict_scores restores it for
-_score.  The model file holds only the logistic model `femrisk fit` writes.
+train_and_score_stack runs the pair for several specs on a block of
+splits, standardizing the block once; train runs _fit on a stack of one and
+drops the axis, and predict_scores restores it for _score.  The model file
+holds only the logistic model `femrisk fit` writes.
 """
 
 from __future__ import annotations
@@ -172,10 +173,81 @@ def _fit_pls(z, y, components):
     return b, x_mean, y_mean, _pls_latent(z, x_mean, b, y_mean)
 
 
+def _square_plane(zt, tt, j, out):
+    """out = (zt[j] - tt[j]) ** 2: the (m, n) plane of squared differences
+    in feature j."""
+    np.subtract(zt[j], tt[j], out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _running_sum(zt, tt, terms, buf):
+    """The planes of the features in terms added left to right."""
+    total = _square_plane(zt, tt, terms[0], np.empty_like(buf))
+    for j in terms[1:]:
+        total += _square_plane(zt, tt, j, buf)
+    return total
+
+
+def _plane_sum(zt, tt, terms, buf):
+    """The planes of the features in terms (a range) added in the order
+    NumPy's pairwise sum adds len(terms) values.
+
+    Below 8 terms that is left to right.  Up to 128 it is eight running
+    sums r[i] of the terms i, i + 8, ... below the last multiple of 8,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    leftover terms one by one.  Above 128 the terms are halved at a
+    multiple of 8 and the two halves' sums added.
+    """
+    count = len(terms)
+    if count < 8:
+        return _running_sum(zt, tt, terms, buf)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        total = _plane_sum(zt, tt, terms[:half], buf)
+        total += _plane_sum(zt, tt, terms[half:], buf)
+        return total
+    stop = count - count % 8
+
+    def r(i):
+        # Built only when the tree needs it, so few (m, n) arrays are live.
+        return _running_sum(zt, tt, terms[i:stop:8], buf)
+
+    total = r(0)
+    total += r(1)
+    right = r(2)
+    right += r(3)
+    total += right
+    left = r(4)
+    left += r(5)
+    right = r(6)
+    right += r(7)
+    left += right
+    total += left
+    for j in terms[stop:]:
+        total += _square_plane(zt, tt, j, buf)
+    return total
+
+
+def _sq_distances(z, train_z) -> np.ndarray:
+    """Squared Euclidean distances (m, n) between the rows of z (m, p) and
+    train_z (n, p), bit-equal to
+    ((z[:, None, :] - train_z[None, :, :]) ** 2).sum(axis=2).
+
+    The (m, n, p) difference array is never built: each feature gives one
+    contiguous (m, n) plane, and _plane_sum adds the planes in the order of
+    NumPy's last-axis sum.  Stacking the planes and summing over axis 0
+    adds them in another order, so the adds are explicit and in place.
+    """
+    zt = np.ascontiguousarray(z.T)[:, :, None]
+    tt = np.ascontiguousarray(train_z.T)[:, None, :]
+    buf = np.empty((z.shape[0], train_z.shape[0]))
+    return _plane_sum(zt, tt, range(z.shape[1]), buf)
+
+
 def _knn_scores(train_z, train_y, k, z):
     """Fraction of positive labels among the k nearest training points,
     with all distance ties at the k-th neighbor included."""
-    d2 = ((z[:, None, :] - train_z[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_distances(z, train_z)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     inc = d2 <= kth + 1e-12 * np.maximum(kth, 1.0)
     return (inc * train_y).sum(axis=1) / inc.sum(axis=1)
@@ -259,13 +331,15 @@ def predict_scores(model: TrainedModel, x) -> np.ndarray:
     return _score(model.spec, params, z[None])[0]
 
 
-def train_and_score_stack(spec: ClassifierSpec, x, y, x_test) -> np.ndarray:
-    """Scores (B, m) of one fit per row of a stack of splits: row i trains
-    on x[i] (n, p) with labels y[i] and scores x_test[i] (m, p).
+def train_and_score_stack(specs, x, y, x_test) -> list[np.ndarray]:
+    """Scores (B, m) of every spec in specs, one fit per row of a stack of
+    splits: row i trains on x[i] (n, p) with labels y[i] and scores
+    x_test[i] (m, p).
 
-    Row i equals predict_scores(train(spec, x[i], y[i]), x_test[i]): both
-    run _fit and _score.  Every row of y must hold the same class counts,
-    as stratified splits do.
+    Row i of a spec's scores equals predict_scores(train(spec, x[i], y[i]),
+    x_test[i]): both run _fit and _score on the same standardized rows.  The
+    checks and the standardization run once for all specs.  Every row of y
+    must hold the same class counts, as stratified splits do.
     """
     x = np.asarray(x, dtype=float)
     x_test = np.asarray(x_test, dtype=float)
@@ -276,8 +350,8 @@ def train_and_score_stack(spec: ClassifierSpec, x, y, x_test) -> np.ndarray:
     if not np.all(np.isfinite(x_test)):
         raise DataError("non-finite values in prediction input")
     std = standardize_fit(x)
-    params = _fit(spec, standardize_apply(std, x), y)
-    return _score(spec, params, standardize_apply(std, x_test))
+    z, z_test = standardize_apply(std, x), standardize_apply(std, x_test)
+    return [_score(spec, _fit(spec, z, y), z_test) for spec in specs]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ gathers the train and test rows of a block of splits by row index from the
 stratum's columns, with PC1 on a given PCA or on a fold PCA fit on each
 split's training rows.  Stratified splits of one cohort all have the same
 train and test sizes and class counts, so the loop works on blocks of BLOCK
-splits as (B, n, p) stacks, and each classifier trains and scores a block
-in one stacked fit (classifiers.train_and_score_stack), which skips the
-covariance, standard errors and p-values that cross-validation discards.
+splits as (B, n, p) stacks.  One classifiers.train_and_score_stack call per
+(feature set, block) standardizes the block once and trains and scores it
+with every classifier in one stacked fit each, which skips the covariance,
+standard errors and p-values that cross-validation discards.
 fit_and_score is a one-split call of the same builder, fit and score, so
 each split's AUC equals what fit_and_score and auc_mann_whitney give for
 that split alone.  A block that raises is replayed split by split through
@@ -197,8 +198,8 @@ def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
         try:
             for fs in feature_sets:
                 x_tr, x_te = build_feature_matrix(sub, fs, stratum, tr, te, pca_full)
-                for sp in specs:
-                    scores = train_and_score_stack(sp, x_tr, y[tr], x_te)
+                stacks = train_and_score_stack(specs, x_tr, y[tr], x_te)
+                for sp, scores in zip(specs, stacks):
                     aucs[cell_name(fs, sp)][block] = auc_rows(scores, y[te])
         except (FemriskError, np.linalg.LinAlgError):
             # Raise what the first failing (split, feature set, classifier)

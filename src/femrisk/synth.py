@@ -30,7 +30,6 @@ GROUP_FX = {"male_control": 0, "male_fx": 1, "female_control": 0, "female_fx": 1
 CONTINUOUS_VARS = ("age", "height", "weight",
                    "Sy", "Su", "Senergy", "Py", "Pu", "Penergy",
                    "PLy", "PLu", "PLenergy", "Ly", "Lu", "Lenergy")
-FE_VARS = CONTINUOUS_VARS[3:]
 
 
 def _finite(value, what: str) -> None:
@@ -44,6 +43,11 @@ def _check_moments(target: dict, what: str) -> None:
     _finite(target["sd"], f"{what} SD")
     if target["sd"] <= 0:
         raise DataError(f"{what}: SD must be positive")
+
+
+def _floor(floor_frac: float, mean: float) -> float:
+    """The value below which _draw_group truncates a variable's draws."""
+    return max(floor_frac * mean, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,15 @@ class CohortSpec:
                                 f"probabilities summing to 1, got {probs}")
         floor_frac = self.doc.get("floor_frac", 0.01)
         _finite(floor_frac, "floor_frac")
+        # A floor at or above the mean truncates at least half of the draws,
+        # so the sample cannot match its target.
         for name, grp in g.items():
-            for var in FE_VARS:
-                v = grp["variables"][var]
-                if floor_frac * v["mean"] > v["mean"] + 4.0 * v["sd"]:
-                    raise DataError(f"group {name}/{var}: infeasible truncation floor")
+            for var in CONTINUOUS_VARS:
+                mean = grp["variables"][var]["mean"]
+                floor = _floor(floor_frac, mean)
+                if floor >= mean:
+                    raise DataError(f"group {name}/{var}: truncation floor {floor:g} "
+                                    f"is not below the mean {mean:g}")
 
     @property
     def groups(self) -> dict:
@@ -153,7 +161,7 @@ def _draw_group(spec: CohortSpec, group: str, group_idx: int, n: int,
         tgt = grp["variables"][var]
         loading = doc["loadings"].get(var, 0.0)
         v = tgt["mean"] + tgt["sd"] * (loading * z0 + sqrt(1.0 - loading**2) * z[:, j])
-        col[var] = np.maximum(v, max(floor_frac * tgt["mean"], 1e-6))
+        col[var] = np.maximum(v, _floor(floor_frac, tgt["mean"]))
 
     # Enforce yield <= ultimate per load case by ordering the drawn pair.
     for yname, uname, _e in LOAD_CASE_PARAMS.values():
@@ -179,7 +187,9 @@ def _draw_group(spec: CohortSpec, group: str, group_idx: int, n: int,
         age_z = (col["age"] - age_tgt["mean"]) / age_tgt["sd"]
         risk = -zf + fr["age_coef"] * age_z + fr["noise_sd"] * tail[:, 1]
         eta = fr["offset"] + fr["scale"] * risk
-        col["frax_prob"] = 1.0 / (1.0 + np.exp(-eta))
+        # exp overflows to inf for a large scale, and 1 / inf is the 0 wanted.
+        with np.errstate(over="ignore"):
+            col["frax_prob"] = 1.0 / (1.0 + np.exp(-eta))
 
     col["sex"] = np.full(n, 1.0 if sex == "M" else 0.0)
     col["fx"] = np.full(n, float(fx))

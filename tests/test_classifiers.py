@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
 
-from femrisk.classifiers import (KINDS, ClassifierSpec, _nipals_pls, _pls_latent,
-                                 model_from_json, model_to_json, predict_scores,
-                                 train, train_and_score_stack)
+import femrisk.classifiers
+from femrisk.classifiers import (KINDS, ClassifierSpec, _knn_scores, _nipals_pls,
+                                 _pls_latent, _sq_distances, model_from_json,
+                                 model_to_json, predict_scores, train,
+                                 train_and_score_stack)
 from femrisk.datamodel import standardize_apply, standardize_fit
 from femrisk.errors import DataError
 from femrisk.stats import auc_mann_whitney, fit_logistic
@@ -135,6 +138,48 @@ class TestKnn:
         np.testing.assert_array_equal(predict_scores(model, queries), expected)
 
 
+def old_sq_distances(z, tz):
+    """The (m, n, p) difference array summed over its last axis."""
+    return ((z[:, None, :] - tz[None, :, :]) ** 2).sum(axis=2)
+
+
+class TestSqDistances:
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(1, 40), m=st.integers(1, 9), n=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_last_axis_sum(self, p, m, n, seed):
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+        tz = rng.normal(size=(n, p)) * scales
+        z = rng.normal(size=(m, p)) * scales
+        tz[-1] = tz[0]                      # a duplicated train row
+        z[0] = tz[rng.integers(n)]          # a test row equal to a train row
+        got = _sq_distances(z, tz)
+        assert got.shape == (m, n)
+        assert np.array_equal(got.view(np.int64), old_sq_distances(z, tz).view(np.int64))
+
+    @pytest.mark.parametrize("p", [129, 150])
+    def test_bit_equal_past_the_pairwise_block(self, p, rng):
+        z, tz = rng.normal(size=(3, p)), rng.normal(size=(4, p))
+        assert np.array_equal(_sq_distances(z, tz).view(np.int64),
+                              old_sq_distances(z, tz).view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(1, 12), k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    def test_knn_scores_match_old_distances_on_ties(self, p, k, seed):
+        # Small integer features put many training points at exactly the
+        # k-th distance.
+        rng = np.random.default_rng(seed)
+        tz = rng.integers(-2, 3, size=(30, p)).astype(float)
+        ty = rng.integers(0, 2, size=30)
+        z = rng.integers(-2, 3, size=(8, p)).astype(float)
+        d2 = old_sq_distances(z, tz)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        inc = d2 <= kth + 1e-12 * np.maximum(kth, 1.0)
+        expected = (inc * ty).sum(axis=1) / inc.sum(axis=1)
+        assert np.array_equal(_knn_scores(tz, ty, k, z), expected)
+
+
 class TestPls:
     def test_full_rank_equals_ols(self, rng):
         # With as many components as features, PLS1 spans the full predictor
@@ -231,10 +276,32 @@ class TestStackedFits:
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_equal_lone_fits(self, kind, rng):
         x, y, x_te = split_stack(rng)
-        scores = train_and_score_stack(ClassifierSpec(kind), x, y, x_te)
+        [scores] = train_and_score_stack([ClassifierSpec(kind)], x, y, x_te)
         for i in range(len(x)):
             lone = predict_scores(train(ClassifierSpec(kind), x[i], y[i]), x_te[i])
             assert np.array_equal(scores[i], lone)
+
+    def test_spec_list_equals_each_spec_alone(self, rng):
+        x, y, x_te = split_stack(rng)
+        specs = [ClassifierSpec(kind) for kind in ("lda", "qda", "knn", "logistic", "pls")]
+        specs.append(ClassifierSpec("knn", neighbors=1))
+        together = train_and_score_stack(specs, x, y, x_te)
+        assert len(together) == len(specs)
+        for spec, scores in zip(specs, together):
+            [alone] = train_and_score_stack([spec], x, y, x_te)
+            assert scores.tobytes() == alone.tobytes()
+
+    def test_standardizes_once_per_call(self, rng, monkeypatch):
+        calls = []
+
+        def counted(values):
+            calls.append(1)
+            return standardize_fit(values)
+
+        monkeypatch.setattr(femrisk.classifiers, "standardize_fit", counted)
+        x, y, x_te = split_stack(rng)
+        train_and_score_stack([ClassifierSpec(kind) for kind in KINDS], x, y, x_te)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_constant_training_column_raises_standardize_fit_message(self, kind, rng):
@@ -243,17 +310,17 @@ class TestStackedFits:
         with pytest.raises(DataError) as lone:
             standardize_fit(x[3])
         with pytest.raises(DataError) as got:
-            train_and_score_stack(ClassifierSpec(kind), x, y, x_te)
+            train_and_score_stack([ClassifierSpec(kind)], x, y, x_te)
         assert str(got.value) == str(lone.value) == "constant column at index 2 (SD = 0)"
 
     def test_separable_pls_link_takes_the_lone_ridge_fallback(self, rng):
         x, y, x_te = split_stack(rng)
         spec = ClassifierSpec("pls", components=2)
-        plain = train_and_score_stack(spec, x, y, x_te)
+        [plain] = train_and_score_stack([spec], x, y, x_te)
         x[1, :, 0] += 50.0 * y[1]
         lone = train(spec, x[1], y[1])
         assert fit_logistic(y[1], pls_latent(lone, x[1]), ridge=1e-8).penalized
-        scores = train_and_score_stack(spec, x, y, x_te)
+        [scores] = train_and_score_stack([spec], x, y, x_te)
         assert np.array_equal(scores[1], predict_scores(lone, x_te[1]))
         others = np.arange(len(x)) != 1
         assert np.array_equal(scores[others], plain[others])
@@ -276,4 +343,4 @@ class TestStackedFits:
         x, y, x_te = split_stack(rng)
         y[2, np.flatnonzero(y[2] == 0)[0]] = 1
         with pytest.raises(DataError, match="same class counts"):
-            train_and_score_stack(ClassifierSpec("lda"), x, y, x_te)
+            train_and_score_stack([ClassifierSpec("lda")], x, y, x_te)

@@ -173,7 +173,7 @@ class TestMalformedFiles:
         assert captured.out == "" and not out.exists()
 
     # Each edit of the shipped spec once crashed inside generate_cohort or,
-    # for the unknown loading, was accepted.
+    # for the unknown loading and the negative age mean, was accepted.
     @pytest.mark.parametrize("edit,error", [
         (lambda doc: doc["groups"]["male_fx"].update(n=2.5),
          "group male_fx: n must be an integer >= 2, got 2.5"),
@@ -183,8 +183,10 @@ class TestMalformedFiles:
         (lambda doc: doc["loadings"].update(Sz=0.5), "loading for unknown variable 'Sz'"),
         (lambda doc: doc["abmd_ct"].update(loading=1.5), "abmd_ct loading must be in [-1, 1]"),
         (lambda doc: doc["bmdmed_p"].update(fx=1.5), "bmdmed_p fx must be in [0, 1]"),
+        (lambda doc: doc["groups"]["male_fx"]["variables"]["age"].update(mean=-5),
+         "group male_fx/age: truncation floor 1e-06 is not below the mean -5"),
     ], ids=["fractional_n", "string_mean", "frax_list", "unknown_loading",
-            "abmd_loading_above_1", "bmdmed_p_above_1"])
+            "abmd_loading_above_1", "bmdmed_p_above_1", "negative_age_mean"])
     def test_spec_value_exit_2(self, tmp_path, capsys, edit, error):
         doc = json.loads(json.dumps(default_spec().doc))
         edit(doc)

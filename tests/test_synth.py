@@ -1,4 +1,5 @@
 import json
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import sized_spec
 from hypothesis import given, settings, strategies as st
 
+from femrisk.cli import dispatch
 from femrisk.datamodel import FE12, LOAD_CASE_PARAMS, save_cohort
 from femrisk.errors import DataError
 from femrisk.synth import (CONTINUOUS_VARS, GROUP_FX, GROUP_SEX, CohortSpec,
@@ -58,7 +60,8 @@ def reference_draw_subject(spec, group, group_idx, subj_idx, seed):
         age_z = (vals["age"] - age_tgt["mean"]) / age_tgt["sd"]
         risk = -zf + fr["age_coef"] * age_z + fr["noise_sd"] * rng.standard_normal()
         eta = fr["offset"] + fr["scale"] * risk
-        frax = repr(float(1.0 / (1.0 + np.exp(-eta))))
+        with np.errstate(over="ignore"):
+            frax = repr(float(1.0 / (1.0 + np.exp(-eta))))
 
     fields = [f"{group}_{subj_idx:05d}", sex,
               repr(float(vals["age"])), repr(float(vals["height"])),
@@ -170,6 +173,25 @@ class TestGeneration:
                 for gi, group in enumerate(GROUPS)
                 for si in range(spec.groups[group]["n"])]
         assert path.read_text().splitlines()[1:] == want
+
+    def test_large_frax_scale_runs_without_warning(self, tmp_path, capsys):
+        # exp(-eta) overflows to inf for the low-risk subjects; their FRAX
+        # probability is 1 / inf = 0, and nothing is printed about it.
+        doc = json.loads(json.dumps(default_spec().doc))
+        doc["frax"]["scale"] = 1e6
+        spec, out = tmp_path / "spec.json", tmp_path / "c.csv"
+        spec.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(["synth", "--spec", str(spec), "--seed", "3",
+                             "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        want = [reference_draw_subject(CohortSpec(doc), group, gi, si, 3)
+                for gi, group in enumerate(GROUPS)
+                for si in range(doc["groups"][group]["n"])]
+        lines = out.read_text().splitlines()[1:]
+        assert lines == want
+        assert any(line.endswith(",0.0") for line in lines)
 
 
 class TestCalibration:
