@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special as sc
 
 from ..errors import DataError, NumericalError
 
@@ -46,7 +46,7 @@ def fit_linear_model(y, x, names) -> LinearModelFit:
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, coef / se, 0.0)
-    p = 2.0 * sps.t.sf(np.abs(t), df)
+    p = 2.0 * sc.stdtr(df, -np.abs(t))
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     r2 = min(max(r2, 0.0), 1.0)

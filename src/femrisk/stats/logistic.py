@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special as sc
 
 from ..errors import DataError, NumericalError
 
@@ -172,7 +172,7 @@ def fit_logistic(y, x, ridge: float = 0.0) -> LogisticFit:
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, 0.0)
-    p = 2.0 * sps.norm.sf(np.abs(z))
+    p = 2.0 * sc.ndtr(-np.abs(z))
     return LogisticFit(intercept=float(beta[0]), coef=beta[1:], se=se, p=p,
                        iterations=it, penalized=used_ridge > 0, ridge=used_ridge)
 

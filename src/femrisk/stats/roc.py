@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special as sc
 
 from ..errors import DataError, NumericalError
 
@@ -154,4 +154,4 @@ def delong_compare(scores_a, scores_b, labels) -> DeLongResult:
     else:
         z = delta / math.sqrt(var_diff)
     return DeLongResult(auc_a=auc_a, auc_b=auc_b, var_diff=max(var_diff, 0.0),
-                        z=z, p=float(sps.norm.sf(z)))
+                        z=z, p=float(sc.ndtr(-z)))

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special as sc
 
 from ..errors import DataError
 
@@ -36,7 +36,7 @@ def ttest_from_summary(n1, mean1, sd1, n2, mean2, sd2) -> TTestResult:
             raise DataError("zero pooled variance with unequal means")
     else:
         t = (mean1 - mean2) / se
-    return TTestResult(t=t, df=df, p=2.0 * sps.t.sf(abs(t), df), tail="two_sided")
+    return TTestResult(t=t, df=df, p=2.0 * sc.stdtr(df, -abs(t)), tail="two_sided")
 
 
 def paired_one_sided_ttest(auc_a, auc_b) -> TTestResult:
@@ -52,9 +52,11 @@ def paired_one_sided_ttest(auc_a, auc_b) -> TTestResult:
     sd = d.std(ddof=1)
     df = d.size - 1
     tail = "one_sided_greater"
-    if sd == 0:
+    # The mean of a constant d can round off d[0] and leave a tiny nonzero
+    # sd, so constancy is also tested on the values themselves.
+    if sd == 0 or np.all(d == d[0]):
         if np.all(d == 0):
             return TTestResult(t=0.0, df=df, p=0.5, tail=tail)
         raise DataError("zero-variance nonzero differences")
     t = d.mean() / (sd / math.sqrt(d.size))
-    return TTestResult(t=t, df=df, p=sps.t.sf(t, df), tail=tail)
+    return TTestResult(t=t, df=df, p=sc.stdtr(df, -t), tail=tail)

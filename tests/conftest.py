@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from femrisk.datamodel import TABLE_COLUMNS, Cohort
 from femrisk.synth import CohortSpec, default_spec, generate_cohort
@@ -35,6 +36,17 @@ def sized_spec(sizes: dict, spec: CohortSpec = None) -> CohortSpec:
     for group, n in sizes.items():
         doc["groups"][group]["n"] = n
     return CohortSpec(doc)
+
+
+# Every float64, with the special values always in the draw: +-0, +-inf, NaN.
+any_float = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats())
+
+
+def same_bits(a, b) -> bool:
+    """Whether two float64 results are equal bit for bit, NaNs and signed
+    zeros included."""
+    return np.array_equal(np.asarray(a, dtype=np.float64).view(np.int64),
+                          np.asarray(b, dtype=np.float64).view(np.int64))
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import femrisk
 from femrisk.cli import dispatch
 from femrisk.datamodel import COHORT_HEADER, load_cohort
 from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
@@ -18,6 +23,16 @@ def _reject_constant(name):
 def load_strict_json(path):
     """A JSON file the CLI wrote, which must hold no NaN or Infinity."""
     return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def run_python(code, cwd, **env) -> str:
+    """Run code in a fresh interpreter that imports this femrisk, with the
+    given environment variables set, and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(femrisk.__file__).parents[1]), **env)
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +421,21 @@ class TestEvaluateAndReport:
         assert set(load_strict_json(r1)["cells"]) == {"PC1_ABMD_COV|logistic",
                                                      "ABMD_COV|logistic"}
 
+    def test_blas_threads_byte_identical(self, tmp_path, cohort_csv):
+        # --threads is ignored, so the comparison above cannot see a report
+        # that depends on the BLAS thread count; these runs set that count.
+        argv = ["evaluate", "--cohort", str(cohort_csv), "--resamples", "40",
+                "--repeats", "4", "--seed", "5", "--roc-dir", "roc", "--out", "r.json"]
+        code = f"from femrisk.cli import dispatch; assert dispatch({argv!r}) == 0"
+        outs = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / threads
+            run_dir.mkdir()
+            run_python(code, run_dir, OPENBLAS_NUM_THREADS=threads)
+            outs.append([(run_dir / name).read_bytes()
+                         for name in ("r.json", "roc/model_roc.csv", "roc/frax_roc.csv")])
+        assert outs[0] == outs[1]
+
     def test_single_repeat_report_is_strict_json(self, tmp_path, cohort_csv):
         # One LGOCV repeat has no sample SD; the report must still be JSON
         # without NaN or Infinity.
@@ -437,3 +467,34 @@ class TestEvaluateAndReport:
         assert rc == 0
         assert "whole-sample" in capsys.readouterr().out
         assert load_strict_json(report)["mode"] == "paper"
+
+
+IMPORTS_PER_COMMAND = """
+import json, sys
+from femrisk.cli import dispatch
+from femrisk.femodel import save_grid, uniform_grid
+
+def loaded():
+    return {m for m in sys.modules if m.partition(".")[0] in ("scipy", "femrisk")}
+
+stats_on_import = "scipy.stats" in sys.modules
+assert dispatch(["synth", "--seed", "3", "--out", "cohort.csv"]) == 0
+save_grid(uniform_grid((2, 2, 3), 0.3), "grid.txt")
+before = loaded()
+assert dispatch(["evaluate", "--cohort", "cohort.csv", "--stratum", "male",
+                 "--resamples", "20", "--repeats", "2", "--out", "report.json"]) == 0
+after_evaluate = loaded()
+assert dispatch(["fe", "--grid", "grid.txt", "--yield-policy", "ultimate",
+                 "--curves-dir", "curves", "--out", "fe.json"]) == 0
+print(json.dumps({"stats_on_import": stats_on_import,
+                  "evaluate": sorted(after_evaluate - before),
+                  "fe": sorted(loaded() - after_evaluate)}))
+"""
+
+
+def test_commands_import_nothing_new(tmp_path):
+    # The p-values come from scipy.special, so importing the CLI must not
+    # load scipy.stats.  Nor may evaluate or fe import a module of their own,
+    # which would move import time into the command.
+    doc = json.loads(run_python(IMPORTS_PER_COMMAND, tmp_path).splitlines()[-1])
+    assert doc == {"stats_on_import": False, "evaluate": [], "fe": []}

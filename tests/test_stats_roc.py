@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.special as sc
+import scipy.stats as sps
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
+from conftest import any_float, same_bits
 from femrisk.errors import DataError, NumericalError
 from femrisk.stats import auc_mann_whitney, delong_compare, roc_curve
 from femrisk.stats.roc import _midranks, _placements
@@ -114,6 +118,23 @@ class TestDeLong:
         b = np.array([4.0, 3.0, 2.0, 1.0])   # AUC 0
         with pytest.raises(NumericalError):
             delong_compare(a, b, y)
+
+
+class TestNdtrIsNormSf:
+    """DeLong's and the Wald p-values use ndtr(-x), the survival function
+    scipy.stats.norm computes; it must give the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=any_float)
+    def test_scalar(self, x):
+        ours, ref = sc.ndtr(-x), sps.norm.sf(x)
+        assert type(ours) is np.float64 and type(ref) is np.float64
+        assert same_bits(ours, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float64, 8, elements=any_float))
+    def test_array(self, x):
+        assert same_bits(sc.ndtr(-x), sps.norm.sf(x))
 
 
 class TestBootstrapAgreement:

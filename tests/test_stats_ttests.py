@@ -1,14 +1,38 @@
 import numpy as np
 import pytest
+import scipy.special as sc
 import scipy.stats as sps
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import any_float, same_bits
 from femrisk.errors import DataError
 from femrisk.stats import paired_one_sided_ttest, ttest_from_summary
 
 means = st.floats(-10.0, 10.0)
 sds = st.floats(0.1, 10.0)
 sizes = st.integers(2, 200)
+# Degrees of freedom scipy.stats rejects (df <= 0, NaN), takes to the normal
+# limit (inf), or takes as an integer.
+dfs = st.one_of(any_float, st.sampled_from([-1.0, 1.0]), st.integers(-3, 10**6))
+
+
+class TestStdtrIsTSf:
+    """The t-tests' p-values use stdtr(df, -x), the survival function
+    scipy.stats.t computes; it must give the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=any_float, df=dfs)
+    def test_scalar(self, x, df):
+        ours, ref = sc.stdtr(df, -x), sps.t.sf(x, df)
+        assert type(ours) is np.float64 and type(ref) is np.float64
+        assert same_bits(ours, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float64, 8, elements=any_float),
+           df=arrays(np.float64, 8, elements=dfs))
+    def test_array(self, x, df):
+        assert same_bits(sc.stdtr(df, -x), sps.t.sf(x, df))
 
 
 class TestFromSummary:
@@ -56,6 +80,21 @@ class TestPaired:
     def test_identical_vectors(self):
         res = paired_one_sided_ttest([0.7, 0.8, 0.9], [0.7, 0.8, 0.9])
         assert res.p == 0.5
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 1000])
+    @pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 1 / 3])
+    def test_constant_nonzero_differences_rejected(self, value, n):
+        # The mean of n copies of value can round off value and leave a tiny
+        # nonzero SD; constancy is judged on the differences themselves.
+        with pytest.raises(DataError, match="zero-variance nonzero differences"):
+            paired_one_sided_ttest(np.full(n, value), np.zeros(n))
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-170])
+    def test_underflowing_variance_rejected(self, tiny):
+        # Differences that are not constant but whose squared deviations
+        # underflow have an SD of exactly 0.
+        with pytest.raises(DataError, match="zero-variance nonzero differences"):
+            paired_one_sided_ttest([tiny, 0.0, 0.0], [0.0, 0.0, 0.0])
 
     def test_mismatched_lengths(self):
         with pytest.raises(DataError):
