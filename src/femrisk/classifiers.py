@@ -1,11 +1,14 @@
 """The trainable fracture-status classifiers behind one train/score contract.
 
-Five kinds: logistic regression, linear and quadratic discriminant analysis
-(with diagonal shrinkage), PLS discriminant analysis (NIPALS components on
-the +/-1 coded label with a logistic calibration layer) and k-nearest
-neighbors.  Every kind standardizes its features internally using training
-data only, and every score is a probability-like value in [0, 1] with
-larger meaning more likely fracture.
+Five kinds, each with fixed settings: logistic regression (ridge RIDGE on
+the slopes), linear and quadratic discriminant analysis (covariances shrunk
+by SHRINKAGE toward their diagonal), PLS discriminant analysis
+(PLS_COMPONENTS NIPALS components on the +/-1 coded label, capped at the
+feature count, with a logistic calibration layer) and k-nearest neighbors
+(k = NEIGHBORS, counting every tie at the k-th distance).  A ClassifierSpec
+is its kind.  Every kind standardizes its features internally using
+training data only, and every score is a probability-like value in [0, 1]
+with larger meaning more likely fracture.
 
 Each kind has one fit and one score, _fit and _score, which work on a stack
 of splits: every array of a fit's params carries a leading split axis.
@@ -28,27 +31,19 @@ from .errors import DataError, NumericalError, malformed
 from .stats.logistic import fit_logistic, fit_logistic_stack, predict_proba_stack  # noqa: F401
 
 KINDS = ("logistic", "lda", "qda", "pls", "knn")
+RIDGE = 1e-4            # logistic, on the slopes
+SHRINKAGE = 0.1         # lda/qda, toward the diagonal
+PLS_COMPONENTS = 3      # pls, capped at the feature count
+NEIGHBORS = 5           # knn
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
     kind: str
-    ridge: float = 1e-4          # logistic
-    shrinkage: float = 0.1       # lda/qda gamma in [0, 1]
-    components: int = 3          # pls
-    neighbors: int = 5           # knn
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DataError(f"unknown classifier kind {self.kind!r}")
-        if self.ridge < 0:
-            raise DataError("ridge must be >= 0")
-        if not 0.0 <= self.shrinkage <= 1.0:
-            raise DataError("shrinkage must be in [0, 1]")
-        if self.components < 1:
-            raise DataError("components must be >= 1")
-        if self.neighbors < 1:
-            raise DataError("neighbors must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -259,16 +254,16 @@ def _fit(spec: ClassifierSpec, z, y) -> dict:
     leading split axis.  Every row of y must hold the same class counts."""
     kind = spec.kind
     if kind == "logistic":
-        return {"beta": fit_logistic_stack(y, z, spec.ridge)}
+        return {"beta": fit_logistic_stack(y, z, RIDGE)}
     if kind in ("lda", "qda"):
-        mu, priors, inv, logdet = _fit_gaussian(z, y, spec.shrinkage, pooled=kind == "lda")
+        mu, priors, inv, logdet = _fit_gaussian(z, y, SHRINKAGE, pooled=kind == "lda")
         return {"mu": mu, "priors": priors, "inv": inv, "logdet": logdet}
     if kind == "pls":
-        b, x_mean, y_mean, latent = _fit_pls(z, y, spec.components)
+        b, x_mean, y_mean, latent = _fit_pls(z, y, min(PLS_COMPONENTS, z.shape[2]))
         return {"b": b, "x_mean": x_mean, "y_mean": y_mean,
                 "link": fit_logistic_stack(y, latent[:, :, None], 1e-8)}
-    if spec.neighbors > z.shape[1]:
-        raise DataError(f"k ({spec.neighbors}) exceeds training size ({z.shape[1]})")
+    if NEIGHBORS > z.shape[1]:
+        raise DataError(f"k ({NEIGHBORS}) exceeds training size ({z.shape[1]})")
     return {"train_z": z, "train_y": y}
 
 
@@ -284,7 +279,7 @@ def _score(spec: ClassifierSpec, params: dict, z) -> np.ndarray:
     if kind == "pls":
         latent = _pls_latent(z, params["x_mean"], params["b"], params["y_mean"])
         return predict_proba_stack(params["link"], latent[:, :, None])
-    return np.stack([_knn_scores(tz, ty, spec.neighbors, zi)
+    return np.stack([_knn_scores(tz, ty, NEIGHBORS, zi)
                      for tz, ty, zi in zip(params["train_z"], params["train_y"], z)])
 
 
@@ -364,10 +359,6 @@ def model_to_json(model: TrainedModel) -> dict:
     beta = model.params["beta"]
     return {
         "kind": "logistic",
-        "spec": {
-            "ridge": model.spec.ridge, "shrinkage": model.spec.shrinkage,
-            "components": model.spec.components, "neighbors": model.spec.neighbors,
-        },
         "feature_names": list(model.feature_names),
         "standardization": {"mean": model.standardization.mean.tolist(),
                             "sd": model.standardization.sd.tolist()},
@@ -376,11 +367,14 @@ def model_to_json(model: TrainedModel) -> dict:
 
 
 def model_from_json(doc: dict) -> TrainedModel:
-    """The model of a model_to_json entry; DataError when doc is not one."""
+    """The model of a model_to_json entry; DataError when doc is not one.
+
+    A logistic model's scores depend only on its coefficients and
+    standardization; the "spec" block of older model files is ignored.
+    """
     with malformed("model JSON"):
         if doc["kind"] != "logistic":
             raise DataError(f"kind must be logistic, got {doc['kind']!r}")
-        spec = ClassifierSpec(kind="logistic", **doc["spec"])
         names = tuple(doc["feature_names"])
         std = StandardizationParams(np.array(doc["standardization"]["mean"], dtype=float),
                                     np.array(doc["standardization"]["sd"], dtype=float))
@@ -390,5 +384,5 @@ def model_from_json(doc: dict) -> TrainedModel:
                             f"columns and {beta.size - 1} coefficients")
         if not np.all(np.isfinite(np.r_[beta, std.mean, std.sd])):
             raise DataError("non-finite coefficients or standardization")
-    return TrainedModel(spec=spec, feature_names=names, standardization=std,
-                        params={"beta": beta})
+    return TrainedModel(spec=ClassifierSpec("logistic"), feature_names=names,
+                        standardization=std, params={"beta": beta})

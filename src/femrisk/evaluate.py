@@ -174,7 +174,7 @@ def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
                      fraction: float, seed: int, stratum: str,
                      pca_full: Optional[PcaModel], protocol: str):
     """Score every (feature set, classifier) cell on the same stratified
-    splits; returns ({cell name: AUC vector}, split seeds).
+    splits; returns {cell name: AUC vector}.
 
     Split i is drawn from mix_seed(seed, i, 0).  stratified_split_indices
     keeps at least one member of each class on each side, so every
@@ -210,7 +210,7 @@ def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
                         auc_mann_whitney(*fit_and_score(sub, tr_i, te_i, fs, sp,
                                                         stratum, pca_full)[:2])
             raise
-    return aucs, seeds
+    return aucs
 
 
 def run_lgocv(cohort: Cohort, feature_sets: Sequence[FeatureSet],
@@ -221,7 +221,7 @@ def run_lgocv(cohort: Cohort, feature_sets: Sequence[FeatureSet],
     classifier) cell on shared splits; one AUC per repeat and cell."""
     return _split_and_score(cohort, feature_sets, specs, config.repeats,
                             config.train_fraction, config.seed, stratum,
-                            pca_full, "LGOCV")[0]
+                            pca_full, "LGOCV")
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,6 @@ class ResampleResult:
 
     cells: dict                      # cell name -> AUC vector
     comparisons: dict                # "a>b" -> TTestResult
-    split_seeds: tuple
 
 
 def run_resample_comparison(cohort: Cohort, feature_sets: Sequence[FeatureSet],
@@ -241,15 +240,15 @@ def run_resample_comparison(cohort: Cohort, feature_sets: Sequence[FeatureSet],
     cell, then a paired one-sided t-test of AUC_a > AUC_b for every pair of
     cells, ordered so that mean(a) >= mean(b).
     """
-    aucs, seeds = _split_and_score(cohort, feature_sets, specs, config.resamples,
-                                   config.train_fraction, config.seed, stratum,
-                                   pca_full, "resampling")
+    aucs = _split_and_score(cohort, feature_sets, specs, config.resamples,
+                            config.train_fraction, config.seed, stratum,
+                            pca_full, "resampling")
     tests = {}
     for na, nb in combinations(aucs, 2):
         if aucs[na].mean() < aucs[nb].mean():
             na, nb = nb, na
         tests[f"{na}>{nb}"] = paired_one_sided_ttest(aucs[na], aucs[nb])
-    return ResampleResult(cells=aucs, comparisons=tests, split_seeds=tuple(seeds))
+    return ResampleResult(cells=aucs, comparisons=tests)
 
 
 def compare_with_frax(cohort: Cohort, model_scores):

@@ -68,11 +68,11 @@ def fit_pca(x, column_names=FE9) -> PcaModel:
                     column_names=names)
 
 
-def fit_pca_stack(x, column_names=FE9):
+def fit_pca_stack(x):
     """Standardization (B, p) and loadings (B, p, p) of one PCA per matrix
-    of a stack x (B, n, p) of FE parameters, each as fit_pca fits it."""
+    of a stack x (B, n, p) of the FE9 parameters, each as fit_pca fits it."""
     params = standardize_fit(x)
-    return params, _principal_axes(standardize_apply(params, x), tuple(column_names))[1]
+    return params, _principal_axes(standardize_apply(params, x), FE9)[1]
 
 
 def pc_scores(model: PcaModel, x) -> np.ndarray:

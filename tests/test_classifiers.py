@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
 
 import femrisk.classifiers
-from femrisk.classifiers import (KINDS, ClassifierSpec, _knn_scores, _nipals_pls,
-                                 _pls_latent, _sq_distances, model_from_json,
-                                 model_to_json, predict_scores, train,
-                                 train_and_score_stack)
+from femrisk.classifiers import (KINDS, NEIGHBORS, SHRINKAGE, ClassifierSpec,
+                                 _fit_gaussian, _gaussian_posterior, _knn_scores,
+                                 _nipals_pls, _pls_latent, _sq_distances,
+                                 model_from_json, model_to_json, predict_scores,
+                                 train, train_and_score_stack)
 from femrisk.datamodel import standardize_apply, standardize_fit
 from femrisk.errors import DataError
 from femrisk.stats import auc_mann_whitney, fit_logistic
@@ -32,13 +33,6 @@ class TestSpec:
     def test_unknown_kind(self):
         with pytest.raises(DataError):
             ClassifierSpec("tree")
-
-    @pytest.mark.parametrize("field,value", [
-        ("ridge", -1.0), ("shrinkage", 1.5), ("components", 0), ("neighbors", 0),
-    ])
-    def test_bad_hyperparameters(self, field, value):
-        with pytest.raises(DataError):
-            ClassifierSpec("logistic", **{field: value})
 
 
 class TestAllKinds:
@@ -100,8 +94,7 @@ class TestAllKinds:
 class TestKnn:
     def test_k_equals_n_gives_prevalence(self, rng):
         x, y = blobs(rng, n=40)
-        model = train(ClassifierSpec("knn", neighbors=40), x, y)
-        s = predict_scores(model, rng.normal(size=(10, 4)))
+        s = _knn_scores(x, y, 40, rng.normal(size=(10, 4)))
         np.testing.assert_allclose(s, y.mean(), atol=1e-12)
 
     def test_distance_ties_all_included(self):
@@ -109,9 +102,16 @@ class TestKnn:
         # point at the k=1 boundary: both neighbors must count.
         x = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 5.0], [0.0, -5.0]])
         y = np.array([1, 0, 1, 0])
-        model = train(ClassifierSpec("knn", neighbors=1), x, y)
-        s = predict_scores(model, np.array([[0.0, 0.0]]))
+        s = _knn_scores(x, y, 1, np.array([[0.0, 0.0]]))
         assert s[0] == pytest.approx(0.5)
+
+    def test_k_beyond_training_size_rejected(self, rng):
+        x, y, x_te = split_stack(rng, n=(2, 2), m=(2, 2), d=2)
+        error = rf"^k \({NEIGHBORS}\) exceeds training size \(4\)$"
+        with pytest.raises(DataError, match=error):
+            train(ClassifierSpec("knn"), x[0], y[0])
+        with pytest.raises(DataError, match=error):
+            train_and_score_stack([ClassifierSpec("knn")], x, y, x_te)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 8, 9, 13])
     def test_ties_at_kth_distance_match_row_loop(self, k):
@@ -122,10 +122,8 @@ class TestKnn:
         x = np.array([(a, b) for a in g for b in g])
         y = (np.arange(len(x)) * 7 % 3 == 0).astype(int)
         queries = np.array([(a, b) for a in g for b in g] + [(0.5, 0.0), (3.0, 3.0)])
-        model = train(ClassifierSpec("knn", neighbors=k), x, y)
-
-        z = standardize_apply(model.standardization, queries)
-        tz = model.params["train_z"]
+        std = standardize_fit(x)
+        z, tz = standardize_apply(std, queries), standardize_apply(std, x)
         d2 = ((z[:, None, :] - tz[None, :, :]) ** 2).sum(axis=2)
         expected = np.empty(len(queries))
         widest = 0
@@ -135,7 +133,10 @@ class TestKnn:
             expected[i] = y[inc].mean()
             widest = max(widest, int(inc.sum()))
         assert widest > k
-        np.testing.assert_array_equal(predict_scores(model, queries), expected)
+        np.testing.assert_array_equal(_knn_scores(tz, y, k, z), expected)
+        if k == NEIGHBORS:
+            model = train(ClassifierSpec("knn"), x, y)
+            np.testing.assert_array_equal(predict_scores(model, queries), expected)
 
 
 def old_sq_distances(z, tz):
@@ -183,15 +184,18 @@ class TestSqDistances:
 class TestPls:
     def test_full_rank_equals_ols(self, rng):
         # With as many components as features, PLS1 spans the full predictor
-        # space, so its regression vector equals OLS on the same data.
-        x, y = blobs(rng, n=80, d=3)
-        model = train(ClassifierSpec("pls", components=3), x, y)
-        z = (x - model.standardization.mean) / model.standardization.sd
-        yc = 2.0 * y - 1.0
-        zc = z - z.mean(axis=0)
-        ycc = yc - yc.mean()
-        ols, *_ = np.linalg.lstsq(zc, ycc, rcond=None)
-        np.testing.assert_allclose(model.params["b"], ols, atol=1e-8)
+        # space, so its regression vector equals OLS on the same data.  On
+        # fewer features than PLS_COMPONENTS the count is capped at p.
+        x3, y = blobs(rng, n=80, d=3)
+        for d in (3, 2, 1):
+            x = x3[:, :d]
+            model = train(ClassifierSpec("pls"), x, y)
+            z = (x - model.standardization.mean) / model.standardization.sd
+            yc = 2.0 * y - 1.0
+            zc = z - z.mean(axis=0)
+            ycc = yc - yc.mean()
+            ols, *_ = np.linalg.lstsq(zc, ycc, rcond=None)
+            np.testing.assert_allclose(model.params["b"], ols, atol=1e-8)
 
     def test_latent_monotone_in_scores(self, rng):
         x, y = blobs(rng)
@@ -202,9 +206,11 @@ class TestPls:
         assert np.all(np.diff(scores[order]) >= -1e-12)
 
     def test_components_beyond_rank_rejected(self, rng):
+        # Three columns, the third the sum of the other two: rank 2.
         x, y = blobs(rng, d=2)
-        with pytest.raises(DataError, match="exceeds feature rank"):
-            train(ClassifierSpec("pls", components=10), x, y)
+        x = np.c_[x, x[:, 0] + x[:, 1]]
+        with pytest.raises(DataError, match=r"^components \(3\) exceeds feature rank \(2\)$"):
+            train(ClassifierSpec("pls"), x, y)
 
 
 class TestGaussian:
@@ -237,7 +243,6 @@ class TestGaussian:
         x[y == 1] = x[y == 1] @ [[2.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 0.5]]
         x[:, 0] += 1.5 * y
         queries = rng.normal(size=(30, 3)) * 1.5
-        model = train(ClassifierSpec(kind, shrinkage=gamma), x, y)
 
         mean, sd = x.mean(axis=0), x.std(axis=0, ddof=1)
         z, zq = (x - mean) / sd, (queries - mean) / sd
@@ -253,8 +258,13 @@ class TestGaussian:
             logp = [np.log(prior) + multivariate_normal.logpdf(row, z[y == c].mean(axis=0), covs[c])
                     for c, prior in ((0, 70 / 110), (1, 40 / 110))]
             expected.append(1.0 / (1.0 + np.exp(logp[0] - logp[1])))
-        np.testing.assert_allclose(predict_scores(model, queries), expected,
+        fit = _fit_gaussian(z[None], y[None], gamma, pooled=kind == "lda")
+        np.testing.assert_allclose(_gaussian_posterior(*fit, zq[None])[0], expected,
                                    rtol=1e-12, atol=0)
+        if gamma == SHRINKAGE:
+            model = train(ClassifierSpec(kind), x, y)
+            np.testing.assert_allclose(predict_scores(model, queries), expected,
+                                       rtol=1e-12, atol=0)
 
 
 def split_stack(rng, b=5, n=(30, 30), m=(10, 10), d=4):
@@ -284,7 +294,6 @@ class TestStackedFits:
     def test_spec_list_equals_each_spec_alone(self, rng):
         x, y, x_te = split_stack(rng)
         specs = [ClassifierSpec(kind) for kind in ("lda", "qda", "knn", "logistic", "pls")]
-        specs.append(ClassifierSpec("knn", neighbors=1))
         together = train_and_score_stack(specs, x, y, x_te)
         assert len(together) == len(specs)
         for spec, scores in zip(specs, together):
@@ -315,7 +324,7 @@ class TestStackedFits:
 
     def test_separable_pls_link_takes_the_lone_ridge_fallback(self, rng):
         x, y, x_te = split_stack(rng)
-        spec = ClassifierSpec("pls", components=2)
+        spec = ClassifierSpec("pls")
         [plain] = train_and_score_stack([spec], x, y, x_te)
         x[1, :, 0] += 50.0 * y[1]
         lone = train(spec, x[1], y[1])

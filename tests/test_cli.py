@@ -107,7 +107,6 @@ class TestMalformedFiles:
     # Each edit turns the model file `fit` wrote into a malformed one.
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("classifier"),
-        lambda doc: doc["classifier"]["spec"].update(depth=3),
         lambda doc: doc["classifier"].pop("params"),
         lambda doc: doc.update(classifier=[doc["classifier"]]),
         lambda doc: doc["classifier"].update(kind="lda"),
@@ -119,7 +118,7 @@ class TestMalformedFiles:
         lambda doc: doc.update(feature_set="Su_ABMD_COV"),
         lambda doc: doc["classifier"]["feature_names"].reverse(),
         lambda doc: doc.pop("stratum"),
-    ], ids=["no_classifier", "unknown_spec_field", "no_params", "classifier_list",
+    ], ids=["no_classifier", "no_params", "classifier_list",
             "kind_lda", "coef_count", "sd_count", "null_intercept", "no_pca",
             "other_feature_set", "feature_names_reordered", "no_stratum"])
     def test_model_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, edit):
@@ -389,6 +388,24 @@ class TestFitAndCompare:
         header = (tmp_path / "roc" / "model_roc.csv").read_text().splitlines()[0]
         assert header == "fpr,tpr,threshold"
 
+    def test_spec_block_of_older_model_files_ignored(self, tmp_path, cohort_csv):
+        # Model files once held the classifier's hyperparameters as a "spec"
+        # block; the scores depend only on the coefficients and standardization.
+        model, old = tmp_path / "model.json", tmp_path / "old.json"
+        assert dispatch(["fit", "--cohort", str(cohort_csv), "--out", str(model)]) == 0
+        doc = load_strict_json(model)
+        assert "spec" not in doc["classifier"]
+        doc["classifier"]["spec"] = {"ridge": 0.0001, "shrinkage": 0.1,
+                                     "components": 3, "neighbors": 5}
+        old.write_text(json.dumps(doc))
+        outs = []
+        for path in (model, old):
+            out = tmp_path / f"{path.stem}_delong.json"
+            assert dispatch(["compare-frax", "--cohort", str(cohort_csv),
+                             "--model", str(path), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestEvaluateAndReport:
     def test_end_to_end(self, tmp_path, cohort_csv, capsys):
@@ -408,6 +425,16 @@ class TestEvaluateAndReport:
         # 3-decimal rendering of the stored mean AUC
         mean = doc["cells"]["PC1_ABMD_COV|logistic"]["auc_mean"]
         assert f"{mean:.3f}" in out
+
+    def test_frax_only_with_default_classifiers(self, tmp_path, cohort_csv):
+        # One feature: PLS fits one component, and both classifiers rank the
+        # held-out subjects by FRAX alone.
+        report = tmp_path / "r.json"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(report),
+                         "--features", "FRAX_ONLY", "--stratum", "male",
+                         "--resamples", "10", "--repeats", "2"]) == 0
+        cells = load_strict_json(report)["cells"]
+        assert cells["FRAX_ONLY|pls"] == cells["FRAX_ONLY|logistic"]
 
     def test_threads_byte_identical(self, tmp_path, cohort_csv):
         r1 = tmp_path / "r1.json"

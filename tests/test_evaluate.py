@@ -114,7 +114,6 @@ class TestSharedSplitLoop:
         lgocv = run_lgocv(small_cohort, feature_sets, specs, cv, stratum, pca_full)
         res = run_resample_comparison(small_cohort, feature_sets, specs, rs,
                                       stratum, pca_full)
-        assert res.split_seeds == tuple(mix_seed(22, i, 0) for i in range(BLOCK + 3))
         names = [cell_name(fs, sp) for fs in feature_sets for sp in specs]
         for cells, cfg, n_splits in ((lgocv, cv, cv.repeats), (res.cells, rs, rs.resamples)):
             assert list(cells) == names
@@ -162,7 +161,6 @@ class TestResampling:
         cfg = ResampleConfig(resamples=30, seed=3)
         res = run_resample_comparison(small_cohort, [FS_PC1, FS_ABMD], [LOGIT], cfg)
         assert set(res.cells) == {"PC1_ABMD_COV|logistic", "ABMD_COV|logistic"}
-        assert len(res.split_seeds) == 30
         # Paired test on the shared splits must match a direct computation.
         key = "PC1_ABMD_COV|logistic>ABMD_COV|logistic"
         assert key in res.comparisons
