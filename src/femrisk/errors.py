@@ -2,6 +2,7 @@
 
 import json
 from contextlib import contextmanager
+from math import isfinite
 
 
 class FemriskError(Exception):
@@ -14,6 +15,12 @@ class DataError(FemriskError):
 
 class NumericalError(FemriskError):
     """Numerical failure: singular system, non-convergence, degenerate test."""
+
+
+def require_finite(value, what: str) -> None:
+    """DataError unless value is a finite int or float (a bool is neither)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+        raise DataError(f"{what} must be a finite number, got {value!r}")
 
 
 @contextmanager

@@ -18,14 +18,13 @@ YIELD_CLUSTER_SIZE = 15
 class ForceDisplacementCurve:
     """Solver output for one load case.
 
-    displacement/force start at (0, 0); yielded_counts and cluster_sizes
-    carry the per-increment yielded-element bookkeeping (largest
-    face-connected cluster of yielded elements).
+    Per sample: the applied displacement, the reaction force and the size
+    of the largest face-connected cluster of yielded elements, starting at
+    (0, 0, 0).
     """
 
     displacement: np.ndarray
     force: np.ndarray
-    yielded_counts: np.ndarray
     cluster_sizes: np.ndarray
 
     def __post_init__(self):
@@ -33,7 +32,6 @@ class ForceDisplacementCurve:
         f = np.asarray(self.force, dtype=float)
         object.__setattr__(self, "displacement", d)
         object.__setattr__(self, "force", f)
-        object.__setattr__(self, "yielded_counts", np.asarray(self.yielded_counts, dtype=int))
         object.__setattr__(self, "cluster_sizes", np.asarray(self.cluster_sizes, dtype=int))
         if d.size != f.size or d.size != self.cluster_sizes.size:
             raise DataError("curve arrays must have equal length")

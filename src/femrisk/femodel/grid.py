@@ -37,10 +37,6 @@ class VoxelGrid:
     def dims(self):
         return self.rho_cha.shape
 
-    @property
-    def n_elements(self) -> int:
-        return int(np.prod(self.dims))
-
 
 def uniform_grid(dims, rho: float, spacing: float = 3.0) -> VoxelGrid:
     return VoxelGrid(np.full(dims, float(rho)), spacing)

@@ -9,6 +9,7 @@ the long axis: posterior 0, posterolateral 45, lateral 90 degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..datamodel import FE12, LOAD_CASE_PARAMS, invalid_row
 from ..errors import DataError, NumericalError
@@ -23,20 +24,15 @@ from .solver import (BoundaryCondition, SolveControl, fall_bc, one_blas_thread, 
 @dataclass(frozen=True)
 class LoadCase:
     name: str
-    kind: str            # "stance" or "fall"
+    boundary_condition: Callable[..., BoundaryCondition]  # of the grid dims
     rotation_deg: float  # phantom rotation about the long axis
-
-    def boundary_condition(self, dims) -> BoundaryCondition:
-        if self.kind == "stance":
-            return stance_bc(dims)
-        return fall_bc(dims)
 
 
 LOAD_CASES = (
-    LoadCase("stance", "stance", 0.0),
-    LoadCase("posterior", "fall", 0.0),
-    LoadCase("posterolateral", "fall", 45.0),
-    LoadCase("lateral", "fall", 90.0),
+    LoadCase("stance", stance_bc, 0.0),
+    LoadCase("posterior", fall_bc, 0.0),
+    LoadCase("posterolateral", fall_bc, 45.0),
+    LoadCase("lateral", fall_bc, 90.0),
 )
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import DataError, malformed, read_json
+from ..errors import DataError, malformed, read_json, require_finite
 from .grid import VoxelGrid
 
 ASH_INTERCEPT = 0.0633
@@ -47,6 +47,8 @@ class MaterialModel:
     floor_frac: float = 0.05
 
     def __post_init__(self):
+        for f in fields(self):
+            require_finite(getattr(self, f.name), f.name)
         if min(self.c_E, self.p_E, self.c_S, self.p_S) <= 0:
             raise DataError("power-law constants must be positive")
         if not 0.0 < self.nu < 0.5:

@@ -25,14 +25,17 @@ gives the bytes a fresh factorization would.  Any other tangent drops the
 kept band and factor before its own band is assembled.  The LU rungs are
 never kept.
 
-An increment tries a predictor and at most NEWTON_CAP Newton iterations; an
-attempt whose residual passes NEWTON_DIVERGE times its reference (or is not
-finite) is given up at once, before that iteration's solve.  A failed
-attempt restores the committed state and the increment is retried in 2, 4,
-8, then 16 substeps.  The bound never changes what an attempt commits; it
-could move a curve only by cutting an attempt that would still converge, and
-no converged attempt on the checked shell/core phantoms rose past 1.66x its
-reference.
+The committed state is (u, eps_p, alpha, tang_c): displacements, plastic
+strains, equivalent plastic strains and the Gauss-point tangents they give.
+An attempt advances a copy of it by a predictor and at most NEWTON_CAP
+Newton iterations per substep; an attempt whose residual passes
+NEWTON_DIVERGE times its reference (or is not finite) is given up at once,
+before that iteration's solve.  A failed attempt is dropped, so the next
+one starts from the last committed state, and the increment is retried in
+2, 4, 8, then 16 substeps.  The bound never changes what an attempt
+commits; it could move a curve only by cutting an attempt that would still
+converge, and no converged attempt on the checked shell/core phantoms rose
+past 1.66x its reference.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import scipy
 from scipy import ndimage
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solve_banded
 
-from ..errors import DataError, NumericalError
+from ..errors import DataError, NumericalError, require_finite
 from .curves import ForceDisplacementCurve
 from .grid import VoxelGrid
 from .material import MaterialModel, element_fields
@@ -66,9 +69,12 @@ class SolveControl:
     stop_fraction: float = 0.8    # stop when force < fraction * peak, post-peak
 
     def __post_init__(self):
+        for name in ("increment", "tolerance", "stop_fraction"):
+            require_finite(getattr(self, name), name)
         if self.increment <= 0:
             raise DataError("increment must be positive")
-        if not isinstance(self.max_increments, (int, np.integer)) or self.max_increments < 0:
+        n = self.max_increments
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise DataError("max_increments must be an integer >= 0")
         if self.tolerance <= 0 or not 0.0 < self.stop_fraction <= 1.0:
             raise DataError("bad solve control")
@@ -89,21 +95,17 @@ class SolveControl:
 class BoundaryCondition:
     """Prescribed-dof description.
 
-    fixed_dofs are held at zero; driven_dofs move by unit_value * applied
-    displacement magnitude each increment; reaction force is accumulated
-    over driven_dofs along the drive direction.
+    fixed_dofs are held at zero; driven_dofs move along -z by the applied
+    displacement.  The reaction force is minus the sum of the driven dofs'
+    internal forces, positive in compression.
     """
 
     fixed_dofs: np.ndarray
     driven_dofs: np.ndarray
-    unit_values: np.ndarray       # per driven dof, displacement per unit magnitude
 
     def __post_init__(self):
         object.__setattr__(self, "fixed_dofs", np.asarray(self.fixed_dofs, dtype=int))
         object.__setattr__(self, "driven_dofs", np.asarray(self.driven_dofs, dtype=int))
-        object.__setattr__(self, "unit_values", np.asarray(self.unit_values, dtype=float))
-        if self.driven_dofs.size != self.unit_values.size:
-            raise DataError("driven_dofs and unit_values must align")
 
 
 def node_id(ix, iy, iz, nx, ny):
@@ -126,8 +128,7 @@ def stance_bc(dims) -> BoundaryCondition:
     bottom = _face_nodes(dims, False)
     top = _face_nodes(dims, True)
     fixed = np.concatenate([bottom * 3, bottom * 3 + 1, bottom * 3 + 2])
-    driven = top * 3 + 2
-    return BoundaryCondition(np.sort(fixed), driven, np.full(driven.size, -1.0))
+    return BoundaryCondition(np.sort(fixed), top * 3 + 2)
 
 
 def fall_bc(dims) -> BoundaryCondition:
@@ -139,8 +140,7 @@ def fall_bc(dims) -> BoundaryCondition:
     pin_a = node_id(0, 0, 0, nx, ny)
     pin_b = node_id(nx, 0, 0, nx, ny)
     fixed = np.concatenate([bottom * 3 + 2, [pin_a * 3, pin_a * 3 + 1, pin_b * 3 + 1]])
-    driven = top * 3 + 2
-    return BoundaryCondition(np.sort(np.unique(fixed)), driven, np.full(driven.size, -1.0))
+    return BoundaryCondition(np.sort(np.unique(fixed)), top * 3 + 2)
 
 
 def _hex_b_matrices(h: float):
@@ -174,6 +174,8 @@ def _hex_b_matrices(h: float):
 
 
 def _element_dof_map(dims):
+    """Global dofs (ne, 24) of each element, elements x fastest and z
+    slowest."""
     nx, ny, nz = dims
     ez, ey, ex = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
     ex = ex.ravel()
@@ -190,7 +192,7 @@ def _element_dof_map(dims):
     dofs[:, 0::3] = nodes * 3
     dofs[:, 1::3] = nodes * 3 + 1
     dofs[:, 2::3] = nodes * 3 + 2
-    return dofs, (ex, ey, ez)
+    return dofs
 
 
 def element_stiffness(tang, b_mats, wdet):
@@ -304,8 +306,6 @@ def _largest_cluster(yielded_flat, dims) -> int:
     if not mask.any():
         return 0
     labels, count = ndimage.label(mask)       # default structure = 6-neighbor
-    if count == 0:
-        return 0
     sizes = ndimage.sum_labels(np.ones_like(labels), labels, index=np.arange(1, count + 1))
     return int(sizes.max())
 
@@ -313,50 +313,32 @@ def _largest_cluster(yielded_flat, dims) -> int:
 def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
           control: SolveControl) -> ForceDisplacementCurve:
     """Run the incremental displacement-controlled solve."""
-    if grid.n_elements == 0:
-        raise DataError("empty grid")
     dims = grid.dims
     nx, ny, nz = dims
-    h = grid.spacing
-    n_nodes = (nx + 1) * (ny + 1) * (nz + 1)
-    n_dofs = 3 * n_nodes
+    n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
+    fixed, driven = bc.fixed_dofs, bc.driven_dofs
 
     emod_el, sy_el = element_fields(grid, material)
     # Element order must match _element_dof_map (x fastest, z slowest).
-    emod = emod_el.transpose(2, 1, 0).ravel()
-    sy0 = sy_el.transpose(2, 1, 0).ravel()
-    ne = emod.size
-    emod_gp = np.repeat(emod, 8)
-    sy_gp = np.repeat(sy0, 8)
+    emod_gp = np.repeat(emod_el.transpose(2, 1, 0).ravel(), 8)
+    sy_gp = np.repeat(sy_el.transpose(2, 1, 0).ravel(), 8)
+    ne = emod_gp.size // 8
 
-    b_mats, wdet = _hex_b_matrices(h)
-    dof_map, _ = _element_dof_map(dims)
+    b_mats, wdet = _hex_b_matrices(grid.spacing)
+    dof_map = _element_dof_map(dims)
 
-    prescribed = np.concatenate([bc.fixed_dofs, bc.driven_dofs])
+    prescribed = np.concatenate([fixed, driven])
     if np.unique(prescribed).size != prescribed.size:
         raise DataError("overlapping fixed and driven dofs")
     free = np.setdiff1d(np.arange(n_dofs), prescribed)
     tangent_band = _band_assembler(dof_map, free, n_dofs)
+    ones = np.ones(driven.size)
 
-    u = np.zeros(n_dofs)
-    eps_p = np.zeros((ne * 8, 6))
-    alpha = np.zeros(ne * 8)
-
-    disp = [0.0]
-    force = [0.0]
-    counts = [0]
-    clusters = [0]
-
-    mat_args = (material.nu, material.f_plateau, material.eps_plateau,
-                material.f_soft, material.floor_frac)
-
-    def stress_state(u_vec):
-        ue = u_vec[dof_map]                                  # (ne, 24)
-        eps = np.einsum("gik,ek->egi", b_mats, ue).reshape(ne * 8, 6)
-        stress, tang, eps_p_new, alpha_new = radial_return_batch(
-            eps, eps_p, alpha, emod_gp, mat_args[0], sy_gp,
-            mat_args[1], mat_args[2], mat_args[3], mat_args[4])
-        return stress, tang, eps_p_new, alpha_new
+    def stress_state(u, eps_p, alpha):
+        eps = np.einsum("gik,ek->egi", b_mats, u[dof_map]).reshape(ne * 8, 6)
+        return radial_return_batch(eps, eps_p, alpha, emod_gp, material.nu, sy_gp,
+                                   material.f_plateau, material.eps_plateau,
+                                   material.f_soft, material.floor_frac)
 
     def scatter(fe):
         return np.bincount(dof_map.ravel(), weights=fe.ravel(), minlength=n_dofs)
@@ -380,45 +362,39 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
             factor["tang"] = tang
         return spsolve(factor["band"], rhs, regularize, factor=factor)
 
-    peak = 0.0
-    peak_idx = 0
-    # Committed-state tangent for the predictor step.
-    _, tang_c, _, _ = stress_state(u)
+    def advance(state, target):
+        """One predictor + Newton solve from the committed state to the
+        driven dofs at -target.
 
-    def advance(target):
-        """One predictor + Newton solve to the given driven displacement.
-
-        Commits the plastic state on success and returns the internal
-        force vector; raises NumericalError if Newton stalls or diverges.
+        Returns the converged state and its internal force vector; raises
+        NumericalError if Newton stalls or diverges.  The given state is
+        left as it was.
         """
-        nonlocal eps_p, alpha, tang_c
+        u, eps_p, alpha, tang_c = state
+        u = u.copy()
         # Predictor: linearized response to the prescribed displacement bump,
         # so the Newton start is close even in the plastic regime.
         delta_p = np.zeros(n_dofs)
-        delta_p[bc.driven_dofs] = bc.unit_values * target - u[bc.driven_dofs]
+        delta_p[driven] = -target - u[driven]
         if free.size:
             ke = element_stiffness(tang_c, b_mats, wdet)
             f_p = scatter(np.einsum("eij,ej->ei", ke, delta_p[dof_map]))
             du0 = tangent_solve(tang_c, -f_p[free], False, ke)
             if np.all(np.isfinite(du0)):
                 u[free] += du0
-        u[bc.fixed_dofs] = 0.0
-        u[bc.driven_dofs] = bc.unit_values * target
+        u[fixed] = 0.0
+        u[driven] = -target
 
         ref = None
         for _ in range(NEWTON_CAP):
-            stress, tang, eps_p_new, alpha_new = stress_state(u)
+            stress, tang, eps_p_new, alpha_new = stress_state(u, eps_p, alpha)
             f_int = internal_force(stress)
             res = f_int[free]
             res_norm = np.linalg.norm(res)
             if ref is None:
-                drive_norm = np.linalg.norm(f_int[bc.driven_dofs])
-                ref = max(res_norm, drive_norm, 1e-8)
+                ref = max(res_norm, np.linalg.norm(f_int[driven]), 1e-8)
             if res_norm <= control.tolerance * ref:
-                eps_p = eps_p_new
-                alpha = alpha_new
-                tang_c = tang
-                return f_int
+                return (u, eps_p_new, alpha_new, tang), f_int
             if not res_norm <= NEWTON_DIVERGE * ref:
                 raise NumericalError("Newton diverged")
             du = tangent_solve(tang, -res, True)
@@ -427,32 +403,34 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
             u[free] += du
         raise NumericalError("Newton stalled")
 
+    u0, eps_p0, alpha0 = np.zeros(n_dofs), np.zeros((ne * 8, 6)), np.zeros(ne * 8)
+    state = (u0, eps_p0, alpha0, stress_state(u0, eps_p0, alpha0)[1])
+    disp = [0.0]
+    force = [0.0]
+    clusters = [0]
+    peak = 0.0
+    peak_idx = 0
     for step in range(1, control.max_increments + 1):
         start = control.increment * (step - 1)
-        f_int = None
         for n_sub in (1, 2, 4, 8, 16):
-            u_save = u.copy()
-            eps_p_save, alpha_save, tang_save = eps_p, alpha, tang_c
             try:
+                new = state
                 for s in range(1, n_sub + 1):
-                    f_int = advance(start + control.increment * s / n_sub)
-                break
+                    new, f_int = advance(new, start + control.increment * s / n_sub)
             except NumericalError:
-                u = u_save
-                eps_p, alpha, tang_c = eps_p_save, alpha_save, tang_save
-                f_int = None
-        if f_int is None:
+                continue
+            state = new
+            break
+        else:
             raise NumericalError(f"Newton failed to converge at increment {step}")
 
-        reaction = float(f_int[bc.driven_dofs] @ bc.unit_values)
+        reaction = -float(f_int[driven] @ ones)
         if not np.isfinite(reaction):
             raise NumericalError("non-finite reaction force")
 
-        yielded_el = alpha.reshape(ne, 8).max(axis=1) > 0
         disp.append(control.increment * step)
         force.append(reaction)
-        counts.append(int(yielded_el.sum()))
-        clusters.append(_largest_cluster(yielded_el, dims))
+        clusters.append(_largest_cluster(state[2].reshape(ne, 8).max(axis=1) > 0, dims))
 
         if reaction > peak:
             peak = reaction
@@ -460,6 +438,5 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         elif peak > 0 and step > peak_idx and reaction < control.stop_fraction * peak:
             break
 
-    return ForceDisplacementCurve(
-        displacement=np.array(disp), force=np.array(force),
-        yielded_counts=np.array(counts), cluster_sizes=np.array(clusters))
+    return ForceDisplacementCurve(displacement=np.array(disp), force=np.array(force),
+                                  cluster_sizes=np.array(clusters))

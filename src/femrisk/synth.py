@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .datamodel import COLUMN_INDEX, LOAD_CASE_PARAMS, TABLE_COLUMNS, Cohort
-from .errors import DataError, malformed, read_json
+from .errors import DataError, malformed, read_json, require_finite
 
 GROUPS = ("male_control", "male_fx", "female_control", "female_fx")
 GROUP_SEX = {"male_control": "M", "male_fx": "M",
@@ -32,15 +32,10 @@ CONTINUOUS_VARS = ("age", "height", "weight",
                    "PLy", "PLu", "PLenergy", "Ly", "Lu", "Lenergy")
 
 
-def _finite(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
-        raise DataError(f"{what} must be a finite number, got {value!r}")
-
-
 def _check_moments(target: dict, what: str) -> None:
     """A {"mean", "sd"} target: finite numbers, SD positive."""
-    _finite(target["mean"], f"{what} mean")
-    _finite(target["sd"], f"{what} SD")
+    require_finite(target["mean"], f"{what} mean")
+    require_finite(target["sd"], f"{what} SD")
     if target["sd"] <= 0:
         raise DataError(f"{what}: SD must be positive")
 
@@ -76,12 +71,12 @@ class CohortSpec:
         ab = self.doc["abmd_ct"]
         for sex in ("male", "female"):
             _check_moments(ab[sex], f"abmd_ct {sex}")
-        _finite(ab["loading"], "abmd_ct loading")
+        require_finite(ab["loading"], "abmd_ct loading")
         if not -1.0 <= ab["loading"] <= 1.0:
             raise DataError("abmd_ct loading must be in [-1, 1]")
-        _finite(self.doc["fx_factor_shift"], "fx_factor_shift")
+        require_finite(self.doc["fx_factor_shift"], "fx_factor_shift")
         for kind in ("control", "fx"):
-            _finite(self.doc["bmdmed_p"][kind], f"bmdmed_p {kind}")
+            require_finite(self.doc["bmdmed_p"][kind], f"bmdmed_p {kind}")
             if not 0.0 <= self.doc["bmdmed_p"][kind] <= 1.0:
                 raise DataError(f"bmdmed_p {kind} must be in [0, 1]")
         fr = self.doc.get("frax", {})
@@ -89,7 +84,7 @@ class CohortSpec:
             raise DataError(f"frax must be an object, got {fr!r}")
         if fr.get("enabled", False):
             for key in ("age_coef", "noise_sd", "offset", "scale"):
-                _finite(fr[key], f"frax {key}")
+                require_finite(fr[key], f"frax {key}")
         # healstat is drawn as Generator.choice(5, p=probs) draws it, so the
         # probabilities must be ones choice accepts.
         for kind in ("control", "fx"):
@@ -99,7 +94,7 @@ class CohortSpec:
                 raise DataError(f"healstat_probs {kind}: need 5 non-negative "
                                 f"probabilities summing to 1, got {probs}")
         floor_frac = self.doc.get("floor_frac", 0.01)
-        _finite(floor_frac, "floor_frac")
+        require_finite(floor_frac, "floor_frac")
         # A floor at or above the mean truncates at least half of the draws,
         # so the sample cannot match its target.
         for name, grp in g.items():

@@ -68,9 +68,7 @@ def test_criterion_3_fe_analytic_checks():
                 node = node_id(ix, iy, iz, 1, 1)
                 fixed += [3 * node, 3 * node + 1]
                 (fixed if iz == 0 else driven).append(3 * node + 2)
-    bc = BoundaryCondition(fixed_dofs=np.array(fixed),
-                           driven_dofs=np.array(driven),
-                           unit_values=-np.ones(len(driven)))
+    bc = BoundaryCondition(fixed_dofs=np.array(fixed), driven_dofs=np.array(driven))
     g1 = uniform_grid((1, 1, 1), rho)
     curve = solve(g1, elastic, bc, SolveControl(increment=0.003, max_increments=1))
     e = elastic.modulus(ash)
@@ -93,7 +91,6 @@ def test_criterion_3_fe_analytic_checks():
         return ForceDisplacementCurve(
             displacement=np.arange(n) * 0.1,
             force=np.arange(n) * 100.0,
-            yielded_counts=np.array([0, 5, top, top]),
             cluster_sizes=np.array([0, 5, top, top]))
 
     assert detect_yield_load(hist(YIELD_CLUSTER_SIZE)) == 200.0

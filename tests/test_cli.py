@@ -216,7 +216,16 @@ class TestMalformedFiles:
         {"material": {"c_E": "x"}},
         # Rejected before the solve starts, not by range() inside it.
         {"control": {"max_increments": 2.5}},
-    ], ids=["list", "string_c_E", "fractional_max_increments"])
+        # JSON's NaN, Infinity and true are not material or control values.
+        {"material": {"c_E": float("nan")}},
+        {"material": {"eps_plateau": float("inf")}},
+        {"material": {"p_S": True}},
+        {"control": {"increment": float("nan")}},
+        {"control": {"tolerance": float("inf")}},
+        {"control": {"max_increments": True}},
+    ], ids=["list", "string_c_E", "fractional_max_increments", "nan_c_E",
+            "inf_eps_plateau", "bool_p_S", "nan_increment", "inf_tolerance",
+            "bool_max_increments"])
     def test_material_exit_2(self, tmp_path, capsys, doc):
         grid, material, out = tmp_path / "g.txt", tmp_path / "m.json", tmp_path / "fe.json"
         save_grid(uniform_grid((2, 2, 3), 0.3), grid)

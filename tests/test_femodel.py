@@ -107,8 +107,7 @@ def curve(forces, clusters=None, disp=None):
     disp = np.asarray(disp if disp is not None else np.arange(n) * 0.1)
     clusters = np.asarray(clusters if clusters is not None else [0] * n)
     return ForceDisplacementCurve(
-        displacement=disp, force=forces,
-        yielded_counts=clusters.copy(), cluster_sizes=clusters)
+        displacement=disp, force=forces, cluster_sizes=clusters)
 
 
 class TestCurves:
@@ -142,5 +141,4 @@ class TestCurves:
         with pytest.raises(DataError):
             ForceDisplacementCurve(displacement=np.array([0.1, 0.2]),
                                    force=np.array([5.0, 10.0]),
-                                   yielded_counts=np.zeros(2, int),
                                    cluster_sizes=np.zeros(2, int))

@@ -47,9 +47,7 @@ class TestElastic:
                         fixed.append(3 * node + 2)
                     else:
                         driven.append(3 * node + 2)
-        bc = BoundaryCondition(fixed_dofs=np.array(fixed),
-                               driven_dofs=np.array(driven),
-                               unit_values=-np.ones(len(driven)))
+        bc = BoundaryCondition(fixed_dofs=np.array(fixed), driven_dofs=np.array(driven))
         curve = solve(g, m, bc, c)
         e = m.modulus(ASH)
         nu = m.nu
@@ -109,8 +107,8 @@ class TestPlastic:
         g = uniform_grid((2, 2, 8), RHO)
         c = SolveControl(increment=0.05, max_increments=25)
         curve = solve(g, MaterialModel(), stance_bc(g.dims), c)
-        assert np.all(np.diff(curve.yielded_counts) >= 0)
-        assert curve.cluster_sizes.max() <= g.n_elements
+        assert np.all(np.diff(curve.cluster_sizes) >= 0)
+        assert curve.cluster_sizes.max() <= g.rho_cha.size
 
 
 class TestDeterminismAndCases:
@@ -332,7 +330,7 @@ class TestStiffnessProperties:
         n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
         tang = _tangents(rng, 8 * ne, "softening" if plastic else "symmetric")
         b_mats, wdet = _hex_b_matrices(3.0)
-        dof_map, _ = _element_dof_map(dims)
+        dof_map = _element_dof_map(dims)
         free = np.arange(n_dofs)
         ke = element_stiffness(tang, b_mats, wdet)
         assemble = _band_assembler(dof_map, free, n_dofs)
@@ -358,7 +356,7 @@ class TestStiffnessProperties:
         n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
         tang = _tangents(rng, 8 * ne, source)
         b_mats, wdet = _hex_b_matrices(2.0)
-        dof_map, _ = _element_dof_map(dims)
+        dof_map = _element_dof_map(dims)
         cond = bc(dims)
         free = np.setdiff1d(np.arange(n_dofs),
                             np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
@@ -539,7 +537,7 @@ class TestNewtonDivergence:
         monkeypatch.setattr(solver, "NEWTON_DIVERGE", np.inf)
         unbounded, n_unbounded = run()
         for a, b in zip(bounded, unbounded):
-            for name in ("displacement", "force", "yielded_counts", "cluster_sizes"):
+            for name in ("displacement", "force", "cluster_sizes"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
         # Same curves, fewer solves: the bound fired and cut only failures.
@@ -571,7 +569,52 @@ class TestNewtonDivergence:
 
 def _curve_bytes(curve):
     return [getattr(curve, name).tobytes()
-            for name in ("displacement", "force", "yielded_counts", "cluster_sizes")]
+            for name in ("displacement", "force", "cluster_sizes")]
+
+
+class TestFailedAttempt:
+    """A failed attempt leaves nothing behind: the retry starts from the last
+    committed state, however far the failed attempt got."""
+
+    @staticmethod
+    def _solve(monkeypatch, fail_at=None):
+        """Solve a 2x2x6 column that yields from its third increment.  With
+        fail_at = (k, n), the n-th Newton solve after the k-th predictor
+        returns NaN once, which fails that attempt.  Returns the curve, the
+        number of Newton solves after each predictor, and how often the
+        fault fired."""
+        log, fired = [], []
+
+        def faulty(kb, b, regularize=True, **kwargs):
+            log.append(regularize)
+            since_predictor = log[::-1].index(False)
+            if not fired and fail_at == (log.count(False), since_predictor):
+                fired.append(len(log))
+                return np.full(kb.shape[0], np.nan)
+            return spsolve(kb, b, regularize, **kwargs)
+
+        monkeypatch.setattr(solver, "spsolve", faulty)
+        g = uniform_grid((2, 2, 6), RHO)
+        c = SolveControl(increment=0.05, max_increments=12)
+        curve = solve(g, MaterialModel(), stance_bc(g.dims), c)
+        runs = []
+        for regularize in log:
+            if regularize:
+                runs[-1] += 1
+            else:
+                runs.append(0)
+        return curve, runs, len(fired)
+
+    def test_retry_ignores_how_far_the_attempt_got(self, monkeypatch):
+        plain, runs, _ = self._solve(monkeypatch)
+        # The first attempt with at least 3 Newton solves, made to fail on
+        # its 1st or on its 3rd: both retries must commit the same curve.
+        k = 1 + next(i for i, n in enumerate(runs) if n >= 3)
+        first, _, fired_first = self._solve(monkeypatch, (k, 1))
+        third, _, fired_third = self._solve(monkeypatch, (k, 3))
+        assert fired_first == fired_third == 1
+        assert first.force.size == third.force.size == plain.force.size
+        assert _curve_bytes(first) == _curve_bytes(third)
 
 
 class TestFactorReuse:
