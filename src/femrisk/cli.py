@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifiers import (ClassifierSpec, model_from_json, model_to_json,
                           predict_scores, train)
-from .datamodel import FE9, FeatureSet, feature_columns, load_cohort, save_cohort
+from .datamodel import FE9, feature_columns, load_cohort, save_cohort
 from .errors import DataError, FemriskError, NumericalError, malformed, read_json
 from .evaluate import (CvConfig, ResampleConfig, auc_summary,
                        build_feature_matrix, build_report, cell_name,
@@ -156,27 +156,25 @@ def cmd_fe(args) -> int:
     return 0
 
 
-def _every_row(cohort, feature_set, stratum, pca):
-    """Features of every row of the stratum cohort, with PC1 projected on pca."""
+def _every_row(cohort, cols, pca):
+    """Features cols of every row of cohort, with PC1 projected on pca."""
     rows = np.arange(len(cohort))[None]
-    return build_feature_matrix(cohort, feature_set, stratum, rows, rows[:, :0], pca)[0][0]
+    return build_feature_matrix(cohort, cols, rows, rows[:, :0], pca)[0][0]
 
 
 def cmd_fit(args) -> int:
     cohort = load_cohort(args.cohort).stratum(args.stratum)
-    feature_set = FeatureSet.parse(args.features)
+    cols = feature_columns(args.features, args.stratum)
     fe9 = fe9_matrix(cohort)
     pca = fit_pca(fe9)
     scores = pc_scores(pca, fe9)
     n_check = min(4, scores.shape[1])
     y = cohort.labels()
     retained, pvals = select_significant_pcs(scores[:, :n_check], y)
-    x = _every_row(cohort, feature_set, args.stratum, pca)
-    model = train(ClassifierSpec("logistic"), x, y,
-                  feature_columns(feature_set, args.stratum))
+    model = train(ClassifierSpec("logistic"), _every_row(cohort, cols, pca), y, cols)
     doc = {
         "stratum": args.stratum,
-        "feature_set": feature_set.name,
+        "feature_set": args.features,
         "pc1_variance_share": float(pca.variance_shares[0]),
         "pc_p_values": [float(p) for p in pvals],
         "retained_pcs": [i + 1 for i in retained],
@@ -197,7 +195,8 @@ def cmd_fit(args) -> int:
 def _score_with_model(doc, cohort, stratum):
     with malformed("model file"):
         pca_doc, model_doc, fitted_on = doc["pca"], doc["classifier"], doc["stratum"]
-        feature_set = FeatureSet.parse(doc["feature_set"])
+        name = doc["feature_set"]
+        cols = feature_columns(name, stratum)
     if fitted_on != stratum:
         raise DataError(f"model was fitted on stratum {fitted_on!r} and cannot "
                         f"score stratum {stratum!r}")
@@ -206,17 +205,26 @@ def _score_with_model(doc, cohort, stratum):
         raise DataError(f"malformed model file: PCA columns {list(pca.column_names)} "
                         f"are not the FE9 columns {list(FE9)}")
     model = model_from_json(model_doc)
-    cols = feature_columns(feature_set, stratum)
     if list(model.feature_names) != cols:
         raise DataError(f"malformed model file: feature_names {list(model.feature_names)} "
-                        f"are not the {feature_set.name} columns {cols}")
-    return predict_scores(model, _every_row(cohort, feature_set, stratum, pca))
+                        f"are not the {name} columns {cols}")
+    return predict_scores(model, _every_row(cohort, cols, pca))
 
 
 def cmd_evaluate(args) -> int:
+    if args.skip_frax and args.roc_dir:
+        raise UsageError("--roc-dir writes the FRAX ROC curves, which --skip-frax leaves out")
     cohort = load_cohort(args.cohort).stratum(args.stratum)
-    feature_sets = [FeatureSet.parse(n) for n in args.features]
+    feature_sets = {name: feature_columns(name, args.stratum) for name in args.features}
     specs = [ClassifierSpec(k) for k in args.classifiers]
+    if len(feature_sets) < len(args.features) or len(set(args.classifiers)) < len(specs):
+        raise DataError("duplicate evaluation cells")
+    missing = cohort.missing_frax()
+    skip_frax = ("--skip-frax" if args.skip_frax else
+                 f"frax_prob missing for {len(missing)} subjects (first: {missing[0]})"
+                 if missing else None)
+    if skip_frax and args.roc_dir:
+        raise DataError(f"--roc-dir needs the FRAX comparison: {skip_frax}")
     mode = "paper (whole-sample PCA)" if args.paper_mode else "fold-internal PCA refit"
     print(f"mode: {mode}")
 
@@ -230,19 +238,20 @@ def cmd_evaluate(args) -> int:
                             train_fraction=args.resample_fraction,
                             seed=mix_seed(args.seed, 2, 0))
 
-    lgocv = run_lgocv(train_c, feature_sets, specs, cv_cfg, args.stratum, pca_full)
-    resamp = run_resample_comparison(train_c, feature_sets, specs, rs_cfg,
-                                     args.stratum, pca_full)
+    lgocv = run_lgocv(train_c, feature_sets, specs, cv_cfg, pca_full)
+    resamp = run_resample_comparison(train_c, feature_sets, specs, rs_cfg, pca_full)
 
     extra = {
         "lgocv": {name: auc_summary(v) for name, v in lgocv.items()},
         "mode": "paper" if args.paper_mode else "fold_internal",
         "stratum": args.stratum,
     }
-    if not args.skip_frax and not cohort.missing_frax():
-        fs0, sp0 = feature_sets[0], specs[0]
-        scores_all, _, _ = fit_and_score(cohort, tr, np.arange(len(cohort)), fs0, sp0,
-                                         args.stratum, pca_full)
+    if skip_frax:
+        print(f"FRAX comparison skipped: {skip_frax}")
+    else:
+        fs0, sp0 = args.features[0], specs[0]
+        scores_all, _, _ = fit_and_score(cohort, tr, np.arange(len(cohort)),
+                                         feature_sets[fs0], sp0, pca_full)
         dl, roc_m, roc_f = compare_with_frax(cohort, scores_all)
         extra["frax"] = {
             "cell": cell_name(fs0, sp0),
@@ -253,7 +262,7 @@ def cmd_evaluate(args) -> int:
             write_roc_csvs(roc_m, roc_f, args.roc_dir)
 
     configs = {
-        "features": [fs.name for fs in feature_sets],
+        "features": args.features,
         "classifiers": [sp.kind for sp in specs],
         "cv": {"repeats": cv_cfg.repeats, "train_fraction": cv_cfg.train_fraction},
         "resample": {"resamples": rs_cfg.resamples,

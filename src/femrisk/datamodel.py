@@ -20,8 +20,10 @@ gathers on that table.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,25 +202,33 @@ def _parse_line(raw: list[str], line_no: int) -> list[float]:
 
 
 def load_cohort(path) -> Cohort:
-    """Read and validate a cohort CSV; the first invalid line raises.  Subject
-    ids must be non-empty and unique."""
+    """Read and validate a cohort CSV; the first invalid line raises, a line
+    holding a byte that is not UTF-8 included.  Subject ids must be
+    non-empty and unique."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         raise DataError(f"cohort file not found: {path}")
-    with fh:
+    unreadable = None                             # the first line that cannot be read
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The lines above the first undecodable byte are read as usual.
+        head = data[:data.rfind(b"\n", 0, exc.start) + 1]
+        text, line_no = head.decode("utf-8"), head.count(b"\n") + 1
+        unreadable = DataError(f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})")
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError("empty file: no header row")
+            raise unreadable or DataError("empty file: no header row")
         if header != COHORT_HEADER:
             raise DataError(
                 f"bad header: expected {','.join(COHORT_HEADER)}, got {','.join(header)}"
             )
         rows = []
         id_lines = {}                             # subject id -> its line, in file order
-        unreadable = None
         for line_no, raw in enumerate(reader, start=2):
             if not raw or all(not c.strip() for c in raw):
                 continue
@@ -339,67 +349,20 @@ def derive_dxa_abmd(abmd_ct: float) -> float:
 # ---------------------------------------------------------------------------
 # Feature sets
 
+# The columns of each feature set on the whole sample, by the name users
+# type: its leading pc1 or FE columns, then abmd_ct and the covariates with
+# sex encoded female=0 / male=1; FRAX_ONLY is the frax_prob column alone.
+_FEATURE_SETS = {
+    **{name: (*lead, "abmd_ct", *COVARIATES) for name, lead in (
+        ("ABMD_COV", ()), ("PC1_ABMD_COV", ("pc1",)), ("FE9_ABMD_COV", FE9),
+        *((f"{p}_ABMD_COV", (p,)) for p in FE9))},
+    "FRAX_ONLY": ("frax_prob",),
+}
 
-@dataclass(frozen=True)
-class FeatureSet:
-    """A named predictor column list.
 
-    kind is one of ABMD_COV, PC1_ABMD_COV, FE9_ABMD_COV, SINGLE_FE_ABMD_COV
-    (with fe_param set) and FRAX_ONLY.
-    """
-
-    kind: str
-    fe_param: Optional[str] = None
-
-    KINDS = ("ABMD_COV", "PC1_ABMD_COV", "FE9_ABMD_COV", "SINGLE_FE_ABMD_COV", "FRAX_ONLY")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise DataError(f"unknown feature set kind {self.kind!r}")
-        if self.kind == "SINGLE_FE_ABMD_COV":
-            if self.fe_param not in FE9:
-                raise DataError(f"fe_param must be one of {FE9}, got {self.fe_param!r}")
-        elif self.fe_param is not None:
-            raise DataError("fe_param only valid for SINGLE_FE_ABMD_COV")
-
-    @property
-    def name(self) -> str:
-        if self.kind == "SINGLE_FE_ABMD_COV":
-            return f"{self.fe_param}_ABMD_COV"
-        return self.kind
-
-    @classmethod
-    def parse(cls, name: str) -> "FeatureSet":
-        if name in cls.KINDS and name != "SINGLE_FE_ABMD_COV":
-            return cls(name)
-        if name.endswith("_ABMD_COV") and name[: -len("_ABMD_COV")] in FE9:
-            return cls("SINGLE_FE_ABMD_COV", name[: -len("_ABMD_COV")])
+def feature_columns(name: str, stratum: str) -> list[str]:
+    """The columns of the named feature set under a stratum, in the order of
+    every feature matrix: sex is dropped when stratum != all."""
+    if name not in _FEATURE_SETS:
         raise DataError(f"unknown feature set {name!r}")
-
-
-def _covariate_columns(stratum: str) -> list[str]:
-    cols = list(COVARIATES)
-    if stratum != "all":
-        cols.remove("sex")
-    return cols
-
-
-def feature_columns(feature_set: FeatureSet, stratum: str) -> list[str]:
-    """Deterministic column order for a feature set under a stratum.
-
-    Optional leading pc1 / FE columns, then abmd_ct, then the covariate
-    block (age, sex, height, weight, healstat, bmdmed) with sex encoded
-    female=0 / male=1 and dropped when stratum != all; FRAX_ONLY is the
-    frax_prob column alone.
-    """
-    cov = _covariate_columns(stratum)
-    k = feature_set.kind
-    if k == "ABMD_COV":
-        return ["abmd_ct"] + cov
-    if k == "PC1_ABMD_COV":
-        return ["pc1", "abmd_ct"] + cov
-    if k == "FE9_ABMD_COV":
-        return list(FE9) + ["abmd_ct"] + cov
-    if k == "SINGLE_FE_ABMD_COV":
-        return [feature_set.fe_param, "abmd_ct"] + cov
-    return ["frax_prob"]
+    return [c for c in _FEATURE_SETS[name] if stratum == "all" or c != "sex"]

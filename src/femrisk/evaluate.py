@@ -11,7 +11,7 @@ config, seed).
 
 Every command builds features with one function, build_feature_matrix: it
 gathers the train and test rows of a block of splits by row index from the
-stratum's columns, with PC1 on a given PCA or on a fold PCA fit on each
+cohort's columns, with PC1 on a given PCA or on a fold PCA fit on each
 split's training rows.  Stratified splits of one cohort all have the same
 train and test sizes and class counts, so the loop works on blocks of BLOCK
 splits as (B, n, p) stacks.  One classifiers.train_and_score_stack call per
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import ClassifierSpec, predict_scores, train, train_and_score_stack
-from .datamodel import FE9, Cohort, FeatureSet, feature_columns, standardize_apply
+from .datamodel import FE9, Cohort, standardize_apply
 from .errors import DataError, FemriskError
 # fit_pca and risk_index are not called here; they stay importable because
 # perfbench/tracing.py WRAPS traces them in this module.
@@ -118,36 +118,34 @@ def fe9_matrix(cohort: Cohort) -> np.ndarray:
 
 
 def fit_and_score(cohort: Cohort, tr: np.ndarray, te: np.ndarray,
-                  feature_set: FeatureSet, spec: ClassifierSpec,
-                  stratum: str = "all", pca_full: Optional[PcaModel] = None):
-    """Fit the full pipeline on rows tr of the stratum cohort and score its
-    rows te.
+                  cols: Sequence[str], spec: ClassifierSpec,
+                  pca_full: Optional[PcaModel] = None):
+    """Fit the full pipeline on the feature columns cols of rows tr of
+    cohort and score its rows te.
 
     One split of the split loop: build_feature_matrix builds that split's
     features, so PCA for PC1 feature sets is fit on the training rows only
     unless a prefit whole-sample model is supplied (paper mode).
     """
-    x_tr, x_te = build_feature_matrix(cohort, feature_set, stratum, tr[None], te[None],
-                                      pca_full)
+    x_tr, x_te = build_feature_matrix(cohort, cols, tr[None], te[None], pca_full)
     y = cohort.labels()
-    model = train(spec, x_tr[0], y[tr], feature_columns(feature_set, stratum))
+    model = train(spec, x_tr[0], y[tr], cols)
     return predict_scores(model, x_te[0]), y[te], model
 
 
-def cell_name(feature_set: FeatureSet, spec: ClassifierSpec) -> str:
-    return f"{feature_set.name}|{spec.kind}"
+def cell_name(feature_set: str, spec: ClassifierSpec) -> str:
+    return f"{feature_set}|{spec.kind}"
 
 
-def build_feature_matrix(sub: Cohort, feature_set: FeatureSet, stratum: str,
+def build_feature_matrix(sub: Cohort, cols: Sequence[str],
                          tr: np.ndarray, te: np.ndarray, pca: Optional[PcaModel]):
-    """Train and test feature stacks (B, n, p) and (B, m, p) of a block of
-    splits with train rows tr (B, n) and test rows te (B, m) of the stratum
-    sub, in the column order of feature_columns.
+    """Train and test feature stacks (B, n, p) and (B, m, p) of the feature
+    columns cols, from datamodel.feature_columns, for a block of splits with
+    train rows tr (B, n) and test rows te (B, m) of sub.
 
     PC1 is projected on pca when one is given, else on the PCA of each
     split's training rows.
     """
-    cols = feature_columns(feature_set, stratum)
     if "frax_prob" in cols:
         missing = sub.missing_frax()
         if missing:
@@ -169,26 +167,22 @@ def build_feature_matrix(sub: Cohort, feature_set: FeatureSet, stratum: str,
     return x_tr, x_te
 
 
-def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
+def _split_and_score(sub: Cohort, feature_sets: dict[str, Sequence[str]],
                      specs: Sequence[ClassifierSpec], n_splits: int,
-                     fraction: float, seed: int, stratum: str,
+                     fraction: float, seed: int,
                      pca_full: Optional[PcaModel], protocol: str):
     """Score every (feature set, classifier) cell on the same stratified
-    splits; returns {cell name: AUC vector}.
+    splits of sub; feature_sets maps each feature set's name to its
+    columns.  Returns {cell name: AUC vector}.
 
     Split i is drawn from mix_seed(seed, i, 0).  stratified_split_indices
     keeps at least one member of each class on each side, so every
     held-out side holds both classes.
     """
-    sub = cohort.stratum(stratum)
     y = sub.labels()
     if min((y == 0).sum(), (y == 1).sum()) < 4:
         raise DataError(f"each class needs at least 4 members for {protocol}")
-    names = [cell_name(fs, sp) for fs in feature_sets for sp in specs]
-    if len(set(names)) != len(names):
-        raise DataError("duplicate evaluation cells")
-
-    aucs = {name: np.empty(n_splits) for name in names}
+    aucs = {cell_name(fs, sp): np.empty(n_splits) for fs in feature_sets for sp in specs}
     seeds = [mix_seed(seed, i, 0) for i in range(n_splits)]
     for start in range(0, n_splits, BLOCK):
         splits = [stratified_split_indices(y, fraction, s)
@@ -196,8 +190,8 @@ def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
         tr, te = (np.stack(side) for side in zip(*splits))
         block = slice(start, start + len(splits))
         try:
-            for fs in feature_sets:
-                x_tr, x_te = build_feature_matrix(sub, fs, stratum, tr, te, pca_full)
+            for fs, cols in feature_sets.items():
+                x_tr, x_te = build_feature_matrix(sub, cols, tr, te, pca_full)
                 stacks = train_and_score_stack(specs, x_tr, y[tr], x_te)
                 for sp, scores in zip(specs, stacks):
                     aucs[cell_name(fs, sp)][block] = auc_rows(scores, y[te])
@@ -205,23 +199,22 @@ def _split_and_score(cohort: Cohort, feature_sets: Sequence[FeatureSet],
             # Raise what the first failing (split, feature set, classifier)
             # cell raises on its own.
             for tr_i, te_i in splits:
-                for fs in feature_sets:
+                for cols in feature_sets.values():
                     for sp in specs:
-                        auc_mann_whitney(*fit_and_score(sub, tr_i, te_i, fs, sp,
-                                                        stratum, pca_full)[:2])
+                        auc_mann_whitney(*fit_and_score(sub, tr_i, te_i, cols, sp,
+                                                        pca_full)[:2])
             raise
     return aucs
 
 
-def run_lgocv(cohort: Cohort, feature_sets: Sequence[FeatureSet],
+def run_lgocv(cohort: Cohort, feature_sets: dict[str, Sequence[str]],
               specs: Sequence[ClassifierSpec], config: CvConfig,
-              stratum: str = "all",
               pca_full: Optional[PcaModel] = None) -> dict:
     """Repeated stratified 75/25 cross-validation of every (feature set,
-    classifier) cell on shared splits; one AUC per repeat and cell."""
+    classifier) cell on shared splits of cohort; one AUC per repeat and
+    cell."""
     return _split_and_score(cohort, feature_sets, specs, config.repeats,
-                            config.train_fraction, config.seed, stratum,
-                            pca_full, "LGOCV")
+                            config.train_fraction, config.seed, pca_full, "LGOCV")
 
 
 @dataclass(frozen=True)
@@ -232,17 +225,15 @@ class ResampleResult:
     comparisons: dict                # "a>b" -> TTestResult
 
 
-def run_resample_comparison(cohort: Cohort, feature_sets: Sequence[FeatureSet],
-                            specs: Sequence[ClassifierSpec],
-                            config: ResampleConfig, stratum: str = "all",
+def run_resample_comparison(cohort: Cohort, feature_sets: dict[str, Sequence[str]],
+                            specs: Sequence[ClassifierSpec], config: ResampleConfig,
                             pca_full: Optional[PcaModel] = None) -> ResampleResult:
-    """Shared stratified resampling across every (feature set, classifier)
-    cell, then a paired one-sided t-test of AUC_a > AUC_b for every pair of
-    cells, ordered so that mean(a) >= mean(b).
+    """Shared stratified resampling of cohort across every (feature set,
+    classifier) cell, then a paired one-sided t-test of AUC_a > AUC_b
+    for every pair of cells, ordered so that mean(a) >= mean(b).
     """
     aucs = _split_and_score(cohort, feature_sets, specs, config.resamples,
-                            config.train_fraction, config.seed, stratum,
-                            pca_full, "resampling")
+                            config.train_fraction, config.seed, pca_full, "resampling")
     tests = {}
     for na, nb in combinations(aucs, 2):
         if aucs[na].mean() < aucs[nb].mean():

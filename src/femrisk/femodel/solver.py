@@ -74,8 +74,8 @@ class SolveControl:
         if self.increment <= 0:
             raise DataError("increment must be positive")
         n = self.max_increments
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise DataError("max_increments must be an integer >= 0")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DataError("max_increments must be an integer >= 1")
         if self.tolerance <= 0 or not 0.0 < self.stop_fraction <= 1.0:
             raise DataError("bad solve control")
 

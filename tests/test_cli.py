@@ -223,9 +223,11 @@ class TestMalformedFiles:
         {"control": {"increment": float("nan")}},
         {"control": {"tolerance": float("inf")}},
         {"control": {"max_increments": True}},
+        # Once accepted, then failed as "curve needs at least 2 samples".
+        {"control": {"max_increments": 0}},
     ], ids=["list", "string_c_E", "fractional_max_increments", "nan_c_E",
             "inf_eps_plateau", "bool_p_S", "nan_increment", "inf_tolerance",
-            "bool_max_increments"])
+            "bool_max_increments", "zero_max_increments"])
     def test_material_exit_2(self, tmp_path, capsys, doc):
         grid, material, out = tmp_path / "g.txt", tmp_path / "m.json", tmp_path / "fe.json"
         save_grid(uniform_grid((2, 2, 3), 0.3), grid)
@@ -310,6 +312,36 @@ class TestMalformedCohort:
                    else "empty subject id")
         assert captured.err.splitlines() == [f"error: line 4: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit", "compare-frax"])
+    def test_not_utf8_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, command):
+        # A Latin-1 byte in line 4 once ended each command with a traceback.
+        data = cohort_csv.read_bytes().split(b"\n")
+        data[3] = data[3].replace(b",", b"\xe9,", 1)
+        path, out, model = tmp_path / "bad.csv", tmp_path / "out.json", tmp_path / "m.json"
+        path.write_bytes(b"\n".join(data))
+        model.write_text(json.dumps(model_doc))
+        argv = {"evaluate": ["evaluate", "--out", str(out)],
+                "fit": ["fit", "--out", str(out)],
+                "compare-frax": ["compare-frax", "--model", str(model), "--out", str(out)],
+                }[command] + ["--cohort", str(path)]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        offset = len(b"\n".join(data[:3])) + 1 + data[3].index(b"\xe9")
+        assert captured.err.splitlines() == [
+            f"error: line 4: not UTF-8 (invalid continuation byte at byte {offset})"]
+        assert captured.out == "" and not out.exists()
+
+    def test_bad_cell_above_a_non_utf8_line_reported_first(self, tmp_path, capsys,
+                                                          cohort_csv):
+        data = cohort_csv.read_bytes().split(b"\n")
+        data[3] = data[3].replace(b",M,", b",X,").replace(b",F,", b",X,")
+        data[9] = data[9].replace(b",", b"\xe9,", 1)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(data))
+        assert dispatch(["fit", "--cohort", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 4: sex must be M or F, got 'X'"]
 
 
 class TestSynth:
@@ -503,6 +535,106 @@ class TestEvaluateAndReport:
         assert rc == 0
         assert "whole-sample" in capsys.readouterr().out
         assert load_strict_json(report)["mode"] == "paper"
+
+
+def _blank_frax(cohort_csv, path, line):
+    """cohort_csv with the frax_prob cell of one line (1-based) blanked."""
+    lines = cohort_csv.read_text().splitlines()
+    lines[line - 1] = lines[line - 1][:lines[line - 1].rindex(",") + 1]
+    path.write_text("\n".join(lines) + "\n")
+    return lines[line - 1].split(",")[0]
+
+
+class TestFeatureSetNames:
+    QUICK = ["--stratum", "male", "--resamples", "10", "--repeats", "2"]
+
+    def test_names_resolve_to_their_cells(self, tmp_path, cohort_csv):
+        report = tmp_path / "r.json"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(report),
+                         "--features", "Su_ABMD_COV", "FE9_ABMD_COV", *self.QUICK]) == 0
+        doc = load_strict_json(report)
+        assert doc["configs"]["features"] == ["Su_ABMD_COV", "FE9_ABMD_COV"]
+        assert set(doc["cells"]) == {f"{f}|{c}" for f in ("Su_ABMD_COV", "FE9_ABMD_COV")
+                                     for c in ("logistic", "pls")}
+
+    @pytest.mark.parametrize("name", ["SINGLE_FE_ABMD_COV", "Penergy_ABMD_COV", "nonsense"])
+    @pytest.mark.parametrize("command", ["evaluate", "fit", "model_file"])
+    def test_unknown_name_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, name,
+                                 command):
+        out, model = tmp_path / "out.json", tmp_path / "m.json"
+        model.write_text(json.dumps(dict(model_doc, feature_set=name)))
+        argv, prefix = {
+            "evaluate": (["evaluate", "--features", name, *self.QUICK], ""),
+            "fit": (["fit", "--features", name], ""),
+            "model_file": (["compare-frax", "--model", str(model)], "malformed model file: "),
+        }[command]
+        assert dispatch(argv + ["--cohort", str(cohort_csv), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {prefix}unknown feature set {name!r}"]
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("option,values", [
+        ("--features", ["ABMD_COV", "PC1_ABMD_COV", "ABMD_COV"]),
+        ("--classifiers", ["logistic", "logistic"]),
+    ], ids=["features", "classifiers"])
+    def test_duplicate_cells_exit_2(self, tmp_path, capsys, cohort_csv, option, values):
+        out = tmp_path / "r.json"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(out),
+                         option, *values, *self.QUICK]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: duplicate evaluation cells"]
+        assert not out.exists()
+
+
+class TestFraxSkipped:
+    QUICK = ["--stratum", "male", "--resamples", "10", "--repeats", "2", "--seed", "4"]
+
+    def test_skip_frax_says_so(self, tmp_path, capsys, cohort_csv):
+        report = tmp_path / "r.json"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(report),
+                         "--skip-frax", *self.QUICK]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "FRAX comparison skipped: --skip-frax" in out
+        assert "frax" not in load_strict_json(report)
+
+    def test_missing_frax_says_so_and_keeps_the_cells(self, tmp_path, capsys, cohort_csv):
+        # The blanked subject is male (line 2 of a synth cohort), so the male
+        # stratum lacks one FRAX value; the resampled cells do not read it.
+        path, report, full = tmp_path / "c.csv", tmp_path / "r.json", tmp_path / "full.json"
+        subject = _blank_frax(cohort_csv, path, 2)
+        assert load_cohort(path).stratum("male").missing_frax() == [subject]
+        assert dispatch(["evaluate", "--cohort", str(path), "--out", str(report),
+                         *self.QUICK]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert (f"FRAX comparison skipped: frax_prob missing for 1 subjects "
+                f"(first: {subject})") in out
+        doc = load_strict_json(report)
+        assert "frax" not in doc
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(full),
+                         *self.QUICK]) == 0
+        assert doc["cells"] == load_strict_json(full)["cells"]
+
+    def test_roc_dir_with_missing_frax_exit_2_before_any_fit(self, tmp_path, capsys,
+                                                             cohort_csv, monkeypatch):
+        import femrisk.cli
+        monkeypatch.setattr(femrisk.cli, "run_lgocv", None)   # a fit would crash
+        path, report, roc = tmp_path / "c.csv", tmp_path / "r.json", tmp_path / "roc"
+        subject = _blank_frax(cohort_csv, path, 2)
+        assert dispatch(["evaluate", "--cohort", str(path), "--out", str(report),
+                         "--roc-dir", str(roc), *self.QUICK]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: --roc-dir needs the FRAX comparison: frax_prob missing for 1 "
+            f"subjects (first: {subject})"]
+        assert captured.out == "" and not report.exists() and not roc.exists()
+
+    def test_roc_dir_with_skip_frax_exit_1(self, tmp_path, capsys, cohort_csv):
+        report, roc = tmp_path / "r.json", tmp_path / "roc"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(report),
+                         "--roc-dir", str(roc), "--skip-frax", *self.QUICK]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --roc-dir writes the FRAX ROC curves, which --skip-frax leaves out"]
+        assert captured.out == "" and not report.exists() and not roc.exists()
 
 
 IMPORTS_PER_COMMAND = """

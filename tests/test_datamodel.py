@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from femrisk.datamodel import (COHORT_HEADER, FE9, FE12, FeatureSet,
-                               derive_dxa_abmd, feature_columns, invalid_row,
+from femrisk.datamodel import (COHORT_HEADER, FE9, FE12, derive_dxa_abmd, feature_columns, invalid_row,
                                load_cohort, save_cohort, standardize_apply,
                                standardize_fit)
 from femrisk.errors import DataError
@@ -220,26 +219,55 @@ class TestDerivedAbmd:
         assert derive_dxa_abmd(0.6) > derive_dxa_abmd(0.5)
 
 
+# The columns of every feature set: its leading columns, then abmd_ct and
+# the covariates, without sex in a single-sex stratum.
+LEADING_COLUMNS = {
+    "ABMD_COV": [],
+    "PC1_ABMD_COV": ["pc1"],
+    "FE9_ABMD_COV": ["Sy", "Su", "Senergy", "Py", "Pu", "PLy", "PLu", "Ly", "Lu"],
+    "Sy_ABMD_COV": ["Sy"], "Su_ABMD_COV": ["Su"], "Senergy_ABMD_COV": ["Senergy"],
+    "Py_ABMD_COV": ["Py"], "Pu_ABMD_COV": ["Pu"], "PLy_ABMD_COV": ["PLy"],
+    "PLu_ABMD_COV": ["PLu"], "Ly_ABMD_COV": ["Ly"], "Lu_ABMD_COV": ["Lu"],
+}
+COVARIATE_COLUMNS = {
+    "all": ["abmd_ct", "age", "sex", "height", "weight", "healstat", "bmdmed"],
+    "male": ["abmd_ct", "age", "height", "weight", "healstat", "bmdmed"],
+    "female": ["abmd_ct", "age", "height", "weight", "healstat", "bmdmed"],
+}
+EXPECTED_COLUMNS = {
+    **{(name, stratum): lead + cov for name, lead in LEADING_COLUMNS.items()
+       for stratum, cov in COVARIATE_COLUMNS.items()},
+    **{("FRAX_ONLY", stratum): ["frax_prob"] for stratum in COVARIATE_COLUMNS},
+}
+
+
 class TestFeatureSets:
     def test_parse_known(self):
-        assert FeatureSet.parse("ABMD_COV").kind == "ABMD_COV"
-        fs = FeatureSet.parse("Su_ABMD_COV")
-        assert fs.kind == "SINGLE_FE_ABMD_COV" and fs.fe_param == "Su"
+        assert feature_columns("ABMD_COV", "all")[0] == "abmd_ct"
+        assert feature_columns("Su_ABMD_COV", "all")[0] == "Su"
 
     def test_parse_unknown(self):
-        with pytest.raises(DataError):
-            FeatureSet.parse("nonsense")
+        # The old internal kind name and an FE12 parameter outside FE9 too.
+        for name in ("nonsense", "", "SINGLE_FE_ABMD_COV", "Penergy_ABMD_COV",
+                     "abmd_cov", "PC1_ABMD_COV ", "Su", "FRAX"):
+            for stratum in ("all", "male", "female"):
+                with pytest.raises(DataError) as got:
+                    feature_columns(name, stratum)
+                assert str(got.value) == f"unknown feature set {name!r}"
+
+    @pytest.mark.parametrize("name,stratum", list(EXPECTED_COLUMNS),
+                             ids=[f"{n}-{s}" for n, s in EXPECTED_COLUMNS])
+    def test_columns_of_every_name_and_stratum(self, name, stratum):
+        assert feature_columns(name, stratum) == EXPECTED_COLUMNS[name, stratum]
 
     def test_sex_dropped_in_single_sex_stratum(self):
-        fs = FeatureSet.parse("ABMD_COV")
-        assert "sex" in feature_columns(fs, "all")
-        assert "sex" not in feature_columns(fs, "male")
+        assert "sex" in feature_columns("ABMD_COV", "all")
+        assert "sex" not in feature_columns("ABMD_COV", "male")
 
     def test_matrix_shapes_and_encoding(self, small_cohort, tmp_path):
-        fs = FeatureSet.parse("ABMD_COV")
+        cols = feature_columns("ABMD_COV", "all")
         rows = np.arange(len(small_cohort))[None]
-        x = build_feature_matrix(small_cohort, fs, "all", rows, rows[:, :0], None)[0][0]
-        cols = feature_columns(fs, "all")
+        x = build_feature_matrix(small_cohort, cols, rows, rows[:, :0], None)[0][0]
         assert x.shape == (len(small_cohort), len(cols))
         j = cols.index("sex")
         sexes = np.array([1.0 if r["sex"] == "M" else 0.0
@@ -252,9 +280,8 @@ class TestFeatureSets:
 
 
 STRATA = ("all", "male", "female")
-EVERY_FEATURE_SET = [FeatureSet.parse(n) for n in
-                     ("ABMD_COV", "PC1_ABMD_COV", "FE9_ABMD_COV", "FRAX_ONLY")]
-EVERY_FEATURE_SET += [FeatureSet("SINGLE_FE_ABMD_COV", p) for p in FE9]
+EVERY_FEATURE_SET = ["ABMD_COV", "PC1_ABMD_COV", "FE9_ABMD_COV", "FRAX_ONLY"]
+EVERY_FEATURE_SET += [f"{p}_ABMD_COV" for p in FE9]
 
 
 def csv_records(cohort, path):
@@ -294,7 +321,7 @@ def cohort_views(cohort, stratum):
 
 class TestColumnarAssembly:
     @pytest.mark.parametrize("stratum", STRATA)
-    @pytest.mark.parametrize("feature_set", EVERY_FEATURE_SET, ids=lambda f: f.name)
+    @pytest.mark.parametrize("feature_set", EVERY_FEATURE_SET)
     def test_matches_per_record_reference(self, small_cohort, feature_set, stratum,
                                           tmp_path):
         # Every row trains; the test side is the same rows shuffled.  PC1 is
@@ -311,7 +338,7 @@ class TestColumnarAssembly:
             rows = np.arange(len(sub))
             perm = rng.permutation(len(sub))
             for given_pca in (pca, None):
-                x_tr, x_te = build_feature_matrix(sub, feature_set, stratum,
+                x_tr, x_te = build_feature_matrix(sub, feature_columns(feature_set, stratum),
                                                   rows[None], perm[None], given_pca)
                 np.testing.assert_array_equal(x_tr[0], x_ref)
                 np.testing.assert_array_equal(x_te[0], x_ref[perm])
@@ -333,10 +360,10 @@ class TestColumnarAssembly:
                   for i in range(n_splits)]
         tr, te = (np.stack(side) for side in zip(*splits))
         pca = fit_pca(fe9_matrix(sub)) if stored_pca else None
-        block = build_feature_matrix(sub, feature_set, stratum, tr, te, pca)
+        cols = feature_columns(feature_set, stratum)
+        block = build_feature_matrix(sub, cols, tr, te, pca)
         for i in range(n_splits):
-            one = build_feature_matrix(sub, feature_set, stratum,
-                                       tr[i:i + 1], te[i:i + 1], pca)
+            one = build_feature_matrix(sub, cols, tr[i:i + 1], te[i:i + 1], pca)
             for got, want in zip(block, one):
                 np.testing.assert_array_equal(got[i], want[0])
 
@@ -364,5 +391,5 @@ class TestColumnarAssembly:
         cohort = make_cohort({"a": {"frax_prob": 0.2}, "b7": {}, "c": {}})
         rows = np.arange(3)[None]
         with pytest.raises(DataError, match="subject b7: frax_prob missing"):
-            build_feature_matrix(cohort, FeatureSet.parse("FRAX_ONLY"), "male",
+            build_feature_matrix(cohort, feature_columns("FRAX_ONLY", "male"),
                                  rows[:, :2], rows[:, 2:], None)

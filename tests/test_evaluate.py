@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from femrisk.classifiers import KINDS, ClassifierSpec, model_to_json
-from femrisk.datamodel import COLUMN_INDEX, Cohort, FeatureSet
+from femrisk.datamodel import COLUMN_INDEX, Cohort, feature_columns
 from femrisk.errors import DataError
 from femrisk.evaluate import (BLOCK, CvConfig, ResampleConfig, build_report,
                               cell_name, compare_with_frax, fe9_matrix,
@@ -13,9 +13,14 @@ from femrisk.evaluate import (BLOCK, CvConfig, ResampleConfig, build_report,
                               run_resample_comparison, stratified_split_indices)
 from femrisk.stats import auc_mann_whitney, fit_pca, paired_one_sided_ttest
 
-FS_PC1 = FeatureSet.parse("PC1_ABMD_COV")
-FS_ABMD = FeatureSet.parse("ABMD_COV")
+FS_PC1 = feature_columns("PC1_ABMD_COV", "all")
+FS_ABMD = feature_columns("ABMD_COV", "all")
 LOGIT = ClassifierSpec("logistic")
+
+
+def feature_sets(*names, stratum="all"):
+    """The split loop's {name: columns} for the named feature sets."""
+    return {name: feature_columns(name, stratum) for name in names}
 
 
 class TestMixSeed:
@@ -84,15 +89,16 @@ class TestNoLeakage:
 
 class TestLgocv:
     def test_shape_and_range(self, small_cohort):
-        aucs = run_lgocv(small_cohort, [FS_PC1], [LOGIT],
+        aucs = run_lgocv(small_cohort, feature_sets("PC1_ABMD_COV"), [LOGIT],
                          CvConfig(repeats=5, seed=2))["PC1_ABMD_COV|logistic"]
         assert aucs.shape == (5,)
         assert np.all((aucs >= 0) & (aucs <= 1))
 
     def test_deterministic(self, small_cohort):
         cfg = CvConfig(repeats=4, seed=7)
-        a = run_lgocv(small_cohort, [FS_PC1], [LOGIT], cfg)["PC1_ABMD_COV|logistic"]
-        b = run_lgocv(small_cohort, [FS_PC1], [LOGIT], cfg)["PC1_ABMD_COV|logistic"]
+        sets = feature_sets("PC1_ABMD_COV")
+        a = run_lgocv(small_cohort, sets, [LOGIT], cfg)["PC1_ABMD_COV|logistic"]
+        b = run_lgocv(small_cohort, sets, [LOGIT], cfg)["PC1_ABMD_COV|logistic"]
         np.testing.assert_array_equal(a, b)
 
 
@@ -103,27 +109,25 @@ class TestSharedSplitLoop:
         # mix_seed(seed, i, 0), exactly as fit_and_score would on its own;
         # BLOCK + 3 resamples run one full stacked block and a partial one.
         # LDA and kNN AUCs move when PC1 comes from another PCA fit.
-        feature_sets = [FS_PC1, FS_ABMD, FeatureSet.parse("FE9_ABMD_COV"),
-                        FeatureSet.parse("Lu_ABMD_COV")]
-        specs = [ClassifierSpec(kind) for kind in KINDS]
         stratum = "all"
+        sets = feature_sets("PC1_ABMD_COV", "ABMD_COV", "FE9_ABMD_COV", "Lu_ABMD_COV",
+                            stratum=stratum)
+        specs = [ClassifierSpec(kind) for kind in KINDS]
         sub = small_cohort.stratum(stratum)
         pca_full = fit_pca(fe9_matrix(sub)) if paper_mode else None
         cv = CvConfig(repeats=4, seed=21)
         rs = ResampleConfig(resamples=BLOCK + 3, seed=22)
-        lgocv = run_lgocv(small_cohort, feature_sets, specs, cv, stratum, pca_full)
-        res = run_resample_comparison(small_cohort, feature_sets, specs, rs,
-                                      stratum, pca_full)
-        names = [cell_name(fs, sp) for fs in feature_sets for sp in specs]
+        lgocv = run_lgocv(sub, sets, specs, cv, pca_full)
+        res = run_resample_comparison(sub, sets, specs, rs, pca_full)
+        names = [cell_name(fs, sp) for fs in sets for sp in specs]
         for cells, cfg, n_splits in ((lgocv, cv, cv.repeats), (res.cells, rs, rs.resamples)):
             assert list(cells) == names
             for i in range(n_splits):
                 tr, te = stratified_split_indices(sub.labels(), cfg.train_fraction,
                                                   mix_seed(cfg.seed, i, 0))
-                for fs in feature_sets:
+                for fs, cols in sets.items():
                     for sp in specs:
-                        scores, y_te, _ = fit_and_score(sub, tr, te, fs, sp,
-                                                        stratum, pca_full)
+                        scores, y_te, _ = fit_and_score(sub, tr, te, cols, sp, pca_full)
                         assert cells[cell_name(fs, sp)][i] == auc_mann_whitney(scores, y_te)
 
     def test_error_is_the_first_failing_cell_of_the_split_loop(self, small_cohort):
@@ -137,7 +141,7 @@ class TestSharedSplitLoop:
         table[:, COLUMN_INDEX["bmdmed"]] = rows == 125
         table[:, COLUMN_INDEX["Lu"]] = np.where(rows == 123, 2e6, 1e6)
         cohort = Cohort(table, small_cohort.ids)
-        fs_lu = FeatureSet.parse("Lu_ABMD_COV")
+        fs_lu = feature_columns("Lu_ABMD_COV", "all")
         cfg = ResampleConfig(resamples=BLOCK + 3, seed=5)
         y = cohort.labels()
         for i in range(cfg.resamples):
@@ -150,16 +154,18 @@ class TestSharedSplitLoop:
                 break
         assert expected == "constant column at index 0 (SD = 0)"
         with pytest.raises(DataError, match=r"^constant column at index 6 \(SD = 0\)$"):
-            run_resample_comparison(cohort, [FS_ABMD], [LOGIT], cfg)
+            run_resample_comparison(cohort, feature_sets("ABMD_COV"), [LOGIT], cfg)
         with pytest.raises(DataError) as got:
-            run_resample_comparison(cohort, [FS_ABMD, fs_lu], [LOGIT], cfg)
+            run_resample_comparison(cohort, feature_sets("ABMD_COV", "Lu_ABMD_COV"),
+                                    [LOGIT], cfg)
         assert str(got.value) == expected
 
 
 class TestResampling:
     def test_cells_share_splits_and_pairing_holds(self, small_cohort):
         cfg = ResampleConfig(resamples=30, seed=3)
-        res = run_resample_comparison(small_cohort, [FS_PC1, FS_ABMD], [LOGIT], cfg)
+        res = run_resample_comparison(small_cohort, feature_sets("PC1_ABMD_COV", "ABMD_COV"),
+                                      [LOGIT], cfg)
         assert set(res.cells) == {"PC1_ABMD_COV|logistic", "ABMD_COV|logistic"}
         # Paired test on the shared splits must match a direct computation.
         key = "PC1_ABMD_COV|logistic>ABMD_COV|logistic"
@@ -192,7 +198,8 @@ class TestReport:
         cfg = ResampleConfig(resamples=15, seed=9)
         outs = []
         for _ in range(2):
-            res = run_resample_comparison(small_cohort, [FS_PC1], [LOGIT], cfg)
+            res = run_resample_comparison(small_cohort, feature_sets("PC1_ABMD_COV"),
+                                          [LOGIT], cfg)
             outs.append(build_report({"cells": res.cells,
                                       "comparisons": res.comparisons},
                                      {"resamples": 15}, seed=9))

@@ -1,11 +1,11 @@
-"""The README's feature-set names must be ones the parser accepts."""
+"""The README's feature-set names must be ones feature_columns resolves."""
 
 import re
 from pathlib import Path
 
 import pytest
 
-from femrisk.datamodel import FE9, FeatureSet
+from femrisk.datamodel import FE9, feature_columns
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,4 +31,4 @@ def test_readme_lists_feature_sets():
 
 @pytest.mark.parametrize("name", sorted(set(_readme_feature_sets())))
 def test_readme_feature_set_parses(name):
-    assert FeatureSet.parse(name).name == name
+    assert feature_columns(name, "all")
