@@ -5,14 +5,14 @@ the slopes), linear and quadratic discriminant analysis (covariances shrunk
 by SHRINKAGE toward their diagonal), PLS discriminant analysis
 (PLS_COMPONENTS NIPALS components on the +/-1 coded label, capped at the
 feature count, with a logistic calibration layer) and k-nearest neighbors
-(k = NEIGHBORS, counting every tie at the k-th distance).  A ClassifierSpec
-is its kind.  Every kind standardizes its features internally using
-training data only, and every score is a probability-like value in [0, 1]
-with larger meaning more likely fracture.
+(k = NEIGHBORS, counting every tie at the k-th distance).  A classifier is
+its kind, one of the strings in KINDS.  Every kind standardizes its
+features internally using training data only, and every score is a
+probability-like value in [0, 1] with larger meaning more likely fracture.
 
 Each kind has one fit and one score, _fit and _score, which work on a stack
 of splits: every array of a fit's params carries a leading split axis.
-train_and_score_stack runs the pair for several specs on a block of
+train_and_score_stack runs the pair for several kinds on a block of
 splits, standardizing the block once; train runs _fit on a stack of one and
 drops the axis, and predict_scores restores it for _score.  The model file
 holds only the logistic model `femrisk fit` writes.
@@ -38,17 +38,8 @@ NEIGHBORS = 5           # knn
 
 
 @dataclass(frozen=True)
-class ClassifierSpec:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown classifier kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class TrainedModel:
-    spec: ClassifierSpec
+    kind: str
     feature_names: tuple[str, ...]
     standardization: StandardizationParams
     params: dict                  # _fit's params without the split axis
@@ -248,11 +239,11 @@ def _knn_scores(train_z, train_y, k, z):
     return (inc * train_y).sum(axis=1) / inc.sum(axis=1)
 
 
-def _fit(spec: ClassifierSpec, z, y) -> dict:
+def _fit(kind: str, z, y) -> dict:
     """One fit per row of a stack of standardized training rows z (B, n, p)
     with labels y (B, n); every array of the returned params carries that
-    leading split axis.  Every row of y must hold the same class counts."""
-    kind = spec.kind
+    leading split axis.  Every row of y must hold the same class counts.
+    A kind not in KINDS raises DataError."""
     if kind == "logistic":
         return {"beta": fit_logistic_stack(y, z, RIDGE)}
     if kind in ("lda", "qda"):
@@ -262,15 +253,16 @@ def _fit(spec: ClassifierSpec, z, y) -> dict:
         b, x_mean, y_mean, latent = _fit_pls(z, y, min(PLS_COMPONENTS, z.shape[2]))
         return {"b": b, "x_mean": x_mean, "y_mean": y_mean,
                 "link": fit_logistic_stack(y, latent[:, :, None], 1e-8)}
+    if kind != "knn":
+        raise DataError(f"unknown classifier kind {kind!r}")
     if NEIGHBORS > z.shape[1]:
         raise DataError(f"k ({NEIGHBORS}) exceeds training size ({z.shape[1]})")
     return {"train_z": z, "train_y": y}
 
 
-def _score(spec: ClassifierSpec, params: dict, z) -> np.ndarray:
+def _score(kind: str, params: dict, z) -> np.ndarray:
     """Scores (B, m) of the standardized rows z (B, m, p), row i by fit i of
     params from _fit."""
-    kind = spec.kind
     if kind == "logistic":
         return predict_proba_stack(params["beta"], z)
     if kind in ("lda", "qda"):
@@ -294,7 +286,7 @@ def _labels(y) -> np.ndarray:
     return y
 
 
-def train(spec: ClassifierSpec, x, y, feature_names=None) -> TrainedModel:
+def train(kind: str, x, y, feature_names=None) -> TrainedModel:
     """Fit one classifier: _fit on a stack of one, with the split axis
     dropped from its params.  x rows are subjects; y is 0/1 fracture status."""
     x = np.asarray(x, dtype=float)
@@ -305,8 +297,8 @@ def train(spec: ClassifierSpec, x, y, feature_names=None) -> TrainedModel:
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(x.shape[1]))
     std = standardize_fit(x)
-    params = _fit(spec, standardize_apply(std, x)[None], y[None])
-    return TrainedModel(spec=spec, feature_names=tuple(feature_names),
+    params = _fit(kind, standardize_apply(std, x)[None], y[None])
+    return TrainedModel(kind=kind, feature_names=tuple(feature_names),
                         standardization=std,
                         params={name: v[0] for name, v in params.items()})
 
@@ -323,17 +315,17 @@ def predict_scores(model: TrainedModel, x) -> np.ndarray:
         raise DataError("non-finite values in prediction input")
     z = standardize_apply(model.standardization, x)
     params = {name: np.asarray(v)[None] for name, v in model.params.items()}
-    return _score(model.spec, params, z[None])[0]
+    return _score(model.kind, params, z[None])[0]
 
 
-def train_and_score_stack(specs, x, y, x_test) -> list[np.ndarray]:
-    """Scores (B, m) of every spec in specs, one fit per row of a stack of
-    splits: row i trains on x[i] (n, p) with labels y[i] and scores
+def train_and_score_stack(kinds, x, y, x_test) -> list[np.ndarray]:
+    """Scores (B, m) of every classifier kind in kinds, one fit per row of a
+    stack of splits: row i trains on x[i] (n, p) with labels y[i] and scores
     x_test[i] (m, p).
 
-    Row i of a spec's scores equals predict_scores(train(spec, x[i], y[i]),
+    Row i of a kind's scores equals predict_scores(train(kind, x[i], y[i]),
     x_test[i]): both run _fit and _score on the same standardized rows.  The
-    checks and the standardization run once for all specs.  Every row of y
+    checks and the standardization run once for all kinds.  Every row of y
     must hold the same class counts, as stratified splits do.
     """
     x = np.asarray(x, dtype=float)
@@ -346,7 +338,7 @@ def train_and_score_stack(specs, x, y, x_test) -> list[np.ndarray]:
         raise DataError("non-finite values in prediction input")
     std = standardize_fit(x)
     z, z_test = standardize_apply(std, x), standardize_apply(std, x_test)
-    return [_score(spec, _fit(spec, z, y), z_test) for spec in specs]
+    return [_score(kind, _fit(kind, z, y), z_test) for kind in kinds]
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +346,8 @@ def train_and_score_stack(specs, x, y, x_test) -> list[np.ndarray]:
 
 
 def model_to_json(model: TrainedModel) -> dict:
-    if model.spec.kind != "logistic":
-        raise DataError(f"only logistic models are saved, not {model.spec.kind}")
+    if model.kind != "logistic":
+        raise DataError(f"only logistic models are saved, not {model.kind}")
     beta = model.params["beta"]
     return {
         "kind": "logistic",
@@ -384,5 +376,5 @@ def model_from_json(doc: dict) -> TrainedModel:
                             f"columns and {beta.size - 1} coefficients")
         if not np.all(np.isfinite(np.r_[beta, std.mean, std.sd])):
             raise DataError("non-finite coefficients or standardization")
-    return TrainedModel(spec=ClassifierSpec("logistic"), feature_names=names,
+    return TrainedModel(kind="logistic", feature_names=names,
                         standardization=std, params={"beta": beta})

@@ -23,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import (ClassifierSpec, model_from_json, model_to_json,
-                          predict_scores, train)
-from .datamodel import FE9, feature_columns, load_cohort, save_cohort
+from .classifiers import KINDS, model_from_json, model_to_json, predict_scores, train
+from .datamodel import FE9, STRATA, feature_columns, load_cohort, save_cohort
 from .errors import DataError, FemriskError, NumericalError, malformed, read_json
 from .evaluate import (CvConfig, ResampleConfig, auc_summary,
                        build_feature_matrix, build_report, cell_name,
@@ -37,8 +36,6 @@ from .femodel import (MaterialModel, SolveControl, compute_fe_parameters,
 from .stats.pca import (fit_pca, pc_scores, pca_from_json, pca_to_json,
                         select_significant_pcs)
 from .synth import default_spec, generate_cohort, load_spec
-
-STRATA = ("all", "male", "female")
 
 
 class UsageError(Exception):
@@ -99,8 +96,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--roc-dir", help="write model/FRAX ROC CSVs here")
     p.add_argument("--features", nargs="+", default=["PC1_ABMD_COV", "ABMD_COV"])
-    p.add_argument("--classifiers", nargs="+", default=["logistic", "pls"],
-                   choices=("logistic", "lda", "qda", "pls", "knn"))
+    p.add_argument("--classifiers", nargs="+", default=["logistic", "pls"], choices=KINDS)
     p.add_argument("--repeats", type=int, default=25)
     p.add_argument("--resamples", type=int, default=1000)
     p.add_argument("--cv-fraction", type=float, default=0.75)
@@ -171,7 +167,7 @@ def cmd_fit(args) -> int:
     n_check = min(4, scores.shape[1])
     y = cohort.labels()
     retained, pvals = select_significant_pcs(scores[:, :n_check], y)
-    model = train(ClassifierSpec("logistic"), _every_row(cohort, cols, pca), y, cols)
+    model = train("logistic", _every_row(cohort, cols, pca), y, cols)
     doc = {
         "stratum": args.stratum,
         "feature_set": args.features,
@@ -216,8 +212,8 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--roc-dir writes the FRAX ROC curves, which --skip-frax leaves out")
     cohort = load_cohort(args.cohort).stratum(args.stratum)
     feature_sets = {name: feature_columns(name, args.stratum) for name in args.features}
-    specs = [ClassifierSpec(k) for k in args.classifiers]
-    if len(feature_sets) < len(args.features) or len(set(args.classifiers)) < len(specs):
+    if (len(feature_sets) < len(args.features)
+            or len(set(args.classifiers)) < len(args.classifiers)):
         raise DataError("duplicate evaluation cells")
     missing = cohort.missing_frax()
     skip_frax = ("--skip-frax" if args.skip_frax else
@@ -225,21 +221,21 @@ def cmd_evaluate(args) -> int:
                  if missing else None)
     if skip_frax and args.roc_dir:
         raise DataError(f"--roc-dir needs the FRAX comparison: {skip_frax}")
-    mode = "paper (whole-sample PCA)" if args.paper_mode else "fold-internal PCA refit"
-    print(f"mode: {mode}")
-
-    pca_full = fit_pca(fe9_matrix(cohort)) if args.paper_mode else None
-    tr, _ = stratified_split_indices(cohort.labels(), args.holdout_fraction,
-                                     mix_seed(args.seed, 0, 0))
-    train_c = cohort.subset(tr)
     cv_cfg = CvConfig(train_fraction=args.cv_fraction, repeats=args.repeats,
                       seed=mix_seed(args.seed, 1, 0))
     rs_cfg = ResampleConfig(resamples=args.resamples,
                             train_fraction=args.resample_fraction,
                             seed=mix_seed(args.seed, 2, 0))
+    tr, _ = stratified_split_indices(cohort.labels(), args.holdout_fraction,
+                                     mix_seed(args.seed, 0, 0))
+    mode = "paper (whole-sample PCA)" if args.paper_mode else "fold-internal PCA refit"
+    print(f"mode: {mode}")
 
-    lgocv = run_lgocv(train_c, feature_sets, specs, cv_cfg, pca_full)
-    resamp = run_resample_comparison(train_c, feature_sets, specs, rs_cfg, pca_full)
+    pca_full = fit_pca(fe9_matrix(cohort)) if args.paper_mode else None
+    train_c = cohort.subset(tr)
+    lgocv = run_lgocv(train_c, feature_sets, args.classifiers, cv_cfg, pca_full)
+    resamp = run_resample_comparison(train_c, feature_sets, args.classifiers, rs_cfg,
+                                     pca_full)
 
     extra = {
         "lgocv": {name: auc_summary(v) for name, v in lgocv.items()},
@@ -249,12 +245,12 @@ def cmd_evaluate(args) -> int:
     if skip_frax:
         print(f"FRAX comparison skipped: {skip_frax}")
     else:
-        fs0, sp0 = args.features[0], specs[0]
+        fs0, kind0 = args.features[0], args.classifiers[0]
         scores_all, _, _ = fit_and_score(cohort, tr, np.arange(len(cohort)),
-                                         feature_sets[fs0], sp0, pca_full)
+                                         feature_sets[fs0], kind0, pca_full)
         dl, roc_m, roc_f = compare_with_frax(cohort, scores_all)
         extra["frax"] = {
-            "cell": cell_name(fs0, sp0),
+            "cell": cell_name(fs0, kind0),
             "auc_model": dl.auc_a, "auc_frax": dl.auc_b,
             "delta": dl.auc_a - dl.auc_b, "z": dl.z, "p": dl.p,
         }
@@ -263,7 +259,7 @@ def cmd_evaluate(args) -> int:
 
     configs = {
         "features": args.features,
-        "classifiers": [sp.kind for sp in specs],
+        "classifiers": args.classifiers,
         "cv": {"repeats": cv_cfg.repeats, "train_fraction": cv_cfg.train_fraction},
         "resample": {"resamples": rs_cfg.resamples,
                      "train_fraction": rs_cfg.train_fraction},

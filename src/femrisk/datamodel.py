@@ -57,6 +57,9 @@ COHORT_HEADER = (
 
 COVARIATES = ("age", "sex", "height", "weight", "healstat", "bmdmed")
 
+# The subject groups a command can run on.
+STRATA = ("all", "male", "female")
+
 # Columns of Cohort.table: sex is 1.0 for M and 0.0 for F, frax_prob is NaN
 # when absent, every other value is the CSV field as a float.
 TABLE_COLUMNS = FE12 + ("abmd_ct",) + COVARIATES + ("frax_prob", "fx")
@@ -158,13 +161,15 @@ class Cohort:
         return self._rows(np.asarray(indices, dtype=np.intp))
 
     def stratum(self, stratum: str) -> "Cohort":
+        if stratum not in STRATA:
+            raise DataError(f"unknown stratum {stratum!r}")
         if stratum == "all":
             return self
-        if stratum not in ("male", "female"):
-            raise DataError(f"unknown stratum {stratum!r}")
         keep = self.table[:, _SEX] == (1.0 if stratum == "male" else 0.0)
         if keep.all():
             return self
+        if not keep.any():
+            raise DataError(f"stratum {stratum!r} has no subjects")
         return self._rows(np.flatnonzero(keep))
 
     def columns(self, names: Sequence[str]) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, predict_scores, train, train_and_score_stack
+from .classifiers import predict_scores, train, train_and_score_stack
 from .datamodel import FE9, Cohort, standardize_apply
 from .errors import DataError, FemriskError
 # fit_pca and risk_index are not called here; they stay importable because
@@ -118,7 +118,7 @@ def fe9_matrix(cohort: Cohort) -> np.ndarray:
 
 
 def fit_and_score(cohort: Cohort, tr: np.ndarray, te: np.ndarray,
-                  cols: Sequence[str], spec: ClassifierSpec,
+                  cols: Sequence[str], kind: str,
                   pca_full: Optional[PcaModel] = None):
     """Fit the full pipeline on the feature columns cols of rows tr of
     cohort and score its rows te.
@@ -129,12 +129,12 @@ def fit_and_score(cohort: Cohort, tr: np.ndarray, te: np.ndarray,
     """
     x_tr, x_te = build_feature_matrix(cohort, cols, tr[None], te[None], pca_full)
     y = cohort.labels()
-    model = train(spec, x_tr[0], y[tr], cols)
+    model = train(kind, x_tr[0], y[tr], cols)
     return predict_scores(model, x_te[0]), y[te], model
 
 
-def cell_name(feature_set: str, spec: ClassifierSpec) -> str:
-    return f"{feature_set}|{spec.kind}"
+def cell_name(feature_set: str, kind: str) -> str:
+    return f"{feature_set}|{kind}"
 
 
 def build_feature_matrix(sub: Cohort, cols: Sequence[str],
@@ -168,7 +168,7 @@ def build_feature_matrix(sub: Cohort, cols: Sequence[str],
 
 
 def _split_and_score(sub: Cohort, feature_sets: dict[str, Sequence[str]],
-                     specs: Sequence[ClassifierSpec], n_splits: int,
+                     kinds: Sequence[str], n_splits: int,
                      fraction: float, seed: int,
                      pca_full: Optional[PcaModel], protocol: str):
     """Score every (feature set, classifier) cell on the same stratified
@@ -182,7 +182,7 @@ def _split_and_score(sub: Cohort, feature_sets: dict[str, Sequence[str]],
     y = sub.labels()
     if min((y == 0).sum(), (y == 1).sum()) < 4:
         raise DataError(f"each class needs at least 4 members for {protocol}")
-    aucs = {cell_name(fs, sp): np.empty(n_splits) for fs in feature_sets for sp in specs}
+    aucs = {cell_name(fs, kind): np.empty(n_splits) for fs in feature_sets for kind in kinds}
     seeds = [mix_seed(seed, i, 0) for i in range(n_splits)]
     for start in range(0, n_splits, BLOCK):
         splits = [stratified_split_indices(y, fraction, s)
@@ -192,28 +192,28 @@ def _split_and_score(sub: Cohort, feature_sets: dict[str, Sequence[str]],
         try:
             for fs, cols in feature_sets.items():
                 x_tr, x_te = build_feature_matrix(sub, cols, tr, te, pca_full)
-                stacks = train_and_score_stack(specs, x_tr, y[tr], x_te)
-                for sp, scores in zip(specs, stacks):
-                    aucs[cell_name(fs, sp)][block] = auc_rows(scores, y[te])
+                stacks = train_and_score_stack(kinds, x_tr, y[tr], x_te)
+                for kind, scores in zip(kinds, stacks):
+                    aucs[cell_name(fs, kind)][block] = auc_rows(scores, y[te])
         except (FemriskError, np.linalg.LinAlgError):
             # Raise what the first failing (split, feature set, classifier)
             # cell raises on its own.
             for tr_i, te_i in splits:
                 for cols in feature_sets.values():
-                    for sp in specs:
-                        auc_mann_whitney(*fit_and_score(sub, tr_i, te_i, cols, sp,
+                    for kind in kinds:
+                        auc_mann_whitney(*fit_and_score(sub, tr_i, te_i, cols, kind,
                                                         pca_full)[:2])
             raise
     return aucs
 
 
 def run_lgocv(cohort: Cohort, feature_sets: dict[str, Sequence[str]],
-              specs: Sequence[ClassifierSpec], config: CvConfig,
+              kinds: Sequence[str], config: CvConfig,
               pca_full: Optional[PcaModel] = None) -> dict:
     """Repeated stratified 75/25 cross-validation of every (feature set,
     classifier) cell on shared splits of cohort; one AUC per repeat and
     cell."""
-    return _split_and_score(cohort, feature_sets, specs, config.repeats,
+    return _split_and_score(cohort, feature_sets, kinds, config.repeats,
                             config.train_fraction, config.seed, pca_full, "LGOCV")
 
 
@@ -226,13 +226,13 @@ class ResampleResult:
 
 
 def run_resample_comparison(cohort: Cohort, feature_sets: dict[str, Sequence[str]],
-                            specs: Sequence[ClassifierSpec], config: ResampleConfig,
+                            kinds: Sequence[str], config: ResampleConfig,
                             pca_full: Optional[PcaModel] = None) -> ResampleResult:
     """Shared stratified resampling of cohort across every (feature set,
     classifier) cell, then a paired one-sided t-test of AUC_a > AUC_b
     for every pair of cells, ordered so that mean(a) >= mean(b).
     """
-    aucs = _split_and_score(cohort, feature_sets, specs, config.resamples,
+    aucs = _split_and_score(cohort, feature_sets, kinds, config.resamples,
                             config.train_fraction, config.seed, pca_full, "resampling")
     tests = {}
     for na, nb in combinations(aucs, 2):

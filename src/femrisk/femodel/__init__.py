@@ -3,8 +3,7 @@
 from .curves import (ForceDisplacementCurve, NoYieldDetected, detect_yield_load,
                      energy_to_failure, ultimate_load)
 from .grid import VoxelGrid, load_grid, rotate_grid, save_grid, uniform_grid
-from .loadcases import (LOAD_CASES, FeResult, LoadCase, compute_fe_parameters,
-                        extract_result, solve_load_case)
+from .loadcases import LOAD_CASES, compute_fe_parameters, extract_result
 from .material import (MaterialModel, ash_density, element_fields,
                        material_from_file, material_to_file)
 from .solver import (BoundaryCondition, SolveControl, fall_bc, solve, stance_bc)
@@ -18,8 +17,7 @@ __all__ = [
     "ForceDisplacementCurve", "NoYieldDetected", "detect_yield_load",
     "energy_to_failure", "ultimate_load",
     "VoxelGrid", "load_grid", "rotate_grid", "save_grid", "uniform_grid",
-    "LOAD_CASES", "FeResult", "LoadCase", "compute_fe_parameters",
-    "extract_result", "solve_load_case",
+    "LOAD_CASES", "compute_fe_parameters", "extract_result",
     "MaterialModel", "ash_density", "element_fields",
     "material_from_file", "material_to_file",
     "BoundaryCondition", "SolveControl", "fall_bc", "solve", "stance_bc",

@@ -8,52 +8,27 @@ the long axis: posterior 0, posterolateral 45, lateral 90 degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from ..datamodel import FE12, LOAD_CASE_PARAMS, invalid_row
 from ..errors import DataError, NumericalError
 from .curves import (ForceDisplacementCurve, NoYieldDetected, detect_yield_load,
                      energy_to_failure, ultimate_load)
 from .grid import VoxelGrid, rotate_grid
 from .material import MaterialModel
-from .solver import (BoundaryCondition, SolveControl, fall_bc, one_blas_thread, solve,
-                     stance_bc)
+from .solver import SolveControl, fall_bc, one_blas_thread, solve, stance_bc
 
-
-@dataclass(frozen=True)
-class LoadCase:
-    name: str
-    boundary_condition: Callable[..., BoundaryCondition]  # of the grid dims
-    rotation_deg: float  # phantom rotation about the long axis
-
-
-LOAD_CASES = (
-    LoadCase("stance", stance_bc, 0.0),
-    LoadCase("posterior", fall_bc, 0.0),
-    LoadCase("posterolateral", fall_bc, 45.0),
-    LoadCase("lateral", fall_bc, 90.0),
-)
-
-
-@dataclass(frozen=True)
-class FeResult:
-    yield_load: float
-    ultimate_load: float
-    energy: float
-
-
-def solve_load_case(grid: VoxelGrid, material: MaterialModel, case: LoadCase,
-                    control: SolveControl) -> ForceDisplacementCurve:
-    """Rotate the phantom per the load case and run the solver."""
-    g = rotate_grid(grid, case.rotation_deg)
-    bc = case.boundary_condition(g.dims)
-    return solve(g, material, bc, control)
+# Each case's boundary condition (a builder of the grid dims) and phantom
+# rotation about the long axis in degrees, in the order of LOAD_CASE_PARAMS.
+LOAD_CASES = {
+    "stance": (stance_bc, 0.0),
+    "posterior": (fall_bc, 0.0),
+    "posterolateral": (fall_bc, 45.0),
+    "lateral": (fall_bc, 90.0),
+}
 
 
 def extract_result(curve: ForceDisplacementCurve,
-                   yield_policy: str = "error") -> FeResult:
-    """Pull (yield, ultimate, energy) from a solved curve.
+                   yield_policy: str) -> tuple[float, float, float]:
+    """(yield, ultimate, energy) of a solved curve.
 
     yield_policy "error" raises when no yield was detected;
     "ultimate" substitutes the ultimate load.
@@ -66,36 +41,33 @@ def extract_result(curve: ForceDisplacementCurve,
         if yield_policy == "error":
             raise
         yld = ult
-    yld = min(yld, ult)
-    return FeResult(yield_load=yld, ultimate_load=ult, energy=energy)
+    return min(yld, ult), ult, energy
 
 
 def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
-                          control: SolveControl, yield_policy: str = "error"
+                          control: SolveControl, yield_policy: str
                           ) -> tuple[dict[str, float], dict[str, ForceDisplacementCurve]]:
     """Run all four load cases, with SciPy's OpenBLAS on one thread, and
     assemble the twelve FE parameters.
 
-    Returns the parameters, keyed in FE12 order, and the force-displacement
-    curves keyed by load case name.  A case that fails, or that never yields
-    under yield_policy "error", raises NumericalError naming the case;
-    parameters that break a cohort rule (finite and positive, yield at most
-    ultimate) raise DataError.
+    Each case rotates the phantom and solves it under its boundary
+    condition.  Returns the parameters, keyed in FE12 order, and the
+    force-displacement curves keyed by load case name.  A case that fails,
+    or that never yields under yield_policy "error", raises NumericalError
+    naming the case; parameters that break a cohort rule (finite and
+    positive, yield at most ultimate) raise DataError.
     """
     values = {}
     curves = {}
     with one_blas_thread():
-        for case in LOAD_CASES:
+        for name, (boundary_condition, rotation_deg) in LOAD_CASES.items():
             try:
-                curve = solve_load_case(grid, material, case, control)
-                res = extract_result(curve, yield_policy)
+                g = rotate_grid(grid, rotation_deg)
+                curve = solve(g, material, boundary_condition(g.dims), control)
+                values.update(zip(LOAD_CASE_PARAMS[name], extract_result(curve, yield_policy)))
             except (NumericalError, NoYieldDetected) as exc:
-                raise NumericalError(f"load case {case.name} failed: {exc}") from exc
-            y, u, energy = LOAD_CASE_PARAMS[case.name]
-            values[y] = res.yield_load
-            values[u] = res.ultimate_load
-            values[energy] = res.energy
-            curves[case.name] = curve
+                raise NumericalError(f"load case {name} failed: {exc}") from exc
+            curves[name] = curve
     bad = invalid_row([[values[name] for name in FE12]], FE12)
     if bad is not None:
         raise DataError(bad[1])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from conftest import sized_spec
 
-from femrisk.classifiers import ClassifierSpec
 from femrisk.datamodel import derive_dxa_abmd, feature_columns
 from femrisk.evaluate import (CvConfig, ResampleConfig, compare_with_frax,
                               fe9_matrix, fit_and_score, mix_seed, run_lgocv,
@@ -261,18 +260,18 @@ def test_criterion_7_synthetic_calibration(cohort):
 
 def test_criterion_8_direction_preserving_replication(cohort):
     male = {name: feature_columns(name, "male") for name in ("PC1_ABMD_COV", "ABMD_COV")}
-    specs = [ClassifierSpec("logistic"), ClassifierSpec("pls")]
+    kinds = ["logistic", "pls"]
 
     # 25-repeat LGOCV in the male stratum, both classifiers
     cv = CvConfig(repeats=25, seed=mix_seed(42, 1, 0))
     lgocv = run_lgocv(cohort.stratum("male"), {"PC1_ABMD_COV": male["PC1_ABMD_COV"]},
-                      specs, cv)
+                      kinds, cv)
     for aucs in lgocv.values():
         assert aucs.shape == (25,)
 
     # (a) 1000 shared resamples: PC1+aBMD+cov beats aBMD+cov (male stratum)
     rs = ResampleConfig(resamples=1000, seed=mix_seed(42, 2, 0))
-    res = run_resample_comparison(cohort.stratum("male"), male, specs, rs)
+    res = run_resample_comparison(cohort.stratum("male"), male, kinds, rs)
     key = "PC1_ABMD_COV|logistic>ABMD_COV|logistic"
     t_log = res.comparisons[key]
     mean_pc1 = res.cells["PC1_ABMD_COV|logistic"].mean()
@@ -286,7 +285,7 @@ def test_criterion_8_direction_preserving_replication(cohort):
     tr, _ = stratified_split_indices(cohort.labels(), 0.8, seed=mix_seed(42, 0, 0))
     scores, _, _ = fit_and_score(cohort, tr, np.arange(len(cohort)),
                                  feature_columns("PC1_ABMD_COV", "all"),
-                                 ClassifierSpec("logistic"))
+                                 "logistic")
     dl, _, _ = compare_with_frax(cohort, scores)
     assert dl.auc_a > dl.auc_b
     assert dl.p < 0.05

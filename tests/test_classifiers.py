@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
 
 import femrisk.classifiers
-from femrisk.classifiers import (KINDS, NEIGHBORS, SHRINKAGE, ClassifierSpec,
-                                 _fit_gaussian, _gaussian_posterior, _knn_scores,
-                                 _nipals_pls, _pls_latent, _sq_distances,
-                                 model_from_json, model_to_json, predict_scores,
-                                 train, train_and_score_stack)
+from femrisk.classifiers import (KINDS, NEIGHBORS, SHRINKAGE, _fit_gaussian,
+                                 _gaussian_posterior, _knn_scores, _nipals_pls,
+                                 _pls_latent, _sq_distances, model_from_json,
+                                 model_to_json, predict_scores, train,
+                                 train_and_score_stack)
 from femrisk.datamodel import standardize_apply, standardize_fit
 from femrisk.errors import DataError
 from femrisk.stats import auc_mann_whitney, fit_logistic
@@ -30,16 +30,19 @@ def pls_latent(model, x):
 
 
 class TestSpec:
-    def test_unknown_kind(self):
-        with pytest.raises(DataError):
-            ClassifierSpec("tree")
+    def test_unknown_kind(self, rng):
+        x, y = blobs(rng)
+        with pytest.raises(DataError, match="^unknown classifier kind 'tree'$"):
+            train("tree", x, y)
+        with pytest.raises(DataError, match="^unknown classifier kind 'tree'$"):
+            train_and_score_stack(["tree"], x[None], y[None], x[None])
 
 
 class TestAllKinds:
     @pytest.mark.parametrize("kind", KINDS)
     def test_separable_blobs(self, kind, rng):
         x, y = blobs(rng)
-        model = train(ClassifierSpec(kind), x, y)
+        model = train(kind, x, y)
         assert auc_mann_whitney(predict_scores(model, x), y) > 0.95
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -49,21 +52,21 @@ class TestAllKinds:
         y = rng.integers(0, 2, size=200)
         x_te = rng.normal(size=(200, 4))
         y_te = rng.integers(0, 2, size=200)
-        model = train(ClassifierSpec(kind), x, y)
+        model = train(kind, x, y)
         auc = auc_mann_whitney(predict_scores(model, x_te), y_te)
         assert 0.35 < auc < 0.65
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_scores_in_unit_interval(self, kind, rng):
         x, y = blobs(rng)
-        model = train(ClassifierSpec(kind), x, y)
+        model = train(kind, x, y)
         s = predict_scores(model, x)
         assert np.all((s >= 0) & (s <= 1))
 
     @pytest.mark.parametrize("kind", ["logistic"])
     def test_json_round_trip(self, kind, rng):
         x, y = blobs(rng)
-        model = train(ClassifierSpec(kind), x, y)
+        model = train(kind, x, y)
         back = model_from_json(model_to_json(model))
         assert np.array_equal(predict_scores(back, x), predict_scores(model, x))
 
@@ -71,15 +74,15 @@ class TestAllKinds:
     def test_model_file_holds_only_logistic(self, kind, rng):
         x, y = blobs(rng)
         with pytest.raises(DataError, match="only logistic"):
-            model_to_json(train(ClassifierSpec(kind), x, y))
+            model_to_json(train(kind, x, y))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_feature_permutation_invariance(self, kind, rng):
         x, y = blobs(rng)
         names = ("a", "b", "c", "d")
         perm = [2, 0, 3, 1]
-        m1 = train(ClassifierSpec(kind), x, y, names)
-        m2 = train(ClassifierSpec(kind), x[:, perm], y,
+        m1 = train(kind, x, y, names)
+        m2 = train(kind, x[:, perm], y,
                    tuple(names[j] for j in perm))
         np.testing.assert_allclose(predict_scores(m1, x),
                                    predict_scores(m2, x[:, perm]), atol=1e-8)
@@ -88,7 +91,7 @@ class TestAllKinds:
     def test_single_class_rejected(self, kind, rng):
         x = rng.normal(size=(20, 3))
         with pytest.raises(DataError):
-            train(ClassifierSpec(kind), x, np.ones(20, dtype=int))
+            train(kind, x, np.ones(20, dtype=int))
 
 
 class TestKnn:
@@ -109,9 +112,9 @@ class TestKnn:
         x, y, x_te = split_stack(rng, n=(2, 2), m=(2, 2), d=2)
         error = rf"^k \({NEIGHBORS}\) exceeds training size \(4\)$"
         with pytest.raises(DataError, match=error):
-            train(ClassifierSpec("knn"), x[0], y[0])
+            train("knn", x[0], y[0])
         with pytest.raises(DataError, match=error):
-            train_and_score_stack([ClassifierSpec("knn")], x, y, x_te)
+            train_and_score_stack(["knn"], x, y, x_te)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 8, 9, 13])
     def test_ties_at_kth_distance_match_row_loop(self, k):
@@ -135,7 +138,7 @@ class TestKnn:
         assert widest > k
         np.testing.assert_array_equal(_knn_scores(tz, y, k, z), expected)
         if k == NEIGHBORS:
-            model = train(ClassifierSpec("knn"), x, y)
+            model = train("knn", x, y)
             np.testing.assert_array_equal(predict_scores(model, queries), expected)
 
 
@@ -189,7 +192,7 @@ class TestPls:
         x3, y = blobs(rng, n=80, d=3)
         for d in (3, 2, 1):
             x = x3[:, :d]
-            model = train(ClassifierSpec("pls"), x, y)
+            model = train("pls", x, y)
             z = (x - model.standardization.mean) / model.standardization.sd
             yc = 2.0 * y - 1.0
             zc = z - z.mean(axis=0)
@@ -199,7 +202,7 @@ class TestPls:
 
     def test_latent_monotone_in_scores(self, rng):
         x, y = blobs(rng)
-        model = train(ClassifierSpec("pls"), x, y)
+        model = train("pls", x, y)
         latent = pls_latent(model, x)
         scores = predict_scores(model, x)
         order = np.argsort(latent)
@@ -210,14 +213,14 @@ class TestPls:
         x, y = blobs(rng, d=2)
         x = np.c_[x, x[:, 0] + x[:, 1]]
         with pytest.raises(DataError, match=r"^components \(3\) exceeds feature rank \(2\)$"):
-            train(ClassifierSpec("pls"), x, y)
+            train("pls", x, y)
 
 
 class TestGaussian:
     def test_lda_symmetric_blobs_boundary(self):
         rng = np.random.default_rng(9)
         x, y = blobs(rng, n=400, sep=2.0, d=2)
-        model = train(ClassifierSpec("lda"), x, y)
+        model = train("lda", x, y)
         # Scores should separate the classes far better than chance.
         assert auc_mann_whitney(predict_scores(model, x), y) > 0.9
 
@@ -226,8 +229,8 @@ class TestGaussian:
         n = 400
         y = rng.integers(0, 2, size=n)
         x = rng.normal(size=(n, 2)) * np.where(y[:, None] == 1, 3.0, 0.5)
-        qda = train(ClassifierSpec("qda"), x, y)
-        lda = train(ClassifierSpec("lda"), x, y)
+        qda = train("qda", x, y)
+        lda = train("lda", x, y)
         auc_q = auc_mann_whitney(predict_scores(qda, x), y)
         auc_l = auc_mann_whitney(predict_scores(lda, x), y)
         assert auc_q > 0.85 > auc_l
@@ -262,7 +265,7 @@ class TestGaussian:
         np.testing.assert_allclose(_gaussian_posterior(*fit, zq[None])[0], expected,
                                    rtol=1e-12, atol=0)
         if gamma == SHRINKAGE:
-            model = train(ClassifierSpec(kind), x, y)
+            model = train(kind, x, y)
             np.testing.assert_allclose(predict_scores(model, queries), expected,
                                        rtol=1e-12, atol=0)
 
@@ -286,18 +289,18 @@ class TestStackedFits:
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_equal_lone_fits(self, kind, rng):
         x, y, x_te = split_stack(rng)
-        [scores] = train_and_score_stack([ClassifierSpec(kind)], x, y, x_te)
+        [scores] = train_and_score_stack([kind], x, y, x_te)
         for i in range(len(x)):
-            lone = predict_scores(train(ClassifierSpec(kind), x[i], y[i]), x_te[i])
+            lone = predict_scores(train(kind, x[i], y[i]), x_te[i])
             assert np.array_equal(scores[i], lone)
 
     def test_spec_list_equals_each_spec_alone(self, rng):
         x, y, x_te = split_stack(rng)
-        specs = [ClassifierSpec(kind) for kind in ("lda", "qda", "knn", "logistic", "pls")]
-        together = train_and_score_stack(specs, x, y, x_te)
-        assert len(together) == len(specs)
-        for spec, scores in zip(specs, together):
-            [alone] = train_and_score_stack([spec], x, y, x_te)
+        kinds = ["lda", "qda", "knn", "logistic", "pls"]
+        together = train_and_score_stack(kinds, x, y, x_te)
+        assert len(together) == len(kinds)
+        for kind, scores in zip(kinds, together):
+            [alone] = train_and_score_stack([kind], x, y, x_te)
             assert scores.tobytes() == alone.tobytes()
 
     def test_standardizes_once_per_call(self, rng, monkeypatch):
@@ -309,7 +312,7 @@ class TestStackedFits:
 
         monkeypatch.setattr(femrisk.classifiers, "standardize_fit", counted)
         x, y, x_te = split_stack(rng)
-        train_and_score_stack([ClassifierSpec(kind) for kind in KINDS], x, y, x_te)
+        train_and_score_stack(KINDS, x, y, x_te)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -319,17 +322,16 @@ class TestStackedFits:
         with pytest.raises(DataError) as lone:
             standardize_fit(x[3])
         with pytest.raises(DataError) as got:
-            train_and_score_stack([ClassifierSpec(kind)], x, y, x_te)
+            train_and_score_stack([kind], x, y, x_te)
         assert str(got.value) == str(lone.value) == "constant column at index 2 (SD = 0)"
 
     def test_separable_pls_link_takes_the_lone_ridge_fallback(self, rng):
         x, y, x_te = split_stack(rng)
-        spec = ClassifierSpec("pls")
-        [plain] = train_and_score_stack([spec], x, y, x_te)
+        [plain] = train_and_score_stack(["pls"], x, y, x_te)
         x[1, :, 0] += 50.0 * y[1]
-        lone = train(spec, x[1], y[1])
+        lone = train("pls", x[1], y[1])
         assert fit_logistic(y[1], pls_latent(lone, x[1]), ridge=1e-8).penalized
-        [scores] = train_and_score_stack([spec], x, y, x_te)
+        [scores] = train_and_score_stack(["pls"], x, y, x_te)
         assert np.array_equal(scores[1], predict_scores(lone, x_te[1]))
         others = np.arange(len(x)) != 1
         assert np.array_equal(scores[others], plain[others])
@@ -352,4 +354,4 @@ class TestStackedFits:
         x, y, x_te = split_stack(rng)
         y[2, np.flatnonzero(y[2] == 0)[0]] = 1
         with pytest.raises(DataError, match="same class counts"):
-            train_and_score_stack([ClassifierSpec("lda")], x, y, x_te)
+            train_and_score_stack(["lda"], x, y, x_te)

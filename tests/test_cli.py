@@ -9,7 +9,7 @@ import pytest
 
 import femrisk
 from femrisk.cli import dispatch
-from femrisk.datamodel import COHORT_HEADER, load_cohort
+from femrisk.datamodel import COHORT_HEADER, FE12, load_cohort
 from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
                              save_grid, uniform_grid)
 from femrisk.femodel.grid import VoxelGrid
@@ -332,6 +332,24 @@ class TestMalformedCohort:
             f"error: line 4: not UTF-8 (invalid continuation byte at byte {offset})"]
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "fit", "compare-frax"])
+    def test_empty_stratum_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, command):
+        # An all-male cohort has no female stratum: once a fit, a split or
+        # the model check failed on the empty cohort with its own message.
+        lines = cohort_csv.read_text().splitlines()
+        path, out, model = tmp_path / "men.csv", tmp_path / "out.json", tmp_path / "m.json"
+        path.write_text("\n".join(lines[:1] + [l for l in lines[1:] if l.split(",")[1] == "M"])
+                        + "\n")
+        model.write_text(json.dumps(model_doc))
+        argv = {"evaluate": ["evaluate", "--out", str(out)],
+                "fit": ["fit", "--out", str(out)],
+                "compare-frax": ["compare-frax", "--model", str(model), "--out", str(out)],
+                }[command] + ["--cohort", str(path), "--stratum", "female"]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: stratum 'female' has no subjects"]
+        assert captured.out == "" and not out.exists()
+
     def test_bad_cell_above_a_non_utf8_line_reported_first(self, tmp_path, capsys,
                                                           cohort_csv):
         data = cohort_csv.read_bytes().split(b"\n")
@@ -364,8 +382,7 @@ class TestFe:
                               "--curves-dir", str(tmp_path / "curves")])
         assert rc == 0
         doc = load_strict_json(out)
-        assert set(doc) == {"Sy", "Su", "Senergy", "Py", "Pu", "Penergy",
-                            "PLy", "PLu", "PLenergy", "Ly", "Lu", "Lenergy"}
+        assert list(doc) == sorted(FE12)
         for case in ("stance", "posterior", "posterolateral", "lateral"):
             lines = (tmp_path / "curves" / f"{case}.csv").read_text().splitlines()
             assert lines[0] == "displacement_mm,force_n"
@@ -378,8 +395,7 @@ class TestFe:
     def test_invalid_parameters_exit_2(self, tmp_path, capsys, monkeypatch):
         # The twelve parameters pass the cohort rules before they are written.
         from femrisk.femodel import loadcases
-        zero_yield = loadcases.FeResult(0.0, 1.0, 1.0)
-        monkeypatch.setattr(loadcases, "extract_result", lambda curve, policy: zero_yield)
+        monkeypatch.setattr(loadcases, "extract_result", lambda curve, policy: (0.0, 1.0, 1.0))
         gpath = tmp_path / "g.txt"
         save_grid(uniform_grid((2, 2, 3), 0.3), gpath)
         out = tmp_path / "fe.json"
@@ -522,9 +538,25 @@ class TestEvaluateAndReport:
         assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(report),
                          "--stratum", "male", "--resamples", "10", "--repeats", "2",
                          "--holdout-fraction", fraction]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: train fraction must be in (0, 1), got {float(fraction)}"]
-        assert not report.exists()
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: train fraction must be in (0, 1), got {float(fraction)}"]
+        assert captured.out == "" and not report.exists()
+
+    @pytest.mark.parametrize("option, value, error", [
+        ("--repeats", "0", "repeats must be >= 1"),
+        ("--resamples", "1", "resamples must be >= 2"),
+        ("--cv-fraction", "1.5", "train_fraction must be in (0, 1)"),
+        ("--resample-fraction", "0", "train_fraction must be in (0, 1)"),
+    ])
+    def test_bad_option_exit_2_before_any_output(self, tmp_path, cohort_csv, capsys,
+                                                 option, value, error):
+        report = tmp_path / "r.json"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(report),
+                         "--stratum", "male", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {error}"]
+        assert captured.out == "" and not report.exists()
 
     def test_paper_mode_flag_reported(self, tmp_path, cohort_csv, capsys):
         report = tmp_path / "rp.json"

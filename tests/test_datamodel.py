@@ -385,7 +385,8 @@ class TestColumnarAssembly:
     def test_stratum_of_a_stratum_is_itself(self, small_cohort):
         males = small_cohort.stratum("male")
         assert males.stratum("male") is males
-        assert len(males.stratum("female")) == 0
+        with pytest.raises(DataError, match="^stratum 'female' has no subjects$"):
+            males.stratum("female")
 
     def test_missing_frax_names_the_subject(self):
         cohort = make_cohort({"a": {"frax_prob": 0.2}, "b7": {}, "c": {}})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from femrisk.classifiers import KINDS, ClassifierSpec, model_to_json
+from femrisk.classifiers import KINDS, model_to_json
 from femrisk.datamodel import COLUMN_INDEX, Cohort, feature_columns
 from femrisk.errors import DataError
 from femrisk.evaluate import (BLOCK, CvConfig, ResampleConfig, build_report,
@@ -15,7 +15,7 @@ from femrisk.stats import auc_mann_whitney, fit_pca, paired_one_sided_ttest
 
 FS_PC1 = feature_columns("PC1_ABMD_COV", "all")
 FS_ABMD = feature_columns("ABMD_COV", "all")
-LOGIT = ClassifierSpec("logistic")
+LOGIT = "logistic"
 
 
 def feature_sets(*names, stratum="all"):
@@ -112,23 +112,22 @@ class TestSharedSplitLoop:
         stratum = "all"
         sets = feature_sets("PC1_ABMD_COV", "ABMD_COV", "FE9_ABMD_COV", "Lu_ABMD_COV",
                             stratum=stratum)
-        specs = [ClassifierSpec(kind) for kind in KINDS]
         sub = small_cohort.stratum(stratum)
         pca_full = fit_pca(fe9_matrix(sub)) if paper_mode else None
         cv = CvConfig(repeats=4, seed=21)
         rs = ResampleConfig(resamples=BLOCK + 3, seed=22)
-        lgocv = run_lgocv(sub, sets, specs, cv, pca_full)
-        res = run_resample_comparison(sub, sets, specs, rs, pca_full)
-        names = [cell_name(fs, sp) for fs in sets for sp in specs]
+        lgocv = run_lgocv(sub, sets, KINDS, cv, pca_full)
+        res = run_resample_comparison(sub, sets, KINDS, rs, pca_full)
+        names = [cell_name(fs, kind) for fs in sets for kind in KINDS]
         for cells, cfg, n_splits in ((lgocv, cv, cv.repeats), (res.cells, rs, rs.resamples)):
             assert list(cells) == names
             for i in range(n_splits):
                 tr, te = stratified_split_indices(sub.labels(), cfg.train_fraction,
                                                   mix_seed(cfg.seed, i, 0))
                 for fs, cols in sets.items():
-                    for sp in specs:
-                        scores, y_te, _ = fit_and_score(sub, tr, te, cols, sp, pca_full)
-                        assert cells[cell_name(fs, sp)][i] == auc_mann_whitney(scores, y_te)
+                    for kind in KINDS:
+                        scores, y_te, _ = fit_and_score(sub, tr, te, cols, kind, pca_full)
+                        assert cells[cell_name(fs, kind)][i] == auc_mann_whitney(scores, y_te)
 
     def test_error_is_the_first_failing_cell_of_the_split_loop(self, small_cohort):
         # Subject 125 alone takes bone medication and subject 123 alone has

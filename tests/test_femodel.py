@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from femrisk.datamodel import FE12, LOAD_CASE_PARAMS
 from femrisk.errors import DataError
-from femrisk.femodel import (MaterialModel, SolveControl, ash_density, load_grid,
-                             material_from_file, material_to_file,
+from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl, ash_density,
+                             load_grid, material_from_file, material_to_file,
                              rotate_grid, save_grid, uniform_grid)
 from femrisk.femodel.curves import (YIELD_CLUSTER_SIZE, ForceDisplacementCurve,
                                     NoYieldDetected, detect_yield_load,
@@ -99,6 +100,13 @@ class TestRotation:
         # (a model limitation the README states).
         g = uniform_grid((n, n, 2), 0.3)
         assert rotate_grid(g, 45.0).rho_cha.sum() / g.rho_cha.sum() == pytest.approx(kept)
+
+
+def test_load_cases_follow_the_parameter_table():
+    # The solver's cases and the cohort's parameter triplets are two tables
+    # of the same four cases; fe writes its parameters through both.
+    assert list(LOAD_CASES) == list(LOAD_CASE_PARAMS)
+    assert [p for case in LOAD_CASES for p in LOAD_CASE_PARAMS[case]] == list(FE12)
 
 
 def curve(forces, clusters=None, disp=None):
