@@ -159,75 +159,25 @@ def _fit_pls(z, y, components):
     return b, x_mean, y_mean, _pls_latent(z, x_mean, b, y_mean)
 
 
-def _square_plane(zt, tt, j, out):
-    """out = (zt[j] - tt[j]) ** 2: the (m, n) plane of squared differences
-    in feature j."""
-    np.subtract(zt[j], tt[j], out=out)
-    return np.multiply(out, out, out=out)
-
-
-def _running_sum(zt, tt, terms, buf):
-    """The planes of the features in terms added left to right."""
-    total = _square_plane(zt, tt, terms[0], np.empty_like(buf))
-    for j in terms[1:]:
-        total += _square_plane(zt, tt, j, buf)
-    return total
-
-
-def _plane_sum(zt, tt, terms, buf):
-    """The planes of the features in terms (a range) added in the order
-    NumPy's pairwise sum adds len(terms) values.
-
-    Below 8 terms that is left to right.  Up to 128 it is eight running
-    sums r[i] of the terms i, i + 8, ... below the last multiple of 8,
-    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    leftover terms one by one.  Above 128 the terms are halved at a
-    multiple of 8 and the two halves' sums added.
-    """
-    count = len(terms)
-    if count < 8:
-        return _running_sum(zt, tt, terms, buf)
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        total = _plane_sum(zt, tt, terms[:half], buf)
-        total += _plane_sum(zt, tt, terms[half:], buf)
-        return total
-    stop = count - count % 8
-
-    def r(i):
-        # Built only when the tree needs it, so few (m, n) arrays are live.
-        return _running_sum(zt, tt, terms[i:stop:8], buf)
-
-    total = r(0)
-    total += r(1)
-    right = r(2)
-    right += r(3)
-    total += right
-    left = r(4)
-    left += r(5)
-    right = r(6)
-    right += r(7)
-    left += right
-    total += left
-    for j in terms[stop:]:
-        total += _square_plane(zt, tt, j, buf)
-    return total
-
-
 def _sq_distances(z, train_z) -> np.ndarray:
     """Squared Euclidean distances (m, n) between the rows of z (m, p) and
-    train_z (n, p), bit-equal to
-    ((z[:, None, :] - train_z[None, :, :]) ** 2).sum(axis=2).
+    train_z (n, p), the features' squared differences added left to right.
 
-    The (m, n, p) difference array is never built: each feature gives one
-    contiguous (m, n) plane, and _plane_sum adds the planes in the order of
-    NumPy's last-axis sum.  Stacking the planes and summing over axis 0
-    adds them in another order, so the adds are explicit and in place.
+    The (m, n, p) difference array is never built: each feature's
+    differences go into one (m, n) scratch plane, squared in place and
+    added to the total.  The bits may differ from NumPy's pairwise
+    last-axis sum in the last places; _knn_scores counts ties within 1e-12
+    relative, far wider than the rounding of either order.
     """
     zt = np.ascontiguousarray(z.T)[:, :, None]
     tt = np.ascontiguousarray(train_z.T)[:, None, :]
-    buf = np.empty((z.shape[0], train_z.shape[0]))
-    return _plane_sum(zt, tt, range(z.shape[1]), buf)
+    total = np.zeros((z.shape[0], train_z.shape[0]))
+    plane = np.empty_like(total)
+    for j in range(z.shape[1]):
+        np.subtract(zt[j], tt[j], out=plane)
+        plane *= plane
+        total += plane
+    return total
 
 
 def _knn_scores(train_z, train_y, k, z):
@@ -304,12 +254,10 @@ def train(kind: str, x, y, feature_names=None) -> TrainedModel:
 
 
 def predict_scores(model: TrainedModel, x) -> np.ndarray:
-    """Probability-like fracture scores in [0, 1] for rows of x: _score with
-    the split axis restored."""
+    """Probability-like fracture scores in [0, 1] for the rows of x (m, p):
+    _score with the split axis restored."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != len(model.feature_names):
+    if x.shape[1:] != (len(model.feature_names),):
         raise DataError("feature count mismatch with trained model")
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite values in prediction input")

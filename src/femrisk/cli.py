@@ -158,9 +158,22 @@ def _every_row(cohort, cols, pca):
     return build_feature_matrix(cohort, cols, rows, rows[:, :0], pca)[0][0]
 
 
+def _feature_sets(cohort, names, stratum) -> dict:
+    """The columns of each named feature set under stratum.  A set holding
+    sex on a cohort of one sex raises: its sex column is constant, and no
+    fit can standardize it."""
+    sets = {name: feature_columns(name, stratum) for name in names}
+    sexes = np.unique(cohort.columns(["sex"]))
+    if sexes.size == 1 and any("sex" in cols for cols in sets.values()):
+        sex, group = ("M", "male") if sexes[0] else ("F", "female")
+        raise DataError(f"column sex is constant: every subject is {sex}; use "
+                        f"--stratum {group} or a feature set without sex")
+    return sets
+
+
 def cmd_fit(args) -> int:
     cohort = load_cohort(args.cohort).stratum(args.stratum)
-    cols = feature_columns(args.features, args.stratum)
+    cols = _feature_sets(cohort, [args.features], args.stratum)[args.features]
     fe9 = fe9_matrix(cohort)
     pca = fit_pca(fe9)
     scores = pc_scores(pca, fe9)
@@ -211,7 +224,7 @@ def cmd_evaluate(args) -> int:
     if args.skip_frax and args.roc_dir:
         raise UsageError("--roc-dir writes the FRAX ROC curves, which --skip-frax leaves out")
     cohort = load_cohort(args.cohort).stratum(args.stratum)
-    feature_sets = {name: feature_columns(name, args.stratum) for name in args.features}
+    feature_sets = _feature_sets(cohort, args.features, args.stratum)
     if (len(feature_sets) < len(args.features)
             or len(set(args.classifiers)) < len(args.classifiers)):
         raise DataError("duplicate evaluation cells")
@@ -287,20 +300,14 @@ def cmd_compare_frax(args) -> int:
 
 
 def _report_lines(doc) -> list[str]:
-    cells = doc.get("cells", {})
-    lgocv = doc.get("lgocv", {})
-    lines = [f"stratum: {doc.get('stratum', '?')}   mode: {doc.get('mode', '?')}"
-             f"   seed: {doc.get('seed', '?')}"]
+    cells, lgocv, comps = doc["cells"], doc["lgocv"], doc["comparisons"]
+    lines = [f"stratum: {doc['stratum']}   mode: {doc['mode']}   seed: {doc['seed']}"]
     width = max([len(n) for n in cells] + [10])
     lines.append(f"{'cell':<{width}}  {'resam AUC':>9}  {'SD':>6}  {'cv AUC':>7}  {'cv SD':>6}")
     for name in sorted(cells):
-        c = cells[name]
-        l = lgocv.get(name, {})
-        cv_m = f"{l['auc_mean']:.3f}" if l else "   -  "
-        cv_s = f"{l['auc_sd']:.3f}" if l else "  -  "
+        c, l = cells[name], lgocv[name]
         lines.append(f"{name:<{width}}  {c['auc_mean']:>9.3f}  {c['auc_sd']:>6.3f}"
-                     f"  {cv_m:>7}  {cv_s:>6}")
-    comps = doc.get("comparisons", {})
+                     f"  {l['auc_mean']:>7.3f}  {l['auc_sd']:>6.3f}")
     if comps:
         lines.append("paired one-sided tests:")
         for name in sorted(comps):

@@ -302,15 +302,14 @@ class StandardizationParams:
 
 
 def standardize_fit(values: np.ndarray) -> StandardizationParams:
-    """Fit per-column mean and sample SD.  Raises on constant columns.
+    """Fit per-column mean and sample SD of a matrix (n, p).  Raises on
+    constant columns.
 
     A stack of matrices (B, n, p) gets one fit per matrix: mean and sd are
     then (B, p), and the error names the column of the first matrix that
     has a constant one.
     """
     x = np.asarray(values, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     if x.shape[-2] < 2:
         raise DataError("need at least 2 rows to standardize")
     mean = x.mean(axis=-2)
@@ -323,18 +322,15 @@ def standardize_fit(values: np.ndarray) -> StandardizationParams:
 
 
 def standardize_apply(params: StandardizationParams, values: np.ndarray) -> np.ndarray:
-    """Standardize rows of values, or of each matrix of a (B, n, p) stack
-    with that matrix's own fit from a stacked standardize_fit."""
+    """Standardize the rows of a matrix (n, p), or of each matrix of a
+    (B, n, p) stack with that matrix's own fit from a stacked
+    standardize_fit."""
     x = np.asarray(values, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
     if x.shape[-1] != params.mean.shape[-1]:
         raise DataError(
             f"dimension mismatch: {x.shape[-1]} columns vs {params.mean.shape[-1]} params"
         )
-    out = (x - params.mean[..., None, :]) / params.sd[..., None, :]
-    return out[:, 0] if squeeze else out
+    return (x - params.mean[..., None, :]) / params.sd[..., None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -271,10 +271,6 @@ def _round6(x):
 def _jsonify(obj):
     if isinstance(obj, float):
         return _round6(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round6(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, dict):

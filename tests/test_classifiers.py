@@ -143,8 +143,19 @@ class TestKnn:
 
 
 def old_sq_distances(z, tz):
-    """The (m, n, p) difference array summed over its last axis."""
+    """The (m, n, p) difference array summed over its last axis (pairwise)."""
     return ((z[:, None, :] - tz[None, :, :]) ** 2).sum(axis=2)
+
+
+def sequential_sq_distances(z, tz):
+    """The (m, n, p) squared differences added left to right."""
+    return np.add.accumulate((z[:, None, :] - tz[None, :, :]) ** 2, axis=2)[..., -1]
+
+
+def knn_scores_from(d2, ty, k):
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    inc = d2 <= kth + 1e-12 * np.maximum(kth, 1.0)
+    return (inc * ty).sum(axis=1) / inc.sum(axis=1)
 
 
 class TestSqDistances:
@@ -160,13 +171,14 @@ class TestSqDistances:
         z[0] = tz[rng.integers(n)]          # a test row equal to a train row
         got = _sq_distances(z, tz)
         assert got.shape == (m, n)
-        assert np.array_equal(got.view(np.int64), old_sq_distances(z, tz).view(np.int64))
+        assert np.array_equal(got.view(np.int64),
+                              sequential_sq_distances(z, tz).view(np.int64))
 
     @pytest.mark.parametrize("p", [129, 150])
-    def test_bit_equal_past_the_pairwise_block(self, p, rng):
+    def test_bit_equal_to_sequential_sum_past_128_features(self, p, rng):
         z, tz = rng.normal(size=(3, p)), rng.normal(size=(4, p))
         assert np.array_equal(_sq_distances(z, tz).view(np.int64),
-                              old_sq_distances(z, tz).view(np.int64))
+                              sequential_sq_distances(z, tz).view(np.int64))
 
     @settings(max_examples=100, deadline=None)
     @given(p=st.integers(1, 12), k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
@@ -182,6 +194,18 @@ class TestSqDistances:
         inc = d2 <= kth + 1e-12 * np.maximum(kth, 1.0)
         expected = (inc * ty).sum(axis=1) / inc.sum(axis=1)
         assert np.array_equal(_knn_scores(tz, ty, k, z), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_knn_scores_match_old_distances_at_workload_size(self, p, seed):
+        # Standardized continuous features, 276 training and 69 test rows:
+        # the sizes of the all-subjects resample cells.
+        rng = np.random.default_rng(seed)
+        tz = rng.normal(size=(276, p))
+        ty = rng.integers(0, 2, size=276)
+        z = rng.normal(size=(69, p))
+        expected = knn_scores_from(old_sq_distances(z, tz), ty, NEIGHBORS)
+        assert np.array_equal(_knn_scores(tz, ty, NEIGHBORS, z), expected)
 
 
 class TestPls:

@@ -225,9 +225,24 @@ class TestMalformedFiles:
         {"control": {"max_increments": True}},
         # Once accepted, then failed as "curve needs at least 2 samples".
         {"control": {"max_increments": 0}},
+        # Values outside each field's range, and fields that do not exist.
+        {"material": {"nu": 0.5}},
+        {"material": {"c_E": -1}},
+        {"material": {"f_plateau": 1.5}},
+        {"material": {"f_soft": 0.1}},
+        {"material": {"E_min": 0}},
+        {"material": {"floor_frac": 1}},
+        {"material": {"density": 1.0}},
+        {"control": {"steps": 10}},
+        {"control": {"increment": -1}},
+        {"control": {"tolerance": 0}},
+        {"control": {"stop_fraction": 0}},
     ], ids=["list", "string_c_E", "fractional_max_increments", "nan_c_E",
             "inf_eps_plateau", "bool_p_S", "nan_increment", "inf_tolerance",
-            "bool_max_increments", "zero_max_increments"])
+            "bool_max_increments", "zero_max_increments", "half_nu", "negative_c_E",
+            "f_plateau_above_1", "positive_f_soft", "zero_E_min", "floor_frac_1",
+            "unknown_material_field", "unknown_control_field", "negative_increment",
+            "zero_tolerance", "zero_stop_fraction"])
     def test_material_exit_2(self, tmp_path, capsys, doc):
         grid, material, out = tmp_path / "g.txt", tmp_path / "m.json", tmp_path / "fe.json"
         save_grid(uniform_grid((2, 2, 3), 0.3), grid)
@@ -258,7 +273,9 @@ class TestMalformedFiles:
         {"cells": {"ABMD_COV|logistic": {"auc_mean": "0.7", "auc_sd": 0.1}}},
         {"cells": {}, "frax": {"cell": "ABMD_COV|logistic"}},
         [],
-    ], ids=["no_auc_mean", "string_auc_mean", "frax_without_aucs", "list"])
+        # An FE parameter document, not a report.
+        {"Sy": 1.0},
+    ], ids=["no_auc_mean", "string_auc_mean", "frax_without_aucs", "list", "fe_params"])
     def test_report_exit_2(self, tmp_path, capsys, doc):
         report = tmp_path / "report.json"
         report.write_text(json.dumps(doc))
@@ -280,6 +297,14 @@ BAD_CELLS = [
     ("bmdmed", "1.9", "bmdmed must be 0 or 1, got 1.9"),
     ("age", "inf", "non-finite value 'inf' in column age"),
 ]
+
+
+def _one_sex(cohort_csv, path, sex):
+    """The subjects of cohort_csv of one sex, written to path."""
+    lines = cohort_csv.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + [l for l in lines[1:] if l.split(",")[1] == sex])
+                    + "\n")
+    return path
 
 
 class TestMalformedCohort:
@@ -336,10 +361,8 @@ class TestMalformedCohort:
     def test_empty_stratum_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, command):
         # An all-male cohort has no female stratum: once a fit, a split or
         # the model check failed on the empty cohort with its own message.
-        lines = cohort_csv.read_text().splitlines()
-        path, out, model = tmp_path / "men.csv", tmp_path / "out.json", tmp_path / "m.json"
-        path.write_text("\n".join(lines[:1] + [l for l in lines[1:] if l.split(",")[1] == "M"])
-                        + "\n")
+        path = _one_sex(cohort_csv, tmp_path / "men.csv", "M")
+        out, model = tmp_path / "out.json", tmp_path / "m.json"
         model.write_text(json.dumps(model_doc))
         argv = {"evaluate": ["evaluate", "--out", str(out)],
                 "fit": ["fit", "--out", str(out)],
@@ -348,6 +371,45 @@ class TestMalformedCohort:
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["error: stratum 'female' has no subjects"]
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("sex,group", [("M", "male"), ("F", "female")])
+    @pytest.mark.parametrize("command", ["evaluate", "fit"])
+    def test_one_sex_cohort_with_sex_feature_exit_2(self, tmp_path, capsys, cohort_csv,
+                                                   command, sex, group):
+        # The whole-sample feature sets hold sex, constant on a cohort of one
+        # sex: once the fit failed on "constant column at index 3 (SD = 0)",
+        # after evaluate had printed its mode.
+        path = _one_sex(cohort_csv, tmp_path / "one.csv", sex)
+        out = tmp_path / "out.json"
+        assert dispatch([command, "--cohort", str(path), "--stratum", "all",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: column sex is constant: every subject is {sex}; "
+            f"use --stratum {group} or a feature set without sex"]
+        assert captured.out == "" and not out.exists()
+
+    def test_one_sex_cohort_without_sex_feature_runs(self, tmp_path, cohort_csv, model_doc):
+        path = _one_sex(cohort_csv, tmp_path / "men.csv", "M")
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(model_doc))
+        assert dispatch(["evaluate", "--cohort", str(path), "--features", "FRAX_ONLY",
+                         "--resamples", "10", "--repeats", "2",
+                         "--out", str(tmp_path / "r.json")]) == 0
+        assert dispatch(["compare-frax", "--cohort", str(path), "--model", str(model),
+                         "--out", str(tmp_path / "c.json")]) == 0
+
+    @pytest.mark.parametrize("text,error", [
+        ("", "empty file: no header row"),
+        (",".join(COHORT_HEADER) + "\n", "empty cohort"),
+    ], ids=["empty_file", "header_only"])
+    def test_no_subjects_exit_2(self, tmp_path, capsys, text, error):
+        path, out = tmp_path / "c.csv", tmp_path / "out.json"
+        path.write_text(text)
+        assert dispatch(["evaluate", "--cohort", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {error}"]
         assert captured.out == "" and not out.exists()
 
     def test_bad_cell_above_a_non_utf8_line_reported_first(self, tmp_path, capsys,
@@ -519,6 +581,18 @@ class TestEvaluateAndReport:
             outs.append([(run_dir / name).read_bytes()
                          for name in ("r.json", "roc/model_roc.csv", "roc/frax_roc.csv")])
         assert outs[0] == outs[1]
+
+    def test_roc_dir_writes_both_curves(self, tmp_path, cohort_csv):
+        roc = tmp_path / "roc"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--stratum", "male",
+                         "--resamples", "10", "--repeats", "2", "--roc-dir", str(roc),
+                         "--out", str(tmp_path / "r.json")]) == 0
+        assert sorted(p.name for p in roc.iterdir()) == ["frax_roc.csv", "model_roc.csv"]
+        for path in roc.iterdir():
+            header, *rows = path.read_text().splitlines()
+            assert header == "fpr,tpr,threshold"
+            points = np.array([row.split(",")[:2] for row in rows], dtype=float)
+            assert points[0].tolist() == [0.0, 0.0] and points[-1].tolist() == [1.0, 1.0]
 
     def test_single_repeat_report_is_strict_json(self, tmp_path, cohort_csv):
         # One LGOCV repeat has no sample SD; the report must still be JSON
