@@ -73,6 +73,13 @@ def _fit_gaussian(z, y, gamma, pooled):
         covs = np.stack([cov, cov], axis=1)
     else:
         covs = np.stack([_shrunk_cov(z0, gamma), _shrunk_cov(z1, gamma)], axis=1)
+    # A column constant within a class leaves rounding noise, not 0, on the
+    # diagonal; the bound is standardize_fit's.
+    flat = np.flatnonzero(np.diagonal(covs, axis1=2, axis2=3) <= 1e-12)
+    if flat.size:
+        c, j = np.unravel_index(flat[0], covs.shape[:3])[1:]
+        within = "each class" if pooled else f"class {c}"
+        raise NumericalError(f"column at index {j} is constant within {within}")
     sign, logdet = np.linalg.slogdet(covs)
     if np.any(sign <= 0):
         raise NumericalError("singular class covariance after shrinkage")

@@ -5,9 +5,10 @@ t-tests, and the DeLong comparison against an external FRAX score.
 LGOCV and resampling are one protocol with different train fractions: a
 single loop draws the stratified splits and scores every (feature set,
 classifier) cell on them, so all cells share their splits.  Every split is
-driven by a seed derived from (base_seed, split, draw) through a 64-bit
+driven by a seed derived from (base_seed, split, 0) through a 64-bit
 mixing function, so the whole report is a pure function of (cohort,
-config, seed).
+config, seed).  The trailing 0 is the same for every split; it stays
+because it fixes every split, and so every report byte.
 
 Every command builds features with one function, build_feature_matrix: it
 gathers the train and test rows of a block of splits by row index from the

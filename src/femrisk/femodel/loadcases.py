@@ -8,6 +8,8 @@ the long axis: posterior 0, posterolateral 45, lateral 90 degrees.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..datamodel import FE12, LOAD_CASE_PARAMS, invalid_row
 from ..errors import DataError, NumericalError
 from .curves import (ForceDisplacementCurve, NoYieldDetected, detect_yield_load,
@@ -48,7 +50,9 @@ def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
                           control: SolveControl, yield_policy: str
                           ) -> tuple[dict[str, float], dict[str, ForceDisplacementCurve]]:
     """Run all four load cases, with SciPy's OpenBLAS on one thread, and
-    assemble the twelve FE parameters.
+    assemble the twelve FE parameters.  NumPy's floating-point warnings are
+    silenced: the solver reports non-finite strains through its residual
+    bound and its reaction check.
 
     Each case rotates the phantom and solves it under its boundary
     condition.  Returns the parameters, keyed in FE12 order, and the
@@ -59,7 +63,7 @@ def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
     """
     values = {}
     curves = {}
-    with one_blas_thread():
+    with one_blas_thread(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for name, (boundary_condition, rotation_deg) in LOAD_CASES.items():
             try:
                 g = rotate_grid(grid, rotation_deg)

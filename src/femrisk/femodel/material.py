@@ -5,12 +5,11 @@ modulus / yield-stress maps, evaluated per voxel element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from ..errors import DataError, malformed, read_json, require_finite
-from .grid import VoxelGrid
 
 ASH_INTERCEPT = 0.0633
 ASH_SLOPE = 0.887
@@ -69,30 +68,17 @@ class MaterialModel:
     def yield_stress(self, rho_ash):
         return self.c_S * np.power(np.asarray(rho_ash, dtype=float), self.p_S)
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "MaterialModel":
-        known = {f.name for f in fields(cls)}
-        bad = set(doc) - known
-        if bad:
-            raise DataError(f"unknown material fields: {sorted(bad)}")
-        return cls(**doc)
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def element_fields(grid: VoxelGrid, material: MaterialModel):
-    """Per-element (modulus, yield stress) arrays for a 1:1 voxel mesh.
-
-    Each property is evaluated per voxel from the ash density and then
-    used directly (one voxel per element).
-    """
-    rho_ash = ash_density(grid.rho_cha)
-    return material.modulus(rho_ash), material.yield_stress(rho_ash)
+def _from_fields(cls, doc: dict, what: str):
+    """cls(**doc), refusing a key that names none of cls's fields."""
+    bad = set(doc) - {f.name for f in fields(cls)}
+    if bad:
+        raise DataError(f"unknown {what} fields: {sorted(bad)}")
+    return cls(**doc)
 
 
 def material_to_file(material: MaterialModel, control, path) -> None:
-    doc = {"material": material.to_json(), "control": control.to_json()}
+    doc = {"material": asdict(material), "control": asdict(control)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -102,5 +88,5 @@ def material_from_file(path):
     from .solver import SolveControl
     doc = read_json(path, "material")
     with malformed("material file"):
-        return (MaterialModel.from_json(doc.get("material", {})),
-                SolveControl.from_json(doc.get("control", {})))
+        return (_from_fields(MaterialModel, doc.get("material", {}), "material"),
+                _from_fields(SolveControl, doc.get("control", {}), "control"))

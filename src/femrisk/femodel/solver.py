@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solve_b
 from ..errors import DataError, NumericalError, require_finite
 from .curves import ForceDisplacementCurve
 from .grid import VoxelGrid
-from .material import MaterialModel, element_fields
+from .material import MaterialModel, ash_density
 from .plasticity import radial_return_batch
 
 NEWTON_CAP = 40
@@ -79,17 +79,6 @@ class SolveControl:
         if self.tolerance <= 0 or not 0.0 < self.stop_fraction <= 1.0:
             raise DataError("bad solve control")
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "SolveControl":
-        known = {f.name for f in fields(cls)}
-        bad = set(doc) - known
-        if bad:
-            raise DataError(f"unknown control fields: {sorted(bad)}")
-        return cls(**doc)
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -108,91 +97,70 @@ class BoundaryCondition:
         object.__setattr__(self, "driven_dofs", np.asarray(self.driven_dofs, dtype=int))
 
 
+# The corner offsets (x, y, z) of a hexahedron, x fastest: the local node
+# order of _hex_b_matrices and _element_dof_map.
+_CORNERS = np.array([[a & 1, (a >> 1) & 1, (a >> 2) & 1] for a in range(8)])
+
+# The nonzero entries of a corner's B block, (strain row, displacement
+# component, gradient axis): normal strains xx, yy, zz, then engineering
+# shears xy, yz, zx.
+_STRAINS = ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 1), (3, 1, 0),
+            (4, 1, 2), (4, 2, 1), (5, 0, 2), (5, 2, 0))
+
+
 def node_id(ix, iy, iz, nx, ny):
     return ix + iy * (nx + 1) + iz * (nx + 1) * (ny + 1)
 
 
-def _face_nodes(dims, end: bool):
-    """Node ids of the bottom (z = 0) face, or of the top face when end."""
+def _nodes(dims):
+    """Node ids indexed [ix, iy, iz], numbered x fastest and z slowest:
+    node_id at every index.  A face raveled in order "F" runs x fastest,
+    the order in which solve sums the driven dofs' reaction."""
     nx, ny, nz = dims
-    iz = nz if end else 0
-    ids = []
-    for iy in range(ny + 1):
-        for ix in range(nx + 1):
-            ids.append(node_id(ix, iy, iz, nx, ny))
-    return np.array(ids, dtype=int)
+    n = (nx + 1) * (ny + 1) * (nz + 1)
+    return np.arange(n).reshape((nx + 1, ny + 1, nz + 1), order="F")
 
 
 def stance_bc(dims) -> BoundaryCondition:
     """Bottom face fully fixed; top face driven along -z, transverse free."""
-    bottom = _face_nodes(dims, False)
-    top = _face_nodes(dims, True)
+    nodes = _nodes(dims)
+    bottom = nodes[:, :, 0].ravel(order="F")
     fixed = np.concatenate([bottom * 3, bottom * 3 + 1, bottom * 3 + 2])
-    return BoundaryCondition(np.sort(fixed), top * 3 + 2)
+    return BoundaryCondition(np.sort(fixed), nodes[:, :, -1].ravel(order="F") * 3 + 2)
 
 
 def fall_bc(dims) -> BoundaryCondition:
     """Top face driven along -z; bottom face fixed along z only, with two
     corner pins removing the in-plane rigid-body modes."""
-    nx, ny, nz = dims
-    bottom = _face_nodes(dims, False)
-    top = _face_nodes(dims, True)
-    pin_a = node_id(0, 0, 0, nx, ny)
-    pin_b = node_id(nx, 0, 0, nx, ny)
-    fixed = np.concatenate([bottom * 3 + 2, [pin_a * 3, pin_a * 3 + 1, pin_b * 3 + 1]])
-    return BoundaryCondition(np.sort(np.unique(fixed)), top * 3 + 2)
+    nodes = _nodes(dims)
+    pin_a, pin_b = nodes[0, 0, 0], nodes[-1, 0, 0]
+    fixed = np.concatenate([nodes[:, :, 0].ravel(order="F") * 3 + 2,
+                            [pin_a * 3, pin_a * 3 + 1, pin_b * 3 + 1]])
+    return BoundaryCondition(np.unique(fixed), nodes[:, :, -1].ravel(order="F") * 3 + 2)
 
 
 def _hex_b_matrices(h: float):
     """B (8 gauss points, 6, 24) and the per-point integration volume."""
-    corners = np.array([[a & 1, (a >> 1) & 1, (a >> 2) & 1] for a in range(8)])
-    signs = 2.0 * corners - 1.0
-    b = np.zeros((8, 6, 24))
-    for g in range(8):
-        xi = GAUSS * signs[g]
-        for a in range(8):
-            s = signs[a]
-            n_parts = 0.5 * (1.0 + s * xi)
-            # dN/dxi_i = s_i/2 * prod of other axes' parts; chain rule 2/h.
-            grad = np.empty(3)
-            for i in range(3):
-                others = [j for j in range(3) if j != i]
-                grad[i] = (s[i] * 0.5) * n_parts[others[0]] * n_parts[others[1]] * (2.0 / h)
-            dx, dy, dz = grad
-            c = 3 * a
-            b[g, 0, c] = dx
-            b[g, 1, c + 1] = dy
-            b[g, 2, c + 2] = dz
-            b[g, 3, c] = dy
-            b[g, 3, c + 1] = dx
-            b[g, 4, c + 1] = dz
-            b[g, 4, c + 2] = dy
-            b[g, 5, c] = dz
-            b[g, 5, c + 2] = dx
+    signs = 2.0 * _CORNERS - 1.0
+    # Shape-function factors (gauss point, corner, axis) at xi = GAUSS * sign.
+    parts = 0.5 * (1.0 + signs * (GAUSS * signs)[:, None])
+    # dN/dxi_i = s_i/2 * prod of other axes' parts; chain rule 2/h.
+    grad = (signs * 0.5) * parts[..., [1, 0, 0]] * parts[..., [2, 2, 1]] * (2.0 / h)
+    b = np.zeros((8, 6, 8, 3))
+    for row, component, axis in _STRAINS:
+        b[:, row, :, component] = grad[:, :, axis]
     wdet = (h / 2.0) ** 3
-    return b, wdet
+    return b.reshape(8, 6, 24), wdet
 
 
 def _element_dof_map(dims):
     """Global dofs (ne, 24) of each element, elements x fastest and z
-    slowest."""
+    slowest, corners in _CORNERS order."""
     nx, ny, nz = dims
-    ez, ey, ex = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
-    ex = ex.ravel()
-    ey = ey.ravel()
-    ez = ez.ravel()
-    # Local corner order matches _hex_b_matrices (x fastest).
-    maps = []
-    for a in range(8):
-        ox, oy, oz = a & 1, (a >> 1) & 1, (a >> 2) & 1
-        nid = node_id(ex + ox, ey + oy, ez + oz, nx, ny)
-        maps.append(nid)
-    nodes = np.stack(maps, axis=1)            # (ne, 8)
-    dofs = np.empty((nodes.shape[0], 24), dtype=int)
-    dofs[:, 0::3] = nodes * 3
-    dofs[:, 1::3] = nodes * 3 + 1
-    dofs[:, 2::3] = nodes * 3 + 2
-    return dofs
+    nodes = _nodes(dims)
+    corners = np.stack([nodes[x:x + nx, y:y + ny, z:z + nz].ravel(order="F")
+                        for x, y, z in _CORNERS], axis=1)
+    return (corners[:, :, None] * 3 + np.arange(3)).reshape(-1, 24)
 
 
 def element_stiffness(tang, b_mats, wdet):
@@ -301,8 +269,10 @@ def _same_bits(a, b) -> bool:
 
 
 def _largest_cluster(yielded_flat, dims) -> int:
+    """Voxel count of the largest 6-connected cluster of yielded elements
+    (yielded_flat in element order); the axis order does not matter."""
     nx, ny, nz = dims
-    mask = yielded_flat.reshape(nz, ny, nx).transpose(2, 1, 0)
+    mask = yielded_flat.reshape(nz, ny, nx)
     if not mask.any():
         return 0
     labels, count = ndimage.label(mask)       # default structure = 6-neighbor
@@ -318,10 +288,10 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
     n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
     fixed, driven = bc.fixed_dofs, bc.driven_dofs
 
-    emod_el, sy_el = element_fields(grid, material)
-    # Element order must match _element_dof_map (x fastest, z slowest).
-    emod_gp = np.repeat(emod_el.transpose(2, 1, 0).ravel(), 8)
-    sy_gp = np.repeat(sy_el.transpose(2, 1, 0).ravel(), 8)
+    # One element per voxel, in the order of _element_dof_map (x fastest).
+    rho_ash = ash_density(grid.rho_cha)
+    emod_gp = np.repeat(material.modulus(rho_ash).ravel(order="F"), 8)
+    sy_gp = np.repeat(material.yield_stress(rho_ash).ravel(order="F"), 8)
     ne = emod_gp.size // 8
 
     b_mats, wdet = _hex_b_matrices(grid.spacing)

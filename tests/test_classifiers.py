@@ -10,7 +10,7 @@ from femrisk.classifiers import (KINDS, NEIGHBORS, SHRINKAGE, _fit_gaussian,
                                  model_to_json, predict_scores, train,
                                  train_and_score_stack)
 from femrisk.datamodel import standardize_apply, standardize_fit
-from femrisk.errors import DataError
+from femrisk.errors import DataError, NumericalError
 from femrisk.stats import auc_mann_whitney, fit_logistic
 
 
@@ -292,6 +292,22 @@ class TestGaussian:
             model = train(kind, x, y)
             np.testing.assert_allclose(predict_scores(model, queries), expected,
                                        rtol=1e-12, atol=0)
+
+    def test_column_constant_within_a_class_raises(self):
+        # After standardization such a column keeps a variance of rounding
+        # noise at most, on which QDA would score.  LDA pools the two
+        # classes' covariances, so only a column constant within both
+        # stops it.
+        x, y = blobs(np.random.default_rng(13), d=3)
+        x[y == 1, 2] = 0.1
+        with pytest.raises(NumericalError,
+                           match="^column at index 2 is constant within class 1$"):
+            train("qda", x, y)
+        train("lda", x, y)
+        x[y == 0, 2] = 0.7
+        with pytest.raises(NumericalError,
+                           match="^column at index 2 is constant within each class$"):
+            train("lda", x, y)
 
 
 def split_stack(rng, b=5, n=(30, 30), m=(10, 10), d=4):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +260,13 @@ class TestMalformedFiles:
         ("2 2 3 inf", "error: spacing must be finite and positive"),
         # -2 * -2 * 3 matches the 12 values, so only the dims check stops it.
         ("-2 -2 3 3.0", "error: grid dims must be positive integers"),
-    ], ids=["nan_spacing", "inf_spacing", "negative_dims"])
+        ("2 2 3", "error: grid header must be 'nx ny nz spacing_mm'"),
+        ("2 2 3 3.0 1", "error: grid header must be 'nx ny nz spacing_mm'"),
+        ("2 2 x 3.0", "error: bad grid file: invalid literal for int() with base 10: 'x'"),
+        # The text after the newline is the first density value.
+        ("2 2 3 3.0\nabc", "error: bad grid file: could not convert string to float: 'abc'"),
+    ], ids=["nan_spacing", "inf_spacing", "negative_dims", "three_fields", "five_fields",
+            "non_integer_dims", "non_numeric_density"])
     def test_grid_header_exit_2(self, tmp_path, capsys, header, error):
         grid, out = tmp_path / "g.txt", tmp_path / "fe.json"
         grid.write_text(header + "\n" + "0.3 " * 12 + "\n")
@@ -466,6 +473,23 @@ class TestFe:
         assert err == ["error: FE parameter Sy must be finite and positive, got 0.0"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("spacing, material", [(1e-300, {}), (3.0, {"c_E": 1e300})],
+                             ids=["tiny_spacing", "huge_c_E"])
+    def test_overflowing_strains_exit_3_with_one_line(self, tmp_path, capsys, spacing,
+                                                      material):
+        # The solver catches the non-finite values; NumPy's overflow and
+        # invalid-value warnings once printed 9-11 lines before the error.
+        gpath, mpath = tmp_path / "g.txt", tmp_path / "m.json"
+        save_grid(uniform_grid((2, 2, 3), 0.3, spacing), gpath)
+        mpath.write_text(json.dumps({"material": material}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch(["fe", "--grid", str(gpath), "--material", str(mpath),
+                             "--out", str(tmp_path / "fe.json")]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: load case stance failed: Newton failed to converge at increment 1"]
+
     @pytest.mark.parametrize("with_curves", [False, True])
     def test_no_yield_exit_3_and_no_curves(self, tmp_path, capsys, with_curves):
         # Two 1 um increments never grow a 15-element yielded cluster.
@@ -631,6 +655,40 @@ class TestEvaluateAndReport:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {error}"]
         assert captured.out == "" and not report.exists()
+
+    @pytest.mark.parametrize("option, value, code, error", [
+        ("--threads", "0", 1, "--threads must be >= 1"),
+        # The 5 % holdout training rows of the 134 men hold 2 fracture cases.
+        ("--holdout-fraction", "0.05", 2, "each class needs at least 4 members for LGOCV"),
+    ])
+    def test_bad_option_one_error_line(self, tmp_path, cohort_csv, capsys, option, value,
+                                       code, error):
+        report = tmp_path / "r.json"
+        assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(report),
+                         "--stratum", "male", option, value]) == code
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert not report.exists()
+
+    def test_feature_constant_within_a_class_exit_3(self, tmp_path, cohort_csv, capsys):
+        # bmdmed 0 for every fracture case: QDA's class-1 variance of it is
+        # rounding noise, which once gave scores of exactly 0 or 1.
+        lines = cohort_csv.read_text().splitlines()
+        header = lines[0].split(",")
+        fx, bmdmed = header.index("fx"), header.index("bmdmed")
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            if row[fx] == "1":
+                row[bmdmed] = "0"
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        report = tmp_path / "r.json"
+        assert dispatch(["evaluate", "--cohort", str(cohort), "--out", str(report),
+                         "--stratum", "male", "--classifiers", "qda", "--skip-frax",
+                         "--resamples", "20", "--repeats", "3"]) == 3
+        # Column 6 of the first feature set, PC1_ABMD_COV, is bmdmed.
+        assert capsys.readouterr().err.splitlines() == [
+            "error: column at index 6 is constant within class 1"]
+        assert not report.exists()
 
     def test_paper_mode_flag_reported(self, tmp_path, cohort_csv, capsys):
         report = tmp_path / "rp.json"

@@ -3,7 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
 from scipy.linalg import solve_banded
 
 from femrisk.datamodel import FE12
@@ -15,9 +16,9 @@ from femrisk.femodel.curves import energy_to_failure
 from femrisk.femodel.grid import VoxelGrid
 from femrisk.femodel.plasticity import radial_return_batch
 from femrisk.femodel import loadcases, solver
-from femrisk.femodel.solver import (_band_assembler, _element_dof_map,
-                                    _hex_b_matrices, element_stiffness,
-                                    spsolve)
+from femrisk.femodel.solver import (GAUSS, _band_assembler, _element_dof_map,
+                                    _hex_b_matrices, _largest_cluster,
+                                    element_stiffness, node_id, spsolve)
 
 RHO = 0.25
 ASH = ash_density(RHO)
@@ -372,6 +373,92 @@ class TestStiffnessProperties:
         kb = _band_assembler(dof_map, free, n_dofs)(element_stiffness(tang, b_mats, wdet))
         assert kb.shape == (free.size, np.abs(i - j).max() + 1)
         assert _max_rel(_band_to_dense(kb), k_ff) <= 1e-12
+
+
+def _loop_b_matrices(h):
+    """B (8, 6, 24) and wdet of one hexahedron, corner by corner and axis by
+    axis: the oracle for _hex_b_matrices."""
+    corners = np.array([[a & 1, (a >> 1) & 1, (a >> 2) & 1] for a in range(8)])
+    signs = 2.0 * corners - 1.0
+    b = np.zeros((8, 6, 24))
+    for g in range(8):
+        xi = GAUSS * signs[g]
+        for a in range(8):
+            s = signs[a]
+            n_parts = 0.5 * (1.0 + s * xi)
+            grad = np.empty(3)
+            for i in range(3):
+                others = [j for j in range(3) if j != i]
+                grad[i] = (s[i] * 0.5) * n_parts[others[0]] * n_parts[others[1]] * (2.0 / h)
+            dx, dy, dz = grad
+            c = 3 * a
+            b[g, 0, c] = dx
+            b[g, 1, c + 1] = dy
+            b[g, 2, c + 2] = dz
+            b[g, 3, c] = dy
+            b[g, 3, c + 1] = dx
+            b[g, 4, c + 1] = dz
+            b[g, 4, c + 2] = dy
+            b[g, 5, c] = dz
+            b[g, 5, c + 2] = dx
+    return b, (h / 2.0) ** 3
+
+
+def _loop_lattice(dims):
+    """Element dofs, driven dofs and the stance and fall fixed dofs of a
+    lattice, from node_id loops: elements and face nodes x fastest, corners
+    x fastest."""
+    nx, ny, nz = dims
+    elements = []
+    for ez in range(nz):
+        for ey in range(ny):
+            for ex in range(nx):
+                nodes = [node_id(ex + ox, ey + oy, ez + oz, nx, ny)
+                         for oz in (0, 1) for oy in (0, 1) for ox in (0, 1)]
+                elements.append([3 * n + k for n in nodes for k in range(3)])
+    bottom = [node_id(ix, iy, 0, nx, ny) for iy in range(ny + 1) for ix in range(nx + 1)]
+    top = [node_id(ix, iy, nz, nx, ny) for iy in range(ny + 1) for ix in range(nx + 1)]
+    pin_a, pin_b = node_id(0, 0, 0, nx, ny), node_id(nx, 0, 0, nx, ny)
+    stance = sorted(3 * n + k for n in bottom for k in range(3))
+    fall = sorted({3 * n + 2 for n in bottom} | {3 * pin_a, 3 * pin_a + 1, 3 * pin_b + 1})
+    return elements, [3 * n + 2 for n in top], stance, fall
+
+
+class TestLattice:
+    """The lattice numbering against loops over node_id."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    @example(dims=(4, 2, 3))
+    @example(dims=(1, 3, 2))
+    def test_dofs_match_node_id_loops(self, dims):
+        elements, driven, stance, fall = _loop_lattice(dims)
+        assert _element_dof_map(dims).tolist() == elements
+        for bc, fixed in ((stance_bc, stance), (fall_bc, fall)):
+            cond = bc(dims)
+            assert cond.fixed_dofs.tolist() == fixed
+            # In order: the reaction sums the driven dofs' forces x fastest.
+            assert cond.driven_dofs.tolist() == driven
+
+    @settings(max_examples=50, deadline=None)
+    @given(h=st.floats(1e-3, 1e3))
+    @example(h=3.0)
+    def test_b_matrices_bit_equal_to_loop(self, h):
+        b, wdet = _hex_b_matrices(h)
+        b_loop, wdet_loop = _loop_b_matrices(h)
+        assert b.shape == b_loop.shape
+        assert np.array_equal(b.view(np.int64), b_loop.view(np.int64))
+        assert wdet == wdet_loop
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_largest_cluster_ignores_axis_order(self, dims, seed):
+        # The mask comes in element order, x fastest; label it [ix, iy, iz].
+        mask = np.random.default_rng(seed).random(np.prod(dims)) < 0.5
+        labels, _ = ndimage.label(mask.reshape(dims, order="F"))
+        expected = np.bincount(labels.ravel())[1:].max(initial=0)
+        assert _largest_cluster(mask, dims) == expected
 
 
 def _band_to_dense(kb):
