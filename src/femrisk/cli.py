@@ -29,7 +29,7 @@ from .errors import DataError, FemriskError, NumericalError, malformed, read_jso
 from .evaluate import (CvConfig, ResampleConfig, auc_summary,
                        build_feature_matrix, build_report, cell_name,
                        compare_with_frax, fe9_matrix, fit_and_score, mix_seed,
-                       run_lgocv, run_resample_comparison,
+                       require_class_sizes, run_lgocv, run_resample_comparison,
                        stratified_split_indices, write_roc_csvs)
 from .femodel import (MaterialModel, SolveControl, compute_fe_parameters,
                       load_grid, material_from_file)
@@ -239,8 +239,9 @@ def cmd_evaluate(args) -> int:
     rs_cfg = ResampleConfig(resamples=args.resamples,
                             train_fraction=args.resample_fraction,
                             seed=mix_seed(args.seed, 2, 0))
-    tr, _ = stratified_split_indices(cohort.labels(), args.holdout_fraction,
-                                     mix_seed(args.seed, 0, 0))
+    y = cohort.labels()
+    tr, _ = stratified_split_indices(y, args.holdout_fraction, mix_seed(args.seed, 0, 0))
+    require_class_sizes(y[tr], "LGOCV")
     mode = "paper (whole-sample PCA)" if args.paper_mode else "fold-internal PCA refit"
     print(f"mode: {mode}")
 

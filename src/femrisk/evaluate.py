@@ -168,6 +168,13 @@ def build_feature_matrix(sub: Cohort, cols: Sequence[str],
     return x_tr, x_te
 
 
+def require_class_sizes(y, protocol: str) -> None:
+    """DataError unless each class of the labels y has at least 4 members,
+    the fewest that protocol's splits are drawn from."""
+    if min((y == 0).sum(), (y == 1).sum()) < 4:
+        raise DataError(f"each class needs at least 4 members for {protocol}")
+
+
 def _split_and_score(sub: Cohort, feature_sets: dict[str, Sequence[str]],
                      kinds: Sequence[str], n_splits: int,
                      fraction: float, seed: int,
@@ -181,8 +188,7 @@ def _split_and_score(sub: Cohort, feature_sets: dict[str, Sequence[str]],
     held-out side holds both classes.
     """
     y = sub.labels()
-    if min((y == 0).sum(), (y == 1).sum()) < 4:
-        raise DataError(f"each class needs at least 4 members for {protocol}")
+    require_class_sizes(y, protocol)
     aucs = {cell_name(fs, kind): np.empty(n_splits) for fs in feature_sets for kind in kinds}
     seeds = [mix_seed(seed, i, 0) for i in range(n_splits)]
     for start in range(0, n_splits, BLOCK):

@@ -17,11 +17,49 @@ def _yield_stress(alpha, plateau, h_soft, eps_plateau, floor):
     return np.maximum(sy, floor)
 
 
+# Fourth-order projectors in Voigt form: the volumetric part (1 (x) 1) and
+# the deviatoric part, which maps an engineering shear strain to half of
+# it in tensor shear stress.
+_EYE3 = np.zeros((6, 6))
+_EYE3[:3, :3] = 1.0
+_IDEV = np.zeros((6, 6))
+_IDEV[:3, :3] = -1.0 / 3.0
+_IDEV[0, 0] = _IDEV[1, 1] = _IDEV[2, 2] = 2.0 / 3.0
+_IDEV[3, 3] = _IDEV[4, 4] = _IDEV[5, 5] = 0.5
+
+
+def _moduli(emod, nu):
+    """Shear modulus, Lame's first parameter and bulk modulus of emod."""
+    g = emod / (2.0 * (1.0 + nu))
+    lam = emod * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    return g, lam, lam + 2.0 * g / 3.0
+
+
+def _isotropic(kb, shear):
+    """kb (1 (x) 1) + shear * I_dev for each point, (n, 6, 6)."""
+    tangent = np.zeros((kb.size, 6, 6))
+    tangent += kb[:, None, None] * _EYE3
+    tangent += shear[:, None, None] * _IDEV
+    return tangent
+
+
+def elastic_tangent(emod, nu):
+    """Isotropic elastic tangents (n, 6, 6) of the moduli emod (n,): the
+    tangent radial_return_batch gives every point that stays elastic, with
+    the same bits."""
+    g, _, kb = _moduli(np.asarray(emod, dtype=float), nu)
+    return _isotropic(kb, 2.0 * g)
+
+
 def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
-                        plateau_frac, eps_plateau, soft_frac, floor_frac):
+                        plateau_frac, eps_plateau, soft_frac, floor_frac, elastic):
     """Elastic predictor / radial return over a batch of quadrature points.
 
-    strain, eps_p: (n, 6) engineering Voigt; alpha, emod, sigma_y0: (n,).
+    strain, eps_p: (n, 6) engineering Voigt; alpha, emod, sigma_y0: (n,);
+    elastic: (n, 6, 6) elastic_tangent(emod, nu), which a caller with fixed
+    moduli computes once.  The tangent of a point that stays elastic is a
+    copy of its row; the consistent tangent is computed only for the
+    points that yield.
     Returns (stress (n,6), tangent (n,6,6), eps_p_new, alpha_new).
     """
     strain = np.asarray(strain, dtype=float)
@@ -31,9 +69,7 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
     sigma_y0 = np.asarray(sigma_y0, dtype=float)
     n = strain.shape[0]
 
-    g = emod / (2.0 * (1.0 + nu))
-    lam = emod * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    kb = lam + 2.0 * g / 3.0
+    g, lam, kb = _moduli(emod, nu)
 
     ee = strain - eps_p
     tr = ee[:, 0] + ee[:, 1] + ee[:, 2]
@@ -88,25 +124,17 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
     eps_p_new = eps_p + dgamma[:, None] * flow
     alpha_new = alpha + dgamma
 
-    # Consistent tangent.
-    tangent = np.zeros((n, 6, 6))
-    eye3 = np.zeros((6, 6))
-    eye3[:3, :3] = 1.0
-    idev = np.zeros((6, 6))
-    idev[:3, :3] = -1.0 / 3.0
-    idev[0, 0] = idev[1, 1] = idev[2, 2] = 2.0 / 3.0
-    idev[3, 3] = idev[4, 4] = idev[5, 5] = 0.5
-
-    theta = np.where(plastic, scale, 1.0)
-    tangent += kb[:, None, None] * eye3
-    tangent += (2.0 * g * theta)[:, None, None] * idev
-
+    # Consistent tangent: the elastic one, except at the points that yield.
+    tangent = np.array(elastic, dtype=float)
     if np.any(plastic):
+        g, s, q = g[plastic], s[plastic], q[plastic]
+        yielded = _isotropic(kb[plastic], 2.0 * g * scale[plastic])
         s_norm = np.sqrt((s[:, :3] ** 2).sum(axis=1) + 2.0 * (s[:, 3:] ** 2).sum(axis=1))
         with np.errstate(invalid="ignore", divide="ignore"):
             m = np.where(s_norm[:, None] > 0, s / np.where(s_norm[:, None] > 0, s_norm[:, None], 1.0), 0.0)
-        c_n = 6.0 * g**2 * (dgamma / np.where(q > 0, q, 1.0) - 1.0 / (3.0 * g + h_used))
-        c_n = np.where(plastic, c_n, 0.0)
-        tangent += c_n[:, None, None] * (m[:, :, None] * m[:, None, :])
+        c_n = 6.0 * g**2 * (dgamma[plastic] / np.where(q > 0, q, 1.0)
+                            - 1.0 / (3.0 * g + h_used[plastic]))
+        yielded += c_n[:, None, None] * (m[:, :, None] * m[:, None, :])
+        tangent[plastic] = yielded
 
     return stress_new, tangent, eps_p_new, alpha_new

@@ -16,14 +16,21 @@ Cholesky, then band LU on the mirrored band (softening: indefinite), then,
 for a Newton step, band LU on K + 1e-10 max(diag K, 1) I (singular), at
 O(n bw^2) for n free dofs (Golub & Van Loan, Matrix Computations, 4.3).
 
-One solve call keeps the last tangent it assembled: its Gauss-point
-tangents, its band and, once band Cholesky succeeded, the factor.  When the
-next tangent has the same bytes (an elastic increment after an elastic one:
-4 of the 8 solves of the two-increment 10x10x24 elastic benchmark input),
-the band and factor are reused and spsolve only back-substitutes, which
-gives the bytes a fresh factorization would.  Any other tangent drops the
-kept band and factor before its own band is assembled.  The LU rungs are
-never kept.
+Work that repeats a value is done once.  A solve computes the elastic
+Gauss-point tangent of its moduli once: it is the initial committed
+tangent, and radial return copies its rows for the points that stay
+elastic.  One solve call keeps the last tangent it assembled: its
+Gauss-point tangents, its element matrices, its band and, once band
+Cholesky succeeded, the factor.  When the next tangent has the same bytes
+(an elastic increment after an elastic one: 4 of the 8 solves of the
+two-increment 10x10x24 elastic benchmark input), the predictor takes the
+kept element matrices, and spsolve reuses the band and factor and only
+back-substitutes, which gives the bytes a fresh factorization would.  Any
+other tangent drops what was kept before its own element matrices and band
+are computed.  The LU rungs are never kept.  The band's scatter index
+depends only on the grid dims and the free dofs, so it is built once per
+boundary condition and dims: twice in one fe run, since the three fall
+cases share both.
 
 The committed state is (u, eps_p, alpha, tang_c): displacements, plastic
 strains, equivalent plastic strains and the Gauss-point tangents they give.
@@ -54,7 +61,7 @@ from ..errors import DataError, NumericalError, require_finite
 from .curves import ForceDisplacementCurve
 from .grid import VoxelGrid
 from .material import MaterialModel, ash_density
-from .plasticity import radial_return_batch
+from .plasticity import elastic_tangent, radial_return_batch
 
 NEWTON_CAP = 40
 NEWTON_DIVERGE = 10.0
@@ -149,7 +156,7 @@ def _hex_b_matrices(h: float):
     b = np.zeros((8, 6, 8, 3))
     for row, component, axis in _STRAINS:
         b[:, row, :, component] = grad[:, :, axis]
-    wdet = (h / 2.0) ** 3
+    wdet = (np.float64(h) / 2.0) ** 3       # NumPy: a huge h gives inf, not OverflowError
     return b.reshape(8, 6, 24), wdet
 
 
@@ -192,6 +199,22 @@ def _band_assembler(dof_map, free, n_dofs):
     def assemble(ke):
         band = np.bincount(idx, weights=ke.ravel()[sel], minlength=(bw + 1) * free.size)
         return band.reshape(bw + 1, free.size).T
+    return assemble
+
+
+# The last (dims, free dofs) key given to _cached_band_assembler and its
+# assembler: the three fall cases of one fe run share both.
+_band_cache = {}
+
+
+def _cached_band_assembler(dims, dof_map, free, n_dofs):
+    """_band_assembler(dof_map, free, n_dofs), built again only when dims
+    or the free set differ from the last call's."""
+    key = (tuple(dims), free.tobytes())
+    assemble = _band_cache.get(key)
+    if assemble is None:
+        _band_cache.clear()
+        assemble = _band_cache[key] = _band_assembler(dof_map, free, n_dofs)
     return assemble
 
 
@@ -292,6 +315,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
     rho_ash = ash_density(grid.rho_cha)
     emod_gp = np.repeat(material.modulus(rho_ash).ravel(order="F"), 8)
     sy_gp = np.repeat(material.yield_stress(rho_ash).ravel(order="F"), 8)
+    tang_el = elastic_tangent(emod_gp, material.nu)
     ne = emod_gp.size // 8
 
     b_mats, wdet = _hex_b_matrices(grid.spacing)
@@ -301,14 +325,14 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
     if np.unique(prescribed).size != prescribed.size:
         raise DataError("overlapping fixed and driven dofs")
     free = np.setdiff1d(np.arange(n_dofs), prescribed)
-    tangent_band = _band_assembler(dof_map, free, n_dofs)
+    tangent_band = _cached_band_assembler(dims, dof_map, free, n_dofs)
     ones = np.ones(driven.size)
 
     def stress_state(u, eps_p, alpha):
         eps = np.einsum("gik,ek->egi", b_mats, u[dof_map]).reshape(ne * 8, 6)
         return radial_return_batch(eps, eps_p, alpha, emod_gp, material.nu, sy_gp,
                                    material.f_plateau, material.eps_plateau,
-                                   material.f_soft, material.floor_frac)
+                                   material.f_soft, material.floor_frac, tang_el)
 
     def scatter(fe):
         return np.bincount(dof_map.ravel(), weights=fe.ravel(), minlength=n_dofs)
@@ -317,20 +341,18 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         sig = stress.reshape(ne, 8, 6)
         return scatter(wdet * np.einsum("gik,egi->ek", b_mats, sig))
 
-    factor = {}
+    kept = {}
 
-    def tangent_solve(tang, rhs, regularize, ke=None):
-        """spsolve on the tangent of the Gauss-point tangents tang (whose
-        element matrices are ke, when given), reusing the kept band and
-        factor while tang has the bytes of the last one assembled."""
-        kept = factor.get("tang")
-        if kept is None or not _same_bits(kept, tang):
-            factor.clear()
-            if ke is None:
-                ke = element_stiffness(tang, b_mats, wdet)
-            factor["band"] = tangent_band(ke)
-            factor["tang"] = tang
-        return spsolve(factor["band"], rhs, regularize, factor=factor)
+    def keep(tang):
+        """Make the Gauss-point tangents tang the kept tangent and return
+        their element matrices.  The kept tangent's element matrices, band
+        and (once spsolve has factored it) Cholesky factor are reused while
+        the next tangent has its bytes."""
+        if "tang" not in kept or not _same_bits(kept["tang"], tang):
+            kept.clear()
+            ke = element_stiffness(tang, b_mats, wdet)
+            kept.update(tang=tang, ke=ke, band=tangent_band(ke))
+        return kept["ke"]
 
     def advance(state, target):
         """One predictor + Newton solve from the committed state to the
@@ -347,9 +369,9 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         delta_p = np.zeros(n_dofs)
         delta_p[driven] = -target - u[driven]
         if free.size:
-            ke = element_stiffness(tang_c, b_mats, wdet)
+            ke = keep(tang_c)
             f_p = scatter(np.einsum("eij,ej->ei", ke, delta_p[dof_map]))
-            du0 = tangent_solve(tang_c, -f_p[free], False, ke)
+            du0 = spsolve(kept["band"], -f_p[free], False, factor=kept)
             if np.all(np.isfinite(du0)):
                 u[free] += du0
         u[fixed] = 0.0
@@ -367,14 +389,15 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
                 return (u, eps_p_new, alpha_new, tang), f_int
             if not res_norm <= NEWTON_DIVERGE * ref:
                 raise NumericalError("Newton diverged")
-            du = tangent_solve(tang, -res, True)
+            keep(tang)
+            du = spsolve(kept["band"], -res, True, factor=kept)
             if not np.all(np.isfinite(du)):
                 raise NumericalError("linear solve failed")
             u[free] += du
         raise NumericalError("Newton stalled")
 
     u0, eps_p0, alpha0 = np.zeros(n_dofs), np.zeros((ne * 8, 6)), np.zeros(ne * 8)
-    state = (u0, eps_p0, alpha0, stress_state(u0, eps_p0, alpha0)[1])
+    state = (u0, eps_p0, alpha0, tang_el)
     disp = [0.0]
     force = [0.0]
     clusters = [0]

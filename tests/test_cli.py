@@ -473,12 +473,15 @@ class TestFe:
         assert err == ["error: FE parameter Sy must be finite and positive, got 0.0"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("spacing, material", [(1e-300, {}), (3.0, {"c_E": 1e300})],
-                             ids=["tiny_spacing", "huge_c_E"])
+    @pytest.mark.parametrize("spacing, material",
+                             [(1e-300, {}), (3.0, {"c_E": 1e300}), (1e300, {})],
+                             ids=["tiny_spacing", "huge_c_E", "huge_spacing"])
     def test_overflowing_strains_exit_3_with_one_line(self, tmp_path, capsys, spacing,
                                                       material):
         # The solver catches the non-finite values; NumPy's overflow and
         # invalid-value warnings once printed 9-11 lines before the error.
+        # A huge spacing overflows the Gauss-point volume to inf, which once
+        # raised OverflowError with a traceback.
         gpath, mpath = tmp_path / "g.txt", tmp_path / "m.json"
         save_grid(uniform_grid((2, 2, 3), 0.3, spacing), gpath)
         mpath.write_text(json.dumps({"material": material}))
@@ -666,8 +669,9 @@ class TestEvaluateAndReport:
         report = tmp_path / "r.json"
         assert dispatch(["evaluate", "--cohort", str(cohort_csv), "--out", str(report),
                          "--stratum", "male", option, value]) == code
-        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
-        assert not report.exists()
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {error}"]
+        assert captured.out == "" and not report.exists()
 
     def test_feature_constant_within_a_class_exit_3(self, tmp_path, cohort_csv, capsys):
         # bmdmed 0 for every fracture case: QDA's class-1 variance of it is

@@ -14,7 +14,7 @@ from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl,
                              solve, stance_bc, uniform_grid)
 from femrisk.femodel.curves import energy_to_failure
 from femrisk.femodel.grid import VoxelGrid
-from femrisk.femodel.plasticity import radial_return_batch
+from femrisk.femodel.plasticity import elastic_tangent, radial_return_batch
 from femrisk.femodel import loadcases, solver
 from femrisk.femodel.solver import (GAUSS, _band_assembler, _element_dof_map,
                                     _hex_b_matrices, _largest_cluster,
@@ -162,7 +162,8 @@ def _kernel_inputs(rng, n, overstress):
 
 def _radial_return(m, strain, eps_p, alpha, emod, sy):
     return radial_return_batch(strain, eps_p, alpha, emod, m.nu, sy,
-                               m.f_plateau, m.eps_plateau, m.f_soft, m.floor_frac)
+                               m.f_plateau, m.eps_plateau, m.f_soft, m.floor_frac,
+                               elastic_tangent(emod, m.nu))
 
 
 def _branch_alpha(m, n, branch):
@@ -284,6 +285,144 @@ class TestKernelOracles:
             fd[:, :, j] = (up - down) / (2.0 * h[:, None])
         err = np.abs(tang - fd).max(axis=(1, 2)) / np.abs(tang).max(axis=(1, 2))
         assert err.max() <= 1e-6
+
+
+def _full_tangent_kernel(strain, eps_p, alpha, emod, nu, sigma_y0,
+                         plateau_frac, eps_plateau, soft_frac, floor_frac):
+    """Radial return that evaluates the consistent tangent at every point,
+    elastic or not: the oracle for the kernel that copies the elastic rows
+    from elastic_tangent and evaluates the formula only where points yield."""
+    strain = np.asarray(strain, dtype=float)
+    eps_p = np.asarray(eps_p, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    emod = np.asarray(emod, dtype=float)
+    sigma_y0 = np.asarray(sigma_y0, dtype=float)
+    n = strain.shape[0]
+
+    g = emod / (2.0 * (1.0 + nu))
+    lam = emod * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    kb = lam + 2.0 * g / 3.0
+
+    ee = strain - eps_p
+    tr = ee[:, 0] + ee[:, 1] + ee[:, 2]
+    stress = np.empty_like(strain)
+    stress[:, :3] = (lam * tr)[:, None] + 2.0 * g[:, None] * ee[:, :3]
+    stress[:, 3:] = g[:, None] * ee[:, 3:]
+
+    p_mean = stress[:, :3].mean(axis=1)
+    s = stress.copy()
+    s[:, :3] -= p_mean[:, None]
+    q = np.sqrt(1.5 * (s[:, :3] ** 2).sum(axis=1) + 3.0 * (s[:, 3:] ** 2).sum(axis=1))
+
+    def yield_stress(a):
+        sy = np.where(a <= eps_plateau, plateau, plateau + h_soft * (a - eps_plateau))
+        return np.maximum(sy, floor)
+
+    plateau = plateau_frac * sigma_y0
+    h_soft = soft_frac * emod
+    floor = floor_frac * plateau
+    f = q - yield_stress(alpha)
+    plastic = f > 0.0
+
+    dgamma = np.zeros(n)
+    h_used = np.zeros(n)
+    if np.any(plastic):
+        three_g = 3.0 * g
+        dg_plat = np.where(plastic, f / three_g, 0.0)
+        on_plateau = plastic & (alpha < eps_plateau)
+        stays = on_plateau & (alpha + dg_plat <= eps_plateau)
+        dgamma[stays] = dg_plat[stays]
+        soft = plastic & ~stays
+        if np.any(soft):
+            dg_soft = (q - plateau - h_soft * (alpha - eps_plateau)) / (three_g + h_soft)
+            dg_soft = np.where(soft, dg_soft, 0.0)
+            sy_new = yield_stress(alpha + dg_soft)
+            hit_floor = soft & (sy_new <= floor + 1e-300)
+            reg = soft & ~hit_floor
+            dgamma[reg] = dg_soft[reg]
+            h_used[reg] = h_soft[reg]
+            dgamma[hit_floor] = ((q - floor) / three_g)[hit_floor]
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(q > 0, 1.0 - (3.0 * g * dgamma) / np.where(q > 0, q, 1.0), 1.0)
+    s_new = s * scale[:, None]
+    stress_new = s_new.copy()
+    stress_new[:, :3] += p_mean[:, None]
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        flow = np.where(q[:, None] > 0, 1.5 * s / np.where(q[:, None] > 0, q[:, None], 1.0), 0.0)
+    flow[:, 3:] *= 2.0
+    eps_p_new = eps_p + dgamma[:, None] * flow
+    alpha_new = alpha + dgamma
+
+    tangent = np.zeros((n, 6, 6))
+    eye3 = np.zeros((6, 6))
+    eye3[:3, :3] = 1.0
+    idev = np.zeros((6, 6))
+    idev[:3, :3] = -1.0 / 3.0
+    idev[0, 0] = idev[1, 1] = idev[2, 2] = 2.0 / 3.0
+    idev[3, 3] = idev[4, 4] = idev[5, 5] = 0.5
+
+    theta = np.where(plastic, scale, 1.0)
+    tangent += kb[:, None, None] * eye3
+    tangent += (2.0 * g * theta)[:, None, None] * idev
+
+    if np.any(plastic):
+        s_norm = np.sqrt((s[:, :3] ** 2).sum(axis=1) + 2.0 * (s[:, 3:] ** 2).sum(axis=1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = np.where(s_norm[:, None] > 0, s / np.where(s_norm[:, None] > 0, s_norm[:, None], 1.0), 0.0)
+        c_n = 6.0 * g**2 * (dgamma / np.where(q > 0, q, 1.0) - 1.0 / (3.0 * g + h_used))
+        c_n = np.where(plastic, c_n, 0.0)
+        tangent += c_n[:, None, None] * (m[:, :, None] * m[:, None, :])
+
+    return stress_new, tangent, eps_p_new, alpha_new
+
+
+class TestElasticTangentShortcut:
+    """radial_return_batch copies the rows of elastic_tangent for the points
+    that stay elastic, and gives the bits of the kernel that evaluates the
+    consistent tangent everywhere."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           share=st.sampled_from([0.0, 0.5, 1.0]),
+           alpha0=st.sampled_from([0.0, 0.5, 2.0, 100.0]), n_nan=st.integers(0, 3))
+    def test_bit_equal_to_full_tangent_kernel(self, seed, n, share, alpha0, n_nan):
+        # Each point's trial stress is 0-0.99 (elastic) or 1.05-3 (plastic)
+        # times its current yield stress; n_nan rows get a NaN strain.
+        rng = np.random.default_rng(seed)
+        m, ee, emod, sy = _kernel_inputs(rng, n, (1.0, 1.0))
+        eps_p, alpha = _plastic_history(rng, m, n, alpha0)
+        plastic = rng.permutation(n) < round(share * n)
+        factor = np.where(plastic, rng.uniform(1.05, 3.0, n), rng.uniform(0.0, 0.99, n))
+        ee *= (factor * _yield_stress(m, sy, emod, alpha) / sy)[:, None]
+        ee[:, :3] += rng.normal(scale=1e-3, size=(n, 1))
+        strain = ee + eps_p
+        nan_rows = rng.permutation(n)[:n_nan]
+        strain[nan_rows, rng.integers(6, size=nan_rows.size)] = np.nan
+        plastic[nan_rows] = False
+
+        args = (strain, eps_p, alpha, emod, m.nu, sy,
+                m.f_plateau, m.eps_plateau, m.f_soft, m.floor_frac)
+        with np.errstate(invalid="ignore"):
+            got = radial_return_batch(*args, elastic_tangent(emod, m.nu))
+            want = _full_tangent_kernel(*args)
+        np.testing.assert_array_equal(got[3] > alpha, plastic)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_elastic_rows_are_copies(self):
+        # The kernel never writes into the elastic tangents it is given.
+        m, strain, emod, sy = _kernel_inputs(np.random.default_rng(0), 5, (1.05, 1.5))
+        strain[:2] = 0.0
+        elastic = elastic_tangent(emod, m.nu)
+        before = elastic.copy()
+        zero = np.zeros((5, 6))
+        tang = radial_return_batch(strain, zero, np.zeros(5), emod, m.nu, sy, m.f_plateau,
+                                   m.eps_plateau, m.f_soft, m.floor_frac, elastic)[1]
+        assert tang is not elastic
+        np.testing.assert_array_equal(elastic, before)
 
 
 def _loop_stiffness(tang, b_mats, wdet):
@@ -735,20 +874,17 @@ class TestFactorReuse:
 
     @pytest.mark.parametrize("edit", ["ulp", "negative_zero"])
     def test_tangent_differing_in_one_element_factored_again(self, solve_log, edit):
-        # From the second radial return on, one tangent entry changes its
-        # bytes but not the stress: the second increment's predictor sees a
-        # tangent that differs from the first in that one element.
-        calls = []
-
+        # Every radial return changes one tangent entry's bytes but not the
+        # stress: the second increment's predictor sees a tangent that
+        # differs in that one element from the first increment's, which is
+        # the elastic tangent that solve computes itself.
         def edited(*args):
             stress, tang, eps_p, alpha = radial_return_batch(*args)
-            calls.append(None)
-            if len(calls) > 1:
-                if edit == "ulp":
-                    tang[0, 0, 0] = np.nextafter(tang[0, 0, 0], np.inf)
-                else:
-                    assert tang[0, 0, 3] == 0.0
-                    tang[0, 0, 3] = -0.0
+            if edit == "ulp":
+                tang[0, 0, 0] = np.nextafter(tang[0, 0, 0], np.inf)
+            else:
+                assert tang[0, 0, 3] == 0.0
+                tang[0, 0, 3] = -0.0
             return stress, tang, eps_p, alpha
 
         _, n_factored = self._elastic_solve(edited)
@@ -758,12 +894,15 @@ class TestFactorReuse:
     def test_nan_tangent_never_reused(self, solve_log):
         # A tangent holding a NaN is factored again even when its bytes
         # repeat; every solve then fails and the increment is given up.
+        # The first increment starts from the elastic tangent, which radial
+        # return does not give, so it converges and commits the NaN tangent
+        # that the second increment fails on.
         def nan_tangent(*args):
             stress, tang, eps_p, alpha = radial_return_batch(*args)
             tang[0, 0, 3] = np.nan
             return stress, tang, eps_p, alpha
 
-        with pytest.raises(NumericalError, match="Newton failed to converge at increment 1"), \
+        with pytest.raises(NumericalError, match="Newton failed to converge at increment 2"), \
                 mock.patch.object(solver, "cholesky_banded",
                                   wraps=solver.cholesky_banded) as ch:
             g = uniform_grid((1, 1, 2), RHO)
@@ -771,6 +910,38 @@ class TestFactorReuse:
                 solve(g, elastic_material(), stance_bc(g.dims), SolveControl(increment=0.01))
         assert len(solve_log) > 1
         assert ch.call_count == len(solve_log)
+
+
+    @pytest.mark.parametrize("case", ["elastic", "plastic_phantom"])
+    def test_reuse_gives_the_bytes_of_no_reuse(self, monkeypatch, case):
+        # Kept element matrices, band and factor against recomputing all of
+        # them for every tangent.
+        def curves():
+            if case == "elastic":
+                return [self._elastic_solve()[0]]
+            grid, m, c = _shell_core_phantom(), MaterialModel(), SolveControl()
+            return list(compute_fe_parameters(grid, m, c, "ultimate")[1].values())
+
+        same_bits, hits = solver._same_bits, []
+        monkeypatch.setattr(solver, "_same_bits",
+                            lambda a, b: hits.append(same_bits(a, b)) or hits[-1])
+        reused = curves()
+        assert any(hits)
+        monkeypatch.setattr(solver, "_same_bits", lambda a, b: False)
+        fresh = curves()
+        assert [_curve_bytes(c) for c in reused] == [_curve_bytes(c) for c in fresh]
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 3)])
+    def test_band_index_built_once_per_boundary_condition(self, monkeypatch, dims):
+        # The three fall cases keep the dims and share one boundary
+        # condition: one band index for stance, one for the fall cases.
+        monkeypatch.setattr(solver, "_band_cache", {})
+        control = SolveControl(increment=0.01, max_increments=2)
+        with mock.patch.object(solver, "_band_assembler",
+                               wraps=solver._band_assembler) as build:
+            compute_fe_parameters(uniform_grid(dims, RHO), elastic_material(), control,
+                                  "ultimate")
+        assert build.call_count == 2
 
 
 def _openblas_threads():
