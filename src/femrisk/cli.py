@@ -17,7 +17,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,12 +24,13 @@ import numpy as np
 
 from .classifiers import KINDS, model_from_json, model_to_json, predict_scores, train
 from .datamodel import FE9, STRATA, feature_columns, load_cohort, save_cohort
-from .errors import DataError, FemriskError, NumericalError, malformed, read_json
+from .errors import (DataError, FemriskError, NumericalError, malformed, read_json,
+                     write_json)
 from .evaluate import (CvConfig, ResampleConfig, auc_summary,
                        build_feature_matrix, build_report, cell_name,
                        compare_with_frax, fe9_matrix, fit_and_score, mix_seed,
                        require_class_sizes, run_lgocv, run_resample_comparison,
-                       stratified_split_indices, write_roc_csvs)
+                       stratified_split_indices)
 from .femodel import (MaterialModel, SolveControl, compute_fe_parameters,
                       load_grid, material_from_file)
 from .stats.pca import (fit_pca, pc_scores, pca_from_json, pca_to_json,
@@ -118,10 +118,27 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_json(doc, path):
+def _write_csv(path, header, *columns) -> None:
+    """The header line, then one row of .10g values per sample of columns."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+
+
+def _write_roc_csvs(roc_dir, roc_model, roc_frax) -> None:
+    """model_roc.csv and frax_roc.csv in roc_dir, created if missing."""
+    roc_dir = Path(roc_dir)
+    roc_dir.mkdir(parents=True, exist_ok=True)
+    for name, roc in (("model", roc_model), ("frax", roc_frax)):
+        _write_csv(roc_dir / f"{name}_roc.csv", "fpr,tpr,threshold",
+                   roc.fpr, roc.tpr, roc.thresholds)
+
+
+def _delong_record(dl) -> dict:
+    """The fields of a DeLong comparison of the model against FRAX."""
+    return {"auc_model": dl.auc_a, "auc_frax": dl.auc_b,
+            "delta": dl.auc_a - dl.auc_b, "z": dl.z, "p": dl.p}
 
 
 def cmd_synth(args) -> int:
@@ -143,11 +160,9 @@ def cmd_fe(args) -> int:
         curves_dir = Path(args.curves_dir)
         curves_dir.mkdir(parents=True, exist_ok=True)
         for name, curve in curves.items():
-            with open(curves_dir / f"{name}.csv", "w", encoding="utf-8") as fh:
-                fh.write("displacement_mm,force_n\n")
-                for d, f in zip(curve.displacement, curve.force):
-                    fh.write(f"{d:.10g},{f:.10g}\n")
-    _write_json(fe, args.out)
+            _write_csv(curves_dir / f"{name}.csv", "displacement_mm,force_n",
+                       curve.displacement, curve.force)
+    write_json(fe, args.out)
     print(f"wrote FE parameters to {args.out}")
     return 0
 
@@ -191,7 +206,7 @@ def cmd_fit(args) -> int:
         "classifier": model_to_json(model),
     }
     if args.out:
-        _write_json(doc, args.out)
+        write_json(doc, args.out)
     print(f"pc1_variance_share {pca.variance_shares[0]:.4f}")
     for j, p in enumerate(pvals):
         mark = " (retained)" if j in retained else ""
@@ -263,13 +278,9 @@ def cmd_evaluate(args) -> int:
         scores_all, _, _ = fit_and_score(cohort, tr, np.arange(len(cohort)),
                                          feature_sets[fs0], kind0, pca_full)
         dl, roc_m, roc_f = compare_with_frax(cohort, scores_all)
-        extra["frax"] = {
-            "cell": cell_name(fs0, kind0),
-            "auc_model": dl.auc_a, "auc_frax": dl.auc_b,
-            "delta": dl.auc_a - dl.auc_b, "z": dl.z, "p": dl.p,
-        }
+        extra["frax"] = {"cell": cell_name(fs0, kind0), **_delong_record(dl)}
         if args.roc_dir:
-            write_roc_csvs(roc_m, roc_f, args.roc_dir)
+            _write_roc_csvs(args.roc_dir, roc_m, roc_f)
 
     configs = {
         "features": args.features,
@@ -279,10 +290,8 @@ def cmd_evaluate(args) -> int:
                      "train_fraction": rs_cfg.train_fraction},
         "holdout_fraction": args.holdout_fraction,
     }
-    text = build_report({"cells": resamp.cells, "comparisons": resamp.comparisons},
-                        configs, args.seed, extra)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_json(build_report({"cells": resamp.cells, "comparisons": resamp.comparisons},
+                            configs, args.seed, extra), args.out)
     print(f"wrote report to {args.out}")
     return 0
 
@@ -291,11 +300,9 @@ def cmd_compare_frax(args) -> int:
     cohort = load_cohort(args.cohort).stratum(args.stratum)
     scores = _score_with_model(read_json(args.model, "model"), cohort, args.stratum)
     dl, roc_m, roc_f = compare_with_frax(cohort, scores)
-    _write_json({"auc_model": dl.auc_a, "auc_frax": dl.auc_b,
-                 "delta": dl.auc_a - dl.auc_b, "z": dl.z, "p": dl.p,
-                 "direction": "a_greater"}, args.out)
+    write_json({**_delong_record(dl), "direction": "a_greater"}, args.out)
     if args.roc_dir:
-        write_roc_csvs(roc_m, roc_f, args.roc_dir)
+        _write_roc_csvs(args.roc_dir, roc_m, roc_f)
     print(f"auc_model {dl.auc_a:.3f} auc_frax {dl.auc_b:.3f} p {dl.p:.4g}")
     return 0
 
@@ -347,18 +354,10 @@ def dispatch(argv) -> int:
         if getattr(args, "threads", 1) < 1:
             raise UsageError("--threads must be >= 1")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, FemriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FemriskError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return (1 if isinstance(exc, UsageError)
+                else 3 if isinstance(exc, NumericalError) else 2)
 
 
 def main() -> None:

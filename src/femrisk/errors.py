@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and JSON document I/O."""
 
 import json
 from contextlib import contextmanager
@@ -46,3 +46,12 @@ def read_json(path, what: str):
         raise DataError(f"{what} file not found: {path}") from None
     except ValueError as exc:
         raise DataError(f"bad {what} JSON: {exc}") from None
+
+
+def write_json(doc, path) -> None:
+    """Write doc to the file at path as JSON with sorted keys, a 2-space
+    indent and one final newline: the layout of every JSON file the
+    package writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -28,10 +28,8 @@ set, classifier) cell raises.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,8 +40,7 @@ from .errors import DataError, FemriskError
 # fit_pca and risk_index are not called here; they stay importable because
 # perfbench/tracing.py WRAPS traces them in this module.
 from .stats.pca import PcaModel, fit_pca, fit_pca_stack, risk_index  # noqa: F401
-from .stats.roc import (RocCurve, auc_mann_whitney, auc_rows, delong_compare,
-                        roc_curve)
+from .stats.roc import auc_mann_whitney, auc_rows, delong_compare, roc_curve
 from .stats.ttests import paired_one_sided_ttest
 
 # Splits fitted as one stack.  Bigger blocks run faster but hold more in
@@ -268,7 +265,7 @@ def compare_with_frax(cohort: Cohort, model_scores):
 
 
 # ---------------------------------------------------------------------------
-# Report serialization
+# The report document
 
 
 def _round6(x):
@@ -296,8 +293,9 @@ def auc_summary(aucs) -> dict:
 
 
 def build_report(results: dict, configs: dict, seed: int,
-                 extra: Optional[dict] = None) -> str:
-    """Deterministic JSON report: sorted keys, 6 significant digits."""
+                 extra: Optional[dict] = None) -> dict:
+    """The evaluation report document, every float rounded to 6
+    significant digits; the CLI writes it with errors.write_json."""
     cells = {name: auc_summary(vec) for name, vec in results.get("cells", {}).items()}
     comparisons = {}
     for name, t in results.get("comparisons", {}).items():
@@ -310,15 +308,4 @@ def build_report(results: dict, configs: dict, seed: int,
     }
     if extra:
         doc.update(extra)
-    return json.dumps(_jsonify(doc), sort_keys=True, indent=2) + "\n"
-
-
-def write_roc_csvs(roc_model: RocCurve, roc_frax: RocCurve, roc_dir) -> None:
-    """model_roc.csv and frax_roc.csv in roc_dir, created if missing."""
-    roc_dir = Path(roc_dir)
-    roc_dir.mkdir(parents=True, exist_ok=True)
-    for name, curve in (("model", roc_model), ("frax", roc_frax)):
-        with open(roc_dir / f"{name}_roc.csv", "w", encoding="utf-8") as fh:
-            fh.write("fpr,tpr,threshold\n")
-            for f, t, th in zip(curve.fpr, curve.tpr, curve.thresholds):
-                fh.write(f"{f:.10g},{t:.10g},{th:.10g}\n")
+    return _jsonify(doc)

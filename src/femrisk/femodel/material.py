@@ -4,12 +4,11 @@ modulus / yield-stress maps, evaluated per voxel element.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..errors import DataError, malformed, read_json, require_finite
+from ..errors import DataError, malformed, read_json, require_finite, write_json
 
 ASH_INTERCEPT = 0.0633
 ASH_SLOPE = 0.887
@@ -78,10 +77,7 @@ def _from_fields(cls, doc: dict, what: str):
 
 
 def material_to_file(material: MaterialModel, control, path) -> None:
-    doc = {"material": asdict(material), "control": asdict(control)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"material": asdict(material), "control": asdict(control)}, path)
 
 
 def material_from_file(path):

@@ -94,7 +94,7 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
     if np.any(plastic):
         three_g = 3.0 * g
         # Plateau branch.
-        dg_plat = np.where(plastic, f / three_g, 0.0)
+        dg_plat = f / three_g
         on_plateau = plastic & (alpha < eps_plateau)
         stays = on_plateau & (alpha + dg_plat <= eps_plateau)
         dgamma[stays] = dg_plat[stays]
@@ -102,7 +102,6 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
         soft = plastic & ~stays
         if np.any(soft):
             dg_soft = (q - plateau - h_soft * (alpha - eps_plateau)) / (three_g + h_soft)
-            dg_soft = np.where(soft, dg_soft, 0.0)
             sy_new = _yield_stress(alpha + dg_soft, plateau, h_soft, eps_plateau, floor)
             hit_floor = soft & (sy_new <= floor + 1e-300)
             reg = soft & ~hit_floor

@@ -298,9 +298,8 @@ def _largest_cluster(yielded_flat, dims) -> int:
     mask = yielded_flat.reshape(nz, ny, nx)
     if not mask.any():
         return 0
-    labels, count = ndimage.label(mask)       # default structure = 6-neighbor
-    sizes = ndimage.sum_labels(np.ones_like(labels), labels, index=np.arange(1, count + 1))
-    return int(sizes.max())
+    labels, _ = ndimage.label(mask)           # default structure = 6-neighbor
+    return int(np.bincount(labels.ravel())[1:].max())
 
 
 def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import femrisk
-from femrisk.cli import dispatch
+from femrisk.cli import _write_csv, _write_roc_csvs, dispatch
 from femrisk.datamodel import COHORT_HEADER, FE12, load_cohort
+from femrisk.errors import write_json
+from femrisk.evaluate import build_report
 from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
                              save_grid, uniform_grid)
 from femrisk.femodel.grid import VoxelGrid
+from femrisk.stats import paired_one_sided_ttest, roc_curve
 from femrisk.synth import default_spec
 
 
@@ -46,7 +49,8 @@ def cohort_csv(tmp_path_factory):
 class TestErrors:
     def test_usage_error_exit_1(self, capsys):
         assert dispatch(["synth", "--bogus-flag"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the following arguments are required: --out"]
 
     def test_unknown_subcommand_exit_1(self):
         assert dispatch(["frobnicate"]) == 1
@@ -58,8 +62,10 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: grid file not found")
 
-    def test_missing_cohort_exit_2(self, tmp_path):
+    def test_missing_cohort_exit_2(self, tmp_path, capsys):
         assert dispatch(["fit", "--cohort", str(tmp_path / "nope.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cohort file not found: {tmp_path / 'nope.csv'}"]
 
     def test_bad_seed_exit_1(self, tmp_path):
         assert dispatch(["synth", "--seed", "-3",
@@ -438,6 +444,55 @@ class TestSynth:
         again = tmp_path / "again.csv"
         assert dispatch(["synth", "--seed", "7", "--out", str(again)]) == 0
         assert again.read_bytes() == cohort_csv.read_bytes()
+
+
+def _curve_csv(tmp_path):
+    path = tmp_path / "curve.csv"
+    _write_csv(path, "displacement_mm,force_n",
+               np.array([0.0, 1 / 3, 2.0]), np.array([1234.5678901234, -2.5e-12, 1e300]))
+    return path, ("displacement_mm,force_n\n"
+                  "0,1234.56789\n"
+                  "0.3333333333,-2.5e-12\n"
+                  "2,1e+300\n")
+
+
+def _roc_csv(tmp_path):
+    roc = roc_curve([0.1, 0.4, 0.35, 0.8, 0.6], [0, 0, 1, 1, 1])
+    _write_roc_csvs(tmp_path, roc, roc)
+    return tmp_path / "model_roc.csv", ("fpr,tpr,threshold\n"
+                                        "0,0,inf\n"
+                                        "0,0.3333333333,0.8\n"
+                                        "0,0.6666666667,0.6\n"
+                                        "0.5,0.6666666667,0.4\n"
+                                        "0.5,1,0.35\n"
+                                        "1,1,0.1\n")
+
+
+def _nested_json(tmp_path):
+    path = tmp_path / "nested.json"
+    write_json({"b": {"y": [1, 2.5], "x": None}, "a": "s"}, path)
+    return path, ('{\n  "a": "s",\n  "b": {\n    "x": null,\n    "y": [\n'
+                  '      1,\n      2.5\n    ]\n  }\n}\n')
+
+
+def _report_json(tmp_path):
+    path = tmp_path / "report.json"
+    aucs = {"a|logistic": np.array([0.71, 0.8123456789, 0.75]),
+            "b|pls": np.array([0.6, 0.65, 0.7])}
+    doc = build_report({"cells": aucs, "comparisons": {
+        "a|logistic>b|pls": paired_one_sided_ttest(aucs["a|logistic"], aucs["b|pls"])}},
+        {"resamples": 3}, 7, {"frax": {"cell": "a|logistic", "p": 1 / 3}})
+    write_json(doc, path)
+    # write_json gives the bytes of json.dumps with the same layout.
+    return path, json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("write", [_curve_csv, _roc_csv, _nested_json, _report_json],
+                             ids=["curve_csv", "roc_csv", "nested_json", "report_json"])
+    def test_exact_text(self, tmp_path, write):
+        path, expected = write(tmp_path)
+        assert path.read_bytes() == expected.encode()
 
 
 class TestFe:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,8 +187,7 @@ class TestFraxComparison:
 
 class TestReport:
     def test_empty_comparisons_valid_json(self):
-        text = build_report({"cells": {}, "comparisons": {}}, {}, seed=0)
-        doc = json.loads(text)
+        doc = build_report({"cells": {}, "comparisons": {}}, {}, seed=0)
         assert doc["comparisons"] == {} and doc["seed"] == 0
 
     def test_byte_identical_regeneration(self, small_cohort):
@@ -205,7 +202,6 @@ class TestReport:
         assert outs[0] == outs[1]
 
     def test_six_significant_digits(self):
-        text = build_report({"cells": {"c": [0.123456789, 0.2]},
-                             "comparisons": {}}, {}, seed=1)
-        doc = json.loads(text)
+        doc = build_report({"cells": {"c": [0.123456789, 0.2]},
+                            "comparisons": {}}, {}, seed=1)
         assert doc["cells"]["c"]["aucs"][0] == 0.123457
