@@ -242,7 +242,10 @@ def run_resample_comparison(cohort: Cohort, feature_sets: dict[str, Sequence[str
     for na, nb in combinations(aucs, 2):
         if aucs[na].mean() < aucs[nb].mean():
             na, nb = nb, na
-        tests[f"{na}>{nb}"] = paired_one_sided_ttest(aucs[na], aucs[nb])
+        try:
+            tests[f"{na}>{nb}"] = paired_one_sided_ttest(aucs[na], aucs[nb])
+        except DataError as exc:
+            raise DataError(f"comparison {na}>{nb}: {exc}") from exc
     return ResampleResult(cells=aucs, comparisons=tests)
 
 

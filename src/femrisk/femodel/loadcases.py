@@ -55,7 +55,8 @@ def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
     bound and its reaction check.
 
     Each case rotates the phantom and solves it under its boundary
-    condition.  Returns the parameters, keyed in FE12 order, and the
+    condition; the four solves share one reuse record (see solver).
+    Returns the parameters, keyed in FE12 order, and the
     force-displacement curves keyed by load case name.  A case that fails,
     or that never yields under yield_policy "error", raises NumericalError
     naming the case; parameters that break a cohort rule (finite and
@@ -63,11 +64,12 @@ def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
     """
     values = {}
     curves = {}
+    kept = {}
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for name, (boundary_condition, rotation_deg) in LOAD_CASES.items():
             try:
                 g = rotate_grid(grid, rotation_deg)
-                curve = solve(g, material, boundary_condition(g.dims), control)
+                curve = solve(g, material, boundary_condition(g.dims), control, kept)
                 values.update(zip(LOAD_CASE_PARAMS[name], extract_result(curve, yield_policy)))
             except (NumericalError, NoYieldDetected) as exc:
                 raise NumericalError(f"load case {name} failed: {exc}") from exc

@@ -19,18 +19,19 @@ O(n bw^2) for n free dofs (Golub & Van Loan, Matrix Computations, 4.3).
 Work that repeats a value is done once.  A solve computes the elastic
 Gauss-point tangent of its moduli once: it is the initial committed
 tangent, and radial return copies its rows for the points that stay
-elastic.  One solve call keeps the last tangent it assembled: its
-Gauss-point tangents, its element matrices, its band and, once band
-Cholesky succeeded, the factor.  When the next tangent has the same bytes
-(an elastic increment after an elastic one: 4 of the 8 solves of the
-two-increment 10x10x24 elastic benchmark input), the predictor takes the
-kept element matrices, and spsolve reuses the band and factor and only
-back-substitutes, which gives the bytes a fresh factorization would.  Any
-other tangent drops what was kept before its own element matrices and band
-are computed.  The LU rungs are never kept.  The band's scatter index
-depends only on the grid dims and the free dofs, so it is built once per
-boundary condition and dims: twice in one fe run, since the three fall
-cases share both.
+elastic.  Reuse lives in one record, a dict that compute_fe_parameters
+hands to its four solves.  It is keyed on the grid dims, the spacing and
+the free set's bytes, and a solve under another key clears it before it
+allocates anything per element.  It holds the band's scatter index (built
+twice per fe run: for stance, then for the three fall cases) and the last
+tangent assembled: its Gauss-point tangents, element matrices, band and,
+once band Cholesky succeeded, the factor.  When the next tangent has the
+same bytes (4 of the 8 solves of the two-increment 10x10x24 elastic
+benchmark input), the predictor takes the kept element matrices, and
+spsolve reuses the band and factor and only back-substitutes, which gives
+the bytes a fresh factorization would.  Any other tangent drops those four
+before its own are computed, so every kept value is a function of the key
+and the tangent's bytes alone.  The LU rungs are never kept.
 
 The committed state is (u, eps_p, alpha, tang_c): displacements, plastic
 strains, equivalent plastic strains and the Gauss-point tangents they give.
@@ -202,22 +203,6 @@ def _band_assembler(dof_map, free, n_dofs):
     return assemble
 
 
-# The last (dims, free dofs) key given to _cached_band_assembler and its
-# assembler: the three fall cases of one fe run share both.
-_band_cache = {}
-
-
-def _cached_band_assembler(dims, dof_map, free, n_dofs):
-    """_band_assembler(dof_map, free, n_dofs), built again only when dims
-    or the free set differ from the last call's."""
-    key = (tuple(dims), free.tobytes())
-    assemble = _band_cache.get(key)
-    if assemble is None:
-        _band_cache.clear()
-        assemble = _band_cache[key] = _band_assembler(dof_map, free, n_dofs)
-    return assemble
-
-
 def spsolve(kb, b, regularize=True, factor=None):
     """x with K x = b for the symmetric K in the band storage kb of
     _band_assembler, by the ladder of the module docstring; the regularized
@@ -225,9 +210,9 @@ def spsolve(kb, b, regularize=True, factor=None):
     comes first because band LU alone took 1.8x the wall time and peak
     memory of the 10x10x24 elastic benchmark run (2-core x86 host).
 
-    factor, a dict owned by the caller, carries the Cholesky factor of kb
-    from one call to the next under "cb": it is used when present, and a
-    factor computed here is stored there.
+    factor, a dict owned by the caller (solve passes its reuse record),
+    carries the Cholesky factor of kb from one call to the next under "cb":
+    it is used when present, and a factor computed here is stored there.
     """
     if factor is None:
         factor = {}
@@ -303,12 +288,25 @@ def _largest_cluster(yielded_flat, dims) -> int:
 
 
 def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
-          control: SolveControl) -> ForceDisplacementCurve:
-    """Run the incremental displacement-controlled solve."""
+          control: SolveControl, kept=None) -> ForceDisplacementCurve:
+    """Run the incremental displacement-controlled solve, reusing the work
+    in the record kept of the module docstring (None: a fresh record)."""
+    kept = {} if kept is None else kept
     dims = grid.dims
     nx, ny, nz = dims
     n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
     fixed, driven = bc.fixed_dofs, bc.driven_dofs
+
+    prescribed = np.concatenate([fixed, driven])
+    if np.unique(prescribed).size != prescribed.size:
+        raise DataError("overlapping fixed and driven dofs")
+    free = np.setdiff1d(np.arange(n_dofs), prescribed)
+    key = (dims, grid.spacing, free.tobytes())
+    if kept.get("key") != key:
+        kept.clear()
+    dof_map = _element_dof_map(dims)
+    if "assemble" not in kept:
+        kept.update(key=key, assemble=_band_assembler(dof_map, free, n_dofs))
 
     # One element per voxel, in the order of _element_dof_map (x fastest).
     rho_ash = ash_density(grid.rho_cha)
@@ -316,15 +314,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
     sy_gp = np.repeat(material.yield_stress(rho_ash).ravel(order="F"), 8)
     tang_el = elastic_tangent(emod_gp, material.nu)
     ne = emod_gp.size // 8
-
     b_mats, wdet = _hex_b_matrices(grid.spacing)
-    dof_map = _element_dof_map(dims)
-
-    prescribed = np.concatenate([fixed, driven])
-    if np.unique(prescribed).size != prescribed.size:
-        raise DataError("overlapping fixed and driven dofs")
-    free = np.setdiff1d(np.arange(n_dofs), prescribed)
-    tangent_band = _cached_band_assembler(dims, dof_map, free, n_dofs)
     ones = np.ones(driven.size)
 
     def stress_state(u, eps_p, alpha):
@@ -340,17 +330,16 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         sig = stress.reshape(ne, 8, 6)
         return scatter(wdet * np.einsum("gik,egi->ek", b_mats, sig))
 
-    kept = {}
-
     def keep(tang):
         """Make the Gauss-point tangents tang the kept tangent and return
         their element matrices.  The kept tangent's element matrices, band
         and (once spsolve has factored it) Cholesky factor are reused while
         the next tangent has its bytes."""
         if "tang" not in kept or not _same_bits(kept["tang"], tang):
-            kept.clear()
+            for name in ("tang", "ke", "band", "cb"):
+                kept.pop(name, None)
             ke = element_stiffness(tang, b_mats, wdet)
-            kept.update(tang=tang, ke=ke, band=tangent_band(ke))
+            kept.update(tang=tang, ke=ke, band=kept["assemble"](ke))
         return kept["ke"]
 
     def advance(state, target):

@@ -67,6 +67,21 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"error: cohort file not found: {tmp_path / 'nope.csv'}"]
 
+    def test_constant_difference_names_its_comparison_exit_2(self, tmp_path, capsys):
+        # At seed 1 the female ABMD_COV|logistic AUC beats ABMD_COV|pls by
+        # 2/253 on both splits: a constant nonzero difference.
+        cohort = tmp_path / "cohort.csv"
+        assert dispatch(["synth", "--seed", "1", "--out", str(cohort)]) == 0
+        capsys.readouterr()
+        rc = dispatch(["evaluate", "--cohort", str(cohort), "--stratum", "female",
+                       "--resamples", "2", "--repeats", "1",
+                       "--out", str(tmp_path / "report.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: comparison ABMD_COV|logistic>ABMD_COV|pls: "
+            "zero-variance nonzero differences"]
+        assert not (tmp_path / "report.json").exists()
+
     def test_bad_seed_exit_1(self, tmp_path):
         assert dispatch(["synth", "--seed", "-3",
                          "--out", str(tmp_path / "c.csv")]) == 1

@@ -932,16 +932,43 @@ class TestFactorReuse:
         assert [_curve_bytes(c) for c in reused] == [_curve_bytes(c) for c in fresh]
 
     @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 3)])
-    def test_band_index_built_once_per_boundary_condition(self, monkeypatch, dims):
+    def test_band_index_built_once_per_boundary_condition(self, dims):
         # The three fall cases keep the dims and share one boundary
         # condition: one band index for stance, one for the fall cases.
-        monkeypatch.setattr(solver, "_band_cache", {})
+        # Each run starts from its own record, so two runs build 4.
         control = SolveControl(increment=0.01, max_increments=2)
         with mock.patch.object(solver, "_band_assembler",
                                wraps=solver._band_assembler) as build:
-            compute_fe_parameters(uniform_grid(dims, RHO), elastic_material(), control,
-                                  "ultimate")
-        assert build.call_count == 2
+            for _ in range(2):
+                compute_fe_parameters(uniform_grid(dims, RHO), elastic_material(), control,
+                                      "ultimate")
+        assert build.call_count == 4
+
+    def test_shared_record_reuses_factor_and_keys_on_spacing(self):
+        # Two elastic solves of one uniform grid under fall_bc share a
+        # record: the second starts from the first one's factor.  A grid of
+        # other spacing clears the record.  Each curve has the bytes of a
+        # solve with a fresh record.
+        control = SolveControl(increment=0.01, max_increments=2)
+
+        def run(grid, kept=None):
+            with mock.patch.object(solver, "cholesky_banded",
+                                   wraps=solver.cholesky_banded) as ch, \
+                    mock.patch.object(solver, "_band_assembler",
+                                      wraps=solver._band_assembler) as build:
+                curve = solve(grid, elastic_material(), fall_bc(grid.dims), control, kept)
+            return _curve_bytes(curve), ch.call_count, build.call_count
+
+        grid = uniform_grid((2, 2, 3), RHO)
+        other = uniform_grid((2, 2, 3), RHO, spacing=2.0)
+        kept = {}
+        assert run(grid, kept)[1:] == (1, 1)
+        shared, n_factored, n_built = run(grid, kept)
+        assert (n_factored, n_built) == (0, 0)
+        assert shared == run(grid)[0]
+        respaced, n_factored, n_built = run(other, kept)
+        assert (n_factored, n_built) == (1, 1)
+        assert respaced == run(other)[0]
 
 
 def _openblas_threads():
