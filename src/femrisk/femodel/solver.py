@@ -9,12 +9,18 @@ Element stiffness is the B^T D B product summed over the Gauss points
 elements at once as two batched matrix products.  In the lattice's natural
 dof order the symmetric free-dof tangent is banded: it is scattered from the
 element matrices, in element order, into upper band storage
-kb[j, bw + i - j] = K[i, j] for i <= j (kb.T is LAPACK's upper band array),
+kb[j, bw + i - j] = K[i, j] for i <= j, a C-ordered (n, bw + 1) array whose
+memory is LAPACK's column-major upper band array (leading dimension bw + 1),
 so reordering elements moves it only to 1e-12 relative.  Every
 linear solve goes through the module-level spsolve, which tries band
-Cholesky, then band LU on the mirrored band (softening: indefinite), then,
-for a Newton step, band LU on K + 1e-10 max(diag K, 1) I (singular), at
-O(n bw^2) for n free dofs (Golub & Van Loan, Matrix Computations, 4.3).
+Cholesky (dpbtrf on a copy of kb, then dpbtrs), then band LU (dgbsv) on the
+mirrored band (softening: indefinite), then, for a Newton step, band LU on
+K + 1e-10 max(diag K, 1) I (singular), at O(n bw^2) for n free dofs (Golub &
+Van Loan, Matrix Computations, 4.3).  The three LAPACK routines are called
+by ctypes in SciPy's bundled OpenBLAS, the library whose routines
+scipy.linalg's cholesky_banded, cho_solve_banded and solve_banded call, so
+no solve imports scipy.linalg; on a SciPy build that ships no such library
+they come from scipy.linalg.cython_lapack instead.
 
 Work that repeats a value is done once.  A solve computes the elastic
 Gauss-point tangent of its moduli once: it is the initial committed
@@ -55,8 +61,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import ndimage
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solve_banded
 
 from ..errors import DataError, NumericalError, require_finite
 from .curves import ForceDisplacementCurve
@@ -184,9 +188,9 @@ def element_stiffness(tang, b_mats, wdet):
 
 def _band_assembler(dof_map, free, n_dofs):
     """assemble(ke) scatters element matrices (ne, 24, 24) into the band
-    storage kb (n_free, bw + 1) of the free-dof stiffness, a transposed view
-    of LAPACK's upper band array; bw is the largest column - row distance
-    among its entries."""
+    storage kb (n_free, bw + 1) of the free-dof stiffness, C-ordered, so
+    that its memory is LAPACK's upper band array; bw is the largest
+    column - row distance among its entries."""
     pos = np.full(n_dofs, -1)
     pos[free] = np.arange(free.size)
     pe = pos[dof_map]
@@ -195,11 +199,11 @@ def _band_assembler(dof_map, free, n_dofs):
     sel = np.flatnonzero((rows >= 0) & (rows <= cols))
     rows, cols = rows[sel], cols[sel]
     bw = int((cols - rows).max(initial=0))
-    idx = (bw + rows - cols) * free.size + cols
+    idx = cols * (bw + 1) + bw + rows - cols
 
     def assemble(ke):
         band = np.bincount(idx, weights=ke.ravel()[sel], minlength=(bw + 1) * free.size)
-        return band.reshape(bw + 1, free.size).T
+        return band.reshape(free.size, bw + 1)
     return assemble
 
 
@@ -213,38 +217,112 @@ def spsolve(kb, b, regularize=True, factor=None):
     factor, a dict owned by the caller (solve passes its reuse record),
     carries the Cholesky factor of kb from one call to the next under "cb":
     it is used when present, and a factor computed here is stored there.
+
+    Each rung gives the bits of the SciPy function that calls its routine:
+    cholesky_banded and cho_solve_banded, and solve_banded for bw >= 2,
+    where it calls dgbsv on the same (3 bw + 1, n) array.  For bw <= 1 or
+    n == 1, solve_banded would take dgtsv or one division instead.  Neither
+    occurs under stance_bc or fall_bc: every grid has an element whose four
+    top nodes keep their eight x and y dofs free, so n >= 8 and bw >= 7.
+    Only a hand-built boundary condition can reach them, and there dgbsv
+    solves the same system.
     """
     if factor is None:
         factor = {}
-    if "cb" not in factor:
-        try:
-            factor["cb"] = cholesky_banded(kb.T, check_finite=False)
-        except LinAlgError:
-            pass
-    if "cb" in factor:
-        return cho_solve_banded((factor["cb"], False), b, check_finite=False)
     n, bw = kb.shape[0], kb.shape[1] - 1
-    full = np.zeros((2 * bw + 1, n))
-    full[:bw + 1] = kb.T
+    if np.shape(b) != (n,):                   # LAPACK would run past b's end
+        raise ValueError(f"right-hand side of shape {np.shape(b)} for {n} unknowns")
+    if "cb" not in factor:
+        cb = kb.copy()
+        if _lapack("dpbtrf", b"U", n, bw, cb, bw + 1) == 0:
+            factor["cb"] = cb
+    if "cb" in factor:
+        x = np.array(b, dtype=float)
+        _lapack("dpbtrs", b"U", n, bw, 1, factor["cb"], bw + 1, x, n)
+        return x
+    # dgbsv's band (2 kl + ku + 1, n) at kl = ku = bw, C-ordered as
+    # (n, 3 bw + 1): bw entries of fill-in room, then K's column j from row
+    # j - bw to row j + bw.
+    full = np.zeros((n, 3 * bw + 1))
+    full[:, bw:2 * bw + 1] = kb
     for d in range(1, bw + 1):                # sub-diagonals mirror super-diagonals
-        full[bw + d, :n - d] = kb[d:, bw - d]
+        full[:n - d, 2 * bw + d] = kb[d:, bw - d]
     for shift in (0.0, 1e-10 * max(float(kb[:, bw].max()), 1.0))[:1 + regularize]:
-        full[bw] += shift
-        try:
-            x = solve_banded((bw, bw), full, b, check_finite=False)
-        except LinAlgError:
-            continue
-        if np.all(np.isfinite(x)):
+        full[:, 2 * bw] += shift
+        lu, x = full.copy(), np.array(b, dtype=float)
+        pivots = np.empty(n, dtype=np.intc)
+        if _lapack("dgbsv", n, bw, bw, 1, lu, 3 * bw + 1, pivots, x, n) == 0 \
+                and np.all(np.isfinite(x)):
             return x
     return np.full(n, np.nan)
 
 
-def _scipy_openblas():
-    """SciPy's bundled OpenBLAS (the library its LAPACK calls run in), or
-    None when this SciPy build ships none."""
+# The Fortran arguments before info of each LAPACK routine spsolve calls:
+# "u" the uplo letter, "i" an int, "d" a float64 array, "p" the int pivots.
+_ROUTINES = {"dpbtrf": "uiidi", "dpbtrs": "uiiididi", "dgbsv": "iiiidipdi"}
+_CTYPES = {"u": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
+           "d": np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+           "p": np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")}
+
+
+def _argtypes(name):
+    """ctypes argument types of LAPACK's routine name: its arguments, info,
+    then the length of each character argument, which gfortran passes
+    after all the others (cython_lapack's wrappers take none and ignore
+    them)."""
+    codes = _ROUTINES[name]
+    return ([_CTYPES[c] for c in codes] + [ctypes.POINTER(ctypes.c_int)]
+            + [ctypes.c_size_t] * codes.count("u"))
+
+
+def _load_scipy_openblas():
+    """SciPy's bundled OpenBLAS (the library its LAPACK calls run in) with
+    the routines of _ROUTINES typed, or None when this SciPy build ships
+    none with them.  scipy.special has mapped it into the process already,
+    so loading it again costs under a millisecond."""
     libs = Path(scipy.__file__).parent.parent / "scipy.libs"
     found = sorted(libs.glob("libscipy_openblas*.so"))
-    return ctypes.CDLL(str(found[0])) if found else None
+    lib = ctypes.CDLL(str(found[0])) if found else None
+    if not all(hasattr(lib, f"scipy_{name}_") for name in _ROUTINES):
+        return None
+    for name in _ROUTINES:
+        routine = getattr(lib, f"scipy_{name}_")
+        routine.argtypes, routine.restype = _argtypes(name), None
+    return lib
+
+
+_scipy_openblas = _load_scipy_openblas()
+
+
+def _cython_lapack(name):
+    """LAPACK's routine name from scipy.linalg.cython_lapack (which imports
+    scipy.linalg), as a ctypes function."""
+    from scipy.linalg import cython_lapack
+    capsule = cython_lapack.__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *_argtypes(name))(pointer(capsule, name_of(capsule)))
+
+
+def _lapack(name, *args) -> int:
+    """Call LAPACK's routine name with the arguments of _ROUTINES (Python
+    ints, which LAPACK gets by reference) and return its info; ctypes checks
+    each array's dtype and contiguity, and an illegal argument (info < 0)
+    raises ValueError.  The routine is _scipy_openblas's, whose symbols ctypes
+    resolves once, or else _cython_lapack's."""
+    if _scipy_openblas is not None:
+        routine = getattr(_scipy_openblas, f"scipy_{name}_")
+    else:
+        routine = _cython_lapack(name)
+    codes = _ROUTINES[name]
+    info = ctypes.c_int()
+    routine(*[ctypes.byref(ctypes.c_int(a)) if c == "i" else a for c, a in zip(codes, args)],
+            ctypes.byref(info), *[1] * codes.count("u"))
+    if info.value < 0:
+        raise ValueError(f"{name}: argument {-info.value} has an illegal value")
+    return info.value
 
 
 @contextmanager
@@ -254,9 +332,8 @@ def one_blas_thread():
     CPU time at the same wall time), and above about 16x16x40 voxels the band
     factor's bytes depend on the thread count.  Without the library or its
     thread calls this does nothing."""
-    lib = _scipy_openblas()
-    get = getattr(lib, "scipy_openblas_get_num_threads", None)
-    set_ = getattr(lib, "scipy_openblas_set_num_threads", None)
+    get = getattr(_scipy_openblas, "scipy_openblas_get_num_threads", None)
+    set_ = getattr(_scipy_openblas, "scipy_openblas_set_num_threads", None)
     if get is None or set_ is None:
         yield
         return
@@ -278,13 +355,33 @@ def _same_bits(a, b) -> bool:
 
 def _largest_cluster(yielded_flat, dims) -> int:
     """Voxel count of the largest 6-connected cluster of yielded elements
-    (yielded_flat in element order); the axis order does not matter."""
+    (yielded_flat in element order); the axis order does not matter.
+
+    Every voxel starts as its own label.  Each round hooks the larger label
+    of every face pair of yielded voxels onto the smaller, then points each
+    voxel at its label's label until nothing moves (pointer jumping), and
+    the rounds end when both voxels of every pair share a label.  A label
+    is always a voxel of the same cluster and never above the voxel itself,
+    so each round lowers some label, and a cluster ends with one label."""
     nx, ny, nz = dims
     mask = yielded_flat.reshape(nz, ny, nx)
     if not mask.any():
         return 0
-    labels, _ = ndimage.label(mask)           # default structure = 6-neighbor
-    return int(np.bincount(labels.ravel())[1:].max())
+    ids = np.arange(mask.size).reshape(mask.shape)
+    a, b = [], []
+    for axis in range(3):
+        i, m = np.moveaxis(ids, axis, 0), np.moveaxis(mask, axis, 0)
+        both = m[:-1] & m[1:]
+        a.append(i[:-1][both])
+        b.append(i[1:][both])
+    a, b = np.concatenate(a), np.concatenate(b)
+    label = np.arange(mask.size)
+    while not np.array_equal(label[a], label[b]):
+        la, lb = label[a], label[b]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    return int(np.bincount(label[mask.ravel()]).max())
 
 
 def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from femrisk.errors import write_json
 from femrisk.evaluate import build_report
 from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
                              save_grid, uniform_grid)
+from femrisk.femodel import solver
 from femrisk.femodel.grid import VoxelGrid
 from femrisk.stats import paired_one_sided_ttest, roc_curve
 from femrisk.synth import default_spec
@@ -892,6 +894,8 @@ assert dispatch(["evaluate", "--cohort", "cohort.csv", "--stratum", "male",
 after_evaluate = loaded()
 assert dispatch(["fe", "--grid", "grid.txt", "--yield-policy", "ultimate",
                  "--curves-dir", "curves", "--out", "fe.json"]) == 0
+print(json.dumps(sorted(m for m in loaded()
+                        if m.startswith(("scipy.linalg", "scipy.ndimage", "scipy.sparse")))))
 print(json.dumps({"stats_on_import": stats_on_import,
                   "evaluate": sorted(after_evaluate - before),
                   "fe": sorted(loaded() - after_evaluate)}))
@@ -902,5 +906,29 @@ def test_commands_import_nothing_new(tmp_path):
     # The p-values come from scipy.special, so importing the CLI must not
     # load scipy.stats.  Nor may evaluate or fe import a module of their own,
     # which would move import time into the command.
-    doc = json.loads(run_python(IMPORTS_PER_COMMAND, tmp_path).splitlines()[-1])
+    lines = run_python(IMPORTS_PER_COMMAND, tmp_path).splitlines()
+    doc = json.loads(lines[-1])
     assert doc == {"stats_on_import": False, "evaluate": [], "fe": []}
+    # The band solves call LAPACK by ctypes and the yield clusters are
+    # labelled in NumPy: neither the import nor a command loads
+    # scipy.linalg, scipy.ndimage or scipy.sparse.
+    assert json.loads(lines[-2]) == []
+
+
+def test_fe_without_scipy_openblas_writes_the_same_bytes(tmp_path, monkeypatch):
+    # Without SciPy's bundled OpenBLAS the band solves take their LAPACK
+    # routines from scipy.linalg.cython_lapack, band LU included.
+    save_grid(uniform_grid((2, 2, 4), 0.6), tmp_path / "grid.txt")
+
+    def fe(name):
+        out = tmp_path / name
+        assert dispatch(["fe", "--grid", str(tmp_path / "grid.txt"), "--yield-policy",
+                         "ultimate", "--curves-dir", str(out), "--out", str(out / "fe.json")]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    bundled = fe("bundled")
+    monkeypatch.setattr(solver, "_scipy_openblas", None)
+    with mock.patch.object(solver, "_lapack", wraps=solver._lapack) as lapack:
+        assert fe("fallback") == bundled
+    assert "dgbsv" in [call.args[0] for call in lapack.call_args_list]
+    assert len(bundled) == 5

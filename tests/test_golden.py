@@ -46,8 +46,7 @@ NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 def environment() -> dict:
     """The versions an output's bytes may depend on: Python, NumPy, SciPy
     and the OpenBLAS build and core that SciPy's LAPACK runs on."""
-    lib = solver._scipy_openblas()
-    blas = getattr(lib, "scipy_openblas_get_config", None)
+    blas = getattr(solver._scipy_openblas, "scipy_openblas_get_config", None)
     if blas is not None:
         blas.restype = ctypes.c_char_p
         blas = blas().decode()

@@ -1,11 +1,15 @@
 import ctypes
+import importlib
+from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
-from scipy.linalg import solve_banded
+from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded, lapack,
+                          solve_banded)
 
 from femrisk.datamodel import FE12
 from femrisk.errors import NumericalError
@@ -22,6 +26,25 @@ from femrisk.femodel.solver import (GAUSS, _band_assembler, _element_dof_map,
 
 RHO = 0.25
 ASH = ash_density(RHO)
+
+
+@contextmanager
+def lapack_calls(before=None, after=None):
+    """Records the name of every LAPACK routine spsolve calls; before and
+    after, when given, see each call's (name, args), and after its info."""
+    names, real = [], solver._lapack
+
+    def recording(name, *args):
+        names.append(name)
+        if before:
+            before(name, args)
+        info = real(name, *args)
+        if after:
+            after(name, args, info)
+        return info
+
+    with mock.patch.object(solver, "_lapack", recording):
+        yield names
 
 
 def elastic_material():
@@ -589,12 +612,25 @@ class TestLattice:
         assert np.array_equal(b.view(np.int64), b_loop.view(np.int64))
         assert wdet == wdet_loop
 
-    @settings(max_examples=40, deadline=None)
-    @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
-           seed=st.integers(0, 2**32 - 1))
-    def test_largest_cluster_ignores_axis_order(self, dims, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 12)),
+           seed=st.integers(0, 2**32 - 1),
+           fill=st.sampled_from(["empty", "single", "full", 0.2, 0.5, 0.7]))
+    @example(dims=(1, 1, 1), seed=0, fill="single")
+    @example(dims=(3, 3, 12), seed=0, fill="full")
+    @example(dims=(4, 1, 7), seed=3, fill="empty")
+    @example(dims=(10, 10, 24), seed=42, fill=0.5)
+    def test_largest_cluster_ignores_axis_order(self, dims, seed, fill):
+        # Against ndimage.label's largest cluster (6-connected by default).
         # The mask comes in element order, x fastest; label it [ix, iy, iz].
-        mask = np.random.default_rng(seed).random(np.prod(dims)) < 0.5
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(dims))
+        if isinstance(fill, float):
+            mask = rng.random(n) < fill
+        else:
+            mask = np.full(n, fill == "full")
+            if fill == "single":
+                mask[rng.integers(n)] = True
         labels, _ = ndimage.label(mask.reshape(dims, order="F"))
         expected = np.bincount(labels.ravel())[1:].max(initial=0)
         assert _largest_cluster(mask, dims) == expected
@@ -638,14 +674,14 @@ class TestSolveLadder:
     def _solve(kb, b, **kwargs):
         lu_diagonals = []
 
-        def lu(l_and_u, full, rhs, **kw):
-            lu_diagonals.append(full[l_and_u[1]].copy())
-            return solve_banded(l_and_u, full, rhs, **kw)
+        def diagonal(name, args):
+            if name == "dgbsv":
+                bw = args[1]
+                lu_diagonals.append(args[4][:, 2 * bw].copy())
 
-        with mock.patch.object(solver, "cholesky_banded", wraps=solver.cholesky_banded) as ch, \
-                mock.patch.object(solver, "solve_banded", side_effect=lu):
+        with lapack_calls(before=diagonal) as names:
             x = spsolve(kb, b, **kwargs)
-        assert ch.call_count == 1
+        assert names.count("dpbtrf") == 1
         return x, lu_diagonals
 
     @settings(max_examples=25, deadline=None)
@@ -701,25 +737,183 @@ class TestSolveLadder:
         # indefinite: Cholesky fails and band LU solves those systems.
         calls = []
 
-        def lu(l_and_u, full, b, **kwargs):
-            x = solve_banded(l_and_u, full, b, **kwargs)
-            calls.append((full, b, x))
-            return x
+        def inputs(name, args):
+            if name == "dgbsv":
+                calls.append((args[1], args[4].copy(), args[7].copy(), args[7]))
 
         g = uniform_grid((2, 2, 8), RHO)
         c = SolveControl(increment=0.05, max_increments=60, stop_fraction=0.6)
-        with mock.patch.object(solver, "solve_banded", side_effect=lu):
+        with lapack_calls(before=inputs):
             solve(g, MaterialModel(), stance_bc(g.dims), c)
         assert calls
-        full, b, x = calls[0]
-        bw, n = (full.shape[0] - 1) // 2, full.shape[1]
-        k = np.zeros((n, n))
-        for r in range(2 * bw + 1):
-            d = bw - r      # column minus row
-            cols = np.arange(max(d, 0), min(n, n + d))
-            k[cols - d, cols] = full[r, cols]
+        bw, band, b, x = calls[0]
+        k = _gbsv_to_dense(band, bw)
         assert np.linalg.eigvalsh(k).min() < 0.0
         assert _max_rel(x, np.linalg.solve(k, b)) <= 1e-10
+
+
+def _gbsv_to_dense(band, bw):
+    """Dense matrix of dgbsv's band (n, 3 bw + 1): band[j, 2 bw + i - j] =
+    K[i, j] for |i - j| <= bw; the first bw columns are fill-in room."""
+    n = band.shape[0]
+    k = np.zeros((n, n))
+    for j in range(n):
+        i = np.arange(max(j - bw, 0), min(j + bw + 1, n))
+        k[i, j] = band[j, 2 * bw + i - j]
+    return k
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _scipy_lu_band(kb, shift=0.0):
+    """solve_banded's (2 bw + 1, n) band of the symmetric K in kb, with
+    shift added to its diagonal."""
+    n, bw = kb.shape[0], kb.shape[1] - 1
+    full = np.zeros((2 * bw + 1, n))
+    full[:bw + 1] = kb.T
+    for d in range(1, bw + 1):
+        full[bw + d, :n - d] = kb[d:, bw - d]
+    full[bw] += 0.0
+    full[bw] += shift
+    return full
+
+
+class TestLapackRungsMatchScipy:
+    """Each ctypes rung of spsolve gives the factor and the solution of the
+    SciPy function it replaces, bit for bit (bw >= 2, see spsolve)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
+    def test_positive_definite_factor_and_solution(self, seed, n, bw):
+        rng = np.random.default_rng(seed)
+        bw = min(bw, n - 1)
+        kb = _dense_to_band(_dominant_band(rng, n, bw, np.ones(n)), bw)
+        b = rng.normal(size=n)
+        factor = {}
+        x = spsolve(kb, b, factor=factor)
+        cb = cholesky_banded(kb.T, check_finite=False)
+        assert _same_bits(factor["cb"], cb.T)
+        assert _same_bits(x, cho_solve_banded((cb, False), b, check_finite=False))
+        assert _same_bits(spsolve(kb, b, factor=factor), x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
+    def test_indefinite_lu_factor_and_solution(self, seed, n, bw):
+        rng = np.random.default_rng(seed)
+        bw = min(bw, n - 1)
+        signs = rng.choice([-1.0, 1.0], size=n)
+        signs[rng.integers(n)] = -1.0
+        kb = _dense_to_band(_dominant_band(rng, n, bw, signs), bw)
+        b = rng.normal(size=n)
+        with pytest.raises(LinAlgError):
+            cholesky_banded(kb.T, check_finite=False)
+        factors = []
+
+        def lu_factor(name, args, info):
+            if name == "dgbsv":
+                factors.append((args[4].copy(), args[6].copy()))
+
+        with lapack_calls(after=lu_factor) as names:
+            x = spsolve(kb, b)
+        assert names == ["dpbtrf", "dgbsv"]
+        full = _scipy_lu_band(kb)
+        assert _same_bits(x, solve_banded((bw, bw), full, b, check_finite=False))
+        # solve_banded's own dgbsv call, for its factor and pivots.
+        a2 = np.zeros((3 * bw + 1, n))
+        a2[bw:] = full
+        lu, piv, x_lapack, info = lapack.dgbsv(bw, bw, a2, b)
+        assert info == 0 and _same_bits(x_lapack, x)
+        assert _same_bits(factors[0][0], lu.T)
+        assert np.array_equal(factors[0][1] - 1, piv)      # f2py counts from 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
+    def test_singular_regularized_solution(self, seed, n, bw):
+        rng = np.random.default_rng(seed)
+        bw = min(bw, n - 1)
+        k = _dominant_band(rng, n, bw, np.ones(n))
+        dead = rng.integers(n)
+        k[dead, :] = 0.0
+        k[:, dead] = 0.0
+        kb = _dense_to_band(k, bw)
+        b = rng.normal(size=n)
+        b[dead] = 0.0
+        with lapack_calls() as names:
+            x = spsolve(kb, b)
+        assert names == ["dpbtrf", "dgbsv", "dgbsv"]
+        with pytest.raises(LinAlgError):
+            solve_banded((bw, bw), _scipy_lu_band(kb), b, check_finite=False)
+        shift = 1e-10 * max(float(kb[:, bw].max()), 1.0)
+        want = solve_banded((bw, bw), _scipy_lu_band(kb, shift), b, check_finite=False)
+        assert _same_bits(x, want)
+
+    def test_phantom_lu_systems(self, tmp_path):
+        # Every band LU system of the fe_phantom benchmark command at seed
+        # 42, solved again by solve_banded on the band it was given.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+            workload = importlib.import_module("workloads").WORKLOADS["fe_phantom"]
+        import femrisk.cli
+        workload.write_inputs(femrisk, 42, tmp_path)
+        systems, infos = [], []
+
+        def inputs(name, args):
+            if name == "dgbsv":
+                bw = args[1]
+                systems.append((bw, args[4][:, bw:].T.copy(), args[7].copy(), args[7]))
+
+        def info_of(name, args, info):
+            if name == "dgbsv":
+                infos.append(info)
+
+        with lapack_calls(before=inputs, after=info_of):
+            assert femrisk.cli.dispatch(workload.argv(tmp_path, 42, 1)) == 0
+        assert len(systems) == 22 and infos == [0] * 22
+        for bw, full, b, x in systems:
+            assert bw >= 2
+            assert _same_bits(x, solve_banded((bw, bw), full, b, check_finite=False))
+
+    @pytest.mark.parametrize("library", ["openblas", "cython_lapack"])
+    def test_illegal_argument_raises(self, monkeypatch, library):
+        # info < 0 (here kd = -1) raises; it never turns into a NaN answer.
+        if library == "cython_lapack":
+            monkeypatch.setattr(solver, "_scipy_openblas", None)
+        elif solver._scipy_openblas is None:
+            pytest.skip("SciPy ships no OpenBLAS")
+        with pytest.raises(ValueError, match="dpbtrf: argument 3 has an illegal value"):
+            spsolve(np.ones((3, 0)), np.ones(3))
+        with pytest.raises(ValueError, match="dgbsv: argument 1 has an illegal value"):
+            solver._lapack("dgbsv", -1, 0, 0, 1, np.ones((1, 1)), 1,
+                           np.zeros(1, dtype=np.intc), np.ones(1), 1)
+
+    def test_arrays_checked_before_lapack_sees_them(self):
+        # A right-hand side of another length, a strided band or integer
+        # pivots of the wrong width never reach LAPACK.
+        kb = _dense_to_band(np.eye(4) * 2.0, 2)
+        with pytest.raises(ValueError, match=r"right-hand side of shape \(3,\) for 4 unknowns"):
+            spsolve(kb, np.ones(3))
+        with pytest.raises(ctypes.ArgumentError):
+            solver._lapack("dpbtrf", b"U", 4, 1, np.ones((4, 4))[:, ::2], 2)
+        with pytest.raises(ctypes.ArgumentError):
+            solver._lapack("dgbsv", 1, 0, 0, 1, np.ones((1, 1)), 1,
+                           np.zeros(1, dtype=np.int64), np.ones(1), 1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           bc=st.sampled_from([stance_bc, fall_bc]))
+    def test_lattice_bands_are_wider_than_tridiagonal(self, dims, bc):
+        # solve_banded takes dgtsv for bw == 1 and divides for n == 1; the
+        # boundary conditions of fe never give either.
+        nx, ny, nz = dims
+        n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
+        cond = bc(dims)
+        free = np.setdiff1d(np.arange(n_dofs),
+                            np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
+        kb = _band_assembler(_element_dof_map(dims), free, n_dofs)(np.ones((nx * ny * nz, 24, 24)))
+        assert kb.shape[0] >= 8 and kb.shape[1] - 1 >= 7
 
 
 def _shell_core_phantom():
@@ -852,11 +1046,10 @@ class TestFactorReuse:
     def _elastic_solve(radial_return=radial_return_batch):
         g = uniform_grid((2, 2, 4), RHO)
         c = SolveControl(increment=0.01, max_increments=2)
-        with mock.patch.object(solver, "cholesky_banded",
-                               wraps=solver.cholesky_banded) as ch, \
+        with lapack_calls() as names, \
                 mock.patch.object(solver, "radial_return_batch", radial_return):
             curve = solve(g, elastic_material(), stance_bc(g.dims), c)
-        return curve, ch.call_count
+        return curve, names.count("dpbtrf")
 
     def test_equal_tangent_factored_once(self, monkeypatch, solve_log):
         # Two elastic increments: one predictor solve each, on the same tangent.
@@ -903,13 +1096,12 @@ class TestFactorReuse:
             return stress, tang, eps_p, alpha
 
         with pytest.raises(NumericalError, match="Newton failed to converge at increment 2"), \
-                mock.patch.object(solver, "cholesky_banded",
-                                  wraps=solver.cholesky_banded) as ch:
+                lapack_calls() as names:
             g = uniform_grid((1, 1, 2), RHO)
             with mock.patch.object(solver, "radial_return_batch", nan_tangent):
                 solve(g, elastic_material(), stance_bc(g.dims), SolveControl(increment=0.01))
         assert len(solve_log) > 1
-        assert ch.call_count == len(solve_log)
+        assert names.count("dpbtrf") == len(solve_log)
 
 
     @pytest.mark.parametrize("case", ["elastic", "plastic_phantom"])
@@ -952,12 +1144,11 @@ class TestFactorReuse:
         control = SolveControl(increment=0.01, max_increments=2)
 
         def run(grid, kept=None):
-            with mock.patch.object(solver, "cholesky_banded",
-                                   wraps=solver.cholesky_banded) as ch, \
+            with lapack_calls() as names, \
                     mock.patch.object(solver, "_band_assembler",
                                       wraps=solver._band_assembler) as build:
                 curve = solve(grid, elastic_material(), fall_bc(grid.dims), control, kept)
-            return _curve_bytes(curve), ch.call_count, build.call_count
+            return _curve_bytes(curve), names.count("dpbtrf"), build.call_count
 
         grid = uniform_grid((2, 2, 3), RHO)
         other = uniform_grid((2, 2, 3), RHO, spacing=2.0)
@@ -972,7 +1163,7 @@ class TestFactorReuse:
 
 
 def _openblas_threads():
-    lib = solver._scipy_openblas()
+    lib = solver._scipy_openblas
     if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads"):
         pytest.skip("SciPy ships no OpenBLAS with thread calls")
     get = lib.scipy_openblas_get_num_threads
@@ -1010,7 +1201,7 @@ class TestOneBlasThread:
     def test_missing_library_or_symbol_is_a_no_op(self, monkeypatch, lib):
         threads = _openblas_threads()
         previous = threads()
-        monkeypatch.setattr(solver, "_scipy_openblas", lambda: lib)
+        monkeypatch.setattr(solver, "_scipy_openblas", lib)
         with solver.one_blas_thread():
             assert threads() == previous
         assert threads() == previous
