@@ -247,10 +247,10 @@ def spsolve(kb, b, regularize=True, factor=None):
     full[:, bw:2 * bw + 1] = kb
     for d in range(1, bw + 1):                # sub-diagonals mirror super-diagonals
         full[:n - d, 2 * bw + d] = kb[d:, bw - d]
+    pivots = np.empty(n, dtype=np.intc)
     for shift in (0.0, 1e-10 * max(float(kb[:, bw].max()), 1.0))[:1 + regularize]:
         full[:, 2 * bw] += shift
         lu, x = full.copy(), np.array(b, dtype=float)
-        pivots = np.empty(n, dtype=np.intc)
         if _lapack("dgbsv", n, bw, bw, 1, lu, 3 * bw + 1, pivots, x, n) == 0 \
                 and np.all(np.isfinite(x)):
             return x

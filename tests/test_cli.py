@@ -15,8 +15,7 @@ from femrisk.datamodel import COHORT_HEADER, FE12, load_cohort
 from femrisk.errors import write_json
 from femrisk.evaluate import build_report
 from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
-                             save_grid, uniform_grid)
-from femrisk.femodel import solver
+                             save_grid, solver, uniform_grid)
 from femrisk.femodel.grid import VoxelGrid
 from femrisk.stats import paired_one_sided_ttest, roc_curve
 from femrisk.synth import default_spec

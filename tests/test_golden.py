@@ -101,19 +101,20 @@ def mismatches(got: dict, want: dict, same_environment: bool) -> list:
 
 @pytest.fixture(scope="module")
 def golden():
+    """The recorded runs, and whether this environment is the recorded one."""
     doc = json.loads(GOLDEN.read_text())
     here = environment()
     if doc["environment"] != here:
         warnings.warn(f"golden sha256 not compared: recorded under {doc['environment']}, "
                       f"running under {here}; numbers and text compared only")
-    return doc
+    return doc["runs"], doc["environment"] == here
 
 
 @pytest.mark.parametrize("name, seed", RUNS)
 def test_fe_outputs_match_golden(golden, name, seed, tmp_path):
-    same = golden["environment"] == environment()
-    want = golden["runs"][f"{name} seed {seed}"]
-    assert mismatches(run(name, seed, tmp_path), want, same) == []
+    runs, same_environment = golden
+    want = runs[f"{name} seed {seed}"]
+    assert mismatches(run(name, seed, tmp_path), want, same_environment) == []
 
 
 def write() -> None:

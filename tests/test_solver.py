@@ -11,6 +11,7 @@ from scipy import ndimage
 from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded, lapack,
                           solve_banded)
 
+from conftest import same_bits
 from femrisk.datamodel import FE12
 from femrisk.errors import NumericalError
 from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl,
@@ -763,11 +764,6 @@ def _gbsv_to_dense(band, bw):
     return k
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def _scipy_lu_band(kb, shift=0.0):
     """solve_banded's (2 bw + 1, n) band of the symmetric K in kb, with
     shift added to its diagonal."""
@@ -795,9 +791,9 @@ class TestLapackRungsMatchScipy:
         factor = {}
         x = spsolve(kb, b, factor=factor)
         cb = cholesky_banded(kb.T, check_finite=False)
-        assert _same_bits(factor["cb"], cb.T)
-        assert _same_bits(x, cho_solve_banded((cb, False), b, check_finite=False))
-        assert _same_bits(spsolve(kb, b, factor=factor), x)
+        assert same_bits(factor["cb"], cb.T)
+        assert same_bits(x, cho_solve_banded((cb, False), b, check_finite=False))
+        assert same_bits(spsolve(kb, b, factor=factor), x)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
@@ -820,13 +816,13 @@ class TestLapackRungsMatchScipy:
             x = spsolve(kb, b)
         assert names == ["dpbtrf", "dgbsv"]
         full = _scipy_lu_band(kb)
-        assert _same_bits(x, solve_banded((bw, bw), full, b, check_finite=False))
+        assert same_bits(x, solve_banded((bw, bw), full, b, check_finite=False))
         # solve_banded's own dgbsv call, for its factor and pivots.
         a2 = np.zeros((3 * bw + 1, n))
         a2[bw:] = full
         lu, piv, x_lapack, info = lapack.dgbsv(bw, bw, a2, b)
-        assert info == 0 and _same_bits(x_lapack, x)
-        assert _same_bits(factors[0][0], lu.T)
+        assert info == 0 and same_bits(x_lapack, x)
+        assert same_bits(factors[0][0], lu.T)
         assert np.array_equal(factors[0][1] - 1, piv)      # f2py counts from 0
 
     @settings(max_examples=30, deadline=None)
@@ -848,7 +844,7 @@ class TestLapackRungsMatchScipy:
             solve_banded((bw, bw), _scipy_lu_band(kb), b, check_finite=False)
         shift = 1e-10 * max(float(kb[:, bw].max()), 1.0)
         want = solve_banded((bw, bw), _scipy_lu_band(kb, shift), b, check_finite=False)
-        assert _same_bits(x, want)
+        assert same_bits(x, want)
 
     def test_phantom_lu_systems(self, tmp_path):
         # Every band LU system of the fe_phantom benchmark command at seed
@@ -874,7 +870,7 @@ class TestLapackRungsMatchScipy:
         assert len(systems) == 22 and infos == [0] * 22
         for bw, full, b, x in systems:
             assert bw >= 2
-            assert _same_bits(x, solve_banded((bw, bw), full, b, check_finite=False))
+            assert same_bits(x, solve_banded((bw, bw), full, b, check_finite=False))
 
     @pytest.mark.parametrize("library", ["openblas", "cython_lapack"])
     def test_illegal_argument_raises(self, monkeypatch, library):
