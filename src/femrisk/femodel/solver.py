@@ -13,8 +13,8 @@ kb[j, bw + i - j] = K[i, j] for i <= j, a C-ordered (n, bw + 1) array whose
 memory is LAPACK's column-major upper band array (leading dimension bw + 1),
 so reordering elements moves it only to 1e-12 relative.  Every
 linear solve goes through the module-level spsolve, which tries band
-Cholesky (dpbtrf on a copy of kb, then dpbtrs), then band LU (dgbsv) on the
-mirrored band (softening: indefinite), then, for a Newton step, band LU on
+Cholesky (dpbtrf, then dpbtrs), then band LU (dgbsv) on the mirrored band
+(softening: indefinite), then, for a Newton step, band LU on
 K + 1e-10 max(diag K, 1) I (singular), at O(n bw^2) for n free dofs (Golub &
 Van Loan, Matrix Computations, 4.3).  The three LAPACK routines are called
 by ctypes in SciPy's bundled OpenBLAS, the library whose routines
@@ -30,12 +30,17 @@ hands to its four solves.  It is keyed on the grid dims, the spacing and
 the free set's bytes, and a solve under another key clears it before it
 allocates anything per element.  It holds the band's scatter index (built
 twice per fe run: for stance, then for the three fall cases) and the last
-tangent assembled: its Gauss-point tangents, element matrices, band and,
-once band Cholesky succeeded, the factor.  When the next tangent has the
+tangent assembled: its Gauss-point tangents, element matrices and one
+band-sized array.  The record's band is the record's to overwrite: spsolve
+runs dpbtrf on it in place, and once that succeeds the same array is the
+factor, under "cb" as well as "band".  A failed factorization leaves it
+half factored, so spsolve assembles the band again from the kept element
+matrices (bincount sums in one order, so it has the same bytes) and puts
+it under "band" before the LU rungs read it.  When the next tangent has the
 same bytes (4 of the 8 solves of the two-increment 10x10x24 elastic
 benchmark input), the predictor takes the kept element matrices, and
-spsolve reuses the band and factor and only back-substitutes, which gives
-the bytes a fresh factorization would.  Any other tangent drops those four
+spsolve reuses the factor and only back-substitutes, which gives the bytes
+a fresh factorization would.  Any other tangent drops the kept arrays
 before its own are computed, so every kept value is a function of the key
 and the tangent's bytes alone.  The LU rungs are never kept.
 
@@ -217,6 +222,11 @@ def spsolve(kb, b, regularize=True, factor=None):
     factor, a dict owned by the caller (solve passes its reuse record),
     carries the Cholesky factor of kb from one call to the next under "cb":
     it is used when present, and a factor computed here is stored there.
+    kb is left as it was, unless it is the record's own band, factor["band"]:
+    that one is factored in place and becomes "cb", or, when Cholesky fails,
+    is replaced under "band" by factor["assemble"](factor["ke"]), which the
+    LU rungs then read.  A caller that reads the record's band after the
+    call reads factor["band"] or factor["cb"], never its own reference.
 
     Each rung gives the bits of the SciPy function that calls its routine:
     cholesky_banded and cho_solve_banded, and solve_banded for bw >= 2,
@@ -233,25 +243,30 @@ def spsolve(kb, b, regularize=True, factor=None):
     if np.shape(b) != (n,):                   # LAPACK would run past b's end
         raise ValueError(f"right-hand side of shape {np.shape(b)} for {n} unknowns")
     if "cb" not in factor:
-        cb = kb.copy()
+        owned = factor.get("band") is kb
+        cb = kb if owned else kb.copy()
         if _lapack("dpbtrf", b"U", n, bw, cb, bw + 1) == 0:
             factor["cb"] = cb
+        elif owned:                           # dpbtrf left kb half factored
+            kb = factor["band"] = factor["assemble"](factor["ke"])
     if "cb" in factor:
         x = np.array(b, dtype=float)
         _lapack("dpbtrs", b"U", n, bw, 1, factor["cb"], bw + 1, x, n)
         return x
     # dgbsv's band (2 kl + ku + 1, n) at kl = ku = bw, C-ordered as
     # (n, 3 bw + 1): bw entries of fill-in room, then K's column j from row
-    # j - bw to row j + bw.
-    full = np.zeros((n, 3 * bw + 1))
-    full[:, bw:2 * bw + 1] = kb
-    for d in range(1, bw + 1):                # sub-diagonals mirror super-diagonals
-        full[:n - d, 2 * bw + d] = kb[d:, bw - d]
+    # j - bw to row j + bw.  dgbsv overwrites it with its LU factor, so the
+    # regularized rung fills it from kb again.
+    full = np.empty((n, 3 * bw + 1))
     pivots = np.empty(n, dtype=np.intc)
     for shift in (0.0, 1e-10 * max(float(kb[:, bw].max()), 1.0))[:1 + regularize]:
+        full.fill(0.0)
+        full[:, bw:2 * bw + 1] = kb
+        for d in range(1, bw + 1):            # sub-diagonals mirror super-diagonals
+            full[:n - d, 2 * bw + d] = kb[d:, bw - d]
         full[:, 2 * bw] += shift
-        lu, x = full.copy(), np.array(b, dtype=float)
-        if _lapack("dgbsv", n, bw, bw, 1, lu, 3 * bw + 1, pivots, x, n) == 0 \
+        x = np.array(b, dtype=float)
+        if _lapack("dgbsv", n, bw, bw, 1, full, 3 * bw + 1, pivots, x, n) == 0 \
                 and np.all(np.isfinite(x)):
             return x
     return np.full(n, np.nan)
@@ -429,9 +444,9 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
 
     def keep(tang):
         """Make the Gauss-point tangents tang the kept tangent and return
-        their element matrices.  The kept tangent's element matrices, band
-        and (once spsolve has factored it) Cholesky factor are reused while
-        the next tangent has its bytes."""
+        their element matrices.  The kept tangent's element matrices and
+        band (which spsolve factors in place) are reused while the next
+        tangent has its bytes."""
         if "tang" not in kept or not _same_bits(kept["tang"], tang):
             for name in ("tang", "ke", "band", "cb"):
                 kept.pop(name, None)

@@ -927,7 +927,24 @@ def test_fe_without_scipy_openblas_writes_the_same_bytes(tmp_path, monkeypatch):
 
     bundled = fe("bundled")
     monkeypatch.setattr(solver, "_scipy_openblas", None)
-    with mock.patch.object(solver, "_lapack", wraps=solver._lapack) as lapack:
+    events, real_lapack, real_assembler = [], solver._lapack, solver._band_assembler
+
+    def lapack_info(name, *args):
+        events.append((name, real_lapack(name, *args)))
+        return events[-1][1]
+
+    def assembler(*args):
+        assemble = real_assembler(*args)
+        return lambda ke: events.append(("assemble", 0)) or assemble(ke)
+
+    monkeypatch.setattr(solver, "_band_assembler", assembler)
+    with mock.patch.object(solver, "_lapack", wraps=lapack_info) as lapack:
         assert fe("fallback") == bundled
     assert "dgbsv" in [call.args[0] for call in lapack.call_args_list]
     assert len(bundled) == 5
+    # Each failed in-place Cholesky is followed by the band's rebuild from
+    # the kept element matrices, then band LU, all through cython_lapack.
+    failed = [i for i, (name, info) in enumerate(events) if name == "dpbtrf" and info > 0]
+    assert failed
+    assert all([name for name, _ in events[i + 1:i + 3]] == ["assemble", "dgbsv"]
+               for i in failed)

@@ -752,6 +752,22 @@ class TestSolveLadder:
         assert np.linalg.eigvalsh(k).min() < 0.0
         assert _max_rel(x, np.linalg.solve(k, b)) <= 1e-10
 
+    @pytest.mark.parametrize("record", ["none", "other_band"])
+    def test_band_the_record_does_not_own_is_left_as_it_was(self, record):
+        # Only the record's own band is factored in place: a standalone
+        # call, or one whose record holds another band, leaves kb alone on
+        # every rung.
+        rng = np.random.default_rng(3)
+        n, bw = 20, 4
+        for signs in (np.ones(n), -np.ones(n)):
+            kb = _dense_to_band(_dominant_band(rng, n, bw, signs), bw)
+            before = kb.copy()
+            factor = None if record == "none" else {"band": kb.copy()}
+            spsolve(kb, rng.normal(size=n), factor=factor)
+            assert same_bits(kb, before)
+            if factor is not None:
+                assert same_bits(factor["band"], before)
+
 
 def _gbsv_to_dense(band, bw):
     """Dense matrix of dgbsv's band (n, 3 bw + 1): band[j, 2 bw + i - j] =
@@ -1103,7 +1119,8 @@ class TestFactorReuse:
     @pytest.mark.parametrize("case", ["elastic", "plastic_phantom"])
     def test_reuse_gives_the_bytes_of_no_reuse(self, monkeypatch, case):
         # Kept element matrices, band and factor against recomputing all of
-        # them for every tangent.
+        # them for every tangent, and against factoring a copy of the band
+        # on every solve, which leaves the record's band as assembled.
         def curves():
             if case == "elastic":
                 return [self._elastic_solve()[0]]
@@ -1117,7 +1134,65 @@ class TestFactorReuse:
         assert any(hits)
         monkeypatch.setattr(solver, "_same_bits", lambda a, b: False)
         fresh = curves()
-        assert [_curve_bytes(c) for c in reused] == [_curve_bytes(c) for c in fresh]
+        monkeypatch.setattr(solver, "_same_bits", same_bits)
+        monkeypatch.setattr(solver, "spsolve", lambda kb, b, regularize=True, factor=None:
+                            spsolve(kb.copy(), b, regularize))
+        copied = curves()
+        assert [_curve_bytes(c) for c in reused] == [_curve_bytes(c) for c in fresh] \
+            == [_curve_bytes(c) for c in copied]
+
+    def test_cholesky_factors_the_record_band_in_place(self, monkeypatch):
+        # One band-sized array per kept tangent: dpbtrf gets a band that
+        # the record's assembler returned, not a copy of it, and the factor
+        # it leaves there is the record's band.
+        bands, factored = [], []
+
+        def assembler(*args):
+            assemble = _band_assembler(*args)
+            return lambda ke: bands.append(assemble(ke)) or bands[-1]
+
+        def before(name, args):
+            if name == "dpbtrf":
+                factored.append(args[3])
+
+        monkeypatch.setattr(solver, "_band_assembler", assembler)
+        g, kept = uniform_grid((2, 2, 4), RHO), {}
+        with lapack_calls(before=before):
+            solve(g, elastic_material(), stance_bc(g.dims),
+                  SolveControl(increment=0.01, max_increments=2), kept)
+        assert factored
+        assert all(any(np.shares_memory(cb, band) for band in bands) for cb in factored)
+        assert kept["cb"] is kept["band"]
+
+    def test_failed_cholesky_rebuilds_the_record_band(self, monkeypatch):
+        # On the softening column of test_softening_tangent_takes_lu, a
+        # failed dpbtrf leaves the record's band half factored: the record
+        # then holds the band assembled again from its element matrices,
+        # bit for bit, and no factor, and band LU reads that band.
+        fallbacks = []
+
+        def checked(kb, b, regularize=True, factor=None):
+            lu_inputs = []
+
+            def before(name, args):
+                if name == "dgbsv":
+                    bw = args[1]
+                    lu_inputs.append(args[4][:, bw:2 * bw + 1].copy())
+
+            with lapack_calls(before=before):
+                x = spsolve(kb, b, regularize, factor)
+            if lu_inputs:
+                fallbacks.append(
+                    same_bits(factor["band"], factor["assemble"](factor["ke"]))
+                    and "cb" not in factor
+                    and np.array_equal(lu_inputs[0], factor["band"]))
+            return x
+
+        monkeypatch.setattr(solver, "spsolve", checked)
+        g = uniform_grid((2, 2, 8), RHO)
+        c = SolveControl(increment=0.05, max_increments=60, stop_fraction=0.6)
+        solve(g, MaterialModel(), stance_bc(g.dims), c)
+        assert fallbacks and all(fallbacks)
 
     @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 3)])
     def test_band_index_built_once_per_boundary_condition(self, dims):
