@@ -12,11 +12,13 @@ element matrices, in element order, into upper band storage
 kb[j, bw + i - j] = K[i, j] for i <= j, a C-ordered (n, bw + 1) array whose
 memory is LAPACK's column-major upper band array (leading dimension bw + 1),
 so reordering elements moves it only to 1e-12 relative.  Every
-linear solve goes through the module-level spsolve, which tries band
-Cholesky (dpbtrf, then dpbtrs), then band LU (dgbsv) on the mirrored band
-(softening: indefinite), then, for a Newton step, band LU on
-K + 1e-10 max(diag K, 1) I (singular), at O(n bw^2) for n free dofs (Golub &
-Van Loan, Matrix Computations, 4.3).  The three LAPACK routines are called
+linear solve, predictor and Newton step alike, goes through the
+module-level spsolve, which tries band Cholesky (dpbtrf, then dpbtrs), then
+band LU (dgbsv) once on the mirrored band (softening: indefinite), at
+O(n bw^2) for n free dofs (Golub & Van Loan, Matrix Computations, 4.3).
+When dgbsv finds the matrix singular the answer is NaN: the predictor is
+then skipped, and a Newton step raises "linear solve failed", which fails
+the attempt like a stall.  The three LAPACK routines are called
 by ctypes in SciPy's bundled OpenBLAS, the library whose routines
 scipy.linalg's cholesky_banded, cho_solve_banded and solve_banded call, so
 no solve imports scipy.linalg; on a SciPy build that ships no such library
@@ -36,13 +38,13 @@ runs dpbtrf on it in place, and once that succeeds the same array is the
 factor, under "cb" as well as "band".  A failed factorization leaves it
 half factored, so spsolve assembles the band again from the kept element
 matrices (bincount sums in one order, so it has the same bytes) and puts
-it under "band" before the LU rungs read it.  When the next tangent has the
+it under "band" before band LU reads it.  When the next tangent has the
 same bytes (4 of the 8 solves of the two-increment 10x10x24 elastic
 benchmark input), the predictor takes the kept element matrices, and
 spsolve reuses the factor and only back-substitutes, which gives the bytes
 a fresh factorization would.  Any other tangent drops the kept arrays
 before its own are computed, so every kept value is a function of the key
-and the tangent's bytes alone.  The LU rungs are never kept.
+and the tangent's bytes alone.  The LU factor is never kept.
 
 The committed state is (u, eps_p, alpha, tang_c): displacements, plastic
 strains, equivalent plastic strains and the Gauss-point tangents they give.
@@ -212,10 +214,10 @@ def _band_assembler(dof_map, free, n_dofs):
     return assemble
 
 
-def spsolve(kb, b, regularize=True, factor=None):
+def spsolve(kb, b, factor=None):
     """x with K x = b for the symmetric K in the band storage kb of
-    _band_assembler, by the ladder of the module docstring; the regularized
-    rung runs only if regularize.  NaN if every rung failed.  Cholesky
+    _band_assembler, by the ladder of the module docstring: NaN when dgbsv
+    reports K singular, and the caller decides what follows.  Cholesky
     comes first because band LU alone took 1.8x the wall time and peak
     memory of the 10x10x24 elastic benchmark run (2-core x86 host).
 
@@ -224,8 +226,8 @@ def spsolve(kb, b, regularize=True, factor=None):
     it is used when present, and a factor computed here is stored there.
     kb is left as it was, unless it is the record's own band, factor["band"]:
     that one is factored in place and becomes "cb", or, when Cholesky fails,
-    is replaced under "band" by factor["assemble"](factor["ke"]), which the
-    LU rungs then read.  A caller that reads the record's band after the
+    is replaced under "band" by factor["assemble"](factor["ke"]), which
+    band LU then reads.  A caller that reads the record's band after the
     call reads factor["band"] or factor["cb"], never its own reference.
 
     Each rung gives the bits of the SciPy function that calls its routine:
@@ -255,20 +257,15 @@ def spsolve(kb, b, regularize=True, factor=None):
         return x
     # dgbsv's band (2 kl + ku + 1, n) at kl = ku = bw, C-ordered as
     # (n, 3 bw + 1): bw entries of fill-in room, then K's column j from row
-    # j - bw to row j + bw.  dgbsv overwrites it with its LU factor, so the
-    # regularized rung fills it from kb again.
-    full = np.empty((n, 3 * bw + 1))
+    # j - bw to row j + bw.  dgbsv overwrites it with its LU factor.
+    full = np.zeros((n, 3 * bw + 1))
+    full[:, bw:2 * bw + 1] = kb
+    for d in range(1, bw + 1):                # sub-diagonals mirror super-diagonals
+        full[:n - d, 2 * bw + d] = kb[d:, bw - d]
+    x = np.array(b, dtype=float)
     pivots = np.empty(n, dtype=np.intc)
-    for shift in (0.0, 1e-10 * max(float(kb[:, bw].max()), 1.0))[:1 + regularize]:
-        full.fill(0.0)
-        full[:, bw:2 * bw + 1] = kb
-        for d in range(1, bw + 1):            # sub-diagonals mirror super-diagonals
-            full[:n - d, 2 * bw + d] = kb[d:, bw - d]
-        full[:, 2 * bw] += shift
-        x = np.array(b, dtype=float)
-        if _lapack("dgbsv", n, bw, bw, 1, full, 3 * bw + 1, pivots, x, n) == 0 \
-                and np.all(np.isfinite(x)):
-            return x
+    if _lapack("dgbsv", n, bw, bw, 1, full, 3 * bw + 1, pivots, x, n) == 0:
+        return x
     return np.full(n, np.nan)
 
 
@@ -459,8 +456,8 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         driven dofs at -target.
 
         Returns the converged state and its internal force vector; raises
-        NumericalError if Newton stalls or diverges.  The given state is
-        left as it was.
+        NumericalError if Newton stalls or diverges, or a linear solve
+        fails.  The given state is left as it was.
         """
         u, eps_p, alpha, tang_c = state
         u = u.copy()
@@ -471,7 +468,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         if free.size:
             ke = keep(tang_c)
             f_p = scatter(np.einsum("eij,ej->ei", ke, delta_p[dof_map]))
-            du0 = spsolve(kept["band"], -f_p[free], False, factor=kept)
+            du0 = spsolve(kept["band"], -f_p[free], factor=kept)
             if np.all(np.isfinite(du0)):
                 u[free] += du0
         u[fixed] = 0.0
@@ -490,7 +487,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
             if not res_norm <= NEWTON_DIVERGE * ref:
                 raise NumericalError("Newton diverged")
             keep(tang)
-            du = spsolve(kept["band"], -res, True, factor=kept)
+            du = spsolve(kept["band"], -res, factor=kept)
             if not np.all(np.isfinite(du)):
                 raise NumericalError("linear solve failed")
             u[free] += du

@@ -1,10 +1,13 @@
 import json
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from femrisk.datamodel import TABLE_COLUMNS, Cohort
+from femrisk.femodel import solver
 from femrisk.synth import CohortSpec, default_spec, generate_cohort
 
 FE_BASE = {
@@ -47,6 +50,25 @@ def same_bits(a, b) -> bool:
     zeros included."""
     return np.array_equal(np.asarray(a, dtype=np.float64).view(np.int64),
                           np.asarray(b, dtype=np.float64).view(np.int64))
+
+
+@contextmanager
+def lapack_calls(before=None, after=None):
+    """Records the name of every LAPACK routine spsolve calls; before and
+    after, when given, see each call's (name, args), and after its info."""
+    names, real = [], solver._lapack
+
+    def recording(name, *args):
+        names.append(name)
+        if before:
+            before(name, args)
+        info = real(name, *args)
+        if after:
+            after(name, args, info)
+        return info
+
+    with mock.patch.object(solver, "_lapack", recording):
+        yield names
 
 
 @pytest.fixture(scope="session")

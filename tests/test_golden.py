@@ -11,6 +11,10 @@ the solver.  The sha256 is compared only under the Python, NumPy, SciPy and
 BLAS build recorded with it; elsewhere the test warns that it compared
 numbers alone.
 
+Each run also pins the solve traffic that spsolve's two-rung ladder rests
+on: band LU never meets a singular tangent (dgbsv info > 0), and no solve
+answers NaN.
+
 Re-record the file, only for an intended output change (ROADMAP,
 "Re-record rule"), with
 
@@ -32,6 +36,7 @@ import numpy as np
 import pytest
 import scipy
 
+from conftest import lapack_calls
 import femrisk.cli
 from femrisk.femodel import solver
 
@@ -111,10 +116,26 @@ def golden():
 
 
 @pytest.mark.parametrize("name, seed", RUNS)
-def test_fe_outputs_match_golden(golden, name, seed, tmp_path):
+def test_fe_outputs_match_golden(golden, name, seed, tmp_path, monkeypatch):
     runs, same_environment = golden
     want = runs[f"{name} seed {seed}"]
-    assert mismatches(run(name, seed, tmp_path), want, same_environment) == []
+    lu_infos, finite, spsolve = [], [], solver.spsolve
+
+    def lu_info(routine, args, info):
+        if routine == "dgbsv":
+            lu_infos.append(info)
+
+    def checked(kb, b, **kwargs):
+        x = spsolve(kb, b, **kwargs)
+        finite.append(bool(np.isfinite(x).all()))
+        return x
+
+    monkeypatch.setattr(solver, "spsolve", checked)
+    with lapack_calls(after=lu_info):
+        got = run(name, seed, tmp_path)
+    assert [info for info in lu_infos if info > 0] == []
+    assert finite and all(finite)
+    assert mismatches(got, want, same_environment) == []
 
 
 def write() -> None:

@@ -1,6 +1,5 @@
 import ctypes
 import importlib
-from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +10,7 @@ from scipy import ndimage
 from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded, lapack,
                           solve_banded)
 
-from conftest import same_bits
+from conftest import lapack_calls, same_bits
 from femrisk.datamodel import FE12
 from femrisk.errors import NumericalError
 from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl,
@@ -27,25 +26,6 @@ from femrisk.femodel.solver import (GAUSS, _band_assembler, _element_dof_map,
 
 RHO = 0.25
 ASH = ash_density(RHO)
-
-
-@contextmanager
-def lapack_calls(before=None, after=None):
-    """Records the name of every LAPACK routine spsolve calls; before and
-    after, when given, see each call's (name, args), and after its info."""
-    names, real = [], solver._lapack
-
-    def recording(name, *args):
-        names.append(name)
-        if before:
-            before(name, args)
-        info = real(name, *args)
-        if after:
-            after(name, args, info)
-        return info
-
-    with mock.patch.object(solver, "_lapack", recording):
-        yield names
 
 
 def elastic_material():
@@ -668,11 +648,11 @@ def _dominant_band(rng, n, bw, signs):
 
 
 class TestSolveLadder:
-    """spsolve takes band Cholesky, band LU or the regularized band LU,
-    each agreeing with a dense solve of the same matrix."""
+    """spsolve takes band Cholesky, or else band LU once, each agreeing with
+    a dense solve of the same matrix; a singular matrix gives NaN."""
 
     @staticmethod
-    def _solve(kb, b, **kwargs):
+    def _solve(kb, b):
         lu_diagonals = []
 
         def diagonal(name, args):
@@ -681,7 +661,7 @@ class TestSolveLadder:
                 lu_diagonals.append(args[4][:, 2 * bw].copy())
 
         with lapack_calls(before=diagonal) as names:
-            x = spsolve(kb, b, **kwargs)
+            x = spsolve(kb, b)
         assert names.count("dpbtrf") == 1
         return x, lu_diagonals
 
@@ -712,8 +692,9 @@ class TestSolveLadder:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), bw=st.integers(1, 6))
-    def test_singular_takes_regularized_lu(self, seed, n, bw):
+    def test_singular_takes_one_lu_and_gives_nan(self, seed, n, bw):
         # A dof coupled to nothing: zero row and column, zero load there.
+        # Cholesky fails, dgbsv reports the zero pivot, and nothing retries.
         rng = np.random.default_rng(seed)
         bw = min(bw, n - 1)
         k = _dominant_band(rng, n, bw, np.ones(n))
@@ -722,15 +703,15 @@ class TestSolveLadder:
         k[:, dead] = 0.0
         b = rng.normal(size=n)
         b[dead] = 0.0
-        x, lu = self._solve(_dense_to_band(k, bw), b)
-        assert len(lu) == 2
-        shift = 1e-10 * max(np.diagonal(k).max(), 1.0)
-        np.testing.assert_array_equal(lu[1], np.diagonal(k) + shift)
-        assert _max_rel(x, np.linalg.lstsq(k, b, rcond=None)[0]) <= 1e-8
+        infos = []
 
-        # Without the regularized rung (the predictor), the answer is NaN.
-        x, lu = self._solve(_dense_to_band(k, bw), b, regularize=False)
-        assert len(lu) == 1
+        def info_of(name, args, info):
+            infos.append(info)
+
+        with lapack_calls(after=info_of) as names:
+            x = spsolve(_dense_to_band(k, bw), b)
+        assert names == ["dpbtrf", "dgbsv"]
+        assert infos[1] == dead + 1
         assert np.isnan(x).all()
 
     def test_softening_tangent_takes_lu(self):
@@ -751,6 +732,35 @@ class TestSolveLadder:
         k = _gbsv_to_dense(band, bw)
         assert np.linalg.eigvalsh(k).min() < 0.0
         assert _max_rel(x, np.linalg.solve(k, b)) <= 1e-10
+
+    @pytest.mark.parametrize("held", ["bottom_z", "nothing"])
+    def test_free_rigid_body_modes_never_fail_lu(self, held, solve_log):
+        # The top face's z dofs driven and at most the bottom face's z dofs
+        # fixed: the x and y rigid-body modes stay free, so the tangent is
+        # rank deficient, yet band LU with pivoting solves every system it
+        # gets.  Held at the bottom the column converges; held nowhere,
+        # Newton gives up without a failed solve.
+        g = uniform_grid((1, 1, 2), RHO)
+        nodes = solver._nodes(g.dims)
+        fixed = nodes[:, :, 0].ravel(order="F") * 3 + 2 if held == "bottom_z" else []
+        bc = solver.BoundaryCondition(fixed, nodes[:, :, -1].ravel(order="F") * 3 + 2)
+        control = SolveControl(increment=0.05, max_increments=5)
+        infos = []
+
+        def info_of(name, args, info):
+            if name == "dgbsv":
+                infos.append(info)
+
+        with lapack_calls(after=info_of):
+            if held == "bottom_z":
+                force = solve(g, MaterialModel(), bc, control).force
+                assert np.isfinite(force).all() and force[-1] > 0.0
+            else:
+                with pytest.raises(NumericalError,
+                                   match="Newton failed to converge at increment 1"):
+                    solve(g, MaterialModel(), bc, control)
+        assert set(infos) == {0}
+        assert len(solve_log) <= 31 * (solver.NEWTON_CAP + 1)
 
     @pytest.mark.parametrize("record", ["none", "other_band"])
     def test_band_the_record_does_not_own_is_left_as_it_was(self, record):
@@ -780,16 +790,13 @@ def _gbsv_to_dense(band, bw):
     return k
 
 
-def _scipy_lu_band(kb, shift=0.0):
-    """solve_banded's (2 bw + 1, n) band of the symmetric K in kb, with
-    shift added to its diagonal."""
+def _scipy_lu_band(kb):
+    """solve_banded's (2 bw + 1, n) band of the symmetric K in kb."""
     n, bw = kb.shape[0], kb.shape[1] - 1
     full = np.zeros((2 * bw + 1, n))
     full[:bw + 1] = kb.T
     for d in range(1, bw + 1):
         full[bw + d, :n - d] = kb[d:, bw - d]
-    full[bw] += 0.0
-    full[bw] += shift
     return full
 
 
@@ -840,27 +847,6 @@ class TestLapackRungsMatchScipy:
         assert info == 0 and same_bits(x_lapack, x)
         assert same_bits(factors[0][0], lu.T)
         assert np.array_equal(factors[0][1] - 1, piv)      # f2py counts from 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
-    def test_singular_regularized_solution(self, seed, n, bw):
-        rng = np.random.default_rng(seed)
-        bw = min(bw, n - 1)
-        k = _dominant_band(rng, n, bw, np.ones(n))
-        dead = rng.integers(n)
-        k[dead, :] = 0.0
-        k[:, dead] = 0.0
-        kb = _dense_to_band(k, bw)
-        b = rng.normal(size=n)
-        b[dead] = 0.0
-        with lapack_calls() as names:
-            x = spsolve(kb, b)
-        assert names == ["dpbtrf", "dgbsv", "dgbsv"]
-        with pytest.raises(LinAlgError):
-            solve_banded((bw, bw), _scipy_lu_band(kb), b, check_finite=False)
-        shift = 1e-10 * max(float(kb[:, bw].max()), 1.0)
-        want = solve_banded((bw, bw), _scipy_lu_band(kb, shift), b, check_finite=False)
-        assert same_bits(x, want)
 
     def test_phantom_lu_systems(self, tmp_path):
         # Every band LU system of the fe_phantom benchmark command at seed
@@ -941,13 +927,13 @@ def _shell_core_phantom():
 
 @pytest.fixture
 def solve_log(monkeypatch):
-    """Records (regularize, |rhs|) for every spsolve call of the solver:
-    regularize is False for a predictor and True for a Newton step."""
+    """Records |rhs| for every spsolve call of the solver, predictor and
+    Newton step alike."""
     log = []
 
-    def counting(kb, b, regularize=True, **kwargs):
-        log.append((regularize, float(np.linalg.norm(b))))
-        return spsolve(kb, b, regularize, **kwargs)
+    def counting(kb, b, **kwargs):
+        log.append(float(np.linalg.norm(b)))
+        return spsolve(kb, b, **kwargs)
 
     monkeypatch.setattr(solver, "spsolve", counting)
     return log
@@ -983,8 +969,9 @@ class TestNewtonDivergence:
         c = SolveControl(increment=0.01, max_increments=3, tolerance=1e-300)
         with pytest.raises(NumericalError, match="Newton failed to converge at increment 1"):
             solve(g, elastic_material(), stance_bc(g.dims), c)
-        newton = [norm for regularize, norm in solve_log if regularize]
-        assert newton and min(newton) > 0.0
+        # A predictor solves K times the displacement bump, a Newton step
+        # the residual: neither right-hand side is zero.
+        assert solve_log and min(solve_log) > 0.0
         assert len(solve_log) <= 31 * (solver.NEWTON_CAP + 1)
 
     def test_non_finite_residual_skips_newton_solves(self, monkeypatch, solve_log):
@@ -996,8 +983,9 @@ class TestNewtonDivergence:
         g = uniform_grid((1, 1, 2), RHO)
         with pytest.raises(NumericalError, match="Newton failed to converge at increment 1"):
             solve(g, elastic_material(), stance_bc(g.dims), SolveControl(increment=0.01))
-        # One predictor per attempt of the five-rung substep ladder.
-        assert [regularize for regularize, _ in solve_log] == [False] * 5
+        # One predictor per attempt of the five-rung substep ladder, and no
+        # Newton solve.
+        assert len(solve_log) == 5
 
 
 def _curve_bytes(curve):
@@ -1011,43 +999,42 @@ class TestFailedAttempt:
 
     @staticmethod
     def _solve(monkeypatch, fail_at=None):
-        """Solve a 2x2x6 column that yields from its third increment.  With
-        fail_at = (k, n), the n-th Newton solve after the k-th predictor
-        returns NaN once, which fails that attempt.  Returns the curve, the
-        number of Newton solves after each predictor, and how often the
-        fault fired."""
-        log, fired = [], []
+        """Solve a 2x2x6 column that yields from its third increment.  Every
+        stress evaluation of one attempt gets its committed eps_p array, so
+        consecutive evaluations on the same array are one attempt.  With
+        fail_at = (k, n), the n-th evaluation of the k-th attempt gives NaN
+        stress once, which fails that attempt.  Returns the curve, the
+        number of evaluations of each attempt, and how often the fault
+        fired."""
+        committed, runs, fired = [], [], []
 
-        def faulty(kb, b, regularize=True, **kwargs):
-            log.append(regularize)
-            since_predictor = log[::-1].index(False)
-            if not fired and fail_at == (log.count(False), since_predictor):
-                fired.append(len(log))
-                return np.full(kb.shape[0], np.nan)
-            return spsolve(kb, b, regularize, **kwargs)
+        def faulty(*args):
+            stress, tang, eps_p, alpha = radial_return_batch(*args)
+            if not committed or args[1] is not committed[-1]:
+                committed.append(args[1])       # held, so no id is reused
+                runs.append(0)
+            runs[-1] += 1
+            if not fired and fail_at == (len(runs), runs[-1]):
+                fired.append(len(runs))
+                stress = np.full_like(stress, np.nan)
+            return stress, tang, eps_p, alpha
 
-        monkeypatch.setattr(solver, "spsolve", faulty)
+        monkeypatch.setattr(solver, "radial_return_batch", faulty)
         g = uniform_grid((2, 2, 6), RHO)
         c = SolveControl(increment=0.05, max_increments=12)
         curve = solve(g, MaterialModel(), stance_bc(g.dims), c)
-        runs = []
-        for regularize in log:
-            if regularize:
-                runs[-1] += 1
-            else:
-                runs.append(0)
         return curve, runs, len(fired)
 
     def test_retry_ignores_how_far_the_attempt_got(self, monkeypatch):
         plain, runs, _ = self._solve(monkeypatch)
-        # The first attempt with at least 3 Newton solves, made to fail on
-        # its 1st or on its 3rd: both retries must commit the same curve.
-        k = 1 + next(i for i, n in enumerate(runs) if n >= 3)
-        first, _, fired_first = self._solve(monkeypatch, (k, 1))
-        third, _, fired_third = self._solve(monkeypatch, (k, 3))
-        assert fired_first == fired_third == 1
-        assert first.force.size == third.force.size == plain.force.size
-        assert _curve_bytes(first) == _curve_bytes(third)
+        # The first attempt with at least 4 evaluations, made to fail at
+        # its 2nd or at its 4th: both retries must commit the same curve.
+        k = 1 + next(i for i, n in enumerate(runs) if n >= 4)
+        second, _, fired_second = self._solve(monkeypatch, (k, 2))
+        fourth, _, fired_fourth = self._solve(monkeypatch, (k, 4))
+        assert fired_second == fired_fourth == 1
+        assert second.force.size == fourth.force.size == plain.force.size
+        assert _curve_bytes(second) == _curve_bytes(fourth)
 
 
 class TestFactorReuse:
@@ -1069,8 +1056,8 @@ class TestFactorReuse:
         assert n_factored == 1
         assert len(solve_log) == 2
 
-        def fresh(kb, b, regularize=True, factor=None):
-            return spsolve(kb, b, regularize)
+        def fresh(kb, b, factor=None):
+            return spsolve(kb, b)
 
         monkeypatch.setattr(solver, "spsolve", fresh)
         refactored, n_refactored = self._elastic_solve()
@@ -1135,8 +1122,7 @@ class TestFactorReuse:
         monkeypatch.setattr(solver, "_same_bits", lambda a, b: False)
         fresh = curves()
         monkeypatch.setattr(solver, "_same_bits", same_bits)
-        monkeypatch.setattr(solver, "spsolve", lambda kb, b, regularize=True, factor=None:
-                            spsolve(kb.copy(), b, regularize))
+        monkeypatch.setattr(solver, "spsolve", lambda kb, b, factor=None: spsolve(kb.copy(), b))
         copied = curves()
         assert [_curve_bytes(c) for c in reused] == [_curve_bytes(c) for c in fresh] \
             == [_curve_bytes(c) for c in copied]
@@ -1171,7 +1157,7 @@ class TestFactorReuse:
         # bit for bit, and no factor, and band LU reads that band.
         fallbacks = []
 
-        def checked(kb, b, regularize=True, factor=None):
+        def checked(kb, b, factor=None):
             lu_inputs = []
 
             def before(name, args):
@@ -1180,7 +1166,7 @@ class TestFactorReuse:
                     lu_inputs.append(args[4][:, bw:2 * bw + 1].copy())
 
             with lapack_calls(before=before):
-                x = spsolve(kb, b, regularize, factor)
+                x = spsolve(kb, b, factor)
             if lu_inputs:
                 fallbacks.append(
                     same_bits(factor["band"], factor["assemble"](factor["ke"]))
