@@ -1,17 +1,20 @@
-"""Golden outputs: `fe --curves-dir` on the benchmark's two phantoms
-(perfbench/inputs.py) at seeds 0, 7 and 42, run through dispatch in process
-and compared with tests/golden.json.
+"""Golden outputs: `fe --curves-dir` on the benchmark's two phantoms and
+`evaluate --roc-dir` with the benchmark's wide arguments (features
+FE9_ABMD_COV, PC1_ABMD_COV and ABMD_COV, classifiers lda, qda and knn, all
+subjects) on its cohort (perfbench/inputs.py, perfbench/workloads.py), each
+at seeds 0, 7 and 42, run through dispatch in process and compared with
+tests/golden.json.
 
-Every output file (fe_params.json and the four curve CSVs) is recorded as
-its sha256, its skeleton (the text with each number replaced by "#") and
-its numbers.  The skeleton must match exactly, so keys, headers, row counts
-and layout cannot move.  The numbers must match at FE_RTOL relative, the
-bound perfbench/workloads.py puts on FE parameters between two versions of
-the solver.  The sha256 is compared only under the Python, NumPy, SciPy and
-BLAS build recorded with it; elsewhere the test warns that it compared
-numbers alone.
+Every output file (fe_params.json and the four curve CSVs; report.json and
+the two ROC CSVs) is recorded as its sha256, its skeleton (the text with
+each number replaced by "#") and its numbers.  The skeleton must match
+exactly, so keys, headers, row counts and layout cannot move.  The numbers
+must match at RTOL relative, the bound perfbench/workloads.py puts on FE
+parameters between two versions of the solver.  The sha256 is compared only
+under the Python, NumPy, SciPy and BLAS build recorded with it; elsewhere
+the test warns that it compared numbers alone.
 
-Each run also pins the solve traffic that spsolve's two-rung ladder rests
+Each `fe` run also pins the solve traffic that spsolve's two-rung ladder rests
 on: band LU never meets a singular tangent (dgbsv info > 0), and no solve
 answers NaN.
 
@@ -43,8 +46,12 @@ from femrisk.femodel import solver
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.json"
 PERFBENCH = ROOT / "perfbench"
-RUNS = [(name, seed) for name in ("fe_phantom", "fe_fine_elastic") for seed in (0, 7, 42)]
-FE_RTOL = 1e-9
+SEEDS = (0, 7, 42)
+RUNS = [(name, seed) for name in ("fe_phantom", "fe_fine_elastic") for seed in SEEDS]
+EVALUATE_RUNS = [("evaluate_wide_t2", seed) for seed in SEEDS]
+# The option that writes each command's extra output files into a directory.
+OUTPUT_DIR = {"fe": "--curves-dir", "evaluate": "--roc-dir"}
+RTOL = 1e-9
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
@@ -73,13 +80,15 @@ def record(data: bytes) -> dict:
 
 
 def run(name: str, seed: int, workdir: Path) -> dict:
-    """The record of each file that `fe --curves-dir` writes for the
-    workload name's inputs at seed, keyed by its path under workdir."""
+    """The record of each file that the workload name's command writes, with
+    its output directory, for its inputs at seed, keyed by its path under
+    workdir."""
     workload = _workloads().WORKLOADS[name]
     workload.write_inputs(femrisk, seed, workdir)
     argv = workload.argv(workdir, seed, workload.threads)
-    assert femrisk.cli.dispatch([*argv, "--curves-dir", str(workdir / "curves")]) == 0
-    files = [workdir / workload.output, *sorted((workdir / "curves").iterdir())]
+    out_dir = workdir / "curves"
+    assert femrisk.cli.dispatch([*argv, OUTPUT_DIR[workload.kind], str(out_dir)]) == 0
+    files = [workdir / workload.output, *sorted(out_dir.iterdir())]
     return {f.relative_to(workdir).as_posix(): record(f.read_bytes()) for f in files}
 
 
@@ -94,10 +103,10 @@ def mismatches(got: dict, want: dict, same_environment: bool) -> list:
             problems.append(f"{path}: text other than numbers differs")
             continue
         off = [i for i, (a, b) in enumerate(zip(g["numbers"], w["numbers"]))
-               if not abs(a - b) <= FE_RTOL * abs(b)]
+               if not abs(a - b) <= RTOL * abs(b)]
         if off:
             i = off[0]
-            problems.append(f"{path}: {len(off)} numbers off by more than {FE_RTOL:g} "
+            problems.append(f"{path}: {len(off)} numbers off by more than {RTOL:g} "
                             f"relative, first #{i}: {g['numbers'][i]!r} != {w['numbers'][i]!r}")
         elif same_environment and g["sha256"] != w["sha256"]:
             problems.append(f"{path}: sha256 {g['sha256']} != {w['sha256']}")
@@ -138,9 +147,16 @@ def test_fe_outputs_match_golden(golden, name, seed, tmp_path, monkeypatch):
     assert mismatches(got, want, same_environment) == []
 
 
+@pytest.mark.parametrize("name, seed", EVALUATE_RUNS)
+def test_evaluate_outputs_match_golden(golden, name, seed, tmp_path):
+    runs, same_environment = golden
+    got = run(name, seed, tmp_path)
+    assert mismatches(got, runs[f"{name} seed {seed}"], same_environment) == []
+
+
 def write() -> None:
     runs = {}
-    for name, seed in RUNS:
+    for name, seed in RUNS + EVALUATE_RUNS:
         with tempfile.TemporaryDirectory() as workdir:
             runs[f"{name} seed {seed}"] = run(name, seed, Path(workdir))
     with open(GOLDEN, "w", encoding="utf-8") as fh:
