@@ -5,10 +5,12 @@ the slopes), linear and quadratic discriminant analysis (covariances shrunk
 by SHRINKAGE toward their diagonal), PLS discriminant analysis
 (PLS_COMPONENTS NIPALS components on the +/-1 coded label, capped at the
 feature count, with a logistic calibration layer) and k-nearest neighbors
-(k = NEIGHBORS, counting every tie at the k-th distance).  A classifier is
-its kind, one of the strings in KINDS.  Every kind standardizes its
-features internally using training data only, and every score is a
-probability-like value in [0, 1] with larger meaning more likely fracture.
+(k = NEIGHBORS, counting every tie at the k-th distance; distances within
+1e-12 relative of it count as ties, which absorbs their rounding).  A
+classifier is its kind, one of the strings in KINDS.  Every kind
+standardizes its features internally using training data only, and every
+score is a probability-like value in [0, 1] with larger meaning more likely
+fracture.
 
 Each kind has one fit and one score, _fit and _score, which work on a stack
 of splits: every array of a fit's params carries a leading split axis.
@@ -167,24 +169,22 @@ def _fit_pls(z, y, components):
 
 
 def _sq_distances(z, train_z) -> np.ndarray:
-    """Squared Euclidean distances (m, n) between the rows of z (m, p) and
-    train_z (n, p), the features' squared differences added left to right.
+    """Squared Euclidean distances (m, n) between the rows a of z (m, p) and
+    b of train_z (n, p), in the Gram form |a|^2 + |b|^2 - 2 a.b: one matrix
+    product and two vectors of row norms.
 
-    The (m, n, p) difference array is never built: each feature's
-    differences go into one (m, n) scratch plane, squared in place and
-    added to the total.  The bits may differ from NumPy's pairwise
-    last-axis sum in the last places; _knn_scores counts ties within 1e-12
-    relative, far wider than the rounding of either order.
+    Each distance is off the exact one by about p * eps * (|a|^2 + |b|^2),
+    and two equal training rows can get a.b values that differ by about
+    eps * |a.b|, because the product may sum them in different orders; a
+    distance near 0 may come out slightly negative.  _knn_scores counts ties
+    within 1e-12 * max(kth, 1), far wider than that rounding on
+    standardized rows, so the scores are those of the exact distances.
     """
-    zt = np.ascontiguousarray(z.T)[:, :, None]
-    tt = np.ascontiguousarray(train_z.T)[:, None, :]
-    total = np.zeros((z.shape[0], train_z.shape[0]))
-    plane = np.empty_like(total)
-    for j in range(z.shape[1]):
-        np.subtract(zt[j], tt[j], out=plane)
-        plane *= plane
-        total += plane
-    return total
+    d2 = z @ train_z.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", z, z)[:, None]
+    d2 += np.einsum("ij,ij->i", train_z, train_z)
+    return d2
 
 
 def _knn_scores(train_z, train_y, k, z):

@@ -47,12 +47,9 @@ class LogisticFit:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta, dtype=float)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-eta)) without overflow: exp only of -|eta|."""
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # Row states of a stacked IRLS run.  RUNNING after the loop means the row

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from femrisk.errors import DataError, NumericalError
 from femrisk.stats import fit_logistic, logistic
-from femrisk.stats.logistic import (CONVERGED, _irls, _irls_stack,
+from femrisk.stats.logistic import (CONVERGED, _irls, _irls_stack, _sigmoid,
                                     fit_logistic_stack, predict_proba_stack)
 
 
@@ -14,6 +14,43 @@ def nll(beta, y, xd):
     eta = xd @ beta
     # log(1 + exp(eta)) - y*eta, numerically stable
     return np.sum(np.logaddexp(0.0, eta) - y * eta)
+
+
+def masked_sigmoid(eta):
+    """The logistic function computed on each sign's entries apart, gathered
+    and scattered through a boolean mask: exp only of -|eta|."""
+    out = np.empty_like(eta, dtype=float)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ez = np.exp(eta[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSigmoid:
+    # Signed zeros, infinities, the ends of exp's range and subnormals.
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 709.8, -709.8, 36.8, -36.8,
+             5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    def test_bits_equal_masked_form(self, values):
+        eta = np.array(values + self.EDGES)
+        assert same_bits(_sigmoid(eta), masked_sigmoid(eta))
+
+    def test_bits_equal_masked_form_on_a_stack(self, rng):
+        # The (B, n) shape of a stacked fit's linear predictors.
+        eta = rng.uniform(-800.0, 800.0, size=(50, 2000))
+        assert same_bits(_sigmoid(eta), masked_sigmoid(eta))
+
+    def test_nan_stays_nan(self):
+        got = _sigmoid(np.array([np.nan, 1.0, -np.nan]))
+        assert np.isnan(got[[0, 2]]).all() and got[1] == masked_sigmoid(np.array([1.0]))[0]
 
 
 class TestFitLogistic:
