@@ -14,9 +14,9 @@ parameters between two versions of the solver.  The sha256 is compared only
 under the Python, NumPy, SciPy and BLAS build recorded with it; elsewhere
 the test warns that it compared numbers alone.
 
-Each `fe` run also pins the solve traffic that spsolve's two-rung ladder rests
-on: band LU never meets a singular tangent (dgbsv info > 0), and no solve
-answers NaN.
+Each `fe` run also pins the solve traffic that spsolve's two-rung ladder
+rests on: band LU never meets a singular tangent (dgbsv info > 0), and no
+solve answers NaN.
 
 Re-record the file, only for an intended output change (ROADMAP,
 "Re-record rule"), with
@@ -47,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.json"
 PERFBENCH = ROOT / "perfbench"
 SEEDS = (0, 7, 42)
-RUNS = [(name, seed) for name in ("fe_phantom", "fe_fine_elastic") for seed in SEEDS]
+FE_RUNS = [(name, seed) for name in ("fe_phantom", "fe_fine_elastic") for seed in SEEDS]
 EVALUATE_RUNS = [("evaluate_wide_t2", seed) for seed in SEEDS]
 # The option that writes each command's extra output files into a directory.
 OUTPUT_DIR = {"fe": "--curves-dir", "evaluate": "--roc-dir"}
@@ -124,7 +124,7 @@ def golden():
     return doc["runs"], doc["environment"] == here
 
 
-@pytest.mark.parametrize("name, seed", RUNS)
+@pytest.mark.parametrize("name, seed", FE_RUNS)
 def test_fe_outputs_match_golden(golden, name, seed, tmp_path, monkeypatch):
     runs, same_environment = golden
     want = runs[f"{name} seed {seed}"]
@@ -156,7 +156,7 @@ def test_evaluate_outputs_match_golden(golden, name, seed, tmp_path):
 
 def write() -> None:
     runs = {}
-    for name, seed in RUNS + EVALUATE_RUNS:
+    for name, seed in FE_RUNS + EVALUATE_RUNS:
         with tempfile.TemporaryDirectory() as workdir:
             runs[f"{name} seed {seed}"] = run(name, seed, Path(workdir))
     with open(GOLDEN, "w", encoding="utf-8") as fh:
