@@ -1,9 +1,10 @@
-"""Golden outputs: `fe --curves-dir` on the benchmark's two phantoms and
-`evaluate --roc-dir` with the benchmark's wide arguments (features
-FE9_ABMD_COV, PC1_ABMD_COV and ABMD_COV, classifiers lda, qda and knn, all
-subjects) on its cohort (perfbench/inputs.py, perfbench/workloads.py), each
-at seeds 0, 7 and 42, run through dispatch in process and compared with
-tests/golden.json.
+"""Golden outputs: `fe --curves-dir` on the benchmark's two phantoms, and
+`evaluate --roc-dir` with the benchmark's male default arguments
+(evaluate_male: the CLI defaults on the male stratum) and its wide
+arguments (evaluate_wide_t2: features FE9_ABMD_COV, PC1_ABMD_COV and
+ABMD_COV, classifiers lda, qda and knn, all subjects) on its cohort
+(perfbench/inputs.py, perfbench/workloads.py), each at seeds 0, 7 and 42,
+run through dispatch in process and compared with tests/golden.json.
 
 Every output file (fe_params.json and the four curve CSVs; report.json and
 the two ROC CSVs) is recorded as its sha256, its skeleton (the text with
@@ -48,7 +49,8 @@ GOLDEN = ROOT / "tests" / "golden.json"
 PERFBENCH = ROOT / "perfbench"
 SEEDS = (0, 7, 42)
 FE_RUNS = [(name, seed) for name in ("fe_phantom", "fe_fine_elastic") for seed in SEEDS]
-EVALUATE_RUNS = [("evaluate_wide_t2", seed) for seed in SEEDS]
+EVALUATE_RUNS = [(name, seed) for name in ("evaluate_male", "evaluate_wide_t2")
+                 for seed in SEEDS]
 # The option that writes each command's extra output files into a directory.
 OUTPUT_DIR = {"fe": "--curves-dir", "evaluate": "--roc-dir"}
 RTOL = 1e-9
