@@ -58,10 +58,10 @@ def _shrunk_cov(z: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _fit_gaussian(z, y, gamma, pooled):
-    """Class means (B, 2, p), priors (B, 2), inverse covariances (B, 2, p, p)
-    and their log-determinants (B, 2) of a stack of fits on z (B, n, p),
-    with pooled or per-class shrunk covariances.  Every row of y must hold
-    the same class counts."""
+    """Class means (B, 2, p) and priors (B, 2) of a stack of fits on z
+    (B, n, p), with the inverses (B, k, p, p) and log-determinants (B, k)
+    of their shrunk covariances: k = 1 for the pooled covariance, k = 2 for
+    one per class.  Every row of y must hold the same class counts."""
     b, n, p = z.shape
     n1 = int(y[0].sum())
     n0 = n - n1
@@ -69,12 +69,9 @@ def _fit_gaussian(z, y, gamma, pooled):
     z1 = z[y == 1].reshape(b, n1, p)
     mu = np.stack([z0.mean(axis=1), z1.mean(axis=1)], axis=1)
     priors = np.tile(np.array([n0, n1], dtype=float) / n, (b, 1))
+    covs = np.stack([_shrunk_cov(z0, gamma), _shrunk_cov(z1, gamma)], axis=1)
     if pooled:
-        cov = ((n0 - 1) * _shrunk_cov(z0, gamma) + (n1 - 1) * _shrunk_cov(z1, gamma)) / (
-            n0 + n1 - 2)
-        covs = np.stack([cov, cov], axis=1)
-    else:
-        covs = np.stack([_shrunk_cov(z0, gamma), _shrunk_cov(z1, gamma)], axis=1)
+        covs = ((n0 - 1) * covs[:, :1] + (n1 - 1) * covs[:, 1:]) / (n0 + n1 - 2)
     # A column constant within a class leaves rounding noise, not 0, on the
     # diagonal; the bound is standardize_fit's.
     flat = np.flatnonzero(np.diagonal(covs, axis1=2, axis2=3) <= 1e-12)
@@ -90,15 +87,13 @@ def _fit_gaussian(z, y, gamma, pooled):
 
 def _gaussian_posterior(mu, priors, inv, logdet, z):
     """P(fracture) at the standardized rows z (B, m, p) of each fit in a
-    stack from _fit_gaussian."""
-    logp = np.empty(z.shape[:2] + (2,))
-    for c in range(2):
-        d = z - mu[:, c, None, :]
-        maha = np.einsum("bij,bjk,bik->bi", d, inv[:, c], d)
-        logp[:, :, c] = np.log(priors[:, c, None]) - 0.5 * (maha + logdet[:, c, None])
-    shift = logp.max(axis=2, keepdims=True)
-    w = np.exp(logp - shift)
-    return w[:, :, 1] / w.sum(axis=2)
+    stack from _fit_gaussian; a pooled fit's one covariance (k = 1)
+    broadcasts across both classes."""
+    d = z[:, None] - mu[:, :, None, :]
+    maha = ((d @ inv) * d).sum(axis=3)
+    logp = np.log(priors)[:, :, None] - 0.5 * (maha + logdet[:, :, None])
+    w = np.exp(logp - logp.max(axis=1, keepdims=True))
+    return w[:, 1] / w.sum(axis=1)
 
 
 def _nipals_pls(z, yc, n_components):

@@ -4,11 +4,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from femrisk.datamodel import TABLE_COLUMNS, Cohort
 from femrisk.femodel import solver
 from femrisk.synth import CohortSpec, default_spec, generate_cohort
+
+# Every property test runs without a per-example deadline (their examples
+# solve FE systems and fit stacks, whose times vary with the host), and a
+# failure prints the blob that reproduces it.
+settings.register_profile("femrisk", deadline=None, print_blob=True)
+settings.load_profile("femrisk")
 
 FE_BASE = {
     "Sy": 7000.0, "Su": 9000.0, "Senergy": 9500.0,

@@ -170,7 +170,7 @@ def assert_within_rounding_bound(z, tz):
 
 
 class TestSqDistances:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(p=st.integers(1, 40), m=st.integers(1, 9), n=st.integers(2, 12),
            seed=st.integers(0, 2**32 - 1))
     def test_within_rounding_bound_of_sequential_sum(self, p, m, n, seed):
@@ -187,7 +187,7 @@ class TestSqDistances:
         z, tz = rng.normal(size=(3, p)), rng.normal(size=(4, p))
         assert_within_rounding_bound(z, tz)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(p=st.integers(1, 12), k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
     def test_knn_scores_match_old_distances_on_ties(self, p, k, seed):
         # Small integer features put many training points at exactly the
@@ -202,7 +202,7 @@ class TestSqDistances:
         expected = (inc * ty).sum(axis=1) / inc.sum(axis=1)
         assert np.array_equal(_knn_scores(tz, ty, k, z), expected)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(p=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
     def test_knn_scores_match_old_distances_at_workload_size(self, p, seed):
         # Standardized continuous features, 276 training and 69 test rows:
@@ -214,7 +214,7 @@ class TestSqDistances:
         expected = knn_scores_from(old_sq_distances(z, tz), ty, NEIGHBORS)
         assert np.array_equal(_knn_scores(tz, ty, NEIGHBORS, z), expected)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(p=st.integers(1, 16), tails=st.sampled_from(["t2", "lognormal", "outliers"]),
            k=st.sampled_from([1, NEIGHBORS, 10]), seed=st.integers(0, 2**32 - 1))
     def test_knn_scores_match_old_distances_on_heavy_tails(self, p, tails, k, seed):
@@ -272,6 +272,21 @@ class TestPls:
             train("pls", x, y)
 
 
+def einsum_posterior(mu, priors, inv, logdet, z):
+    """_gaussian_posterior as it was before the broadcast form: a loop over
+    the classes, each Mahalanobis term from the three-operand einsum, with a
+    pooled fit's one covariance used for both classes."""
+    logp = np.empty(z.shape[:2] + (2,))
+    for c in range(2):
+        k = min(c, inv.shape[1] - 1)
+        d = z - mu[:, c, None, :]
+        maha = np.einsum("bij,bjk,bik->bi", d, inv[:, k], d)
+        logp[:, :, c] = np.log(priors[:, c, None]) - 0.5 * (maha + logdet[:, k, None])
+    shift = logp.max(axis=2, keepdims=True)
+    w = np.exp(logp - shift)
+    return w[:, :, 1] / w.sum(axis=2)
+
+
 class TestGaussian:
     def test_lda_symmetric_blobs_boundary(self):
         rng = np.random.default_rng(9)
@@ -324,6 +339,36 @@ class TestGaussian:
             model = train(kind, x, y)
             np.testing.assert_allclose(predict_scores(model, queries), expected,
                                        rtol=1e-12, atol=0)
+
+    @settings(max_examples=150)
+    @given(b=st.integers(1, 6), p=st.integers(1, 16), extra=st.tuples(
+               st.integers(2, 40), st.integers(2, 40)), m=st.integers(1, 30),
+           gamma=st.sampled_from([0.0, 0.1, 0.6]), collinear=st.booleans(),
+           pooled=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_posterior_matches_einsum_oracle(self, b, p, extra, m, gamma, collinear,
+                                             pooled, seed):
+        # Class sizes p + 2 and up keep every unshrunk covariance
+        # invertible.  Two almost collinear columns (cond near 1e8 at
+        # gamma 0) make neither form exact: there the bound is absolute and
+        # scales with the condition number.
+        rng = np.random.default_rng(seed)
+        n0, n1 = p + extra[0], p + extra[1]
+        y = np.stack([rng.permutation(np.repeat([0, 1], [n0, n1])) for _ in range(b)])
+        z = rng.normal(size=(b, n0 + n1, p)) + 0.8 * y[:, :, None]
+        zq = rng.normal(size=(b, m, p)) * 1.5
+        if collinear and p > 1:
+            z[:, :, 1] = z[:, :, 0] + 1e-4 * rng.normal(size=(b, n0 + n1))
+            zq[:, :, 1] = zq[:, :, 0] + 1e-4 * rng.normal(size=(b, m))
+        fit = _fit_gaussian(z, y, gamma, pooled)
+        k = 1 if pooled else 2
+        assert fit[2].shape == (b, k, p, p) and fit[3].shape == (b, k)
+        got, want = _gaussian_posterior(*fit, zq), einsum_posterior(*fit, zq)
+        if gamma == 0.0:
+            cond = np.linalg.cond(fit[2]).max()
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=100 * np.finfo(float).eps * cond)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
 
     def test_column_constant_within_a_class_raises(self):
         # After standardization such a column keeps a variance of rounding

@@ -345,7 +345,7 @@ class TestColumnarAssembly:
                 # Downstream reductions depend on memory order; keep it row-major.
                 assert x_tr[0].flags.c_contiguous and x_te[0].flags.c_contiguous
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(stratum=st.sampled_from(STRATA),
            feature_set=st.sampled_from(EVERY_FEATURE_SET),
            fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**64 - 1),

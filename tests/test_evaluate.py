@@ -49,7 +49,7 @@ class TestStratifiedSplit:
             assert set(y[te]) <= {0, 1} and y[te].size >= 1
             assert y[tr].min() == 0 and y[tr].max() == 1
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(n0=st.integers(2, 60), n1=st.integers(2, 60),
            order=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**64 - 1),
            fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))

@@ -233,7 +233,7 @@ class TestKernelOracles:
     properties: elastic inside the yield surface, on the surface after a
     plastic step, and a tangent that is the derivative of the stress."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            alpha0=st.sampled_from([0.0, 0.5, 2.0, 100.0]))
     def test_below_yield_is_exactly_elastic(self, seed, n, alpha0):
@@ -255,7 +255,7 @@ class TestKernelOracles:
         np.testing.assert_array_equal(eps_p_new, eps_p)
         np.testing.assert_array_equal(alpha_new, alpha)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            alpha0=st.sampled_from([0.0, 0.5, 2.0, 100.0]))
     def test_plastic_points_land_on_yield_surface(self, seed, n, alpha0):
@@ -270,7 +270,7 @@ class TestKernelOracles:
         sy_new = _yield_stress(m, sy, emod, alpha_new)
         np.testing.assert_allclose(_von_mises(stress), sy_new, rtol=1e-12, atol=0)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20),
            branch=st.sampled_from(["plateau", "softening"]))
     def test_tangent_matches_central_differences(self, seed, n, branch):
@@ -387,7 +387,7 @@ class TestElasticTangentShortcut:
     that stay elastic, and gives the bits of the kernel that evaluates the
     consistent tangent everywhere."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            share=st.sampled_from([0.0, 0.5, 1.0]),
            alpha0=st.sampled_from([0.0, 0.5, 2.0, 100.0]), n_nan=st.integers(0, 3))
@@ -445,7 +445,7 @@ def _tangents(rng, n, source):
 
 
 class TestStiffnessProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), ne=st.integers(1, 5),
            h=st.floats(0.5, 5.0),
            source=st.sampled_from(["symmetric", "plateau", "softening"]))
@@ -460,7 +460,7 @@ class TestStiffnessProperties:
         assert ke.shape == (ne, 24, 24)
         assert _max_rel(ke, _loop_stiffness(tang, b_mats, wdet)) <= 1e-12
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1),
            dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
            plastic=st.booleans())
@@ -488,7 +488,7 @@ class TestStiffnessProperties:
         assert kb_perm.shape == kb.shape
         assert _max_rel(kb_perm, kb) <= 1e-12
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1),
            dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
            source=st.sampled_from(["symmetric", "softening"]),
@@ -570,7 +570,7 @@ def _loop_lattice(dims):
 class TestLattice:
     """The lattice numbering against loops over node_id."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
     @example(dims=(4, 2, 3))
     @example(dims=(1, 3, 2))
@@ -583,7 +583,7 @@ class TestLattice:
             # In order: the reaction sums the driven dofs' forces x fastest.
             assert cond.driven_dofs.tolist() == driven
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(h=st.floats(1e-3, 1e3))
     @example(h=3.0)
     def test_b_matrices_bit_equal_to_loop(self, h):
@@ -593,7 +593,7 @@ class TestLattice:
         assert np.array_equal(b.view(np.int64), b_loop.view(np.int64))
         assert wdet == wdet_loop
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 12)),
            seed=st.integers(0, 2**32 - 1),
            fill=st.sampled_from(["empty", "single", "full", 0.2, 0.5, 0.7]))
@@ -665,7 +665,7 @@ class TestSolveLadder:
         assert names.count("dpbtrf") == 1
         return x, lu_diagonals
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), bw=st.integers(1, 6))
     def test_positive_definite_takes_cholesky(self, seed, n, bw):
         rng = np.random.default_rng(seed)
@@ -676,7 +676,7 @@ class TestSolveLadder:
         assert lu == []
         assert _max_rel(x, np.linalg.solve(k, b)) <= 1e-10
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), bw=st.integers(1, 6))
     def test_indefinite_takes_lu(self, seed, n, bw):
         rng = np.random.default_rng(seed)
@@ -690,7 +690,7 @@ class TestSolveLadder:
         np.testing.assert_array_equal(lu[0], np.diagonal(k))
         assert _max_rel(x, np.linalg.solve(k, b)) <= 1e-10
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), bw=st.integers(1, 6))
     def test_singular_takes_one_lu_and_gives_nan(self, seed, n, bw):
         # A dof coupled to nothing: zero row and column, zero load there.
@@ -804,7 +804,7 @@ class TestLapackRungsMatchScipy:
     """Each ctypes rung of spsolve gives the factor and the solution of the
     SciPy function it replaces, bit for bit (bw >= 2, see spsolve)."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
     def test_positive_definite_factor_and_solution(self, seed, n, bw):
         rng = np.random.default_rng(seed)
@@ -818,7 +818,7 @@ class TestLapackRungsMatchScipy:
         assert same_bits(x, cho_solve_banded((cb, False), b, check_finite=False))
         assert same_bits(spsolve(kb, b, factor=factor), x)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
     def test_indefinite_lu_factor_and_solution(self, seed, n, bw):
         rng = np.random.default_rng(seed)
@@ -899,7 +899,7 @@ class TestLapackRungsMatchScipy:
             solver._lapack("dgbsv", 1, 0, 0, 1, np.ones((1, 1)), 1,
                            np.zeros(1, dtype=np.int64), np.ones(1), 1)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
            bc=st.sampled_from([stance_bc, fall_bc]))
     def test_lattice_bands_are_wider_than_tridiagonal(self, dims, bc):

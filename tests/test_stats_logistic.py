@@ -37,7 +37,7 @@ class TestSigmoid:
              5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
              1.7976931348623157e308, -1.7976931348623157e308]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
     def test_bits_equal_masked_form(self, values):
         eta = np.array(values + self.EDGES)
@@ -211,7 +211,7 @@ def stacks(draw):
     return y, x, draw(st.sampled_from([0.0, 1e-8, 1e-4]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(stacks())
 def test_stack_follows_the_lone_rule(case):
     y, x, ridge = case

@@ -124,14 +124,14 @@ class TestNdtrIsNormSf:
     """DeLong's and the Wald p-values use ndtr(-x), the survival function
     scipy.stats.norm computes; it must give the same bits."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(x=any_float)
     def test_scalar(self, x):
         ours, ref = sc.ndtr(-x), sps.norm.sf(x)
         assert type(ours) is np.float64 and type(ref) is np.float64
         assert same_bits(ours, ref)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(x=arrays(np.float64, 8, elements=any_float))
     def test_array(self, x):
         assert same_bits(sc.ndtr(-x), sps.norm.sf(x))
@@ -191,7 +191,7 @@ def sample_cov(u, v):
 
 class TestOracleProperties:
     @given(scored_labels())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_auc_equals_pairwise_count(self, data):
         (s,), y = data
         pos, neg = s[y == 1], s[y == 0]
@@ -200,13 +200,13 @@ class TestOracleProperties:
         assert auc_mann_whitney(s, y) == count / (pos.size * neg.size)
 
     @given(st.lists(SCORE_POOL, min_size=0, max_size=60))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_midranks_equal_scipy_average_ranks(self, values):
         x = np.array(values, dtype=float)
         np.testing.assert_array_equal(_midranks(x), rankdata(x, method="average"))
 
     @given(scored_labels())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_placements_match_pairwise_means(self, data):
         (s,), y = data
         auc, v10, v01 = _placements(s, y)
@@ -216,7 +216,7 @@ class TestOracleProperties:
         assert auc == pytest.approx(b10.mean(), abs=1e-15)
 
     @given(scored_labels(n_scores=2))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_delong_variance_matches_brute_force(self, data):
         (a, b), y = data
         a10, a01 = brute_placements(a, y)

@@ -21,14 +21,14 @@ class TestStdtrIsTSf:
     """The t-tests' p-values use stdtr(df, -x), the survival function
     scipy.stats.t computes; it must give the same bits."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(x=any_float, df=dfs)
     def test_scalar(self, x, df):
         ours, ref = sc.stdtr(df, -x), sps.t.sf(x, df)
         assert type(ours) is np.float64 and type(ref) is np.float64
         assert same_bits(ours, ref)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(x=arrays(np.float64, 8, elements=any_float),
            df=arrays(np.float64, 8, elements=dfs))
     def test_array(self, x, df):
@@ -36,7 +36,7 @@ class TestStdtrIsTSf:
 
 
 class TestFromSummary:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(n1=sizes, mean1=means, sd1=sds, n2=sizes, mean2=means, sd2=sds)
     def test_consistent_with_raw_data(self, n1, mean1, sd1, n2, mean2, sd2):
         # The pooled two-sided test of scipy on the same summaries.
@@ -66,7 +66,7 @@ aucs = st.integers(0, 256).map(lambda k: k / 256)
 
 
 class TestPaired:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(pairs=st.lists(st.tuples(aucs, aucs), min_size=2, max_size=60))
     def test_matches_scipy_one_sided(self, pairs):
         a, b = np.array(pairs).T

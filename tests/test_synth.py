@@ -157,7 +157,7 @@ class TestGeneration:
             assert np.mean(fx) < np.mean(ctrl)
 
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(seed=st.integers(0, 2**64 - 1),
            sizes=st.dictionaries(st.sampled_from(GROUPS), st.integers(2, 12)),
            frax=st.booleans())
