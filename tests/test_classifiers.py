@@ -273,9 +273,9 @@ class TestPls:
 
 
 def einsum_posterior(mu, priors, inv, logdet, z):
-    """_gaussian_posterior as it was before the broadcast form: a loop over
-    the classes, each Mahalanobis term from the three-operand einsum, with a
-    pooled fit's one covariance used for both classes."""
+    """The oracle for _gaussian_posterior: a loop over the classes, each
+    Mahalanobis term from the three-operand einsum, with a pooled fit's one
+    covariance used for both classes."""
     logp = np.empty(z.shape[:2] + (2,))
     for c in range(2):
         k = min(c, inv.shape[1] - 1)
