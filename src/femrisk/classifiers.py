@@ -15,9 +15,10 @@ fracture.
 Each kind has one fit and one score, _fit and _score, which work on a stack
 of splits: every array of a fit's params carries a leading split axis.
 train_and_score_stack runs the pair for several kinds on a block of
-splits, standardizing the block once; train runs _fit on a stack of one and
-drops the axis, and predict_scores restores it for _score.  The model file
-holds only the logistic model `femrisk fit` writes.
+splits, standardizing the block once (standardize_stack, then score_stack);
+train runs _fit on a stack of one and drops the axis, and predict_scores
+restores it for _score.  The model file holds only the logistic model
+`femrisk fit` writes.
 """
 
 from __future__ import annotations
@@ -98,13 +99,14 @@ def _gaussian_posterior(mu, priors, inv, logdet, z):
 
 def _nipals_pls(z, yc, n_components):
     """NIPALS PLS1 on a stack of centered features z (B, n, p) and centered
-    coded responses yc (B, n).
+    coded responses yc (B, n); z is deflated in place.
 
     Returns the regression vectors b (B, p) so that z @ b approximates yc.
     A row whose deflation leaves nothing to explain stops there, and its b
     uses the components found before that.
     """
     x, y = z, yc
+    tp = np.empty_like(x)
     w_list, p_list, q_list = [], [], []
     found = np.zeros(len(z), dtype=int)
     live = np.ones(len(z), dtype=bool)
@@ -119,7 +121,7 @@ def _nipals_pls(z, yc, n_components):
             live &= ~(tt < 1e-12)
             pvec = (np.swapaxes(x, 1, 2) @ t[:, :, None])[:, :, 0] / tt[:, None]
             q = (y[:, None, :] @ t[:, :, None])[:, 0, 0] / tt
-            x = x - t[:, :, None] * pvec[:, None, :]
+            x -= np.multiply(t[:, :, None], pvec[:, None, :], out=tp)
             y = y - q[:, None] * t
             found += live
             w_list.append(w)
@@ -153,13 +155,14 @@ def _fit_pls(z, y, components):
     feed the logistic link.
     """
     x_mean = z.mean(axis=1)
-    rank = np.linalg.matrix_rank(z - x_mean[:, None, :])
+    zc = z - x_mean[:, None, :]
+    rank = np.linalg.matrix_rank(zc)
     bad = np.flatnonzero(components > np.maximum(rank, 1))
     if bad.size:
         raise DataError(f"components ({components}) exceeds feature rank ({rank[bad[0]]})")
     yc = np.where(y == 1, 1.0, -1.0)
     y_mean = yc.mean(axis=1)
-    b = _nipals_pls(z - x_mean[:, None, :], yc - y_mean[:, None], components)
+    b = _nipals_pls(zc, yc - y_mean[:, None], components)
     return b, x_mean, y_mean, _pls_latent(z, x_mean, b, y_mean)
 
 
@@ -268,6 +271,29 @@ def predict_scores(model: TrainedModel, x) -> np.ndarray:
     return _score(model.kind, params, z[None])[0]
 
 
+def standardize_stack(x, x_test):
+    """The training rows x (B, n, p) and the rows to score x_test (B, m, p)
+    of a stack of splits, each standardized by its split's fit on x."""
+    x = np.asarray(x, dtype=float)
+    x_test = np.asarray(x_test, dtype=float)
+    if not np.all(np.isfinite(x_test)):
+        raise DataError("non-finite values in prediction input")
+    std = standardize_fit(x)
+    return standardize_apply(std, x), standardize_apply(std, x_test)
+
+
+def score_stack(kinds, z, y, z_test) -> list[np.ndarray]:
+    """Scores (B, m) of every classifier kind in kinds on the rows of
+    standardize_stack: row i trains on z[i] with labels y[i] and scores
+    z_test[i].  Every row of y must hold the same class counts, as
+    stratified splits do."""
+    y = _labels(y)
+    n_pos = y.sum(axis=1)
+    if np.any(n_pos != n_pos[0]):
+        raise DataError("every split must hold the same class counts")
+    return [_score(kind, _fit(kind, z, y), z_test) for kind in kinds]
+
+
 def train_and_score_stack(kinds, x, y, x_test) -> list[np.ndarray]:
     """Scores (B, m) of every classifier kind in kinds, one fit per row of a
     stack of splits: row i trains on x[i] (n, p) with labels y[i] and scores
@@ -275,20 +301,13 @@ def train_and_score_stack(kinds, x, y, x_test) -> list[np.ndarray]:
 
     Row i of a kind's scores equals predict_scores(train(kind, x[i], y[i]),
     x_test[i]): both run _fit and _score on the same standardized rows.  The
-    checks and the standardization run once for all kinds.  Every row of y
-    must hold the same class counts, as stratified splits do.
+    checks and the standardization run once for all kinds.  This is
+    score_stack on standardize_stack's rows; a caller that can drop x once
+    it is standardized calls the two itself, so that the raw and the
+    standardized stack are not both held while the fits run.
     """
-    x = np.asarray(x, dtype=float)
-    x_test = np.asarray(x_test, dtype=float)
-    y = _labels(y)
-    n_pos = y.sum(axis=1)
-    if np.any(n_pos != n_pos[0]):
-        raise DataError("every split must hold the same class counts")
-    if not np.all(np.isfinite(x_test)):
-        raise DataError("non-finite values in prediction input")
-    std = standardize_fit(x)
-    z, z_test = standardize_apply(std, x), standardize_apply(std, x_test)
-    return [_score(kind, _fit(kind, z, y), z_test) for kind in kinds]
+    z, z_test = standardize_stack(x, x_test)
+    return score_stack(kinds, z, y, z_test)
 
 
 # ---------------------------------------------------------------------------

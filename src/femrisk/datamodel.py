@@ -330,7 +330,9 @@ def standardize_apply(params: StandardizationParams, values: np.ndarray) -> np.n
         raise DataError(
             f"dimension mismatch: {x.shape[-1]} columns vs {params.mean.shape[-1]} params"
         )
-    return (x - params.mean[..., None, :]) / params.sd[..., None, :]
+    z = x - params.mean[..., None, :]
+    z /= params.sd[..., None, :]        # in place: one stack, not two
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,16 @@ Every command builds features with one function, build_feature_matrix: it
 gathers the train and test rows of a block of splits by row index from the
 cohort's columns, with PC1 on a given PCA or on a fold PCA fit on each
 split's training rows.  Stratified splits of one cohort all have the same
-train and test sizes and class counts, so the loop works on blocks of BLOCK
-splits as (B, n, p) stacks.  One classifiers.train_and_score_stack call per
-(feature set, block) standardizes the block once and trains and scores it
-with every classifier in one stacked fit each, which skips the covariance,
-standard errors and p-values that cross-validation discards.
+train and test sizes and class counts, so the loop works on blocks of
+splits as (B, n, p) stacks, drawn together by stratified_split_block.  A
+block holds as many splits as BLOCK_BYTES holds of their widest feature
+stack (block_size): every row of the cohort times the widest set's column
+count times 8 bytes, a PC1 set counting the 9 FE9 columns its PCA reads.
+Per (feature set, block), classifiers.standardize_stack standardizes the
+block once and classifiers.score_stack trains and scores it with every
+classifier in one stacked fit each, which skips the covariance, standard
+errors and p-values that cross-validation discards.  The block size
+changes no AUC: every split is fit and scored on its own rows.
 fit_and_score is a one-split call of the same builder, fit and score, so
 each split's AUC equals what fit_and_score and auc_mann_whitney give for
 that split alone.  A block that raises is replayed split by split through
@@ -34,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifiers import predict_scores, train, train_and_score_stack
+from .classifiers import predict_scores, score_stack, standardize_stack, train
 from .datamodel import FE9, Cohort, standardize_apply
 from .errors import DataError, FemriskError
 # fit_pca and risk_index are not called here; they stay importable because
@@ -43,10 +48,13 @@ from .stats.pca import PcaModel, fit_pca, fit_pca_stack, risk_index  # noqa: F40
 from .stats.roc import auc_mann_whitney, auc_rows, delong_compare, roc_curve
 from .stats.ttests import paired_one_sided_ttest
 
-# Splits fitted as one stack.  Bigger blocks run faster but hold more in
-# memory: evaluate_wide_t2 at seed 42 peaks at 60.5 MiB with 16, 63.2 MiB
-# with 32, 68.1 MiB with 64 and 97.5 MiB with every split in one block.
-BLOCK = 32
+# The bytes of feature stacks one block of splits may hold (block_size).
+# Bigger blocks run faster but hold more in memory, mostly the standardized
+# stack and two design stacks of the stacked IRLS.  Splits of 276 rows by 16
+# columns (evaluate_wide_t2) get blocks of 32 and peak at 61.8 MiB; splits
+# of 108 rows by 9 columns (evaluate_male) get blocks of 146 and peak at
+# 62.1 MiB, against 59.7 MiB with blocks of 32 (perfbench, seed 42).
+BLOCK_BYTES = 1_140_000
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -90,25 +98,54 @@ class ResampleConfig:
             raise DataError("train_fraction must be in (0, 1)")
 
 
-def stratified_split_indices(labels, fraction: float, seed: int):
-    """Class-proportion-preserving index split (sorted within each side)
-    with a train share of fraction, in (0, 1)."""
+def _class_shares(y, fraction: float):
+    """(members, train count) of class 0 and of class 1 in the labels y:
+    a train share of fraction, in (0, 1), of each class, with at least one
+    member left on each side."""
     if not 0.0 < fraction < 1.0:
         raise DataError(f"train fraction must be in (0, 1), got {fraction}")
-    y = np.asarray(labels, dtype=int)
-    rng = np.random.default_rng(seed)
-    train_idx = []
-    test_idx = []
+    shares = []
     for cls in (0, 1):
         members = np.flatnonzero(y == cls)
         if members.size < 2:
             raise DataError(f"class {cls} has fewer than 2 members")
         n_train = int(round(fraction * members.size))
-        n_train = min(max(n_train, 1), members.size - 1)
+        shares.append((members, min(max(n_train, 1), members.size - 1)))
+    return shares
+
+
+def stratified_split_indices(labels, fraction: float, seed: int):
+    """Class-proportion-preserving index split (sorted within each side)
+    with a train share of fraction, in (0, 1)."""
+    y = np.asarray(labels, dtype=int)
+    rng = np.random.default_rng(seed)
+    train_idx = []
+    test_idx = []
+    for members, n_train in _class_shares(y, fraction):
         perm = rng.permutation(members)
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])
     return (np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx)))
+
+
+def stratified_split_block(labels, fraction: float, seeds):
+    """Train rows (B, n) and test rows (B, m) of one split per seed: row i
+    holds the rows of stratified_split_indices(labels, fraction, seeds[i]).
+
+    Each seed's generator takes the same two permutations; its train rows
+    are marked in a (B, len(labels)) mask, which nonzero reads in ascending
+    order, so no side is sorted.
+    """
+    y = np.asarray(labels, dtype=int)
+    shares = _class_shares(y, fraction)
+    train = np.zeros((len(seeds), y.size), dtype=bool)
+    for row, seed in zip(train, seeds):
+        rng = np.random.default_rng(seed)
+        for members, n_train in shares:
+            row[rng.permutation(members)[:n_train]] = True
+    n_train = sum(n for _, n in shares)
+    return (np.nonzero(train)[1].reshape(len(seeds), n_train),
+            np.nonzero(~train)[1].reshape(len(seeds), y.size - n_train))
 
 
 def fe9_matrix(cohort: Cohort) -> np.ndarray:
@@ -149,20 +186,19 @@ def build_feature_matrix(sub: Cohort, cols: Sequence[str],
         if missing:
             raise DataError(f"subject {missing[0]}: frax_prob missing but required")
     x = sub.columns([c for c in cols if c != "pc1"])
-    x_tr, x_te = x[tr], x[te]
-    if cols[0] == "pc1":
-        fe9 = fe9_matrix(sub)
-        f_tr, f_te = fe9[tr], fe9[te]
-        if pca is None:
-            std, loadings = fit_pca_stack(f_tr)
-        else:
-            std, loadings = pca.standardization, pca.loadings
-        # risk_index: the first column of the projection on every component.
-        pc1_tr = (standardize_apply(std, f_tr) @ loadings)[:, :, :1]
-        pc1_te = (standardize_apply(std, f_te) @ loadings)[:, :, :1]
-        x_tr = np.concatenate([pc1_tr, x_tr], axis=2)
-        x_te = np.concatenate([pc1_te, x_te], axis=2)
-    return x_tr, x_te
+    if cols[0] != "pc1":
+        return x[tr], x[te]
+    fe9 = fe9_matrix(sub)
+    if pca is None:
+        std, loadings, z_tr = fit_pca_stack(fe9[tr])
+    else:
+        std, loadings = pca.standardization, pca.loadings
+        z_tr = standardize_apply(std, fe9[tr])
+    # risk_index: the first column of the projection on every component.
+    pc1_tr = (z_tr @ loadings)[:, :, :1]
+    pc1_te = (standardize_apply(std, fe9[te]) @ loadings)[:, :, :1]
+    return (np.concatenate([pc1_tr, x[tr]], axis=2),
+            np.concatenate([pc1_te, x[te]], axis=2))
 
 
 def require_class_sizes(y, protocol: str) -> None:
@@ -170,6 +206,20 @@ def require_class_sizes(y, protocol: str) -> None:
     the fewest that protocol's splits are drawn from."""
     if min((y == 0).sum(), (y == 1).sum()) < 4:
         raise DataError(f"each class needs at least 4 members for {protocol}")
+
+
+def split_bytes(sub: Cohort, feature_sets: dict[str, Sequence[str]]) -> int:
+    """The bytes of one split's widest feature stack: every row of sub,
+    train and test, times the widest feature set's column count, where a
+    PC1 set counts the FE9 columns its PCA reads."""
+    width = max(max(len(cols), len(FE9)) if cols[0] == "pc1" else len(cols)
+                for cols in feature_sets.values())
+    return len(sub) * width * 8
+
+
+def block_size(sub: Cohort, feature_sets: dict[str, Sequence[str]]) -> int:
+    """Splits per block: as many as BLOCK_BYTES holds, at least one."""
+    return max(1, BLOCK_BYTES // split_bytes(sub, feature_sets))
 
 
 def _split_and_score(sub: Cohort, feature_sets: dict[str, Sequence[str]],
@@ -180,29 +230,32 @@ def _split_and_score(sub: Cohort, feature_sets: dict[str, Sequence[str]],
     splits of sub; feature_sets maps each feature set's name to its
     columns.  Returns {cell name: AUC vector}.
 
-    Split i is drawn from mix_seed(seed, i, 0).  stratified_split_indices
-    keeps at least one member of each class on each side, so every
-    held-out side holds both classes.
+    Split i holds the rows of stratified_split_indices at mix_seed(seed,
+    i, 0), which keeps at least one member of each class on each side, so
+    every held-out side holds both classes.
     """
     y = sub.labels()
     require_class_sizes(y, protocol)
     aucs = {cell_name(fs, kind): np.empty(n_splits) for fs in feature_sets for kind in kinds}
     seeds = [mix_seed(seed, i, 0) for i in range(n_splits)]
-    for start in range(0, n_splits, BLOCK):
-        splits = [stratified_split_indices(y, fraction, s)
-                  for s in seeds[start:start + BLOCK]]
-        tr, te = (np.stack(side) for side in zip(*splits))
-        block = slice(start, start + len(splits))
+    size = block_size(sub, feature_sets)
+    for start in range(0, n_splits, size):
+        tr, te = stratified_split_block(y, fraction, seeds[start:start + size])
+        block = slice(start, start + len(tr))
         try:
             for fs, cols in feature_sets.items():
-                x_tr, x_te = build_feature_matrix(sub, cols, tr, te, pca_full)
-                stacks = train_and_score_stack(kinds, x_tr, y[tr], x_te)
+                # The raw stacks go once standardized, before the fits, and
+                # this set's stacks before the next set's are built.
+                z, z_te = standardize_stack(*build_feature_matrix(sub, cols, tr, te,
+                                                                  pca_full))
+                stacks = score_stack(kinds, z, y[tr], z_te)
+                del z, z_te
                 for kind, scores in zip(kinds, stacks):
                     aucs[cell_name(fs, kind)][block] = auc_rows(scores, y[te])
         except (FemriskError, np.linalg.LinAlgError):
             # Raise what the first failing (split, feature set, classifier)
             # cell raises on its own.
-            for tr_i, te_i in splits:
+            for tr_i, te_i in zip(tr, te):
                 for cols in feature_sets.values():
                     for kind in kinds:
                         auc_mann_whitney(*fit_and_score(sub, tr_i, te_i, cols, kind,

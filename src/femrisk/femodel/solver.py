@@ -197,14 +197,23 @@ def _band_assembler(dof_map, free, n_dofs):
     """assemble(ke) scatters element matrices (ne, 24, 24) into the band
     storage kb (n_free, bw + 1) of the free-dof stiffness, C-ordered, so
     that its memory is LAPACK's upper band array; bw is the largest
-    column - row distance among its entries."""
+    column - row distance among its entries.
+
+    An element's dofs ascend with their local index (_CORNERS runs x
+    fastest, as the node ids do), so its entries on or above K's diagonal
+    lie in the upper triangle of its matrix: the index is built from those
+    300 positions alone.  They are taken element by element, each row by
+    row, so bincount sums every band entry in the order of ke's memory.
+    """
     pos = np.full(n_dofs, -1)
     pos[free] = np.arange(free.size)
     pe = pos[dof_map]
-    rows = np.repeat(pe, 24, axis=1).ravel()
-    cols = np.tile(pe, (1, 24)).ravel()
-    sel = np.flatnonzero((rows >= 0) & (rows <= cols))
-    rows, cols = rows[sel], cols[sel]
+    i, j = np.triu_indices(24)
+    rows, cols = pe[:, i], pe[:, j]
+    keep = (rows >= 0) & (rows <= cols)
+    element, upper = np.nonzero(keep)
+    sel = element * 576 + (i * 24 + j)[upper]
+    rows, cols = rows[keep], cols[keep]
     bw = int((cols - rows).max(initial=0))
     idx = cols * (bw + 1) + bw + rows - cols
 

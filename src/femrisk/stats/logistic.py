@@ -71,25 +71,32 @@ def _newton_system(y, xd, beta, ridge):
     return score, h
 
 
-def _irls_stack(y, xd, ridge):
-    """IRLS on a stack of fits: y (B, n) 0/1, xd (B, n, k) with the
-    intercept column first; ridge penalizes every column but the intercept.
+def _design(x):
+    """x (..., n, k) with an intercept column of ones put first."""
+    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
+
+
+def _irls_stack(y, x, ridge):
+    """IRLS on a stack of fits: y (B, n) 0/1, x (B, n, k) without the
+    intercept column; ridge penalizes every column but the intercept.
 
     Each row stops at the iteration where it meets the stopping rule (score
     or step below tolerance: CONVERGED) or its coefficients pass
     COEF_DIVERGENCE (DIVERGED), and is left out of later iterations.  So
     every row runs the iterations, on the values, that the same fit run
-    alone would.  A singular Newton system raises NumericalError.  Returns
-    (beta (B, k), state (B,), iterations (B,)).
+    alone would.  The design stack with the intercept column is made here
+    and shrinks with the running rows, so no full copy of it outlives the
+    first stop.  A singular Newton system raises NumericalError.  Returns
+    (beta (B, k + 1), state (B,), iterations (B,)).
     """
-    b = xd.shape[0]
-    beta = np.zeros((b, xd.shape[2]))
+    b = x.shape[0]
+    beta = np.zeros((b, x.shape[2] + 1))
     # Prevalence-matched intercept start.
     beta[:, 0] = [math.log(p / (1.0 - p)) for p in y.mean(axis=1).tolist()]
     state = np.full(b, RUNNING)
     iterations = np.full(b, MAX_ITER)
     rows = np.arange(b)
-    ya, xa = y, xd
+    ya, xa = y, _design(x)
     for it in range(1, MAX_ITER + 1):
         score, h = _newton_system(ya, xa, beta[rows], ridge)
         try:
@@ -108,14 +115,14 @@ def _irls_stack(y, xd, ridge):
             rows = rows[~stop]
             if rows.size == 0:
                 break
-            ya, xa = y[rows], xd[rows]
+            ya, xa = ya[~stop], xa[~stop]
     return beta, state, iterations
 
 
-def _irls(y, xd, ridge):
-    """One lone IRLS run, a stack of one: y (n,), xd (n, k) with the
-    intercept column first.  Returns (beta, state, iterations)."""
-    beta, state, iterations = _irls_stack(y[None], xd[None], ridge)
+def _irls(y, x, ridge):
+    """One lone IRLS run, a stack of one: y (n,), x (n, k) without the
+    intercept column.  Returns (beta, state, iterations)."""
+    beta, state, iterations = _irls_stack(y[None], x[None], ridge)
     return beta[0], state[0], int(iterations[0])
 
 
@@ -151,13 +158,13 @@ def fit_logistic(y, x, ridge: float = 0.0) -> LogisticFit:
         raise DataError("both classes must be present")
     if ridge < 0:
         raise DataError("ridge must be >= 0")
-    xd = np.column_stack([np.ones(y.size), x])
+    xd = _design(x)
 
     used_ridge = ridge
-    beta, state, it = _irls(y, xd, ridge)
+    beta, state, it = _irls(y, x, ridge)
     if _needs_ridge(y, xd, beta, state, ridge):
         used_ridge = max(ridge, SEPARATION_RIDGE)
-        beta, state, it2 = _irls(y, xd, used_ridge)
+        beta, state, it2 = _irls(y, x, used_ridge)
         it += it2
         if _needs_ridge(y, xd, beta, state, used_ridge):
             raise NumericalError("logistic regression failed to converge")
@@ -192,13 +199,12 @@ def fit_logistic_stack(y, x, ridge: float) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    b, n, _ = x.shape
-    xd = np.concatenate([np.ones((b, n, 1)), x], axis=2)
-    beta, state, _ = _irls_stack(y, xd, ridge)
+    beta, state, _ = _irls_stack(y, x, ridge)
+    xd = _design(x)
     redo = np.flatnonzero(_needs_ridge(y, xd, beta, state, ridge))
     if redo.size:
         used_ridge = max(ridge, SEPARATION_RIDGE)
-        beta[redo], state, _ = _irls_stack(y[redo], xd[redo], used_ridge)
+        beta[redo], state, _ = _irls_stack(y[redo], x[redo], used_ridge)
         if _needs_ridge(y[redo], xd[redo], beta[redo], state, used_ridge).any():
             raise NumericalError("logistic regression failed to converge")
     return beta

@@ -69,10 +69,12 @@ def fit_pca(x, column_names=FE9) -> PcaModel:
 
 
 def fit_pca_stack(x):
-    """Standardization (B, p) and loadings (B, p, p) of one PCA per matrix
-    of a stack x (B, n, p) of the FE9 parameters, each as fit_pca fits it."""
+    """Standardization (B, p), loadings (B, p, p) and standardized rows
+    (B, n, p) of one PCA per matrix of a stack x (B, n, p) of the FE9
+    parameters, each as fit_pca fits it."""
     params = standardize_fit(x)
-    return params, _principal_axes(standardize_apply(params, x), FE9)[1]
+    z = standardize_apply(params, x)
+    return params, _principal_axes(z, FE9)[1], z
 
 
 def pc_scores(model: PcaModel, x) -> np.ndarray:

@@ -306,6 +306,23 @@ class TestGaussian:
         auc_l = auc_mann_whitney(predict_scores(lda, x), y)
         assert auc_q > 0.85 > auc_l
 
+    @pytest.mark.parametrize("dependent", ["duplicate", "sum"])
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_singular_covariance_without_shrinkage_raises(self, pooled, dependent):
+        # Three orthogonal +-1 columns of a Hadamard matrix, and a fourth that
+        # repeats the second or adds the first two: every covariance is a
+        # multiple of exact small integers, so LU finds an exact zero pivot
+        # whatever the BLAS.  Each variance passes the diagonal check.
+        h = np.array([[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)],
+                     dtype=float)[:, 1:4]
+        extra = h[:, 1] if dependent == "duplicate" else h[:, 0] + h[:, 1]
+        rows = np.c_[h, extra]
+        z = np.stack([np.r_[rows, rows + 1.0]] * 2)
+        y = np.tile(np.repeat([0, 1], 8), (2, 1))
+        with pytest.raises(NumericalError, match="^singular class covariance after shrinkage$"):
+            _fit_gaussian(z, y, 0.0, pooled)
+        _fit_gaussian(z, y, SHRINKAGE, pooled)
+
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.6])
     @pytest.mark.parametrize("kind", ["lda", "qda"])
     def test_scores_equal_per_row_bayes_rule(self, kind, gamma):
@@ -462,7 +479,7 @@ class TestStackedFits:
         z -= z.mean(axis=1, keepdims=True)
         z[1] = planted
         ys = np.tile(yc, (4, 1))
-        b = _nipals_pls(z, ys, 3)
+        b = _nipals_pls(z.copy(), ys, 3)
         assert np.array_equal(b[1], [1.0, 0.0, 0.0])
         for i in range(4):
             assert np.array_equal(b[i], _nipals_pls(z[i:i + 1], ys[i:i + 1], 3)[0])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from femrisk.classifiers import KINDS, model_to_json
 from femrisk.datamodel import COLUMN_INDEX, Cohort, feature_columns
 from femrisk.errors import DataError
-from femrisk.evaluate import (BLOCK, CvConfig, ResampleConfig, build_report,
-                              cell_name, compare_with_frax, fe9_matrix,
+from femrisk import evaluate
+from femrisk.evaluate import (CvConfig, ResampleConfig, _split_and_score, block_size,
+                              build_report, cell_name, compare_with_frax, fe9_matrix,
                               fit_and_score, mix_seed, run_lgocv,
-                              run_resample_comparison, stratified_split_indices)
+                              run_resample_comparison, split_bytes,
+                              stratified_split_block, stratified_split_indices)
 from femrisk.stats import auc_mann_whitney, fit_pca, paired_one_sided_ttest
 
 FS_PC1 = feature_columns("PC1_ABMD_COV", "all")
@@ -63,6 +67,18 @@ class TestStratifiedSplit:
         for side in (tr, te):
             assert set(y[side]) == {0, 1}
 
+    @settings(max_examples=100)
+    @given(n0=st.integers(2, 60), n1=st.integers(2, 60),
+           order=st.integers(0, 2**32 - 1),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+           fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_block_draw_is_the_stacked_lone_draws(self, n0, n1, order, seeds, fraction):
+        y = np.random.default_rng(order).permutation(np.repeat([0, 1], [n0, n1]))
+        tr, te = stratified_split_block(y, fraction, seeds)
+        for side, got in zip((0, 1), (tr, te)):
+            want = np.stack([stratified_split_indices(y, fraction, s)[side] for s in seeds])
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_cohort_split_roundtrips(self, small_cohort):
         tr, te = stratified_split_indices(small_cohort.labels(), 0.75, seed=4)
         tr_c, te_c = small_cohort.subset(tr), small_cohort.subset(te)
@@ -105,7 +121,8 @@ class TestSharedSplitLoop:
     def test_every_cell_matches_fit_and_score(self, small_cohort, paper_mode):
         # Both protocols score each cell on split i, drawn from
         # mix_seed(seed, i, 0), exactly as fit_and_score would on its own;
-        # BLOCK + 3 resamples run one full stacked block and a partial one.
+        # one block's splits + 3 resamples run one full stacked block and a
+        # partial one.
         # LDA and kNN AUCs move when PC1 comes from another PCA fit.
         stratum = "all"
         sets = feature_sets("PC1_ABMD_COV", "ABMD_COV", "FE9_ABMD_COV", "Lu_ABMD_COV",
@@ -113,7 +130,7 @@ class TestSharedSplitLoop:
         sub = small_cohort.stratum(stratum)
         pca_full = fit_pca(fe9_matrix(sub)) if paper_mode else None
         cv = CvConfig(repeats=4, seed=21)
-        rs = ResampleConfig(resamples=BLOCK + 3, seed=22)
+        rs = ResampleConfig(resamples=block_size(sub, sets) + 3, seed=22)
         lgocv = run_lgocv(sub, sets, KINDS, cv, pca_full)
         res = run_resample_comparison(sub, sets, KINDS, rs, pca_full)
         names = [cell_name(fs, kind) for fs in sets for kind in KINDS]
@@ -139,7 +156,9 @@ class TestSharedSplitLoop:
         table[:, COLUMN_INDEX["Lu"]] = np.where(rows == 123, 2e6, 1e6)
         cohort = Cohort(table, small_cohort.ids)
         fs_lu = feature_columns("Lu_ABMD_COV", "all")
-        cfg = ResampleConfig(resamples=BLOCK + 3, seed=5)
+        cfg = ResampleConfig(
+            resamples=block_size(cohort, feature_sets("ABMD_COV", "Lu_ABMD_COV")) + 3,
+            seed=5)
         y = cohort.labels()
         for i in range(cfg.resamples):
             tr, te = stratified_split_indices(y, cfg.train_fraction, mix_seed(cfg.seed, i, 0))
@@ -156,6 +175,42 @@ class TestSharedSplitLoop:
             run_resample_comparison(cohort, feature_sets("ABMD_COV", "Lu_ABMD_COV"),
                                     [LOGIT], cfg)
         assert str(got.value) == expected
+
+
+    @settings(max_examples=6)
+    @given(seed=st.integers(0, 2**64 - 1), n_splits=st.integers(8, 16),
+           paper_mode=st.booleans())
+    def test_block_size_changes_no_auc(self, small_cohort, seed, n_splits, paper_mode):
+        # Every kind, PC1 from the fold or the whole-sample PCA: blocks of
+        # 1, 7 and every split give the AUCs of the default blocks.
+        sets = feature_sets("PC1_ABMD_COV", "ABMD_COV", "FE9_ABMD_COV")
+        pca_full = fit_pca(fe9_matrix(small_cohort)) if paper_mode else None
+        args = (small_cohort, sets, KINDS, n_splits, 0.8, seed, pca_full, "resampling")
+        want = _split_and_score(*args)
+        for size in (1, 7, n_splits):
+            with mock.patch.object(evaluate, "BLOCK_BYTES",
+                                   size * split_bytes(small_cohort, sets)):
+                assert block_size(small_cohort, sets) == size
+                got = _split_and_score(*args)
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes()
+
+    def test_block_sizes_of_the_benchmark_runs(self, full_cohort):
+        # The holdout's training rows at seed 42: 108 men, 276 subjects.
+        # A PC1 set counts the nine FE9 columns its PCA reads.
+        def rows(stratum):
+            sub = full_cohort.stratum(stratum)
+            tr, _ = stratified_split_indices(sub.labels(), 0.8, mix_seed(42, 0, 0))
+            return sub.subset(tr)
+
+        men = rows("male")
+        male_sets = feature_sets("PC1_ABMD_COV", "ABMD_COV", stratum="male")
+        assert split_bytes(men, male_sets) == 108 * 9 * 8
+        wide = rows("all")
+        wide_sets = feature_sets("FE9_ABMD_COV", "PC1_ABMD_COV", "ABMD_COV")
+        assert split_bytes(wide, wide_sets) == 276 * 16 * 8
+        assert (block_size(men, male_sets), block_size(wide, wide_sets)) == (146, 32)
 
 
 class TestResampling:

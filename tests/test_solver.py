@@ -488,6 +488,37 @@ class TestStiffnessProperties:
         assert kb_perm.shape == kb.shape
         assert _max_rel(kb_perm, kb) <= 1e-12
 
+    @pytest.mark.parametrize("bc", [stance_bc, fall_bc])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 3), (1, 3, 2), (4, 2, 5),
+                                      (3, 3, 12), (10, 10, 24)])
+    def test_band_index_gives_the_bytes_of_the_full_index(self, dims, bc):
+        # The oracle builds the index over all 576 positions of each
+        # element matrix and keeps the free ones with row <= column.
+        rng = np.random.default_rng(sum(dims))
+        nx, ny, nz = dims
+        n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
+        dof_map = _element_dof_map(dims)
+        cond = bc(dims)
+        free = np.setdiff1d(np.arange(n_dofs),
+                            np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
+        b_mats, wdet = _hex_b_matrices(2.0)
+        ke = element_stiffness(_random_symmetric_tangents(rng, 8 * nx * ny * nz),
+                               b_mats, wdet)
+
+        pos = np.full(n_dofs, -1)
+        pos[free] = np.arange(free.size)
+        pe = pos[dof_map]
+        rows = np.repeat(pe, 24, axis=1).ravel()
+        cols = np.tile(pe, (1, 24)).ravel()
+        sel = np.flatnonzero((rows >= 0) & (rows <= cols))
+        rows, cols = rows[sel], cols[sel]
+        bw = int((cols - rows).max(initial=0))
+        want = np.bincount(cols * (bw + 1) + bw + rows - cols, weights=ke.ravel()[sel],
+                           minlength=(bw + 1) * free.size).reshape(free.size, bw + 1)
+
+        kb = _band_assembler(dof_map, free, n_dofs)(ke)
+        assert kb.shape == want.shape and kb.tobytes() == want.tobytes()
+
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1),
            dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),

@@ -131,10 +131,9 @@ class TestStackedFits:
 
     def test_lone_run_is_a_stack_of_one(self):
         y, x = stack_of_fits()
-        xd = np.concatenate([np.ones(y.shape + (1,)), x], axis=2)
-        beta, state, iterations = _irls_stack(y, xd, 0.0)
+        beta, state, iterations = _irls_stack(y, x, 0.0)
         for i in range(len(y)):
-            lone_beta, lone_state, it = _irls(y[i], xd[i], 0.0)
+            lone_beta, lone_state, it = _irls(y[i], x[i], 0.0)
             assert lone_state == state[i] == CONVERGED and it == iterations[i]
             assert np.array_equal(beta[i], lone_beta)
 
@@ -146,18 +145,17 @@ class TestStackedFits:
         with pytest.raises(NumericalError, match="^singular IRLS system$"):
             fit_logistic_stack(y, x, 0.0)
         # The stacked run raises at once; no row is solved around.
-        xd = np.concatenate([np.ones(y.shape + (1,)), x], axis=2)
         with pytest.raises(NumericalError, match="^singular IRLS system$"):
-            _irls_stack(y, xd, 0.0)
+            _irls_stack(y, x, 0.0)
 
     def test_flagged_rows_rerun_together(self, monkeypatch):
         y, x = stack_of_fits()
         y[[1, 4]] = (x[[1, 4], :, 0] > 0).astype(float)
         calls = []
 
-        def stack(y, xd, ridge):
+        def stack(y, x, ridge):
             calls.append((len(y), ridge))
-            return _irls_stack(y, xd, ridge)
+            return _irls_stack(y, x, ridge)
 
         def lone(*args, **kwargs):
             raise AssertionError("the stack ran a lone fit")
@@ -181,9 +179,9 @@ def test_singular_hessian_at_the_fit_raises_without_a_rerun(monkeypatch):
     y, x = stack_of_fits(b=1)
     runs = []
 
-    def lone(y, xd, ridge):
+    def lone(y, x, ridge):
         runs.append(ridge)
-        return _irls(y, xd, ridge)
+        return _irls(y, x, ridge)
 
     def singular(a):
         raise np.linalg.LinAlgError("singular matrix")
