@@ -49,11 +49,12 @@ from .stats.roc import auc_mann_whitney, auc_rows, delong_compare, roc_curve
 from .stats.ttests import paired_one_sided_ttest
 
 # The bytes of feature stacks one block of splits may hold (block_size).
-# Bigger blocks run faster but hold more in memory, mostly the standardized
-# stack and two design stacks of the stacked IRLS.  Splits of 276 rows by 16
-# columns (evaluate_wide_t2) get blocks of 32 and peak at 61.8 MiB; splits
-# of 108 rows by 9 columns (evaluate_male) get blocks of 146 and peak at
-# 62.1 MiB, against 59.7 MiB with blocks of 32 (perfbench, seed 42).
+# Bigger blocks run faster but hold more in memory: the fold PCA, the
+# stacked IRLS and NIPALS each hold a few copies of a block's stack at their
+# peaks, which are about equal.  Splits of 276 rows by 16 columns
+# (evaluate_wide_t2) get blocks of 32 and peak at 61.8 MiB; splits of 108
+# rows by 9 columns (evaluate_male) get blocks of 146 and peak at 62.1 MiB,
+# against 59.7 MiB with blocks of 32 (perfbench, seed 42).
 BLOCK_BYTES = 1_140_000
 
 _MASK = (1 << 64) - 1
