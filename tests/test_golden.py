@@ -6,8 +6,15 @@ ABMD_COV, classifiers lda, qda and knn, all subjects) on its cohort
 (perfbench/inputs.py, perfbench/workloads.py), each at seeds 0, 7 and 42,
 run through dispatch in process and compared with tests/golden.json.
 
+The other commands are recorded on the same cohorts, at the same seeds:
+`synth`, `fit --stratum male`, `compare-frax --roc-dir` with that fitted
+model, and `report` on the male default `evaluate` report.  Each runs in a
+fresh working directory on relative paths, after the commands that write
+its inputs (COMMANDS), and its stdout is recorded with the files it writes.
+
 Every output file (fe_params.json and the four curve CSVs; report.json and
-the two ROC CSVs) is recorded as its sha256, its skeleton (the text with
+the two ROC CSVs; a command's files and stdout) is recorded as its sha256,
+its skeleton (the text with
 each number replaced by "#") and its numbers.  The skeleton must match
 exactly, so keys, headers, row counts and layout cannot move.  The numbers
 must match at RTOL relative, the bound perfbench/workloads.py puts on FE
@@ -26,8 +33,10 @@ Re-record the file, only for an intended output change (ROADMAP,
 """
 
 import argparse
+import contextlib
 import ctypes
 import hashlib
+import io
 import importlib
 import json
 import platform
@@ -53,6 +62,21 @@ EVALUATE_RUNS = [(name, seed) for name in ("evaluate_male", "evaluate_wide_t2")
                  for seed in SEEDS]
 # The option that writes each command's extra output files into a directory.
 OUTPUT_DIR = {"fe": "--curves-dir", "evaluate": "--roc-dir"}
+# Each recorded command, last, after the steps that write its inputs; "{seed}"
+# is the row's seed.  The report reads evaluate_male's report.
+SYNTH = ["synth", "--seed", "{seed}", "--out", "cohort.csv"]
+FIT = ["fit", "--cohort", "cohort.csv", "--stratum", "male", "--out", "model.json"]
+EVALUATE_MALE = ["evaluate", "--cohort", "cohort.csv", "--out", "report.json",
+                 "--seed", "{seed}", "--stratum", "male"]
+COMMANDS = {
+    "synth": [SYNTH],
+    "fit": [SYNTH, FIT],
+    "compare-frax": [SYNTH, FIT, ["compare-frax", "--cohort", "cohort.csv",
+                                  "--model", "model.json", "--stratum", "male",
+                                  "--roc-dir", "roc", "--out", "delong.json"]],
+    "report": [SYNTH, EVALUATE_MALE, ["report", "--input", "report.json"]],
+}
+COMMAND_RUNS = [(command, seed) for command in COMMANDS for seed in SEEDS]
 RTOL = 1e-9
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -92,6 +116,22 @@ def run(name: str, seed: int, workdir: Path) -> dict:
     assert femrisk.cli.dispatch([*argv, OUTPUT_DIR[workload.kind], str(out_dir)]) == 0
     files = [workdir / workload.output, *sorted(out_dir.iterdir())]
     return {f.relative_to(workdir).as_posix(): record(f.read_bytes()) for f in files}
+
+
+def run_command(command: str, seed: int, workdir: Path) -> dict:
+    """The record of each file that command writes, and of its stdout
+    (keyed "stdout"), at seed in workdir, after its input steps."""
+    *inputs, argv = COMMANDS[command]
+    with contextlib.chdir(workdir):
+        for step in inputs:
+            assert femrisk.cli.dispatch([a.format(seed=seed) for a in step]) == 0
+        before = set(Path().rglob("*"))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert femrisk.cli.dispatch([a.format(seed=seed) for a in argv]) == 0
+        files = sorted(f for f in set(Path().rglob("*")) - before if f.is_file())
+        got = {f.as_posix(): record(f.read_bytes()) for f in files}
+    return {**got, "stdout": record(stdout.getvalue().encode("utf-8"))}
 
 
 def mismatches(got: dict, want: dict, same_environment: bool) -> list:
@@ -156,11 +196,21 @@ def test_evaluate_outputs_match_golden(golden, name, seed, tmp_path):
     assert mismatches(got, runs[f"{name} seed {seed}"], same_environment) == []
 
 
+@pytest.mark.parametrize("command, seed", COMMAND_RUNS)
+def test_command_outputs_match_golden(golden, command, seed, tmp_path):
+    runs, same_environment = golden
+    got = run_command(command, seed, tmp_path)
+    assert mismatches(got, runs[f"{command} seed {seed}"], same_environment) == []
+
+
 def write() -> None:
     runs = {}
     for name, seed in FE_RUNS + EVALUATE_RUNS:
         with tempfile.TemporaryDirectory() as workdir:
             runs[f"{name} seed {seed}"] = run(name, seed, Path(workdir))
+    for command, seed in COMMAND_RUNS:
+        with tempfile.TemporaryDirectory() as workdir:
+            runs[f"{command} seed {seed}"] = run_command(command, seed, Path(workdir))
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump({"environment": environment(), "runs": runs}, fh, indent=1, sort_keys=True)
         fh.write("\n")
