@@ -14,10 +14,12 @@ fracture.
 
 Each kind has one fit and one score, _fit and _score, which work on a stack
 of splits: every array of a fit's params carries a leading split axis.
-train_and_score_stack runs the pair for several kinds on a block of
-splits, standardizing the block once (standardize_stack, then score_stack);
-train runs _fit on a stack of one and drops the axis, and predict_scores
-restores it for _score.  The model file holds only the logistic model
+standardize_stack standardizes a block of splits once, and score_stack
+runs the pair for several kinds on its rows; evaluate calls the two, so
+that the raw and the standardized block are not both held while the fits
+run.  train runs
+_fit on a stack of one and drops the axis, and predict_scores restores it
+for _score.  The model file holds only the logistic model
 `femrisk fit` writes.
 """
 
@@ -285,29 +287,15 @@ def standardize_stack(x, x_test):
 def score_stack(kinds, z, y, z_test) -> list[np.ndarray]:
     """Scores (B, m) of every classifier kind in kinds on the rows of
     standardize_stack: row i trains on z[i] with labels y[i] and scores
-    z_test[i].  Every row of y must hold the same class counts, as
-    stratified splits do."""
+    z_test[i], and equals predict_scores(train(kind, x[i], y[i]),
+    x_test[i]) on the split's raw rows, since both run _fit and _score on
+    the same standardized rows.  Every row of y must hold the same class
+    counts, as stratified splits do."""
     y = _labels(y)
     n_pos = y.sum(axis=1)
     if np.any(n_pos != n_pos[0]):
         raise DataError("every split must hold the same class counts")
     return [_score(kind, _fit(kind, z, y), z_test) for kind in kinds]
-
-
-def train_and_score_stack(kinds, x, y, x_test) -> list[np.ndarray]:
-    """Scores (B, m) of every classifier kind in kinds, one fit per row of a
-    stack of splits: row i trains on x[i] (n, p) with labels y[i] and scores
-    x_test[i] (m, p).
-
-    Row i of a kind's scores equals predict_scores(train(kind, x[i], y[i]),
-    x_test[i]): both run _fit and _score on the same standardized rows.  The
-    checks and the standardization run once for all kinds.  This is
-    score_stack on standardize_stack's rows; a caller that can drop x once
-    it is standardized calls the two itself, so that the raw and the
-    standardized stack are not both held while the fits run.
-    """
-    z, z_test = standardize_stack(x, x_test)
-    return score_stack(kinds, z, y, z_test)
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,10 @@ def build_parser() -> _Parser:
     p.add_argument("--roc-dir", help="write model/FRAX ROC CSVs here")
     p.add_argument("--features", nargs="+", default=["PC1_ABMD_COV", "ABMD_COV"])
     p.add_argument("--classifiers", nargs="+", default=["logistic", "pls"], choices=KINDS)
-    p.add_argument("--repeats", type=int, default=25)
-    p.add_argument("--resamples", type=int, default=1000)
-    p.add_argument("--cv-fraction", type=float, default=0.75)
-    p.add_argument("--resample-fraction", type=float, default=0.8)
+    p.add_argument("--repeats", type=int, default=CvConfig.repeats)
+    p.add_argument("--resamples", type=int, default=ResampleConfig.resamples)
+    p.add_argument("--cv-fraction", type=float, default=CvConfig.train_fraction)
+    p.add_argument("--resample-fraction", type=float, default=ResampleConfig.train_fraction)
     p.add_argument("--holdout-fraction", type=float, default=0.8,
                    help="train share of the initial train/test split")
     p.add_argument("--skip-frax", action="store_true")

@@ -126,14 +126,16 @@ def _irls(y, x, ridge):
     return beta[0], state[0], int(iterations[0])
 
 
-def _needs_ridge(y, xd, beta, state, ridge):
+def _needs_ridge(y, x, beta, state, ridge):
     """Which fits take SEPARATION_RIDGE: those that did not converge or
     diverged and, when ridge is 0, those whose probabilities all lie within
     1e-4 of the labels (separation: the likelihood is monotone, so its score
-    vanishes at any large enough coefficient).  Takes one fit or a stack."""
+    vanishes at any large enough coefficient).  Takes one fit or a stack; x
+    is without the intercept column, and the design is built only at ridge
+    0."""
     flag = state != CONVERGED
     if ridge == 0.0:
-        p_hat = _sigmoid((xd @ beta[..., None])[..., 0])
+        p_hat = _sigmoid((_design(x) @ beta[..., None])[..., 0])
         flag = flag | np.all(np.abs(y - p_hat) < 1e-4, axis=-1)
     return flag
 
@@ -162,11 +164,11 @@ def fit_logistic(y, x, ridge: float = 0.0) -> LogisticFit:
 
     used_ridge = ridge
     beta, state, it = _irls(y, x, ridge)
-    if _needs_ridge(y, xd, beta, state, ridge):
+    if _needs_ridge(y, x, beta, state, ridge):
         used_ridge = max(ridge, SEPARATION_RIDGE)
         beta, state, it2 = _irls(y, x, used_ridge)
         it += it2
-        if _needs_ridge(y, xd, beta, state, used_ridge):
+        if _needs_ridge(y, x, beta, state, used_ridge):
             raise NumericalError("logistic regression failed to converge")
     _, h = _newton_system(y[None], xd[None], beta[None], used_ridge)
     try:
@@ -200,11 +202,10 @@ def fit_logistic_stack(y, x, ridge: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     beta, state, _ = _irls_stack(y, x, ridge)
-    xd = _design(x)
-    redo = np.flatnonzero(_needs_ridge(y, xd, beta, state, ridge))
+    redo = np.flatnonzero(_needs_ridge(y, x, beta, state, ridge))
     if redo.size:
         used_ridge = max(ridge, SEPARATION_RIDGE)
         beta[redo], state, _ = _irls_stack(y[redo], x[redo], used_ridge)
-        if _needs_ridge(y[redo], xd[redo], beta[redo], state, used_ridge).any():
+        if _needs_ridge(y[redo], x[redo], beta[redo], state, used_ridge).any():
             raise NumericalError("logistic regression failed to converge")
     return beta

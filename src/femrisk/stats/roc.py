@@ -1,4 +1,6 @@
-"""ROC curves, Mann-Whitney AUC with tie handling, and DeLong's paired test."""
+"""ROC curves, Mann-Whitney AUC with tie handling, and DeLong's paired test
+(DeLong et al. 1988), whose placement values come from midranks along the
+last axis, one pass for both score vectors (Sun & Xu 2014)."""
 
 from __future__ import annotations
 
@@ -109,21 +111,22 @@ def auc_rows(scores, labels):
 
 
 def _placements(scores: np.ndarray, y: np.ndarray):
-    """DeLong structural components (placement values) for one score vector.
+    """DeLong structural components (placement values) of the score vectors
+    along the last axis of scores, against the 0/1 labels y.
 
-    Returns (auc, v10 per case, v01 per control), each using midranks so
-    ties count one half.
+    Returns (auc, v10 per case, v01 per control) of each vector, using
+    midranks so ties count one half.
     """
-    pos = scores[y == 1]
-    neg = scores[y == 0]
-    m = pos.size
-    n = neg.size
-    all_ranks = _midranks(np.r_[pos, neg])
+    pos = scores[..., y == 1]
+    neg = scores[..., y == 0]
+    m = pos.shape[-1]
+    n = neg.shape[-1]
+    all_ranks = _midranks(np.concatenate([pos, neg], axis=-1))
     pos_ranks = _midranks(pos)
     neg_ranks = _midranks(neg)
-    v10 = (all_ranks[:m] - pos_ranks) / n
-    v01 = 1.0 - (all_ranks[m:] - neg_ranks) / m
-    auc = v10.mean()
+    v10 = (all_ranks[..., :m] - pos_ranks) / n
+    v01 = 1.0 - (all_ranks[..., m:] - neg_ranks) / m
+    auc = v10.mean(axis=-1)
     return auc, v10, v01
 
 
@@ -137,12 +140,11 @@ def delong_compare(scores_a, scores_b, labels) -> DeLongResult:
     b = _finite_scores(scores_b)
     if a.shape != b.shape or a.shape[0] != y.shape[0]:
         raise DataError("score vectors and labels must have equal length")
-    auc_a, v10_a, v01_a = _placements(a, y)
-    auc_b, v10_b, v01_b = _placements(b, y)
-    m = v10_a.size
-    n = v01_a.size
-    s10 = np.cov(np.vstack([v10_a, v10_b]), ddof=1) if m > 1 else np.zeros((2, 2))
-    s01 = np.cov(np.vstack([v01_a, v01_b]), ddof=1) if n > 1 else np.zeros((2, 2))
+    (auc_a, auc_b), v10, v01 = _placements(np.stack([a, b]), y)
+    m = v10.shape[1]
+    n = v01.shape[1]
+    s10 = np.cov(v10, ddof=1) if m > 1 else np.zeros((2, 2))
+    s01 = np.cov(v01, ddof=1) if n > 1 else np.zeros((2, 2))
     cov = s10 / m + s01 / n
     var_diff = cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1]
     delta = auc_a - auc_b

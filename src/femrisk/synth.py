@@ -19,7 +19,7 @@ from math import sqrt
 
 import numpy as np
 
-from .datamodel import COLUMN_INDEX, LOAD_CASE_PARAMS, TABLE_COLUMNS, Cohort
+from .datamodel import COLUMN_INDEX, FE12, LOAD_CASE_PARAMS, TABLE_COLUMNS, Cohort
 from .errors import DataError, malformed, read_json, require_finite
 
 GROUPS = ("male_control", "male_fx", "female_control", "female_fx")
@@ -27,9 +27,7 @@ GROUP_SEX = {"male_control": "M", "male_fx": "M",
              "female_control": "F", "female_fx": "F"}
 GROUP_FX = {"male_control": 0, "male_fx": 1, "female_control": 0, "female_fx": 1}
 
-CONTINUOUS_VARS = ("age", "height", "weight",
-                   "Sy", "Su", "Senergy", "Py", "Pu", "Penergy",
-                   "PLy", "PLu", "PLenergy", "Ly", "Lu", "Lenergy")
+CONTINUOUS_VARS = ("age", "height", "weight") + FE12
 
 
 def _check_moments(target: dict, what: str) -> None:

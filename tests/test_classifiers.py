@@ -7,8 +7,8 @@ import femrisk.classifiers
 from femrisk.classifiers import (KINDS, NEIGHBORS, SHRINKAGE, _fit_gaussian,
                                  _gaussian_posterior, _knn_scores, _nipals_pls,
                                  _pls_latent, _sq_distances, model_from_json,
-                                 model_to_json, predict_scores, train,
-                                 train_and_score_stack)
+                                 model_to_json, predict_scores, score_stack,
+                                 standardize_stack, train)
 from femrisk.datamodel import standardize_apply, standardize_fit
 from femrisk.errors import DataError, NumericalError
 from femrisk.stats import auc_mann_whitney, fit_logistic
@@ -34,8 +34,9 @@ class TestSpec:
         x, y = blobs(rng)
         with pytest.raises(DataError, match="^unknown classifier kind 'tree'$"):
             train("tree", x, y)
+        z, z_te = standardize_stack(x[None], x[None])
         with pytest.raises(DataError, match="^unknown classifier kind 'tree'$"):
-            train_and_score_stack(["tree"], x[None], y[None], x[None])
+            score_stack(["tree"], z, y[None], z_te)
 
 
 class TestAllKinds:
@@ -113,8 +114,9 @@ class TestKnn:
         error = rf"^k \({NEIGHBORS}\) exceeds training size \(4\)$"
         with pytest.raises(DataError, match=error):
             train("knn", x[0], y[0])
+        z, z_te = standardize_stack(x, x_te)
         with pytest.raises(DataError, match=error):
-            train_and_score_stack(["knn"], x, y, x_te)
+            score_stack(["knn"], z, y, z_te)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 8, 9, 13])
     def test_ties_at_kth_distance_match_row_loop(self, k):
@@ -423,7 +425,8 @@ class TestStackedFits:
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_equal_lone_fits(self, kind, rng):
         x, y, x_te = split_stack(rng)
-        [scores] = train_and_score_stack([kind], x, y, x_te)
+        z, z_te = standardize_stack(x, x_te)
+        [scores] = score_stack([kind], z, y, z_te)
         for i in range(len(x)):
             lone = predict_scores(train(kind, x[i], y[i]), x_te[i])
             assert np.array_equal(scores[i], lone)
@@ -431,10 +434,11 @@ class TestStackedFits:
     def test_spec_list_equals_each_spec_alone(self, rng):
         x, y, x_te = split_stack(rng)
         kinds = ["lda", "qda", "knn", "logistic", "pls"]
-        together = train_and_score_stack(kinds, x, y, x_te)
+        z, z_te = standardize_stack(x, x_te)
+        together = score_stack(kinds, z, y, z_te)
         assert len(together) == len(kinds)
         for kind, scores in zip(kinds, together):
-            [alone] = train_and_score_stack([kind], x, y, x_te)
+            [alone] = score_stack([kind], z, y, z_te)
             assert scores.tobytes() == alone.tobytes()
 
     def test_standardizes_once_per_call(self, rng, monkeypatch):
@@ -446,7 +450,8 @@ class TestStackedFits:
 
         monkeypatch.setattr(femrisk.classifiers, "standardize_fit", counted)
         x, y, x_te = split_stack(rng)
-        train_and_score_stack(KINDS, x, y, x_te)
+        z, z_te = standardize_stack(x, x_te)
+        score_stack(KINDS, z, y, z_te)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -456,16 +461,19 @@ class TestStackedFits:
         with pytest.raises(DataError) as lone:
             standardize_fit(x[3])
         with pytest.raises(DataError) as got:
-            train_and_score_stack([kind], x, y, x_te)
+            z, z_te = standardize_stack(x, x_te)
+            score_stack([kind], z, y, z_te)
         assert str(got.value) == str(lone.value) == "constant column at index 2 (SD = 0)"
 
     def test_separable_pls_link_takes_the_lone_ridge_fallback(self, rng):
         x, y, x_te = split_stack(rng)
-        [plain] = train_and_score_stack(["pls"], x, y, x_te)
+        z, z_te = standardize_stack(x, x_te)
+        [plain] = score_stack(["pls"], z, y, z_te)
         x[1, :, 0] += 50.0 * y[1]
         lone = train("pls", x[1], y[1])
         assert fit_logistic(y[1], pls_latent(lone, x[1]), ridge=1e-8).penalized
-        [scores] = train_and_score_stack(["pls"], x, y, x_te)
+        z, z_te = standardize_stack(x, x_te)
+        [scores] = score_stack(["pls"], z, y, z_te)
         assert np.array_equal(scores[1], predict_scores(lone, x_te[1]))
         others = np.arange(len(x)) != 1
         assert np.array_equal(scores[others], plain[others])
@@ -487,5 +495,6 @@ class TestStackedFits:
     def test_unequal_class_counts_rejected(self, rng):
         x, y, x_te = split_stack(rng)
         y[2, np.flatnonzero(y[2] == 0)[0]] = 1
+        z, z_te = standardize_stack(x, x_te)
         with pytest.raises(DataError, match="same class counts"):
-            train_and_score_stack(["lda"], x, y, x_te)
+            score_stack(["lda"], z, y, z_te)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import femrisk
-from femrisk.cli import _write_csv, _write_roc_csvs, dispatch
+from femrisk.cli import _write_csv, _write_roc_csvs, build_parser, dispatch
 from femrisk.datamodel import COHORT_HEADER, FE12, load_cohort
 from femrisk.errors import write_json
-from femrisk.evaluate import build_report
+from femrisk.evaluate import CvConfig, ResampleConfig, build_report
 from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
                              save_grid, solver, uniform_grid)
 from femrisk.femodel.grid import VoxelGrid
@@ -625,6 +625,17 @@ class TestFitAndCompare:
 
 
 class TestEvaluateAndReport:
+    def test_protocol_defaults(self):
+        # The paper's protocol: 25 repeats at a 0.75 train share, 1000
+        # resamples at 0.8, and a 0.8 holdout.  The CLI reads the first four
+        # from the config classes, so these values pin both.
+        args = build_parser().parse_args(["evaluate", "--cohort", "c.csv", "--out", "r.json"])
+        got = (args.repeats, args.cv_fraction, args.resamples, args.resample_fraction,
+               args.holdout_fraction)
+        assert got == (25, 0.75, 1000, 0.8, 0.8)
+        assert got[:4] == (CvConfig().repeats, CvConfig().train_fraction,
+                           ResampleConfig().resamples, ResampleConfig().train_fraction)
+
     def test_end_to_end(self, tmp_path, cohort_csv, capsys):
         report = tmp_path / "report.json"
         rc = dispatch(["evaluate", "--cohort", str(cohort_csv),

@@ -205,15 +205,20 @@ class TestOracleProperties:
         x = np.array(values, dtype=float)
         np.testing.assert_array_equal(_midranks(x), rankdata(x, method="average"))
 
-    @given(scored_labels())
+    @given(scored_labels(n_scores=2))
     @settings(max_examples=200)
     def test_placements_match_pairwise_means(self, data):
-        (s,), y = data
-        auc, v10, v01 = _placements(s, y)
-        b10, b01 = brute_placements(s, y)
-        np.testing.assert_allclose(v10, b10, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(v01, b01, rtol=0, atol=1e-15)
-        assert auc == pytest.approx(b10.mean(), abs=1e-15)
+        vecs, y = data
+        stacked = _placements(np.stack(vecs), y)
+        for i, s in enumerate(vecs):
+            auc, v10, v01 = _placements(s, y)
+            b10, b01 = brute_placements(s, y)
+            np.testing.assert_allclose(v10, b10, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(v01, b01, rtol=0, atol=1e-15)
+            assert auc == pytest.approx(b10.mean(), abs=1e-15)
+            # Row i of the stacked call is the lone call, bit for bit.
+            for lone, rows in zip((auc, v10, v01), stacked):
+                assert rows[i].tobytes() == lone.tobytes()
 
     @given(scored_labels(n_scores=2))
     @settings(max_examples=200)
@@ -221,6 +226,9 @@ class TestOracleProperties:
         (a, b), y = data
         a10, a01 = brute_placements(a, y)
         b10, b01 = brute_placements(b, y)
+        _, v10, v01 = _placements(np.stack([a, b]), y)
+        np.testing.assert_allclose(v10, [a10, b10], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(v01, [a01, b01], rtol=0, atol=1e-15)
         m, n = a10.size, a01.size
         var = ((sample_cov(a10, a10) + sample_cov(b10, b10) - 2 * sample_cov(a10, b10)) / m
                + (sample_cov(a01, a01) + sample_cov(b01, b01) - 2 * sample_cov(a01, b01)) / n)
