@@ -17,10 +17,9 @@ of splits: every array of a fit's params carries a leading split axis.
 standardize_stack standardizes a block of splits once, and score_stack
 runs the pair for several kinds on its rows; evaluate calls the two, so
 that the raw and the standardized block are not both held while the fits
-run.  train runs
-_fit on a stack of one and drops the axis, and predict_scores restores it
-for _score.  The model file holds only the logistic model
-`femrisk fit` writes.
+run.  train runs _fit on a stack of one and drops the axis, and
+predict_scores restores it for _score.  The model file holds only the
+logistic model `femrisk fit` writes.
 """
 
 from __future__ import annotations
