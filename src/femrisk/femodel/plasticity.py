@@ -1,5 +1,7 @@
-"""Von Mises radial return with a consistent tangent, batched over
-quadrature points (Simo & Hughes, Computational Inelasticity, ch. 3-4).
+"""Von Mises radial return with a consistent tangent (Simo & Hughes,
+Computational Inelasticity, ch. 3-4).  The elastic predictor and the yield
+test are batched over all quadrature points; the return map and the
+tangent run only at the points that yield.
 
 Voigt convention throughout: [xx, yy, zz, xy, yz, zx] with engineering
 shear strains (gamma) and tensor shear stresses.  The yield stress is a
@@ -57,9 +59,10 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
 
     strain, eps_p: (n, 6) engineering Voigt; alpha, emod, sigma_y0: (n,);
     elastic: (n, 6, 6) elastic_tangent(emod, nu), which a caller with fixed
-    moduli computes once.  The tangent of a point that stays elastic is a
-    copy of its row; the consistent tangent is computed only for the
-    points that yield.
+    moduli computes once.  The trial stress and the yield test run at every
+    point; the return map and the consistent tangent run only at the points
+    that yield.  A point that stays elastic keeps its eps_p and alpha and
+    takes a copy of its elastic row.  No input is written to.
     Returns (stress (n,6), tangent (n,6,6), eps_p_new, alpha_new).
     """
     strain = np.asarray(strain, dtype=float)
@@ -67,73 +70,62 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
     alpha = np.asarray(alpha, dtype=float)
     emod = np.asarray(emod, dtype=float)
     sigma_y0 = np.asarray(sigma_y0, dtype=float)
-    n = strain.shape[0]
 
     g, lam, kb = _moduli(emod, nu)
 
+    # Trial stress, which holds its deviator s until p_mean is added back.
     ee = strain - eps_p
     tr = ee[:, 0] + ee[:, 1] + ee[:, 2]
     stress = np.empty_like(strain)
     stress[:, :3] = (lam * tr)[:, None] + 2.0 * g[:, None] * ee[:, :3]
     stress[:, 3:] = g[:, None] * ee[:, 3:]
-
     p_mean = stress[:, :3].mean(axis=1)
-    s = stress.copy()
-    s[:, :3] -= p_mean[:, None]
-    q = np.sqrt(1.5 * (s[:, :3] ** 2).sum(axis=1) + 3.0 * (s[:, 3:] ** 2).sum(axis=1))
+    stress[:, :3] -= p_mean[:, None]
+    q = np.sqrt(1.5 * (stress[:, :3] ** 2).sum(axis=1) + 3.0 * (stress[:, 3:] ** 2).sum(axis=1))
 
     plateau = plateau_frac * sigma_y0
     h_soft = soft_frac * emod
     floor = floor_frac * plateau
     sy_cur = _yield_stress(alpha, plateau, h_soft, eps_plateau, floor)
-    f = q - sy_cur
-    plastic = f > 0.0
+    plastic = q > sy_cur
 
-    dgamma = np.zeros(n)
-    h_used = np.zeros(n)
-    if np.any(plastic):
-        three_g = 3.0 * g
-        # Plateau branch.
-        dg_plat = f / three_g
-        on_plateau = plastic & (alpha < eps_plateau)
-        stays = on_plateau & (alpha + dg_plat <= eps_plateau)
-        dgamma[stays] = dg_plat[stays]
-        # Softening branch (either crossing out of the plateau or already past).
-        soft = plastic & ~stays
-        if np.any(soft):
-            dg_soft = (q - plateau - h_soft * (alpha - eps_plateau)) / (three_g + h_soft)
-            sy_new = _yield_stress(alpha + dg_soft, plateau, h_soft, eps_plateau, floor)
-            hit_floor = soft & (sy_new <= floor + 1e-300)
-            reg = soft & ~hit_floor
-            dgamma[reg] = dg_soft[reg]
-            h_used[reg] = h_soft[reg]
-            dgamma[hit_floor] = ((q - floor) / three_g)[hit_floor]
+    # From here on, only the points that yield.  Their q exceeds a yield
+    # stress >= floor >= 0, so q and the norm of s are positive.
+    s, q, g, a = stress[plastic], q[plastic], g[plastic], alpha[plastic]
+    plateau, h_soft, floor = plateau[plastic], h_soft[plastic], floor[plastic]
+    three_g = 3.0 * g
+    # Plateau branch, where the step stays on the plateau.
+    dgamma = (q - sy_cur[plastic]) / three_g
+    stays = (a < eps_plateau) & (a + dgamma <= eps_plateau)
+    # Softening branch (either crossing out of the plateau or already past),
+    # or the floor where softening reaches it.
+    dg_soft = (q - plateau - h_soft * (a - eps_plateau)) / (three_g + h_soft)
+    sy_new = _yield_stress(a + dg_soft, plateau, h_soft, eps_plateau, floor)
+    hit_floor = ~stays & (sy_new <= floor + 1e-300)
+    soft = ~stays & ~hit_floor
+    dgamma = np.where(soft, dg_soft, np.where(hit_floor, (q - floor) / three_g, dgamma))
+    h_used = np.where(soft, h_soft, 0.0)
 
     # Stress update: scale the trial deviator.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(q > 0, 1.0 - (3.0 * g * dgamma) / np.where(q > 0, q, 1.0), 1.0)
-    s_new = s * scale[:, None]
-    stress_new = s_new.copy()
-    stress_new[:, :3] += p_mean[:, None]
+    scale = 1.0 - (three_g * dgamma) / q
+    stress[plastic] = s * scale[:, None]
+    stress[:, :3] += p_mean[:, None]
 
     # Plastic strain update (engineering shear gets the factor 2).
-    with np.errstate(invalid="ignore", divide="ignore"):
-        flow = np.where(q[:, None] > 0, 1.5 * s / np.where(q[:, None] > 0, q[:, None], 1.0), 0.0)
+    flow = 1.5 * s / q[:, None]
     flow[:, 3:] *= 2.0
-    eps_p_new = eps_p + dgamma[:, None] * flow
-    alpha_new = alpha + dgamma
+    eps_p_new = eps_p.copy()
+    eps_p_new[plastic] += dgamma[:, None] * flow
+    alpha_new = alpha.copy()
+    alpha_new[plastic] += dgamma
 
     # Consistent tangent: the elastic one, except at the points that yield.
     tangent = np.array(elastic, dtype=float)
-    if np.any(plastic):
-        g, s, q = g[plastic], s[plastic], q[plastic]
-        yielded = _isotropic(kb[plastic], 2.0 * g * scale[plastic])
-        s_norm = np.sqrt((s[:, :3] ** 2).sum(axis=1) + 2.0 * (s[:, 3:] ** 2).sum(axis=1))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = np.where(s_norm[:, None] > 0, s / np.where(s_norm[:, None] > 0, s_norm[:, None], 1.0), 0.0)
-        c_n = 6.0 * g**2 * (dgamma[plastic] / np.where(q > 0, q, 1.0)
-                            - 1.0 / (3.0 * g + h_used[plastic]))
-        yielded += c_n[:, None, None] * (m[:, :, None] * m[:, None, :])
-        tangent[plastic] = yielded
+    yielded = _isotropic(kb[plastic], 2.0 * g * scale)
+    s_norm = np.sqrt((s[:, :3] ** 2).sum(axis=1) + 2.0 * (s[:, 3:] ** 2).sum(axis=1))
+    m = s / s_norm[:, None]
+    c_n = 6.0 * g**2 * (dgamma / q - 1.0 / (three_g + h_used))
+    yielded += c_n[:, None, None] * (m[:, :, None] * m[:, None, :])
+    tangent[plastic] = yielded
 
-    return stress_new, tangent, eps_p_new, alpha_new
+    return stress, tangent, eps_p_new, alpha_new

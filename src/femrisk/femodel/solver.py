@@ -27,7 +27,8 @@ they come from scipy.linalg.cython_lapack instead.
 Work that repeats a value is done once.  A solve computes the elastic
 Gauss-point tangent of its moduli once: it is the initial committed
 tangent, and radial return copies its rows for the points that stay
-elastic.  Reuse lives in one record, a dict that compute_fe_parameters
+elastic; the return map and its tangent run only at the points that yield.
+Reuse lives in one record, a dict that compute_fe_parameters
 hands to its four solves.  It is keyed on the grid dims, the spacing and
 the free set's bytes, and a solve under another key clears it before it
 allocates anything per element.  It holds the band's scatter index (built

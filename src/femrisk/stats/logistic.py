@@ -10,7 +10,8 @@ diverges or, unpenalized, separates the classes (its probabilities
 saturate to the labels, so the maximum-likelihood estimate does not exist)
 is run once more with the ridge raised to SEPARATION_RIDGE (fit_logistic
 flags it penalized).  A fit that still needs it raises NumericalError, as
-does a singular IRLS system.
+does a singular IRLS system; a fit already at SEPARATION_RIDGE or above
+raises at once, since its rerun would repeat the same IRLS.
 """
 
 from __future__ import annotations
@@ -145,8 +146,9 @@ def fit_logistic(y, x, ridge: float = 0.0) -> LogisticFit:
 
     x excludes the intercept column (it is added internally).  A fit that
     needs it (_needs_ridge) is rerun at the separation ridge and flagged
-    penalized.  Raises NumericalError when that rerun still needs it or
-    when the Hessian at the fitted coefficients is singular.
+    penalized.  Raises NumericalError when that rerun still needs it, when
+    ridge is already at least the separation ridge, or when the Hessian at
+    the fitted coefficients is singular.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -164,12 +166,14 @@ def fit_logistic(y, x, ridge: float = 0.0) -> LogisticFit:
 
     used_ridge = ridge
     beta, state, it = _irls(y, x, ridge)
-    if _needs_ridge(y, x, beta, state, ridge):
-        used_ridge = max(ridge, SEPARATION_RIDGE)
+    flagged = _needs_ridge(y, x, beta, state, ridge)
+    if flagged and ridge < SEPARATION_RIDGE:
+        used_ridge = SEPARATION_RIDGE
         beta, state, it2 = _irls(y, x, used_ridge)
         it += it2
-        if _needs_ridge(y, x, beta, state, used_ridge):
-            raise NumericalError("logistic regression failed to converge")
+        flagged = _needs_ridge(y, x, beta, state, used_ridge)
+    if flagged:
+        raise NumericalError("logistic regression failed to converge")
     _, h = _newton_system(y[None], xd[None], beta[None], used_ridge)
     try:
         cov = np.linalg.inv(h[0])
@@ -197,15 +201,16 @@ def fit_logistic_stack(y, x, ridge: float) -> np.ndarray:
     where its Hessian at that beta is singular.  The rows run as one
     stacked IRLS that forms no covariance, standard error or p-value; the
     rows that need the separation ridge (_needs_ridge) rerun together at
-    it, and the stack raises NumericalError when one of them still needs it.
+    it, and the stack raises NumericalError when one of them still needs it
+    (at once when ridge is already at least the separation ridge).
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     beta, state, _ = _irls_stack(y, x, ridge)
     redo = np.flatnonzero(_needs_ridge(y, x, beta, state, ridge))
+    if redo.size and ridge < SEPARATION_RIDGE:
+        beta[redo], state, _ = _irls_stack(y[redo], x[redo], SEPARATION_RIDGE)
+        redo = redo[_needs_ridge(y[redo], x[redo], beta[redo], state, SEPARATION_RIDGE)]
     if redo.size:
-        used_ridge = max(ridge, SEPARATION_RIDGE)
-        beta[redo], state, _ = _irls_stack(y[redo], x[redo], used_ridge)
-        if _needs_ridge(y[redo], x[redo], beta[redo], state, used_ridge).any():
-            raise NumericalError("logistic regression failed to converge")
+        raise NumericalError("logistic regression failed to converge")
     return beta

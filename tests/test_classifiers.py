@@ -11,7 +11,7 @@ from femrisk.classifiers import (KINDS, NEIGHBORS, SHRINKAGE, _fit_gaussian,
                                  standardize_stack, train)
 from femrisk.datamodel import standardize_apply, standardize_fit
 from femrisk.errors import DataError, NumericalError
-from femrisk.stats import auc_mann_whitney, fit_logistic
+from femrisk.stats import auc_mann_whitney, fit_logistic, logistic
 
 
 def blobs(rng, n=120, sep=3.0, d=4):
@@ -466,12 +466,17 @@ class TestStackedFits:
         assert str(got.value) == str(lone.value) == "constant column at index 2 (SD = 0)"
 
     def test_separable_pls_link_takes_the_lone_ridge_fallback(self, rng):
-        x, y, x_te = split_stack(rng)
+        # One feature, so row 1's latent is affine in it: the classes lie
+        # 1e-3 to 1 either side of 0, a margin that diverges at ridge 1e-8.
+        x, y, x_te = split_stack(rng, d=1)
         z, z_te = standardize_stack(x, x_te)
         [plain] = score_stack(["pls"], z, y, z_te)
-        x[1, :, 0] += 50.0 * y[1]
+        v = np.linspace(1e-3, 1.0, 30)
+        x[1, y[1] == 0, 0] = -v
+        x[1, y[1] == 1, 0] = v
         lone = train("pls", x[1], y[1])
-        assert fit_logistic(y[1], pls_latent(lone, x[1]), ridge=1e-8).penalized
+        link = fit_logistic(y[1], pls_latent(lone, x[1]), ridge=1e-8)
+        assert link.ridge == logistic.SEPARATION_RIDGE
         z, z_te = standardize_stack(x, x_te)
         [scores] = score_stack(["pls"], z, y, z_te)
         assert np.array_equal(scores[1], predict_scores(lone, x_te[1]))

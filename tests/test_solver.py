@@ -417,16 +417,32 @@ class TestElasticTangentShortcut:
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_elastic_rows_are_copies(self):
-        # The kernel never writes into the elastic tangents it is given.
-        m, strain, emod, sy = _kernel_inputs(np.random.default_rng(0), 5, (1.05, 1.5))
-        strain[:2] = 0.0
+        # The kernel never writes into its inputs: two rows each that stay
+        # elastic (the first at zero stress), stay on the plateau, soften,
+        # reach the floor, or have a NaN strain.
+        rng = np.random.default_rng(0)
+        m, ee, emod, sy = _kernel_inputs(rng, 10, (1.0, 1.0))
+        eps_p, _ = _plastic_history(rng, m, 10, 0.0)
+        alpha = np.repeat([0.0, 0.0, 2.0, 100.0, 0.0], 2) * m.eps_plateau
+        factor = np.repeat([0.5, 1.01, 1.2, 1.5, 0.5], 2)
+        factor[0] = 0.0
+        ee *= (factor * _yield_stress(m, sy, emod, alpha) / sy)[:, None]
+        strain = ee + eps_p
+        strain[8:, 0] = np.nan
         elastic = elastic_tangent(emod, m.nu)
-        before = elastic.copy()
-        zero = np.zeros((5, 6))
-        tang = radial_return_batch(strain, zero, np.zeros(5), emod, m.nu, sy, m.f_plateau,
-                                   m.eps_plateau, m.f_soft, m.floor_frac, elastic)[1]
-        assert tang is not elastic
-        np.testing.assert_array_equal(elastic, before)
+        inputs = (strain, eps_p, alpha, elastic)
+        before = [a.tobytes() for a in inputs]
+        with np.errstate(invalid="ignore"):
+            out = radial_return_batch(strain, eps_p, alpha, emod, m.nu, sy, m.f_plateau,
+                                      m.eps_plateau, m.f_soft, m.floor_frac, elastic)
+        assert [a.tobytes() for a in inputs] == before
+        assert all(o is not i for o, i in zip(out[1:], (elastic, eps_p, alpha)))
+        assert all(np.isfinite(o[:8]).all() for o in out)
+        sy_new = _yield_stress(m, sy, emod, out[3])
+        np.testing.assert_array_equal(out[3] > alpha, np.repeat([0, 1, 1, 1, 0], 2) == 1)
+        assert np.all(out[3][2:4] <= m.eps_plateau)
+        assert np.all(sy_new[4:6] > m.floor_frac * m.f_plateau * sy[4:6])
+        np.testing.assert_array_equal(sy_new[6:8], m.floor_frac * m.f_plateau * sy[6:8])
 
 
 def _loop_stiffness(tang, b_mats, wdet):

@@ -118,11 +118,14 @@ class TestStackedFits:
     @pytest.mark.parametrize("ridge", [0.0, 1e-8])
     def test_separable_row_takes_the_lone_ridge_fallback(self, ridge):
         y, x = stack_of_fits()
+        # Row 2 is separable with its closest point 1e-3 from the split, so
+        # at ridge 1e-8 too its coefficients diverge; at 1e-2 they would not.
         beta_plain = fit_logistic_stack(y, x, ridge)
         y[2] = (x[2, :, 0] > 0).astype(float)
+        x[2, :, 0] *= 1e-3 / np.abs(x[2, :, 0]).min()
         beta = fit_logistic_stack(y, x, ridge)
         lone = fit_logistic(y[2], x[2], ridge)
-        assert lone.penalized
+        assert lone.ridge == logistic.SEPARATION_RIDGE
         assert np.array_equal(beta[2], lone.beta)
         others = np.arange(len(y)) != 2
         assert np.array_equal(beta[others], beta_plain[others])
@@ -173,6 +176,25 @@ class TestStackedFits:
             fit_logistic_stack(y, x, 0.0)
         with pytest.raises(NumericalError, match="^logistic regression failed to converge$"):
             fit_logistic(y[0], x[0])
+
+    def test_fit_at_the_separation_ridge_raises_without_a_rerun(self, monkeypatch):
+        # A rerun at the ridge the fit already used would repeat its IRLS.
+        y, x = stack_of_fits()
+        calls = []
+
+        def stack(y, x, ridge):
+            calls.append((len(y), ridge))
+            return _irls_stack(y, x, ridge)
+
+        monkeypatch.setattr(logistic, "_irls_stack", stack)
+        monkeypatch.setattr(logistic, "MAX_ITER", 1)
+        ridge = logistic.SEPARATION_RIDGE
+        with pytest.raises(NumericalError, match="^logistic regression failed to converge$"):
+            fit_logistic_stack(y, x, ridge)
+        assert calls == [(6, ridge)]
+        with pytest.raises(NumericalError, match="^logistic regression failed to converge$"):
+            fit_logistic(y[0], x[0], ridge)
+        assert calls == [(6, ridge), (1, ridge)]
 
 
 def test_singular_hessian_at_the_fit_raises_without_a_rerun(monkeypatch):
