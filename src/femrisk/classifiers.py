@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import StandardizationParams, standardize_apply, standardize_fit
-from .errors import DataError, NumericalError, malformed
+from .errors import DataError, NumericalError, malformed, require_labels
 # fit_logistic is not called here; it stays importable because
 # perfbench/tracing.py WRAPS traces femrisk.classifiers.fit_logistic.
 from .stats.logistic import fit_logistic, fit_logistic_stack, predict_proba_stack  # noqa: F401
@@ -231,25 +231,13 @@ def _score(kind: str, params: dict, z) -> np.ndarray:
                      for tz, ty, zi in zip(params["train_z"], params["train_y"], z)])
 
 
-def _labels(y) -> np.ndarray:
-    """0/1 labels as ints; every row (the last axis) must hold both classes."""
-    y = np.asarray(y, dtype=int)
-    if np.any((y != 0) & (y != 1)):
-        raise DataError("y must be 0/1")
-    n_pos = y.sum(axis=-1)
-    if np.any((n_pos == 0) | (n_pos == y.shape[-1])):
-        raise DataError("both classes must be present")
-    return y
-
-
 def train(kind: str, x, y, feature_names=None) -> TrainedModel:
     """Fit one classifier: _fit on a stack of one, with the split axis
     dropped from its params.  x rows are subjects; y is 0/1 fracture status."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = require_labels(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DataError("x must be 2-D and aligned with y")
-    y = _labels(y)
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(x.shape[1]))
     std = standardize_fit(x)
@@ -290,7 +278,7 @@ def score_stack(kinds, z, y, z_test) -> list[np.ndarray]:
     x_test[i]) on the split's raw rows, since both run _fit and _score on
     the same standardized rows.  Every row of y must hold the same class
     counts, as stratified splits do."""
-    y = _labels(y)
+    y = require_labels(y)
     n_pos = y.sum(axis=1)
     if np.any(n_pos != n_pos[0]):
         raise DataError("every split must hold the same class counts")

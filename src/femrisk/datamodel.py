@@ -303,7 +303,7 @@ class StandardizationParams:
 
 def standardize_fit(values: np.ndarray) -> StandardizationParams:
     """Fit per-column mean and sample SD of a matrix (n, p).  Raises on
-    constant columns.
+    non-finite values and on constant columns.
 
     A stack of matrices (B, n, p) gets one fit per matrix: mean and sd are
     then (B, p), and the error names the column of the first matrix that
@@ -312,6 +312,8 @@ def standardize_fit(values: np.ndarray) -> StandardizationParams:
     x = np.asarray(values, dtype=float)
     if x.shape[-2] < 2:
         raise DataError("need at least 2 rows to standardize")
+    if not np.all(np.isfinite(x)):
+        raise DataError("non-finite values in fit input")
     mean = x.mean(axis=-2)
     sd = x.std(axis=-2, ddof=1)
     tiny = sd <= 1e-12 * np.maximum(np.abs(mean), 1.0)

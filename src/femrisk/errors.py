@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package, and JSON document I/O."""
+"""Exception hierarchy shared across the package, the shared input checks
+(require_finite for a number, require_labels for 0/1 fracture status) and
+JSON document I/O."""
 
 import json
 from contextlib import contextmanager
 from math import isfinite
+
+import numpy as np
 
 
 class FemriskError(Exception):
@@ -21,6 +25,19 @@ def require_finite(value, what: str) -> None:
     """DataError unless value is a finite int or float (a bool is neither)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
         raise DataError(f"{what} must be a finite number, got {value!r}")
+
+
+def require_labels(y) -> np.ndarray:
+    """The 0/1 labels y as ints, an int array uncopied.  DataError unless
+    every value is 0 or 1 (checked before any cast; bools and floats count
+    by value) and every row along the last axis holds both classes."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "biuf" or not np.all((y == 0) | (y == 1)):
+        raise DataError("labels must be 0/1")
+    y = y.astype(int, copy=False)
+    if y.ndim == 0 or np.any(y.all(axis=-1) | ~y.any(axis=-1)):
+        raise DataError("both classes must be present")
+    return y
 
 
 @contextmanager

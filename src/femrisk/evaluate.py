@@ -41,7 +41,7 @@ import numpy as np
 
 from .classifiers import predict_scores, score_stack, standardize_stack, train
 from .datamodel import FE9, Cohort, standardize_apply
-from .errors import DataError, FemriskError
+from .errors import DataError, FemriskError, require_labels
 # fit_pca and risk_index are not called here; they stay importable because
 # perfbench/tracing.py WRAPS traces them in this module.
 from .stats.pca import PcaModel, fit_pca, fit_pca_stack, risk_index  # noqa: F401
@@ -118,7 +118,7 @@ def _class_shares(y, fraction: float):
 def stratified_split_indices(labels, fraction: float, seed: int):
     """Class-proportion-preserving index split (sorted within each side)
     with a train share of fraction, in (0, 1)."""
-    y = np.asarray(labels, dtype=int)
+    y = require_labels(labels)
     rng = np.random.default_rng(seed)
     train_idx = []
     test_idx = []
@@ -137,7 +137,7 @@ def stratified_split_block(labels, fraction: float, seeds):
     are marked in a (B, len(labels)) mask, which nonzero reads in ascending
     order, so no side is sorted.
     """
-    y = np.asarray(labels, dtype=int)
+    y = require_labels(labels)
     shares = _class_shares(y, fraction)
     train = np.zeros((len(seeds), y.size), dtype=bool)
     for row, seed in zip(train, seeds):

@@ -43,7 +43,7 @@ def extract_result(curve: ForceDisplacementCurve,
         if yield_policy == "error":
             raise
         yld = ult
-    return min(yld, ult), ult, energy
+    return yld, ult, energy
 
 
 def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,

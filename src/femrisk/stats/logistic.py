@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from ..errors import DataError, NumericalError
+from ..errors import DataError, NumericalError, require_labels
 
 SCORE_TOL = 1e-8
 COEF_TOL = 1e-10
@@ -150,16 +150,12 @@ def fit_logistic(y, x, ridge: float = 0.0) -> LogisticFit:
     ridge is already at least the separation ridge, or when the Hessian at
     the fitted coefficients is singular.
     """
-    y = np.asarray(y, dtype=float)
+    y = require_labels(y)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] != y.shape[0]:
         raise DataError("x and y must have the same number of rows")
-    if not set(np.unique(y)) <= {0.0, 1.0}:
-        raise DataError("y must be 0/1")
-    if y.min() == y.max():
-        raise DataError("both classes must be present")
     if ridge < 0:
         raise DataError("ridge must be >= 0")
     xd = _design(x)

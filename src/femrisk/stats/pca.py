@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datamodel import FE9, StandardizationParams, standardize_apply, standardize_fit
-from ..errors import DataError, malformed
+from ..errors import DataError, malformed, require_labels
 from .logistic import fit_logistic
 
 
@@ -55,11 +55,9 @@ def fit_pca(x, column_names=FE9) -> PcaModel:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DataError("need a 2-D matrix with at least 2 rows")
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite values in PCA input")
     if len(column_names) != x.shape[1]:
         raise DataError("column_names length must match columns")
-    params = standardize_fit(x)          # raises on constant columns
+    params = standardize_fit(x)          # raises on non-finite and constant columns
     names = tuple(column_names)
     eigvals, eigvecs = _principal_axes(standardize_apply(params, x)[None], names)
     shares = eigvals[0] / eigvals[0].sum()
@@ -133,9 +131,7 @@ def select_significant_pcs(scores, labels):
     s = np.asarray(scores, dtype=float)
     if s.ndim != 2:
         raise DataError("scores must be (n_subjects, n_components)")
-    y = np.asarray(labels, dtype=int)
-    if y.min() == y.max():
-        raise DataError("both classes must be present")
+    y = require_labels(labels)
     retained = []
     pvals = []
     for j in range(s.shape[1]):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from ..errors import DataError, NumericalError
+from ..errors import DataError, NumericalError, require_labels
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,6 @@ class DeLongResult:
     p: float
 
 
-def _check_labels(labels) -> np.ndarray:
-    y = np.asarray(labels, dtype=int)
-    if not set(np.unique(y)) <= {0, 1}:
-        raise DataError("labels must be 0/1")
-    if y.min() == y.max():
-        raise DataError("both classes must be present")
-    return y
-
-
 def _finite_scores(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
@@ -52,7 +43,7 @@ def roc_curve(scores, labels) -> RocCurve:
 
     A point (fpr, tpr) at threshold t classifies score >= t as positive.
     """
-    y = _check_labels(labels)
+    y = require_labels(labels)
     s = _finite_scores(scores)
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
@@ -93,7 +84,7 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 def auc_mann_whitney(scores, labels) -> float:
     """AUC as the Mann-Whitney statistic with ties counted one half."""
-    return auc_rows(scores, _check_labels(labels))
+    return auc_rows(scores, require_labels(labels))
 
 
 def auc_rows(scores, labels):
@@ -135,7 +126,7 @@ def delong_compare(scores_a, scores_b, labels) -> DeLongResult:
 
     p is one-sided, for AUC_a > AUC_b.  Identical scores give z = 0, p = 0.5.
     """
-    y = _check_labels(labels)
+    y = require_labels(labels)
     a = _finite_scores(scores_a)
     b = _finite_scores(scores_b)
     if a.shape != b.shape or a.shape[0] != y.shape[0]:
