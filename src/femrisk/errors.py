@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, the shared input checks
-(require_finite for a number, require_labels for 0/1 fracture status) and
-JSON document I/O."""
+(require_finite for a number, require_labels for 0/1 fracture status,
+require_one_per_label for the scores or rows that go with them) and JSON
+document I/O."""
 
 import json
 from contextlib import contextmanager
@@ -38,6 +39,15 @@ def require_labels(y) -> np.ndarray:
     if y.ndim == 0 or np.any(y.all(axis=-1) | ~y.any(axis=-1)):
         raise DataError("both classes must be present")
     return y
+
+
+def require_one_per_label(y, values, what: str, axis: int = 0) -> None:
+    """DataError("<m> <what> for <n> labels") unless the array values has as
+    many entries along axis as the labels y have along their last axis."""
+    n = y.shape[-1]
+    m = values.shape[axis] if values.ndim else 1
+    if m != n:
+        raise DataError(f"{m} {what} for {n} labels")
 
 
 @contextmanager

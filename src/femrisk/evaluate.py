@@ -314,11 +314,8 @@ def compare_with_frax(cohort: Cohort, model_scores):
         raise DataError(f"frax_prob missing for {len(missing)} subjects (first: {missing[0]})")
     frax = cohort.columns(["frax_prob"])[:, 0]
     y = cohort.labels()
-    scores = np.asarray(model_scores, dtype=float)
-    if scores.shape[0] != y.shape[0]:
-        raise DataError("model scores must align with the cohort")
-    result = delong_compare(scores, frax, y)
-    return result, roc_curve(scores, y), roc_curve(frax, y)
+    result = delong_compare(model_scores, frax, y)
+    return result, roc_curve(model_scores, y), roc_curve(frax, y)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ past 1.66x its reference.
 from __future__ import annotations
 
 import ctypes
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -300,11 +301,28 @@ def _argtypes(name):
 def _load_scipy_openblas():
     """SciPy's bundled OpenBLAS (the library its LAPACK calls run in) with
     the routines of _ROUTINES typed, or None when this SciPy build ships
-    none with them.  scipy.special has mapped it into the process already,
-    so loading it again costs under a millisecond."""
+    none with them.
+
+    Unless something has loaded it before, this load is the library's
+    first, and the load starts its worker threads.  OPENBLAS_NUM_THREADS is
+    1 for the load alone (the caller's value, or its absence, is restored
+    after it), so it starts none: a worker started here busy-waits about
+    0.1 s of CPU inside the command that follows, even one that makes no
+    solve, and fe runs every solve on one thread (one_blas_thread).
+    scipy_openblas_set_num_threads still sets a larger count afterwards."""
     libs = Path(scipy.__file__).parent.parent / "scipy.libs"
     found = sorted(libs.glob("libscipy_openblas*.so"))
-    lib = ctypes.CDLL(str(found[0])) if found else None
+    if not found:
+        return None
+    caller = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        lib = ctypes.CDLL(str(found[0]))
+    finally:
+        if caller is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = caller
     if not all(hasattr(lib, f"scipy_{name}_") for name in _ROUTINES):
         return None
     for name in _ROUTINES:

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 from ..errors import DataError, NumericalError
+from ._special import stdtr
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def fit_linear_model(y, x, names) -> LinearModelFit:
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, coef / se, 0.0)
-    p = 2.0 * sc.stdtr(df, -np.abs(t))
+    p = np.array([2.0 * stdtr(df, -abs(v)) for v in t.tolist()])
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     r2 = min(max(r2, 0.0), 1.0)

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
-from ..errors import DataError, NumericalError, require_labels
+from ..errors import DataError, NumericalError, require_labels, require_one_per_label
+from ._special import ndtr
 
 SCORE_TOL = 1e-8
 COEF_TOL = 1e-10
@@ -154,8 +154,7 @@ def fit_logistic(y, x, ridge: float = 0.0) -> LogisticFit:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.shape[0] != y.shape[0]:
-        raise DataError("x and y must have the same number of rows")
+    require_one_per_label(y, x, "rows of x")
     if ridge < 0:
         raise DataError("ridge must be >= 0")
     xd = _design(x)
@@ -178,7 +177,7 @@ def fit_logistic(y, x, ridge: float = 0.0) -> LogisticFit:
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, 0.0)
-    p = 2.0 * sc.ndtr(-np.abs(z))
+    p = np.array([2.0 * ndtr(-abs(v)) for v in z.tolist()])
     return LogisticFit(intercept=float(beta[0]), coef=beta[1:], se=se, p=p,
                        iterations=it, penalized=used_ridge > 0, ridge=used_ridge)
 

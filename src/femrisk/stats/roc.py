@@ -8,9 +8,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
-from ..errors import DataError, NumericalError, require_labels
+from ..errors import DataError, NumericalError, require_labels, require_one_per_label
+from ._special import ndtr
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ def roc_curve(scores, labels) -> RocCurve:
     """
     y = require_labels(labels)
     s = _finite_scores(scores)
+    require_one_per_label(y, s, "scores")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     y_sorted = y[order]
@@ -83,8 +84,12 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 
 def auc_mann_whitney(scores, labels) -> float:
-    """AUC as the Mann-Whitney statistic with ties counted one half."""
-    return auc_rows(scores, require_labels(labels))
+    """AUC as the Mann-Whitney statistic with ties counted one half, along
+    the last axis of scores and labels."""
+    y = require_labels(labels)
+    s = np.asarray(scores, dtype=float)
+    require_one_per_label(y, s, "scores", axis=-1)
+    return auc_rows(s, y)
 
 
 def auc_rows(scores, labels):
@@ -129,8 +134,8 @@ def delong_compare(scores_a, scores_b, labels) -> DeLongResult:
     y = require_labels(labels)
     a = _finite_scores(scores_a)
     b = _finite_scores(scores_b)
-    if a.shape != b.shape or a.shape[0] != y.shape[0]:
-        raise DataError("score vectors and labels must have equal length")
+    require_one_per_label(y, a, "scores")
+    require_one_per_label(y, b, "scores")
     (auc_a, auc_b), v10, v01 = _placements(np.stack([a, b]), y)
     m = v10.shape[1]
     n = v01.shape[1]
@@ -147,4 +152,4 @@ def delong_compare(scores_a, scores_b, labels) -> DeLongResult:
     else:
         z = delta / math.sqrt(var_diff)
     return DeLongResult(auc_a=auc_a, auc_b=auc_b, var_diff=max(var_diff, 0.0),
-                        z=z, p=float(sc.ndtr(-z)))
+                        z=z, p=ndtr(-z))

@@ -7,9 +7,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 from ..errors import DataError
+from ._special import stdtr
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def ttest_from_summary(n1, mean1, sd1, n2, mean2, sd2) -> TTestResult:
             raise DataError("zero pooled variance with unequal means")
     else:
         t = (mean1 - mean2) / se
-    return TTestResult(t=t, df=df, p=2.0 * sc.stdtr(df, -abs(t)), tail="two_sided")
+    return TTestResult(t=t, df=df, p=2.0 * stdtr(df, -abs(t)), tail="two_sided")
 
 
 def paired_one_sided_ttest(auc_a, auc_b) -> TTestResult:
@@ -59,4 +59,4 @@ def paired_one_sided_ttest(auc_a, auc_b) -> TTestResult:
             return TTestResult(t=0.0, df=df, p=0.5, tail=tail)
         raise DataError("zero-variance nonzero differences")
     t = d.mean() / (sd / math.sqrt(d.size))
-    return TTestResult(t=t, df=df, p=sc.stdtr(df, -t), tail=tail)
+    return TTestResult(t=t, df=df, p=stdtr(df, -t), tail=tail)

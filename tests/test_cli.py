@@ -893,9 +893,9 @@ from femrisk.cli import dispatch
 from femrisk.femodel import save_grid, uniform_grid
 
 def loaded():
-    return {m for m in sys.modules if m.partition(".")[0] in ("scipy", "femrisk")}
+    return {m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy", "femrisk")}
 
-stats_on_import = "scipy.stats" in sys.modules
+stats_on_import = any(m.startswith(("scipy.stats", "scipy.special")) for m in sys.modules)
 assert dispatch(["synth", "--seed", "3", "--out", "cohort.csv"]) == 0
 save_grid(uniform_grid((2, 2, 3), 0.3), "grid.txt")
 before = loaded()
@@ -905,7 +905,8 @@ after_evaluate = loaded()
 assert dispatch(["fe", "--grid", "grid.txt", "--yield-policy", "ultimate",
                  "--curves-dir", "curves", "--out", "fe.json"]) == 0
 print(json.dumps(sorted(m for m in loaded()
-                        if m.startswith(("scipy.linalg", "scipy.ndimage", "scipy.sparse")))))
+                        if m.startswith(("scipy.linalg", "scipy.ndimage", "scipy.sparse",
+                                         "scipy.special")))))
 print(json.dumps({"stats_on_import": stats_on_import,
                   "evaluate": sorted(after_evaluate - before),
                   "fe": sorted(loaded() - after_evaluate)}))
@@ -913,16 +914,43 @@ print(json.dumps({"stats_on_import": stats_on_import,
 
 
 def test_commands_import_nothing_new(tmp_path):
-    # The p-values come from scipy.special, so importing the CLI must not
-    # load scipy.stats.  Nor may evaluate or fe import a module of their own,
-    # which would move import time into the command.
+    # The p-values come from femrisk.stats._special, on the math module, so
+    # importing the CLI loads neither scipy.stats nor scipy.special.  Nor may
+    # evaluate or fe import a module of their own (numpy.ma, which np.unique
+    # imports on its first call, included), which would move import time
+    # into the command.
     lines = run_python(IMPORTS_PER_COMMAND, tmp_path).splitlines()
     doc = json.loads(lines[-1])
     assert doc == {"stats_on_import": False, "evaluate": [], "fe": []}
     # The band solves call LAPACK by ctypes and the yield clusters are
     # labelled in NumPy: neither the import nor a command loads
-    # scipy.linalg, scipy.ndimage or scipy.sparse.
+    # scipy.linalg, scipy.ndimage, scipy.sparse or scipy.special.
     assert json.loads(lines[-2]) == []
+
+
+THREADS_AT_IMPORT = """
+import json, os
+import numpy
+after_numpy = len(os.listdir("/proc/self/task"))
+import femrisk.cli
+from femrisk.femodel.solver import _scipy_openblas
+print(json.dumps({"new_threads": len(os.listdir("/proc/self/task")) - after_numpy,
+                  "scipy_blas_threads": _scipy_openblas.scipy_openblas_get_num_threads(),
+                  "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or solver._scipy_openblas is None,
+                    reason="needs /proc/self/task and SciPy's bundled OpenBLAS")
+@pytest.mark.parametrize("caller", [None, "3"])
+def test_import_starts_no_blas_worker(tmp_path, monkeypatch, caller):
+    # SciPy's OpenBLAS is loaded at 1 thread: a worker it started would
+    # busy-wait inside the command that follows.  The caller's
+    # OPENBLAS_NUM_THREADS, set or unset, is what the process keeps.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+    doc = json.loads(run_python(THREADS_AT_IMPORT, tmp_path, **env).splitlines()[-1])
+    assert doc == {"new_threads": 0, "scipy_blas_threads": 1, "env": caller}
 
 
 def test_fe_without_scipy_openblas_writes_the_same_bytes(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """The shared input checks at every entry point that takes them: 0/1
-fracture labels (errors.require_labels) and finite training values
+fracture labels (errors.require_labels), one score or row per label
+(errors.require_one_per_label) and finite training values
 (datamodel.standardize_fit)."""
 
 import dataclasses
@@ -86,6 +87,33 @@ class TestLabels:
     def test_int_labels_not_copied(self):
         assert require_labels(Y) is Y
         assert require_labels(YS) is YS
+
+
+# Each entry point that takes labels with scores or rows: a call on labels
+# one shorter than the scores or rows, and the error it must give.
+SHORT = Y[:-1]
+ONE_PER_LABEL = {
+    "roc_curve": (lambda: roc_curve(S[0], SHORT), "20 scores for 19 labels"),
+    "auc_mann_whitney": (lambda: auc_mann_whitney(S[0], SHORT), "20 scores for 19 labels"),
+    "auc_mann_whitney_stack": (lambda: auc_mann_whitney(S, YS[:, :-1]),
+                               "20 scores for 19 labels"),
+    "delong_compare_a": (lambda: delong_compare(S[0, :-1], S[1, :-2], Y[:-2]),
+                         "19 scores for 18 labels"),
+    "delong_compare_b": (lambda: delong_compare(S[0, :-2], S[1], Y[:-2]),
+                         "20 scores for 18 labels"),
+    "train": (lambda: train("lda", X, SHORT), "20 rows of x for 19 labels"),
+    "fit_logistic": (lambda: fit_logistic(SHORT, X[:, :2]), "20 rows of x for 19 labels"),
+    "fit_logistic_1d": (lambda: fit_logistic(SHORT, X[:, 0]), "20 rows of x for 19 labels"),
+    "select_significant_pcs": (lambda: select_significant_pcs(S.T, SHORT),
+                               "20 rows of x for 19 labels"),
+}
+
+
+@pytest.mark.parametrize("entry", ONE_PER_LABEL)
+def test_one_score_or_row_per_label(entry):
+    call, message = ONE_PER_LABEL[entry]
+    with pytest.raises(DataError, match=f"^{message}$"):
+        call()
 
 
 # Each fit that standardizes its training rows, on a training matrix (n, 9).

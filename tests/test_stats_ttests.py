@@ -1,6 +1,7 @@
+import math
+
 import numpy as np
 import pytest
-import scipy.special as sc
 import scipy.stats as sps
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import any_float, same_bits
 from femrisk.errors import DataError
 from femrisk.stats import paired_one_sided_ttest, ttest_from_summary
+from femrisk.stats._special import ndtr, stdtr
 
 means = st.floats(-10.0, 10.0)
 sds = st.floats(0.1, 10.0)
@@ -19,20 +21,35 @@ dfs = st.one_of(any_float, st.sampled_from([-1.0, 1.0]), st.integers(-3, 10**6))
 
 class TestStdtrIsTSf:
     """The t-tests' p-values use stdtr(df, -x), the survival function
-    scipy.stats.t computes; it must give the same bits."""
+    scipy.stats.t computes.  At every edge SciPy defines (x = 0, +-inf or
+    NaN; df <= 0, NaN or inf) it gives SciPy's value, with df = inf taken to
+    ndtr; elsewhere SciPy's value to 1e-12 relative (down to 1e-300) for |x|
+    from 1e-3 to 40.  Nearer 0 SciPy is the less accurate: at df = 1 and
+    x = 4e-9 it is off by 2.7e-9.  tests/test_special.py bounds both against
+    mpmath."""
 
     @settings(max_examples=300)
     @given(x=any_float, df=dfs)
     def test_scalar(self, x, df):
-        ours, ref = sc.stdtr(df, -x), sps.t.sf(x, df)
-        assert type(ours) is np.float64 and type(ref) is np.float64
-        assert same_bits(ours, ref)
+        ours = stdtr(df, -x)
+        if math.isnan(x) or not df > 0:
+            assert math.isnan(ours)
+        elif x == 0 or math.isinf(x):
+            assert same_bits(ours, sps.t.sf(x, df))
+        elif math.isinf(df):
+            assert ours == ndtr(-x)
+        else:
+            assert 0.0 <= ours <= 1.0
 
     @settings(max_examples=200)
-    @given(x=arrays(np.float64, 8, elements=any_float),
-           df=arrays(np.float64, 8, elements=dfs))
-    def test_array(self, x, df):
-        assert same_bits(sc.stdtr(df, -x), sps.t.sf(x, df))
+    @given(x=arrays(np.float64, 8, elements=st.floats(1e-3, 40.0)),
+           signs=arrays(np.float64, 8, elements=st.sampled_from([-1.0, 1.0])),
+           df=arrays(np.float64, 8, elements=st.floats(1.0, 1e6)))
+    def test_array(self, x, signs, df):
+        x = x * signs
+        # One value per element, as the Wald and OLS p-values take them.
+        ours = np.array([stdtr(d, -v) for d, v in zip(df.tolist(), x.tolist())])
+        np.testing.assert_allclose(ours, sps.t.sf(x, df), rtol=1e-12, atol=1e-300)
 
 
 class TestFromSummary:
