@@ -132,7 +132,7 @@ def _nipals_pls(z, yc, n_components):
     p_mat = np.stack(p_list, axis=2)
     q = np.stack(q_list, axis=1)
     b = np.empty((len(z), z.shape[2]))
-    for c in np.unique(found):
+    for c in np.flatnonzero(np.bincount(found)):
         if c == 0:
             raise NumericalError("PLS found no usable component")
         rows = found == c

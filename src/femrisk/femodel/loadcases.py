@@ -49,8 +49,9 @@ def extract_result(curve: ForceDisplacementCurve,
 def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
                           control: SolveControl, yield_policy: str
                           ) -> tuple[dict[str, float], dict[str, ForceDisplacementCurve]]:
-    """Run all four load cases, with SciPy's OpenBLAS on one thread, and
-    assemble the twelve FE parameters.  NumPy's floating-point warnings are
+    """Run all four load cases, with NumPy's OpenBLAS (which runs the band
+    solves and the element matrix products) on one thread, and assemble
+    the twelve FE parameters.  NumPy's floating-point warnings are
     silenced: the solver reports non-finite strains through its residual
     bound and its reaction check.
 

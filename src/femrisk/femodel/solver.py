@@ -19,10 +19,10 @@ O(n bw^2) for n free dofs (Golub & Van Loan, Matrix Computations, 4.3).
 When dgbsv finds the matrix singular the answer is NaN: the predictor is
 then skipped, and a Newton step raises "linear solve failed", which fails
 the attempt like a stall.  The three LAPACK routines are called
-by ctypes in SciPy's bundled OpenBLAS, the library whose routines
-scipy.linalg's cholesky_banded, cho_solve_banded and solve_banded call, so
-no solve imports scipy.linalg; on a SciPy build that ships no such library
-they come from scipy.linalg.cython_lapack instead.
+by ctypes, with 64-bit integers, in NumPy's bundled OpenBLAS, which import
+numpy has loaded already, so no solve imports SciPy; on a NumPy build that
+ships no such library they come from scipy.linalg.cython_lapack instead,
+with its C ints.
 
 Work that repeats a value is done once.  A solve computes the elastic
 Gauss-point tangent of its moduli once: it is the initial committed
@@ -63,13 +63,11 @@ past 1.66x its reference.
 from __future__ import annotations
 
 import ctypes
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from ..errors import DataError, NumericalError, require_finite
 from .curves import ForceDisplacementCurve
@@ -152,12 +150,13 @@ def stance_bc(dims) -> BoundaryCondition:
 
 def fall_bc(dims) -> BoundaryCondition:
     """Top face driven along -z; bottom face fixed along z only, with two
-    corner pins removing the in-plane rigid-body modes."""
+    corner pins removing the in-plane rigid-body modes (x and y dofs, so
+    no dof is fixed twice)."""
     nodes = _nodes(dims)
     pin_a, pin_b = nodes[0, 0, 0], nodes[-1, 0, 0]
     fixed = np.concatenate([nodes[:, :, 0].ravel(order="F") * 3 + 2,
                             [pin_a * 3, pin_a * 3 + 1, pin_b * 3 + 1]])
-    return BoundaryCondition(np.unique(fixed), nodes[:, :, -1].ravel(order="F") * 3 + 2)
+    return BoundaryCondition(np.sort(fixed), nodes[:, :, -1].ravel(order="F") * 3 + 2)
 
 
 def _hex_b_matrices(h: float):
@@ -241,14 +240,14 @@ def spsolve(kb, b, factor=None):
     band LU then reads.  A caller that reads the record's band after the
     call reads factor["band"] or factor["cb"], never its own reference.
 
-    Each rung gives the bits of the SciPy function that calls its routine:
-    cholesky_banded and cho_solve_banded, and solve_banded for bw >= 2,
-    where it calls dgbsv on the same (3 bw + 1, n) array.  For bw <= 1 or
-    n == 1, solve_banded would take dgtsv or one division instead.  Neither
-    occurs under stance_bc or fall_bc: every grid has an element whose four
-    top nodes keep their eight x and y dofs free, so n >= 8 and bw >= 7.
-    Only a hand-built boundary condition can reach them, and there dgbsv
-    solves the same system.
+    Each rung, in either library, gives the bits of the SciPy function
+    that calls its routine: cholesky_banded and cho_solve_banded, and
+    solve_banded for bw >= 2, where it calls dgbsv on the same (3 bw + 1, n)
+    array.  For bw <= 1 or n == 1, solve_banded would take dgtsv or one
+    division instead.  Neither occurs under stance_bc or fall_bc: every
+    grid has an element whose four top nodes keep their eight x and y dofs
+    free, so n >= 8 and bw >= 7.  Only a hand-built boundary condition can
+    reach them, and there dgbsv solves the same system.
     """
     if factor is None:
         factor = {}
@@ -274,64 +273,56 @@ def spsolve(kb, b, factor=None):
     for d in range(1, bw + 1):                # sub-diagonals mirror super-diagonals
         full[:n - d, 2 * bw + d] = kb[d:, bw - d]
     x = np.array(b, dtype=float)
-    pivots = np.empty(n, dtype=np.intc)
+    pivots = np.empty(n, dtype=_lapack_int())
     if _lapack("dgbsv", n, bw, bw, 1, full, 3 * bw + 1, pivots, x, n) == 0:
         return x
     return np.full(n, np.nan)
 
 
 # The Fortran arguments before info of each LAPACK routine spsolve calls:
-# "u" the uplo letter, "i" an int, "d" a float64 array, "p" the int pivots.
+# "u" the uplo letter, "i" an integer, "d" a float64 array, "p" the integer
+# pivots.
 _ROUTINES = {"dpbtrf": "uiidi", "dpbtrs": "uiiididi", "dgbsv": "iiiidipdi"}
-_CTYPES = {"u": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
-           "d": np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-           "p": np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")}
 
 
-def _argtypes(name):
-    """ctypes argument types of LAPACK's routine name: its arguments, info,
-    then the length of each character argument, which gfortran passes
-    after all the others (cython_lapack's wrappers take none and ignore
-    them)."""
+def _argtypes(name, integer):
+    """ctypes argument types of LAPACK's routine name for a library whose
+    integers are the NumPy type integer: its arguments, info, then the
+    length of each character argument, which gfortran passes after all the
+    others (cython_lapack's wrappers take none and ignore them)."""
+    c_integer = ctypes.POINTER(np.ctypeslib.as_ctypes_type(integer))
+    types = {"u": ctypes.c_char_p, "i": c_integer,
+             "d": np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+             "p": np.ctypeslib.ndpointer(integer, flags="C_CONTIGUOUS")}
     codes = _ROUTINES[name]
-    return ([_CTYPES[c] for c in codes] + [ctypes.POINTER(ctypes.c_int)]
-            + [ctypes.c_size_t] * codes.count("u"))
+    return [types[c] for c in codes] + [c_integer] + [ctypes.c_size_t] * codes.count("u")
 
 
-def _load_scipy_openblas():
-    """SciPy's bundled OpenBLAS (the library its LAPACK calls run in) with
-    the routines of _ROUTINES typed, or None when this SciPy build ships
-    none with them.
-
-    Unless something has loaded it before, this load is the library's
-    first, and the load starts its worker threads.  OPENBLAS_NUM_THREADS is
-    1 for the load alone (the caller's value, or its absence, is restored
-    after it), so it starts none: a worker started here busy-waits about
-    0.1 s of CPU inside the command that follows, even one that makes no
-    solve, and fe runs every solve on one thread (one_blas_thread).
-    scipy_openblas_set_num_threads still sets a larger count afterwards."""
-    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
-    found = sorted(libs.glob("libscipy_openblas*.so"))
+def _load_numpy_openblas():
+    """NumPy's bundled OpenBLAS, built with 64-bit integers (its symbols end
+    in 64_), with the routines of _ROUTINES typed, or None when this NumPy
+    build ships none with them.  import numpy has loaded it already, so
+    this load maps nothing new and starts no thread."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
     if not found:
         return None
-    caller = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        lib = ctypes.CDLL(str(found[0]))
-    finally:
-        if caller is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = caller
-    if not all(hasattr(lib, f"scipy_{name}_") for name in _ROUTINES):
+    lib = ctypes.CDLL(str(found[0]))
+    if not all(hasattr(lib, f"scipy_{name}_64_") for name in _ROUTINES):
         return None
     for name in _ROUTINES:
-        routine = getattr(lib, f"scipy_{name}_")
-        routine.argtypes, routine.restype = _argtypes(name), None
+        routine = getattr(lib, f"scipy_{name}_64_")
+        routine.argtypes, routine.restype = _argtypes(name, np.int64), None
     return lib
 
 
-_scipy_openblas = _load_scipy_openblas()
+_numpy_openblas = _load_numpy_openblas()
+
+
+def _lapack_int():
+    """The integer type of the library the routines run in: int64 in
+    NumPy's OpenBLAS, C int in cython_lapack's."""
+    return np.int64 if _numpy_openblas is not None else np.intc
 
 
 def _cython_lapack(name):
@@ -343,22 +334,24 @@ def _cython_lapack(name):
         ("PyCapsule_GetName", ctypes.pythonapi))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *_argtypes(name))(pointer(capsule, name_of(capsule)))
+    return ctypes.CFUNCTYPE(None, *_argtypes(name, np.intc))(pointer(capsule, name_of(capsule)))
 
 
 def _lapack(name, *args) -> int:
     """Call LAPACK's routine name with the arguments of _ROUTINES (Python
-    ints, which LAPACK gets by reference) and return its info; ctypes checks
-    each array's dtype and contiguity, and an illegal argument (info < 0)
-    raises ValueError.  The routine is _scipy_openblas's, whose symbols ctypes
-    resolves once, or else _cython_lapack's."""
-    if _scipy_openblas is not None:
-        routine = getattr(_scipy_openblas, f"scipy_{name}_")
+    ints, which LAPACK gets by reference, and pivots of _lapack_int) and
+    return its info; ctypes checks each array's dtype and contiguity, and
+    an illegal argument (info < 0) raises ValueError.  The routine is
+    _numpy_openblas's, whose symbols ctypes resolves once, or else
+    _cython_lapack's."""
+    if _numpy_openblas is not None:
+        routine = getattr(_numpy_openblas, f"scipy_{name}_64_")
     else:
         routine = _cython_lapack(name)
+    integer = np.ctypeslib.as_ctypes_type(_lapack_int())
     codes = _ROUTINES[name]
-    info = ctypes.c_int()
-    routine(*[ctypes.byref(ctypes.c_int(a)) if c == "i" else a for c, a in zip(codes, args)],
+    info = integer()
+    routine(*[ctypes.byref(integer(a)) if c == "i" else a for c, a in zip(codes, args)],
             ctypes.byref(info), *[1] * codes.count("u"))
     if info.value < 0:
         raise ValueError(f"{name}: argument {-info.value} has an illegal value")
@@ -367,13 +360,14 @@ def _lapack(name, *args) -> int:
 
 @contextmanager
 def one_blas_thread():
-    """Run the body with SciPy's OpenBLAS on one thread, then restore the
+    """Run the body with NumPy's OpenBLAS on one thread, then restore the
     previous count.  On a 2-core host the second thread only spun (1.9x the
     CPU time at the same wall time), and above about 16x16x40 voxels the band
     factor's bytes depend on the thread count.  Without the library or its
-    thread calls this does nothing."""
-    get = getattr(_scipy_openblas, "scipy_openblas_get_num_threads", None)
-    set_ = getattr(_scipy_openblas, "scipy_openblas_set_num_threads", None)
+    thread calls (so on the cython_lapack fallback, whose library keeps its
+    own count) this does nothing."""
+    get = getattr(_numpy_openblas, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(_numpy_openblas, "scipy_openblas_set_num_threads64_", None)
     if get is None or set_ is None:
         yield
         return
@@ -427,7 +421,9 @@ def _largest_cluster(yielded_flat, dims) -> int:
 def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
           control: SolveControl, kept=None) -> ForceDisplacementCurve:
     """Run the incremental displacement-controlled solve, reusing the work
-    in the record kept of the module docstring (None: a fresh record)."""
+    in the record kept of the module docstring (None: a fresh record).  A
+    prescribed dof outside the lattice, or prescribed twice, raises
+    DataError."""
     kept = {} if kept is None else kept
     dims = grid.dims
     nx, ny, nz = dims
@@ -435,9 +431,13 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
     fixed, driven = bc.fixed_dofs, bc.driven_dofs
 
     prescribed = np.concatenate([fixed, driven])
-    if np.unique(prescribed).size != prescribed.size:
+    outside = prescribed[(prescribed < 0) | (prescribed >= n_dofs)]
+    if outside.size:
+        raise DataError(f"prescribed dof {outside[0]} outside the {n_dofs} dofs of the lattice")
+    times = np.bincount(prescribed, minlength=n_dofs)
+    if times.max(initial=0) > 1:
         raise DataError("overlapping fixed and driven dofs")
-    free = np.setdiff1d(np.arange(n_dofs), prescribed)
+    free = np.flatnonzero(times == 0)
     key = (dims, grid.spacing, free.tobytes())
     if kept.get("key") != key:
         kept.clear()

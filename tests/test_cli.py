@@ -888,73 +888,83 @@ class TestFraxSkipped:
 
 
 IMPORTS_PER_COMMAND = """
-import json, sys
+import contextlib, io, json, sys
 from femrisk.cli import dispatch
 from femrisk.femodel import save_grid, uniform_grid
 
 def loaded():
     return {m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy", "femrisk")}
 
-stats_on_import = any(m.startswith(("scipy.stats", "scipy.special")) for m in sys.modules)
-assert dispatch(["synth", "--seed", "3", "--out", "cohort.csv"]) == 0
+def unwanted():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
+
 save_grid(uniform_grid((2, 2, 3), 0.3), "grid.txt")
-before = loaded()
-assert dispatch(["evaluate", "--cohort", "cohort.csv", "--stratum", "male",
-                 "--resamples", "20", "--repeats", "2", "--out", "report.json"]) == 0
-after_evaluate = loaded()
-assert dispatch(["fe", "--grid", "grid.txt", "--yield-policy", "ultimate",
-                 "--curves-dir", "curves", "--out", "fe.json"]) == 0
-print(json.dumps(sorted(m for m in loaded()
-                        if m.startswith(("scipy.linalg", "scipy.ndimage", "scipy.sparse",
-                                         "scipy.special")))))
-print(json.dumps({"stats_on_import": stats_on_import,
-                  "evaluate": sorted(after_evaluate - before),
-                  "fe": sorted(loaded() - after_evaluate)}))
+doc = {"unwanted": {"import": unwanted()}, "new": {}}
+for argv in (["synth", "--seed", "3", "--out", "cohort.csv"],
+             ["fit", "--cohort", "cohort.csv", "--stratum", "male", "--out", "model.json"],
+             ["evaluate", "--cohort", "cohort.csv", "--stratum", "male",
+              "--resamples", "20", "--repeats", "2", "--out", "report.json"],
+             ["fe", "--grid", "grid.txt", "--yield-policy", "ultimate",
+              "--curves-dir", "curves", "--out", "fe.json"],
+             ["compare-frax", "--cohort", "cohort.csv", "--model", "model.json",
+              "--stratum", "male", "--roc-dir", "roc", "--out", "delong.json"],
+             ["report", "--input", "report.json"]):
+    before = loaded()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0
+    doc["new"][argv[0]] = sorted(loaded() - before)
+    doc["unwanted"][argv[0]] = unwanted()
+print(json.dumps(doc))
 """
+COMMANDS = ["synth", "fit", "evaluate", "fe", "compare-frax", "report"]
 
 
 def test_commands_import_nothing_new(tmp_path):
-    # The p-values come from femrisk.stats._special, on the math module, so
-    # importing the CLI loads neither scipy.stats nor scipy.special.  Nor may
-    # evaluate or fe import a module of their own (numpy.ma, which np.unique
-    # imports on its first call, included), which would move import time
-    # into the command.
-    lines = run_python(IMPORTS_PER_COMMAND, tmp_path).splitlines()
-    doc = json.loads(lines[-1])
-    assert doc == {"stats_on_import": False, "evaluate": [], "fe": []}
-    # The band solves call LAPACK by ctypes and the yield clusters are
-    # labelled in NumPy: neither the import nor a command loads
-    # scipy.linalg, scipy.ndimage, scipy.sparse or scipy.special.
-    assert json.loads(lines[-2]) == []
+    # The p-values come from femrisk.stats._special, on the math module, the
+    # band solves call LAPACK by ctypes in NumPy's own OpenBLAS, and the
+    # yield clusters are labelled in NumPy: neither importing the CLI nor
+    # any command loads a SciPy module.  No command calls np.unique or
+    # np.setdiff1d, which import numpy.ma (about 12 ms) on their first call,
+    # so numpy.ma stays unloaded too.  Nor may evaluate or fe import a
+    # module of their own, which would move import time into the command.
+    doc = json.loads(run_python(IMPORTS_PER_COMMAND, tmp_path).splitlines()[-1])
+    assert doc["unwanted"] == {step: [] for step in ["import", *COMMANDS]}
+    assert doc["new"]["evaluate"] == [] and doc["new"]["fe"] == []
 
 
 THREADS_AT_IMPORT = """
-import json, os
+import ctypes, json, os, pathlib
 import numpy
-after_numpy = len(os.listdir("/proc/self/task"))
+libs = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
+lib = ctypes.CDLL(str(sorted(libs.glob("libscipy_openblas64_*.so"))[0]))
+get = lib.scipy_openblas_get_num_threads64_
+after_numpy = len(os.listdir("/proc/self/task")), get()
 import femrisk.cli
-from femrisk.femodel.solver import _scipy_openblas
-print(json.dumps({"new_threads": len(os.listdir("/proc/self/task")) - after_numpy,
-                  "scipy_blas_threads": _scipy_openblas.scipy_openblas_get_num_threads(),
+print(json.dumps({"new_threads": len(os.listdir("/proc/self/task")) - after_numpy[0],
+                  "blas_threads": [after_numpy[1], get()],
                   "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or solver._scipy_openblas is None,
-                    reason="needs /proc/self/task and SciPy's bundled OpenBLAS")
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or solver._numpy_openblas is None,
+                    reason="needs /proc/self/task and NumPy's bundled OpenBLAS")
 @pytest.mark.parametrize("caller", [None, "3"])
 def test_import_starts_no_blas_worker(tmp_path, monkeypatch, caller):
-    # SciPy's OpenBLAS is loaded at 1 thread: a worker it started would
-    # busy-wait inside the command that follows.  The caller's
-    # OPENBLAS_NUM_THREADS, set or unset, is what the process keeps.
+    # The band solves run in NumPy's OpenBLAS, which import numpy has
+    # loaded: importing the CLI starts no thread beyond those import numpy
+    # started, leaves the library's thread count where the caller's
+    # OPENBLAS_NUM_THREADS put it, and leaves the variable as it was.
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
     doc = json.loads(run_python(THREADS_AT_IMPORT, tmp_path, **env).splitlines()[-1])
-    assert doc == {"new_threads": 0, "scipy_blas_threads": 1, "env": caller}
+    threads = doc.pop("blas_threads")
+    assert doc == {"new_threads": 0, "env": caller}
+    assert threads[0] == threads[1] >= 1
 
 
 def test_fe_without_scipy_openblas_writes_the_same_bytes(tmp_path, monkeypatch):
-    # Without SciPy's bundled OpenBLAS the band solves take their LAPACK
+    # Without NumPy's bundled OpenBLAS the band solves take their LAPACK
     # routines from scipy.linalg.cython_lapack, band LU included.
     save_grid(uniform_grid((2, 2, 4), 0.6), tmp_path / "grid.txt")
 
@@ -965,7 +975,7 @@ def test_fe_without_scipy_openblas_writes_the_same_bytes(tmp_path, monkeypatch):
         return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
     bundled = fe("bundled")
-    monkeypatch.setattr(solver, "_scipy_openblas", None)
+    monkeypatch.setattr(solver, "_numpy_openblas", None)
     events, real_lapack, real_assembler = [], solver._lapack, solver._band_assembler
 
     def lapack_info(name, *args):

@@ -83,8 +83,10 @@ NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 def environment() -> dict:
     """The versions an output's bytes may depend on: Python, NumPy, SciPy
-    and the OpenBLAS build and core that SciPy's LAPACK runs on."""
-    blas = getattr(solver._scipy_openblas, "scipy_openblas_get_config", None)
+    and the build and core of the OpenBLAS the band solves run in, NumPy's
+    (None on the cython_lapack fallback, whose library SciPy's version
+    names)."""
+    blas = getattr(solver._numpy_openblas, "scipy_openblas_get_config64_", None)
     if blas is not None:
         blas.restype = ctypes.c_char_p
         blas = blas().decode()

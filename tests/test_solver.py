@@ -12,7 +12,7 @@ from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded, lapack
 
 from conftest import lapack_calls, same_bits
 from femrisk.datamodel import FE12
-from femrisk.errors import NumericalError
+from femrisk.errors import DataError, NumericalError
 from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl,
                              ash_density, compute_fe_parameters, fall_bc,
                              solve, stance_bc, uniform_grid)
@@ -847,13 +847,17 @@ def _scipy_lu_band(kb):
     return full
 
 
-class TestLapackRungsMatchScipy:
-    """Each ctypes rung of spsolve gives the factor and the solution of the
-    SciPy function it replaces, bit for bit (bw >= 2, see spsolve)."""
+# The random band systems of LapackRungs' two properties.
+BAND_SYSTEMS = given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
 
-    @settings(max_examples=30)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
-    def test_positive_definite_factor_and_solution(self, seed, n, bw):
+
+class LapackRungs:
+    """Each ctypes rung of spsolve gives the factor and the solution of the
+    SciPy function it replaces, bit for bit (bw >= 2, see spsolve).  A
+    subclass runs them in one library; it wraps the two properties in its
+    own given, since Hypothesis keeps one example database per function."""
+
+    def positive_definite_factor_and_solution(self, seed, n, bw):
         rng = np.random.default_rng(seed)
         bw = min(bw, n - 1)
         kb = _dense_to_band(_dominant_band(rng, n, bw, np.ones(n)), bw)
@@ -865,9 +869,7 @@ class TestLapackRungsMatchScipy:
         assert same_bits(x, cho_solve_banded((cb, False), b, check_finite=False))
         assert same_bits(spsolve(kb, b, factor=factor), x)
 
-    @settings(max_examples=30)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), bw=st.integers(2, 12))
-    def test_indefinite_lu_factor_and_solution(self, seed, n, bw):
+    def indefinite_lu_factor_and_solution(self, seed, n, bw):
         rng = np.random.default_rng(seed)
         bw = min(bw, n - 1)
         signs = rng.choice([-1.0, 1.0], size=n)
@@ -921,30 +923,46 @@ class TestLapackRungsMatchScipy:
             assert bw >= 2
             assert same_bits(x, solve_banded((bw, bw), full, b, check_finite=False))
 
-    @pytest.mark.parametrize("library", ["openblas", "cython_lapack"])
-    def test_illegal_argument_raises(self, monkeypatch, library):
-        # info < 0 (here kd = -1) raises; it never turns into a NaN answer.
-        if library == "cython_lapack":
-            monkeypatch.setattr(solver, "_scipy_openblas", None)
-        elif solver._scipy_openblas is None:
-            pytest.skip("SciPy ships no OpenBLAS")
-        with pytest.raises(ValueError, match="dpbtrf: argument 3 has an illegal value"):
-            spsolve(np.ones((3, 0)), np.ones(3))
-        with pytest.raises(ValueError, match="dgbsv: argument 1 has an illegal value"):
-            solver._lapack("dgbsv", -1, 0, 0, 1, np.ones((1, 1)), 1,
-                           np.zeros(1, dtype=np.intc), np.ones(1), 1)
-
     def test_arrays_checked_before_lapack_sees_them(self):
         # A right-hand side of another length, a strided band or integer
-        # pivots of the wrong width never reach LAPACK.
+        # pivots of the other library's width never reach LAPACK.
         kb = _dense_to_band(np.eye(4) * 2.0, 2)
         with pytest.raises(ValueError, match=r"right-hand side of shape \(3,\) for 4 unknowns"):
             spsolve(kb, np.ones(3))
         with pytest.raises(ctypes.ArgumentError):
             solver._lapack("dpbtrf", b"U", 4, 1, np.ones((4, 4))[:, ::2], 2)
+        other = np.intc if solver._lapack_int() == np.int64 else np.int64
         with pytest.raises(ctypes.ArgumentError):
             solver._lapack("dgbsv", 1, 0, 0, 1, np.ones((1, 1)), 1,
-                           np.zeros(1, dtype=np.int64), np.ones(1), 1)
+                           np.zeros(1, dtype=other), np.ones(1), 1)
+
+
+class TestLapackRungsMatchScipy(LapackRungs):
+    """The rungs in the library spsolve finds: NumPy's OpenBLAS, where this
+    NumPy build ships it."""
+
+    @settings(max_examples=30)
+    @BAND_SYSTEMS
+    def test_positive_definite_factor_and_solution(self, seed, n, bw):
+        self.positive_definite_factor_and_solution(seed, n, bw)
+
+    @settings(max_examples=30)
+    @BAND_SYSTEMS
+    def test_indefinite_lu_factor_and_solution(self, seed, n, bw):
+        self.indefinite_lu_factor_and_solution(seed, n, bw)
+
+    @pytest.mark.parametrize("library", ["openblas", "cython_lapack"])
+    def test_illegal_argument_raises(self, monkeypatch, library):
+        # info < 0 (here kd = -1) raises; it never turns into a NaN answer.
+        if library == "cython_lapack":
+            monkeypatch.setattr(solver, "_numpy_openblas", None)
+        elif solver._numpy_openblas is None:
+            pytest.skip("NumPy ships no OpenBLAS")
+        with pytest.raises(ValueError, match="dpbtrf: argument 3 has an illegal value"):
+            spsolve(np.ones((3, 0)), np.ones(3))
+        with pytest.raises(ValueError, match="dgbsv: argument 1 has an illegal value"):
+            solver._lapack("dgbsv", -1, 0, 0, 1, np.ones((1, 1)), 1,
+                           np.zeros(1, dtype=solver._lapack_int()), np.ones(1), 1)
 
     @settings(max_examples=20)
     @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
@@ -959,6 +977,28 @@ class TestLapackRungsMatchScipy:
                             np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
         kb = _band_assembler(_element_dof_map(dims), free, n_dofs)(np.ones((nx * ny * nz, 24, 24)))
         assert kb.shape[0] >= 8 and kb.shape[1] - 1 >= 7
+
+
+class TestLapackRungsMatchScipyOnCythonLapack(LapackRungs):
+    """The rungs in the fallback of a NumPy build without its OpenBLAS:
+    scipy.linalg.cython_lapack, with C int integers and pivots."""
+
+    def setup_method(self):
+        self.patch = pytest.MonkeyPatch()
+        self.patch.setattr(solver, "_numpy_openblas", None)
+
+    def teardown_method(self):
+        self.patch.undo()
+
+    @settings(max_examples=30)
+    @BAND_SYSTEMS
+    def test_positive_definite_factor_and_solution(self, seed, n, bw):
+        self.positive_definite_factor_and_solution(seed, n, bw)
+
+    @settings(max_examples=30)
+    @BAND_SYSTEMS
+    def test_indefinite_lu_factor_and_solution(self, seed, n, bw):
+        self.indefinite_lu_factor_and_solution(seed, n, bw)
 
 
 def _shell_core_phantom():
@@ -1266,11 +1306,40 @@ class TestFactorReuse:
         assert respaced == run(other)[0]
 
 
+class TestPrescribedDofs:
+    """solve takes a boundary condition only when every prescribed dof is a
+    dof of the lattice, prescribed once."""
+
+    GRID = uniform_grid((1, 1, 2), RHO)          # 3 * 12 = 36 dofs
+    CONTROL = SolveControl(increment=0.01, max_increments=1)
+
+    def run(self, extra_fixed):
+        bc = stance_bc(self.GRID.dims)
+        return solve(self.GRID, elastic_material(),
+                     solver.BoundaryCondition(np.append(bc.fixed_dofs, extra_fixed),
+                                              bc.driven_dofs), self.CONTROL)
+
+    @pytest.mark.parametrize("dof", [-1, 36])
+    def test_dof_outside_the_lattice_raises(self, dof):
+        # Dof -1 would wrap to the last dof (a driven one), and dof 36 would
+        # index past the displacement vector.
+        with pytest.raises(DataError,
+                           match=f"^prescribed dof {dof} outside the 36 dofs of the lattice$"):
+            self.run(dof)
+
+    @pytest.mark.parametrize("which", ["driven", "fixed"])
+    def test_dof_prescribed_twice_raises(self, which):
+        bc = stance_bc(self.GRID.dims)
+        dof = (bc.driven_dofs if which == "driven" else bc.fixed_dofs)[0]
+        with pytest.raises(DataError, match="^overlapping fixed and driven dofs$"):
+            self.run(dof)
+
+
 def _openblas_threads():
-    lib = solver._scipy_openblas
-    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads"):
-        pytest.skip("SciPy ships no OpenBLAS with thread calls")
-    get = lib.scipy_openblas_get_num_threads
+    lib = solver._numpy_openblas
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("NumPy ships no OpenBLAS with thread calls")
+    get = lib.scipy_openblas_get_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
     return get
 
@@ -1305,7 +1374,7 @@ class TestOneBlasThread:
     def test_missing_library_or_symbol_is_a_no_op(self, monkeypatch, lib):
         threads = _openblas_threads()
         previous = threads()
-        monkeypatch.setattr(solver, "_scipy_openblas", lib)
+        monkeypatch.setattr(solver, "_numpy_openblas", lib)
         with solver.one_blas_thread():
             assert threads() == previous
         assert threads() == previous
