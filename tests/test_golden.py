@@ -24,7 +24,10 @@ the test warns that it compared numbers alone.
 
 Each `fe` run also pins the solve traffic that spsolve's two-rung ladder
 rests on: band LU never meets a singular tangent (dgbsv info > 0), and no
-solve answers NaN.
+solve answers NaN.  Under the recorded environment it also counts the
+linear solves and the LAPACK calls (FE_TRAFFIC), exactly, as the sha256 is
+compared: a tangent factored twice, or a solve that changed rung, would
+move a count.
 
 Re-record the file, only for an intended output change (ROADMAP,
 "Re-record rule"), with
@@ -78,6 +81,16 @@ COMMANDS = {
 }
 COMMAND_RUNS = [(command, seed) for command in COMMANDS for seed in SEEDS]
 RTOL = 1e-9
+# The linear solves of each fe golden run and its LAPACK calls, with the
+# dpbtrf calls that failed (each followed by band LU), the same at seeds 0,
+# 7 and 42.  The fe_phantom tangents that repeat their bytes within a solve
+# are factored once: 190 solves, 182 factorizations.
+FE_TRAFFIC = {
+    "fe_phantom": {"spsolve": 190, "dpbtrf": 182, "dpbtrf failed": 22, "dpbtrs": 168,
+                   "dgbsv": 22},
+    "fe_fine_elastic": {"spsolve": 8, "dpbtrf": 4, "dpbtrf failed": 0, "dpbtrs": 8,
+                        "dgbsv": 0},
+}
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
@@ -173,12 +186,17 @@ def test_fe_outputs_match_golden(golden, name, seed, tmp_path, monkeypatch):
     runs, same_environment = golden
     want = runs[f"{name} seed {seed}"]
     lu_infos, finite, spsolve = [], [], solver.spsolve
+    traffic = dict.fromkeys(FE_TRAFFIC[name], 0)
 
     def lu_info(routine, args, info):
+        traffic[routine] += 1
+        if routine == "dpbtrf" and info > 0:
+            traffic["dpbtrf failed"] += 1
         if routine == "dgbsv":
             lu_infos.append(info)
 
     def checked(kb, b, **kwargs):
+        traffic["spsolve"] += 1
         x = spsolve(kb, b, **kwargs)
         finite.append(bool(np.isfinite(x).all()))
         return x
@@ -189,6 +207,8 @@ def test_fe_outputs_match_golden(golden, name, seed, tmp_path, monkeypatch):
     assert [info for info in lu_infos if info > 0] == []
     assert finite and all(finite)
     assert mismatches(got, want, same_environment) == []
+    if same_environment:
+        assert traffic == FE_TRAFFIC[name]
 
 
 @pytest.mark.parametrize("name, seed", EVALUATE_RUNS)
