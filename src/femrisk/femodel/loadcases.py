@@ -49,14 +49,15 @@ def extract_result(curve: ForceDisplacementCurve,
 def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
                           control: SolveControl, yield_policy: str
                           ) -> tuple[dict[str, float], dict[str, ForceDisplacementCurve]]:
-    """Run all four load cases, with NumPy's OpenBLAS (which runs the band
-    solves and the element matrix products) on one thread, and assemble
-    the twelve FE parameters.  NumPy's floating-point warnings are
+    """Run all four load cases, with the OpenBLAS of the band solves (NumPy's,
+    which also runs the element matrix products) on one thread, and
+    assemble the twelve FE parameters.  NumPy's floating-point warnings are
     silenced: the solver reports non-finite strains through its residual
     bound and its reaction check.
 
     Each case rotates the phantom and solves it under its boundary
-    condition; the four solves share one reuse record (see solver).
+    condition; the four solves share one record of the band's scatter
+    index, and each frees its own tangents when it returns (see solver).
     Returns the parameters, keyed in FE12 order, and the
     force-displacement curves keyed by load case name.  A case that fails,
     or that never yields under yield_policy "error", raises NumericalError

@@ -11,41 +11,32 @@ dof order the symmetric free-dof tangent is banded: it is scattered from the
 element matrices, in element order, into upper band storage
 kb[j, bw + i - j] = K[i, j] for i <= j, a C-ordered (n, bw + 1) array whose
 memory is LAPACK's column-major upper band array (leading dimension bw + 1),
-so reordering elements moves it only to 1e-12 relative.  Every
-linear solve, predictor and Newton step alike, goes through the
-module-level spsolve, which tries band Cholesky (dpbtrf, then dpbtrs), then
-band LU (dgbsv) once on the mirrored band (softening: indefinite), at
-O(n bw^2) for n free dofs (Golub & Van Loan, Matrix Computations, 4.3).
-When dgbsv finds the matrix singular the answer is NaN: the predictor is
-then skipped, and a Newton step raises "linear solve failed", which fails
-the attempt like a stall.  The three LAPACK routines are called
-by ctypes, with 64-bit integers, in NumPy's bundled OpenBLAS, which import
-numpy has loaded already, so no solve imports SciPy; on a NumPy build that
-ships no such library they come from scipy.linalg.cython_lapack instead,
-with its C ints.
+so reordering elements moves it only to 1e-12 relative.  solve factors each
+new tangent once (factor_band): band Cholesky (dpbtrf) in place, or, when
+that fails (softening: indefinite), the band assembled again for band LU.
+Every linear solve, predictor and Newton step alike, goes through the
+module-level spsolve: dpbtrs on the Cholesky factor, or else dgbsv on the
+mirrored band, at O(n bw^2) for n free dofs (Golub & Van Loan, Matrix
+Computations, 4.3).  When dgbsv finds the matrix singular the answer is
+NaN: the predictor is then skipped, and a Newton step raises "linear solve
+failed", which fails the attempt like a stall.  The LAPACK routines are
+called by ctypes, with 64-bit integers, in NumPy's bundled OpenBLAS, which
+import numpy has loaded already, so no solve imports SciPy; on a NumPy
+build that ships no such library they come from
+scipy.linalg.cython_lapack instead, with its C ints.
 
 Work that repeats a value is done once.  A solve computes the elastic
 Gauss-point tangent of its moduli once: it is the initial committed
 tangent, and radial return copies its rows for the points that stay
 elastic; the return map and its tangent run only at the points that yield.
-Reuse lives in one record, a dict that compute_fe_parameters
-hands to its four solves.  It is keyed on the grid dims, the spacing and
-the free set's bytes, and a solve under another key clears it before it
-allocates anything per element.  It holds the band's scatter index (built
-twice per fe run: for stance, then for the three fall cases) and the last
-tangent assembled: its Gauss-point tangents, element matrices and one
-band-sized array.  The record's band is the record's to overwrite: spsolve
-runs dpbtrf on it in place, and once that succeeds the same array is the
-factor, under "cb" as well as "band".  A failed factorization leaves it
-half factored, so spsolve assembles the band again from the kept element
-matrices (bincount sums in one order, so it has the same bytes) and puts
-it under "band" before band LU reads it.  When the next tangent has the
-same bytes (4 of the 8 solves of the two-increment 10x10x24 elastic
-benchmark input), the predictor takes the kept element matrices, and
-spsolve reuses the factor and only back-substitutes, which gives the bytes
-a fresh factorization would.  Any other tangent drops the kept arrays
-before its own are computed, so every kept value is a function of the key
-and the tangent's bytes alone.  The LU factor is never kept.
+A solve keeps its last tangent with its element matrices and factor, and
+reuses them while the next tangent has the same bytes (4 of the 8 solves
+of the two-increment 10x10x24 elastic benchmark input), which gives the
+bytes a fresh factorization would; any other tangent drops them first.
+The band's scatter index depends on the grid dims and the free set alone:
+compute_fe_parameters hands its four solves one record, a dict of that key
+and the index, which a solve under another key clears before it allocates
+anything per element, so a run builds two: stance's and the falls'.
 
 The committed state is (u, eps_p, alpha, tang_c): displacements, plastic
 strains, equivalent plastic strains and the Gauss-point tangents they give.
@@ -63,9 +54,11 @@ past 1.66x its reference.
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,24 +217,35 @@ def _band_assembler(dof_map, free, n_dofs):
     return assemble
 
 
-def spsolve(kb, b, factor=None):
-    """x with K x = b for the symmetric K in the band storage kb of
-    _band_assembler, by the ladder of the module docstring: NaN when dgbsv
-    reports K singular, and the caller decides what follows.  Cholesky
-    comes first because band LU alone took 1.8x the wall time and peak
-    memory of the 10x10x24 elastic benchmark run (2-core x86 host).
+class BandFactor(NamedTuple):
+    """A band of _band_assembler's storage, shape (n, bw + 1): dpbtrf's
+    upper Cholesky factor of K when cholesky is true, else K, for band LU."""
 
-    factor, a dict owned by the caller (solve passes its reuse record),
-    carries the Cholesky factor of kb from one call to the next under "cb":
-    it is used when present, and a factor computed here is stored there.
-    kb is left as it was, unless it is the record's own band, factor["band"]:
-    that one is factored in place and becomes "cb", or, when Cholesky fails,
-    is replaced under "band" by factor["assemble"](factor["ke"]), which
-    band LU then reads.  A caller that reads the record's band after the
-    call reads factor["band"] or factor["cb"], never its own reference.
+    band: np.ndarray
+    cholesky: bool
+    shape = property(lambda self: self.band.shape)
+
+
+def factor_band(fresh_band) -> BandFactor:
+    """The band fresh_band() returns, factored for spsolve: band Cholesky
+    (dpbtrf) in place, or, when that fails and leaves it half factored, a
+    second fresh_band(), with the same bytes, for band LU.  Cholesky comes
+    first because band LU alone took 1.8x the wall time and peak memory of
+    the 10x10x24 elastic benchmark run (2-core x86 host)."""
+    band = fresh_band()
+    n, width = band.shape
+    cholesky = _lapack("dpbtrf", b"U", n, width - 1, band, width) == 0
+    return BandFactor(band if cholesky else fresh_band(), cholesky)
+
+
+def spsolve(factor: BandFactor, b):
+    """x with K x = b from the factor_band factor of the symmetric K: by
+    back-substitution on its Cholesky factor (dpbtrs), or else by band LU
+    (dgbsv) on K's mirrored band, NaN when dgbsv reports K singular, and
+    the caller decides what follows.  factor is only read.
 
     Each rung, in either library, gives the bits of the SciPy function
-    that calls its routine: cholesky_banded and cho_solve_banded, and
+    that calls its routines: cholesky_banded and cho_solve_banded, and
     solve_banded for bw >= 2, where it calls dgbsv on the same (3 bw + 1, n)
     array.  For bw <= 1 or n == 1, solve_banded would take dgtsv or one
     division instead.  Neither occurs under stance_bc or fall_bc: every
@@ -249,21 +253,13 @@ def spsolve(kb, b, factor=None):
     free, so n >= 8 and bw >= 7.  Only a hand-built boundary condition can
     reach them, and there dgbsv solves the same system.
     """
-    if factor is None:
-        factor = {}
+    kb = factor.band
     n, bw = kb.shape[0], kb.shape[1] - 1
     if np.shape(b) != (n,):                   # LAPACK would run past b's end
         raise ValueError(f"right-hand side of shape {np.shape(b)} for {n} unknowns")
-    if "cb" not in factor:
-        owned = factor.get("band") is kb
-        cb = kb if owned else kb.copy()
-        if _lapack("dpbtrf", b"U", n, bw, cb, bw + 1) == 0:
-            factor["cb"] = cb
-        elif owned:                           # dpbtrf left kb half factored
-            kb = factor["band"] = factor["assemble"](factor["ke"])
-    if "cb" in factor:
-        x = np.array(b, dtype=float)
-        _lapack("dpbtrs", b"U", n, bw, 1, factor["cb"], bw + 1, x, n)
+    x = np.array(b, dtype=float)
+    if factor.cholesky:
+        _lapack("dpbtrs", b"U", n, bw, 1, kb, bw + 1, x, n)
         return x
     # dgbsv's band (2 kl + ku + 1, n) at kl = ku = bw, C-ordered as
     # (n, 3 bw + 1): bw entries of fill-in room, then K's column j from row
@@ -272,14 +268,13 @@ def spsolve(kb, b, factor=None):
     full[:, bw:2 * bw + 1] = kb
     for d in range(1, bw + 1):                # sub-diagonals mirror super-diagonals
         full[:n - d, 2 * bw + d] = kb[d:, bw - d]
-    x = np.array(b, dtype=float)
     pivots = np.empty(n, dtype=_lapack_int())
     if _lapack("dgbsv", n, bw, bw, 1, full, 3 * bw + 1, pivots, x, n) == 0:
         return x
     return np.full(n, np.nan)
 
 
-# The Fortran arguments before info of each LAPACK routine spsolve calls:
+# The Fortran arguments before info of each LAPACK routine the solves call:
 # "u" the uplo letter, "i" an integer, "d" a float64 array, "p" the integer
 # pivots.
 _ROUTINES = {"dpbtrf": "uiidi", "dpbtrs": "uiiididi", "dgbsv": "iiiidipdi"}
@@ -303,8 +298,7 @@ def _load_numpy_openblas():
     in 64_), with the routines of _ROUTINES typed, or None when this NumPy
     build ships none with them.  import numpy has loaded it already, so
     this load maps nothing new and starts no thread."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    found = sorted(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so"))
     if not found:
         return None
     lib = ctypes.CDLL(str(found[0]))
@@ -360,19 +354,25 @@ def _lapack(name, *args) -> int:
 
 @contextmanager
 def one_blas_thread():
-    """Run the body with NumPy's OpenBLAS on one thread, then restore the
-    previous count.  On a 2-core host the second thread only spun (1.9x the
-    CPU time at the same wall time), and above about 16x16x40 voxels the band
-    factor's bytes depend on the thread count.  Without the library or its
-    thread calls (so on the cython_lapack fallback, whose library keeps its
-    own count) this does nothing."""
-    get = getattr(_numpy_openblas, "scipy_openblas_get_num_threads64_", None)
-    set_ = getattr(_numpy_openblas, "scipy_openblas_set_num_threads64_", None)
+    """Run the body with the band solves' OpenBLAS on one thread, then
+    restore its count: NumPy's, or on the cython_lapack fallback the one
+    SciPy's wheels bundle, found without importing SciPy.  On a 2-core host
+    the second thread only spun (1.9x the CPU time at the same wall time),
+    and above about 16x16x40 voxels the band factor's bytes depend on the
+    thread count.  Without that library (a fallback SciPy on another BLAS)
+    this does nothing, and the bytes follow that BLAS's thread count."""
+    lib, suffix = _numpy_openblas, "64_"
+    if lib is None:
+        spec = importlib.util.find_spec("scipy")
+        libs = Path(spec.origin).parents[1] / "scipy.libs" if spec else None
+        found = sorted(libs.glob("libscipy_openblas-*.so")) if libs else []
+        lib, suffix = (ctypes.CDLL(str(found[0])) if found else None), ""
+    # Both calls take and return a C int, ctypes' default.
+    get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+    set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
     if get is None or set_ is None:
         yield
         return
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
     previous = get()
     set_(1)
     try:
@@ -420,10 +420,9 @@ def _largest_cluster(yielded_flat, dims) -> int:
 
 def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
           control: SolveControl, kept=None) -> ForceDisplacementCurve:
-    """Run the incremental displacement-controlled solve, reusing the work
-    in the record kept of the module docstring (None: a fresh record).  A
-    prescribed dof outside the lattice, or prescribed twice, raises
-    DataError."""
+    """Run the incremental displacement-controlled solve; kept is the band
+    index record of the module docstring (None: a fresh one).  A prescribed
+    dof outside the lattice, or prescribed twice, raises DataError."""
     kept = {} if kept is None else kept
     dims = grid.dims
     nx, ny, nz = dims
@@ -438,11 +437,11 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
     if times.max(initial=0) > 1:
         raise DataError("overlapping fixed and driven dofs")
     free = np.flatnonzero(times == 0)
-    key = (dims, grid.spacing, free.tobytes())
+    key = (dims, free.tobytes())
     if kept.get("key") != key:
         kept.clear()
     dof_map = _element_dof_map(dims)
-    if "assemble" not in kept:
+    if not kept:
         kept.update(key=key, assemble=_band_assembler(dof_map, free, n_dofs))
 
     # One element per voxel, in the order of _element_dof_map (x fastest).
@@ -467,17 +466,17 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         sig = stress.reshape(ne, 8, 6)
         return scatter(wdet * np.einsum("gik,egi->ek", b_mats, sig))
 
+    last = None                     # the kept tangent, its element matrices and factor
+
     def keep(tang):
-        """Make the Gauss-point tangents tang the kept tangent and return
-        their element matrices.  The kept tangent's element matrices and
-        band (which spsolve factors in place) are reused while the next
-        tangent has its bytes."""
-        if "tang" not in kept or not _same_bits(kept["tang"], tang):
-            for name in ("tang", "ke", "band", "cb"):
-                kept.pop(name, None)
+        """The element matrices and band factor of the Gauss-point tangents
+        tang, kept and reused while the next tangents have tang's bytes."""
+        nonlocal last
+        if last is None or not _same_bits(last[0], tang):
+            last = None
             ke = element_stiffness(tang, b_mats, wdet)
-            kept.update(tang=tang, ke=ke, band=kept["assemble"](ke))
-        return kept["ke"]
+            last = tang, ke, factor_band(lambda: kept["assemble"](ke))
+        return last[1:]
 
     def advance(state, target):
         """One predictor + Newton solve from the committed state to the
@@ -494,9 +493,9 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         delta_p = np.zeros(n_dofs)
         delta_p[driven] = -target - u[driven]
         if free.size:
-            ke = keep(tang_c)
+            ke, factor = keep(tang_c)
             f_p = scatter(np.einsum("eij,ej->ei", ke, delta_p[dof_map]))
-            du0 = spsolve(kept["band"], -f_p[free], factor=kept)
+            du0 = spsolve(factor, -f_p[free])
             if np.all(np.isfinite(du0)):
                 u[free] += du0
         u[fixed] = 0.0
@@ -514,8 +513,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
                 return (u, eps_p_new, alpha_new, tang), f_int
             if not res_norm <= NEWTON_DIVERGE * ref:
                 raise NumericalError("Newton diverged")
-            keep(tang)
-            du = spsolve(kept["band"], -res, factor=kept)
+            du = spsolve(keep(tang)[1], -res)
             if not np.all(np.isfinite(du)):
                 raise NumericalError("linear solve failed")
             u[free] += du

@@ -992,7 +992,7 @@ def test_fe_without_scipy_openblas_writes_the_same_bytes(tmp_path, monkeypatch):
     assert "dgbsv" in [call.args[0] for call in lapack.call_args_list]
     assert len(bundled) == 5
     # Each failed in-place Cholesky is followed by the band's rebuild from
-    # the kept element matrices, then band LU, all through cython_lapack.
+    # the same element matrices, then band LU, all through cython_lapack.
     failed = [i for i, (name, info) in enumerate(events) if name == "dpbtrf" and info > 0]
     assert failed
     assert all([name for name, _ in events[i + 1:i + 3]] == ["assemble", "dgbsv"]

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded, lapack,
@@ -22,7 +23,7 @@ from femrisk.femodel.plasticity import elastic_tangent, radial_return_batch
 from femrisk.femodel import loadcases, solver
 from femrisk.femodel.solver import (GAUSS, _band_assembler, _element_dof_map,
                                     _hex_b_matrices, _largest_cluster,
-                                    element_stiffness, node_id, spsolve)
+                                    element_stiffness, factor_band, node_id, spsolve)
 
 RHO = 0.25
 ASH = ash_density(RHO)
@@ -695,8 +696,9 @@ def _dominant_band(rng, n, bw, signs):
 
 
 class TestSolveLadder:
-    """spsolve takes band Cholesky, or else band LU once, each agreeing with
-    a dense solve of the same matrix; a singular matrix gives NaN."""
+    """factor_band takes band Cholesky, or else leaves the band to band LU,
+    which spsolve runs once; each agrees with a dense solve of the same
+    matrix, and a singular matrix gives NaN."""
 
     @staticmethod
     def _solve(kb, b):
@@ -708,7 +710,7 @@ class TestSolveLadder:
                 lu_diagonals.append(args[4][:, 2 * bw].copy())
 
         with lapack_calls(before=diagonal) as names:
-            x = spsolve(kb, b)
+            x = spsolve(factor_band(kb.copy), b)
         assert names.count("dpbtrf") == 1
         return x, lu_diagonals
 
@@ -756,7 +758,7 @@ class TestSolveLadder:
             infos.append(info)
 
         with lapack_calls(after=info_of) as names:
-            x = spsolve(_dense_to_band(k, bw), b)
+            x = spsolve(factor_band(_dense_to_band(k, bw).copy), b)
         assert names == ["dpbtrf", "dgbsv"]
         assert infos[1] == dead + 1
         assert np.isnan(x).all()
@@ -809,22 +811,6 @@ class TestSolveLadder:
         assert set(infos) == {0}
         assert len(solve_log) <= 31 * (solver.NEWTON_CAP + 1)
 
-    @pytest.mark.parametrize("record", ["none", "other_band"])
-    def test_band_the_record_does_not_own_is_left_as_it_was(self, record):
-        # Only the record's own band is factored in place: a standalone
-        # call, or one whose record holds another band, leaves kb alone on
-        # every rung.
-        rng = np.random.default_rng(3)
-        n, bw = 20, 4
-        for signs in (np.ones(n), -np.ones(n)):
-            kb = _dense_to_band(_dominant_band(rng, n, bw, signs), bw)
-            before = kb.copy()
-            factor = None if record == "none" else {"band": kb.copy()}
-            spsolve(kb, rng.normal(size=n), factor=factor)
-            assert same_bits(kb, before)
-            if factor is not None:
-                assert same_bits(factor["band"], before)
-
 
 def _gbsv_to_dense(band, bw):
     """Dense matrix of dgbsv's band (n, 3 bw + 1): band[j, 2 bw + i - j] =
@@ -862,12 +848,12 @@ class LapackRungs:
         bw = min(bw, n - 1)
         kb = _dense_to_band(_dominant_band(rng, n, bw, np.ones(n)), bw)
         b = rng.normal(size=n)
-        factor = {}
-        x = spsolve(kb, b, factor=factor)
+        factor = factor_band(kb.copy)
+        x = spsolve(factor, b)
         cb = cholesky_banded(kb.T, check_finite=False)
-        assert same_bits(factor["cb"], cb.T)
+        assert factor.cholesky and same_bits(factor.band, cb.T)
         assert same_bits(x, cho_solve_banded((cb, False), b, check_finite=False))
-        assert same_bits(spsolve(kb, b, factor=factor), x)
+        assert same_bits(spsolve(factor, b), x)
 
     def indefinite_lu_factor_and_solution(self, seed, n, bw):
         rng = np.random.default_rng(seed)
@@ -885,8 +871,10 @@ class LapackRungs:
                 factors.append((args[4].copy(), args[6].copy()))
 
         with lapack_calls(after=lu_factor) as names:
-            x = spsolve(kb, b)
+            factor = factor_band(kb.copy)
+            x = spsolve(factor, b)
         assert names == ["dpbtrf", "dgbsv"]
+        assert not factor.cholesky and same_bits(factor.band, kb)
         full = _scipy_lu_band(kb)
         assert same_bits(x, solve_banded((bw, bw), full, b, check_finite=False))
         # solve_banded's own dgbsv call, for its factor and pivots.
@@ -928,7 +916,7 @@ class LapackRungs:
         # pivots of the other library's width never reach LAPACK.
         kb = _dense_to_band(np.eye(4) * 2.0, 2)
         with pytest.raises(ValueError, match=r"right-hand side of shape \(3,\) for 4 unknowns"):
-            spsolve(kb, np.ones(3))
+            spsolve(factor_band(kb.copy), np.ones(3))
         with pytest.raises(ctypes.ArgumentError):
             solver._lapack("dpbtrf", b"U", 4, 1, np.ones((4, 4))[:, ::2], 2)
         other = np.intc if solver._lapack_int() == np.int64 else np.int64
@@ -959,7 +947,7 @@ class TestLapackRungsMatchScipy(LapackRungs):
         elif solver._numpy_openblas is None:
             pytest.skip("NumPy ships no OpenBLAS")
         with pytest.raises(ValueError, match="dpbtrf: argument 3 has an illegal value"):
-            spsolve(np.ones((3, 0)), np.ones(3))
+            factor_band(np.ones((3, 0)).copy)
         with pytest.raises(ValueError, match="dgbsv: argument 1 has an illegal value"):
             solver._lapack("dgbsv", -1, 0, 0, 1, np.ones((1, 1)), 1,
                            np.zeros(1, dtype=solver._lapack_int()), np.ones(1), 1)
@@ -1018,9 +1006,9 @@ def solve_log(monkeypatch):
     Newton step alike."""
     log = []
 
-    def counting(kb, b, **kwargs):
+    def counting(factor, b):
         log.append(float(np.linalg.norm(b)))
-        return spsolve(kb, b, **kwargs)
+        return spsolve(factor, b)
 
     monkeypatch.setattr(solver, "spsolve", counting)
     return log
@@ -1126,7 +1114,8 @@ class TestFailedAttempt:
 
 class TestFactorReuse:
     """One solve call factors a tangent once while its Gauss-point tangents
-    keep their bytes, and every solve still goes through spsolve."""
+    keep their bytes, and every solve still goes through spsolve.  The
+    record the load cases share holds the band index alone."""
 
     @staticmethod
     def _elastic_solve(radial_return=radial_return_batch):
@@ -1142,11 +1131,7 @@ class TestFactorReuse:
         reused, n_factored = self._elastic_solve()
         assert n_factored == 1
         assert len(solve_log) == 2
-
-        def fresh(kb, b, factor=None):
-            return spsolve(kb, b)
-
-        monkeypatch.setattr(solver, "spsolve", fresh)
+        monkeypatch.setattr(solver, "_same_bits", lambda a, b: False)
         refactored, n_refactored = self._elastic_solve()
         assert n_refactored == 2
         assert _curve_bytes(reused) == _curve_bytes(refactored)
@@ -1192,9 +1177,9 @@ class TestFactorReuse:
 
     @pytest.mark.parametrize("case", ["elastic", "plastic_phantom"])
     def test_reuse_gives_the_bytes_of_no_reuse(self, monkeypatch, case):
-        # Kept element matrices, band and factor against recomputing all of
-        # them for every tangent, and against factoring a copy of the band
-        # on every solve, which leaves the record's band as assembled.
+        # Kept element matrices and factor against recomputing both for
+        # every tangent, and against factoring a copy of each assembled
+        # band, which leaves the assembled band as it was.
         def curves():
             if case == "elastic":
                 return [self._elastic_solve()[0]]
@@ -1209,16 +1194,17 @@ class TestFactorReuse:
         monkeypatch.setattr(solver, "_same_bits", lambda a, b: False)
         fresh = curves()
         monkeypatch.setattr(solver, "_same_bits", same_bits)
-        monkeypatch.setattr(solver, "spsolve", lambda kb, b, factor=None: spsolve(kb.copy(), b))
+        monkeypatch.setattr(solver, "factor_band",
+                            lambda fresh_band: factor_band(lambda: fresh_band().copy()))
         copied = curves()
         assert [_curve_bytes(c) for c in reused] == [_curve_bytes(c) for c in fresh] \
             == [_curve_bytes(c) for c in copied]
 
     def test_cholesky_factors_the_record_band_in_place(self, monkeypatch):
         # One band-sized array per kept tangent: dpbtrf gets a band that
-        # the record's assembler returned, not a copy of it, and the factor
-        # it leaves there is the record's band.
-        bands, factored = [], []
+        # the record's assembler returned, not a copy of it, and dpbtrs
+        # back-substitutes on that same array.
+        bands, factored, solved = [], [], []
 
         def assembler(*args):
             assemble = _band_assembler(*args)
@@ -1227,24 +1213,36 @@ class TestFactorReuse:
         def before(name, args):
             if name == "dpbtrf":
                 factored.append(args[3])
+            elif name == "dpbtrs":
+                solved.append(args[4])
 
         monkeypatch.setattr(solver, "_band_assembler", assembler)
-        g, kept = uniform_grid((2, 2, 4), RHO), {}
+        g = uniform_grid((2, 2, 4), RHO)
         with lapack_calls(before=before):
             solve(g, elastic_material(), stance_bc(g.dims),
-                  SolveControl(increment=0.01, max_increments=2), kept)
+                  SolveControl(increment=0.01, max_increments=2))
         assert factored
         assert all(any(np.shares_memory(cb, band) for band in bands) for cb in factored)
-        assert kept["cb"] is kept["band"]
+        assert solved and all(any(cb is band for band in factored) for cb in solved)
 
     def test_failed_cholesky_rebuilds_the_record_band(self, monkeypatch):
         # On the softening column of test_softening_tangent_takes_lu, a
-        # failed dpbtrf leaves the record's band half factored: the record
-        # then holds the band assembled again from its element matrices,
-        # bit for bit, and no factor, and band LU reads that band.
-        fallbacks = []
+        # failed dpbtrf leaves the assembled band half factored: the factor
+        # spsolve gets then holds the band assembled again from the same
+        # element matrices, bit for bit, and no Cholesky factor, and band
+        # LU reads that band.
+        assembled, fallbacks = [], []
 
-        def checked(kb, b, factor=None):
+        def assembler(*args):
+            assemble = _band_assembler(*args)
+
+            def recording(ke):
+                band = assemble(ke)
+                assembled.append((band, band.copy()))
+                return band
+            return recording
+
+        def checked(factor, b):
             lu_inputs = []
 
             def before(name, args):
@@ -1253,14 +1251,16 @@ class TestFactorReuse:
                     lu_inputs.append(args[4][:, bw:2 * bw + 1].copy())
 
             with lapack_calls(before=before):
-                x = spsolve(kb, b, factor)
+                x = spsolve(factor, b)
             if lu_inputs:
+                (_, first), (again, _) = assembled[-2:]
                 fallbacks.append(
-                    same_bits(factor["band"], factor["assemble"](factor["ke"]))
-                    and "cb" not in factor
-                    and np.array_equal(lu_inputs[0], factor["band"]))
+                    factor.band is again and same_bits(again, first)
+                    and not factor.cholesky
+                    and np.array_equal(lu_inputs[0], factor.band))
             return x
 
+        monkeypatch.setattr(solver, "_band_assembler", assembler)
         monkeypatch.setattr(solver, "spsolve", checked)
         g = uniform_grid((2, 2, 8), RHO)
         c = SolveControl(increment=0.05, max_increments=60, stop_fraction=0.6)
@@ -1280,30 +1280,30 @@ class TestFactorReuse:
                                       "ultimate")
         assert build.call_count == 4
 
-    def test_shared_record_reuses_factor_and_keys_on_spacing(self):
-        # Two elastic solves of one uniform grid under fall_bc share a
-        # record: the second starts from the first one's factor.  A grid of
-        # other spacing clears the record.  Each curve has the bytes of a
-        # solve with a fresh record.
+    def test_shared_record_holds_only_the_band_index(self):
+        # Elastic solves of one uniform grid under fall_bc share a record:
+        # after the first, a solve builds no band index, at another spacing
+        # too, but factors its own tangent, and each curve has the bytes of
+        # a solve with a fresh record.  Another free set (stance_bc) builds
+        # the index again.  The record holds its key and the index alone.
         control = SolveControl(increment=0.01, max_increments=2)
 
-        def run(grid, kept=None):
+        def run(grid, kept=None, bc=fall_bc):
             with lapack_calls() as names, \
                     mock.patch.object(solver, "_band_assembler",
                                       wraps=solver._band_assembler) as build:
-                curve = solve(grid, elastic_material(), fall_bc(grid.dims), control, kept)
+                curve = solve(grid, elastic_material(), bc(grid.dims), control, kept)
             return _curve_bytes(curve), names.count("dpbtrf"), build.call_count
 
         grid = uniform_grid((2, 2, 3), RHO)
-        other = uniform_grid((2, 2, 3), RHO, spacing=2.0)
         kept = {}
         assert run(grid, kept)[1:] == (1, 1)
-        shared, n_factored, n_built = run(grid, kept)
-        assert (n_factored, n_built) == (0, 0)
-        assert shared == run(grid)[0]
-        respaced, n_factored, n_built = run(other, kept)
-        assert (n_factored, n_built) == (1, 1)
-        assert respaced == run(other)[0]
+        for g in (grid, uniform_grid((2, 2, 3), RHO, spacing=2.0)):
+            shared, n_factored, n_built = run(g, kept)
+            assert (n_factored, n_built) == (1, 0)
+            assert shared == run(g)[0]
+        assert sorted(kept) == ["assemble", "key"]
+        assert run(grid, kept, stance_bc)[1:] == (1, 1)
 
 
 class TestPrescribedDofs:
@@ -1372,9 +1372,39 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("lib", [None, object()], ids=["no_library", "no_symbols"])
     def test_missing_library_or_symbol_is_a_no_op(self, monkeypatch, lib):
+        # No library: neither NumPy's OpenBLAS nor a SciPy to find SciPy's.
         threads = _openblas_threads()
         previous = threads()
         monkeypatch.setattr(solver, "_numpy_openblas", lib)
+        monkeypatch.setattr(solver.importlib.util, "find_spec", lambda name: None)
         with solver.one_blas_thread():
             assert threads() == previous
         assert threads() == previous
+
+    def test_fallback_pins_scipy_openblas(self, monkeypatch):
+        # On the cython_lapack fallback the band solves run in SciPy's
+        # bundled OpenBLAS: the load cases run with that library on one
+        # thread, and its count is restored after them.
+        found = sorted(Path(scipy.__file__).parents[1].glob("scipy.libs/libscipy_openblas-*.so"))
+        if not found:
+            pytest.skip("SciPy bundles no OpenBLAS")
+        lib = ctypes.CDLL(str(found[0]))
+        get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        seen, previous = [], get()
+
+        def solve_recording(*args):
+            seen.append(get())
+            return solve(*args)
+
+        monkeypatch.setattr(solver, "_numpy_openblas", None)
+        monkeypatch.setattr(loadcases, "solve", solve_recording)
+        set_(2)                         # a count the pin must change and restore
+        try:
+            compute_fe_parameters(uniform_grid((2, 2, 3), RHO), elastic_material(),
+                                  SolveControl(increment=0.01, max_increments=2), "ultimate")
+            assert seen == [1] * len(LOAD_CASES)
+            assert get() == 2
+        finally:
+            set_(previous)
