@@ -12,17 +12,15 @@ element matrices, in element order, into upper band storage
 kb[j, bw + i - j] = K[i, j] for i <= j, a C-ordered (n, bw + 1) array whose
 memory is LAPACK's column-major upper band array (leading dimension bw + 1),
 so reordering elements moves it only to 1e-12 relative.  solve factors each
-new tangent once (factor_band): band Cholesky (dpbtrf) in place, or, when
-that fails (softening: indefinite), the band assembled again for band LU.
-Every linear solve, predictor and Newton step alike, goes through the
-module-level spsolve: dpbtrs on the Cholesky factor, or else dgbsv on the
-mirrored band, at O(n bw^2) for n free dofs (Golub & Van Loan, Matrix
-Computations, 4.3).  When dgbsv finds the matrix singular the answer is
-NaN: the predictor is then skipped, and a Newton step raises "linear solve
-failed", which fails the attempt like a stall.  The LAPACK routines are
-called by ctypes, with 64-bit integers, in NumPy's bundled OpenBLAS, which
-import numpy has loaded already, so no solve imports SciPy; on a NumPy
-build that ships no such library they come from
+new tangent once (factor_band: band Cholesky, or band LU when softening
+leaves it indefinite), and every linear solve, predictor and Newton step
+alike, goes through the module-level spsolve, at O(n bw^2) for n free dofs
+(Golub & Van Loan, Matrix Computations, 4.3).  When dgbsv finds the matrix
+singular the answer is NaN: the predictor is then skipped, and a Newton
+step raises "linear solve failed", which fails the attempt like a stall.
+The LAPACK routines are called by ctypes, with 64-bit integers, in NumPy's
+bundled OpenBLAS, which import numpy has loaded already, so no solve
+imports SciPy; on a NumPy build that ships no such library they come from
 scipy.linalg.cython_lapack instead, with its C ints.
 
 Work that repeats a value is done once.  A solve computes the elastic
@@ -223,7 +221,7 @@ class BandFactor(NamedTuple):
 
     band: np.ndarray
     cholesky: bool
-    shape = property(lambda self: self.band.shape)
+    shape = property(lambda self: self.band.shape)     # what wrappers of spsolve size it by
 
 
 def factor_band(fresh_band) -> BandFactor:
@@ -293,16 +291,21 @@ def _argtypes(name, integer):
     return [types[c] for c in codes] + [c_integer] + [ctypes.c_size_t] * codes.count("u")
 
 
+def _bundled(package, pattern):
+    """The library matching pattern in the package.libs folder that the
+    package's wheels install, found without importing the package, or None."""
+    spec = importlib.util.find_spec(package)
+    found = sorted(Path(spec.origin).parents[1].glob(f"{package}.libs/{pattern}")) if spec else []
+    return ctypes.CDLL(str(found[0])) if found else None
+
+
 def _load_numpy_openblas():
     """NumPy's bundled OpenBLAS, built with 64-bit integers (its symbols end
     in 64_), with the routines of _ROUTINES typed, or None when this NumPy
     build ships none with them.  import numpy has loaded it already, so
     this load maps nothing new and starts no thread."""
-    found = sorted(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so"))
-    if not found:
-        return None
-    lib = ctypes.CDLL(str(found[0]))
-    if not all(hasattr(lib, f"scipy_{name}_64_") for name in _ROUTINES):
+    lib = _bundled("numpy", "libscipy_openblas64_*.so")
+    if lib is None or not all(hasattr(lib, f"scipy_{name}_64_") for name in _ROUTINES):
         return None
     for name in _ROUTINES:
         routine = getattr(lib, f"scipy_{name}_64_")
@@ -356,23 +359,21 @@ def _lapack(name, *args) -> int:
 def one_blas_thread():
     """Run the body with the band solves' OpenBLAS on one thread, then
     restore its count: NumPy's, or on the cython_lapack fallback the one
-    SciPy's wheels bundle, found without importing SciPy.  On a 2-core host
-    the second thread only spun (1.9x the CPU time at the same wall time),
-    and above about 16x16x40 voxels the band factor's bytes depend on the
-    thread count.  Without that library (a fallback SciPy on another BLAS)
-    this does nothing, and the bytes follow that BLAS's thread count."""
+    SciPy's wheels bundle.  On a 2-core host the second thread only spun
+    (1.9x the CPU time at the same wall time), and above about 16x16x40
+    voxels the band factor's bytes depend on the thread count.  Without
+    that library (a fallback SciPy on another BLAS) this does nothing, and
+    the bytes follow that BLAS's thread count."""
     lib, suffix = _numpy_openblas, "64_"
     if lib is None:
-        spec = importlib.util.find_spec("scipy")
-        libs = Path(spec.origin).parents[1] / "scipy.libs" if spec else None
-        found = sorted(libs.glob("libscipy_openblas-*.so")) if libs else []
-        lib, suffix = (ctypes.CDLL(str(found[0])) if found else None), ""
-    # Both calls take and return a C int, ctypes' default.
+        lib, suffix = _bundled("scipy", "libscipy_openblas-*.so"), ""
     get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
     set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
     if get is None or set_ is None:
         yield
         return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
     previous = get()
     set_(1)
     try:
@@ -469,8 +470,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
     last = None                     # the kept tangent, its element matrices and factor
 
     def keep(tang):
-        """The element matrices and band factor of the Gauss-point tangents
-        tang, kept and reused while the next tangents have tang's bytes."""
+        """tang's element matrices and band factor, reused while tangents keep its bytes."""
         nonlocal last
         if last is None or not _same_bits(last[0], tang):
             last = None
