@@ -7,15 +7,16 @@ prescribed displacement with Newton iteration per increment.
 Element stiffness is the B^T D B product summed over the Gauss points
 (Simo & Hughes, Computational Inelasticity, ch. 3-4), computed for all
 elements at once as two batched matrix products.  In the lattice's natural
-dof order the symmetric free-dof tangent is banded: it is scattered from the
-element matrices, in element order, into upper band storage
+dof order the symmetric free-dof tangent is banded: the element matrices
+are scattered whole, in element order, into upper band storage
 kb[j, bw + i - j] = K[i, j] for i <= j, a C-ordered (n, bw + 1) array whose
 memory is LAPACK's column-major upper band array (leading dimension bw + 1),
-so reordering elements moves it only to 1e-12 relative.  solve factors each
-new tangent once (factor_band: band Cholesky, or band LU when softening
-leaves it indefinite), and every linear solve, predictor and Newton step
-alike, goes through the module-level spsolve, at O(n bw^2) for n free dofs
-(Golub & Van Loan, Matrix Computations, 4.3).  When dgbsv finds the matrix
+and their entries below K's diagonal or on a prescribed dof into one slot
+past it; reordering elements moves the band only to 1e-12 relative.  solve
+factors each new tangent once (factor_band: band Cholesky, or band LU when
+softening leaves it indefinite), and every linear solve, predictor and
+Newton step alike, goes through the module-level spsolve, at O(n bw^2) for
+n free dofs (Golub & Van Loan, Matrix Computations, 4.3).  When dgbsv finds the matrix
 singular the answer is NaN: the predictor is then skipped, and a Newton
 step raises "linear solve failed", which fails the attempt like a stall.
 The LAPACK routines are called by ctypes, with 64-bit integers, in NumPy's
@@ -191,26 +192,24 @@ def _band_assembler(dof_map, free, n_dofs):
     that its memory is LAPACK's upper band array; bw is the largest
     column - row distance among its entries.
 
-    An element's dofs ascend with their local index (_CORNERS runs x
-    fastest, as the node ids do), so its entries on or above K's diagonal
-    lie in the upper triangle of its matrix: the index is built from those
-    300 positions alone.  They are taken element by element, each row by
-    row, so bincount sums every band entry in the order of ke's memory.
+    The index covers all 576 entries of each element matrix: an entry
+    whose row and column are free dofs, row <= column, goes to its band
+    slot, and every other one to a spill slot past the band, which
+    assemble drops.  An element's dofs are distinct, so it adds at most one
+    term to a band slot, and bincount sums each slot's terms in element
+    order, whatever the local order of an element's dofs.
     """
     pos = np.full(n_dofs, -1)
     pos[free] = np.arange(free.size)
     pe = pos[dof_map]
-    i, j = np.triu_indices(24)
-    rows, cols = pe[:, i], pe[:, j]
-    keep = (rows >= 0) & (rows <= cols)
-    element, upper = np.nonzero(keep)
-    sel = element * 576 + (i * 24 + j)[upper]
-    rows, cols = rows[keep], cols[keep]
-    bw = int((cols - rows).max(initial=0))
-    idx = cols * (bw + 1) + bw + rows - cols
+    rows, cols = pe[:, :, None], pe[:, None, :]
+    inside = (rows >= 0) & (rows <= cols)
+    bw = int(np.max(cols - rows, where=inside, initial=0))
+    size = free.size * (bw + 1)
+    idx = np.where(inside, cols * bw + rows + bw, size).ravel()
 
     def assemble(ke):
-        band = np.bincount(idx, weights=ke.ravel()[sel], minlength=(bw + 1) * free.size)
+        band = np.bincount(idx, weights=ke.ravel(), minlength=size + 1)[:size]
         return band.reshape(free.size, bw + 1)
     return assemble
 

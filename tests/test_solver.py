@@ -229,6 +229,10 @@ def _max_rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+def _free_dofs(cond, n_dofs):
+    return np.setdiff1d(np.arange(n_dofs), np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
+
+
 class TestKernelOracles:
     """Radial return (Simo & Hughes 1998, ch. 3-4) against its defining
     properties: elastic inside the yield surface, on the surface after a
@@ -509,15 +513,15 @@ class TestStiffnessProperties:
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 3), (1, 3, 2), (4, 2, 5),
                                       (3, 3, 12), (10, 10, 24)])
     def test_band_index_gives_the_bytes_of_the_full_index(self, dims, bc):
-        # The oracle builds the index over all 576 positions of each
-        # element matrix and keeps the free ones with row <= column.
+        # The oracle gathers the free entries with row <= column from all
+        # 576 positions of each element matrix.  The second input is NaN in
+        # every entry with a fixed row or column, so a spilled entry that
+        # reaches the band shows.
         rng = np.random.default_rng(sum(dims))
         nx, ny, nz = dims
         n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
         dof_map = _element_dof_map(dims)
-        cond = bc(dims)
-        free = np.setdiff1d(np.arange(n_dofs),
-                            np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
+        free = _free_dofs(bc(dims), n_dofs)
         b_mats, wdet = _hex_b_matrices(2.0)
         ke = element_stiffness(_random_symmetric_tangents(rng, 8 * nx * ny * nz),
                                b_mats, wdet)
@@ -528,13 +532,34 @@ class TestStiffnessProperties:
         rows = np.repeat(pe, 24, axis=1).ravel()
         cols = np.tile(pe, (1, 24)).ravel()
         sel = np.flatnonzero((rows >= 0) & (rows <= cols))
+        poisoned = ke.copy()
+        poisoned[(pe[:, :, None] < 0) | (pe[:, None, :] < 0)] = np.nan
         rows, cols = rows[sel], cols[sel]
         bw = int((cols - rows).max(initial=0))
-        want = np.bincount(cols * (bw + 1) + bw + rows - cols, weights=ke.ravel()[sel],
-                           minlength=(bw + 1) * free.size).reshape(free.size, bw + 1)
+        assemble = _band_assembler(dof_map, free, n_dofs)
+        for k in (ke, poisoned):
+            want = np.bincount(cols * (bw + 1) + bw + rows - cols, weights=k.ravel()[sel],
+                               minlength=(bw + 1) * free.size).reshape(free.size, bw + 1)
+            kb = assemble(k)
+            assert kb.shape == want.shape and kb.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bc", [stance_bc, fall_bc])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 3), (3, 3, 12)])
+    def test_band_ignores_the_local_corner_order(self, dims, bc):
+        # Renumbering the corners of every element, in the dof map and in
+        # the rows and columns of its matrix, leaves the band's bytes.
+        rng = np.random.default_rng(sum(dims))
+        nx, ny, nz = dims
+        ne, n_dofs = nx * ny * nz, 3 * (nx + 1) * (ny + 1) * (nz + 1)
+        dof_map = _element_dof_map(dims)
+        free = _free_dofs(bc(dims), n_dofs)
+        b_mats, wdet = _hex_b_matrices(2.0)
+        ke = element_stiffness(_random_symmetric_tangents(rng, 8 * ne), b_mats, wdet)
         kb = _band_assembler(dof_map, free, n_dofs)(ke)
-        assert kb.shape == want.shape and kb.tobytes() == want.tobytes()
+        for corners in (np.arange(8)[::-1], rng.permutation(8)):
+            perm = (corners[:, None] * 3 + np.arange(3)).ravel()
+            kb_perm = _band_assembler(dof_map[:, perm], free, n_dofs)(ke[:, perm][:, :, perm])
+            assert kb_perm.shape == kb.shape and kb_perm.tobytes() == kb.tobytes()
 
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -549,9 +574,7 @@ class TestStiffnessProperties:
         tang = _tangents(rng, 8 * ne, source)
         b_mats, wdet = _hex_b_matrices(2.0)
         dof_map = _element_dof_map(dims)
-        cond = bc(dims)
-        free = np.setdiff1d(np.arange(n_dofs),
-                            np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
+        free = _free_dofs(bc(dims), n_dofs)
 
         k = np.zeros((n_dofs, n_dofs))
         coupled = np.zeros((n_dofs, n_dofs), dtype=bool)
@@ -960,9 +983,7 @@ class TestLapackRungsMatchScipy(LapackRungs):
         # boundary conditions of fe never give either.
         nx, ny, nz = dims
         n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
-        cond = bc(dims)
-        free = np.setdiff1d(np.arange(n_dofs),
-                            np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
+        free = _free_dofs(bc(dims), n_dofs)
         kb = _band_assembler(_element_dof_map(dims), free, n_dofs)(np.ones((nx * ny * nz, 24, 24)))
         assert kb.shape[0] >= 8 and kb.shape[1] - 1 >= 7
 
