@@ -11,6 +11,9 @@ points per domain (x86-64, CPython 3.11 math on glibc):
   (bound 3e-13) and 3.0e-13 for df in [2000, 1e8] (bound 6e-13), both near
   |t| = 40, where rounding t^2 / df moves the log of the tail by df/2
   log1p(t^2/df) times 2.2e-16.
+The stdtr checks add one subnormal spacing (2**-1074) to the bound: near
+df = 9 360 and |t| = 39 the tail underflows below 2.2e-308, where that
+spacing is more than 6e-13 of the value.
 """
 
 import math
@@ -43,6 +46,14 @@ def relative_error(got, want):
         return float(abs(mpmath.mpf(got) - want) / want)
 
 
+def within(got, want, bound):
+    """|got - want| <= bound * want + 2**-1074: the relative bound, plus one
+    spacing of the subnormals, which hold no closer value to a tail that
+    underflows below 2.2e-308."""
+    with mpmath.workdps(ORACLE_DIGITS):
+        return abs(mpmath.mpf(got) - want) <= bound * want + mpmath.mpf(2) ** -1074
+
+
 magnitudes = st.floats(-10.0, math.log10(40.0)).map(lambda e: 10.0 ** e)
 signs = st.sampled_from([-1.0, 1.0])
 
@@ -60,9 +71,18 @@ def test_stdtr_matches_mpmath(dfs, bound):
     @settings(max_examples=200)
     @given(df=dfs, u=magnitudes, sign=signs)
     def check(df, u, sign):
-        assert relative_error(stdtr(df, sign * u), stdtr_oracle(df, sign * u)) <= bound
+        assert within(stdtr(df, sign * u), stdtr_oracle(df, sign * u), bound)
 
     check()
+
+
+@pytest.mark.parametrize("df", [9351.0, 9367.0])
+def test_stdtr_subnormal_tail(df):
+    # stdtr underflows to 3.1e-312 and 2.8e-312 here, and it is off by one
+    # subnormal spacing, 9.1e-13 and 1.05e-12 of the value: no float meets
+    # the 6e-13 relative bound alone.
+    t = -10.0 ** 1.59375
+    assert within(stdtr(df, t), stdtr_oracle(df, t), 6e-13)
 
 
 @pytest.mark.parametrize("df", [1.0, 2.5, 999.0, 1e6])
