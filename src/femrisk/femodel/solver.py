@@ -203,10 +203,15 @@ def _band_assembler(dof_map, free, n_dofs):
     pos[free] = np.arange(free.size)
     pe = pos[dof_map]
     rows, cols = pe[:, :, None], pe[:, None, :]
-    inside = (rows >= 0) & (rows <= cols)
-    bw = int(np.max(cols - rows, where=inside, initial=0))
+    idx = cols - rows
+    spill = (rows < 0) | (idx < 0)
+    bw = int(idx.max(where=~spill, initial=0))
     size = free.size * (bw + 1)
-    idx = np.where(inside, cols * bw + rows + bw, size).ravel()
+    # The slot cols * bw + rows + bw, formed in idx's memory: freeing an
+    # index-sized temporary raised fe_fine_elastic's peak RSS by 6 MiB
+    # through glibc's dynamic mmap threshold.
+    idx = np.subtract(cols * (bw + 1) + bw, idx, out=idx).ravel()
+    idx[spill.ravel()] = size
 
     def assemble(ke):
         band = np.bincount(idx, weights=ke.ravel(), minlength=size + 1)[:size]
