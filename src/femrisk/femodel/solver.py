@@ -7,16 +7,15 @@ prescribed displacement with Newton iteration per increment.
 Element stiffness is the B^T D B product summed over the Gauss points
 (Simo & Hughes, Computational Inelasticity, ch. 3-4), computed for all
 elements at once as two batched matrix products.  In the lattice's natural
-dof order the symmetric free-dof tangent is banded: the element matrices
-are scattered whole, in element order, into upper band storage
+dof order the symmetric free-dof tangent is banded: element matrices are
+scattered whole, in element order, into upper band storage
 kb[j, bw + i - j] = K[i, j] for i <= j, a C-ordered (n, bw + 1) array whose
 memory is LAPACK's column-major upper band array (leading dimension bw + 1),
-and their entries below K's diagonal or on a prescribed dof into one slot
-past it; reordering elements moves the band only to 1e-12 relative.  solve
-factors each new tangent once (factor_band: band Cholesky, or band LU when
-softening leaves it indefinite), and every linear solve, predictor and
-Newton step alike, goes through the module-level spsolve, at O(n bw^2) for
-n free dofs (Golub & Van Loan, Matrix Computations, 4.3).  When dgbsv finds the matrix
+and their other entries past it; reordering elements moves the band only
+to 1e-12 relative.  solve factors each new tangent once (factor_band: band
+Cholesky, or band LU when softening leaves it indefinite), and every linear
+solve goes through the module-level spsolve, at O(n bw^2) for n free dofs
+(Golub & Van Loan, Matrix Computations, 4.3).  When dgbsv finds the matrix
 singular the answer is NaN: the predictor is then skipped, and a Newton
 step raises "linear solve failed", which fails the attempt like a stall.
 The LAPACK routines are called by ctypes, with 64-bit integers, in NumPy's
@@ -192,12 +191,10 @@ def _band_assembler(dof_map, free, n_dofs):
     that its memory is LAPACK's upper band array; bw is the largest
     column - row distance among its entries.
 
-    The index covers all 576 entries of each element matrix: an entry
-    whose row and column are free dofs, row <= column, goes to its band
-    slot, and every other one to a spill slot past the band, which
-    assemble drops.  An element's dofs are distinct, so it adds at most one
-    term to a band slot, and bincount sums each slot's terms in element
-    order, whatever the local order of an element's dofs.
+    The index covers all 576 entries of each element matrix: a free entry
+    with row <= column goes to its band slot, any other to the spill slot
+    of its matrix position, before the band.  An element adds at most one
+    term to a band slot, so each slot sums its terms in element order.
     """
     pos = np.full(n_dofs, -1)
     pos[free] = np.arange(free.size)
@@ -206,16 +203,14 @@ def _band_assembler(dof_map, free, n_dofs):
     idx = cols - rows
     spill = (rows < 0) | (idx < 0)
     bw = int(idx.max(where=~spill, initial=0))
-    size = free.size * (bw + 1)
-    # The slot cols * bw + rows + bw, formed in idx's memory: freeing an
-    # index-sized temporary raised fe_fine_elastic's peak RSS by 6 MiB
-    # through glibc's dynamic mmap threshold.
-    idx = np.subtract(cols * (bw + 1) + bw, idx, out=idx).ravel()
-    idx[spill.ravel()] = size
+    # Formed in place: freeing a temporary this size raised fe_fine_elastic's peak RSS 6 MiB
+    # (glibc's mmap threshold).  bincount adds to one slot serially: one spill slot took 1.6x.
+    np.subtract(cols * (bw + 1) + bw + 576, idx, out=idx)       # 576 + cols * bw + rows + bw
+    np.copyto(idx, np.arange(576).reshape(24, 24), where=spill)
 
     def assemble(ke):
-        band = np.bincount(idx, weights=ke.ravel(), minlength=size + 1)[:size]
-        return band.reshape(free.size, bw + 1)
+        band = np.bincount(idx.ravel(), weights=ke.ravel(), minlength=576 + free.size * (bw + 1))
+        return band[576:].reshape(free.size, bw + 1)
     return assemble
 
 
