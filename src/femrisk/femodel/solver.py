@@ -11,13 +11,13 @@ dof order the symmetric free-dof tangent is banded: element matrices are
 scattered whole, in element order, into upper band storage
 kb[j, bw + i - j] = K[i, j] for i <= j, a C-ordered (n, bw + 1) array whose
 memory is LAPACK's column-major upper band array (leading dimension bw + 1),
-and their other entries past it; reordering elements moves the band only
-to 1e-12 relative.  solve factors each new tangent once (factor_band: band
-Cholesky, or band LU when softening leaves it indefinite), and every linear
-solve goes through the module-level spsolve, at O(n bw^2) for n free dofs
-(Golub & Van Loan, Matrix Computations, 4.3).  When dgbsv finds the matrix
-singular the answer is NaN: the predictor is then skipped, and a Newton
-step raises "linear solve failed", which fails the attempt like a stall.
+and their other entries ahead of it; reordering elements moves the band
+only to 1e-12 relative.  solve factors each new tangent once (factor_band:
+band Cholesky, or band LU when softening leaves it indefinite), and every
+linear solve goes through the module-level spsolve, at O(n bw^2) for n
+free dofs (Golub & Van Loan, Matrix Computations, 4.3).  It returns NaN
+when dgbsv finds the matrix singular: the predictor is then skipped, and a
+Newton step raises "linear solve failed", failing the attempt like a stall.
 The LAPACK routines are called by ctypes, with 64-bit integers, in NumPy's
 bundled OpenBLAS, which import numpy has loaded already, so no solve
 imports SciPy; on a NumPy build that ships no such library they come from
