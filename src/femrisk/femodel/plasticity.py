@@ -46,11 +46,13 @@ def _isotropic(kb, shear):
 
 
 def elastic_tangent(emod, nu):
-    """Isotropic elastic tangents (n, 6, 6) of the moduli emod (n,): the
-    tangent radial_return_batch gives every point that stays elastic, with
-    the same bits."""
+    """Isotropic elastic tangents (n, 6, 6) of the moduli emod (n,), read
+    only: the tangent radial_return_batch gives every point that stays
+    elastic, with the same bits."""
     g, _, kb = _moduli(np.asarray(emod, dtype=float), nu)
-    return _isotropic(kb, 2.0 * g)
+    tangent = _isotropic(kb, 2.0 * g)
+    tangent.flags.writeable = False
+    return tangent
 
 
 def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
@@ -62,7 +64,8 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
     moduli computes once.  The trial stress and the yield test run at every
     point; the return map and the consistent tangent run only at the points
     that yield.  A point that stays elastic keeps its eps_p and alpha and
-    takes a copy of its elastic row.  No input is written to.
+    takes a copy of its elastic row; when no point yields, the tangent
+    returned is elastic itself.  No input is written to.
     Returns (stress (n,6), tangent (n,6,6), eps_p_new, alpha_new).
     """
     strain = np.asarray(strain, dtype=float)
@@ -120,6 +123,8 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
     alpha_new[plastic] += dgamma
 
     # Consistent tangent: the elastic one, except at the points that yield.
+    if not plastic.any():
+        return stress, elastic, eps_p_new, alpha_new
     tangent = np.array(elastic, dtype=float)
     yielded = _isotropic(kb[plastic], 2.0 * g * scale)
     s_norm = np.sqrt((s[:, :3] ** 2).sum(axis=1) + 2.0 * (s[:, 3:] ** 2).sum(axis=1))

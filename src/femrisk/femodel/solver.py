@@ -5,10 +5,11 @@
 prescribed displacement with Newton iteration per increment.
 
 Element stiffness is the B^T D B product summed over the Gauss points
-(Simo & Hughes, Computational Inelasticity, ch. 3-4), computed for all
-elements at once as two batched matrix products.  In the lattice's natural
+(Simo & Hughes, Computational Inelasticity, ch. 3-4), computed CHUNK
+consecutive elements at a time as two batched matrix products, so that no
+whole-mesh stack of element matrices exists.  In the lattice's natural
 dof order the symmetric free-dof tangent is banded: element matrices are
-scattered whole, in element order, into upper band storage
+scattered whole, chunk by chunk in element order, into upper band storage
 kb[j, bw + i - j] = K[i, j] for i <= j, a C-ordered (n, bw + 1) array whose
 memory is LAPACK's column-major upper band array (leading dimension bw + 1),
 and their other entries ahead of it; reordering elements moves the band
@@ -26,11 +27,14 @@ scipy.linalg.cython_lapack instead, with its C ints.
 Work that repeats a value is done once.  A solve computes the elastic
 Gauss-point tangent of its moduli once: it is the initial committed
 tangent, and radial return copies its rows for the points that stay
-elastic; the return map and its tangent run only at the points that yield.
-A solve keeps its last tangent with its element matrices and factor, and
-reuses them while the next tangent has the same bytes (4 of the 8 solves
-of the two-increment 10x10x24 elastic benchmark input), which gives the
-bytes a fresh factorization would; any other tangent drops them first.
+elastic, or returns it itself when no point yields; the return map and its
+tangent run only at the points that yield.  A solve keeps its last tangent
+with its factor, and reuses the factor while the next tangent has the same
+bytes (4 of the 8 solves of the two-increment 10x10x24 elastic benchmark
+input), which gives the bytes a fresh factorization would; any other
+tangent drops both first.  The band LU fallback streams the same element
+matrices again.  Each predictor builds the element matrices of the
+elements that hold a driven dof, the only ones its force needs.
 The band's scatter index depends on the grid dims and the free set alone:
 compute_fe_parameters hands its four solves one record, a dict of that key
 and the index, which a solve under another key clears before it allocates
@@ -68,6 +72,7 @@ from .plasticity import elastic_tangent, radial_return_batch
 
 NEWTON_CAP = 40
 NEWTON_DIVERGE = 10.0
+CHUNK = 256                     # elements per batch of element matrices
 GAUSS = 1.0 / np.sqrt(3.0)
 
 
@@ -174,6 +179,26 @@ def _element_dof_map(dims):
     return (corners[:, :, None] * 3 + np.arange(3)).reshape(-1, 24)
 
 
+def _driven_elements(dof_map, driven, n_dofs):
+    """The elements, ascending, that hold a driven dof: the only ones whose
+    terms in the predictor's force can be other than zero."""
+    is_driven = np.zeros(n_dofs, dtype=bool)
+    is_driven[driven] = True
+    return np.flatnonzero(is_driven[dof_map].any(axis=1))
+
+
+def _predictor_force(ke, dofs, delta_p):
+    """The force sum_e K_e delta_p[dofs_e] of element matrices ke (m, 24,
+    24) on their dofs (m, 24), scattered in element order over the dofs of
+    delta_p.  An element whose dofs delta_p holds at +0.0 adds zeros only,
+    and a sum that starts from +0.0 is never -0.0, so adding a zero never
+    moves its bits: the driven elements give the bytes of all of them
+    wherever the element matrices are finite.  A non-finite one elsewhere
+    makes the band factor non-finite, and the predictor's solve with it."""
+    forces = np.einsum("eij,ej->ei", ke, delta_p[dofs])
+    return np.bincount(dofs.ravel(), weights=forces.ravel(), minlength=delta_p.size)
+
+
 def element_stiffness(tang, b_mats, wdet):
     """Element stiffness matrices (ne, 24, 24) from Gauss-point tangents.
 
@@ -185,31 +210,50 @@ def element_stiffness(tang, b_mats, wdet):
     return (wdet * b_mats.reshape(48, 24).T) @ db
 
 
-def _band_assembler(dof_map, free, n_dofs):
-    """assemble(ke) scatters element matrices (ne, 24, 24) into the band
-    storage kb (n_free, bw + 1) of the free-dof stiffness, C-ordered, so
-    that its memory is LAPACK's upper band array; bw is the largest
-    column - row distance among its entries.
+def _band_slots(n_free, bw) -> int:
+    """The length of _band_assembler's array, 576 spill slots and the band
+    (n_free, bw + 1), which its int32 scatter index addresses; DataError
+    past 2**31 - 1 slots, a band of 16 GiB."""
+    slots = 576 + n_free * (bw + 1)
+    if slots > np.iinfo(np.int32).max:
+        raise DataError(f"a band of {n_free} x {bw + 1} is too large for an int32 index")
+    return slots
 
-    The index covers all 576 entries of each element matrix: a free entry
-    with row <= column goes to its band slot, any other to the spill slot
-    of its matrix position, before the band.  An element adds at most one
-    term to a band slot, so each slot sums its terms in element order.
+
+def _band_assembler(dof_map, free, n_dofs):
+    """assemble(chunks) scatters element matrices, given as consecutive
+    chunks (m, 24, 24) in element order, into the band storage kb
+    (n_free, bw + 1) of the free-dof stiffness, C-ordered, so that its
+    memory is LAPACK's upper band array; bw is the largest column - row
+    distance among its entries.
+
+    The int32 index covers all 576 entries of each element matrix: a free
+    entry with row <= column goes to its band slot, any other to the spill
+    slot of its matrix position, before the band.  An element adds at most
+    one term to a band slot, and np.add.at adds a chunk's terms in index
+    order to a zeroed array, as np.bincount would, so each slot sums its
+    terms in element order whatever the chunk sizes.
     """
     pos = np.full(n_dofs, -1)
     pos[free] = np.arange(free.size)
     pe = pos[dof_map]
+    # An element's widest free pair spans its highest and lowest free position.
+    bw = int(np.max(pe.max(axis=1) - np.where(pe < 0, free.size, pe).min(axis=1), initial=0))
+    slots = _band_slots(free.size, bw)
+    pe = pe.astype(np.int32)
     rows, cols = pe[:, :, None], pe[:, None, :]
     idx = cols - rows
     spill = (rows < 0) | (idx < 0)
-    bw = int(idx.max(where=~spill, initial=0))
     # Formed in place: freeing a temporary this size raised fe_fine_elastic's peak RSS 6 MiB
-    # (glibc's mmap threshold).  bincount adds to one slot serially: one spill slot took 1.6x.
+    # (glibc's mmap threshold).  Adding to one slot is serial: one spill slot took 1.6x.
     np.subtract(cols * (bw + 1) + bw + 576, idx, out=idx)       # 576 + cols * bw + rows + bw
-    np.copyto(idx, np.arange(576).reshape(24, 24), where=spill)
+    np.copyto(idx, np.arange(576, dtype=np.int32).reshape(24, 24), where=spill)
 
-    def assemble(ke):
-        band = np.bincount(idx.ravel(), weights=ke.ravel(), minlength=576 + free.size * (bw + 1))
+    def assemble(chunks):
+        band, start = np.zeros(slots), 0
+        for ke in chunks:
+            np.add.at(band, idx[start:start + len(ke)].ravel(), ke.ravel())
+            start += len(ke)
         return band[576:].reshape(free.size, bw + 1)
     return assemble
 
@@ -452,6 +496,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
     ne = emod_gp.size // 8
     b_mats, wdet = _hex_b_matrices(grid.spacing)
     ones = np.ones(driven.size)
+    driven_el = _driven_elements(dof_map, driven, n_dofs)
 
     def stress_state(u, eps_p, alpha):
         eps = np.einsum("gik,ek->egi", b_mats, u[dof_map]).reshape(ne * 8, 6)
@@ -459,23 +504,24 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
                                    material.f_plateau, material.eps_plateau,
                                    material.f_soft, material.floor_frac, tang_el)
 
-    def scatter(fe):
+    def internal_force(stress):
+        fe = wdet * np.einsum("gik,egi->ek", b_mats, stress.reshape(ne, 8, 6))
         return np.bincount(dof_map.ravel(), weights=fe.ravel(), minlength=n_dofs)
 
-    def internal_force(stress):
-        sig = stress.reshape(ne, 8, 6)
-        return scatter(wdet * np.einsum("gik,egi->ek", b_mats, sig))
+    def element_matrices(tang):
+        """tang's element matrices, CHUNK consecutive elements at a time."""
+        for start in range(0, 8 * ne, 8 * CHUNK):
+            yield element_stiffness(tang[start:start + 8 * CHUNK], b_mats, wdet)
 
-    last = None                     # the kept tangent, its element matrices and factor
+    last = None                     # the kept tangent and its factor
 
     def keep(tang):
-        """tang's element matrices and band factor, reused while tangents keep its bytes."""
+        """tang's band factor, reused while tangents keep its bytes."""
         nonlocal last
         if last is None or not _same_bits(last[0], tang):
             last = None
-            ke = element_stiffness(tang, b_mats, wdet)
-            last = tang, ke, factor_band(lambda: kept["assemble"](ke))
-        return last[1:]
+            last = tang, factor_band(lambda: kept["assemble"](element_matrices(tang)))
+        return last[1]
 
     def advance(state, target):
         """One predictor + Newton solve from the committed state to the
@@ -492,9 +538,10 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         delta_p = np.zeros(n_dofs)
         delta_p[driven] = -target - u[driven]
         if free.size:
-            ke, factor = keep(tang_c)
-            f_p = scatter(np.einsum("eij,ej->ei", ke, delta_p[dof_map]))
-            du0 = spsolve(factor, -f_p[free])
+            ke = element_stiffness(tang_c.reshape(ne, 8, 6, 6)[driven_el].reshape(-1, 6, 6),
+                                   b_mats, wdet)
+            f_p = _predictor_force(ke, dof_map[driven_el], delta_p)
+            du0 = spsolve(keep(tang_c), -f_p[free])
             if np.all(np.isfinite(du0)):
                 u[free] += du0
         u[fixed] = 0.0
@@ -512,7 +559,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
                 return (u, eps_p_new, alpha_new, tang), f_int
             if not res_norm <= NEWTON_DIVERGE * ref:
                 raise NumericalError("Newton diverged")
-            du = spsolve(keep(tang)[1], -res)
+            du = spsolve(keep(tang), -res)
             if not np.all(np.isfinite(du)):
                 raise NumericalError("linear solve failed")
             u[free] += du

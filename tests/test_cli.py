@@ -984,7 +984,7 @@ def test_fe_without_scipy_openblas_writes_the_same_bytes(tmp_path, monkeypatch):
 
     def assembler(*args):
         assemble = real_assembler(*args)
-        return lambda ke: events.append(("assemble", 0)) or assemble(ke)
+        return lambda chunks: events.append(("assemble", 0)) or assemble(chunks)
 
     monkeypatch.setattr(solver, "_band_assembler", assembler)
     with mock.patch.object(solver, "_lapack", wraps=lapack_info) as lapack:
@@ -992,7 +992,8 @@ def test_fe_without_scipy_openblas_writes_the_same_bytes(tmp_path, monkeypatch):
     assert "dgbsv" in [call.args[0] for call in lapack.call_args_list]
     assert len(bundled) == 5
     # Each failed in-place Cholesky is followed by the band's rebuild from
-    # the same element matrices, then band LU, all through cython_lapack.
+    # the same tangent's element matrices, then band LU, all through
+    # cython_lapack.
     failed = [i for i, (name, info) in enumerate(events) if name == "dpbtrf" and info > 0]
     assert failed
     assert all([name for name, _ in events[i + 1:i + 3]] == ["assemble", "dgbsv"]

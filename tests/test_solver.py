@@ -1,5 +1,6 @@
 import ctypes
 import importlib
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -229,6 +230,11 @@ def _max_rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+def _chunks(ke, size):
+    """ke's element matrices as consecutive chunks of size elements."""
+    return [ke[start:start + size] for start in range(0, len(ke), size)]
+
+
 def _free_dofs(cond, n_dofs):
     return np.setdiff1d(np.arange(n_dofs), np.concatenate([cond.fixed_dofs, cond.driven_dofs]))
 
@@ -421,6 +427,25 @@ class TestElasticTangentShortcut:
             assert a.shape == b.shape
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
+    def test_elastic_tangent_is_read_only(self):
+        tangent = elastic_tangent(np.array([100.0, 200.0]), 0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            tangent[0, 0, 0] = 1.0
+
+    def test_no_yielding_point_returns_the_elastic_tangent(self):
+        # Ten points below yield, the first at zero strain: the tangent is
+        # elastic itself, and eps_p and alpha are copies.
+        rng = np.random.default_rng(1)
+        m, ee, emod, sy = _kernel_inputs(rng, 10, (0.0, 0.9))
+        eps_p, alpha = _plastic_history(rng, m, 10, 0.0)
+        ee[0] = 0.0
+        elastic = elastic_tangent(emod, m.nu)
+        out = radial_return_batch(ee + eps_p, eps_p, alpha, emod, m.nu, sy, m.f_plateau,
+                                  m.eps_plateau, m.f_soft, m.floor_frac, elastic)
+        assert out[1] is elastic
+        assert out[2] is not eps_p and out[3] is not alpha
+        assert same_bits(out[2], eps_p) and same_bits(out[3], alpha)
+
     def test_elastic_rows_are_copies(self):
         # The kernel never writes into its inputs: two rows each that stay
         # elastic (the first at zero stress), stay on the plateau, soften,
@@ -499,13 +524,13 @@ class TestStiffnessProperties:
         free = np.arange(n_dofs)
         ke = element_stiffness(tang, b_mats, wdet)
         assemble = _band_assembler(dof_map, free, n_dofs)
-        kb = assemble(ke)
-        assert _max_rel(assemble(ke.transpose(0, 2, 1).copy()), kb) <= 1e-12
+        kb = assemble([ke])
+        assert _max_rel(assemble([ke.transpose(0, 2, 1)]), kb) <= 1e-12
 
         perm = rng.permutation(ne)
         tang_perm = tang.reshape(ne, 8, 6, 6)[perm].reshape(8 * ne, 6, 6)
         assemble_p = _band_assembler(dof_map[perm], free, n_dofs)
-        kb_perm = assemble_p(element_stiffness(tang_perm, b_mats, wdet))
+        kb_perm = assemble_p([element_stiffness(tang_perm, b_mats, wdet)])
         assert kb_perm.shape == kb.shape
         assert _max_rel(kb_perm, kb) <= 1e-12
 
@@ -514,9 +539,10 @@ class TestStiffnessProperties:
                                       (3, 3, 12), (10, 10, 24)])
     def test_band_index_gives_the_bytes_of_the_full_index(self, dims, bc):
         # The oracle gathers the free entries with row <= column from all
-        # 576 positions of each element matrix.  The second input is NaN in
-        # every entry with a fixed row or column, so a spilled entry that
-        # reaches the band shows.
+        # 576 positions of each element matrix and adds them by one
+        # bincount.  The second input is NaN in every entry with a fixed row
+        # or column, so a spilled entry that reaches the band shows.  Both
+        # are assembled in chunks of 3 elements and of solver.CHUNK.
         rng = np.random.default_rng(sum(dims))
         nx, ny, nz = dims
         n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
@@ -540,8 +566,9 @@ class TestStiffnessProperties:
         for k in (ke, poisoned):
             want = np.bincount(cols * (bw + 1) + bw + rows - cols, weights=k.ravel()[sel],
                                minlength=(bw + 1) * free.size).reshape(free.size, bw + 1)
-            kb = assemble(k)
-            assert kb.shape == want.shape and kb.tobytes() == want.tobytes()
+            for size in (3, solver.CHUNK):
+                kb = assemble(_chunks(k, size))
+                assert kb.shape == want.shape and kb.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bc", [stance_bc, fall_bc])
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 3), (3, 3, 12)])
@@ -555,10 +582,10 @@ class TestStiffnessProperties:
         free = _free_dofs(bc(dims), n_dofs)
         b_mats, wdet = _hex_b_matrices(2.0)
         ke = element_stiffness(_random_symmetric_tangents(rng, 8 * ne), b_mats, wdet)
-        kb = _band_assembler(dof_map, free, n_dofs)(ke)
+        kb = _band_assembler(dof_map, free, n_dofs)([ke])
         for corners in (np.arange(8)[::-1], rng.permutation(8)):
             perm = (corners[:, None] * 3 + np.arange(3)).ravel()
-            kb_perm = _band_assembler(dof_map[:, perm], free, n_dofs)(ke[:, perm][:, :, perm])
+            kb_perm = _band_assembler(dof_map[:, perm], free, n_dofs)([ke[:, perm][:, :, perm]])
             assert kb_perm.shape == kb.shape and kb_perm.tobytes() == kb.tobytes()
 
     @settings(max_examples=25)
@@ -584,9 +611,45 @@ class TestStiffnessProperties:
         k_ff = k[np.ix_(free, free)]
         i, j = np.nonzero(coupled[np.ix_(free, free)])
 
-        kb = _band_assembler(dof_map, free, n_dofs)(element_stiffness(tang, b_mats, wdet))
+        kb = _band_assembler(dof_map, free, n_dofs)([element_stiffness(tang, b_mats, wdet)])
         assert kb.shape == (free.size, np.abs(i - j).max() + 1)
         assert _max_rel(_band_to_dense(kb), k_ff) <= 1e-12
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4)),
+           bc=st.sampled_from([stance_bc, fall_bc]), data=st.data())
+    def test_chunk_sizes_give_the_bytes_of_one_chunk(self, seed, dims, bc, data):
+        # Chunks of 1 element, of a size that does not divide ne (when one
+        # exists) and of more than ne elements give the band of a single
+        # chunk, bit for bit, with signed zeros among the entries.
+        rng = np.random.default_rng(seed)
+        nx, ny, nz = dims
+        ne, n_dofs = nx * ny * nz, 3 * (nx + 1) * (ny + 1) * (nz + 1)
+        b_mats, wdet = _hex_b_matrices(2.0)
+        ke = element_stiffness(_tangents(rng, 8 * ne, "softening"), b_mats, wdet)
+        ke[rng.random(ke.shape) < 0.2] = -0.0
+        ke[rng.random(ke.shape) < 0.1] = 0.0
+        assemble = _band_assembler(_element_dof_map(dims), _free_dofs(bc(dims), n_dofs), n_dofs)
+        whole = assemble([ke])
+        sizes = [1, ne + data.draw(st.integers(1, 300), label="past ne")]
+        non_divisors = [k for k in range(2, ne) if ne % k]
+        if non_divisors:
+            sizes.append(data.draw(st.sampled_from(non_divisors), label="non-divisor"))
+        for size in sizes:
+            kb = assemble(_chunks(ke, size))
+            assert kb.shape == whole.shape and kb.tobytes() == whole.tobytes()
+
+    def test_int32_index_bounds_the_band(self):
+        # The 576 spill slots and the band must stay below 2**31 slots, the
+        # int32 index's reach; plain sizes, nothing allocated.
+        top = 2**31 - 1
+        assert solver._band_slots(4, 2) == 576 + 12
+        assert solver._band_slots(top - 576, 0) == top
+        assert solver._band_slots((top - 576) // 301, 300) <= top
+        for n_free, bw in ((top - 575, 0), ((top - 576) // 301 + 1, 300), (10**7, 400)):
+            with pytest.raises(DataError, match="too large for an int32 index"):
+                solver._band_slots(n_free, bw)
 
 
 def _loop_b_matrices(h):
@@ -984,7 +1047,7 @@ class TestLapackRungsMatchScipy(LapackRungs):
         nx, ny, nz = dims
         n_dofs = 3 * (nx + 1) * (ny + 1) * (nz + 1)
         free = _free_dofs(bc(dims), n_dofs)
-        kb = _band_assembler(_element_dof_map(dims), free, n_dofs)(np.ones((nx * ny * nz, 24, 24)))
+        kb = _band_assembler(_element_dof_map(dims), free, n_dofs)([np.ones((nx * ny * nz, 24, 24))])
         assert kb.shape[0] >= 8 and kb.shape[1] - 1 >= 7
 
 
@@ -1162,9 +1225,11 @@ class TestFactorReuse:
         # Every radial return changes one tangent entry's bytes but not the
         # stress: the second increment's predictor sees a tangent that
         # differs in that one element from the first increment's, which is
-        # the elastic tangent that solve computes itself.
+        # the elastic tangent that solve computes itself.  No point yields,
+        # so radial return gives that read-only tangent back: edit a copy.
         def edited(*args):
             stress, tang, eps_p, alpha = radial_return_batch(*args)
+            tang = tang.copy()
             if edit == "ulp":
                 tang[0, 0, 0] = np.nextafter(tang[0, 0, 0], np.inf)
             else:
@@ -1184,6 +1249,7 @@ class TestFactorReuse:
         # that the second increment fails on.
         def nan_tangent(*args):
             stress, tang, eps_p, alpha = radial_return_batch(*args)
+            tang = tang.copy()
             tang[0, 0, 3] = np.nan
             return stress, tang, eps_p, alpha
 
@@ -1229,7 +1295,7 @@ class TestFactorReuse:
 
         def assembler(*args):
             assemble = _band_assembler(*args)
-            return lambda ke: bands.append(assemble(ke)) or bands[-1]
+            return lambda chunks: bands.append(assemble(chunks)) or bands[-1]
 
         def before(name, args):
             if name == "dpbtrf":
@@ -1250,15 +1316,16 @@ class TestFactorReuse:
         # On the softening column of test_softening_tangent_takes_lu, a
         # failed dpbtrf leaves the assembled band half factored: the factor
         # spsolve gets then holds the band assembled again from the same
-        # element matrices, bit for bit, and no Cholesky factor, and band
-        # LU reads that band.
+        # tangent's element matrices, built and streamed chunk by chunk
+        # again, bit for bit, and no Cholesky factor, and band LU reads
+        # that band.
         assembled, fallbacks = [], []
 
         def assembler(*args):
             assemble = _band_assembler(*args)
 
-            def recording(ke):
-                band = assemble(ke)
+            def recording(chunks):
+                band = assemble(chunks)
                 assembled.append((band, band.copy()))
                 return band
             return recording
@@ -1325,6 +1392,104 @@ class TestFactorReuse:
             assert shared == run(g)[0]
         assert sorted(kept) == ["assemble", "key"]
         assert run(grid, kept, stance_bc)[1:] == (1, 1)
+
+
+class TestDrivenElementPredictor:
+    """The predictor's force from the element matrices of the elements that
+    hold a driven dof has the bytes of the whole-mesh force on the free
+    dofs, and a non-finite tangent elsewhere gives the whole-mesh outcome."""
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+           bc=st.sampled_from([stance_bc, fall_bc]),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]), negative=st.booleans())
+    def test_driven_elements_give_the_whole_mesh_bytes(self, seed, dims, bc, zeros, negative):
+        # A share zeros of the entries is -0.0, and of the driven dofs'
+        # displacements too; with negative, every other element's entries
+        # are negative, so each of its products with +0.0 is -0.0.
+        rng = np.random.default_rng(seed)
+        nx, ny, nz = dims
+        ne, n_dofs = nx * ny * nz, 3 * (nx + 1) * (ny + 1) * (nz + 1)
+        cond = bc(dims)
+        dof_map = _element_dof_map(dims)
+        b_mats, wdet = _hex_b_matrices(2.0)
+        ke = element_stiffness(_tangents(rng, 8 * ne, "softening"), b_mats, wdet)
+        ke[rng.random(ke.shape) < zeros] = -0.0
+        driven_el = solver._driven_elements(dof_map, cond.driven_dofs, n_dofs)
+        np.testing.assert_array_equal(driven_el, np.arange(ne - nx * ny, ne))
+        if negative:
+            others = np.ones(ne, dtype=bool)
+            others[driven_el] = False
+            ke[others] = -np.abs(ke[others])
+        delta_p = np.zeros(n_dofs)
+        delta_p[cond.driven_dofs] = np.where(rng.random(cond.driven_dofs.size) < zeros, -0.0,
+                                             rng.normal(scale=1e-2, size=cond.driven_dofs.size))
+        free = _free_dofs(cond, n_dofs)
+        whole = solver._predictor_force(ke, dof_map, delta_p)
+        driven = solver._predictor_force(ke[driven_el], dof_map[driven_el], delta_p)
+        assert same_bits(driven[free], whole[free])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("returns", [1, None])
+    @pytest.mark.parametrize("material", ["elastic", "plastic"])
+    def test_non_finite_tangent_off_the_driven_face(self, monkeypatch, value, returns, material):
+        # One Gauss-point tangent entry of element 0, in the bottom layer,
+        # turns non-finite at the first radial return of the solve, or at
+        # every one: the curve, or the NumericalError, is the one the
+        # predictor over every element gives.
+        calls = []
+
+        def poisoned(*args):
+            stress, tang, eps_p, alpha = radial_return_batch(*args)
+            calls.append(None)
+            if returns is None or len(calls) <= returns:
+                tang = tang.copy()
+                tang[0, 0, 0] = value
+            return stress, tang, eps_p, alpha
+
+        def outcome():
+            calls.clear()
+            g = uniform_grid((2, 2, 4), RHO)
+            m = elastic_material() if material == "elastic" else MaterialModel()
+            try:
+                with np.errstate(all="ignore"):
+                    curve = solve(g, m, stance_bc(g.dims),
+                                  SolveControl(increment=0.05, max_increments=4))
+            except NumericalError as error:
+                return str(error)
+            return _curve_bytes(curve)
+
+        monkeypatch.setattr(solver, "radial_return_batch", poisoned)
+        driven = outcome()
+        monkeypatch.setattr(solver, "_driven_elements",
+                            lambda dof_map, driven, n_dofs: np.arange(len(dof_map)))
+        assert outcome() == driven
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("bc", [stance_bc, fall_bc])
+    def test_elastic_solve_holds_no_whole_mesh_element_matrices(self, bc):
+        # Two elastic increments on 8x8x20 voxels: at its peak a solve
+        # holds its band, the int32 scatter index, at most two Gauss-point
+        # tangent stacks, one chunk's B products, element matrices and an
+        # int64 copy of its index, and 1 MiB of per-point arrays.
+        # tracemalloc counts NumPy's buffers, whatever the allocator does.
+        dims = (8, 8, 20)
+        ne, n_dofs = 8 * 8 * 20, 3 * 9 * 9 * 21
+        free = _free_dofs(bc(dims), n_dofs)
+        kb = _band_assembler(_element_dof_map(dims), free, n_dofs)([np.zeros((ne, 24, 24))])
+        budget = (kb.nbytes + 576 * 8 + ne * 576 * 4 + 2 * ne * 8 * 36 * 8
+                  + solver.CHUNK * (48 * 24 + 576 + 576) * 8 + 2**20)
+        del kb
+        grid = uniform_grid(dims, RHO)
+        tracemalloc.start()
+        try:
+            solve(grid, elastic_material(), bc(dims), SolveControl(increment=0.01, max_increments=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
 
 class TestPrescribedDofs:
