@@ -1472,15 +1472,15 @@ class TestMemoryBudget:
     def test_elastic_solve_holds_no_whole_mesh_element_matrices(self, bc):
         # Two elastic increments on 8x8x20 voxels: at its peak a solve
         # holds its band, the int32 scatter index, at most two Gauss-point
-        # tangent stacks, one chunk's B products, element matrices and an
-        # int64 copy of its index, and 1 MiB of per-point arrays.
-        # tracemalloc counts NumPy's buffers, whatever the allocator does.
+        # tangent stacks, and within 6 MiB one chunk's B products and
+        # element matrices (3.4 MiB at 256 elements) and the per-point
+        # arrays.  tracemalloc counts NumPy's buffers, whatever the
+        # allocator does.
         dims = (8, 8, 20)
         ne, n_dofs = 8 * 8 * 20, 3 * 9 * 9 * 21
         free = _free_dofs(bc(dims), n_dofs)
         kb = _band_assembler(_element_dof_map(dims), free, n_dofs)([np.zeros((ne, 24, 24))])
-        budget = (kb.nbytes + 576 * 8 + ne * 576 * 4 + 2 * ne * 8 * 36 * 8
-                  + solver.CHUNK * (48 * 24 + 576 + 576) * 8 + 2**20)
+        budget = kb.nbytes + 576 * 8 + ne * 576 * 4 + 2 * ne * 8 * 36 * 8 + 6 * 2**20
         del kb
         grid = uniform_grid(dims, RHO)
         tracemalloc.start()
