@@ -4,6 +4,12 @@ Stance loads the top face with the bottom fully fixed.  The three fall
 cases share fall boundary conditions (bottom held vertically, transverse
 motion free, corner pins) and differ by rotating the density phantom about
 the long axis: posterior 0, posterolateral 45, lateral 90 degrees.
+
+The drive is axial in every case, so a quarter turn moves only the corner
+pins, and posterior and lateral agree to rounding on a symmetric section.
+The 45 degree turn resamples the density nearest-neighbour into the same
+dims and clips the section's corners (rotate_grid), so the posterolateral
+parameters (PL*) follow which corners it clips, not only the mechanics.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
                           ) -> tuple[dict[str, float], dict[str, ForceDisplacementCurve]]:
     """Run all four load cases, with the OpenBLAS of the band solves (NumPy's,
     which also runs the element matrix products) on one thread, and
-    assemble the twelve FE parameters.  NumPy's floating-point warnings are
+    assemble the twelve FE parameters.  Importing femrisk first already
+    loads that library on one thread (see femrisk/__init__.py); the pin
+    covers a caller who imported NumPy first or asked for more threads.  NumPy's floating-point warnings are
     silenced: the solver reports non-finite strains through its residual
     bound and its reaction check.
 

@@ -404,7 +404,10 @@ def one_blas_thread():
     restore its count: NumPy's, or on the cython_lapack fallback the one
     SciPy's wheels bundle.  On a 2-core host the second thread only spun
     (1.9x the CPU time at the same wall time), and above about 16x16x40
-    voxels the band factor's bytes depend on the thread count.  Without
+    voxels the band factor's bytes depend on the thread count.  Importing
+    femrisk before NumPy loads NumPy's library on one thread already (see
+    femrisk/__init__.py); this pin still acts when NumPy was imported
+    first or the caller's environment asked for more threads.  Without
     that library (a fallback SciPy on another BLAS) this does nothing, and
     the bytes follow that BLAS's thread count."""
     lib, suffix = _numpy_openblas, "64_"

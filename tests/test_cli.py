@@ -40,6 +40,26 @@ def run_python(code, cwd, **env) -> str:
     return done.stdout
 
 
+# The variables OpenBLAS reads for its thread count.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def outputs_at_blas_threads(tmp_path, monkeypatch, argv, names):
+    """The bytes of the files names that dispatch(argv) writes in fresh
+    interpreters with OPENBLAS_NUM_THREADS at 1, at 2 and, with no thread
+    variable set, at the default of a femrisk-first import."""
+    for name in THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    code = f"from femrisk.cli import dispatch; assert dispatch({argv!r}) == 0"
+    outs = []
+    for threads in ("1", "2", None):
+        run_dir = tmp_path / str(threads)
+        run_dir.mkdir()
+        run_python(code, run_dir, **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
+        outs.append([(run_dir / name).read_bytes() for name in names])
+    return outs
+
+
 @pytest.fixture(scope="module")
 def cohort_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "cohort.csv"
@@ -532,6 +552,19 @@ class TestFe:
         assert dispatch(base + ["--out", str(plain)]) == 0
         assert plain.read_bytes() == out.read_bytes()
 
+    def test_blas_threads_byte_identical(self, tmp_path, monkeypatch):
+        # The band solves run pinned to one BLAS thread; so the parameters
+        # and curves of a plastic grid keep their bytes whatever thread
+        # count the process starts with.
+        rng = np.random.default_rng(3)
+        save_grid(VoxelGrid(rng.uniform(0.1, 0.5, (2, 2, 5)), 3.0), tmp_path / "g.txt")
+        argv = ["fe", "--grid", str(tmp_path / "g.txt"), "--yield-policy", "ultimate",
+                "--curves-dir", "curves", "--out", "fe.json"]
+        names = ["fe.json"] + [f"curves/{case}.csv" for case in
+                               ("stance", "posterior", "posterolateral", "lateral")]
+        outs = outputs_at_blas_threads(tmp_path, monkeypatch, argv, names)
+        assert outs[0] == outs[1] == outs[2]
+
     def test_invalid_parameters_exit_2(self, tmp_path, capsys, monkeypatch):
         # The twelve parameters pass the cohort rules before they are written.
         from femrisk.femodel import loadcases
@@ -676,20 +709,15 @@ class TestEvaluateAndReport:
         assert set(load_strict_json(r1)["cells"]) == {"PC1_ABMD_COV|logistic",
                                                      "ABMD_COV|logistic"}
 
-    def test_blas_threads_byte_identical(self, tmp_path, cohort_csv):
+    def test_blas_threads_byte_identical(self, tmp_path, cohort_csv, monkeypatch):
         # --threads is ignored, so the comparison above cannot see a report
-        # that depends on the BLAS thread count; these runs set that count.
+        # that depends on the BLAS thread count; these runs set that count,
+        # and the third takes the default of a femrisk-first import.
         argv = ["evaluate", "--cohort", str(cohort_csv), "--resamples", "40",
                 "--repeats", "4", "--seed", "5", "--roc-dir", "roc", "--out", "r.json"]
-        code = f"from femrisk.cli import dispatch; assert dispatch({argv!r}) == 0"
-        outs = []
-        for threads in ("1", "2"):
-            run_dir = tmp_path / threads
-            run_dir.mkdir()
-            run_python(code, run_dir, OPENBLAS_NUM_THREADS=threads)
-            outs.append([(run_dir / name).read_bytes()
-                         for name in ("r.json", "roc/model_roc.csv", "roc/frax_roc.csv")])
-        assert outs[0] == outs[1]
+        outs = outputs_at_blas_threads(tmp_path, monkeypatch, argv,
+                                       ("r.json", "roc/model_roc.csv", "roc/frax_roc.csv"))
+        assert outs[0] == outs[1] == outs[2]
 
     def test_roc_dir_writes_both_curves(self, tmp_path, cohort_csv):
         roc = tmp_path / "roc"
@@ -961,6 +989,52 @@ def test_import_starts_no_blas_worker(tmp_path, monkeypatch, caller):
     threads = doc.pop("blas_threads")
     assert doc == {"new_threads": 0, "env": caller}
     assert threads[0] == threads[1] >= 1
+
+
+BLAS_AT_IMPORT = """
+import json, os
+import {first}
+import femrisk.cli
+from femrisk.femodel import solver
+lib = solver._numpy_openblas
+doc = {{"blas_threads": lib.scipy_openblas_get_num_threads64_(),
+        "tasks": len(os.listdir("/proc/self/task")),
+        "env": {{name: os.environ.get(name) for name in {variables!r}}}}}
+lib.scipy_openblas_set_num_threads64_(2)
+raised = lib.scipy_openblas_get_num_threads64_()
+with solver.one_blas_thread():
+    inside = lib.scipy_openblas_get_num_threads64_()
+doc["raised"] = [raised, inside, lib.scipy_openblas_get_num_threads64_()]
+print(json.dumps(doc))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or solver._numpy_openblas is None,
+                    reason="needs /proc/self/task and NumPy's bundled OpenBLAS")
+@pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "3"}],
+                         ids=["unset", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_femrisk_first_loads_numpy_on_one_blas_thread(tmp_path, monkeypatch, caller):
+    # Imported before NumPy, femrisk loads NumPy's OpenBLAS under
+    # OPENBLAS_NUM_THREADS=1 and unsets it again: the library starts on one
+    # thread, with no worker beside the main thread, and the environment is
+    # the caller's.  A caller's own thread variable keeps NumPy's behaviour
+    # (OpenBLAS caps the count at the cores it sees), and the count can
+    # still be raised afterwards, which one_blas_thread restores.
+    for name in THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+
+    def run(first):
+        code = BLAS_AT_IMPORT.format(first=first, variables=THREAD_VARIABLES)
+        return json.loads(run_python(code, tmp_path, **caller).splitlines()[-1])
+
+    doc, numpy_first = run("femrisk"), run("numpy")
+    assert doc["env"] == {name: caller.get(name) for name in THREAD_VARIABLES}
+    assert doc["raised"] == [2, 1, 2]
+    if not caller:
+        assert (doc["blas_threads"], doc["tasks"]) == (1, 1)
+    else:
+        assert doc["blas_threads"] == numpy_first["blas_threads"]
+        assert doc["blas_threads"] > 1 or len(os.sched_getaffinity(0)) == 1
 
 
 def test_fe_without_scipy_openblas_writes_the_same_bytes(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from scipy.linalg import (LinAlgError, cho_solve_banded, cholesky_banded, lapack
                           solve_banded)
 
 from conftest import lapack_calls, same_bits
-from femrisk.datamodel import FE12
+from femrisk.datamodel import FE12, LOAD_CASE_PARAMS
 from femrisk.errors import DataError, NumericalError
 from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl,
                              ash_density, compute_fe_parameters, fall_bc,
@@ -83,6 +83,34 @@ class TestElastic:
         half_fd = 0.5 * curve.force[-1] * curve.displacement[-1]
         assert energy == pytest.approx(half_fd, rel=1e-6)
 
+    def test_bending_against_timoshenko_cantilever(self):
+        # A 9 x 9 x 36 mm column, bottom fixed, top face's x dofs driven (the
+        # stance condition turned from z to x): a cantilever under a tip
+        # shear load whose end may rotate, with Timoshenko's stiffness
+        # 1 / (L^3 / 3EI + L / (kappa G A)).  The fully integrated
+        # hexahedron locks in shear, so the FE column is too stiff, by
+        # 1.578, 1.176, 1.091, 1.060 and 1.037 at 1, 2, 3, 4 and 6 elements
+        # across; the bounds state that locking and that it falls with the
+        # mesh.  The elastic energy is F d / 2 in bending too.
+        m = elastic_material()
+        e, nu = m.modulus(ASH), m.nu
+        kappa = 10 * (1 + nu) / (12 + 11 * nu)
+        shear, area, inertia, length = e / (2 * (1 + nu)), 81.0, 9.0 ** 4 / 12, 36.0
+        k_beam = 1 / (length ** 3 / (3 * e * inertia) + length / (kappa * shear * area))
+        control = SolveControl(increment=0.01, max_increments=4)
+        ratios = {}
+        for n in (1, 2, 3, 4, 6):
+            g = uniform_grid((n, n, 4 * n), RHO, spacing=9.0 / n)
+            stance = stance_bc(g.dims)
+            curve = solve(g, m, solver.BoundaryCondition(stance.fixed_dofs,
+                                                         stance.driven_dofs - 2), control)
+            ratios[n] = curve.force[1] / curve.displacement[1] / k_beam
+            half_fd = 0.5 * curve.force[-1] * curve.displacement[-1]
+            assert energy_to_failure(curve) == pytest.approx(half_fd, rel=1e-12)
+        assert list(ratios.values()) == sorted(ratios.values(), reverse=True)
+        assert 1.0 < ratios[6] <= 1.04 and ratios[3] <= 1.10
+        assert ratios[1] == pytest.approx(1.578, abs=5e-4)
+
     def test_force_scales_linearly(self):
         g = uniform_grid((2, 2, 4), RHO)
         c = SolveControl(increment=0.005, max_increments=4)
@@ -135,6 +163,18 @@ class TestDeterminismAndCases:
                                       yield_policy="ultimate")
         assert list(fe) == list(FE12)
         assert fe["Su"] != fe["Lu"]
+
+    def test_posterior_equals_lateral_under_axial_drive(self):
+        # The drive is axial, so the lateral case's quarter turn of the
+        # density moves only the corner pins relative to the posterior case:
+        # on the shell/core phantom the two agree in yield, ultimate and
+        # energy to rounding (8e-16 relative here).  A drive tilted off the
+        # long axis has to break this on a density gradient across x.
+        fe, _ = compute_fe_parameters(_shell_core_phantom(), MaterialModel(),
+                                      SolveControl(), yield_policy="ultimate")
+        for posterior, lateral in zip(LOAD_CASE_PARAMS["posterior"],
+                                      LOAD_CASE_PARAMS["lateral"]):
+            assert fe[lateral] == pytest.approx(fe[posterior], rel=1e-14, abs=0)
 
     def test_monotone_in_density(self):
         control = SolveControl(increment=0.05, max_increments=20)
