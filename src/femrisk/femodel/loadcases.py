@@ -59,9 +59,9 @@ def compute_fe_parameters(grid: VoxelGrid, material: MaterialModel,
     which also runs the element matrix products) on one thread, and
     assemble the twelve FE parameters.  Importing femrisk first already
     loads that library on one thread (see femrisk/__init__.py); the pin
-    covers a caller who imported NumPy first or asked for more threads.  NumPy's floating-point warnings are
-    silenced: the solver reports non-finite strains through its residual
-    bound and its reaction check.
+    covers a caller who imported NumPy first or asked for more threads.
+    NumPy's floating-point warnings are silenced: the solver reports
+    non-finite strains through its residual bound and its reaction check.
 
     Each case rotates the phantom and solves it under its boundary
     condition; the four solves share one record of the band's scatter
