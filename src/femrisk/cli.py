@@ -46,8 +46,8 @@ from .synth import default_spec, generate_cohort, load_spec
 np.empty(1 << 22, dtype=np.uint8)
 
 
-class UsageError(Exception):
-    pass
+class UsageError(FemriskError):
+    """An argument that argparse or a command refuses: exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,7 +362,7 @@ def dispatch(argv) -> int:
         if getattr(args, "threads", 1) < 1:
             raise UsageError("--threads must be >= 1")
         return _COMMANDS[args.command](args)
-    except (UsageError, FemriskError, OSError) as exc:
+    except (FemriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (1 if isinstance(exc, UsageError)
                 else 3 if isinstance(exc, NumericalError) else 2)

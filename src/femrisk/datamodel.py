@@ -30,18 +30,6 @@ import numpy as np
 
 from .errors import DataError
 
-# Canonical FE parameter order (stance, posterior, posterolateral, lateral;
-# yield / ultimate / energy within each loading condition).
-FE12 = (
-    "Sy", "Su", "Senergy",
-    "Py", "Pu", "Penergy",
-    "PLy", "PLu", "PLenergy",
-    "Ly", "Lu", "Lenergy",
-)
-
-# The nine fracture-associated FE parameters used for the risk index.
-FE9 = ("Sy", "Su", "Senergy", "Py", "Pu", "PLy", "PLu", "Ly", "Lu")
-
 # Load cases and their (yield, ultimate, energy) column triplets.
 LOAD_CASE_PARAMS = {
     "stance": ("Sy", "Su", "Senergy"),
@@ -49,6 +37,12 @@ LOAD_CASE_PARAMS = {
     "posterolateral": ("PLy", "PLu", "PLenergy"),
     "lateral": ("Ly", "Lu", "Lenergy"),
 }
+
+# Canonical FE parameter order: the triplets in load-case order.
+FE12 = sum(LOAD_CASE_PARAMS.values(), ())
+
+# The nine fracture-associated FE parameters used for the risk index.
+FE9 = ("Sy", "Su", "Senergy", "Py", "Pu", "PLy", "PLu", "Ly", "Lu")
 
 COHORT_HEADER = (
     "id,sex,age,height_cm,weight_kg,healstat,bmdmed,abmd_ct,fx,"
@@ -206,10 +200,21 @@ def _parse_line(raw: list[str], line_no: int) -> list[float]:
     return row
 
 
+def _csv_records(text):
+    """(line number, fields) of each CSV record of text, numbered from 1; a
+    record the csv module refuses (a field too large) is DataError."""
+    line_no = 0
+    try:
+        for line_no, raw in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            yield line_no, raw
+    except csv.Error as exc:
+        raise DataError(f"line {line_no + 1}: {exc}") from None
+
+
 def load_cohort(path) -> Cohort:
     """Read and validate a cohort CSV; the first invalid line raises, a line
-    holding a byte that is not UTF-8 included.  Subject ids must be
-    non-empty and unique."""
+    holding a byte that is not UTF-8 or a field too large for the csv
+    module included.  Subject ids must be non-empty and unique."""
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
@@ -222,35 +227,32 @@ def load_cohort(path) -> Cohort:
         head = data[:data.rfind(b"\n", 0, exc.start) + 1]
         text, line_no = head.decode("utf-8"), head.count(b"\n") + 1
         unreadable = DataError(f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})")
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise unreadable or DataError("empty file: no header row")
-        if header != COHORT_HEADER:
-            raise DataError(
-                f"bad header: expected {','.join(COHORT_HEADER)}, got {','.join(header)}"
-            )
-        rows = []
-        id_lines = {}                             # subject id -> its line, in file order
-        for line_no, raw in enumerate(reader, start=2):
+    records = _csv_records(text)
+    try:
+        _, header = next(records)
+    except StopIteration:
+        raise unreadable or DataError("empty file: no header row")
+    if header != COHORT_HEADER:
+        raise DataError(
+            f"bad header: expected {','.join(COHORT_HEADER)}, got {','.join(header)}"
+        )
+    rows = []
+    id_lines = {}                                 # subject id -> its line, in file order
+    try:
+        for line_no, raw in records:
             if not raw or all(not c.strip() for c in raw):
                 continue
-            try:
-                row = _parse_line(raw, line_no)
-                subject_id = raw[0].strip()
-                if not subject_id:
-                    raise DataError(f"line {line_no}: empty subject id")
-                if subject_id in id_lines:
-                    raise DataError(f"line {line_no}: duplicate subject id {subject_id!r}, "
-                                    f"first on line {id_lines[subject_id]}")
-            except DataError as exc:
-                # Reported only if no line above it breaks a rule.
-                unreadable = exc
-                break
+            row = _parse_line(raw, line_no)
+            subject_id = raw[0].strip()
+            if not subject_id:
+                raise DataError(f"line {line_no}: empty subject id")
+            if subject_id in id_lines:
+                raise DataError(f"line {line_no}: duplicate subject id {subject_id!r}, "
+                                f"first on line {id_lines[subject_id]}")
             rows.append(row)
             id_lines[subject_id] = line_no
+    except DataError as exc:
+        unreadable = exc                          # reported only if no line above breaks a rule
     table = np.array(rows, dtype=float).reshape(len(rows), len(TABLE_COLUMNS))
     bad = invalid_row(table)
     if bad is not None:

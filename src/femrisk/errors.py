@@ -64,14 +64,14 @@ def malformed(what: str):
 
 def read_json(path, what: str):
     """The JSON document in the file at path; a missing file or one that
-    is not JSON is DataError("<what> file not found: ...") or
-    DataError("bad <what> JSON: ...")."""
+    is not JSON, or nests too deep to decode, is DataError("<what> file
+    not found: ...") or DataError("bad <what> JSON: ...")."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{what} file not found: {path}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"bad {what} JSON: {exc}") from None
 
 

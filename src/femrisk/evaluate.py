@@ -52,9 +52,9 @@ from .stats.ttests import paired_one_sided_ttest
 # Bigger blocks run faster but hold more in memory: the fold PCA, the
 # stacked IRLS and NIPALS each hold a few copies of a block's stack at their
 # peaks, which are about equal.  Splits of 276 rows by 16 columns
-# (evaluate_wide_t2) get blocks of 32 and peak at 61.8 MiB; splits of 108
-# rows by 9 columns (evaluate_male) get blocks of 146 and peak at 62.1 MiB,
-# against 59.7 MiB with blocks of 32 (perfbench, seed 42).
+# (evaluate_wide_t2) get blocks of 32 and peak at 43.8 MiB; splits of 108
+# rows by 9 columns (evaluate_male) get blocks of 146 and peak at 43.7 MiB,
+# against 40.7 MiB with blocks of 32 (perfbench worker, seed 42, 2 cores).
 BLOCK_BYTES = 1_140_000
 
 _MASK = (1 << 64) - 1

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, NumericalError
 
 YIELD_CLUSTER_SIZE = 15
 
@@ -43,7 +43,7 @@ class ForceDisplacementCurve:
             raise DataError("forces must be finite")
 
 
-class NoYieldDetected(Exception):
+class NoYieldDetected(NumericalError):
     """The yielded cluster never reached the threshold size."""
 
 

@@ -1,5 +1,6 @@
-"""Density-dependent material: ash-density conversion and the power-law
-modulus / yield-stress maps, evaluated per voxel element.
+"""Density-dependent material: ash-density conversion, the power-law
+modulus / yield-stress maps, evaluated per voxel element, and the solve
+control: the two blocks of the material file.
 """
 
 from __future__ import annotations
@@ -68,6 +69,25 @@ class MaterialModel:
         return self.c_S * np.power(np.asarray(rho_ash, dtype=float), self.p_S)
 
 
+@dataclass(frozen=True)
+class SolveControl:
+    increment: float = 0.1        # mm per displacement step
+    max_increments: int = 200
+    tolerance: float = 1e-8       # relative residual tolerance
+    stop_fraction: float = 0.8    # stop when force < fraction * peak, post-peak
+
+    def __post_init__(self):
+        for name in ("increment", "tolerance", "stop_fraction"):
+            require_finite(getattr(self, name), name)
+        if self.increment <= 0:
+            raise DataError("increment must be positive")
+        n = self.max_increments
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DataError("max_increments must be an integer >= 1")
+        if self.tolerance <= 0 or not 0.0 < self.stop_fraction <= 1.0:
+            raise DataError("bad solve control")
+
+
 def _from_fields(cls, doc: dict, what: str):
     """cls(**doc), refusing a key that names none of cls's fields."""
     bad = set(doc) - {f.name for f in fields(cls)}
@@ -76,12 +96,11 @@ def _from_fields(cls, doc: dict, what: str):
     return cls(**doc)
 
 
-def material_to_file(material: MaterialModel, control, path) -> None:
+def material_to_file(material: MaterialModel, control: SolveControl, path) -> None:
     write_json({"material": asdict(material), "control": asdict(control)}, path)
 
 
 def material_from_file(path):
-    from .solver import SolveControl
     doc = read_json(path, "material")
     with malformed("material file"):
         return (_from_fields(MaterialModel, doc.get("material", {}), "material"),

@@ -15,14 +15,15 @@ memory is LAPACK's column-major upper band array (leading dimension bw + 1),
 and their other entries ahead of it; reordering elements moves the band
 only to 1e-12 relative.  solve factors each new tangent once (factor_band:
 band Cholesky, or band LU when softening leaves it indefinite), and every
-linear solve goes through the module-level spsolve, at O(n bw^2) for n
-free dofs (Golub & Van Loan, Matrix Computations, 4.3).  It returns NaN
-when dgbsv finds the matrix singular: the predictor is then skipped, and a
-Newton step raises "linear solve failed", failing the attempt like a stall.
-The LAPACK routines are called by ctypes, with 64-bit integers, in NumPy's
-bundled OpenBLAS, which import numpy has loaded already, so no solve
-imports SciPy; on a NumPy build that ships no such library they come from
-scipy.linalg.cython_lapack instead, with its C ints.
+linear solve goes through the module-level spsolve, which takes the band
+and that choice, at O(n bw^2) for n free dofs (Golub & Van Loan, Matrix
+Computations, 4.3).  It returns NaN when dgbsv finds the matrix singular:
+the predictor is then skipped, and a Newton step raises "linear solve
+failed", failing the attempt like a stall.  The LAPACK routines are called
+by ctypes, with 64-bit integers, in NumPy's bundled OpenBLAS, which import
+numpy has loaded already, so no solve imports SciPy; on a NumPy build that
+ships no such library they come from scipy.linalg.cython_lapack instead,
+with its C ints, each bound once.
 
 Work that repeats a value is done once.  A solve computes the elastic
 Gauss-point tangent of its moduli once: it is the initial committed
@@ -56,43 +57,24 @@ past 1.66x its reference.
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib.util
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DataError, NumericalError, require_finite
+from ..errors import DataError, NumericalError
 from .curves import ForceDisplacementCurve
 from .grid import VoxelGrid
-from .material import MaterialModel, ash_density
+from .material import MaterialModel, SolveControl, ash_density
 from .plasticity import elastic_tangent, radial_return_batch
 
 NEWTON_CAP = 40
 NEWTON_DIVERGE = 10.0
 CHUNK = 256                     # elements per batch of element matrices
 GAUSS = 1.0 / np.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class SolveControl:
-    increment: float = 0.1        # mm per displacement step
-    max_increments: int = 200
-    tolerance: float = 1e-8       # relative residual tolerance
-    stop_fraction: float = 0.8    # stop when force < fraction * peak, post-peak
-
-    def __post_init__(self):
-        for name in ("increment", "tolerance", "stop_fraction"):
-            require_finite(getattr(self, name), name)
-        if self.increment <= 0:
-            raise DataError("increment must be positive")
-        n = self.max_increments
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise DataError("max_increments must be an integer >= 1")
-        if self.tolerance <= 0 or not 0.0 < self.stop_fraction <= 1.0:
-            raise DataError("bad solve control")
 
 
 @dataclass(frozen=True)
@@ -258,32 +240,23 @@ def _band_assembler(dof_map, free, n_dofs):
     return assemble
 
 
-class BandFactor(NamedTuple):
-    """A band of _band_assembler's storage, shape (n, bw + 1): dpbtrf's
-    upper Cholesky factor of K when cholesky is true, else K, for band LU."""
-
-    band: np.ndarray
-    cholesky: bool
-    shape = property(lambda self: self.band.shape)     # what wrappers of spsolve size it by
-
-
-def factor_band(fresh_band) -> BandFactor:
-    """The band fresh_band() returns, factored for spsolve: band Cholesky
-    (dpbtrf) in place, or, when that fails and leaves it half factored, a
-    second fresh_band(), with the same bytes, for band LU.  Cholesky comes
-    first because band LU alone took 1.8x the wall time and peak memory of
-    the 10x10x24 elastic benchmark run (2-core x86 host)."""
+def factor_band(fresh_band) -> tuple[np.ndarray, bool]:
+    """(band, cholesky): the band fresh_band() returns, factored for spsolve
+    by band Cholesky (dpbtrf) in place, or, when that fails and leaves it
+    half factored, a second fresh_band(), with the same bytes, for band LU.
+    Cholesky comes first because band LU alone took 1.8x the wall time and
+    peak memory of the 10x10x24 elastic benchmark run (2-core x86 host)."""
     band = fresh_band()
     n, width = band.shape
     cholesky = _lapack("dpbtrf", b"U", n, width - 1, band, width) == 0
-    return BandFactor(band if cholesky else fresh_band(), cholesky)
+    return (band if cholesky else fresh_band()), cholesky
 
 
-def spsolve(factor: BandFactor, b):
-    """x with K x = b from the factor_band factor of the symmetric K: by
-    back-substitution on its Cholesky factor (dpbtrs), or else by band LU
+def spsolve(kb, cholesky: bool, b):
+    """x with K x = b from factor_band's (kb, cholesky) of the symmetric K:
+    by back-substitution on its Cholesky factor (dpbtrs), or else by band LU
     (dgbsv) on K's mirrored band, NaN when dgbsv reports K singular, and
-    the caller decides what follows.  factor is only read.
+    the caller decides what follows.  kb is only read.
 
     Each rung, in either library, gives the bits of the SciPy function
     that calls its routines: cholesky_banded and cho_solve_banded, and
@@ -294,12 +267,11 @@ def spsolve(factor: BandFactor, b):
     free, so n >= 8 and bw >= 7.  Only a hand-built boundary condition can
     reach them, and there dgbsv solves the same system.
     """
-    kb = factor.band
     n, bw = kb.shape[0], kb.shape[1] - 1
     if np.shape(b) != (n,):                   # LAPACK would run past b's end
         raise ValueError(f"right-hand side of shape {np.shape(b)} for {n} unknowns")
     x = np.array(b, dtype=float)
-    if factor.cholesky:
+    if cholesky:
         _lapack("dpbtrs", b"U", n, bw, 1, kb, bw + 1, x, n)
         return x
     # dgbsv's band (2 kl + ku + 1, n) at kl = ku = bw, C-ordered as
@@ -365,9 +337,10 @@ def _lapack_int():
     return np.int64 if _numpy_openblas is not None else np.intc
 
 
+@functools.cache
 def _cython_lapack(name):
     """LAPACK's routine name from scipy.linalg.cython_lapack (which imports
-    scipy.linalg), as a ctypes function."""
+    scipy.linalg), as a ctypes function bound once per process."""
     from scipy.linalg import cython_lapack
     capsule = cython_lapack.__pyx_capi__[name]
     name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -516,15 +489,15 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         for start in range(0, 8 * ne, 8 * CHUNK):
             yield element_stiffness(tang[start:start + 8 * CHUNK], b_mats, wdet)
 
-    last = None                     # the kept tangent and its factor
+    last = None                     # the kept tangent, its factored band and cholesky
 
     def keep(tang):
-        """tang's band factor, reused while tangents keep its bytes."""
+        """tang's factor_band (band, cholesky), reused while tangents keep its bytes."""
         nonlocal last
         if last is None or not _same_bits(last[0], tang):
             last = None
-            last = tang, factor_band(lambda: kept["assemble"](element_matrices(tang)))
-        return last[1]
+            last = tang, *factor_band(lambda: kept["assemble"](element_matrices(tang)))
+        return last[1:]
 
     def advance(state, target):
         """One predictor + Newton solve from the committed state to the
@@ -544,7 +517,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
             ke = element_stiffness(tang_c.reshape(ne, 8, 6, 6)[driven_el].reshape(-1, 6, 6),
                                    b_mats, wdet)
             f_p = _predictor_force(ke, dof_map[driven_el], delta_p)
-            du0 = spsolve(keep(tang_c), -f_p[free])
+            du0 = spsolve(*keep(tang_c), -f_p[free])
             if np.all(np.isfinite(du0)):
                 u[free] += du0
         u[fixed] = 0.0
@@ -562,7 +535,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
                 return (u, eps_p_new, alpha_new, tang), f_int
             if not res_norm <= NEWTON_DIVERGE * ref:
                 raise NumericalError("Newton diverged")
-            du = spsolve(keep(tang), -res)
+            du = spsolve(*keep(tang), -res)
             if not np.all(np.isfinite(du)):
                 raise NumericalError("linear solve failed")
             u[free] += du

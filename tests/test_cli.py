@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import femrisk
-from femrisk.cli import _write_csv, _write_roc_csvs, build_parser, dispatch
+from femrisk.cli import UsageError, _write_csv, _write_roc_csvs, build_parser, dispatch
 from femrisk.datamodel import COHORT_HEADER, FE12, load_cohort
-from femrisk.errors import write_json
+from femrisk.errors import DataError, FemriskError, NumericalError, write_json
 from femrisk.evaluate import CvConfig, ResampleConfig, build_report
-from femrisk.femodel import (MaterialModel, SolveControl, material_to_file,
+from femrisk.femodel import (MaterialModel, NoYieldDetected, SolveControl, material_to_file,
                              save_grid, solver, uniform_grid)
 from femrisk.femodel.grid import VoxelGrid
 from femrisk.stats import paired_one_sided_ttest, roc_curve
@@ -82,6 +82,13 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid file not found")
+
+    def test_every_error_class_is_a_femrisk_error(self):
+        # dispatch catches FemriskError and OSError alone, and maps the
+        # classes to exit codes 1, 3 and 2.
+        for cls in (UsageError, DataError, NumericalError, NoYieldDetected):
+            assert issubclass(cls, FemriskError)
+        assert issubclass(NoYieldDetected, NumericalError)
 
     def test_missing_cohort_exit_2(self, tmp_path, capsys):
         assert dispatch(["fit", "--cohort", str(tmp_path / "nope.csv")]) == 2
@@ -317,6 +324,21 @@ class TestMalformedFiles:
         assert captured.err.splitlines() == [error]
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "report"])
+    def test_json_nested_too_deep_exit_2(self, tmp_path, capsys, command):
+        # 100 000 nested lists once ended both commands with a RecursionError
+        # traceback out of read_json.
+        path, out = tmp_path / "deep.json", tmp_path / "c.csv"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = {"synth": ["synth", "--spec", str(path), "--out", str(out)],
+                "report": ["report", "--input", str(path)]}[command]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        what = {"synth": "spec", "report": "report"}[command]
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad {what} JSON: maximum recursion")
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("doc", [
         {"cells": {"ABMD_COV|logistic": {"auc_sd": 0.1}}},
         {"cells": {"ABMD_COV|logistic": {"auc_mean": "0.7", "auc_sd": 0.1}}},
@@ -459,6 +481,25 @@ class TestMalformedCohort:
         assert dispatch(["evaluate", "--cohort", str(path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {error}"]
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("bad_above", [False, True], ids=["alone", "bad_row_above"])
+    def test_field_past_the_csv_limit_exit_2(self, tmp_path, capsys, cohort_csv, bad_above):
+        # An id of 200 000 bytes on line 4 once ended fit with csv.Error's
+        # traceback; a rule broken on line 3 is still reported first.
+        lines = cohort_csv.read_text().splitlines()
+        lines[3] = "x" * 200_000 + lines[3][lines[3].index(","):]
+        if bad_above:
+            fields = lines[2].split(",")
+            fields[COHORT_HEADER.index("healstat")] = "2.5"
+            lines[2] = ",".join(fields)
+        path, out = tmp_path / "bad.csv", tmp_path / "m.json"
+        path.write_text("\n".join(lines) + "\n")
+        assert dispatch(["fit", "--cohort", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: line 3: healstat must be in 1..5, got 2.5" if bad_above
+            else "error: line 4: field larger than field limit (131072)"]
         assert captured.out == "" and not out.exists()
 
     def test_bad_cell_above_a_non_utf8_line_reported_first(self, tmp_path, capsys,

@@ -836,7 +836,7 @@ class TestSolveLadder:
                 lu_diagonals.append(args[4][:, 2 * bw].copy())
 
         with lapack_calls(before=diagonal) as names:
-            x = spsolve(factor_band(kb.copy), b)
+            x = spsolve(*factor_band(kb.copy), b)
         assert names.count("dpbtrf") == 1
         return x, lu_diagonals
 
@@ -884,7 +884,7 @@ class TestSolveLadder:
             infos.append(info)
 
         with lapack_calls(after=info_of) as names:
-            x = spsolve(factor_band(_dense_to_band(k, bw).copy), b)
+            x = spsolve(*factor_band(_dense_to_band(k, bw).copy), b)
         assert names == ["dpbtrf", "dgbsv"]
         assert infos[1] == dead + 1
         assert np.isnan(x).all()
@@ -974,12 +974,12 @@ class LapackRungs:
         bw = min(bw, n - 1)
         kb = _dense_to_band(_dominant_band(rng, n, bw, np.ones(n)), bw)
         b = rng.normal(size=n)
-        factor = factor_band(kb.copy)
-        x = spsolve(factor, b)
+        band, cholesky = factor_band(kb.copy)
+        x = spsolve(band, cholesky, b)
         cb = cholesky_banded(kb.T, check_finite=False)
-        assert factor.cholesky and same_bits(factor.band, cb.T)
+        assert cholesky and same_bits(band, cb.T)
         assert same_bits(x, cho_solve_banded((cb, False), b, check_finite=False))
-        assert same_bits(spsolve(factor, b), x)
+        assert same_bits(spsolve(band, cholesky, b), x)
 
     def indefinite_lu_factor_and_solution(self, seed, n, bw):
         rng = np.random.default_rng(seed)
@@ -997,10 +997,10 @@ class LapackRungs:
                 factors.append((args[4].copy(), args[6].copy()))
 
         with lapack_calls(after=lu_factor) as names:
-            factor = factor_band(kb.copy)
-            x = spsolve(factor, b)
+            band, cholesky = factor_band(kb.copy)
+            x = spsolve(band, cholesky, b)
         assert names == ["dpbtrf", "dgbsv"]
-        assert not factor.cholesky and same_bits(factor.band, kb)
+        assert not cholesky and same_bits(band, kb)
         full = _scipy_lu_band(kb)
         assert same_bits(x, solve_banded((bw, bw), full, b, check_finite=False))
         # solve_banded's own dgbsv call, for its factor and pivots.
@@ -1042,7 +1042,7 @@ class LapackRungs:
         # pivots of the other library's width never reach LAPACK.
         kb = _dense_to_band(np.eye(4) * 2.0, 2)
         with pytest.raises(ValueError, match=r"right-hand side of shape \(3,\) for 4 unknowns"):
-            spsolve(factor_band(kb.copy), np.ones(3))
+            spsolve(*factor_band(kb.copy), np.ones(3))
         with pytest.raises(ctypes.ArgumentError):
             solver._lapack("dpbtrf", b"U", 4, 1, np.ones((4, 4))[:, ::2], 2)
         other = np.intc if solver._lapack_int() == np.int64 else np.int64
@@ -1112,6 +1112,33 @@ class TestLapackRungsMatchScipyOnCythonLapack(LapackRungs):
     def test_indefinite_lu_factor_and_solution(self, seed, n, bw):
         self.indefinite_lu_factor_and_solution(seed, n, bw)
 
+    def test_each_routine_bound_once(self):
+        # Building the ctypes bindings took longer than a call through them.
+        solver._cython_lapack.cache_clear()
+        kb = _dense_to_band(np.eye(4) * 2.0, 2)
+        for _ in range(2):
+            spsolve(*factor_band(kb.copy), np.ones(4))
+        assert solver._cython_lapack.cache_info()[:2] == (2, 2)      # hits, misses
+        assert solver._cython_lapack("dpbtrf") is solver._cython_lapack("dpbtrf")
+
+
+@pytest.mark.parametrize("bc", [stance_bc, fall_bc])
+def test_spsolve_gets_the_band_first(monkeypatch, bc):
+    # perfbench's tracer wraps spsolve and records args[0].shape[0] as the
+    # free-dof count of each solve.
+    bands, real = [], solver.spsolve
+
+    def traced(*args, **kwargs):
+        bands.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "spsolve", traced)
+    g = uniform_grid((2, 2, 3), RHO)
+    b = bc(g.dims)
+    solve(g, elastic_material(), b, SolveControl(increment=0.01, max_increments=2))
+    n_free = 3 * 3 * 3 * 4 - b.fixed_dofs.size - b.driven_dofs.size
+    assert bands and all(isinstance(kb, np.ndarray) and kb.shape[0] == n_free for kb in bands)
+
 
 def _shell_core_phantom():
     """3x3x12 voxels at 3 mm: a 0.9 g/cm^3 shell around a 0.25 core, each
@@ -1130,9 +1157,9 @@ def solve_log(monkeypatch):
     Newton step alike."""
     log = []
 
-    def counting(factor, b):
+    def counting(kb, cholesky, b):
         log.append(float(np.linalg.norm(b)))
-        return spsolve(factor, b)
+        return spsolve(kb, cholesky, b)
 
     monkeypatch.setattr(solver, "spsolve", counting)
     return log
@@ -1370,7 +1397,7 @@ class TestFactorReuse:
                 return band
             return recording
 
-        def checked(factor, b):
+        def checked(kb, cholesky, b):
             lu_inputs = []
 
             def before(name, args):
@@ -1379,13 +1406,13 @@ class TestFactorReuse:
                     lu_inputs.append(args[4][:, bw:2 * bw + 1].copy())
 
             with lapack_calls(before=before):
-                x = spsolve(factor, b)
+                x = spsolve(kb, cholesky, b)
             if lu_inputs:
                 (_, first), (again, _) = assembled[-2:]
                 fallbacks.append(
-                    factor.band is again and same_bits(again, first)
-                    and not factor.cholesky
-                    and np.array_equal(lu_inputs[0], factor.band))
+                    kb is again and same_bits(again, first)
+                    and not cholesky
+                    and np.array_equal(lu_inputs[0], kb))
             return x
 
         monkeypatch.setattr(solver, "_band_assembler", assembler)
