@@ -201,20 +201,25 @@ def _parse_line(raw: list[str], line_no: int) -> list[float]:
 
 
 def _csv_records(text):
-    """(line number, fields) of each CSV record of text, numbered from 1; a
-    record the csv module refuses (a field too large) is DataError."""
-    line_no = 0
+    """(line number, fields) of each CSV record of text, numbered by the
+    physical line it starts on, from 1: a record with a quoted line break
+    spans two lines or more.  A record the csv module refuses (a field too
+    large) is DataError naming the line it starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line_no = 1
     try:
-        for line_no, raw in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        for raw in reader:
             yield line_no, raw
+            line_no = reader.line_num + 1
     except csv.Error as exc:
-        raise DataError(f"line {line_no + 1}: {exc}") from None
+        raise DataError(f"line {line_no}: {exc}") from None
 
 
 def load_cohort(path) -> Cohort:
     """Read and validate a cohort CSV; the first invalid line raises, a line
     holding a byte that is not UTF-8 or a field too large for the csv
-    module included.  Subject ids must be non-empty and unique."""
+    module included.  Subject ids must be non-empty and unique.  Errors name
+    physical lines of the file, a record by the line it starts on."""
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:

@@ -15,10 +15,13 @@ gathers the train and test rows of a block of splits by row index from the
 cohort's columns, with PC1 on a given PCA or on a fold PCA fit on each
 split's training rows.  Stratified splits of one cohort all have the same
 train and test sizes and class counts, so the loop works on blocks of
-splits as (B, n, p) stacks, drawn together by stratified_split_block.  A
-block holds as many splits as BLOCK_BYTES holds of their widest feature
-stack (block_size): every row of the cohort times the widest set's column
-count times 8 bytes, a PC1 set counting the 9 FE9 columns its PCA reads.
+splits as (B, n, p) stacks, drawn together by stratified_split_block, the
+one stratified draw: stratified_split_indices, which draws the CLI's
+holdout, is its block of one seed, and a split's rows do not depend on the
+other seeds of its block.  A block holds as many splits as BLOCK_BYTES
+holds of their widest feature stack (block_size): every row of the cohort
+times the widest set's column count times 8 bytes, a PC1 set counting the
+9 FE9 columns its PCA reads.
 Per (feature set, block), classifiers.standardize_stack standardizes the
 block once and classifiers.score_stack trains and scores it with every
 classifier in one stacked fit each, which skips the covariance, standard
@@ -99,46 +102,35 @@ class ResampleConfig:
             raise DataError("train_fraction must be in (0, 1)")
 
 
-def _class_shares(y, fraction: float):
-    """(members, train count) of class 0 and of class 1 in the labels y:
-    a train share of fraction, in (0, 1), of each class, with at least one
-    member left on each side."""
+def stratified_split_indices(labels, fraction: float, seed: int):
+    """Class-proportion-preserving index split (ascending within each side)
+    with a train share of fraction, in (0, 1): the one-seed block of
+    stratified_split_block."""
+    tr, te = stratified_split_block(labels, fraction, [seed])
+    return tr[0], te[0]
+
+
+def stratified_split_block(labels, fraction: float, seeds):
+    """Train rows (B, n) and test rows (B, m) of one stratified split per
+    seed, each side ascending.
+
+    With fraction in (0, 1), a class of n_c members puts round(fraction *
+    n_c), clipped to 1..n_c - 1, of them in train, so it keeps at least one
+    member on each side.  Seed i's generator permutes the members of class
+    0, then of class 1, and the first members of each permutation go to
+    train.  They are marked in a (B, len(labels)) mask, which nonzero reads
+    in ascending order, so no side is sorted.
+    """
+    y = require_labels(labels)
     if not 0.0 < fraction < 1.0:
         raise DataError(f"train fraction must be in (0, 1), got {fraction}")
-    shares = []
+    shares = []                                   # (members, train count) per class
     for cls in (0, 1):
         members = np.flatnonzero(y == cls)
         if members.size < 2:
             raise DataError(f"class {cls} has fewer than 2 members")
         n_train = int(round(fraction * members.size))
         shares.append((members, min(max(n_train, 1), members.size - 1)))
-    return shares
-
-
-def stratified_split_indices(labels, fraction: float, seed: int):
-    """Class-proportion-preserving index split (sorted within each side)
-    with a train share of fraction, in (0, 1)."""
-    y = require_labels(labels)
-    rng = np.random.default_rng(seed)
-    train_idx = []
-    test_idx = []
-    for members, n_train in _class_shares(y, fraction):
-        perm = rng.permutation(members)
-        train_idx.append(perm[:n_train])
-        test_idx.append(perm[n_train:])
-    return (np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx)))
-
-
-def stratified_split_block(labels, fraction: float, seeds):
-    """Train rows (B, n) and test rows (B, m) of one split per seed: row i
-    holds the rows of stratified_split_indices(labels, fraction, seeds[i]).
-
-    Each seed's generator takes the same two permutations; its train rows
-    are marked in a (B, len(labels)) mask, which nonzero reads in ascending
-    order, so no side is sorted.
-    """
-    y = require_labels(labels)
-    shares = _class_shares(y, fraction)
     train = np.zeros((len(seeds), y.size), dtype=bool)
     for row, seed in zip(train, seeds):
         rng = np.random.default_rng(seed)
@@ -231,9 +223,10 @@ def _split_and_score(sub: Cohort, feature_sets: dict[str, Sequence[str]],
     splits of sub; feature_sets maps each feature set's name to its
     columns.  Returns {cell name: AUC vector}.
 
-    Split i holds the rows of stratified_split_indices at mix_seed(seed,
-    i, 0), which keeps at least one member of each class on each side, so
-    every held-out side holds both classes.
+    Split i holds the rows that stratified_split_block draws for the seed
+    mix_seed(seed, i, 0), the rows of stratified_split_indices at that seed.
+    The draw keeps at least one member of each class on each side, so every
+    held-out side holds both classes.
     """
     y = sub.labels()
     require_class_sizes(y, protocol)

@@ -116,6 +116,23 @@ class TestColumnValidator:
             load_cohort(p)
         assert str(exc.value) == "line 7: healstat must be in 1..5, got 7"
 
+    @pytest.mark.parametrize("cells,message", [
+        ({4: {"healstat": "9"}}, "line 5: healstat must be in 1..5, got 9"),
+        ({5: {"id": "s3"}}, "line 6: duplicate subject id 's3', first on line 4"),
+        ({4: {"id": "x" * 200_000}}, "line 5: field larger than field limit (131072)"),
+    ], ids=["rule", "duplicate", "field_too_large"])
+    def test_line_numbers_are_physical_after_a_two_line_record(self, tmp_path, cells,
+                                                              message):
+        # s2's quoted id "a<newline>b" spans lines 2 and 3, so s3..s5 start on
+        # lines 4..6.  Errors were once numbered by record, one line early.
+        p = tmp_path / "c.csv"
+        write_cohort_csv(p, cells)
+        p.write_text(p.read_text().replace("s2,", '"a\nb",', 1))
+        assert p.read_text().splitlines()[3].startswith("s3,")
+        with pytest.raises(DataError) as exc:
+            load_cohort(p)
+        assert str(exc.value) == message
+
     def test_field_count(self, tmp_path):
         p = tmp_path / "c.csv"
         write_cohort_csv(p, {})
@@ -150,6 +167,14 @@ class TestCohortIo:
         p2 = tmp_path / "b.csv"
         save_cohort(small_cohort, p1)
         save_cohort(load_cohort(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_quoted_line_break_in_an_id_round_trips(self, tmp_path):
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_cohort(make_cohort({"a\nb": {}, "s3": {}}), p1)
+        back = load_cohort(p1)
+        assert back.ids.tolist() == ["a\nb", "s3"]
+        save_cohort(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_mismatch(self, tmp_path):

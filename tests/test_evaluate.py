@@ -1,3 +1,5 @@
+import importlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -79,6 +81,33 @@ class TestStratifiedSplit:
             want = np.stack([stratified_split_indices(y, fraction, s)[side] for s in seeds])
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @settings(max_examples=100)
+    @given(n0=st.integers(2, 60), n1=st.integers(2, 60),
+           order=st.integers(0, 2**32 - 1),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+           fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_draw_follows_its_definition(self, n0, n1, order, seeds, fraction):
+        # The draw written out: seed s's default_rng permutes the members of
+        # class 0, then of class 1; train takes the first
+        # min(max(round(f * n_c), 1), n_c - 1) of each class; each side is
+        # sorted.
+        y = np.random.default_rng(order).permutation(np.repeat([0, 1], [n0, n1]))
+        tr, te = stratified_split_block(y, fraction, seeds)
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            sides = ([], [])
+            for cls in (0, 1):
+                members = np.flatnonzero(y == cls)
+                n_train = min(max(round(fraction * members.size), 1), members.size - 1)
+                perm = rng.permutation(members)
+                sides[0].extend(perm[:n_train])
+                sides[1].extend(perm[n_train:])
+            lone = stratified_split_indices(y, fraction, seed)
+            for side, block in enumerate((tr, te)):
+                want = np.sort(np.array(sides[side], dtype=np.int64))
+                for got in (block[i], lone[side]):
+                    assert got.dtype == np.int64 and np.array_equal(got, want)
+
     def test_cohort_split_roundtrips(self, small_cohort):
         tr, te = stratified_split_indices(small_cohort.labels(), 0.75, seed=4)
         tr_c, te_c = small_cohort.subset(tr), small_cohort.subset(te)
@@ -89,6 +118,31 @@ class TestStratifiedSplit:
     def test_tiny_class_rejected(self):
         with pytest.raises(DataError):
             stratified_split_indices(np.array([1, 0, 0]), 0.8, 0)
+
+
+class TestTracedSplit:
+    def test_tracer_reads_the_held_out_labels(self, small_cohort):
+        # perfbench/tracing.py wraps evaluate.stratified_split_indices, the
+        # CLI's holdout draw, and its hook reads np.asarray(args[0])[split[1]]
+        # as the held-out labels.  Removing the name or moving the test side
+        # from index 1 fails every traced run.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+            tracing = importlib.import_module("tracing")
+        wraps = [w for w in tracing.WRAPS if w[:2] == ("femrisk.evaluate",
+                                                       "stratified_split_indices")]
+        y = small_cohort.labels()
+        with tracing.Tracer(wraps=wraps) as tracer:
+            splits = [evaluate.stratified_split_indices(y, fraction, seed)
+                      for fraction in (0.5, 0.75, 0.8) for seed in (0, 7, 2**64 - 1)]
+        assert evaluate.stratified_split_indices is stratified_split_indices
+        assert len(wraps) == 1 and len(tracer.spans) == len(splits)
+        assert tracer.counters == {"evaluate.stratified_split_indices.redraws": 0}
+        for split in splits:
+            assert len(split) == 2
+            for side in split:
+                assert side.dtype.kind == "i" and np.all(np.diff(side) > 0)
+            assert np.array_equal(np.sort(np.concatenate(split)), np.arange(y.size))
 
 
 class TestNoLeakage:
