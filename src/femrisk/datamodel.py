@@ -228,9 +228,11 @@ def load_cohort(path) -> Cohort:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The lines above the first undecodable byte are read as usual.
-        head = data[:data.rfind(b"\n", 0, exc.start) + 1]
-        text, line_no = head.decode("utf-8"), head.count(b"\n") + 1
+        # The lines above the first undecodable byte are read as usual.  The
+        # csv reader breaks lines at \r\n, \r and \n, and so do the cut and
+        # bytes.splitlines.
+        head = data[:max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1]
+        text, line_no = head.decode("utf-8"), len(head.splitlines()) + 1
         unreadable = DataError(f"line {line_no}: not UTF-8 ({exc.reason} at byte {exc.start})")
     records = _csv_records(text)
     try:

@@ -1,7 +1,11 @@
 """Von Mises radial return with a consistent tangent (Simo & Hughes,
 Computational Inelasticity, ch. 3-4).  The elastic predictor and the yield
 test are batched over all quadrature points; the return map and the
-tangent run only at the points that yield.
+tangent run only at the points that yield, and a batch in which no point
+yields hands back its elastic tangent, plastic strains and equivalent
+plastic strains themselves.  The elastic tangent may be a broadcast view
+(one tangent per element for its Gauss points), and the tangent returned
+keeps its shape.
 
 Voigt convention throughout: [xx, yy, zz, xy, yz, zx] with engineering
 shear strains (gamma) and tensor shear stresses.  The yield stress is a
@@ -37,18 +41,28 @@ def _moduli(emod, nu):
     return g, lam, lam + 2.0 * g / 3.0
 
 
+# The four distinct pairs (c1, c2) of entries of _EYE3 and _IDEV, and the
+# pair at each of the 36 entries.
+_PAIRS = np.array([[0.0, 0.0], [0.0, 0.5], [1.0, -1.0 / 3.0], [1.0, 2.0 / 3.0]])
+_PATTERN = np.argmax((np.stack([_EYE3, _IDEV], axis=-1)[:, :, None] == _PAIRS).all(axis=-1),
+                     axis=-1)
+
+
 def _isotropic(kb, shear):
-    """kb (1 (x) 1) + shear * I_dev for each point, (n, 6, 6)."""
-    tangent = np.zeros((kb.size, 6, 6))
-    tangent += kb[:, None, None] * _EYE3
-    tangent += shear[:, None, None] * _IDEV
-    return tangent
+    """kb (1 (x) 1) + shear * I_dev for each point, (n, 6, 6), C-ordered:
+    each entry is (0.0 + kb c1) + shear c2 of its pair in _PAIRS, the
+    operations, in their order, of zeros + kb _EYE3 + shear _IDEV, and so
+    their bits, signed zeros and infinities included (a NaN stays NaN)."""
+    values = (0.0 + kb[:, None] * _PAIRS[:, 0]) + shear[:, None] * _PAIRS[:, 1]
+    return np.take(values, _PATTERN, axis=1)
 
 
 def elastic_tangent(emod, nu):
     """Isotropic elastic tangents (n, 6, 6) of the moduli emod (n,), read
     only: the tangent radial_return_batch gives every point that stays
-    elastic, with the same bits."""
+    elastic, with the same bits.  Points that share a modulus share its
+    tangent: a caller may pass radial_return_batch a broadcast view of
+    these, such as one tangent per element for its Gauss points."""
     g, _, kb = _moduli(np.asarray(emod, dtype=float), nu)
     tangent = _isotropic(kb, 2.0 * g)
     tangent.flags.writeable = False
@@ -60,13 +74,18 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
     """Elastic predictor / radial return over a batch of quadrature points.
 
     strain, eps_p: (n, 6) engineering Voigt; alpha, emod, sigma_y0: (n,);
-    elastic: (n, 6, 6) elastic_tangent(emod, nu), which a caller with fixed
-    moduli computes once.  The trial stress and the yield test run at every
-    point; the return map and the consistent tangent run only at the points
-    that yield.  A point that stays elastic keeps its eps_p and alpha and
-    takes a copy of its elastic row; when no point yields, the tangent
-    returned is elastic itself.  No input is written to.
-    Returns (stress (n,6), tangent (n,6,6), eps_p_new, alpha_new).
+    elastic: the points' tangents elastic_tangent(emod, nu), which a caller
+    with fixed moduli computes once, in any shape (..., 6, 6) whose leading
+    axes flatten to the n points: (n, 6, 6), or a read-only broadcast view
+    such as (ne, 8, 6, 6) of one tangent per element.  The trial stress and
+    the yield test run at every point; the return map and the consistent
+    tangent run only at the points that yield.  When no point yields, the
+    batch returns right after the yield test, with elastic, eps_p and alpha
+    themselves.  Otherwise the tangent is a C-ordered copy of elastic, in
+    its shape, with the rows of the points that yield replaced, and eps_p
+    and alpha are fresh arrays in which only those points move.  No input
+    is written to.
+    Returns (stress (n,6), tangent (elastic's shape), eps_p_new, alpha_new).
     """
     strain = np.asarray(strain, dtype=float)
     eps_p = np.asarray(eps_p, dtype=float)
@@ -91,6 +110,9 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
     floor = floor_frac * plateau
     sy_cur = _yield_stress(alpha, plateau, h_soft, eps_plateau, floor)
     plastic = q > sy_cur
+    if not plastic.any():
+        stress[:, :3] += p_mean[:, None]
+        return stress, elastic, eps_p, alpha
 
     # From here on, only the points that yield.  Their q exceeds a yield
     # stress >= floor >= 0, so q and the norm of s are positive.
@@ -123,14 +145,14 @@ def radial_return_batch(strain, eps_p, alpha, emod, nu, sigma_y0,
     alpha_new[plastic] += dgamma
 
     # Consistent tangent: the elastic one, except at the points that yield.
-    if not plastic.any():
-        return stress, elastic, eps_p_new, alpha_new
-    tangent = np.array(elastic, dtype=float)
-    yielded = _isotropic(kb[plastic], 2.0 * g * scale)
+    # The copy is C-ordered, so that the reshape below is a view of it even
+    # when elastic is a broadcast view.
+    tangent = np.array(elastic, dtype=float, order="C")
     s_norm = np.sqrt((s[:, :3] ** 2).sum(axis=1) + 2.0 * (s[:, 3:] ** 2).sum(axis=1))
     m = s / s_norm[:, None]
     c_n = 6.0 * g**2 * (dgamma / q - 1.0 / (three_g + h_used))
-    yielded += c_n[:, None, None] * (m[:, :, None] * m[:, None, :])
-    tangent[plastic] = yielded
+    yielded = c_n[:, None, None] * (m[:, :, None] * m[:, None, :])
+    yielded += _isotropic(kb[plastic], 2.0 * g * scale)
+    tangent.reshape(-1, 6, 6)[plastic] = yielded
 
     return stress, tangent, eps_p_new, alpha_new

@@ -25,11 +25,15 @@ numpy has loaded already, so no solve imports SciPy; on a NumPy build that
 ships no such library they come from scipy.linalg.cython_lapack instead,
 with its C ints, each bound once.
 
-Work that repeats a value is done once.  A solve computes the elastic
-Gauss-point tangent of its moduli once: it is the initial committed
-tangent, and radial return copies its rows for the points that stay
-elastic, or returns it itself when no point yields; the return map and its
-tangent run only at the points that yield.  A solve keeps its last tangent
+Work that repeats a value is done once.  The eight Gauss points of a
+voxel share its modulus, so a solve computes the elastic tangent once per
+element, and its Gauss points see it through a read-only broadcast view
+(ne, 8, 6, 6): that view is the initial committed tangent.  Radial return
+copies it, C-ordered and in that shape, only when some point yields, and
+writes the tangents of those points alone; a batch in which no point
+yields returns the tangent, plastic strains and equivalent plastic strains
+it was given, so an elastic solve keeps one per-element tangent and zero
+plastic state that it never writes.  A solve keeps its last tangent
 with its factor, and reuses the factor while the next tangent has the same
 bytes (4 of the 8 solves of the two-increment 10x10x24 elastic benchmark
 input), which gives the bytes a fresh factorization would; any other
@@ -42,7 +46,8 @@ and the index, which a solve under another key clears before it allocates
 anything per element, so a run builds two: stance's and the falls'.
 
 The committed state is (u, eps_p, alpha, tang_c): displacements, plastic
-strains, equivalent plastic strains and the Gauss-point tangents they give.
+strains, equivalent plastic strains and the Gauss-point tangents they give,
+(ne, 8, 6, 6); no attempt writes into it.
 An attempt advances a copy of it by a predictor and at most NEWTON_CAP
 Newton iterations per substep; an attempt whose residual passes
 NEWTON_DIVERGE times its reference (or is not finite) is given up at once,
@@ -184,11 +189,11 @@ def _predictor_force(ke, dofs, delta_p):
 def element_stiffness(tang, b_mats, wdet):
     """Element stiffness matrices (ne, 24, 24) from Gauss-point tangents.
 
-    tang holds the (ne * 8, 6, 6) tangents in element-major order; the
+    tang holds the tangents of ne elements, (ne, 8, 6, 6) or in
+    element-major order (ne * 8, 6, 6), and may be a broadcast view; the
     result is sum_g wdet * B_g^T D_g B_g for each element.
     """
-    ne = tang.shape[0] // 8
-    db = (tang.reshape(ne, 8, 6, 6) @ b_mats).reshape(ne, 48, 24)
+    db = (tang.reshape(-1, 8, 6, 6) @ b_mats).reshape(-1, 48, 24)
     return (wdet * b_mats.reshape(48, 24).T) @ db
 
 
@@ -466,10 +471,11 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
 
     # One element per voxel, in the order of _element_dof_map (x fastest).
     rho_ash = ash_density(grid.rho_cha)
-    emod_gp = np.repeat(material.modulus(rho_ash).ravel(order="F"), 8)
+    emod_el = material.modulus(rho_ash).ravel(order="F")
+    ne = emod_el.size
+    emod_gp = np.repeat(emod_el, 8)
     sy_gp = np.repeat(material.yield_stress(rho_ash).ravel(order="F"), 8)
-    tang_el = elastic_tangent(emod_gp, material.nu)
-    ne = emod_gp.size // 8
+    tang_el = np.broadcast_to(elastic_tangent(emod_el, material.nu)[:, None], (ne, 8, 6, 6))
     b_mats, wdet = _hex_b_matrices(grid.spacing)
     ones = np.ones(driven.size)
     driven_el = _driven_elements(dof_map, driven, n_dofs)
@@ -486,8 +492,8 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
 
     def element_matrices(tang):
         """tang's element matrices, CHUNK consecutive elements at a time."""
-        for start in range(0, 8 * ne, 8 * CHUNK):
-            yield element_stiffness(tang[start:start + 8 * CHUNK], b_mats, wdet)
+        for start in range(0, ne, CHUNK):
+            yield element_stiffness(tang[start:start + CHUNK], b_mats, wdet)
 
     last = None                     # the kept tangent, its factored band and cholesky
 
@@ -514,8 +520,7 @@ def solve(grid: VoxelGrid, material: MaterialModel, bc: BoundaryCondition,
         delta_p = np.zeros(n_dofs)
         delta_p[driven] = -target - u[driven]
         if free.size:
-            ke = element_stiffness(tang_c.reshape(ne, 8, 6, 6)[driven_el].reshape(-1, 6, 6),
-                                   b_mats, wdet)
+            ke = element_stiffness(tang_c[driven_el], b_mats, wdet)
             f_p = _predictor_force(ke, dof_map[driven_el], delta_p)
             du0 = spsolve(*keep(tang_c), -f_p[free])
             if np.all(np.isfinite(du0)):

@@ -428,6 +428,20 @@ class TestMalformedCohort:
             f"error: line 4: not UTF-8 (invalid continuation byte at byte {offset})"]
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_not_utf8_line_counted_at_every_line_end(self, tmp_path, capsys, cohort_csv, end):
+        # The csv reader breaks lines at \r\n, \r and \n, and so does the
+        # line a byte that is not UTF-8 is reported on: once a file with
+        # lone \r line ends reported its Latin-1 byte on line 4 as line 1.
+        data = cohort_csv.read_bytes().splitlines()
+        data[3] = data[3].replace(b",", b"\xe9,", 1)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(end.join(data) + end)
+        assert dispatch(["fit", "--cohort", str(path)]) == 2
+        offset = len(end.join(data[:3]) + end) + data[3].index(b"\xe9")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: line 4: not UTF-8 (invalid continuation byte at byte {offset})"]
+
     @pytest.mark.parametrize("command", ["evaluate", "fit", "compare-frax"])
     def test_empty_stratum_exit_2(self, tmp_path, capsys, cohort_csv, model_doc, command):
         # An all-male cohort has no female stratum: once a fit, a split or

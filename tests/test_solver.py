@@ -21,7 +21,7 @@ from femrisk.femodel import (LOAD_CASES, MaterialModel, SolveControl,
 from femrisk.femodel.curves import energy_to_failure
 from femrisk.femodel.grid import VoxelGrid
 from femrisk.femodel.plasticity import elastic_tangent, radial_return_batch
-from femrisk.femodel import loadcases, solver
+from femrisk.femodel import loadcases, plasticity, solver
 from femrisk.femodel.solver import (GAUSS, _band_assembler, _element_dof_map,
                                     _hex_b_matrices, _largest_cluster,
                                     element_stiffness, factor_band, node_id, spsolve)
@@ -191,12 +191,14 @@ def _random_symmetric_tangents(rng, n):
     return a + a.transpose(0, 2, 1)
 
 
-def _kernel_inputs(rng, n, overstress):
+def _kernel_inputs(rng, n, overstress, per=1):
     """Deviatoric strains whose trial von Mises stress is a factor drawn
-    from `overstress` (lo, hi) times the initial yield stress sy."""
+    from `overstress` (lo, hi) times the initial yield stress sy; each per
+    consecutive points share emod and sy, as the 8 Gauss points of a voxel
+    do at per = 8."""
     m = MaterialModel()
-    emod = rng.uniform(2000.0, 10000.0, n)
-    sy = rng.uniform(20.0, 40.0, n)
+    emod = np.repeat(rng.uniform(2000.0, 10000.0, n // per), per)
+    sy = np.repeat(rng.uniform(20.0, 40.0, n // per), per)
     g = emod / (2.0 * (1.0 + m.nu))
     strain = rng.normal(size=(n, 6))
     strain[:, :3] -= strain[:, :3].mean(axis=1, keepdims=True)
@@ -433,6 +435,26 @@ def _full_tangent_kernel(strain, eps_p, alpha, emod, nu, sigma_y0,
     return stress_new, tangent, eps_p_new, alpha_new
 
 
+def _mixed_batch(rng, n, share, alpha0, n_nan, per=1):
+    """radial_return_batch's arguments before elastic for n points, a share
+    of them plastic, and which: each point's trial stress is 0-0.99
+    (elastic) or 1.05-3 (plastic) times its current yield stress, and n_nan
+    rows get a NaN strain.  Each per consecutive points share a modulus."""
+    m, ee, emod, sy = _kernel_inputs(rng, n, (1.0, 1.0), per)
+    eps_p, alpha = _plastic_history(rng, m, n, alpha0)
+    plastic = rng.permutation(n) < round(share * n)
+    factor = np.where(plastic, rng.uniform(1.05, 3.0, n), rng.uniform(0.0, 0.99, n))
+    ee *= (factor * _yield_stress(m, sy, emod, alpha) / sy)[:, None]
+    ee[:, :3] += rng.normal(scale=1e-3, size=(n, 1))
+    strain = ee + eps_p
+    nan_rows = rng.permutation(n)[:n_nan]
+    strain[nan_rows, rng.integers(6, size=nan_rows.size)] = np.nan
+    plastic[nan_rows] = False
+    args = (strain, eps_p, alpha, emod, m.nu, sy,
+            m.f_plateau, m.eps_plateau, m.f_soft, m.floor_frac)
+    return args, plastic
+
+
 class TestElasticTangentShortcut:
     """radial_return_batch copies the rows of elastic_tangent for the points
     that stay elastic, and gives the bits of the kernel that evaluates the
@@ -443,24 +465,11 @@ class TestElasticTangentShortcut:
            share=st.sampled_from([0.0, 0.5, 1.0]),
            alpha0=st.sampled_from([0.0, 0.5, 2.0, 100.0]), n_nan=st.integers(0, 3))
     def test_bit_equal_to_full_tangent_kernel(self, seed, n, share, alpha0, n_nan):
-        # Each point's trial stress is 0-0.99 (elastic) or 1.05-3 (plastic)
-        # times its current yield stress; n_nan rows get a NaN strain.
         rng = np.random.default_rng(seed)
-        m, ee, emod, sy = _kernel_inputs(rng, n, (1.0, 1.0))
-        eps_p, alpha = _plastic_history(rng, m, n, alpha0)
-        plastic = rng.permutation(n) < round(share * n)
-        factor = np.where(plastic, rng.uniform(1.05, 3.0, n), rng.uniform(0.0, 0.99, n))
-        ee *= (factor * _yield_stress(m, sy, emod, alpha) / sy)[:, None]
-        ee[:, :3] += rng.normal(scale=1e-3, size=(n, 1))
-        strain = ee + eps_p
-        nan_rows = rng.permutation(n)[:n_nan]
-        strain[nan_rows, rng.integers(6, size=nan_rows.size)] = np.nan
-        plastic[nan_rows] = False
-
-        args = (strain, eps_p, alpha, emod, m.nu, sy,
-                m.f_plateau, m.eps_plateau, m.f_soft, m.floor_frac)
+        args, plastic = _mixed_batch(rng, n, share, alpha0, n_nan)
+        alpha, emod, nu = args[2:5]
         with np.errstate(invalid="ignore"):
-            got = radial_return_batch(*args, elastic_tangent(emod, m.nu))
+            got = radial_return_batch(*args, elastic_tangent(emod, nu))
             want = _full_tangent_kernel(*args)
         np.testing.assert_array_equal(got[3] > alpha, plastic)
         for a, b in zip(got, want):
@@ -473,18 +482,20 @@ class TestElasticTangentShortcut:
             tangent[0, 0, 0] = 1.0
 
     def test_no_yielding_point_returns_the_elastic_tangent(self):
-        # Ten points below yield, the first at zero strain: the tangent is
-        # elastic itself, and eps_p and alpha are copies.
+        # Ten points below yield, the first at zero strain: the tangent,
+        # eps_p and alpha are the inputs themselves, and no input changes.
         rng = np.random.default_rng(1)
         m, ee, emod, sy = _kernel_inputs(rng, 10, (0.0, 0.9))
         eps_p, alpha = _plastic_history(rng, m, 10, 0.0)
         ee[0] = 0.0
+        strain = ee + eps_p
         elastic = elastic_tangent(emod, m.nu)
-        out = radial_return_batch(ee + eps_p, eps_p, alpha, emod, m.nu, sy, m.f_plateau,
+        inputs = (strain, eps_p, alpha, emod, sy, elastic)
+        before = [a.tobytes() for a in inputs]
+        out = radial_return_batch(strain, eps_p, alpha, emod, m.nu, sy, m.f_plateau,
                                   m.eps_plateau, m.f_soft, m.floor_frac, elastic)
-        assert out[1] is elastic
-        assert out[2] is not eps_p and out[3] is not alpha
-        assert same_bits(out[2], eps_p) and same_bits(out[3], alpha)
+        assert out[1] is elastic and out[2] is eps_p and out[3] is alpha
+        assert [a.tobytes() for a in inputs] == before
 
     def test_elastic_rows_are_copies(self):
         # The kernel never writes into its inputs: two rows each that stay
@@ -513,6 +524,78 @@ class TestElasticTangentShortcut:
         assert np.all(out[3][2:4] <= m.eps_plateau)
         assert np.all(sy_new[4:6] > m.floor_frac * m.f_plateau * sy[4:6])
         np.testing.assert_array_equal(sy_new[6:8], m.floor_frac * m.f_plateau * sy[6:8])
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+class TestPerElementTangent:
+    """One elastic tangent per element, seen by its eight Gauss points
+    through a read-only broadcast view, gives radial return the bits of the
+    per-point stack, and the tangent comes back in the view's shape."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), ne=st.integers(1, 5),
+           share=st.sampled_from([0.0, 0.5, 1.0]),
+           alpha0=st.sampled_from([0.0, 0.5, 2.0, 100.0]), n_nan=st.integers(0, 3))
+    def test_broadcast_tangent_gives_the_bits_of_the_stack(self, seed, ne, share, alpha0,
+                                                           n_nan):
+        # No point, half of them or all of them yield.
+        rng = np.random.default_rng(seed)
+        args, plastic = _mixed_batch(rng, 8 * ne, share, alpha0, n_nan, per=8)
+        emod, nu = args[3:5]
+        view = np.broadcast_to(elastic_tangent(emod[::8], nu)[:, None], (ne, 8, 6, 6))
+        with np.errstate(invalid="ignore"):
+            got = radial_return_batch(*args, view)
+            want = radial_return_batch(*args, elastic_tangent(emod, nu))
+        np.testing.assert_array_equal(got[3] > args[2], plastic)
+        assert got[1].shape == (ne, 8, 6, 6)
+        assert (got[1] is view) == (not plastic.any())
+        for a, b in zip((got[0], got[1].reshape(-1, 6, 6), *got[2:]), want):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    @settings(max_examples=60)
+    @given(moduli=st.lists(st.tuples(st.one_of(_SPECIAL, st.floats()),
+                                     st.one_of(_SPECIAL, st.floats())),
+                           min_size=1, max_size=30))
+    def test_isotropic_gathers_the_bits_of_the_broadcast_sum(self, moduli):
+        kb, shear = np.array(moduli).T
+        want = np.zeros((kb.size, 6, 6))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want += kb[:, None, None] * plasticity._EYE3
+            want += shear[:, None, None] * plasticity._IDEV
+            got = plasticity._isotropic(kb, shear)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        # NaN + NaN takes the sign of either NaN in NumPy's add, by the
+        # position in the array, in the broadcast sum too: NaN is compared
+        # as NaN, every other entry bit for bit.
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+    def test_one_yielding_point_gets_its_plastic_row(self):
+        # Of two elements' 16 Gauss points only point 11 yields: its row of
+        # the tangent is its consistent tangent, every other row the
+        # element's elastic one, and eps_p and alpha are fresh arrays.
+        rng = np.random.default_rng(3)
+        m, ee, emod, sy = _kernel_inputs(rng, 16, (0.0, 0.9), per=8)
+        ee[11] *= 2.0 / ee[11].std()              # strains near 2: far past yield
+        eps_p, alpha = np.zeros((16, 6)), np.zeros(16)
+        elastic = elastic_tangent(emod[::8], m.nu)
+        view = np.broadcast_to(elastic[:, None], (2, 8, 6, 6))
+        args = (ee, eps_p, alpha, emod, m.nu, sy, m.f_plateau, m.eps_plateau,
+                m.f_soft, m.floor_frac)
+        before = [a.tobytes() for a in (ee, eps_p, alpha, elastic)]
+        out = radial_return_batch(*args, view)
+        assert [a.tobytes() for a in (ee, eps_p, alpha, elastic)] == before
+        np.testing.assert_array_equal(out[3] > 0.0, np.arange(16) == 11)
+        rows = out[1].reshape(-1, 6, 6)
+        assert same_bits(rows[11], _full_tangent_kernel(*args)[1][11])
+        assert not np.array_equal(rows[11], elastic[1])
+        others = np.arange(16) != 11
+        assert same_bits(rows[others], np.repeat(elastic, 8, axis=0)[others])
+        assert not any(np.shares_memory(o, i) for o in out[2:] for i in (eps_p, alpha))
 
 
 def _loop_stiffness(tang, b_mats, wdet):
@@ -1225,26 +1308,28 @@ class TestFailedAttempt:
 
     @staticmethod
     def _solve(monkeypatch, fail_at=None):
-        """Solve a 2x2x6 column that yields from its third increment.  Every
-        stress evaluation of one attempt gets its committed eps_p array, so
-        consecutive evaluations on the same array are one attempt.  With
+        """Solve a 2x2x6 column that yields from its third increment.  Each
+        attempt opens with its predictor, the one call of _predictor_force,
+        and every stress evaluation after it belongs to that attempt.  With
         fail_at = (k, n), the n-th evaluation of the k-th attempt gives NaN
         stress once, which fails that attempt.  Returns the curve, the
         number of evaluations of each attempt, and how often the fault
         fired."""
-        committed, runs, fired = [], [], []
+        force, runs, fired = solver._predictor_force, [], []
+
+        def predictor(*args):
+            runs.append(0)
+            return force(*args)
 
         def faulty(*args):
             stress, tang, eps_p, alpha = radial_return_batch(*args)
-            if not committed or args[1] is not committed[-1]:
-                committed.append(args[1])       # held, so no id is reused
-                runs.append(0)
             runs[-1] += 1
             if not fired and fail_at == (len(runs), runs[-1]):
                 fired.append(len(runs))
                 stress = np.full_like(stress, np.nan)
             return stress, tang, eps_p, alpha
 
+        monkeypatch.setattr(solver, "_predictor_force", predictor)
         monkeypatch.setattr(solver, "radial_return_batch", faulty)
         g = uniform_grid((2, 2, 6), RHO)
         c = SolveControl(increment=0.05, max_increments=12)
@@ -1293,15 +1378,17 @@ class TestFactorReuse:
         # stress: the second increment's predictor sees a tangent that
         # differs in that one element from the first increment's, which is
         # the elastic tangent that solve computes itself.  No point yields,
-        # so radial return gives that read-only tangent back: edit a copy.
+        # so radial return gives that read-only tangent back: edit a copy,
+        # through its Gauss-point rows (n, 6, 6).
         def edited(*args):
             stress, tang, eps_p, alpha = radial_return_batch(*args)
             tang = tang.copy()
+            rows = tang.reshape(-1, 6, 6)
             if edit == "ulp":
-                tang[0, 0, 0] = np.nextafter(tang[0, 0, 0], np.inf)
+                rows[0, 0, 0] = np.nextafter(rows[0, 0, 0], np.inf)
             else:
-                assert tang[0, 0, 3] == 0.0
-                tang[0, 0, 3] = -0.0
+                assert rows[0, 0, 3] == 0.0
+                rows[0, 0, 3] = -0.0
             return stress, tang, eps_p, alpha
 
         _, n_factored = self._elastic_solve(edited)
@@ -1317,7 +1404,7 @@ class TestFactorReuse:
         def nan_tangent(*args):
             stress, tang, eps_p, alpha = radial_return_batch(*args)
             tang = tang.copy()
-            tang[0, 0, 3] = np.nan
+            tang.reshape(-1, 6, 6)[0, 0, 3] = np.nan
             return stress, tang, eps_p, alpha
 
         with pytest.raises(NumericalError, match="Newton failed to converge at increment 2"), \
@@ -1538,16 +1625,16 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("bc", [stance_bc, fall_bc])
     def test_elastic_solve_holds_no_whole_mesh_element_matrices(self, bc):
         # Two elastic increments on 8x8x20 voxels: at its peak a solve
-        # holds its band, the int32 scatter index, at most two Gauss-point
-        # tangent stacks, and within 6 MiB one chunk's B products and
-        # element matrices (3.4 MiB at 256 elements) and the per-point
-        # arrays.  tracemalloc counts NumPy's buffers, whatever the
-        # allocator does.
+        # holds its band, the int32 scatter index, one elastic tangent per
+        # element (no Gauss-point stack), and within 6.5 MiB one chunk's B
+        # products and element matrices (3.4 MiB at 256 elements) and the
+        # per-point arrays.  tracemalloc counts NumPy's buffers, whatever
+        # the allocator does.
         dims = (8, 8, 20)
         ne, n_dofs = 8 * 8 * 20, 3 * 9 * 9 * 21
         free = _free_dofs(bc(dims), n_dofs)
         kb = _band_assembler(_element_dof_map(dims), free, n_dofs)([np.zeros((ne, 24, 24))])
-        budget = kb.nbytes + 576 * 8 + ne * 576 * 4 + 2 * ne * 8 * 36 * 8 + 6 * 2**20
+        budget = kb.nbytes + 576 * 8 + ne * 576 * 4 + ne * 36 * 8 + 6.5 * 2**20
         del kb
         grid = uniform_grid(dims, RHO)
         tracemalloc.start()
